@@ -14,8 +14,8 @@ Subpackage map:
 - ``cli``       command-line entry point
 """
 
-from .config import DEFAULT_TOL, get_default_tol, set_default_tol
+from .config import DEFAULT_TOL
 
 __version__ = "0.1.0"
 
-__all__ = ["DEFAULT_TOL", "get_default_tol", "set_default_tol", "__version__"]
+__all__ = ["DEFAULT_TOL", "__version__"]

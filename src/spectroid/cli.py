@@ -106,9 +106,9 @@ def _read(path) -> str:
     return Path(path).read_text()
 
 
-def _load_category(path, tol):
-    """Parse a category file and close it into a working category."""
-    stored = serial.parse("category", _read(path))
+def _close_category(payload, tol):
+    """Decode a category payload and close it into a working category."""
+    stored = serial.category_from_json(payload)
     pres = cc.CategoryPresentation(
         objects=stored.objects,
         generators={k: list(v) for k, v in stored.blocks.items() if v},
@@ -126,7 +126,7 @@ def _load_spaceoid(path):
 
 def cmd_spectrum(args) -> int:
     tol = resolve_tol(args.tol)
-    cat = _load_category(args.file, tol)
+    cat = _close_category(serial.load_text(_read(args.file)), tol)
     spec = du.spectrum(cat, tol, args.seed)
     report = sp.validate(spec.spaceoid, tol)
     if args.json:
@@ -152,12 +152,7 @@ def cmd_roundtrip(args) -> int:
     payload = serial.load_text(_read(args.file))
     kind = serial.classify(payload)
     if kind == "category":
-        stored = serial.category_from_json(payload)
-        pres = cc.CategoryPresentation(
-            objects=stored.objects,
-            generators={k: list(v) for k, v in stored.blocks.items() if v},
-        )
-        cat = cc.close(pres, unitize=stored.unital, tol=tol)
+        cat = _close_category(payload, tol)
         report = du.roundtrip_category(cat, tol, args.seed)
     elif kind == "spaceoid":
         report = du.roundtrip_spaceoid(
@@ -285,14 +280,7 @@ def cmd_validate(args) -> int:
                 sp.validate(serial.spaceoid_from_json(payload), tol), prefix
             )
         elif kind == "category":
-            stored = serial.category_from_json(payload)
-            pres = cc.CategoryPresentation(
-                objects=stored.objects,
-                generators={
-                    k: list(v) for k, v in stored.blocks.items() if v
-                },
-            )
-            cat = cc.close(pres, unitize=stored.unital, tol=tol)
+            cat = _close_category(payload, tol)
             report.extend(cc.check_axioms(cat, tol, seed=args.seed), prefix)
         elif kind == "groupoid":
             report.extend(

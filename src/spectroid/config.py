@@ -6,25 +6,11 @@ natural scale exists (residuals are compared against ``tol * (1 +
 scale)``).
 """
 
-__all__ = ["DEFAULT_TOL", "get_default_tol", "set_default_tol", "resolve_tol"]
+__all__ = ["DEFAULT_TOL", "resolve_tol"]
 
 DEFAULT_TOL = 1e-9
 
-_current_tol = DEFAULT_TOL
-
-
-def get_default_tol() -> float:
-    return _current_tol
-
-
-def set_default_tol(tol: float) -> None:
-    """Set the package-wide default tolerance (must be positive)."""
-    global _current_tol
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    _current_tol = float(tol)
-
 
 def resolve_tol(tol: float | None) -> float:
-    """Return ``tol`` itself, or the global default when ``tol`` is None."""
-    return _current_tol if tol is None else float(tol)
+    """Return ``tol`` itself, or ``DEFAULT_TOL`` when ``tol`` is None."""
+    return DEFAULT_TOL if tol is None else float(tol)

@@ -29,8 +29,10 @@ from .errors import (
     SpectroidError,
 )
 from .numkit import (
+    _combine,
+    _project,
+    _rows,
     adjoint,
-    hs_inner,
     hs_member,
     hs_norm,
     hs_orthonormalize,
@@ -42,7 +44,6 @@ __all__ = [
     "CategoryPresentation",
     "MatrixCategory",
     "StarFunctor",
-    "Ideal",
     "close",
     "check_axioms",
     "is_commutative",
@@ -52,10 +53,6 @@ __all__ = [
     "functor_image",
     "functor_from_images",
     "validate_functor",
-    "kernel",
-    "validate_ideal",
-    "first_isomorphism_check",
-    "quotient_by_character",
     "generated_by",
     "linking_category",
     "linking_generator",
@@ -131,16 +128,6 @@ class StarFunctor:
     block_maps: dict
 
 
-@dataclass
-class Ideal:
-    """Per-block subspaces closed under outer composition and adjoint."""
-
-    blocks: dict  # (A, B) -> list of matrices (HS-orthonormal)
-
-    def dim(self, a, b) -> int:
-        return len(self.blocks.get((a, b), []))
-
-
 # ---------------------------------------------------------------------------
 # closure
 
@@ -186,22 +173,22 @@ def close(
         changed = False
         candidates: dict = {pair: [] for pair in blocks}
         for (a, b), basis in blocks.items():
-            for m in basis:
-                candidates[(b, a)].append(adjoint(m))
+            if basis:
+                candidates[(b, a)].append(_adjoints(basis))
         for a, b, c in itertools.product(ids, ids, ids):
             left, right = blocks[(a, b)], blocks[(b, c)]
-            if not left or not right:
-                continue
-            for m in left:
-                for n in right:
-                    candidates[(a, c)].append(m @ n)
-        for pair, basis in blocks.items():
-            extra = candidates[pair]
+            if left and right:
+                candidates[(a, c)].append(_products(left, right))
+        for (a, b), basis in blocks.items():
+            extra = candidates[(a, b)]
             if not extra:
                 continue
-            new_basis = hs_orthonormalize(basis + extra, tol).basis
+            stack = np.concatenate(
+                [np.reshape(basis, (-1, dims[a], dims[b]))] + extra
+            )
+            new_basis = hs_orthonormalize(stack, tol).basis
             if len(new_basis) > len(basis):
-                blocks[pair] = new_basis
+                blocks[(a, b)] = new_basis
                 changed = True
         if not changed:
             break
@@ -219,17 +206,37 @@ def close(
 # axiom checks
 
 
+def _stack(cat, a, b) -> np.ndarray:
+    """Block (a, b)'s basis as one ``(n, d_a, d_b)`` array."""
+    return np.reshape(cat.block(a, b), (-1, cat.dim(a), cat.dim(b)))
+
+
+def _adjoints(mats) -> np.ndarray:
+    """Conjugate transposes of a stack of matrices, as one stack."""
+    return np.asarray(mats).conj().transpose(0, 2, 1)
+
+
+def _products(left, right) -> np.ndarray:
+    """Every product ``m @ n`` of two stacks, ``m``-major, as one stack."""
+    prods = np.asarray(left)[:, None] @ np.asarray(right)[None, :]
+    return prods.reshape((-1,) + prods.shape[2:])
+
+
+def _worst_norm(stack) -> float:
+    """Largest HS norm in a non-empty stack of matrices."""
+    return float(np.linalg.norm(_rows(stack), axis=1).max())
+
+
 def _block_products_in_span(cat, tol, report):
     worst = 0.0
     where = ""
     for a, b, c in itertools.product(*[cat.object_ids] * 3):
         left, right = cat.block(a, b), cat.block(b, c)
-        span = cat.block(a, c)
-        for m in left:
-            for n in right:
-                _, residual, _ = hs_member(m @ n, span, tol)
-                if residual > worst:
-                    worst, where = residual, f"({a},{b})x({b},{c})"
+        if not left or not right:
+            continue
+        _, residual, _ = _project(cat.block(a, c), _products(left, right), tol)
+        if residual.max() > worst:
+            worst, where = float(residual.max()), f"({a},{b})x({b},{c})"
     report.add(
         "composition-closure",
         worst <= tol * 10.0,
@@ -254,24 +261,22 @@ def check_axioms(
 
     worst = 0.0
     for (a, b), basis in cat.blocks.items():
-        for m in basis:
-            da, db = cat.dim(a), cat.dim(b)
-            if m.shape != (da, db):
-                report.add("shapes", False, detail=f"block ({a},{b})")
-                return report
-        n = len(basis)
-        if n:
-            gram = np.array([[hs_inner(x, y) for y in basis] for x in basis])
-            worst = max(worst, float(np.linalg.norm(gram - np.eye(n))))
+        if any(m.shape != (cat.dim(a), cat.dim(b)) for m in basis):
+            report.add("shapes", False, detail=f"block ({a},{b})")
+            return report
+        if basis:
+            q = _rows(basis)
+            gram = q.conj() @ q.T
+            worst = max(worst, float(np.linalg.norm(gram - np.eye(len(q)))))
     report.add("orthonormal-bases", worst <= tol * 100.0, worst)
 
     worst, where = 0.0, ""
     for (a, b), basis in cat.blocks.items():
-        span = cat.block(b, a)
-        for m in basis:
-            _, residual, _ = hs_member(adjoint(m), span, tol)
-            if residual > worst:
-                worst, where = residual, f"({a},{b})"
+        if not basis:
+            continue
+        _, residual, _ = _project(cat.block(b, a), _adjoints(basis), tol)
+        if residual.max() > worst:
+            worst, where = float(residual.max()), f"({a},{b})"
     report.add("adjoint-closure", worst <= tol * 10.0, worst, where)
 
     _block_products_in_span(cat, tol, report)
@@ -293,7 +298,7 @@ def check_axioms(
             coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
                 len(basis)
             )
-            x = sum(c * m for c, m in zip(coeffs, basis))
+            x = _combine(coeffs, basis, (cat.dim(a), cat.dim(b)))
             nx = op_norm(x)
             dev = abs(op_norm(adjoint(x) @ x) - nx**2)
             worst_cstar = max(worst_cstar, dev / (1.0 + nx**2))
@@ -313,12 +318,15 @@ def is_commutative(cat: MatrixCategory, tol: float | None = None) -> bool:
     """True when every diagonal block is a commutative algebra."""
     tol = resolve_tol(tol)
     for o in cat.object_ids:
-        basis = cat.block(o, o)
-        for i, x in enumerate(basis):
-            for y in basis[i + 1:]:
-                dev = float(np.linalg.norm(x @ y - y @ x))
-                if dev > tol * (1.0 + hs_norm(x) * hs_norm(y)):
-                    return False
+        basis = _stack(cat, o, o)
+        i, j = np.triu_indices(len(basis), 1)
+        if not len(i):
+            continue
+        comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+        dev = np.linalg.norm(_rows(comm), axis=1)
+        norms = np.linalg.norm(_rows(basis), axis=1)
+        if np.any(dev > tol * (1.0 + norms[i] * norms[j])):
+            return False
     return True
 
 
@@ -332,9 +340,9 @@ def is_full(cat: MatrixCategory, tol: float | None = None) -> bool:
     """
     tol = resolve_tol(tol)
     for a, b in cat.pairs():
-        basis = cat.block(a, b)
-        right = [adjoint(x) @ y for x in basis for y in basis]
-        left = [x @ adjoint(y) for x in basis for y in basis]
+        basis = _stack(cat, a, b)
+        right = _products(_adjoints(basis), basis)
+        left = _products(basis, _adjoints(basis))
         if hs_orthonormalize(right, tol).rank != cat.block_dim(b, b):
             return False
         if hs_orthonormalize(left, tol).rank != cat.block_dim(a, a):
@@ -367,6 +375,17 @@ def compose_functors(phi2: StarFunctor, phi1: StarFunctor) -> StarFunctor:
     return StarFunctor(object_map, block_maps)
 
 
+def _image(phi: StarFunctor, target: MatrixCategory, a, b, coeffs):
+    """Target matrices of source-block (a, b) coordinates ``coeffs``
+    (last axis), mapped through ``phi``'s block matrix."""
+    a2, b2 = phi.object_map[a], phi.object_map[b]
+    return _combine(
+        coeffs @ phi.block_maps[(a, b)].T,
+        target.block(a2, b2),
+        (target.dim(a2), target.dim(b2)),
+    )
+
+
 def functor_image(
     phi: StarFunctor,
     source: MatrixCategory,
@@ -383,14 +402,7 @@ def functor_image(
         raise InvalidFunctor(
             f"element not in source block ({a},{b}) (residual {residual:.3e})"
         )
-    out_pair = (phi.object_map[a], phi.object_map[b])
-    vec = phi.block_maps[(a, b)] @ coeffs if len(coeffs) else coeffs
-    out = np.zeros(
-        (target.dim(out_pair[0]), target.dim(out_pair[1])), dtype=complex
-    )
-    for c, m in zip(vec, target.block(*out_pair)):
-        out = out + c * m
-    return out
+    return _image(phi, target, a, b, coeffs)
 
 
 def functor_from_images(
@@ -408,23 +420,18 @@ def functor_from_images(
     tol = resolve_tol(tol)
     block_maps = {}
     for (a, b), basis in source.blocks.items():
-        out_pair = (object_map[a], object_map[b])
-        tgt = target.block(*out_pair)
-        cols = []
-        for j, _ in enumerate(basis):
-            img = images[(a, b)][j]
-            member, residual, coeffs = hs_member(img, tgt, tol)
-            if not member:
-                raise InvalidFunctor(
-                    f"image of basis {j} of ({a},{b}) is outside the target "
-                    f"block (residual {residual:.3e})"
-                )
-            cols.append(coeffs)
-        block_maps[(a, b)] = (
-            np.array(cols, dtype=complex).T
-            if cols
-            else np.zeros((len(tgt), 0), dtype=complex)
-        )
+        tgt = target.block(object_map[a], object_map[b])
+        if not basis:
+            block_maps[(a, b)] = np.zeros((len(tgt), 0), dtype=complex)
+            continue
+        member, residual, coeffs = _project(tgt, images[(a, b)], tol)
+        if not member.all():
+            j = int(np.argmin(member))
+            raise InvalidFunctor(
+                f"image of basis {j} of ({a},{b}) is outside the target "
+                f"block (residual {residual[j]:.3e})"
+            )
+        block_maps[(a, b)] = coeffs.T
     return StarFunctor(dict(object_map), block_maps)
 
 
@@ -434,7 +441,11 @@ def validate_functor(
     target: MatrixCategory,
     tol: float | None = None,
 ) -> Report:
-    """Check *-functor axioms on all basis elements and pairs."""
+    """Check *-functor axioms on all basis elements and pairs.
+
+    Raises ``InvalidFunctor`` when a product of source basis elements
+    falls outside its source block.
+    """
     tol = resolve_tol(tol)
     report = Report()
 
@@ -448,38 +459,23 @@ def validate_functor(
     if not bijective:
         return report
 
-    images = {}
-    for (a, b), basis in source.blocks.items():
-        mapped = []
-        for j, m in enumerate(basis):
-            vec = phi.block_maps[(a, b)][:, j] if len(basis) else None
-            out_pair = (phi.object_map[a], phi.object_map[b])
-            img = np.zeros(
-                (target.dim(out_pair[0]), target.dim(out_pair[1])),
-                dtype=complex,
-            )
-            for c, t in zip(vec, target.block(*out_pair)):
-                img = img + c * t
-            mapped.append(img)
-        images[(a, b)] = mapped
+    images = {
+        (a, b): _image(phi, target, a, b, np.eye(len(basis)))
+        for (a, b), basis in source.blocks.items()
+    }
 
     worst = 0.0
     for (a, b), basis in source.blocks.items():
-        for j, m in enumerate(basis):
-            img_adj = adjoint(images[(a, b)][j])
-            member, residual, coeffs = hs_member(
-                adjoint(m), source.block(b, a), tol
-            )
-            if not member:
-                report.add("adjoint-closure-of-source", False, residual)
-                return report
-            alt = np.zeros_like(img_adj)
-            for c, t in zip(
-                phi.block_maps[(b, a)] @ coeffs,
-                target.block(phi.object_map[b], phi.object_map[a]),
-            ):
-                alt = alt + c * t
-            worst = max(worst, float(np.linalg.norm(img_adj - alt)))
+        if not basis:
+            continue
+        member, residual, coeffs = _project(
+            source.block(b, a), _adjoints(basis), tol
+        )
+        if not member.all():
+            report.add("adjoint-closure-of-source", False, float(residual.max()))
+            return report
+        alt = _image(phi, target, b, a, coeffs)
+        worst = max(worst, _worst_norm(_adjoints(images[(a, b)]) - alt))
     report.add("involution", worst <= tol * 100.0, worst)
 
     worst = 0.0
@@ -487,14 +483,17 @@ def validate_functor(
         left, right = source.block(a, b), source.block(b, c)
         if not left or not right:
             continue
-        for m in left:
-            img_m = functor_image(phi, source, target, a, b, m, tol)
-            for n in right:
-                img_n = functor_image(phi, source, target, b, c, n, tol)
-                img_mn = functor_image(phi, source, target, a, c, m @ n, tol)
-                worst = max(
-                    worst, float(np.linalg.norm(img_mn - img_m @ img_n))
-                )
+        member, residual, coeffs = _project(
+            source.block(a, c), _products(left, right), tol
+        )
+        if not member.all():
+            raise InvalidFunctor(
+                f"element not in source block ({a},{c}) "
+                f"(residual {residual.max():.3e})"
+            )
+        img_mn = _image(phi, target, a, c, coeffs)
+        img_m_img_n = _products(images[(a, b)], images[(b, c)])
+        worst = max(worst, _worst_norm(img_mn - img_m_img_n))
     report.add("multiplicativity", worst <= tol * 100.0, worst)
 
     if source.unital and target.unital:
@@ -511,140 +510,6 @@ def validate_functor(
             )
         report.add("units", worst <= tol * 100.0, worst)
     return report
-
-
-# ---------------------------------------------------------------------------
-# kernels, ideals, quotients
-
-
-def kernel(
-    phi: StarFunctor, source: MatrixCategory, tol: float | None = None
-) -> Ideal:
-    """Per-block null space of the functor, as matrices."""
-    tol = resolve_tol(tol)
-    blocks = {}
-    for (a, b), basis in source.blocks.items():
-        if not basis:
-            blocks[(a, b)] = []
-            continue
-        m = phi.block_maps[(a, b)]
-        if m.shape[0] == 0:
-            null_vecs = np.eye(len(basis), dtype=complex)
-        else:
-            u, s, vh = np.linalg.svd(m)
-            cut = s[0] * tol * 10.0 + tol if len(s) else 0.0
-            rank = int(np.sum(s > cut))
-            null_vecs = vh[rank:].conj().T
-        mats = []
-        for k in range(null_vecs.shape[1]):
-            vec = null_vecs[:, k]
-            mats.append(sum(c * m_ for c, m_ in zip(vec, basis)))
-        blocks[(a, b)] = hs_orthonormalize(mats, tol).basis
-    return Ideal(blocks)
-
-
-def validate_ideal(
-    ideal: Ideal, cat: MatrixCategory, tol: float | None = None
-) -> Report:
-    """Closure of the ideal under adjoints and outer composition."""
-    tol = resolve_tol(tol)
-    report = Report()
-    worst_adj = 0.0
-    for (a, b), mats in ideal.blocks.items():
-        span = ideal.blocks.get((b, a), [])
-        for m in mats:
-            _, residual, _ = hs_member(adjoint(m), span, tol)
-            worst_adj = max(worst_adj, residual)
-    report.add("ideal-adjoint", worst_adj <= tol * 10.0, worst_adj)
-
-    worst = 0.0
-    for (a, b), mats in ideal.blocks.items():
-        for z in cat.object_ids:
-            for c in cat.block(z, a):
-                span = ideal.blocks.get((z, b), [])
-                for m in mats:
-                    _, residual, _ = hs_member(c @ m, span, tol)
-                    worst = max(worst, residual)
-            for c in cat.block(b, z):
-                span = ideal.blocks.get((a, z), [])
-                for m in mats:
-                    _, residual, _ = hs_member(m @ c, span, tol)
-                    worst = max(worst, residual)
-    report.add("ideal-composition", worst <= tol * 10.0, worst)
-    return report
-
-
-def first_isomorphism_check(
-    phi: StarFunctor,
-    source: MatrixCategory,
-    target: MatrixCategory,
-    tol: float | None = None,
-) -> Report:
-    """Dimension bookkeeping for source/kernel ~ image, per block, plus
-    closure of the image under products and adjoints."""
-    tol = resolve_tol(tol)
-    report = Report()
-    ker = kernel(phi, source, tol)
-
-    ok = True
-    detail = []
-    for (a, b), basis in source.blocks.items():
-        m = phi.block_maps[(a, b)]
-        if m.size == 0:
-            rank = 0
-        else:
-            s = np.linalg.svd(m, compute_uv=False)
-            cut = s[0] * tol * 10.0 + tol if len(s) else 0.0
-            rank = int(np.sum(s > cut))
-        if len(basis) != ker.dim(a, b) + rank:
-            ok = False
-            detail.append(f"({a},{b}): {len(basis)}!={ker.dim(a,b)}+{rank}")
-    report.add("rank-nullity-per-block", ok, detail="; ".join(detail))
-
-    image_spans = {}
-    for (a, b), basis in source.blocks.items():
-        out_pair = (phi.object_map[a], phi.object_map[b])
-        imgs = [
-            functor_image(phi, source, target, a, b, m, tol) for m in basis
-        ]
-        key = out_pair
-        image_spans.setdefault(key, []).extend(imgs)
-    for key in image_spans:
-        image_spans[key] = hs_orthonormalize(image_spans[key], tol).basis
-
-    worst = 0.0
-    inv_map = {v: k for k, v in phi.object_map.items()}
-    tgt_ids = [phi.object_map[o] for o in source.object_ids]
-    for a, b, c in itertools.product(tgt_ids, tgt_ids, tgt_ids):
-        for m in image_spans.get((a, b), []):
-            _, residual, _ = hs_member(
-                adjoint(m), image_spans.get((b, a), []), tol
-            )
-            worst = max(worst, residual)
-            for n in image_spans.get((b, c), []):
-                _, residual, _ = hs_member(
-                    m @ n, image_spans.get((a, c), []), tol
-                )
-                worst = max(worst, residual)
-    report.add("image-closed", worst <= tol * 100.0, worst)
-    return report
-
-
-def quotient_by_character(
-    cat: MatrixCategory, omega, tol: float | None = None, seed: int = 0
-):
-    """Quotient of a commutative full unital category by a character.
-
-    Realized as the compression onto the character's joint eigenspaces
-    (one per object): returns the one-dimensional quotient category and
-    the quotient *-functor onto it.
-    """
-    from . import duality
-
-    tol = resolve_tol(tol)
-    spec = duality.spectrum(cat, tol=tol, seed=seed)
-    idx = duality.match_character_class(spec, omega, tol)
-    return duality.compression_functor(cat, spec, idx, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -918,12 +783,13 @@ def groupoid_category(
     blocks: dict = {}
     for a in g.objects:
         for b in g.objects:
-            ops = []
-            for f in g.hom(a, b):
-                m = np.zeros((len(spaces[a]), len(spaces[b])), dtype=complex)
+            arrows = g.hom(a, b)
+            ops = np.zeros(
+                (len(arrows), len(spaces[a]), len(spaces[b])), dtype=complex
+            )
+            for k, f in enumerate(arrows):
                 for h in spaces[b]:
-                    m[index[a][g.compose[(f, h)]], index[b][h]] = 1.0
-                ops.append(m)
+                    ops[k, index[a][g.compose[(f, h)]], index[b][h]] = 1.0
             blocks[(a, b)] = hs_orthonormalize(ops, tol).basis
     return MatrixCategory(objects=objects, blocks=blocks, unital=True)
 

@@ -71,14 +71,12 @@ from .spaceoid import (
 __all__ = [
     "SpectrumResult",
     "Character",
-    "UnitaryClass",
     "spectrum",
     "characters",
     "match_character_class",
     "unitary_equivalence_gauge",
     "compression_functor",
     "one_dim_category",
-    "one_dim_functor",
     "sections",
     "sections_with_gauge",
     "sections_on_morphism",
@@ -91,7 +89,6 @@ __all__ = [
     "roundtrip_spaceoid",
     "verify_duality",
     "classical_category",
-    "classical_point_map",
 ]
 
 
@@ -331,38 +328,6 @@ class Character:
         coeff = self.spec.coefficients(a, b, x)[self.index]
         return coeff * self.spec.character_gamma(self.index, a, b)
 
-    def diagonal(self, a) -> np.ndarray:
-        """Values on the stored basis of ``C_aa`` (frame-independent)."""
-        return self.spec.diag_table[a][self.index]
-
-    def unitary_class(self) -> "UnitaryClass":
-        return UnitaryClass(
-            tuple(
-                (o, tuple(complex(z) for z in self.diagonal(o)))
-                for o in self.spec.category.object_ids
-            )
-        )
-
-
-@dataclass(frozen=True)
-class UnitaryClass:
-    """Equivalence data of a character: its diagonal restrictions."""
-
-    diagonals: tuple  # ((obj id, (values...)), ...)
-
-    def matches(self, other: "UnitaryClass", tol: float = 1e-7) -> bool:
-        if [o for o, _ in self.diagonals] != [o for o, _ in other.diagonals]:
-            return False
-        for (_, mine), (_, theirs) in zip(self.diagonals, other.diagonals):
-            if len(mine) != len(theirs):
-                return False
-            if mine and max(
-                abs(np.complex128(u) - np.complex128(v))
-                for u, v in zip(mine, theirs)
-            ) > tol:
-                return False
-        return True
-
 
 def characters(
     c: MatrixCategory, tol: float | None = None, seed: int = 0
@@ -495,20 +460,6 @@ def compression_functor(
             "compression is not a *-functor: " + rep.summary()
         )
     return target, phi
-
-
-def one_dim_functor(c: MatrixCategory, tol: float | None = None, seed=0):
-    """For a category with a single class: its canonical quotient.
-
-    Convenience wrapper; raises ``SpectrumMismatch`` when the spectrum
-    has more than one point.
-    """
-    spec = spectrum(c, tol, seed)
-    if spec.n_classes != 1:
-        raise SpectrumMismatch(
-            f"category has {spec.n_classes} classes; expected exactly 1"
-        )
-    return compression_functor(c, spec, 0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -888,16 +839,3 @@ def classical_category(k: int) -> MatrixCategory:
     return MatrixCategory(
         objects=(("A", k),), blocks={("A", "A"): basis}, unital=True
     )
-
-
-def classical_point_map(
-    phi: StarFunctor,
-    source: MatrixCategory,
-    target: MatrixCategory,
-    tol: float | None = None,
-    seed: int = 0,
-) -> dict:
-    """The finite-space map induced by a *-homomorphism of commutative
-    categories: the base map of the induced spaceoid morphism."""
-    m = spectrum_on_morphism(phi, source, target, tol, seed)
-    return dict(m.f_delta)

@@ -116,19 +116,28 @@ def _check_normal(a: np.ndarray, tol: float) -> None:
 def normal_eig(m, tol: float | None = None, cluster_tol: float = 1e-8):
     """Unitary eigendecomposition of a normal matrix.
 
-    Diagonalizes the Hermitian part first, then rotates inside each of
-    its eigenvalue clusters to diagonalize the anti-Hermitian part —
-    the two commute exactly when ``m`` is normal.  Returns ``(evals,
-    u)`` with complex eigenvalues in column order of ``u``.
+    Returns ``(evals, u)`` with complex eigenvalues in column order of
+    ``u``; see :func:`_normal_eig_core` for the method.
     """
     tol = resolve_tol(tol)
     a = _as_matrix(m)
     _check_normal(a, tol)
-    scale = 1.0 + op_norm(a)
+    evals, u = _normal_eig_core(a, cluster_tol * (1.0 + op_norm(a)))
+    return evals, _normalize_column_phases(u)
+
+
+def _normal_eig_core(a: np.ndarray, threshold: float):
+    """Unchecked eigendecomposition of a normal matrix.
+
+    Diagonalizes the Hermitian part first, then rotates inside each of
+    its eigenvalue clusters (gaps at most ``threshold``) to diagonalize
+    the anti-Hermitian part — the two commute exactly when ``a`` is
+    normal.
+    """
     re_part = (a + a.conj().T) / 2.0
     im_part = (a - a.conj().T) / 2.0j
     wr, u = np.linalg.eigh(re_part)
-    for grp in _gap_groups(wr, cluster_tol * scale):
+    for grp in _gap_groups(wr, threshold):
         if len(grp) < 2:
             continue
         sub = u[:, grp]
@@ -136,7 +145,7 @@ def normal_eig(m, tol: float | None = None, cluster_tol: float = 1e-8):
         _, v = np.linalg.eigh((ki + ki.conj().T) / 2.0)
         u[:, grp] = sub @ v
     evals = np.einsum("ij,jk,ki->i", u.conj().T, a, u)
-    return evals, _normalize_column_phases(u)
+    return evals, u
 
 
 def svd(m):
@@ -339,7 +348,7 @@ def _attempt_joint(mats, d, rng, cluster_tol, scales):
             if np.linalg.norm(comp - mean * np.eye(len(blk))) <= threshold:
                 new_blocks.append(blk)
                 continue
-            evals, w_rot = _small_normal_eig(comp, threshold)
+            evals, w_rot = _normal_eig_core(comp, threshold)
             u[:, cols] = sub @ w_rot
             for grp in _cluster_complex(evals, threshold):
                 new_blocks.append([blk[g] for g in grp])
@@ -374,23 +383,6 @@ def _attempt_joint(mats, d, rng, cluster_tol, scales):
     return JointEigenstructure(u_ordered, tuple(blocks_out), eigenvalues)
 
 
-def _small_normal_eig(comp, threshold):
-    """Eigendecomposition used inside refinement; comp is normal up to
-    the ambient verification tolerance."""
-    re_part = (comp + comp.conj().T) / 2.0
-    im_part = (comp - comp.conj().T) / 2.0j
-    wr, w_rot = np.linalg.eigh(re_part)
-    for grp in _gap_groups(wr, threshold):
-        if len(grp) < 2:
-            continue
-        sub = w_rot[:, grp]
-        ki = sub.conj().T @ im_part @ sub
-        _, v = np.linalg.eigh((ki + ki.conj().T) / 2.0)
-        w_rot[:, grp] = sub @ v
-    evals = np.einsum("ij,jk,ki->i", w_rot.conj().T, comp, w_rot)
-    return evals, w_rot
-
-
 def _verify_joint(mats, result: JointEigenstructure, scales) -> float:
     u = result.unitary
     worst = 0.0
@@ -415,28 +407,73 @@ class OrthoBasis(NamedTuple):
     rank: int
 
 
+def _rows(mats) -> np.ndarray:
+    """A non-empty stack of equal-shape matrices (a sequence, or one
+    ``(n, d_A, d_B)`` array) as the rows of an ``(n, d_A*d_B)`` array."""
+    x = np.asarray(mats, dtype=complex)
+    if x.ndim != 3:
+        raise ValueError(f"expected a stack of 2-d arrays, got shape {x.shape}")
+    return x.reshape(x.shape[0], x.shape[1] * x.shape[2])
+
+
+def _project(basis, mats, tol: float):
+    """Batched :func:`hs_member`: every matrix of a non-empty stack
+    against one HS-orthonormal basis of the same shape.
+
+    Returns ``(member, residual, coeffs)`` arrays with one entry (one
+    row of ``coeffs``) per matrix, ``coeffs[i, k] = <basis[k],
+    mats[i]>``.
+    """
+    x = _rows(mats)
+    if len(basis):
+        q = _rows(basis)
+        coeffs = x @ q.conj().T
+        residual = np.linalg.norm(x - coeffs @ q, axis=1)
+    else:
+        coeffs = np.zeros((len(x), 0), dtype=complex)
+        residual = np.linalg.norm(x, axis=1)
+    member = residual <= tol * (1.0 + np.linalg.norm(x, axis=1))
+    return member, residual, coeffs
+
+
+def _combine(coeffs, basis, shape) -> np.ndarray:
+    """Matrices ``sum_k coeffs[..., k] basis[k]``, each of ``shape``."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if not len(basis):
+        return np.zeros(coeffs.shape[:-1] + tuple(shape), dtype=complex)
+    return (coeffs @ _rows(basis)).reshape(coeffs.shape[:-1] + tuple(shape))
+
+
 def hs_orthonormalize(mats, tol: float | None = None) -> OrthoBasis:
     """Orthonormalize matrices under the Hilbert-Schmidt inner product.
 
-    Modified Gram-Schmidt with a second correction pass; inputs that
-    are dependent on earlier ones (residual below ``tol * (1 + input
-    norm)``) are dropped.  Returns the basis and its rank (the basis
-    length).
+    Gram-Schmidt over the flattened inputs, in order: each newly kept
+    vector is projected out of all later candidates at once, twice.  An
+    input whose residual falls to ``tol * (1 + input norm)`` or below
+    is dependent on earlier ones and dropped, so the k-th basis element
+    spans the first k independent inputs.  Returns the basis and its
+    rank (the basis length).  Raises ``ValueError`` on non-finite input.
     """
     tol = resolve_tol(tol)
+    if not len(mats):
+        return OrthoBasis([], 0)
+    stack = np.array(mats, dtype=complex)  # own copy: rows is updated in place
+    shape = stack.shape[1:]
+    rows = _rows(stack)
+    if not np.isfinite(rows).all():
+        raise ValueError("non-finite entries in hs_orthonormalize input")
+    cut = tol * (1.0 + np.linalg.norm(rows, axis=1))
     basis: list[np.ndarray] = []
-    for m in mats:
-        v = _as_matrix(m).copy()
-        n0 = hs_norm(v)
-        if n0 == 0.0:
-            continue
+    while True:
+        live = np.linalg.norm(rows, axis=1) > cut
+        rows, cut = rows[live], cut[live]
+        if not len(rows):
+            return OrthoBasis(basis, len(basis))
+        q = rows[0] / np.linalg.norm(rows[0])
+        basis.append(q.reshape(shape))
+        rows, cut = rows[1:], cut[1:]
         for _ in range(2):
-            for b in basis:
-                v = v - hs_inner(b, v) * b
-        r = hs_norm(v)
-        if r > tol * (1.0 + n0):
-            basis.append(v / r)
-    return OrthoBasis(basis, len(basis))
+            rows -= np.outer(rows @ q.conj(), q)
 
 
 def hs_member(m, basis, tol: float | None = None):
@@ -446,11 +483,5 @@ def hs_member(m, basis, tol: float | None = None):
     HS coefficient against ``basis[i]`` and membership means the
     reconstruction residual is at most ``tol * (1 + ||m||_HS)``.
     """
-    tol = resolve_tol(tol)
-    a = _as_matrix(m)
-    coeffs = np.array([hs_inner(b, a) for b in basis], dtype=complex)
-    recon = np.zeros_like(a)
-    for c, b in zip(coeffs, basis):
-        recon = recon + c * b
-    residual = hs_norm(a - recon)
-    return residual <= tol * (1.0 + hs_norm(a)), residual, coeffs
+    member, residual, coeffs = _project(basis, [_as_matrix(m)], resolve_tol(tol))
+    return bool(member[0]), float(residual[0]), coeffs[0]

@@ -19,7 +19,8 @@ Conventions, shared by all file kinds:
   class-to-eigenblock correspondence), the spaceoid, residual summary
 * verifier report -> named pass/fail checks with residuals
 
-Decoders raise :class:`SchemaError` on malformed input and never
+Decoders raise :class:`SchemaError` on malformed input, including
+non-finite (NaN or infinite) scalars and matrix entries, and never
 perform semantic validation (use ``validate``/``check_axioms`` for
 that).  ``parse_*`` after ``emit_*`` is the identity on values, and
 emitted text is byte-deterministic for a given value.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +93,8 @@ def complex_to_json(z) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def complex_from_json(v) -> complex:
+def _complex_pair(v) -> complex:
+    """Decode ``[re, im]`` without the finiteness check."""
     _need(
         isinstance(v, (list, tuple))
         and len(v) == 2
@@ -99,6 +102,15 @@ def complex_from_json(v) -> complex:
         f"complex scalar must be [re, im], got {v!r}",
     )
     return complex(float(v[0]), float(v[1]))
+
+
+def complex_from_json(v) -> complex:
+    z = _complex_pair(v)
+    _need(
+        math.isfinite(z.real) and math.isfinite(z.imag),
+        f"complex scalar must be finite, got {v!r}",
+    )
+    return z
 
 
 def matrix_to_json(m) -> dict:
@@ -132,7 +144,8 @@ def matrix_from_json(d) -> np.ndarray:
             f"matrix row {i} must hold {cols} entries",
         )
         for j, v in enumerate(row):
-            out[i, j] = complex_from_json(v)
+            out[i, j] = _complex_pair(v)
+    _need(np.isfinite(out).all(), "matrix entries must be finite")
     return out
 
 

@@ -38,7 +38,6 @@ from .reporting import Report
 __all__ = [
     "SpaceoidData",
     "PhaseFunctor",
-    "Section",
     "SpaceoidMorphism",
     "validate",
     "require_valid",
@@ -103,14 +102,6 @@ class PhaseFunctor:
 
     def at(self, a, b) -> complex:
         return self.psi[(a, b)]
-
-
-@dataclass
-class Section:
-    """Frame coefficients of one section of a block's line bundle."""
-
-    block: tuple  # (A, B)
-    values: dict  # base point -> complex
 
 
 @dataclass

@@ -282,6 +282,35 @@ def test_validate_garbage_is_invalid_input(capsys, tmp_path):
     assert "not valid JSON" in stderr
 
 
+def _nan_file(tmp_path, kind):
+    """A fixture copy with one NaN: a lambda entry or a generator entry."""
+    if kind == "spaceoid":
+        d = json.loads((FIX / "spaceoid2.json").read_text())
+        d["lambda"][0][4] = [float("nan"), 0.0]
+    else:
+        d = json.loads((FIX / "linking3.json").read_text())
+        d["generators"]["A:B"][0]["entries"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / f"nan-{kind}.json"
+    path.write_text(json.dumps(d))  # json writes the NaN token
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        ("validate", "spaceoid"),
+        ("roundtrip", "spaceoid"),
+        ("validate", "category"),
+        ("roundtrip", "category"),
+        ("spectrum", "category"),
+    ],
+)
+def test_nan_input_is_invalid_input(capsys, tmp_path, command, kind):
+    code, _, stderr = run_cli(capsys, command, _nan_file(tmp_path, kind))
+    assert code == 2
+    assert "finite" in stderr
+
+
 def test_validate_missing_file(capsys):
     code, _, stderr = run_cli(capsys, "validate", "/nonexistent/nope.json")
     assert code == 2

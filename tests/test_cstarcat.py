@@ -7,7 +7,6 @@ from spectroid.cstarcat import (
     close,
     check_axioms,
     compose_functors,
-    first_isomorphism_check,
     functor_from_images,
     generated_by,
     groupoid_category,
@@ -15,14 +14,12 @@ from spectroid.cstarcat import (
     identity_functor,
     is_commutative,
     is_full,
-    kernel,
     linking_category,
     linking_generator,
     multi_linking,
     multi_linking_generator,
     validate_functor,
     validate_groupoid,
-    validate_ideal,
 )
 from spectroid.errors import InvalidFunctor, InvalidGroupoid, NotNormal
 
@@ -215,7 +212,7 @@ def test_multi_linking_phases_multiply():
 
 
 # ---------------------------------------------------------------------------
-# functors, kernels
+# functors
 
 
 def test_identity_functor_validates():
@@ -245,25 +242,12 @@ def test_broken_functor_fails_validation():
     assert not rep.passed
 
 
-def test_kernel_of_coordinate_compression():
-    # diagonal 2-algebra -> C, keep the first coordinate
-    cat = close(diag_presentation(2), unitize=False)
-    one = close(diag_presentation(1), unitize=False)
-    images = {
-        ("A", "A"): [
-            np.array([[m[0, 0]]], dtype=complex) for m in cat.block("A", "A")
-        ]
-    }
-    phi = functor_from_images(cat, one, {"A": "A"}, images)
-    ker = kernel(phi, cat)
-    # kernel must be exactly the span of e22
-    e22 = np.zeros((2, 2), dtype=complex)
-    e22[1, 1] = 1.0
-    assert ker.dim("A", "A") == 1
-    assert same_span(ker.blocks[("A", "A")], [e22])
-    assert validate_ideal(ker, cat).passed
-    rep = first_isomorphism_check(phi, cat, one)
-    assert rep.passed, rep.summary()
+def test_validate_functor_rejects_product_outside_source():
+    # span{sigma_x} is closed under adjoints but sigma_x^2 = 1 leaves it
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / np.sqrt(2)
+    cat = cstarcat.MatrixCategory((("A", 2),), {("A", "A"): [sx]}, unital=False)
+    with pytest.raises(InvalidFunctor):
+        validate_functor(identity_functor(cat), cat, cat)
 
 
 def test_compose_functors_matches_pointwise():

@@ -292,25 +292,24 @@ def test_unitary_equivalence_gauge_rejects_different_classes():
 
 def test_quotient_by_character_classical():
     c = du.classical_category(3)
-    chars = du.characters(c)
-    target, phi = cc.quotient_by_character(c, chars[0])
+    spec = du.spectrum(c)
+    target, phi = du.compression_functor(c, spec, 0)
     assert target.object_ids == ("A",)
     assert target.dim("A") == 1
     # w0 is evaluation at the last point
     assert np.allclose(
         phi.block_maps[("A", "A")], [[0.0, 0.0, 1.0]], atol=1e-12
     )
-    ker = cc.kernel(phi, c)
-    assert ker.dim("A", "A") == 2
-    assert cc.first_isomorphism_check(phi, c, target).passed
+    assert cc.validate_functor(phi, c, target).passed
 
 
 def test_one_dim_functor():
-    target, phi = du.one_dim_functor(pauli_triangle())
+    c = pauli_triangle()
+    spec = du.spectrum(c)
+    assert spec.n_classes == 1
+    target, phi = du.compression_functor(c, spec, 0)
     assert all(d == 1 for _, d in target.objects)
-    assert cc.validate_functor(phi, pauli_triangle(), target).passed
-    with pytest.raises(SpectrumMismatch):
-        du.one_dim_functor(du.classical_category(2))
+    assert cc.validate_functor(phi, c, target).passed
 
 
 # --- induced maps ------------------------------------------------------------
@@ -357,7 +356,7 @@ def test_classical_point_map_frozen():
     }
     phi = cc.StarFunctor(object_map={"A": "A"}, block_maps=block_maps)
     assert cc.validate_functor(phi, src, tgt).passed
-    point_map = du.classical_point_map(phi, src, tgt)
+    point_map = du.spectrum_on_morphism(phi, src, tgt).f_delta
     assert point_map == {"w0": "w0", "w1": "w1", "w2": "w1"}
 
 

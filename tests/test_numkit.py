@@ -278,6 +278,72 @@ def test_hs_orthonormalize_keeps_independent():
         assert member and residual < 1e-12
 
 
+def test_hs_orthonormalize_keeps_input_order():
+    rng = np.random.default_rng(3)
+    x, y, z = (rand_matrix(rng, 2, 3) for _ in range(3))
+    basis, rank = numkit.hs_orthonormalize([x, 2 * x, y, x - 3 * y, z])
+    assert rank == 3
+    # the k-th output spans the first k independent inputs
+    assert np.allclose(basis[0], x / numkit.hs_norm(x))
+    assert numkit.hs_member(y, basis[:2])[0]
+    assert not numkit.hs_member(z, basis[:2])[0]
+
+
+def test_hs_orthonormalize_orthogonal_inputs_exact():
+    # disjoint supports: the output is m / ||m|| bit for bit
+    rng = np.random.default_rng(5)
+    mats = []
+    for k in range(4):
+        m = np.zeros((3, 4), dtype=complex)
+        m[k % 3, k] = rng.normal() + 1j * rng.normal()
+        m[(k + 1) % 3, k] = rng.normal()
+        mats.append(m)
+    basis, rank = numkit.hs_orthonormalize(mats)
+    assert rank == 4
+    for b, m in zip(basis, mats):
+        assert np.array_equal(b, m / np.linalg.norm(m))
+
+
+def reference_orthonormalize(mats, tol=1e-9):
+    """One matrix at a time: modified Gram-Schmidt, two passes."""
+    basis = []
+    for m in mats:
+        v = np.array(m, dtype=complex)
+        n0 = np.linalg.norm(v)
+        for _ in range(2):
+            for b in basis:
+                v = v - np.vdot(b, v) * b
+        r = np.linalg.norm(v)
+        if r > tol * (1.0 + n0):
+            basis.append(v / r)
+    return basis
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+def test_hs_orthonormalize_matches_reference_loop(seed, count):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for k in range(count):
+        if k % 3 == 2:  # dependent: a combination of the inputs before
+            mats.append(sum(rng.normal() * x for x in mats))
+        else:
+            mats.append(rand_matrix(rng, 2, 2))
+    want = reference_orthonormalize(mats)
+    basis, rank = numkit.hs_orthonormalize(mats)
+    assert rank == len(want)
+    for b, w in zip(basis, want):
+        assert np.allclose(b, w, atol=1e-11)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hs_orthonormalize_rejects_non_finite(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(ValueError):
+        numkit.hs_orthonormalize([np.eye(2), m])
+
+
 def test_hs_member_coefficients():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     y = np.array([[0.0, -1j], [1j, 0.0]])

@@ -57,6 +57,8 @@ def test_matrix_emit_is_byte_stable():
         {"rows": 1, "cols": 1, "entries": [[[0.0]]]},
         {"rows": 1, "cols": 1, "entries": [[["x", 0.0]]]},
         {"rows": -1, "cols": 1, "entries": []},
+        {"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], [float("nan"), 0.0]]]},
+        {"rows": 1, "cols": 1, "entries": [[[0.0, float("-inf")]]]},
         [],
     ],
 )
@@ -72,6 +74,20 @@ def test_complex_scalar_contract():
         serial.complex_from_json([1.0])
     with pytest.raises(SchemaError):
         serial.complex_from_json([True, 0.0])
+
+
+def test_non_finite_scalars_rejected():
+    for v in ([float("nan"), 0.0], [0.0, float("inf")]):
+        with pytest.raises(SchemaError):
+            serial.complex_from_json(v)
+    # JSON's NaN token and an overflowing literal both decode to floats
+    text = (
+        '{"base_points": ["p"], "objects": ["A"], '
+        '"lambda": [["p", "A", "A", "A", [%s, 0.0]]]}'
+    )
+    for token in ("NaN", "1e999"):
+        with pytest.raises(SchemaError):
+            serial.parse("spaceoid", text % token)
 
 
 def test_text_loader_rejects_garbage():
