@@ -6,9 +6,19 @@ natural scale exists (residuals are compared against ``tol * (1 +
 scale)``).
 """
 
-__all__ = ["DEFAULT_TOL", "resolve_tol"]
+__all__ = ["DEFAULT_TOL", "FULLNESS_RTOL", "resolve_tol"]
 
 DEFAULT_TOL = 1e-9
+
+# ``cstarcat.is_full`` on unital categories: the positive matrix
+# ``h = sum_i x_i* x_i`` over an HS-orthonormal basis of a block (and
+# likewise ``sum_i x_i x_i*``) counts as invertible when its smallest
+# eigenvalue exceeds FULLNESS_RTOL times its largest.  The scale is
+# ``lambda_max(h)``; for a full block the ratio is at least about one
+# over the object dimension, for a non-full one it is rounding noise
+# (about 1e-16), so the bound sits far from both and does not follow
+# ``tol``.
+FULLNESS_RTOL = 1e-8
 
 
 def resolve_tol(tol: float | None) -> float:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import FULLNESS_RTOL, resolve_tol
 from .errors import (
     InvalidFunctor,
     InvalidGroupoid,
@@ -29,6 +29,7 @@ from .errors import (
     SpectroidError,
 )
 from .numkit import (
+    _adjoints,
     _combine,
     _project,
     _rows,
@@ -211,11 +212,6 @@ def _stack(cat, a, b) -> np.ndarray:
     return np.reshape(cat.block(a, b), (-1, cat.dim(a), cat.dim(b)))
 
 
-def _adjoints(mats) -> np.ndarray:
-    """Conjugate transposes of a stack of matrices, as one stack."""
-    return np.asarray(mats).conj().transpose(0, 2, 1)
-
-
 def _products(left, right) -> np.ndarray:
     """Every product ``m @ n`` of two stacks, ``m``-major, as one stack."""
     prods = np.asarray(left)[:, None] @ np.asarray(right)[None, :]
@@ -330,17 +326,48 @@ def is_commutative(cat: MatrixCategory, tol: float | None = None) -> bool:
     return True
 
 
+def _invertible(h: np.ndarray) -> bool:
+    """A positive matrix's smallest eigenvalue exceeds ``FULLNESS_RTOL``
+    times its largest (vacuously true for the empty matrix)."""
+    w = np.linalg.eigvalsh(h)
+    return not len(w) or bool(w[0] > FULLNESS_RTOL * w[-1])
+
+
 def is_full(cat: MatrixCategory, tol: float | None = None) -> bool:
     """True when inner products of every block span both diagonals.
 
-    For each ordered pair (A, B) the spans of ``{x* y}`` and
-    ``{x y*}`` over ``x, y`` in block (A, B) must equal the full
-    diagonal blocks at B and A respectively (compared by dimension;
-    membership is part of closure).
+    For each ordered pair (A, B) the spans of ``{x* y}`` and ``{x y*}``
+    over ``x, y`` in block (A, B) must equal the diagonal blocks at B
+    and A respectively.
+
+    On a unital category, with ``x_i`` an HS-orthonormal basis of block
+    (A, B), this holds at B exactly when ``h = sum_i x_i* x_i`` is
+    invertible (and at A when ``sum_i x_i x_i*`` is; the bound is
+    ``config.FULLNESS_RTOL``).  Proof: J = span{x* y} is a two-sided
+    ideal of C_BB (``z x* y = (x z*)* y`` and ``x z*`` lies in the
+    closed block (A, B)), and it contains ``h``.  If ``h`` is
+    invertible, its inverse is a polynomial in ``h`` and lies in C_BB,
+    so ``1 = h^-1 h`` lies in J and J = C_BB.  If ``h v = 0`` for some
+    ``v != 0``, then ``sum_i |x_i v|^2 = <v, h v> = 0``, so every ``y
+    v = 0`` for y in the block, every element of J kills ``v``, and the
+    unit of C_BB is not in J.  The argument needs the unit and closure,
+    not commutativity.  Without units the spans' dimensions are
+    compared directly (Gram-Schmidt rank against the diagonal block's
+    dimension).
     """
     tol = resolve_tol(tol)
     for a, b in cat.pairs():
         basis = _stack(cat, a, b)
+        if cat.unital:
+            n, da, db = basis.shape
+            rows = basis.reshape(n * da, db)  # the x_i stacked vertically
+            cols = basis.transpose(1, 0, 2).reshape(da, n * db)
+            if not (
+                _invertible(rows.conj().T @ rows)
+                and _invertible(cols @ cols.conj().T)
+            ):
+                return False
+            continue
         right = _products(_adjoints(basis), basis)
         left = _products(basis, _adjoints(basis))
         if hs_orthonormalize(right, tol).rank != cat.block_dim(b, b):

@@ -36,6 +36,7 @@ from .config import resolve_tol
 from .cstarcat import (
     MatrixCategory,
     StarFunctor,
+    _stack,
     check_axioms,
     functor_image,
     is_commutative,
@@ -52,8 +53,8 @@ from .errors import (
     NotUnital,
     SpectrumMismatch,
 )
-from .numkit import hs_norm, joint_diagonalize, op_norm
-from .reporting import Report
+from .numkit import _adjoints, _block_sums, joint_diagonalize
+from .reporting import Report, worst
 from .spaceoid import (
     PhaseFunctor,
     SpaceoidData,
@@ -102,7 +103,13 @@ class SpectrumResult:
 
     Carries everything needed to move elements back and forth: the
     per-object eigenstructures, the class-to-eigenblock matching, the
-    compressed unit frames, and the resulting spaceoid.
+    compressed unit frames, and the resulting spaceoid.  Every object
+    has the same dimension ``d``, the sum of the class ranks; class
+    ``i`` owns the columns ``starts[i] : starts[i] + ranks[i]`` of each
+    object's class-ordered eigenbasis ``bases[o]``, and ``frames[(A,
+    B)]`` is the ``d x d`` block-diagonal matrix, in the bases of A and
+    B, whose i-th diagonal block is the unit frame of class ``i`` in
+    block (A, B).
     """
 
     spaceoid: SpaceoidData
@@ -110,8 +117,9 @@ class SpectrumResult:
     class_points: tuple
     ranks: tuple
     eigs: dict = field(repr=False)  # obj id -> JointEigenstructure
-    class_block: dict = field(repr=False)  # (class idx, obj id) -> block idx
-    frames: dict = field(repr=False)  # (class idx, A, B) -> r x r unitary
+    class_block: dict = field(repr=False)  # obj id -> block idx per class
+    bases: dict = field(repr=False)  # obj id -> d x d unitary, class order
+    frames: dict = field(repr=False)  # (A, B) -> d x d block-diagonal frames
     diag_table: dict = field(repr=False)  # obj id -> (n_classes, n_AA basis)
 
     @property
@@ -122,35 +130,44 @@ class SpectrumResult:
     def anchor(self):
         return self.spaceoid.objects[0]
 
+    @property
+    def starts(self) -> np.ndarray:
+        """First column of every class in the class-ordered bases."""
+        ranks = np.asarray(self.ranks, dtype=int)
+        return np.cumsum(ranks) - ranks
+
+    def _span(self, i: int) -> slice:
+        start = int(self.starts[i])
+        return slice(start, start + self.ranks[i])
+
     def isometry(self, i: int, a) -> np.ndarray:
-        return self.eigs[a].block_isometry(self.class_block[(i, a)])
+        return self.bases[a][:, self._span(i)]
+
+    def frame(self, i: int, a, b) -> np.ndarray:
+        """The ``r x r`` unit frame of class ``i`` in block ``(a, b)``."""
+        return self.frames[(a, b)][self._span(i), self._span(i)]
 
     def frame_matrix(self, i: int, a, b) -> np.ndarray:
         """The full-size unit frame of class ``i`` in block ``(a, b)``."""
-        va = self.isometry(i, a)
-        vb = self.isometry(i, b)
-        return va @ self.frames[(i, a, b)] @ vb.conj().T
+        return self.isometry(i, a) @ self.frame(i, a, b) @ self.isometry(i, b).conj().T
 
     def coefficients(self, a, b, x) -> np.ndarray:
-        """Frame coefficients of ``x`` across all classes of block (a, b)."""
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros(self.n_classes, dtype=complex)
-        for i in range(self.n_classes):
-            va = self.isometry(i, a)
-            vb = self.isometry(i, b)
-            comp = va.conj().T @ x @ vb
-            f = self.frames[(i, a, b)]
-            out[i] = np.trace(f.conj().T @ comp) / self.ranks[i]
-        return out
+        """Frame coefficients of ``x`` across all classes of block (a, b).
+
+        ``x`` is one ``d_A x d_B`` matrix or a ``(..., d_A, d_B)``
+        stack; the classes run along the last axis of the result.
+        """
+        t = self.bases[a].conj().T @ np.asarray(x, dtype=complex) @ self.bases[b]
+        per_row = np.sum(self.frames[(a, b)].conj() * t, axis=-1)
+        return np.add.reduceat(per_row, self.starts, axis=-1) / self.ranks
 
     def lift(self, a, b, coeffs) -> np.ndarray:
-        """Inverse of :meth:`coefficients` on the block's image."""
+        """Inverse of :meth:`coefficients` on the block's image (classes
+        along the last axis of ``coeffs``)."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        out = np.zeros((self.category.dim(a), self.category.dim(b)), complex)
-        for i in range(self.n_classes):
-            if coeffs[i] != 0:
-                out += coeffs[i] * self.frame_matrix(i, a, b)
-        return out
+        rows = np.repeat(coeffs, self.ranks, axis=-1)  # class value per row
+        g = self.frames[(a, b)] * rows[..., :, None]
+        return self.bases[a] @ g @ self.bases[b].conj().T
 
     def character_gamma(self, i: int, a, b) -> complex:
         """Frame-to-character correction: conj of the trivializing gauge."""
@@ -158,53 +175,85 @@ class SpectrumResult:
                                             self.anchor, b))
 
 
-def _match_blocks(c, eig0, eig_b, a0, b, tol):
+def _match_blocks(c, eig0, eig_b, a0, b, tol) -> np.ndarray:
     """Match each class block of the anchor object to the unique block
-    of ``b`` with a nonvanishing compression of the (a0, b) space."""
-    basis = c.block(a0, b)
-    scale = max((hs_norm(x) for x in basis), default=0.0)
+    of ``b`` with a nonvanishing compression of the (a0, b) space.
+
+    The whole basis is compressed into both eigenbases at once; the HS
+    norm of every (basis element, class block, block of ``b``) slice
+    is a segmented sum of ``|T|^2``.  Returns the block of ``b`` per
+    class.
+    """
+    basis = _stack(c, a0, b)
+    scale = np.linalg.norm(basis, axis=(1, 2)).max(initial=0.0)
     thresh = tol * (1.0 + scale)
-    match = {}
-    for i in range(eig0.n_blocks):
-        vi = eig0.block_isometry(i)
-        hits = []
-        for j in range(eig_b.n_blocks):
-            wj = eig_b.block_isometry(j)
-            m = max(
-                (hs_norm(vi.conj().T @ x @ wj) for x in basis), default=0.0
-            )
-            if m > thresh:
-                hits.append((j, m))
-        if len(hits) != 1:
+    t = eig0.unitary.conj().T @ basis @ eig_b.unitary
+    sums = _block_sums(np.abs(t) ** 2, eig0.starts, eig_b.starts)
+    hits = np.sqrt(sums.max(axis=0, initial=0.0)) > thresh
+    count = hits.sum(axis=1)
+    match = np.argmax(hits, axis=1)
+    bad = (count != 1) | (eig_b.sizes[match] != eig0.sizes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if count[i] != 1:
             raise AmbiguousMatching(
-                f"class {i} of {a0} meets {len(hits)} blocks of {b}"
+                f"class {i} of {a0} meets {count[i]} blocks of {b}"
             )
-        j = hits[0][0]
-        if len(eig_b.blocks[j]) != len(eig0.blocks[i]):
-            raise FullnessMismatch(
-                f"rank mismatch between {a0} class {i} and {b} block {j}"
-            )
-        match[i] = j
-    if len(set(match.values())) != eig0.n_blocks:
+        raise FullnessMismatch(
+            f"rank mismatch between {a0} class {i} and {b} block {match[i]}"
+        )
+    if len(set(match.tolist())) != eig0.n_blocks:
         raise AmbiguousMatching(f"matching {a0} -> {b} is not a bijection")
     return match
 
 
 def _canonical_frame(comp, tol):
-    """Scale and phase-normalize a one-dimensional block compression."""
-    s = op_norm(comp)
-    f = comp / s
-    r = f.shape[0]
-    if hs_norm(f.conj().T @ f - np.eye(r)) > tol * 100 * (1 + r):
+    """Scale and phase-normalize one-dimensional block compressions.
+
+    ``comp`` is one ``r x r`` matrix or a ``(..., r, r)`` stack; each
+    is divided by its operator norm, must then be unitary, and is
+    rotated so its first significant entry (first within a factor 10
+    of the largest modulus, row-major) is real positive.
+    """
+    s = np.linalg.norm(comp, 2, axis=(-2, -1))
+    f = comp / s[..., None, None]
+    r = f.shape[-1]
+    dev = np.linalg.norm(
+        _adjoints(f) @ f - np.eye(r), axis=(-2, -1)
+    )
+    if not np.all(dev <= tol * 100 * (1 + r)):
         raise NotOneDimensional(
             "block compression is not a scalar multiple of a unitary"
         )
-    flat = f.ravel()
-    mx = np.max(np.abs(flat))
-    for z in flat:
-        if abs(z) >= 0.1 * mx:
-            return f * np.conj(z / abs(z))
-    raise NotOneDimensional("empty frame")  # pragma: no cover
+    flat = f.reshape(f.shape[:-2] + (r * r,))
+    mag = np.abs(flat)
+    first = np.argmax(mag >= 0.1 * mag.max(axis=-1, keepdims=True), axis=-1)
+    z = np.take_along_axis(flat, first[..., None], axis=-1)
+    return f * np.conj(z / np.abs(z))[..., None]
+
+
+def _rank_groups(ranks: np.ndarray):
+    """Per distinct rank ``r``: the classes of that rank and the index
+    array ``(n_classes_of_rank_r, r)`` of their columns."""
+    starts = np.cumsum(ranks) - ranks
+    for r in sorted(set(ranks.tolist())):
+        cls = np.flatnonzero(ranks == r)
+        yield cls, starts[cls][:, None] + np.arange(r)
+
+
+def _class_frames(t, ranks, tol) -> np.ndarray:
+    """Block-diagonal unit frames from a block's basis compressed into
+    class-ordered eigenbases (``t``, shape ``(n, d, d)``): per class,
+    the canonical frame of the basis element whose class slice has the
+    largest HS norm."""
+    starts = np.cumsum(ranks) - ranks
+    sq = np.diagonal(_block_sums(np.abs(t) ** 2, starts, starts), axis1=1, axis2=2)
+    best = np.argmax(sq, axis=0)
+    out = np.zeros(t.shape[1:], dtype=complex)
+    for cls, idx in _rank_groups(ranks):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        out[rows, cols] = _canonical_frame(t[best[cls][:, None, None], rows, cols], tol)
+    return out
 
 
 def spectrum(
@@ -218,6 +267,11 @@ def spectrum(
     in bijection, and ``NotOneDimensional`` when a matched fiber is not
     a line (any of these means the input is outside the duality's
     domain).
+
+    Each block's basis is compressed once, as a stack, into the
+    class-ordered joint eigenbases of its two objects; frames, the
+    structure constants and the completeness check are slices and
+    segmented sums of those compressions.
     """
     tol = resolve_tol(tol)
     if not c.unital:
@@ -240,50 +294,35 @@ def spectrum(
                 f"{a0} has {k} classes but {o} has {eigs[o].n_blocks}"
             )
 
-    class_block = {(i, a0): i for i in range(k)}
+    class_block = {a0: np.arange(k)}
     for o in ids[1:]:
-        match = _match_blocks(c, eigs[a0], eigs[o], a0, o, tol)
-        for i in range(k):
-            class_block[(i, o)] = match[i]
-    ranks = tuple(len(eigs[a0].blocks[i]) for i in range(k))
+        class_block[o] = _match_blocks(c, eigs[a0], eigs[o], a0, o, tol)
+    ranks = eigs[a0].sizes
     points = tuple(f"w{i}" for i in range(k))
+    bases = {o: eigs[o].unitary[:, eigs[o].columns(class_block[o])] for o in ids}
 
-    frames = {}
-    for i in range(k):
-        for a in ids:
-            frames[(i, a, a)] = np.eye(ranks[i], dtype=complex)
-    for ai, a in enumerate(ids):
-        for b in ids[ai + 1:]:
-            basis = c.block(a, b)
-            for i in range(k):
-                va = eigs[a].block_isometry(class_block[(i, a)])
-                vb = eigs[b].block_isometry(class_block[(i, b)])
-                comps = [va.conj().T @ x @ vb for x in basis]
-                norms = [hs_norm(m) for m in comps]
-                best = comps[int(np.argmax(norms))]
-                f = _canonical_frame(best, tol)
-                frames[(i, a, b)] = f
-                frames[(i, b, a)] = f.conj().T
+    n_obj, d = len(ids), int(ranks.sum())
+    table = np.zeros((n_obj, n_obj, d, d), dtype=complex)
+    table[np.arange(n_obj), np.arange(n_obj)] = np.eye(d)
+    for ai, bi in zip(*np.triu_indices(n_obj, 1)):
+        a, b = ids[ai], ids[bi]
+        t = bases[a].conj().T @ _stack(c, a, b) @ bases[b]
+        table[ai, bi] = _class_frames(t, ranks, tol)
+        table[bi, ai] = table[ai, bi].conj().T
 
-    lam = {}
-    for i, p in enumerate(points):
-        for a, b, cc in itertools.product(ids, repeat=3):
-            z = (
-                np.trace(
-                    frames[(i, a, cc)].conj().T
-                    @ frames[(i, a, b)]
-                    @ frames[(i, b, cc)]
-                )
-                / ranks[i]
-            )
-            lam[(p, a, b, cc)] = z
-    spaceoid = SpaceoidData(points, ids, lam)
+    # lam(w_i; A, B, C) = tr(f_AC* f_AB f_BC) / r_i, one rank at a time
+    lam = np.empty((k, n_obj, n_obj, n_obj), dtype=complex)
+    for cls, idx in _rank_groups(ranks):
+        f = table[:, :, idx[:, :, None], idx[:, None, :]]  # (A, B, class, r, r)
+        lam[cls] = np.einsum(
+            "acmjq,abmjl,bcmlq->mabc", f.conj(), f, f
+        ) / idx.shape[1]
+    keys = itertools.product(points, ids, ids, ids)
+    spaceoid = SpaceoidData(points, ids, dict(zip(keys, lam.ravel().tolist())))
     require_valid(spaceoid, tol)
 
     diag_table = {
-        o: np.stack(
-            [eigs[o].eigenvalues[:, class_block[(i, o)]] for i in range(k)]
-        )
+        o: eigs[o].eigenvalues[:, class_block[o]].T
         if c.block_dim(o, o)
         else np.zeros((k, 0), dtype=complex)
         for o in ids
@@ -293,21 +332,29 @@ def spectrum(
         spaceoid=spaceoid,
         category=c,
         class_points=points,
-        ranks=ranks,
+        ranks=tuple(ranks.tolist()),
         eigs=eigs,
         class_block=class_block,
-        frames=frames,
+        bases=bases,
+        frames={
+            (a, b): table[ai, bi]
+            for ai, a in enumerate(ids)
+            for bi, b in enumerate(ids)
+        },
         diag_table=diag_table,
     )
 
     # completeness: every element must be recovered by its coefficients
     for a, b in c.pairs():
-        for x in c.block(a, b):
-            rec = result.lift(a, b, result.coefficients(a, b, x))
-            if hs_norm(rec - x) > tol * 100 * (1 + hs_norm(x)):
-                raise NotOneDimensional(
-                    f"block ({a},{b}) is not spanned by the class fibers"
-                )
+        x = _stack(c, a, b)
+        err = np.linalg.norm(
+            result.lift(a, b, result.coefficients(a, b, x)) - x, axis=(1, 2)
+        )
+        bound = tol * 100 * (1 + np.linalg.norm(x, axis=(1, 2)))
+        if not np.all(err <= bound):
+            raise NotOneDimensional(
+                f"block ({a},{b}) is not spanned by the class fibers"
+            )
     return result
 
 
@@ -324,8 +371,9 @@ class Character:
     spec: SpectrumResult = field(repr=False)
 
     def value(self, a, b, x) -> complex:
-        """The character applied to ``x`` in block ``(a, b)``."""
-        coeff = self.spec.coefficients(a, b, x)[self.index]
+        """The character applied to ``x`` in block ``(a, b)`` (or to
+        each matrix of a stack)."""
+        coeff = self.spec.coefficients(a, b, x)[..., self.index]
         return coeff * self.spec.character_gamma(self.index, a, b)
 
 
@@ -342,8 +390,10 @@ def characters(
 
 
 def _character_values(omega, a, b, basis):
+    if not len(basis):
+        return np.zeros(0, dtype=complex)
     if hasattr(omega, "value"):
-        return np.array([omega.value(a, b, x) for x in basis], dtype=complex)
+        return np.asarray(omega.value(a, b, np.asarray(basis)), dtype=complex)
     return np.array([omega(a, b, x) for x in basis], dtype=complex)
 
 
@@ -446,11 +496,7 @@ def compression_functor(
     omega = Character(spec.class_points[idx], idx, spec)
     block_maps = {}
     for a, b in cat.pairs():
-        basis = cat.block(a, b)
-        row = np.array(
-            [[omega.value(a, b, x) for x in basis]], dtype=complex
-        )
-        block_maps[(a, b)] = row
+        block_maps[(a, b)] = omega.value(a, b, _stack(cat, a, b))[None, :]
     phi = StarFunctor(
         object_map={o: o for o in cat.object_ids}, block_maps=block_maps
     )
@@ -619,13 +665,10 @@ def gelfand(
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
     sec = sections(spec.spaceoid, tol)
-    block_maps = {}
-    for a, b in c.pairs():
-        basis = c.block(a, b)
-        mat = np.zeros((spec.n_classes, len(basis)), dtype=complex)
-        for kk, x in enumerate(basis):
-            mat[:, kk] = spec.coefficients(a, b, x)
-        block_maps[(a, b)] = mat
+    block_maps = {
+        (a, b): spec.coefficients(a, b, _stack(c, a, b)).T
+        for a, b in c.pairs()
+    }
     phi = StarFunctor(
         object_map={o: o for o in c.object_ids}, block_maps=block_maps
     )
@@ -640,24 +683,22 @@ def gelfand(
         for a, b in c.pairs()
     )
     report.add("block-bijective", bijective)
-    # isometry is checked on the operator norms directly
+    # isometry is checked on the operator norms directly, on three
+    # seeded random combinations per block
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    devs = []
     for a, b in c.pairs():
-        basis = c.block(a, b)
-        if not basis:
+        basis = _stack(c, a, b)
+        if not len(basis):
             continue
-        for _ in range(3):
-            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
-                len(basis)
-            )
-            x = sum(cz * m for cz, m in zip(coeffs, basis))
-            xhat = spec.coefficients(a, b, x)
-            worst = max(
-                worst,
-                abs(op_norm(x) - float(np.max(np.abs(xhat), initial=0.0))),
-            )
-    report.add("isometric", worst <= tol * 100 * 10, worst)
+        z = rng.standard_normal((3, 2, len(basis)))
+        x = np.tensordot(z[:, 0] + 1j * z[:, 1], basis, 1)
+        xhat = spec.coefficients(a, b, x)
+        devs.append(
+            np.linalg.norm(x, 2, axis=(1, 2)) - np.abs(xhat).max(axis=1, initial=0.0)
+        )
+    dev, _ = worst(np.abs(np.concatenate(devs))) if devs else (0.0, -1)
+    report.add("isometric", dev <= tol * 100 * 10, dev)
     return GelfandResult(spec, sec, phi, report)
 
 
@@ -683,30 +724,31 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
             f"{spec.n_classes} classes"
         )
 
-    a0 = e.objects[0]
-    f_delta = {}
-    for i in range(spec.n_classes):
-        proj = np.real(np.diag(spec.eigs[a0].block_projection(
-            spec.class_block[(i, a0)]
-        )))
-        pos = int(np.argmax(proj))
-        if proj[pos] < 0.5 or spec.ranks[i] != 1:
-            raise SpectrumMismatch(
-                "section class is not a point evaluation"
-            )
-        f_delta[e.base_points[pos]] = spec.class_points[i]
-    if len(f_delta) != len(e.base_points):
+    # class i is a point evaluation: rank one, its column of the anchor
+    # basis concentrated (weight >= 1/2) on one point
+    objs, pts = e.objects, e.base_points
+    if any(r != 1 for r in spec.ranks):
+        raise SpectrumMismatch("section class is not a point evaluation")
+    v = np.stack([spec.bases[o] for o in objs])  # (object, point, class)
+    pos = np.argmax(np.abs(v[0]) ** 2, axis=0)
+    if np.any(np.abs(v[0, pos, np.arange(len(pos))]) ** 2 < 0.5):
+        raise SpectrumMismatch("section class is not a point evaluation")
+    f_delta = {pts[q]: spec.class_points[i] for i, q in enumerate(pos)}
+    if len(f_delta) != len(pts):
         raise SpectrumMismatch("point evaluation classes collide")
 
-    scal = {}
-    for p in e.base_points:
-        i = spec.class_points.index(f_delta[p])
-        pos = e.base_points.index(p)
-        for a in e.objects:
-            for b in e.objects:
-                lifted = spec.frame_matrix(i, a, b)
-                z = lifted[pos, pos] * gauge[(p, a, b)]
-                scal[(p, a, b)] = z / abs(z)
+    # frame of class i at its point: v_A[q, i] f_AB[i, i] conj(v_B[q, i])
+    cls = np.empty(len(pts), dtype=int)
+    cls[pos] = np.arange(len(pos))
+    at_point = v[:, np.arange(len(pts)), cls]  # (object, point)
+    f = np.array([[np.diagonal(spec.frames[(a, b)]) for b in objs] for a in objs])
+    g = np.array([gauge[key] for key in itertools.product(pts, objs, objs)])
+    z = (
+        at_point.T[:, :, None]
+        * f[:, :, cls].transpose(2, 0, 1)
+        * at_point.T[:, None, :].conj()
+    ).ravel() * g
+    scal = dict(zip(itertools.product(pts, objs, objs), (z / np.abs(z)).tolist()))
     m = SpaceoidMorphism(
         f_delta=f_delta, f_r={o: o for o in e.objects}, fiber_scalars=scal
     )
@@ -748,9 +790,7 @@ def roundtrip_spaceoid(
         "evaluation-isomorphism",
         is_isomorphism(ev.morphism, e, ev.spectrum.spaceoid, tol),
     )
-    dev = max(
-        abs(z - 1.0) for z in ev.spectrum.spaceoid.lam.values()
-    ) if ev.spectrum.spaceoid.lam else 0.0
+    dev, _ = worst(np.abs(ev.spectrum.spaceoid.table() - 1.0))
     report.add("re-spectrum-trivial-constants", dev <= tol, dev)
     return report
 

@@ -18,7 +18,7 @@ are reproducible for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     NotNormal,
     NotSelfAdjoint,
 )
+from .reporting import worst
 
 __all__ = [
     "adjoint",
@@ -60,6 +61,11 @@ def adjoint(m) -> np.ndarray:
     return _as_matrix(m).conj().T
 
 
+def _adjoints(mats) -> np.ndarray:
+    """Conjugate transposes of a stack of matrices, as one stack."""
+    return np.swapaxes(np.asarray(mats).conj(), -1, -2)
+
+
 def op_norm(m) -> float:
     """Operator (spectral) norm; 0.0 for empty matrices."""
     a = _as_matrix(m)
@@ -77,16 +83,17 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(_as_matrix(m)))
 
 
+def _column_phases(u: np.ndarray) -> np.ndarray:
+    """Per column, the unimodular factor that makes its largest-modulus
+    entry real positive (1 for a zero column)."""
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    mag = np.abs(pivot)
+    return np.where(mag > 0, mag / np.where(mag > 0, pivot, 1), 1)
+
+
 def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive."""
-    u = u.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0:
-            u[:, j] = col * (abs(pivot) / pivot)
-    return u
+    return u * _column_phases(u)
 
 
 def hermitian_eig(m, tol: float | None = None):
@@ -107,10 +114,14 @@ def hermitian_eig(m, tol: float | None = None):
 
 
 def _check_normal(a: np.ndarray, tol: float) -> None:
-    comm = a @ a.conj().T - a.conj().T @ a
-    dev = float(np.linalg.norm(comm))
-    if dev > tol * (1.0 + hs_norm(a) ** 2):
-        raise NotNormal(f"normality defect {dev:.3e}")
+    """Raise :class:`NotNormal` for the first matrix of a stack (or the
+    one matrix) whose normality defect exceeds ``tol * (1 + ||a||^2)``."""
+    ah = _adjoints(a)
+    dev = np.ravel(np.linalg.norm(a @ ah - ah @ a, axis=(-2, -1)))
+    bound = tol * (1.0 + np.ravel(np.linalg.norm(a, axis=(-2, -1))) ** 2)
+    bad = ~(dev <= bound)
+    if bad.any():
+        raise NotNormal(f"normality defect {dev[np.argmax(bad)]:.3e}")
 
 
 def normal_eig(m, tol: float | None = None, cluster_tol: float = 1e-8):
@@ -137,7 +148,7 @@ def _normal_eig_core(a: np.ndarray, threshold: float):
     re_part = (a + a.conj().T) / 2.0
     im_part = (a - a.conj().T) / 2.0j
     wr, u = np.linalg.eigh(re_part)
-    for grp in _gap_groups(wr, threshold):
+    for grp in np.split(np.arange(len(wr)), _gap_starts(wr, threshold)[1:]):
         if len(grp) < 2:
             continue
         sub = u[:, grp]
@@ -153,20 +164,20 @@ def svd(m):
     return np.linalg.svd(_as_matrix(m))
 
 
-def _gap_groups(sorted_reals: np.ndarray, threshold: float):
-    """Partition indices of an ascending real array at gaps > threshold."""
-    n = len(sorted_reals)
-    if n == 0:
-        return []
-    groups, current = [], [0]
-    for i in range(1, n):
-        if sorted_reals[i] - sorted_reals[i - 1] > threshold:
-            groups.append(np.array(current))
-            current = [i]
-        else:
-            current.append(i)
-    groups.append(np.array(current))
-    return groups
+def _gap_starts(sorted_reals: np.ndarray, threshold: float) -> np.ndarray:
+    """First index of every run of an ascending real array that is cut
+    at gaps > threshold (empty for an empty array)."""
+    if not len(sorted_reals):
+        return np.zeros(0, dtype=int)
+    cuts = np.flatnonzero(np.diff(sorted_reals) > threshold) + 1
+    return np.concatenate([[0], cuts])
+
+
+def _block_sums(p: np.ndarray, row_starts, col_starts) -> np.ndarray:
+    """Sums of ``p`` over the blocks of its last two axes cut at the
+    given (ascending, 0-first) row and column starts."""
+    rows = np.add.reduceat(p, row_starts, axis=-2)
+    return np.add.reduceat(rows, col_starts, axis=-1)
 
 
 def _cluster_complex(values: np.ndarray, threshold: float):
@@ -198,36 +209,66 @@ class JointEigenstructure:
 
     ``unitary`` holds the joint eigenbasis in its columns; ``blocks``
     is the ordered partition of column indices into maximal common
-    eigenspaces; ``eigenvalues[i, b]`` is the eigenvalue of input ``i``
-    on block ``b``.
+    eigenspaces, each a contiguous range, in order; ``eigenvalues[i,
+    b]`` is the eigenvalue of input ``i`` on block ``b``.
     """
 
     unitary: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
     eigenvalues: np.ndarray  # shape (n_inputs, n_blocks)
 
+    def __post_init__(self):
+        cols = [c for blk in self.blocks for c in blk]
+        if cols != list(range(self.unitary.shape[1])) or not all(self.blocks):
+            raise ValueError("eigenblocks must be contiguous column ranges in order")
+
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.array([len(blk) for blk in self.blocks], dtype=int)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """First column of every block."""
+        return np.array([blk[0] for blk in self.blocks], dtype=int)
+
+    def columns(self, order) -> np.ndarray:
+        """Column indices of the blocks listed in ``order``, block after
+        block."""
+        sizes = self.sizes[order]
+        offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return np.repeat(self.starts[order], sizes) + offsets
 
     def block_isometry(self, b: int) -> np.ndarray:
         """Column isometry spanning block ``b`` (shape d x block size)."""
         return self.unitary[:, list(self.blocks[b])]
 
-    def block_projection(self, b: int) -> np.ndarray:
-        v = self.block_isometry(b)
-        return v @ v.conj().T
-
     def eigentuple(self, b: int) -> tuple[complex, ...]:
         return tuple(self.eigenvalues[:, b])
 
 
-def _block_key(evals_per_input: Sequence[complex]):
-    key = []
-    for z in evals_per_input:
-        key.append(round(float(np.real(z)), _ROUND_DECIMALS))
-        key.append(round(float(np.imag(z)), _ROUND_DECIMALS))
-    return tuple(key)
+def _check_commuting(stack: np.ndarray, tol: float) -> None:
+    """Raise :class:`NotCommuting` for the first pair ``(i, j)``, ``i <
+    j`` in row-major order, whose commutator exceeds ``tol * (1 +
+    ||m_i|| ||m_j||)`` (HS norms)."""
+    i, j = np.triu_indices(len(stack), 1)
+    if not len(i):
+        return
+    dev = np.linalg.norm(
+        stack[i] @ stack[j] - stack[j] @ stack[i], axis=(1, 2)
+    )
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    bad = ~(dev <= tol * (1.0 + norms[i] * norms[j]))
+    if bad.any():
+        f = int(np.argmax(bad))
+        raise NotCommuting(
+            f"inputs {i[f]} and {j[f]} do not commute (residual {dev[f]:.3e})",
+            pair=(int(i[f]), int(j[f])),
+            residual=float(dev[f]),
+        )
 
 
 def joint_diagonalize(
@@ -243,9 +284,10 @@ def joint_diagonalize(
     Parameters
     ----------
     family : sequence of square matrices, all the same size
-        Must be pairwise commuting and individually normal (checked).
-        The empty family is allowed when ``dim`` is given and yields
-        the single full block (no eigenvalues).
+        Must be finite, pairwise commuting and individually normal
+        (checked; ``ValueError`` on non-finite entries).  The empty
+        family is allowed when ``dim`` is given and yields the single
+        full block (no eigenvalues).
     tol : float, optional
         Verification tolerance (scale-relative).
     seed : int
@@ -272,22 +314,15 @@ def joint_diagonalize(
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("family members must be square and same size")
+    stack = np.stack(mats)
+    if not np.isfinite(stack).all():
+        raise ValueError("non-finite entries in joint_diagonalize input")
+    _check_normal(stack, tol)
+    _check_commuting(stack, tol)
+    if d == 0:
+        return JointEigenstructure(stack[0], (), np.zeros((len(mats), 0), complex))
 
-    for m in mats:
-        _check_normal(m, tol)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            dev = float(np.linalg.norm(comm))
-            bound = tol * (1.0 + hs_norm(mats[i]) * hs_norm(mats[j]))
-            if dev > bound:
-                raise NotCommuting(
-                    f"inputs {i} and {j} do not commute (residual {dev:.3e})",
-                    pair=(i, j),
-                    residual=dev,
-                )
-
-    scales = [1.0 + op_norm(m) for m in mats]
+    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
     # aim for machine precision first (an unlucky combination can leave
     # inter-block mixing around 1e-9 that still sits under loose user
     # tolerances); fall back to the requested tolerance only when no
@@ -296,13 +331,13 @@ def joint_diagonalize(
     best, best_residual = None, np.inf
     for attempt in range(5):
         rng = np.random.default_rng([seed & 0xFFFFFFFF, attempt, 0x6A0D])
-        result = _attempt_joint(mats, d, rng, cluster_tol, scales)
-        residual = _verify_joint(mats, result, scales)
+        result, comp = _attempt_joint(stack, rng, cluster_tol, scales)
+        residual = _verify_joint(result, comp, scales)
         if residual <= precision_target:
             return result
         if residual < best_residual:
             best, best_residual = result, residual
-    if best_residual <= tol * 10.0 * max(scales):
+    if best_residual <= tol * 10.0 * scales.max():
         return best
     raise DiagonalizationFailed(
         f"joint diagonalization failed to verify after 5 seeds "
@@ -319,87 +354,121 @@ def trivial_eigenstructure(dim: int) -> JointEigenstructure:
     )
 
 
-def _attempt_joint(mats, d, rng, cluster_tol, scales):
-    re_parts = [(m + m.conj().T) / 2.0 for m in mats]
-    im_parts = [(m - m.conj().T) / 2.0j for m in mats]
-    coeffs = rng.standard_normal(2 * len(mats))
-    h = np.zeros((d, d), dtype=complex)
-    for c, p in zip(coeffs[: len(mats)], re_parts):
-        h += c * p
-    for c, p in zip(coeffs[len(mats):], im_parts):
-        h += c * p
+def _diag(rows: np.ndarray) -> np.ndarray:
+    """Diagonal matrices with the given diagonals (last axis)."""
+    out = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)
+    idx = np.arange(rows.shape[-1])
+    out[..., idx, idx] = rows
+    return out
+
+
+def _compress(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``u* m u`` for every matrix of the stack."""
+    return u.conj().T @ stack @ u
+
+
+def _scalar_defects(comp: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """HS distance of each diagonal block of each compressed input from
+    its mean scalar; blocks are the contiguous ranges cut at
+    ``starts``.  Returns ``(n_inputs, n_blocks)``."""
+    sizes = np.diff(np.append(starts, comp.shape[-1]))
+    dg = np.diagonal(comp, axis1=-2, axis2=-1)
+    means = np.add.reduceat(dg, starts, axis=-1) / sizes
+    resid = comp - _diag(np.repeat(means, sizes, axis=-1))
+    sq = _block_sums(np.abs(resid) ** 2, starts, starts)
+    return np.sqrt(np.diagonal(sq, axis1=-2, axis2=-1))
+
+
+def _attempt_joint(stack, rng, cluster_tol, scales):
+    """One seeded diagonalization; returns the result and the inputs
+    compressed into its unitary (for :func:`_verify_joint`)."""
+    n = len(stack)
+    coeffs = rng.standard_normal(2 * n)
+    herm = (stack + _adjoints(stack)) / 2.0
+    anti = (stack - _adjoints(stack)) / 2.0j
+    h = np.tensordot(coeffs[:n], herm, 1) + np.tensordot(coeffs[n:], anti, 1)
     w, u = np.linalg.eigh((h + h.conj().T) / 2.0)
     h_scale = 1.0 + float(np.abs(w).max(initial=0.0))
+    thresholds = cluster_tol * scales
     # group generously: eigh vectors for gaps near the threshold carry
     # O(eps/gap) cross mixing, and the per-input refinement below
     # re-splits merged blocks with the inputs' own (true) separations
-    blocks = [list(g) for g in _gap_groups(w, 1e-4 * h_scale)]
+    starts = _gap_starts(w, 1e-4 * h_scale)
+    ends = np.append(starts[1:], len(w))
+    comp = _compress(u, stack)
+    final = np.all(
+        _scalar_defects(comp, starts) <= thresholds[:, None], axis=0
+    )
+    blocks = [list(range(a, b)) for a, b, f in zip(starts, ends, final) if f]
+    todo = [list(range(a, b)) for a, b, f in zip(starts, ends, final) if not f]
 
-    # Refine against each input in turn: inside a block every input seen
-    # so far acts as a scalar, so only the current one can split it.
-    for m, scale in zip(mats, scales):
-        threshold = cluster_tol * scale
-        new_blocks = []
-        for blk in blocks:
-            cols = np.array(blk)
-            sub = u[:, cols]
-            comp = sub.conj().T @ m @ sub
-            mean = np.trace(comp) / len(blk)
-            if np.linalg.norm(comp - mean * np.eye(len(blk))) <= threshold:
-                new_blocks.append(blk)
-                continue
-            evals, w_rot = _normal_eig_core(comp, threshold)
-            u[:, cols] = sub @ w_rot
-            for grp in _cluster_complex(evals, threshold):
-                new_blocks.append([blk[g] for g in grp])
-        blocks = new_blocks
+    # Refine the remaining blocks against each input in turn: inside a
+    # block every input seen so far acts as a scalar, so only the
+    # current one can split it.  Refinement only rotates the columns of
+    # the block it splits, so blocks on which every input is already
+    # scalar are final.
+    if todo:
+        for m, threshold in zip(stack, thresholds):
+            new_blocks = []
+            for blk in todo:
+                cols = np.array(blk)
+                sub = u[:, cols]
+                c = sub.conj().T @ m @ sub
+                mean = np.trace(c) / len(blk)
+                if np.linalg.norm(c - mean * np.eye(len(blk))) <= threshold:
+                    new_blocks.append(blk)
+                    continue
+                evals, w_rot = _normal_eig_core(c, threshold)
+                u[:, cols] = sub @ w_rot
+                for grp in _cluster_complex(evals, threshold):
+                    new_blocks.append([blk[g] for g in grp])
+            todo = new_blocks
+        blocks += todo
+        comp = _compress(u, stack)
 
     # Merge blocks whose rounded eigenvalue tuples coincide, compute the
-    # canonical order, and rebuild the unitary with contiguous blocks.
+    # canonical order, and rebuild the unitary with contiguous blocks;
+    # keys and eigenvalues are means of the compressed diagonals.
+    dg = np.diagonal(comp, axis1=1, axis2=2)
+    label = np.empty(len(w), dtype=int)
+    for b, blk in enumerate(blocks):
+        label[blk] = b
+    sizes = np.bincount(label, minlength=len(blocks))
+    means = (dg @ (label[:, None] == np.arange(len(blocks)))) / sizes
+    parts = np.round(np.stack([means.real, means.imag], axis=1), _ROUND_DECIMALS)
+    keys = [tuple(k) for k in parts.reshape(2 * n, -1).T.tolist()]
     keyed: dict[tuple, list[int]] = {}
-    for blk in blocks:
-        cols = np.array(blk)
-        sub = u[:, cols]
-        evals = [np.trace(sub.conj().T @ m @ sub) / len(blk) for m in mats]
-        keyed.setdefault(_block_key(evals), []).append(blk)
-    merged = []
-    for key, blks in keyed.items():
-        cols = sorted(c for blk in blks for c in blk)
-        merged.append((key, cols))
-    merged.sort(key=lambda kc: (kc[0], kc[1]))
+    for key, blk in zip(keys, blocks):
+        keyed.setdefault(key, []).extend(blk)
+    merged = sorted((key, sorted(cols)) for key, cols in keyed.items())
 
-    perm = [c for _, cols in merged for c in cols]
-    u_ordered = _normalize_column_phases(u[:, perm])
-    blocks_out, eigs = [], []
-    start = 0
-    for _, cols in merged:
-        size = len(cols)
-        idx = tuple(range(start, start + size))
-        blocks_out.append(idx)
-        sub = u_ordered[:, start:start + size]
-        eigs.append([np.trace(sub.conj().T @ m @ sub) / size for m in mats])
-        start += size
-    eigenvalues = np.array(eigs, dtype=complex).T.reshape(len(mats), -1)
-    return JointEigenstructure(u_ordered, tuple(blocks_out), eigenvalues)
-
-
-def _verify_joint(mats, result: JointEigenstructure, scales) -> float:
-    u = result.unitary
-    worst = 0.0
-    unitary_dev = float(
-        np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
+    perm = np.array([c for _, cols in merged for c in cols])
+    sizes = np.array([len(cols) for _, cols in merged])
+    new_starts = np.cumsum(sizes) - sizes
+    u_perm = u[:, perm]
+    phases = _column_phases(u_perm)
+    u_ordered = u_perm * phases
+    comp = phases.conj()[:, None] * comp[:, perm[:, None], perm] * phases
+    eigenvalues = np.add.reduceat(dg[:, perm], new_starts, axis=1) / sizes
+    blocks_out = tuple(
+        tuple(range(a, a + z)) for a, z in zip(new_starts.tolist(), sizes.tolist())
     )
-    worst = max(worst, unitary_dev)
-    for i, m in enumerate(mats):
-        conj = u.conj().T @ m @ u
-        model = np.zeros_like(conj)
-        for b, blk in enumerate(result.blocks):
-            cols = list(blk)
-            model[np.ix_(cols, cols)] = result.eigenvalues[i, b] * np.eye(
-                len(cols)
-            )
-        worst = max(worst, float(np.linalg.norm(conj - model)) / scales[i])
-    return worst
+    result = JointEigenstructure(u_ordered, blocks_out, eigenvalues)
+    return result, comp
+
+
+def _verify_joint(result: JointEigenstructure, comp, scales) -> float:
+    """Worst of the unitarity defect of ``result.unitary`` and, per
+    input, the HS distance of ``comp`` (the inputs compressed into that
+    unitary) from the block-scalar model, over the input's scale.  NaN
+    counts as +inf."""
+    u = result.unitary
+    model = _diag(np.repeat(result.eigenvalues, result.sizes, axis=1))
+    devs = np.append(
+        np.linalg.norm(comp - model, axis=(1, 2)) / scales,
+        np.linalg.norm(u.conj().T @ u - np.eye(len(u))),
+    )
+    return worst(devs)[0]
 
 
 class OrthoBasis(NamedTuple):

@@ -4,7 +4,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Check", "Report"]
+import numpy as np
+
+__all__ = ["Check", "Report", "worst"]
+
+
+def worst(devs) -> tuple[float, int]:
+    """The largest entry of an array of deviations and its first flat
+    index (C order), a NaN counting as +inf; ``(0.0, -1)`` when the
+    array is empty or all zero."""
+    flat = np.ravel(np.asarray(devs, dtype=float))
+    flat = np.where(np.isnan(flat), np.inf, flat)
+    if not flat.size:
+        return 0.0, -1
+    i = int(np.argmax(flat))
+    if not flat[i] > 0:
+        return 0.0, -1
+    return float(flat[i]), i
 
 
 @dataclass(frozen=True)

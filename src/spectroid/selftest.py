@@ -31,6 +31,7 @@ __all__ = [
     "suite_gelfand",
     "suite_evaluation",
     "suite_naturality",
+    "groupoid_classification_cases",
     "suite_groupoid_classification",
     "suite_dft",
     "suite_funcalc",
@@ -302,10 +303,9 @@ def suite_naturality(
     return report
 
 
-def suite_groupoid_classification(tol: float | None = None) -> Report:
-    """Commutativity matches abelian stabilizers and fullness matches
-    transitivity over the enumerated groupoid family."""
-    tol = resolve_tol(tol)
+def groupoid_classification_cases() -> list:
+    """``(name, groupoid)`` for the classification suite: transitive
+    groupoids of six groups on 1-4 objects, then disjoint unions."""
     named = [
         ("1", groups.cyclic(1)),
         ("Z2", groups.cyclic(2)),
@@ -336,6 +336,14 @@ def suite_groupoid_classification(tol: float | None = None) -> Report:
                 groups.connected_groupoid(split[1], gb, prefix="Y"),
             )
             cases.append((f"{na}+{nb}-union-{split[0]}+{split[1]}obj", u))
+    return cases
+
+
+def suite_groupoid_classification(tol: float | None = None) -> Report:
+    """Commutativity matches abelian stabilizers and fullness matches
+    transitivity over the enumerated groupoid family."""
+    tol = resolve_tol(tol)
+    cases = groupoid_classification_cases()
     report = Report()
     for name, g in cases:
         def body(name=name, g=g):

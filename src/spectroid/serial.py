@@ -420,7 +420,7 @@ def _as_spectrum_report(value, residuals=None) -> SpectrumReport:
             for o in value.category.object_ids
         }
         blocks = {
-            str(o): int(value.class_block[(i, o)])
+            str(o): int(value.class_block[o][i])
             for o in value.category.object_ids
         }
         classes.append(

@@ -33,7 +33,7 @@ from .errors import (
     InvalidPhaseFunctor,
     InvalidSpaceoid,
 )
-from .reporting import Report
+from .reporting import Report, worst
 
 __all__ = [
     "SpaceoidData",
@@ -93,6 +93,15 @@ class SpaceoidData:
     def lam_at(self, p, a, b, c) -> complex:
         return self.lam[(str(p), str(a), str(b), str(c))]
 
+    def table(self) -> np.ndarray:
+        """``lam`` as a dense ``(points, objects, objects, objects)``
+        array, axes in the order of ``base_points`` and ``objects``."""
+        shape = (len(self.base_points),) + (len(self.objects),) * 3
+        keys = itertools.product(self.base_points, *[self.objects] * 3)
+        return np.fromiter(
+            map(self.lam.__getitem__, keys), complex, int(np.prod(shape))
+        ).reshape(shape)
+
 
 @dataclass(frozen=True)
 class PhaseFunctor:
@@ -128,54 +137,74 @@ class SpaceoidMorphism:
 # validation
 
 
+def _mul(x, y) -> np.ndarray:
+    """Elementwise complex product, rounded as Python's scalar ``x * y``
+    rounds it (numpy's vector loops may fuse the multiply-adds)."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _abs(z) -> np.ndarray:
+    """Elementwise modulus, rounded as Python's ``abs(complex)``."""
+    return np.hypot(z.real, z.imag)
+
+
+def _add_worst(report, name, devs, tol, label=None) -> None:
+    """Add the check ``worst(devs) <= tol``; ``label`` turns the index
+    tuple of the first worst entry into the check's detail."""
+    value, flat = worst(devs)
+    where = ""
+    if label is not None and flat >= 0:
+        where = label(*np.unravel_index(flat, np.shape(devs)))
+    report.add(name, value <= tol, value, where)
+
+
 def validate(e: SpaceoidData, tol: float | None = None) -> Report:
     """Check every structure-constant invariant; returns a report with
-    one named check per invariant family."""
+    one named check per invariant family.  Each family is one broadcast
+    over the dense table; its detail names the first worst entry in
+    (point, object, ...) order, and a NaN counts as an infinite
+    residual."""
     tol = resolve_tol(tol)
     report = Report()
     pts, objs = e.base_points, e.objects
+    lam = e.table()
+    o = np.arange(len(objs))
+    row, col = o[:, None], o[None, :]
 
-    worst, where = 0.0, ""
-    for key, z in e.lam.items():
-        dev = abs(abs(z) - 1.0)
-        if dev > worst:
-            worst, where = dev, str(key)
-    report.add("unimodular", worst <= tol, worst, where)
-
-    worst, where = 0.0, ""
-    for p in pts:
-        for a, b in itertools.product(objs, repeat=2):
-            for z in (e.lam_at(p, a, a, b), e.lam_at(p, a, b, b)):
-                dev = abs(z - 1.0)
-                if dev > worst:
-                    worst, where = dev, f"({p},{a},{b})"
-    report.add("unit-normalization", worst <= tol, worst, where)
-
-    worst, where = 0.0, ""
-    for p in pts:
-        for a, b in itertools.product(objs, repeat=2):
-            dev = abs(e.lam_at(p, b, a, b) - 1.0)
-            if dev > worst:
-                worst, where = dev, f"({p},{b},{a},{b})"
-    report.add("positivity-normalization", worst <= tol, worst, where)
-
-    worst, where = 0.0, ""
-    for p in pts:
-        for a, b, c in itertools.product(objs, repeat=3):
-            dev = abs(e.lam_at(p, c, b, a) - np.conj(e.lam_at(p, a, b, c)))
-            if dev > worst:
-                worst, where = dev, f"({p},{a},{b},{c})"
-    report.add("involution-compatible", worst <= tol, worst, where)
-
-    worst, where = 0.0, ""
-    for p in pts:
-        for a, b, c, d in itertools.product(objs, repeat=4):
-            lhs = e.lam_at(p, a, b, c) * e.lam_at(p, a, c, d)
-            rhs = e.lam_at(p, b, c, d) * e.lam_at(p, a, b, d)
-            dev = abs(lhs - rhs)
-            if dev > worst:
-                worst, where = dev, f"({p},{a},{b},{c},{d})"
-    report.add("cocycle", worst <= tol, worst, where)
+    _add_worst(
+        report, "unimodular", np.abs(_abs(lam) - 1.0), tol,
+        lambda p, a, b, c: str((pts[p], objs[a], objs[b], objs[c])),
+    )
+    # per (p, a, b): lam(p; a, a, b) then lam(p; a, b, b)
+    units = np.stack(
+        [lam[:, row, row, col], lam[:, row, col, col]], axis=-1
+    )
+    _add_worst(
+        report, "unit-normalization", _abs(units - 1.0), tol,
+        lambda p, a, b, _: f"({pts[p]},{objs[a]},{objs[b]})",
+    )
+    # per (p, a, b): lam(p; b, a, b)
+    _add_worst(
+        report, "positivity-normalization", _abs(lam[:, col, row, col] - 1.0),
+        tol, lambda p, a, b: f"({pts[p]},{objs[b]},{objs[a]},{objs[b]})",
+    )
+    _add_worst(
+        report, "involution-compatible",
+        _abs(lam.transpose(0, 3, 2, 1) - lam.conj()), tol,
+        lambda p, a, b, c: f"({pts[p]},{objs[a]},{objs[b]},{objs[c]})",
+    )
+    # lam(p;a,b,c) lam(p;a,c,d) = lam(p;b,c,d) lam(p;a,b,d)
+    lhs = _mul(lam[:, :, :, :, None], lam[:, :, None, :, :])
+    rhs = _mul(lam[:, None, :, :, :], lam[:, :, :, None, :])
+    _add_worst(
+        report, "cocycle", _abs(lhs - rhs), tol,
+        lambda p, a, b, c, d: (
+            f"({pts[p]},{objs[a]},{objs[b]},{objs[c]},{objs[d]})"
+        ),
+    )
     return report
 
 
@@ -437,44 +466,30 @@ def validate_morphism(
     if not (total and bij and scal_total):
         return report
 
-    worst = max(
-        abs(abs(z) - 1.0) for z in m.fiber_scalars.values()
+    pts, objs = dom.base_points, dom.objects
+    keys = itertools.product(pts, objs, objs)
+    shape = (len(pts), len(objs), len(objs))
+    scal = np.fromiter(
+        map(m.fiber_scalars.__getitem__, keys), complex, int(np.prod(shape))
+    ).reshape(shape)
+    o = np.arange(len(objs))
+    _add_worst(
+        report, "fiber-scalars-unimodular", np.abs(_abs(scal) - 1.0), tol
     )
-    report.add("fiber-scalars-unimodular", worst <= tol, worst)
-
-    worst = max(
-        abs(m.fiber_scalars[(p, a, a)] - 1.0)
-        for p in dom.base_points
-        for a in dom.objects
+    _add_worst(report, "fiber-scalars-units", _abs(scal[:, o, o] - 1.0), tol)
+    _add_worst(
+        report, "fiber-scalars-involution",
+        _abs(scal.transpose(0, 2, 1) - scal.conj()), tol,
     )
-    report.add("fiber-scalars-units", worst <= tol, worst)
-
-    worst = 0.0
-    for p in dom.base_points:
-        for a, b in itertools.product(dom.objects, repeat=2):
-            dev = abs(
-                m.fiber_scalars[(p, b, a)]
-                - np.conj(m.fiber_scalars[(p, a, b)])
-            )
-            worst = max(worst, dev)
-    report.add("fiber-scalars-involution", worst <= tol, worst)
-
-    worst, where = 0.0, ""
-    for p in dom.base_points:
-        q = m.f_delta[p]
-        for a, b, c in itertools.product(dom.objects, repeat=3):
-            lhs = (
-                m.fiber_scalars[(p, a, b)]
-                * m.fiber_scalars[(p, b, c)]
-                * dom.lam_at(p, a, b, c)
-            )
-            rhs = cod.lam_at(
-                q, m.f_r[a], m.f_r[b], m.f_r[c]
-            ) * m.fiber_scalars[(p, a, c)]
-            dev = abs(lhs - rhs)
-            if dev > worst:
-                worst, where = dev, f"({p},{a},{b},{c})"
-    report.add("functoriality", worst <= tol, worst, where)
+    # s(p;a,b) s(p;b,c) lam_dom(p;a,b,c) = lam_cod(f p; f a, f b, f c) s(p;a,c)
+    q = [cod.base_points.index(str(m.f_delta[p])) for p in pts]
+    r = [cod.objects.index(str(m.f_r[a])) for a in objs]
+    lhs = _mul(_mul(scal[:, :, :, None], scal[:, None, :, :]), dom.table())
+    rhs = _mul(cod.table()[np.ix_(q, r, r, r)], scal[:, :, None, :])
+    _add_worst(
+        report, "functoriality", _abs(lhs - rhs), tol,
+        lambda p, a, b, c: f"({pts[p]},{objs[a]},{objs[b]},{objs[c]})",
+    )
     return report
 
 

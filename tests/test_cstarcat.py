@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectroid import cstarcat, groups, numkit
+from spectroid import cstarcat, groups, numkit, selftest
 from spectroid.cstarcat import (
     CategoryPresentation,
     close,
@@ -344,6 +344,57 @@ def test_commutativity_matches_abelian_stabilizers_small_family():
         cat = groupoid_category(g)
         assert is_commutative(cat) == want_abelian
         assert is_full(cat) == want_transitive
+
+
+def reference_is_full(cat, tol=1e-9):
+    """The dimension test: Gram-Schmidt rank of all products x* y (and
+    x y*) of a block against the dimension of the diagonal block."""
+    for a, b in cat.pairs():
+        basis = cat.block(a, b)
+        right = [x.conj().T @ y for x in basis for y in basis]
+        left = [x @ y.conj().T for x in basis for y in basis]
+        if numkit.hs_orthonormalize(right, tol).rank != cat.block_dim(b, b):
+            return False
+        if numkit.hs_orthonormalize(left, tol).rank != cat.block_dim(a, a):
+            return False
+    return True
+
+
+def _non_full_cases():
+    yield close(diag_presentation(2, ids=("A", "B")), unitize=True)
+    yield groupoid_category(
+        groups.disjoint_union(
+            groups.connected_groupoid(1, groups.cyclic(2)),
+            groups.connected_groupoid(1, groups.cyclic(3)),
+        )
+    )
+    yield groupoid_category(
+        groups.disjoint_union(
+            groups.connected_groupoid(1, groups.symmetric(3)),
+            groups.connected_groupoid(1, groups.cyclic(2)),
+        )
+    )
+
+
+def test_is_full_matches_rank_test():
+    # the invertibility criterion of unital categories against the rank
+    # test on the whole classification family (S3 cases included) and
+    # the non-full categories above
+    cats = [groupoid_category(g) for _, g in selftest.groupoid_classification_cases()]
+    cats += list(_non_full_cases())
+    assert len(cats) == 48 and all(cat.unital for cat in cats)
+    got = [is_full(cat) for cat in cats]
+    assert got == [reference_is_full(cat) for cat in cats]
+    assert got.count(False) == 24
+
+
+def test_is_full_rank_path_without_units():
+    # a row vector closes to a non-unital category; its blocks are full
+    # by the rank test, which is the path taken without units
+    x = np.array([[1.0, 2.0, 0.5]], dtype=complex)
+    cat = generated_by(x, "A", "B")
+    assert not cat.unital
+    assert is_full(cat) == reference_is_full(cat)
 
 
 def test_groupoid_block_dims_match_hom_sets():

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectroid import cstarcat as cc
+from spectroid import groups
 from spectroid import duality as du
 from spectroid import spaceoid as sp
 from spectroid.errors import (
     AmbiguousMatching,
     NotCommutative,
     NotFull,
+    NotOneDimensional,
     NotUnital,
     SpectrumMismatch,
 )
@@ -112,6 +114,40 @@ def test_spectrum_rejects_bad_inputs():
         du.spectrum(c3)
 
 
+def _two_object_family(c_aa, c_bb, c_ab):
+    """A hand-built unital block family on two 2-dim objects (not
+    closed under products: only the spectrum's own checks look at it)."""
+    blocks = {
+        ("A", "A"): c_aa,
+        ("B", "B"): c_bb,
+        ("A", "B"): c_ab,
+        ("B", "A"): [x.conj().T for x in c_ab],
+    }
+    return cc.MatrixCategory((("A", 2), ("B", 2)), blocks, unital=True)
+
+
+def test_spectrum_raises_ambiguous_matching():
+    # both diagonals split into two lines; the (A, B) block mixes them
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    ones = np.ones((2, 2)) / 2
+    flip = np.array([[1.0, -1.0], [-1.0, 1.0]]) / 2
+    c = _two_object_family([e11, e22], [e11, e22], [ones, flip])
+    assert cc.is_commutative(c) and cc.is_full(c)
+    with pytest.raises(AmbiguousMatching):
+        du.spectrum(c)
+
+
+def test_spectrum_raises_not_one_dimensional():
+    # one rank-2 class per object, and a connecting element that is not
+    # a multiple of a unitary
+    eye = np.eye(2) / np.sqrt(2)
+    x = np.diag([1.0, 2.0]) / np.sqrt(5)
+    c = _two_object_family([eye], [eye], [x])
+    assert cc.is_commutative(c) and cc.is_full(c)
+    with pytest.raises(NotOneDimensional):
+        du.spectrum(c)
+
+
 def test_linking_spectrum_frozen_coefficients():
     gen = cc.linking_generator(2, [0, 1], [1.0, 1j])
     c = cc.linking_category(2, [0, 1], [1.0, 1j])
@@ -138,7 +174,7 @@ def test_single_generator_linking_has_one_rank2_class():
     spec = du.spectrum(c)
     assert spec.n_classes == 1
     assert spec.ranks == (2,)
-    f = spec.frames[(0, "A", "B")]
+    f = spec.frame(0, "A", "B")
     assert np.allclose(f, np.diag([1.0, 1j]), atol=1e-12)
 
 
@@ -167,6 +203,113 @@ def test_scrambled_categories_roundtrip():
         c = scramble(make(), seed + 100)
         rep = du.roundtrip_category(c, tol=1e-9, seed=seed)
         assert rep.passed, rep.summary()
+
+
+# --- whole-eigenbasis spectrum against the per-class reference ----------------
+
+
+def reference_canonical_frame(comp):
+    s = op_norm(comp)
+    f = comp / s
+    flat = f.ravel()
+    mx = np.max(np.abs(flat))
+    for z in flat:
+        if abs(z) >= 0.1 * mx:
+            return f * np.conj(z / abs(z))
+
+
+def reference_parts(spec, tol=1e-9):
+    """Class matching, frames, structure constants and coefficients by
+    one compression per class, basis element and block, starting from
+    the same joint eigenstructures as ``spec``."""
+    c, eigs = spec.category, spec.eigs
+    ids = c.object_ids
+    a0, k = ids[0], eigs[ids[0]].n_blocks
+    class_block = {(i, a0): i for i in range(k)}
+    for b in ids[1:]:
+        basis = c.block(a0, b)
+        thresh = tol * (1.0 + max(hs_norm(x) for x in basis))
+        for i in range(k):
+            vi = eigs[a0].block_isometry(i)
+            hits = [
+                j
+                for j in range(k)
+                if max(
+                    hs_norm(vi.conj().T @ x @ eigs[b].block_isometry(j))
+                    for x in basis
+                ) > thresh
+            ]
+            assert len(hits) == 1
+            class_block[(i, b)] = hits[0]
+    ranks = [len(eigs[a0].blocks[i]) for i in range(k)]
+
+    def iso(i, a):
+        return eigs[a].block_isometry(class_block[(i, a)])
+
+    frames = {}
+    for i in range(k):
+        for a in ids:
+            frames[(i, a, a)] = np.eye(ranks[i])
+    for ai, a in enumerate(ids):
+        for b in ids[ai + 1:]:
+            for i in range(k):
+                comps = [iso(i, a).conj().T @ x @ iso(i, b) for x in c.block(a, b)]
+                best = comps[int(np.argmax([hs_norm(m) for m in comps]))]
+                frames[(i, a, b)] = reference_canonical_frame(best)
+                frames[(i, b, a)] = frames[(i, a, b)].conj().T
+    lam = {
+        (i, a, b, cc_): np.trace(
+            frames[(i, a, cc_)].conj().T @ frames[(i, a, b)] @ frames[(i, b, cc_)]
+        ) / ranks[i]
+        for i in range(k)
+        for a in ids
+        for b in ids
+        for cc_ in ids
+    }
+    coeffs = {
+        (a, b): np.array([
+            [
+                np.trace(frames[(i, a, b)].conj().T @ iso(i, a).conj().T @ x @ iso(i, b))
+                / ranks[i]
+                for i in range(k)
+            ]
+            for x in c.block(a, b)
+        ]).reshape(-1, k)
+        for a, b in c.pairs()
+    }
+    return class_block, frames, lam, coeffs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cc.linking_category(3, [1, 2, 0], [1.0, 1j, -1.0]),
+        lambda: scramble(cc.linking_category(4, [2, 0, 3, 1], [1j, -1.0, 1.0, 1j]), 7),
+        lambda: scramble(
+            cc.multi_linking(2, [[1, 0], [0, 1]], [[1.0, 1j], [np.exp(0.7j), 1.0]]), 8
+        ),
+        pauli_triangle,
+        lambda: cc.groupoid_category(groups.connected_groupoid(3, groups.cyclic(4))),
+        lambda: scramble(
+            cc.groupoid_category(groups.connected_groupoid(2, groups.klein_four())), 9
+        ),
+    ],
+)
+def test_spectrum_matches_per_class_reference(make):
+    spec = du.spectrum(make())
+    class_block, frames, lam, coeffs = reference_parts(spec)
+    ids = spec.category.object_ids
+    for i in range(spec.n_classes):
+        for a in ids:
+            assert spec.class_block[a][i] == class_block[(i, a)]
+            for b in ids:
+                assert np.allclose(spec.frame(i, a, b), frames[(i, a, b)], atol=1e-11)
+                for cc_ in ids:
+                    got = spec.spaceoid.lam_at(spec.class_points[i], a, b, cc_)
+                    assert abs(got - lam[(i, a, b, cc_)]) < 1e-11
+    for a, b in spec.category.pairs():
+        stack = np.reshape(spec.category.block(a, b), (-1, spec.category.dim(a), spec.category.dim(b)))
+        assert np.allclose(spec.coefficients(a, b, stack), coeffs[(a, b)], atol=1e-11)
 
 
 # --- sections ----------------------------------------------------------------
@@ -203,6 +346,36 @@ def test_evaluation_roundtrip(seed):
     e = random_spaceoid(seed, n_points=3, n_objects=3)
     rep = du.roundtrip_spaceoid(e, tol=1e-9, seed=0)
     assert rep.passed, rep.summary()
+
+
+def test_roundtrip_spaceoid_with_nan_reports_failure():
+    base = sp.trivial_spaceoid(3, 2)
+    e = sp.SpaceoidData(
+        base.base_points, base.objects, {("p1", "O1", "O2", "O1"): np.nan}
+    )
+    rep = du.roundtrip_spaceoid(e)
+    assert not rep.passed
+    assert "input-unimodular" in {c.name for c in rep.failures()}
+
+
+def test_re_spectrum_constants_fold_counts_nan(monkeypatch):
+    # a NaN in the last structure constant of the re-computed spectrum
+    # (the position a plain max() fold drops) must fail the check
+    evaluation = du.evaluation
+
+    def broken(e, tol, seed):
+        ev = evaluation(e, tol, seed)
+        lam = dict(ev.spectrum.spaceoid.lam)
+        lam[list(lam)[-1]] = complex("nan")
+        ev.spectrum.spaceoid = sp.SpaceoidData(
+            ev.spectrum.spaceoid.base_points, ev.spectrum.spaceoid.objects, lam
+        )
+        return ev
+
+    monkeypatch.setattr(du, "evaluation", broken)
+    rep = du.roundtrip_spaceoid(random_spaceoid(4, n_points=2, n_objects=2))
+    check = next(c for c in rep.checks if c.name == "re-spectrum-trivial-constants")
+    assert not check.passed and check.residual == np.inf
 
 
 def test_evaluation_scalars_equal_trivializing_gauge():

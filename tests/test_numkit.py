@@ -241,6 +241,17 @@ def test_joint_diagonalize_rejects_noncommuting():
     assert exc.value.residual > 1.0
 
 
+def test_joint_diagonalize_names_first_noncommuting_pair():
+    # (0, 1) commute; (0, 2) and (1, 2) do not: the first in (i, j)
+    # order is named, with its own residual
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NotCommuting) as exc:
+        numkit.joint_diagonalize([z, 2 * z, 3 * x])
+    assert exc.value.pair == (0, 2)
+    assert exc.value.residual == pytest.approx(np.linalg.norm(z @ x - x @ z) * 3)
+
+
 def test_joint_diagonalize_rejects_nonnormal():
     with pytest.raises(NotNormal):
         numkit.joint_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
@@ -254,6 +265,115 @@ def test_joint_diagonalize_degenerate_pair_needs_refinement():
     assert je.n_blocks == 3
     tuples = {tuple(np.round(je.eigentuple(k), 8)) for k in range(3)}
     assert tuples == {(1, 5), (1, 7), (2, 7)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_joint_diagonalize_rejects_non_finite(bad):
+    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        numkit.joint_diagonalize([np.eye(3), m])
+
+
+@pytest.mark.parametrize("where", [(0, 0, 0), (-1, -1, -1)])
+def test_verify_joint_counts_nan_as_infinite(where):
+    stack = np.stack([np.diag([1.0, 2.0, 2.0]), np.diag([5.0, 5.0, 7.0])]).astype(complex)
+    je = numkit.joint_diagonalize(stack, 1e-9)
+    comp = numkit._compress(je.unitary, stack)
+    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
+    assert numkit._verify_joint(je, comp, scales) < 1e-12
+    comp[where] = np.nan
+    assert numkit._verify_joint(je, comp, scales) == np.inf
+
+
+def near_degenerate_family(gap, seed, defect=0.0):
+    """Two commuting inputs on C^6 with planted classes of sizes 1, 2
+    and 3.  Input 0 is 1, 1 + gap and 2 on them; input 1 only separates
+    the third class (3 + 0.5j against 3).  The change of basis is a
+    random unitary plus ``defect`` times a real Gaussian matrix (its
+    inverse replaces the adjoint), so the family is normal and
+    commuting only to about ``defect``."""
+    rng = np.random.default_rng(seed)
+    q = rand_unitary(rng, 6) + defect * rng.standard_normal((6, 6))
+    evals = np.array([[1.0, 1.0 + gap, 2.0], [3.0, 3.0, 3.0 + 0.5j]])
+    labels = np.repeat([0, 1, 2], [1, 2, 3])
+    mats = [q @ np.diag(e[labels]) @ np.linalg.inv(q) for e in evals]
+    return mats, q, labels
+
+
+def assert_planted_partition(je, q, labels, atol):
+    """Each block has the size of one planted class and its columns lie
+    in that class's eigenspace."""
+    assert sorted(len(blk) for blk in je.blocks) == [1, 2, 3]
+    projectors = []
+    for cls in range(3):
+        basis, _ = np.linalg.qr(q[:, labels == cls])
+        projectors.append(basis @ basis.conj().T)
+    seen = set()
+    for blk in je.blocks:
+        u = je.unitary[:, list(blk)]
+        misses = [np.linalg.norm(u - p @ u) for p in projectors]
+        cls = int(np.argmin(misses))
+        assert misses[cls] < atol and np.sum(labels == cls) == len(blk)
+        seen.add(cls)
+    assert seen == {0, 1, 2}
+
+
+def test_joint_diagonalize_refines_classes_merged_by_the_combination(monkeypatch):
+    # classes 1e-6 apart sit inside one 1e-4 gap group of the random
+    # combination; only the per-input refinement separates them
+    splits = []
+    core = numkit._normal_eig_core
+
+    def spy(a, threshold):
+        splits.append(a.shape[0])
+        return core(a, threshold)
+
+    monkeypatch.setattr(numkit, "_normal_eig_core", spy)
+    for seed in range(5):
+        splits.clear()
+        mats, q, labels = near_degenerate_family(1e-6, seed)
+        je = numkit.joint_diagonalize(mats, 1e-9, seed=seed)
+        assert splits, "the refinement path did not run"
+        assert_planted_partition(je, q, labels, 1e-8)
+
+
+@pytest.mark.parametrize("defect", [0.0, 1e-11, 1e-9])
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_joint_diagonalize_near_degenerate_never_wrong(monkeypatch, gap, defect):
+    """Relative class gaps 1e-3 down to 1e-7, in a unitary scramble and
+    in scrambles that are unitary only up to 1e-11 and 1e-9.
+
+    The outcome must be the planted partition or
+    ``DiagonalizationFailed``, never another partition.  Measured on
+    seeds 0-2: with the exact unitary every gap verifies on the first
+    attempt (residual about 2e-15, no retry).  With either defect every
+    gap runs all five attempts of the retry loop (best residual about
+    the defect, above the 1e-12 target) and returns through the
+    loose-tolerance ``best`` branch, with the planted partition.  None
+    raised ``DiagonalizationFailed``.  Gaps of 1e-8 and below fall
+    under ``cluster_tol`` and are one class by definition.
+    """
+    residuals = []
+    verify = numkit._verify_joint
+
+    def spy(result, comp, scales):
+        residuals.append(verify(result, comp, scales))
+        return residuals[-1]
+
+    monkeypatch.setattr(numkit, "_verify_joint", spy)
+    for seed in range(3):
+        residuals.clear()
+        mats, q, labels = near_degenerate_family(gap, seed, defect)
+        try:
+            je = numkit.joint_diagonalize(mats, 1e-9, seed=seed)
+        except DiagonalizationFailed:
+            continue
+        assert_planted_partition(je, q, labels, 1e-6)
+        if defect == 0.0:
+            assert len(residuals) == 1 and residuals[0] <= 1e-12
+        else:
+            assert len(residuals) == 5 and min(residuals) > 1e-12
 
 
 # ---------------------------------------------------------------------------

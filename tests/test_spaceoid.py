@@ -90,6 +90,41 @@ def test_require_valid_raises_with_location():
         sp.require_valid(sp.SpaceoidData(base.base_points, base.objects, bad))
 
 
+def test_validate_counts_nan_as_failure():
+    base = sp.trivial_spaceoid(3, 2)
+    e = sp.SpaceoidData(
+        base.base_points, base.objects, {("p1", "O1", "O2", "O1"): np.nan}
+    )
+    rep = sp.validate(e)
+    assert not rep.passed
+    unimodular = next(c for c in rep.checks if c.name == "unimodular")
+    assert not unimodular.passed and unimodular.residual == np.inf
+    assert unimodular.detail == "('p1', 'O1', 'O2', 'O1')"
+
+
+def test_validate_detail_names_first_worst_entry():
+    # two equally bad entries: the first in (point, A, B, C) order wins
+    base = sp.trivial_spaceoid(2, 2)
+    bad = dict(base.lam)
+    bad[("p1", "O2", "O1", "O1")] = 2.0
+    bad[("p0", "O2", "O2", "O1")] = -2.0
+    rep = sp.validate(sp.SpaceoidData(base.base_points, base.objects, bad))
+    unimodular = next(c for c in rep.checks if c.name == "unimodular")
+    assert unimodular.residual == 1.0
+    assert unimodular.detail == "('p0', 'O2', 'O2', 'O1')"
+
+
+@pytest.mark.parametrize("key", [("p0", "O1", "O1"), ("p2", "O2", "O2")])
+def test_validate_morphism_counts_nan_as_failure(key):
+    # first and last fiber scalar: a NaN fails wherever it sits
+    e = sp.trivial_spaceoid(3, 2)
+    m = sp.identity_morphism(e)
+    assert list(m.fiber_scalars)[0 if key[0] == "p0" else -1] == key
+    m.fiber_scalars[key] = complex("nan")
+    assert not sp.validate_morphism(m, e, e).passed
+    assert not sp.is_isomorphism(m, e, e)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_trivialize_kills_all_constants(seed):
