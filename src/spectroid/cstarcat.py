@@ -31,9 +31,9 @@ from .errors import (
 from .numkit import (
     _adjoints,
     _combine,
+    _noncommuting_pair,
     _project,
     _rows,
-    adjoint,
     hs_member,
     hs_norm,
     hs_orthonormalize,
@@ -172,16 +172,20 @@ def close(
     max_iters = sum(dims[a] * dims[b] for a in ids for b in ids) + 1
     for _ in range(max_iters):
         changed = False
-        candidates: dict = {pair: [] for pair in blocks}
+        # a block that spans its whole space takes no candidates
+        candidates: dict = {
+            pair: [] for pair, basis in blocks.items()
+            if len(basis) < dims[pair[0]] * dims[pair[1]]
+        }
         for (a, b), basis in blocks.items():
-            if basis:
+            if basis and (b, a) in candidates:
                 candidates[(b, a)].append(_adjoints(basis))
         for a, b, c in itertools.product(ids, ids, ids):
             left, right = blocks[(a, b)], blocks[(b, c)]
-            if left and right:
+            if left and right and (a, c) in candidates:
                 candidates[(a, c)].append(_products(left, right))
         for (a, b), basis in blocks.items():
-            extra = candidates[(a, b)]
+            extra = candidates.get((a, b))
             if not extra:
                 continue
             stack = np.concatenate(
@@ -286,25 +290,28 @@ def check_axioms(
             worst = max(worst, residual)
         report.add("units", worst <= tol * 10.0, worst)
 
+    # three seeded combinations per block, drawn as one (3, 2, n) stack
+    # (the same stream as three real/imaginary draws in turn); y is the
+    # first basis element of each block (B, C)
+    y_norm = {
+        pair: op_norm(basis[0]) for pair, basis in cat.blocks.items() if basis
+    }
     worst_cstar, worst_sub = 0.0, 0.0
     for (a, b), basis in cat.blocks.items():
         if not basis:
             continue
-        for _ in range(3):
-            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
-                len(basis)
-            )
-            x = _combine(coeffs, basis, (cat.dim(a), cat.dim(b)))
-            nx = op_norm(x)
-            dev = abs(op_norm(adjoint(x) @ x) - nx**2)
-            worst_cstar = max(worst_cstar, dev / (1.0 + nx**2))
-            for cid in cat.object_ids:
-                other = cat.block(b, cid)
-                if not other:
-                    continue
-                y = other[0]
-                excess = op_norm(x @ y) - nx * op_norm(y)
-                worst_sub = max(worst_sub, excess / (1.0 + nx * op_norm(y)))
+        z = rng.standard_normal((3, 2, len(basis)))
+        x = _combine(z[:, 0] + 1j * z[:, 1], basis, (cat.dim(a), cat.dim(b)))
+        nx = np.linalg.norm(x, 2, axis=(1, 2))
+        dev = np.abs(np.linalg.norm(_adjoints(x) @ x, 2, axis=(1, 2)) - nx**2)
+        worst_cstar = max(worst_cstar, float(np.max(dev / (1.0 + nx**2))))
+        for cid in cat.object_ids:
+            if (b, cid) not in y_norm:
+                continue
+            ny = y_norm[(b, cid)]
+            xy = np.linalg.norm(x @ cat.block(b, cid)[0], 2, axis=(1, 2))
+            excess = xy - nx * ny
+            worst_sub = max(worst_sub, float(np.max(excess / (1.0 + nx * ny))))
     report.add("cstar-norm-identity", worst_cstar <= tol * 100.0, worst_cstar)
     report.add("submultiplicativity", worst_sub <= tol * 100.0, worst_sub)
     return report
@@ -313,17 +320,10 @@ def check_axioms(
 def is_commutative(cat: MatrixCategory, tol: float | None = None) -> bool:
     """True when every diagonal block is a commutative algebra."""
     tol = resolve_tol(tol)
-    for o in cat.object_ids:
-        basis = _stack(cat, o, o)
-        i, j = np.triu_indices(len(basis), 1)
-        if not len(i):
-            continue
-        comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-        dev = np.linalg.norm(_rows(comm), axis=1)
-        norms = np.linalg.norm(_rows(basis), axis=1)
-        if np.any(dev > tol * (1.0 + norms[i] * norms[j])):
-            return False
-    return True
+    return all(
+        _noncommuting_pair(_stack(cat, o, o), tol) is None
+        for o in cat.object_ids
+    )
 
 
 def _invertible(h: np.ndarray) -> bool:
@@ -422,14 +422,20 @@ def functor_image(
     x,
     tol: float | None = None,
 ) -> np.ndarray:
-    """Materialize the image of ``x`` (an element of block (a, b))."""
+    """Materialize the image of ``x``: one element of block (a, b), or
+    a ``(n, d_a, d_b)`` stack of them."""
     tol = resolve_tol(tol)
-    member, residual, coeffs = hs_member(x, source.block(a, b), tol)
-    if not member:
+    x = np.asarray(x, dtype=complex)
+    member, residual, coeffs = _project(
+        source.block(a, b), np.reshape(x, (-1,) + x.shape[-2:]), tol
+    )
+    if not member.all():
         raise InvalidFunctor(
-            f"element not in source block ({a},{b}) (residual {residual:.3e})"
+            f"element not in source block ({a},{b}) "
+            f"(residual {residual.max():.3e})"
         )
-    return _image(phi, target, a, b, coeffs)
+    img = _image(phi, target, a, b, coeffs)
+    return img if x.ndim == 3 else img[0]
 
 
 def functor_from_images(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +37,10 @@ from .config import resolve_tol
 from .cstarcat import (
     MatrixCategory,
     StarFunctor,
+    _image,
     _stack,
     check_axioms,
     functor_image,
-    is_commutative,
     is_full,
     validate_functor,
 )
@@ -48,6 +49,7 @@ from .errors import (
     FullnessMismatch,
     InvalidFunctor,
     NotCommutative,
+    NotCommuting,
     NotFull,
     NotOneDimensional,
     NotUnital,
@@ -127,10 +129,6 @@ class SpectrumResult:
         return len(self.class_points)
 
     @property
-    def anchor(self):
-        return self.spaceoid.objects[0]
-
-    @property
     def starts(self) -> np.ndarray:
         """First column of every class in the class-ordered bases."""
         ranks = np.asarray(self.ranks, dtype=int)
@@ -140,16 +138,9 @@ class SpectrumResult:
         start = int(self.starts[i])
         return slice(start, start + self.ranks[i])
 
-    def isometry(self, i: int, a) -> np.ndarray:
-        return self.bases[a][:, self._span(i)]
-
     def frame(self, i: int, a, b) -> np.ndarray:
         """The ``r x r`` unit frame of class ``i`` in block ``(a, b)``."""
         return self.frames[(a, b)][self._span(i), self._span(i)]
-
-    def frame_matrix(self, i: int, a, b) -> np.ndarray:
-        """The full-size unit frame of class ``i`` in block ``(a, b)``."""
-        return self.isometry(i, a) @ self.frame(i, a, b) @ self.isometry(i, b).conj().T
 
     def coefficients(self, a, b, x) -> np.ndarray:
         """Frame coefficients of ``x`` across all classes of block (a, b).
@@ -169,10 +160,18 @@ class SpectrumResult:
         g = self.frames[(a, b)] * rows[..., :, None]
         return self.bases[a] @ g @ self.bases[b].conj().T
 
-    def character_gamma(self, i: int, a, b) -> complex:
-        """Frame-to-character correction: conj of the trivializing gauge."""
-        return np.conj(self.spaceoid.lam_at(self.class_points[i], a,
-                                            self.anchor, b))
+    @cached_property
+    def _lam(self) -> np.ndarray:
+        return self.spaceoid.table()
+
+    def character_values(self, a, b, x) -> np.ndarray:
+        """Every class's character applied to ``x`` in block (a, b)
+        (one matrix or a stack; classes along the last axis): the frame
+        coefficients times the conjugate trivializing gauge
+        ``lam(w; a, anchor, b)``, the anchor being the first object."""
+        objs = self.spaceoid.objects
+        gauge = self._lam[:, objs.index(a), 0, objs.index(b)]
+        return self.coefficients(a, b, x) * np.conj(gauge)
 
 
 def _match_blocks(c, eig0, eig_b, a0, b, tol) -> np.ndarray:
@@ -276,16 +275,20 @@ def spectrum(
     tol = resolve_tol(tol)
     if not c.unital:
         raise NotUnital("spectrum needs identity elements in every C_AA")
-    if not is_commutative(c, tol):
-        raise NotCommutative("diagonal blocks do not commute")
+    ids = c.object_ids
+    # joint_diagonalize runs is_commutative's test before its normality
+    # check, so a non-commutative category fails here, before the
+    # fullness test
+    try:
+        eigs = {
+            o: joint_diagonalize(c.block(o, o), tol, seed=seed, dim=c.dim(o))
+            for o in ids
+        }
+    except NotCommuting as exc:
+        raise NotCommutative("diagonal blocks do not commute") from exc
     if not is_full(c, tol):
         raise NotFull("inner products do not span the diagonal blocks")
 
-    ids = c.object_ids
-    eigs = {
-        o: joint_diagonalize(c.block(o, o), tol, seed=seed, dim=c.dim(o))
-        for o in ids
-    }
     a0 = ids[0]
     k = eigs[a0].n_blocks
     for o in ids[1:]:
@@ -373,8 +376,7 @@ class Character:
     def value(self, a, b, x) -> complex:
         """The character applied to ``x`` in block ``(a, b)`` (or to
         each matrix of a stack)."""
-        coeff = self.spec.coefficients(a, b, x)[..., self.index]
-        return coeff * self.spec.character_gamma(self.index, a, b)
+        return self.spec.character_values(a, b, x)[..., self.index]
 
 
 def characters(
@@ -397,6 +399,37 @@ def _character_values(omega, a, b, basis):
     return np.array([omega(a, b, x) for x in basis], dtype=complex)
 
 
+def _match_classes(spec: SpectrumResult, values, n_chars: int, tol) -> np.ndarray:
+    """Spectrum class of each of ``n_chars`` characters.
+
+    ``values(o, basis)`` gives the characters' values on the stacked
+    basis of ``C_oo``, one row per character.  A character fits a class
+    when, on every object, its values lie within ``tol * 100 * (1 +
+    max |value|)`` of the class's diagonal eigenvalue table.  Raises
+    ``SpectrumMismatch`` when the first character that does not fit
+    exactly one class fits none, ``AmbiguousMatching`` when it fits
+    several.
+    """
+    c = spec.category
+    fits = np.ones((n_chars, spec.n_classes), dtype=bool)
+    for o in c.object_ids:
+        basis = _stack(c, o, o)
+        if not len(basis):
+            continue
+        vals = values(o, basis)
+        scale = 1.0 + np.max(np.abs(vals), axis=1, initial=0.0)
+        dev = np.max(np.abs(spec.diag_table[o] - vals[:, None, :]), axis=2)
+        fits &= dev <= tol * 100 * scale[:, None]
+    count = fits.sum(axis=1)
+    bad = count != 1
+    if bad.any():
+        n = count[np.argmax(bad)]
+        if not n:
+            raise SpectrumMismatch("no spectrum class matches the character")
+        raise AmbiguousMatching(f"{n} spectrum classes match the character")
+    return np.argmax(fits, axis=1)
+
+
 def match_character_class(
     spec: SpectrumResult, omega, tol: float | None = None
 ) -> int:
@@ -408,26 +441,10 @@ def match_character_class(
     when several do.
     """
     tol = resolve_tol(tol)
-    c = spec.category
-    candidates = set(range(spec.n_classes))
-    for o in c.object_ids:
-        basis = c.block(o, o)
-        if not basis:
-            continue
-        vals = _character_values(omega, o, o, basis)
-        scale = 1.0 + float(np.max(np.abs(vals), initial=0.0))
-        keep = set()
-        for i in candidates:
-            if np.max(np.abs(spec.diag_table[o][i] - vals)) <= tol * 100 * scale:
-                keep.add(i)
-        candidates = keep
-    if not candidates:
-        raise SpectrumMismatch("no spectrum class matches the character")
-    if len(candidates) > 1:
-        raise AmbiguousMatching(
-            f"{len(candidates)} spectrum classes match the character"
-        )
-    return candidates.pop()
+    match = _match_classes(
+        spec, lambda o, basis: _character_values(omega, o, o, basis)[None], 1, tol
+    )
+    return int(match[0])
 
 
 def unitary_equivalence_gauge(
@@ -603,9 +620,11 @@ def spectrum_on_morphism(
     """Induced spaceoid morphism spectrum(target) -> spectrum(source)
     of a *-functor ``phi: source -> target`` (contravariant).
 
-    Base points map by composing characters with the functor; fiber
-    scalars are the target-side frame coefficients of the images of the
-    source frames.
+    Base points map by composing characters with the functor: every
+    target character is evaluated at once on the images of each source
+    diagonal basis.  Fiber scalars are the target-side frame
+    coefficients of the images of the source frames, all classes of a
+    pair in one lift, image and coefficient pass.
     """
     tol = resolve_tol(tol)
     spec1 = source_spectrum or spectrum(source, tol, seed)
@@ -616,34 +635,37 @@ def spectrum_on_morphism(
         raise InvalidFunctor("object map is not a bijection onto the target")
     inv_obj = {v: k for k, v in phi.object_map.items()}
 
-    f_delta = {}
-    for j in range(spec2.n_classes):
-        omega_j = Character(spec2.class_points[j], j, spec2)
+    def composed(o1, basis):
+        o2 = phi.object_map[o1]
+        img = _image(phi, target, o1, o1, np.eye(len(basis)))
+        return spec2.character_values(o2, o2, img).T
 
-        def composed(a1, b1, x, _w=omega_j):
-            img = functor_image(phi, source, target, a1, b1, x, tol)
-            return _w.value(phi.object_map[a1], phi.object_map[b1], img)
-
-        i = match_character_class(spec1, composed, tol)
-        f_delta[spec2.class_points[j]] = spec1.class_points[i]
-
+    match = _match_classes(spec1, composed, spec2.n_classes, tol)
+    points1 = np.take(spec1.class_points, match).tolist()
+    f_delta = dict(zip(spec2.class_points, points1))
     f_r = {o2: inv_obj[o2] for o2 in target.object_ids}
 
-    scal = {}
-    for j, pj in enumerate(spec2.class_points):
-        i = spec1.class_points.index(f_delta[pj])
-        for a2 in target.object_ids:
-            for b2 in target.object_ids:
-                a1, b1 = inv_obj[a2], inv_obj[b2]
-                u1 = spec1.frame_matrix(i, a1, b1)
-                img = functor_image(phi, source, target, a1, b1, u1, tol)
-                z = spec2.coefficients(a2, b2, img)[j]
-                if abs(z) < 0.5:
-                    raise SpectrumMismatch(
-                        f"image of the ({a1},{b1}) frame nearly vanishes "
-                        f"at class {pj}"
-                    )
-                scal[(pj, a2, b2)] = z / abs(z)
+    # z[j, pair]: class j's coefficient of the image of the source frame
+    # of its matched class
+    ids2 = target.object_ids
+    pairs = list(itertools.product(ids2, ids2))
+    cls = np.arange(spec2.n_classes)
+    z = np.empty((spec2.n_classes, len(pairs)), dtype=complex)
+    for n, (a2, b2) in enumerate(pairs):
+        a1, b1 = inv_obj[a2], inv_obj[b2]
+        frames = spec1.lift(a1, b1, np.eye(spec1.n_classes))
+        img = functor_image(phi, source, target, a1, b1, frames, tol)
+        z[:, n] = spec2.coefficients(a2, b2, img)[match, cls]
+    small = np.abs(z) < 0.5
+    if small.any():
+        j, n = np.unravel_index(np.argmax(small), small.shape)
+        a2, b2 = pairs[n]
+        raise SpectrumMismatch(
+            f"image of the ({inv_obj[a2]},{inv_obj[b2]}) frame nearly vanishes "
+            f"at class {spec2.class_points[j]}"
+        )
+    keys = itertools.product(spec2.class_points, ids2, ids2)
+    scal = dict(zip(keys, (z / np.abs(z)).ravel().tolist()))
     return SpaceoidMorphism(f_delta=f_delta, f_r=f_r, fiber_scalars=scal)
 
 
@@ -807,25 +829,15 @@ def _functor_naturality(phi, c1, c2, tol, seed) -> float:
     gamma = sections_on_morphism(
         m, g2.spectrum.spaceoid, g1.spectrum.spaceoid, tol
     )
-    worst = 0.0
-    for a1, b1 in c1.pairs():
-        basis = c1.block(a1, b1)
-        if not basis:
-            continue
-        a2, b2 = phi.object_map[a1], phi.object_map[b1]
-        for kk in range(len(basis)):
-            unit = np.zeros(len(basis), dtype=complex)
-            unit[kk] = 1.0
-            # down then across: gelfand in C1, then the section functor
-            left = gamma.block_maps[(a1, b1)] @ (
-                g1.functor.block_maps[(a1, b1)] @ unit
-            )
-            # across then down: phi, then gelfand in C2
-            right = g2.functor.block_maps[(a2, b2)] @ (
-                phi.block_maps[(a1, b1)] @ unit
-            )
-            worst = max(worst, float(np.max(np.abs(left - right))))
-    return worst
+    # down then across (gelfand in C1, then the section functor) against
+    # across then down (phi, then gelfand in C2), on every basis element
+    devs = [
+        gamma.block_maps[(a1, b1)] @ g1.functor.block_maps[(a1, b1)]
+        - g2.functor.block_maps[(phi.object_map[a1], phi.object_map[b1])]
+        @ phi.block_maps[(a1, b1)]
+        for a1, b1 in c1.pairs()
+    ]
+    return worst(np.concatenate([np.abs(d).ravel() for d in devs]))[0]
 
 
 def _morphism_naturality(m, e1, e2, tol, seed) -> float:

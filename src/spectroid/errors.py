@@ -7,7 +7,6 @@ catch the lot in one clause.
 
 __all__ = [
     "SpectroidError",
-    "NotSelfAdjoint",
     "NotNormal",
     "NotCommuting",
     "DiagonalizationFailed",
@@ -30,10 +29,6 @@ __all__ = [
 
 class SpectroidError(Exception):
     """Base class for all library errors."""
-
-
-class NotSelfAdjoint(SpectroidError):
-    """A matrix expected to be self-adjoint is not (beyond tolerance)."""
 
 
 class NotNormal(SpectroidError):

@@ -11,8 +11,12 @@ class component:
 
 with ``u_i`` the unit partial isometries cut out of ``x`` itself by
 the class projections.  ``funcalc`` computes this through the
-generated category's joint eigenstructure; ``svd_oracle`` computes the
-same thing directly from a singular value decomposition (or a normal
+generated category's joint eigenstructures, on whole eigenbases and
+along one path for both cases: ``x`` is compressed once into the
+eigenbases of its two objects, the classes and their pairing are read
+from segmented norms of that compression, and ``f`` is applied as one
+block-diagonal rescale of it.  ``svd_oracle`` computes the same thing
+directly from a singular value decomposition (or a normal
 eigendecomposition) and exists to cross-check it.
 
 The zero classes — where every generated element vanishes — belong to
@@ -29,7 +33,7 @@ import numpy as np
 from .config import resolve_tol
 from .cstarcat import generated_by
 from .errors import FullnessMismatch, SpectrumMismatch
-from .numkit import hs_norm, joint_diagonalize, normal_eig, op_norm, svd
+from .numkit import _block_sums, joint_diagonalize, normal_eig, op_norm, svd
 
 __all__ = [
     "SpectralFunction",
@@ -140,19 +144,29 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def _surviving_classes(eig, generators, thresh):
-    """Blocks on which some generated diagonal element acts nonzero."""
-    keep = []
-    for b in range(eig.n_blocks):
-        v = eig.block_isometry(b)
-        r = v.shape[1]
-        acted = any(
-            hs_norm(v.conj().T @ g @ v) > thresh * np.sqrt(r)
-            for g in generators
-        )
-        if acted:
-            keep.append(b)
-    return keep
+def _surviving(eig, generators, thresh) -> np.ndarray:
+    """Per eigenblock: whether some generated diagonal element acts
+    there with HS norm above ``thresh * sqrt(rank)``.  The generators
+    are compressed into the eigenbasis once; the per-block norms are
+    segmented sums of the squared compressions."""
+    t = eig.unitary.conj().T @ generators @ eig.unitary
+    sq = _block_sums(np.abs(t) ** 2, eig.starts, eig.starts)
+    norms = np.sqrt(np.diagonal(sq, axis1=-2, axis2=-1))
+    return np.any(norms > thresh * np.sqrt(eig.sizes), axis=0)
+
+
+def _block_index(eig_a, rows, eig_b, cols):
+    """Index arrays ``(r, c)`` that pick the blocks ``(rows[k],
+    cols[k])`` of a matrix cut at the two eigenstructures' blocks, as
+    one ``(k, R, C)`` stack padded to the largest block shape.  Padding
+    points at index -1: a zero row and column appended to the matrix."""
+
+    def index(eig, blocks):
+        span = np.arange(eig.sizes[blocks].max(initial=0))
+        inside = span < eig.sizes[blocks][:, None]
+        return np.where(inside, eig.starts[blocks][:, None] + span, -1)
+
+    return index(eig_a, rows)[:, :, None], index(eig_b, cols)[:, None, :]
 
 
 def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
@@ -165,6 +179,16 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     :class:`SpectralFunction` or plain callable — rescales the
     surviving components.  The identity function returns ``x`` itself
     to machine precision.
+
+    One path serves both cases: ``x`` is compressed once into the two
+    joint eigenbases, ``T = U_A* x U_B`` (the same basis twice when
+    ``A == B``), and every class component is a block of ``T``.  Across
+    two objects each surviving class of ``A`` must meet exactly one
+    surviving class of ``B`` (``FullnessMismatch`` otherwise) and its
+    point is the operator norm of that block; on one object a class is
+    its own partner, its point is the block's trace over its rank, and
+    classes whose point vanishes are dropped.  ``f`` then rescales
+    ``T`` block by block, ``out = U_A G U_B*``.
     """
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
@@ -179,67 +203,47 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     cat = generated_by(x, a_id, b_id, tol)  # NotNormal guard lives here
     thresh = tol * 10 * (1 + scale)
 
-    if a_id == b_id:
-        fam = list(cat.block(a_id, a_id))
+    def diagonalize(o, d):
+        fam = np.reshape(cat.block(o, o), (-1, d, d))
         eig = joint_diagonalize(
-            fam + [np.eye(x.shape[0], dtype=complex)], tol, seed=seed
+            list(fam) + [np.eye(d, dtype=complex)], tol, seed=seed
         )
-        keep = _surviving_classes(eig, fam, tol * (1 + scale))
-        points, parts = [], []
-        for b in keep:
-            v = eig.block_isometry(b)
-            r = v.shape[1]
-            lam = complex(np.trace(v.conj().T @ x @ v) / r)
-            if abs(lam) <= thresh:
-                continue
-            points.append(lam)
-            parts.append((lam, v @ (v.conj().T @ x @ v) @ v.conj().T / lam))
-        _check_table_covers(f, points, scale)
-        out = np.zeros_like(x)
-        for lam, frame in parts:
-            out += _call(f, lam, scale) * frame
-        return out
+        return eig, np.flatnonzero(_surviving(eig, fam, tol * (1 + scale)))
 
-    fam_a = list(cat.block(a_id, a_id))
-    fam_b = list(cat.block(b_id, b_id))
-    eig_a = joint_diagonalize(
-        fam_a + [np.eye(x.shape[0], dtype=complex)], tol, seed=seed
+    eig_a, keep_a = diagonalize(a_id, x.shape[0])
+    eig_b, keep_b = (
+        (eig_a, keep_a) if a_id == b_id else diagonalize(b_id, x.shape[1])
     )
-    eig_b = joint_diagonalize(
-        fam_b + [np.eye(x.shape[1], dtype=complex)], tol, seed=seed
-    )
-    keep_a = _surviving_classes(eig_a, fam_a, tol * (1 + scale))
-    keep_b = _surviving_classes(eig_b, fam_b, tol * (1 + scale))
     if len(keep_a) != len(keep_b):
         raise FullnessMismatch(
             "row and column sides disagree on the nonzero classes"
         )
-
-    points, parts = [], []
-    used = set()
-    for i in keep_a:
-        vi = eig_a.block_isometry(i)
-        hits = [
-            j
-            for j in keep_b
-            if hs_norm(vi.conj().T @ x @ eig_b.block_isometry(j)) > thresh
-        ]
-        if len(hits) != 1 or hits[0] in used:
+    t = eig_a.unitary.conj().T @ x @ eig_b.unitary
+    if a_id != b_id:
+        sq = _block_sums(np.abs(t) ** 2, eig_a.starts, eig_b.starts)
+        hits = np.sqrt(sq[np.ix_(keep_a, keep_b)]) > thresh
+        if np.any(hits.sum(axis=1) != 1) or np.any(hits.sum(axis=0) != 1):
             raise FullnessMismatch(
                 "class matching between the two sides is not a bijection"
             )
-        j = hits[0]
-        used.add(j)
-        wj = eig_b.block_isometry(j)
-        comp = vi.conj().T @ x @ wj
-        s = op_norm(comp)
-        points.append(complex(s))
-        parts.append((complex(s), vi @ comp @ wj.conj().T / s))
+        keep_b = keep_b[np.argmax(hits, axis=1)]
+
+    r, c = _block_index(eig_a, keep_a, eig_b, keep_b)
+    padded = np.zeros((t.shape[0] + 1, t.shape[1] + 1), dtype=complex)
+    padded[:-1, :-1] = t
+    comps = padded[r, c]
+    if a_id == b_id:
+        points = np.trace(comps, axis1=1, axis2=2) / eig_a.sizes[keep_a]
+        live = np.abs(points) > thresh
+        r, c, comps, points = r[live], c[live], comps[live], points[live]
+    else:
+        points = np.linalg.norm(comps, 2, axis=(1, 2))
+    points = points.astype(complex).tolist()
     _check_table_covers(f, points, scale)
-    out = np.zeros_like(x)
-    for s, frame in parts:
-        out += _call(f, s, scale) * frame
-    return out
+    gain = np.array([_call(f, p, scale) for p in points], dtype=complex)
+    g = np.zeros_like(padded)
+    g[r, c] = comps * (gain / points)[:, None, None]
+    return eig_a.unitary @ g[:-1, :-1] @ eig_b.unitary.conj().T
 
 
 def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):

@@ -2,7 +2,7 @@
 
 Everything in the package works with plain ``numpy`` complex arrays.
 This module wraps the handful of primitives the rest of the code is
-allowed to use: adjoints, operator norms, Hermitian/normal spectral
+allowed to use: adjoints, operator norms, normal spectral
 decompositions, simultaneous diagonalization of commuting normal
 families, and Hilbert-Schmidt (Frobenius) orthonormalization and
 membership tests.
@@ -23,20 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import resolve_tol
-from .errors import (
-    DiagonalizationFailed,
-    NotCommuting,
-    NotNormal,
-    NotSelfAdjoint,
-)
+from .errors import DiagonalizationFailed, NotCommuting, NotNormal
 from .reporting import worst
 
 __all__ = [
     "adjoint",
     "op_norm",
-    "hs_inner",
     "hs_norm",
-    "hermitian_eig",
     "normal_eig",
     "svd",
     "JointEigenstructure",
@@ -74,11 +67,6 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``tr(a* b)`` (linear in ``b``)."""
-    return complex(np.vdot(_as_matrix(a), _as_matrix(b)))
-
-
 def hs_norm(m) -> float:
     return float(np.linalg.norm(_as_matrix(m)))
 
@@ -94,23 +82,6 @@ def _column_phases(u: np.ndarray) -> np.ndarray:
 def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive."""
     return u * _column_phases(u)
-
-
-def hermitian_eig(m, tol: float | None = None):
-    """Eigendecomposition of a self-adjoint matrix.
-
-    Returns ``(evals, u)`` with real eigenvalues ascending and ``u``
-    unitary (columns are eigenvectors, phases fixed deterministically).
-    Raises :class:`NotSelfAdjoint` when ``m`` deviates from ``m*``
-    beyond ``tol`` relative to its size.
-    """
-    tol = resolve_tol(tol)
-    a = _as_matrix(m)
-    dev = float(np.linalg.norm(a - a.conj().T))
-    if dev > tol * (1.0 + hs_norm(a)):
-        raise NotSelfAdjoint(f"deviation from self-adjointness {dev:.3e}")
-    w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return w, _normalize_column_phases(u)
 
 
 def _check_normal(a: np.ndarray, tol: float) -> None:
@@ -242,33 +213,27 @@ class JointEigenstructure:
         offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         return np.repeat(self.starts[order], sizes) + offsets
 
-    def block_isometry(self, b: int) -> np.ndarray:
-        """Column isometry spanning block ``b`` (shape d x block size)."""
-        return self.unitary[:, list(self.blocks[b])]
-
     def eigentuple(self, b: int) -> tuple[complex, ...]:
         return tuple(self.eigenvalues[:, b])
 
 
-def _check_commuting(stack: np.ndarray, tol: float) -> None:
-    """Raise :class:`NotCommuting` for the first pair ``(i, j)``, ``i <
-    j`` in row-major order, whose commutator exceeds ``tol * (1 +
-    ||m_i|| ||m_j||)`` (HS norms)."""
+def _noncommuting_pair(stack: np.ndarray, tol: float):
+    """The first pair ``(i, j)``, ``i < j`` in row-major order, of a
+    stack of square matrices whose commutator exceeds ``tol * (1 +
+    ||m_i|| ||m_j||)`` (HS norms; NaN counts as exceeding), as ``(i, j,
+    residual)``; ``None`` when every pair commutes."""
     i, j = np.triu_indices(len(stack), 1)
     if not len(i):
-        return
+        return None
     dev = np.linalg.norm(
         stack[i] @ stack[j] - stack[j] @ stack[i], axis=(1, 2)
     )
     norms = np.linalg.norm(stack, axis=(1, 2))
     bad = ~(dev <= tol * (1.0 + norms[i] * norms[j]))
-    if bad.any():
-        f = int(np.argmax(bad))
-        raise NotCommuting(
-            f"inputs {i[f]} and {j[f]} do not commute (residual {dev[f]:.3e})",
-            pair=(int(i[f]), int(j[f])),
-            residual=float(dev[f]),
-        )
+    if not bad.any():
+        return None
+    f = int(np.argmax(bad))
+    return int(i[f]), int(j[f]), float(dev[f])
 
 
 def joint_diagonalize(
@@ -285,7 +250,8 @@ def joint_diagonalize(
     ----------
     family : sequence of square matrices, all the same size
         Must be finite, pairwise commuting and individually normal
-        (checked; ``ValueError`` on non-finite entries).  The empty
+        (checked in that order: ``ValueError`` on non-finite entries,
+        then :class:`NotCommuting`, then :class:`NotNormal`).  The empty
         family is allowed when ``dim`` is given and yields the single
         full block (no eigenvalues).
     tol : float, optional
@@ -317,8 +283,15 @@ def joint_diagonalize(
     stack = np.stack(mats)
     if not np.isfinite(stack).all():
         raise ValueError("non-finite entries in joint_diagonalize input")
+    pair = _noncommuting_pair(stack, tol)
+    if pair is not None:
+        i, j, dev = pair
+        raise NotCommuting(
+            f"inputs {i} and {j} do not commute (residual {dev:.3e})",
+            pair=(i, j),
+            residual=dev,
+        )
     _check_normal(stack, tol)
-    _check_commuting(stack, tol)
     if d == 0:
         return JointEigenstructure(stack[0], (), np.zeros((len(mats), 0), complex))
 
@@ -520,8 +493,10 @@ def hs_orthonormalize(mats, tol: float | None = None) -> OrthoBasis:
     vector is projected out of all later candidates at once, twice.  An
     input whose residual falls to ``tol * (1 + input norm)`` or below
     is dependent on earlier ones and dropped, so the k-th basis element
-    spans the first k independent inputs.  Returns the basis and its
-    rank (the basis length).  Raises ``ValueError`` on non-finite input.
+    spans the first k independent inputs.  It stops once the basis
+    spans the whole ``d_A x d_B`` space: any residual left then is
+    rounding, not a new direction.  Returns the basis and its rank (the
+    basis length).  Raises ``ValueError`` on non-finite input.
     """
     tol = resolve_tol(tol)
     if not len(mats):
@@ -533,16 +508,17 @@ def hs_orthonormalize(mats, tol: float | None = None) -> OrthoBasis:
         raise ValueError("non-finite entries in hs_orthonormalize input")
     cut = tol * (1.0 + np.linalg.norm(rows, axis=1))
     basis: list[np.ndarray] = []
-    while True:
+    while len(basis) < rows.shape[1]:
         live = np.linalg.norm(rows, axis=1) > cut
         rows, cut = rows[live], cut[live]
         if not len(rows):
-            return OrthoBasis(basis, len(basis))
+            break
         q = rows[0] / np.linalg.norm(rows[0])
         basis.append(q.reshape(shape))
         rows, cut = rows[1:], cut[1:]
         for _ in range(2):
             rows -= np.outer(rows @ q.conj(), q)
+    return OrthoBasis(basis, len(basis))
 
 
 def hs_member(m, basis, tol: float | None = None):

@@ -103,6 +103,16 @@ def test_spectrum_rejects_bad_inputs():
     )
     with pytest.raises(NotCommutative):
         du.spectrum(c2)
+    # neither commutative nor full: commutativity is reported first
+    c2b = cc.close(
+        cc.CategoryPresentation(
+            objects=(("A", 2), ("B", 1)), generators={("A", "A"): [nil]}
+        ),
+        unitize=True,
+    )
+    assert not cc.is_full(c2b)
+    with pytest.raises(NotCommutative):
+        du.spectrum(c2b)
     # commutative but not full: two objects, no connecting block
     c3 = cc.close(
         cc.CategoryPresentation(
@@ -218,6 +228,11 @@ def reference_canonical_frame(comp):
             return f * np.conj(z / abs(z))
 
 
+def block_isometry(eig, b):
+    """Columns of the joint eigenbasis spanning eigenblock ``b``."""
+    return eig.unitary[:, list(eig.blocks[b])]
+
+
 def reference_parts(spec, tol=1e-9):
     """Class matching, frames, structure constants and coefficients by
     one compression per class, basis element and block, starting from
@@ -230,12 +245,12 @@ def reference_parts(spec, tol=1e-9):
         basis = c.block(a0, b)
         thresh = tol * (1.0 + max(hs_norm(x) for x in basis))
         for i in range(k):
-            vi = eigs[a0].block_isometry(i)
+            vi = block_isometry(eigs[a0], i)
             hits = [
                 j
                 for j in range(k)
                 if max(
-                    hs_norm(vi.conj().T @ x @ eigs[b].block_isometry(j))
+                    hs_norm(vi.conj().T @ x @ block_isometry(eigs[b], j))
                     for x in basis
                 ) > thresh
             ]
@@ -244,7 +259,7 @@ def reference_parts(spec, tol=1e-9):
     ranks = [len(eigs[a0].blocks[i]) for i in range(k)]
 
     def iso(i, a):
-        return eigs[a].block_isometry(class_block[(i, a)])
+        return block_isometry(eigs[a], class_block[(i, a)])
 
     frames = {}
     for i in range(k):
@@ -609,3 +624,172 @@ def test_verify_duality_functor_between_different_categories():
     assert cc.validate_functor(phi, c1, c2).passed
     rep = du.verify_duality(functors=[(phi, c1, c2)], tol=1e-9)
     assert rep.passed, rep.summary()
+
+
+# --- induced maps against the per-class reference -----------------------------
+
+
+def reference_spectrum_on_morphism(phi, source, target, spec1, spec2, tol=1e-9):
+    """One composed-character closure per target class, matched one
+    class at a time, and one functor image per basis element and per
+    (class, pair) frame."""
+
+    def character(spec, j):
+        def value(a, b, x):
+            anchor = spec.spaceoid.objects[0]
+            gauge = spec.spaceoid.lam_at(spec.class_points[j], a, anchor, b)
+            return spec.coefficients(a, b, x)[j] * np.conj(gauge)
+
+        return value
+
+    def frame_matrix(spec, i, a, b):
+        cols = slice(int(spec.starts[i]), int(spec.starts[i]) + spec.ranks[i])
+        return spec.bases[a][:, cols] @ spec.frame(i, a, b) @ spec.bases[b][:, cols].conj().T
+
+    f_delta = {}
+    for j, pj in enumerate(spec2.class_points):
+        omega = character(spec2, j)
+        candidates = set(range(spec1.n_classes))
+        for o in source.object_ids:
+            basis = source.block(o, o)
+            o2 = phi.object_map[o]
+            vals = np.array([
+                omega(o2, o2, cc.functor_image(phi, source, target, o, o, x, tol))
+                for x in basis
+            ])
+            scale = 1.0 + float(np.max(np.abs(vals), initial=0.0))
+            candidates = {
+                i for i in candidates
+                if np.max(np.abs(spec1.diag_table[o][i] - vals)) <= tol * 100 * scale
+            }
+        assert len(candidates) == 1
+        f_delta[pj] = spec1.class_points[candidates.pop()]
+    inv = {v: k for k, v in phi.object_map.items()}
+    scal = {}
+    for j, pj in enumerate(spec2.class_points):
+        i = spec1.class_points.index(f_delta[pj])
+        for a2 in target.object_ids:
+            for b2 in target.object_ids:
+                u1 = frame_matrix(spec1, i, inv[a2], inv[b2])
+                img = cc.functor_image(phi, source, target, inv[a2], inv[b2], u1, tol)
+                z = spec2.coefficients(a2, b2, img)[j]
+                scal[(pj, a2, b2)] = z / abs(z)
+    return f_delta, {o: inv[o] for o in target.object_ids}, scal
+
+
+def coordinate_functor(source, object_map=None, phases=None):
+    """Identity coordinates between categories whose bases correspond
+    one to one, each block scaled by an optional phase."""
+    object_map = object_map or {o: o for o in source.object_ids}
+    return cc.StarFunctor(
+        object_map=object_map,
+        block_maps={
+            (a, b): (phases.at(a, b) if phases else 1.0)
+            * np.eye(source.block_dim(a, b), dtype=complex)
+            for a, b in source.pairs()
+        },
+    )
+
+
+def induced_map_cases():
+    multi = cc.multi_linking(2, [[1, 0], [0, 1]], [[1.0, 1j], [1.0, -1j]])
+    chi = sp.phase_functor_from_assignment({"B1": 1.0, "B2": np.exp(0.9j), "B3": -1j})
+    link = cc.linking_category(3, [1, 2, 0], [1.0, 1j, -1.0])
+    relabelled = cc.linking_category(3, [1, 2, 0], [1.0, 1j, -1.0], a_id="X", b_id="Y")
+    cyclic = cc.groupoid_category(groups.connected_groupoid(2, groups.cyclic(3)))
+    chi2 = sp.phase_functor_from_assignment(dict(zip(cyclic.object_ids, [1.0, 1j])))
+    perm = np.eye(3, dtype=complex)[[2, 0, 1]]
+    return [
+        ("phase automorphism", multi, multi, coordinate_functor(multi, phases=chi)),
+        (
+            "phase onto scrambled",
+            multi,
+            scramble(multi, 31),
+            coordinate_functor(multi, phases=chi),
+        ),
+        (
+            "relabelled and scrambled",
+            link,
+            scramble(relabelled, 32),
+            coordinate_functor(link, {"A": "X", "B": "Y"}),
+        ),
+        (
+            "scrambled groupoid with phases",
+            cyclic,
+            scramble(cyclic, 33),
+            coordinate_functor(cyclic, phases=chi2),
+        ),
+        (
+            "classical permutation",
+            du.classical_category(3),
+            scramble(du.classical_category(3), 34),
+            cc.StarFunctor({"A": "A"}, {("A", "A"): perm}),
+        ),
+        (
+            "classical fold",
+            du.classical_category(2),
+            du.classical_category(3),
+            cc.StarFunctor(
+                {"A": "A"},
+                {("A", "A"): np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], complex)},
+            ),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", induced_map_cases(), ids=lambda c: c[0])
+def test_spectrum_on_morphism_matches_per_class_reference(case):
+    _, source, target, phi = case
+    assert cc.validate_functor(phi, source, target).passed
+    spec1, spec2 = du.spectrum(source), du.spectrum(target)
+    m = du.spectrum_on_morphism(
+        phi, source, target, source_spectrum=spec1, target_spectrum=spec2
+    )
+    f_delta, f_r, scal = reference_spectrum_on_morphism(phi, source, target, spec1, spec2)
+    assert m.f_delta == f_delta
+    assert m.f_r == f_r
+    assert list(m.fiber_scalars) == list(scal)
+    for key, z in scal.items():
+        assert abs(m.fiber_scalars[key] - z) <= 1e-12
+
+
+def reference_functor_naturality(phi, c1, c2, tol, seed=0):
+    """The naturality square checked one source basis element (unit
+    coordinate vector) at a time."""
+    g1, g2 = du.gelfand(c1, tol, seed), du.gelfand(c2, tol, seed)
+    m = du.spectrum_on_morphism(
+        phi, c1, c2, tol, seed, source_spectrum=g1.spectrum, target_spectrum=g2.spectrum
+    )
+    gamma = du.sections_on_morphism(m, g2.spectrum.spaceoid, g1.spectrum.spaceoid, tol)
+    worst = 0.0
+    for a1, b1 in c1.pairs():
+        a2, b2 = phi.object_map[a1], phi.object_map[b1]
+        for k in range(c1.block_dim(a1, b1)):
+            unit = np.zeros(c1.block_dim(a1, b1), dtype=complex)
+            unit[k] = 1.0
+            left = gamma.block_maps[(a1, b1)] @ (g1.functor.block_maps[(a1, b1)] @ unit)
+            right = g2.functor.block_maps[(a2, b2)] @ (phi.block_maps[(a1, b1)] @ unit)
+            worst = max(worst, float(np.max(np.abs(left - right))))
+    return worst
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-7])
+@pytest.mark.parametrize("case", induced_map_cases(), ids=lambda c: c[0])
+def test_functor_naturality_matches_unit_vector_loop(case, noise):
+    # with noise the functor is slightly off, so the square has a
+    # residual well above rounding for the two computations to agree on
+    _, source, target, phi = case
+    rng = np.random.default_rng(35)
+    phi = cc.StarFunctor(
+        phi.object_map,
+        {
+            key: m + noise * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+            for key, m in phi.block_maps.items()
+        },
+    )
+    tol = 1e-5
+    got = du._functor_naturality(phi, source, target, tol, 0)
+    want = reference_functor_naturality(phi, source, target, tol)
+    assert abs(got - want) <= 1e-15 + 1e-12 * want
+    if noise:
+        assert want > 1e-8

@@ -220,3 +220,164 @@ def test_funcalc_result_in_generated_block():
     cat = generated_by(x)
     member, residual, _ = hs_member(out, cat.block("A", "B"), 1e-9)
     assert member, residual
+
+
+# --- closure size -------------------------------------------------------------
+
+
+def test_closure_never_exceeds_block_dimension():
+    # this 7x7 element (test_identity_function_exact's draw for seed
+    # 18620970) drives the closure to keep rounding residue as new
+    # directions: blocks (B, A) and (B, B) used to hold 52 and 51
+    # "orthonormal" matrices in a 49-dimensional space
+    from spectroid.cstarcat import generated_by
+
+    rng = np.random.default_rng(18620970)
+    x = rand_rect(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+    cat = generated_by(x)
+    for (a, b), basis in cat.blocks.items():
+        assert len(basis) <= cat.dim(a) * cat.dim(b), (a, b)
+
+
+# --- whole-eigenbasis funcalc against the per-class reference -----------------
+
+
+def reference_funcalc(x, a_id, b_id, f, tol=1e-9, seed=0):
+    """funcalc by one compression per class and class pair, on the
+    same generated category and joint eigenstructures."""
+    from spectroid.cstarcat import generated_by
+    from spectroid.errors import FullnessMismatch
+    from spectroid.numkit import hs_norm, joint_diagonalize
+
+    def iso(eig, b):
+        return eig.unitary[:, list(eig.blocks[b])]
+
+    def surviving(eig, gens, thresh):
+        keep = []
+        for b in range(eig.n_blocks):
+            v = iso(eig, b)
+            if any(
+                hs_norm(v.conj().T @ g @ v) > thresh * np.sqrt(v.shape[1])
+                for g in gens
+            ):
+                keep.append(b)
+        return keep
+
+    x = np.asarray(x, dtype=complex)
+    scale = op_norm(x)
+    cat = generated_by(x, a_id, b_id, tol)
+    thresh = tol * 10 * (1 + scale)
+    parts = []
+    if a_id == b_id:
+        fam = list(cat.block(a_id, a_id))
+        eig = joint_diagonalize(fam + [np.eye(len(x), dtype=complex)], tol, seed=seed)
+        for b in surviving(eig, fam, tol * (1 + scale)):
+            v = iso(eig, b)
+            lam = complex(np.trace(v.conj().T @ x @ v) / v.shape[1])
+            if abs(lam) > thresh:
+                parts.append((lam, v @ (v.conj().T @ x @ v) @ v.conj().T / lam))
+    else:
+        fam_a = list(cat.block(a_id, a_id))
+        fam_b = list(cat.block(b_id, b_id))
+        eig_a = joint_diagonalize(fam_a + [np.eye(x.shape[0])], tol, seed=seed)
+        eig_b = joint_diagonalize(fam_b + [np.eye(x.shape[1])], tol, seed=seed)
+        keep_a = surviving(eig_a, fam_a, tol * (1 + scale))
+        keep_b = surviving(eig_b, fam_b, tol * (1 + scale))
+        if len(keep_a) != len(keep_b):
+            raise FullnessMismatch("sides disagree")
+        used = set()
+        for i in keep_a:
+            vi = iso(eig_a, i)
+            hits = [
+                j for j in keep_b if hs_norm(vi.conj().T @ x @ iso(eig_b, j)) > thresh
+            ]
+            if len(hits) != 1 or hits[0] in used:
+                raise FullnessMismatch("not a bijection")
+            used.add(hits[0])
+            wj = iso(eig_b, hits[0])
+            comp = vi.conj().T @ x @ wj
+            s = op_norm(comp)
+            parts.append((complex(s), vi @ comp @ wj.conj().T / s))
+    fc._check_table_covers(f, [p for p, _ in parts], scale)
+    out = np.zeros_like(x)
+    for p, frame in parts:
+        out += fc._call(f, p, scale) * frame
+    return out
+
+
+def planted_rank(rng, m, n, r):
+    return rand_rect(rng, m, r) @ rand_rect(rng, r, n)
+
+
+def with_spectrum(rng, m, n, values, normal=False):
+    """``U diag(values) V*`` for random partial isometries ``U, V`` (``V
+    = U`` for a normal square element)."""
+    u, _ = np.linalg.qr(rand_rect(rng, m, m))
+    v = u if normal else np.linalg.qr(rand_rect(rng, n, n))[0]
+    k = len(values)
+    return (u[:, :k] * np.asarray(values)) @ v[:, :k].conj().T
+
+
+def reference_cases():
+    rng = np.random.default_rng(71)
+    q, _ = np.linalg.qr(rand_rect(rng, 4, 4))
+    return [
+        ("kernel 5x3 rank 2", planted_rank(rng, 5, 3, 2), "B"),
+        ("kernel 6x4 rank 1", planted_rank(rng, 6, 4, 1), "B"),
+        ("kernel 7x7 rank 4", planted_rank(rng, 7, 7, 4), "B"),
+        ("kernel 3x8 rank 2", planted_rank(rng, 3, 8, 2), "B"),
+        ("3 unitary", 3.0 * q, "B"),
+        ("repeated 5x6", with_spectrum(rng, 5, 6, [2.0, 2.0, 0.5]), "B"),
+        ("row vector", np.array([[3.0, 4.0]]), "B"),
+        ("row 1x5", rand_rect(rng, 1, 5), "B"),
+        ("column 5x1", rand_rect(rng, 5, 1), "B"),
+        ("gaussian 6x6", rand_rect(rng, 6, 6), "B"),
+        ("normal 1x1", rand_normal_matrix(rng, 1), "A"),
+        ("normal 4x4", rand_normal_matrix(rng, 4), "A"),
+        ("normal 6x6", rand_normal_matrix(rng, 6), "A"),
+        ("normal repeated", with_spectrum(rng, 4, 4, [1j, 1j, 2.0], normal=True), "A"),
+        ("diagonal with kernel", np.diag([2.0, 0.0, 2.0, -1.0]).astype(complex), "A"),
+        # the 1.5e-8 class survives but its point is below the zero cut
+        ("tiny eigenvalue", np.diag([1.5e-8, 1.0, 2.0]).astype(complex), "A"),
+    ]
+
+
+@pytest.mark.parametrize("case", reference_cases(), ids=lambda c: c[0])
+def test_funcalc_matches_per_class_reference(case):
+    _, x, b_id = case
+    f = fc.SpectralFunction.from_coeffs([0, 0.5 - 1j, 0.25j, -0.1])
+    for func in (f, lambda s: s):
+        got = fc.funcalc(x, "A", b_id, func)
+        want = reference_funcalc(x, "A", b_id, func)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * (1 + op_norm(x)))
+
+
+def raising_cases():
+    rng = np.random.default_rng(18620970)  # the drifting closure above
+    drift = rand_rect(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+    row = np.array([[3.0, 4.0]])
+    return [
+        ("drifting closure", drift, "B", lambda s: s),
+        # the 1.5e-8 class survives on both sides but meets no partner
+        ("tiny singular value", np.diag([1.5e-8, 1.0, 2.0]), "B", lambda s: s),
+        ("not normal", np.array([[0.0, 1.0], [0.0, 0.0]]), "A", lambda s: s),
+        ("missing table point", row, "B", fc.SpectralFunction.from_table({4.0: 1.0})),
+        (
+            "superfluous table key",
+            row,
+            "B",
+            fc.SpectralFunction.from_table({5.0: 1.0, 9.0: 2.0}),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", raising_cases(), ids=lambda c: c[0])
+def test_funcalc_raises_like_reference(case):
+    from spectroid.errors import SpectroidError
+
+    _, x, b_id, f = case
+    with pytest.raises(SpectroidError) as want:
+        reference_funcalc(x, "A", b_id, f)
+    with pytest.raises(SpectroidError) as got:
+        fc.funcalc(x, "A", b_id, f)
+    assert type(got.value) is type(want.value)
