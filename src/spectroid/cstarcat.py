@@ -31,6 +31,7 @@ from .errors import (
 from .numkit import (
     _adjoints,
     _combine,
+    _extend,
     _noncommuting_pair,
     _project,
     _rows,
@@ -144,6 +145,12 @@ def close(
     first.  The result's ``unital`` flag is True when units were
     adjoined or when every object identity already lies in the closed
     diagonal span.
+
+    Rounds are semi-naive.  Spans only grow, so an adjoint or product
+    of elements all present a round ago already lies in the span it was
+    tested against then.  A round offers only the adjoints of new
+    elements and the products with a new factor, in row-major order;
+    ``numkit._extend`` appends their new directions to the kept basis.
     """
     tol = resolve_tol(tol)
     objects = tuple((str(o), int(d)) for o, d in presentation.objects)
@@ -169,32 +176,36 @@ def close(
     for pair in blocks:
         blocks[pair] = hs_orthonormalize(blocks[pair], tol).basis
 
+    # old[pair]: how many elements of the basis the last round multiplied
+    old = dict.fromkeys(blocks, 0)
     max_iters = sum(dims[a] * dims[b] for a in ids for b in ids) + 1
     for _ in range(max_iters):
-        changed = False
         # a block that spans its whole space takes no candidates
         candidates: dict = {
             pair: [] for pair, basis in blocks.items()
             if len(basis) < dims[pair[0]] * dims[pair[1]]
         }
         for (a, b), basis in blocks.items():
-            if basis and (b, a) in candidates:
-                candidates[(b, a)].append(_adjoints(basis))
+            if len(basis) > old[(a, b)] and (b, a) in candidates:
+                candidates[(b, a)].append(_adjoints(basis[old[(a, b)]:]))
         for a, b, c in itertools.product(ids, ids, ids):
-            left, right = blocks[(a, b)], blocks[(b, c)]
-            if left and right and (a, c) in candidates:
-                candidates[(a, c)].append(_products(left, right))
-        for (a, b), basis in blocks.items():
-            extra = candidates.get((a, b))
-            if not extra:
+            if (a, c) not in candidates:
                 continue
-            stack = np.concatenate(
-                [np.reshape(basis, (-1, dims[a], dims[b]))] + extra
-            )
-            new_basis = hs_orthonormalize(stack, tol).basis
-            if len(new_basis) > len(basis):
-                blocks[(a, b)] = new_basis
-                changed = True
+            left, right = blocks[(a, b)], blocks[(b, c)]
+            nl, nr = old[(a, b)], old[(b, c)]
+            # row-major: old left x new right, then new left x all right
+            if nl and len(right) > nr:
+                candidates[(a, c)].append(_products(left[:nl], right[nr:]))
+            if len(left) > nl and right:
+                candidates[(a, c)].append(_products(left[nl:], right))
+        old = {pair: len(basis) for pair, basis in blocks.items()}
+        changed = False
+        for pair, extra in candidates.items():
+            if extra:
+                new = _extend(blocks[pair], np.concatenate(extra), tol)
+                if new:
+                    blocks[pair] = blocks[pair] + new
+                    changed = True
         if not changed:
             break
     else:

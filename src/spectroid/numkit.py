@@ -486,38 +486,53 @@ def _combine(coeffs, basis, shape) -> np.ndarray:
     return (coeffs @ _rows(basis)).reshape(coeffs.shape[:-1] + tuple(shape))
 
 
-def hs_orthonormalize(mats, tol: float | None = None) -> OrthoBasis:
-    """Orthonormalize matrices under the Hilbert-Schmidt inner product.
+def _extend(basis, mats, tol: float) -> list:
+    """New HS-orthonormal directions of ``mats`` beyond the
+    HS-orthonormal ``basis`` (possibly empty), in input order.
 
-    Gram-Schmidt over the flattened inputs, in order: each newly kept
-    vector is projected out of all later candidates at once, twice.  An
-    input whose residual falls to ``tol * (1 + input norm)`` or below
-    is dependent on earlier ones and dropped, so the k-th basis element
-    spans the first k independent inputs.  It stops once the basis
-    spans the whole ``d_A x d_B`` space: any residual left then is
-    rounding, not a new direction.  Returns the basis and its rank (the
-    basis length).  Raises ``ValueError`` on non-finite input.
+    All inputs are projected off ``basis`` in one matrix product, done
+    twice; the survivors then run Gram-Schmidt in order, each kept
+    vector projected out of all later ones at once, twice.  An input
+    whose residual is at most ``tol * (1 + input norm)`` is dropped.
+    Stops once the ``d_A x d_B`` space is spanned: any residual left
+    then is rounding.  Raises ``ValueError`` on non-finite input.
     """
-    tol = resolve_tol(tol)
     if not len(mats):
-        return OrthoBasis([], 0)
+        return []
     stack = np.array(mats, dtype=complex)  # own copy: rows is updated in place
     shape = stack.shape[1:]
     rows = _rows(stack)
     if not np.isfinite(rows).all():
-        raise ValueError("non-finite entries in hs_orthonormalize input")
+        raise ValueError("non-finite entries in Gram-Schmidt input")
     cut = tol * (1.0 + np.linalg.norm(rows, axis=1))
-    basis: list[np.ndarray] = []
-    while len(basis) < rows.shape[1]:
+    room = rows.shape[1] - len(basis)
+    if len(basis):
+        old = _rows(basis)
+        for _ in range(2):
+            rows -= (rows @ old.conj().T) @ old
+    new: list[np.ndarray] = []
+    while len(new) < room:
         live = np.linalg.norm(rows, axis=1) > cut
         rows, cut = rows[live], cut[live]
         if not len(rows):
             break
         q = rows[0] / np.linalg.norm(rows[0])
-        basis.append(q.reshape(shape))
+        new.append(q.reshape(shape))
         rows, cut = rows[1:], cut[1:]
         for _ in range(2):
             rows -= np.outer(rows @ q.conj(), q)
+    return new
+
+
+def hs_orthonormalize(mats, tol: float | None = None) -> OrthoBasis:
+    """Orthonormalize matrices under the Hilbert-Schmidt inner product.
+
+    ``_extend`` from the empty basis, the one Gram-Schmidt kernel, which
+    ``cstarcat.close`` shares: the k-th basis element spans the first k
+    independent inputs.  Returns the basis and its rank (the basis
+    length).  Raises ``ValueError`` on non-finite input.
+    """
+    basis = _extend([], mats, resolve_tol(tol))
     return OrthoBasis(basis, len(basis))
 
 

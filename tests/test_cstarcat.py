@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,226 @@ def test_close_is_idempotent_and_axioms_pass():
     cat2 = close(pres2, unitize=False)
     for pair in cat.blocks:
         assert cat.block_dim(*pair) == cat2.block_dim(*pair)
+
+
+def reference_close(presentation, unitize=False, tol=1e-9):
+    """The full-recompute closure: every round offers every adjoint and
+    every product of the whole current bases, and orthonormalizes the
+    old basis and the candidates together."""
+    objects = tuple((str(o), int(d)) for o, d in presentation.objects)
+    dims = dict(objects)
+    ids = [o for o, _ in objects]
+    blocks = {(a, b): [] for a in ids for b in ids}
+    for pair, mats in presentation.generators.items():
+        blocks[pair] += [np.asarray(m, dtype=complex) for m in mats]
+    if unitize:
+        for o, d in objects:
+            blocks[(o, o)].append(np.eye(d, dtype=complex))
+    for pair in blocks:
+        blocks[pair] = numkit.hs_orthonormalize(blocks[pair], tol).basis
+    for _ in range(sum(dims[a] * dims[b] for a in ids for b in ids) + 1):
+        changed = False
+        candidates = {
+            pair: [] for pair, basis in blocks.items()
+            if len(basis) < dims[pair[0]] * dims[pair[1]]
+        }
+        for (a, b), basis in blocks.items():
+            if (b, a) in candidates:
+                candidates[(b, a)] += [x.conj().T for x in basis]
+        for a, b, c in itertools.product(ids, ids, ids):
+            if (a, c) in candidates:
+                candidates[(a, c)] += [
+                    x @ y for x in blocks[(a, b)] for y in blocks[(b, c)]
+                ]
+        for pair, extra in candidates.items():
+            if extra:
+                new = numkit.hs_orthonormalize(blocks[pair] + extra, tol).basis
+                if len(new) > len(blocks[pair]):
+                    blocks[pair] = new
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("reference closure did not stabilize")
+    unital = unitize or all(
+        numkit.hs_member(np.eye(d), blocks[(o, o)], tol)[0] for o, d in objects
+    )
+    return cstarcat.MatrixCategory(objects, blocks, unital)
+
+
+def projector_distance(basis1, basis2):
+    """Frobenius distance between the HS projectors onto the spans of
+    two orthonormal bases."""
+    q1, q2 = (np.reshape(b, (len(b), -1)) for b in (basis1, basis2))
+    return float(np.linalg.norm(q1.T @ q1.conj() - q2.T @ q2.conj()))
+
+
+def _chain_presentation(k, n, rng, scrambled):
+    """Diagonal units on n objects of size k and one linking generator
+    with random phases per adjacent pair, optionally scrambled."""
+    ids = [f"B{j + 1}" for j in range(n)]
+    units = [np.diag(np.eye(k)[i]).astype(complex) for i in range(k)]
+    gens = {(o, o): list(units) for o in ids}
+    for j in range(n - 1):
+        phases = np.exp(2j * np.pi * rng.random(k))
+        gens[(ids[j], ids[j + 1])] = [
+            linking_generator(k, rng.permutation(k), phases)
+        ]
+    objects = tuple((o, k) for o in ids)
+    if scrambled:
+        gens = selftest.scramble_category(
+            cstarcat.MatrixCategory(objects, gens, False), rng
+        ).blocks
+    return CategoryPresentation(objects=objects, generators=gens)
+
+
+def _groupoid_presentation(g, rng):
+    """One random element of every non-empty block of a groupoid
+    category, with units adjoined at closure."""
+    cat = groupoid_category(g)
+    gens = {
+        pair: [sum(rng.standard_normal() * x for x in basis)]
+        for pair, basis in cat.blocks.items() if basis
+    }
+    return CategoryPresentation(objects=cat.objects, generators=gens)
+
+
+def _single_presentation(x, a, b):
+    objects = ((a, x.shape[0]),) if a == b else ((a, x.shape[0]), (b, x.shape[1]))
+    return CategoryPresentation(objects=objects, generators={(a, b): [x]})
+
+
+def _single_generators():
+    """Seeded rectangles with sides 1-9, less the nine with both sides
+    7-9, and normal squares of sides 1-9.
+
+    Generic rectangles with both sides 7 or more are left out.  Their
+    closed span is a power basis in the squared singular values, ill
+    conditioned enough that the two closures differ by up to 1.4e-9
+    (seeds 2020-2069), and from side 8 on either one of them can drift
+    to the whole matrix space while the other does not."""
+    rng = np.random.default_rng(2025)
+    for qa in range(1, 10):
+        for qb in range(1, 10):
+            if min(qa, qb) < 7:
+                yield rng.standard_normal((qa, qb)) + 1j * rng.standard_normal((qa, qb)), "B"
+    for q in range(1, 10):
+        u = selftest.rand_unitary(rng, q)
+        eigs = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        yield u @ np.diag(eigs) @ u.conj().T, "A"
+
+
+def assert_same_closure(got, want):
+    assert got.unital == want.unital
+    for pair in want.blocks:
+        assert got.block_dim(*pair) == want.block_dim(*pair), pair
+        if want.block(*pair):
+            assert projector_distance(got.block(*pair), want.block(*pair)) <= 1e-10, pair
+
+
+def test_close_matches_full_recompute_reference():
+    rng = np.random.default_rng(2024)
+    cases = [
+        (_chain_presentation(k, n, rng, scrambled), False)
+        for k in range(1, 6) for n in range(1, 5) for scrambled in (False, True)
+    ]
+    cases += [
+        (_groupoid_presentation(g, rng), True)
+        for _, g in selftest.groupoid_classification_cases()
+    ]
+    assert len(cases) == 40 + 45
+    for pres, unitize in cases:
+        assert_same_closure(close(pres, unitize=unitize), reference_close(pres, unitize))
+
+
+def test_generated_by_matches_full_recompute_reference():
+    cases = list(_single_generators())
+    assert len(cases) == 72 + 9
+    for x, b in cases:
+        want = reference_close(_single_presentation(x, "A", b))
+        assert_same_closure(generated_by(x, "A", b), want)
+
+
+def _repeats(rows):
+    """Pairs (i < j) of equal-length rows within 1e-9 of each other."""
+    found = []
+    by_len = {}
+    for i, r in enumerate(rows):
+        by_len.setdefault(len(r), []).append(i)
+    for idx in by_len.values():
+        x = np.array([rows[i] for i in idx])
+        dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+        found += [(idx[i], idx[j]) for i, j in zip(*np.nonzero(np.triu(dist <= 1e-9, 1)))]
+    return found
+
+
+def _once_cases():
+    # scrambled chains and a generic generator: no two basis elements
+    # share a value, so a repeated factor is the same element again
+    for k, n in [(3, 3), (4, 2), (2, 4)]:
+        yield _chain_presentation(k, n, np.random.default_rng(10 * k + n), True)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    yield _single_presentation(x, "A", "B")
+
+
+@pytest.mark.parametrize(
+    "pres", list(_once_cases()), ids=["chain3x3", "chain4x2", "chain2x4", "rect4x3"]
+)
+def test_close_offers_each_product_and_adjoint_once(monkeypatch, pres):
+    products, adjoints, extend = cstarcat._products, cstarcat._adjoints, cstarcat._extend
+    offered = {"pairs": [], "adjoints": [], "made": 0, "kernel": 0}
+
+    def record_products(left, right):
+        offered["pairs"] += [np.append(x, y) for x in left for y in right]
+        out = products(left, right)
+        offered["made"] += len(out)
+        return out
+
+    def record_adjoints(mats):
+        offered["adjoints"] += [np.ravel(x) for x in mats]
+        out = adjoints(mats)
+        offered["made"] += len(out)
+        return out
+
+    def record_extend(basis, mats, tol):
+        offered["kernel"] += len(mats)
+        return extend(basis, mats, tol)
+
+    monkeypatch.setattr(cstarcat, "_products", record_products)
+    monkeypatch.setattr(cstarcat, "_adjoints", record_adjoints)
+    monkeypatch.setattr(cstarcat, "_extend", record_extend)
+    close(pres)
+    # everything the kernel is offered is one of the recorded candidates
+    assert offered["made"] == offered["kernel"] > 0
+    assert not _repeats(offered["adjoints"])
+    assert not _repeats(offered["pairs"])
+
+
+@pytest.mark.parametrize("scrambled", [False, True])
+def test_closing_a_closed_category_adds_nothing(scrambled):
+    rng = np.random.default_rng(31)
+    cats = [
+        cstarcat.multi_linking(
+            3, [rng.permutation(3) for _ in range(2)],
+            [np.exp(2j * np.pi * rng.random(3)) for _ in range(2)],
+        ),
+        groupoid_category(groups.connected_groupoid(2, groups.symmetric(3))),
+        generated_by(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))),
+    ]
+    for cat in cats:
+        if scrambled:
+            cat = selftest.scramble_category(cat, rng)
+        pres = CategoryPresentation(
+            objects=cat.objects,
+            generators={p: list(b) for p, b in cat.blocks.items()},
+        )
+        again = close(pres)
+        for pair, basis in cat.blocks.items():
+            want = numkit.hs_orthonormalize(basis).basis
+            assert len(again.block(*pair)) == len(want)
+            for got, w in zip(again.block(*pair), want):
+                assert np.array_equal(got, w)
 
 
 def test_unitize_adds_identity():

@@ -404,11 +404,11 @@ def test_evaluation_scalars_equal_trivializing_gauge():
 # --- characters --------------------------------------------------------------
 
 
-def test_characters_multiplicative_and_involutive():
-    c = cc.multi_linking(2, [[1, 0]], [[1j, -1.0]])
+def assert_character_laws(c, seed=5):
+    """Every character is multiplicative, involutive and unital on
+    random elements of every block."""
     chars = du.characters(c)
-    assert len(chars) == 2
-    rng = np.random.default_rng(5)
+    rng = np.random.default_rng(seed)
     ids = c.object_ids
     for w in chars:
         for a in ids:
@@ -429,6 +429,33 @@ def test_characters_multiplicative_and_involutive():
         # unital
         for a in ids:
             assert abs(w.value(a, a, c.identity(a)) - 1.0) < 1e-10
+    return chars
+
+
+def test_characters_multiplicative_and_involutive():
+    c = cc.multi_linking(2, [[1, 0]], [[1j, -1.0]])
+    assert len(assert_character_laws(c)) == 2
+
+
+def test_characters_of_rank2_class_with_complex_gauge():
+    # X in (A, B) and diag(1, w) in (B, C) close to one rank-2 class;
+    # in scrambled coordinates its structure constant lam(B, A, C) is
+    # not real, so the gauge of the character values must be
+    # conjugated to keep them multiplicative
+    w = np.exp(0.9j)
+    pres = cc.CategoryPresentation(
+        objects=(("A", 2), ("B", 2), ("C", 2)),
+        generators={
+            ("A", "B"): [np.array([[0, 1], [1, 0]], dtype=complex)],
+            ("B", "C"): [np.diag([1.0, w])],
+        },
+    )
+    c = scramble(cc.close(pres), 17)
+    spec = du.spectrum(c)
+    assert spec.ranks == (2,)
+    lam = spec.spaceoid.lam_at("w0", "B", "A", "C")
+    assert abs(abs(lam) - 1.0) < 1e-10 and abs(lam.imag) > 0.1
+    assert len(assert_character_laws(c)) == 1
 
 
 def test_match_character_class_roundtrip():
