@@ -281,7 +281,7 @@ def cmd_validate(args) -> int:
             )
         elif kind == "category":
             cat = _close_category(payload, tol)
-            report.extend(cc.check_axioms(cat, tol, seed=args.seed), prefix)
+            report.extend(cc.check_axioms(cat, tol), prefix)
         elif kind == "groupoid":
             report.extend(
                 cc.validate_groupoid(serial.groupoid_from_json(payload)),

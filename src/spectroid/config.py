@@ -1,24 +1,75 @@
-"""Global numeric configuration.
-
-A single default tolerance is used across the package wherever the
-caller does not pass one explicitly.  Checks are scale-relative where a
-natural scale exists (residuals are compared against ``tol * (1 +
-scale)``).
+"""Global numeric configuration: the default tolerance and the named
+bounds beside it.  A numeric check passes when its residual, a NaN
+counting as +inf, is at most ``*_SLACK * tol`` times the scale the
+constant names (``reporting.Report.check``); ``*_RTOL`` and ``*_ATOL``
+are relative and absolute cuts that do not follow ``tol``.  The README's
+"Tolerances" table lists every constant with the checks that use it.
 """
 
-__all__ = ["DEFAULT_TOL", "FULLNESS_RTOL", "resolve_tol"]
+__all__ = [
+    "DEFAULT_TOL", "GRAM_SLACK", "AXIOM_SLACK", "FUNCTOR_SLACK",
+    "SPECTRAL_SLACK", "EQUIVALENCE_SLACK", "ISOMETRY_SLACK", "ZERO_SLACK",
+    "JOINT_FALLBACK_SLACK", "JOINT_TARGET_RTOL", "PREGROUP_RTOL",
+    "CLUSTER_RTOL", "FULLNESS_RTOL", "PHASE_ATOL", "VANISHING_ATOL",
+    "ZERO_ONE_CUT", "resolve_tol",
+]
 
 DEFAULT_TOL = 1e-9
 
-# ``cstarcat.is_full`` on unital categories: the positive matrix
-# ``h = sum_i x_i* x_i`` over an HS-orthonormal basis of a block (and
-# likewise ``sum_i x_i x_i*``) counts as invertible when its smallest
-# eigenvalue exceeds FULLNESS_RTOL times its largest.  The scale is
-# ``lambda_max(h)``; for a full block the ratio is at least about one
-# over the object dimension, for a non-full one it is rounding noise
-# (about 1e-16), so the bound sits far from both and does not follow
-# ``tol``.
+# check_axioms orthonormal-bases: HS norm of G - I, G a block basis's
+# Gram matrix.  Absolute.
+GRAM_SLACK = 100.0
+# check_axioms adjoint-closure, composition-closure, units: HS residual
+# of an adjoint, a product of two basis elements, or a unit, projected
+# on its block.  Absolute (basis elements have HS norm 1).
+AXIOM_SLACK = 10.0
+# validate_functor involution, multiplicativity, units: HS norm of the
+# image defect of a basis element, a product of two, or a unit.  Absolute.
+FUNCTOR_SLACK = 100.0
+# duality, values read off joint eigenbases: a frame's unitarity defect
+# (scale 1 + rank), a character against a class's eigenvalues (scale
+# 1 + max|value|), spectrum's lift-back residual (scale 1 + ||x||_HS),
+# and the recovered phases' multiplicativity (absolute).
+SPECTRAL_SLACK = 100.0
+# unitary_equivalence_gauge: two characters' values on the diagonal
+# bases.  Scale 1 + max|value|.
+EQUIVALENCE_SLACK = 1000.0
+# gelfand isometric: | ||x||_op - max_i |xhat_i| | on seeded Gaussian
+# combinations x of a block's basis.  Absolute.
+ISOMETRY_SLACK = 1000.0
+# funcalc: a singular value, eigenvalue or class component's norm that
+# is at most this is zero.  Scale 1 + ||x||_op.
+ZERO_SLACK = 10.0
+# joint_diagonalize accepts its best attempt when none met
+# JOINT_TARGET_RTOL.  Scale max_i (1 + ||m_i||_op) over the inputs.
+JOINT_FALLBACK_SLACK = 10.0
+
+# joint_diagonalize stops at the first seeded attempt whose residual
+# (unitarity defect; per input, the block-scalar model's HS residual
+# over 1 + ||m_i||_op) is at most this, so a loose tol hides no mixing.
+JOINT_TARGET_RTOL = 1e-12
+# joint_diagonalize first groups its random Hermitian combination's
+# eigenvalues w at gaps above this times 1 + max|w|.
+PREGROUP_RTOL = 1e-4
+# One spectral point: eigenvalues of one input (normal_eig,
+# joint_diagonalize) or spectral points of one element (funcalc, which
+# also matches table keys so) closer than this times 1 + ||m||_op.
+CLUSTER_RTOL = 1e-8
+# is_full on unital categories: h = sum_i x_i* x_i over a block's
+# HS-orthonormal basis (likewise sum_i x_i x_i*) is invertible when its
+# smallest eigenvalue exceeds this times its largest.  The ratio is at
+# least about 1/dim for a full block and rounding (1e-16) otherwise.
 FULLNESS_RTOL = 1e-8
+# Input phases (linking generators and spaceoids, phase-functor
+# assignments) must satisfy | |z| - 1 | <= PHASE_ATOL.
+PHASE_ATOL = 1e-12
+# unitary_equivalence_gauge: a block whose largest character value on
+# its HS-orthonormal basis is below this vanishes at the class.
+VANISHING_ATOL = 1e-8
+# Cut for a quantity that is 0 or 1 in exact arithmetic: an induced
+# frame coefficient's modulus (spectrum_on_morphism), a section class's
+# squared weight on its point (evaluation).
+ZERO_ONE_CUT = 0.5
 
 
 def resolve_tol(tol: float | None) -> float:

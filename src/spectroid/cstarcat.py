@@ -21,7 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import FULLNESS_RTOL, resolve_tol
+from .config import (
+    AXIOM_SLACK, FULLNESS_RTOL, FUNCTOR_SLACK, GRAM_SLACK, PHASE_ATOL,
+    resolve_tol,
+)
 from .errors import (
     InvalidFunctor,
     InvalidGroupoid,
@@ -38,7 +41,6 @@ from .numkit import (
     hs_member,
     hs_norm,
     hs_orthonormalize,
-    op_norm,
 )
 from .reporting import Report
 
@@ -233,98 +235,62 @@ def _products(left, right) -> np.ndarray:
     return prods.reshape((-1,) + prods.shape[2:])
 
 
-def _worst_norm(stack) -> float:
-    """Largest HS norm in a non-empty stack of matrices."""
-    return float(np.linalg.norm(_rows(stack), axis=1).max())
-
-
-def _block_products_in_span(cat, tol, report):
-    worst = 0.0
-    where = ""
-    for a, b, c in itertools.product(*[cat.object_ids] * 3):
-        left, right = cat.block(a, b), cat.block(b, c)
-        if not left or not right:
-            continue
-        _, residual, _ = _project(cat.block(a, c), _products(left, right), tol)
-        if residual.max() > worst:
-            worst, where = float(residual.max()), f"({a},{b})x({b},{c})"
-    report.add(
-        "composition-closure",
-        worst <= tol * 10.0,
-        worst,
-        where,
-    )
-
-
-def check_axioms(
-    cat: MatrixCategory, tol: float | None = None, seed: int = 0
-) -> Report:
+def check_axioms(cat: MatrixCategory, tol: float | None = None) -> Report:
     """Verify the concrete C*-category axioms; returns a named report.
 
-    Checks basis orthonormality, adjoint and composition closure, the
-    unit membership when the category claims to be unital, and the
-    norm identities ``||x* x|| = ||x||^2`` and ``||x y|| <= ||x||
-    ||y||`` on seeded random combinations.
+    Checks basis orthonormality, adjoint and composition closure, and
+    the unit membership when the category claims to be unital.  The
+    operator-norm identities ``||x* x|| = ||x||^2`` and ``||x y|| <=
+    ||x|| ||y||`` are not checked: they hold for every matrix, so no
+    defect of a category could make them fail.
     """
     tol = resolve_tol(tol)
     report = Report()
-    rng = np.random.default_rng(seed)
-
-    worst = 0.0
     for (a, b), basis in cat.blocks.items():
         if any(m.shape != (cat.dim(a), cat.dim(b)) for m in basis):
             report.add("shapes", False, detail=f"block ({a},{b})")
             return report
-        if basis:
-            q = _rows(basis)
-            gram = q.conj() @ q.T
-            worst = max(worst, float(np.linalg.norm(gram - np.eye(len(q)))))
-    report.add("orthonormal-bases", worst <= tol * 100.0, worst)
-
-    worst, where = 0.0, ""
-    for (a, b), basis in cat.blocks.items():
-        if not basis:
-            continue
-        _, residual, _ = _project(cat.block(b, a), _adjoints(basis), tol)
-        if residual.max() > worst:
-            worst, where = float(residual.max()), f"({a},{b})"
-    report.add("adjoint-closure", worst <= tol * 10.0, worst, where)
-
-    _block_products_in_span(cat, tol, report)
-
+    filled = [pair for pair, basis in cat.blocks.items() if basis]
+    rows = [_rows(cat.block(a, b)) for a, b in filled]
+    report.check(
+        "orthonormal-bases",
+        [np.linalg.norm(q.conj() @ q.T - np.eye(len(q))) for q in rows],
+        GRAM_SLACK * tol,
+    )
+    report.check(
+        "adjoint-closure",
+        [
+            _project(cat.block(b, a), _adjoints(cat.block(a, b)), tol)[1].max()
+            for a, b in filled
+        ],
+        AXIOM_SLACK * tol,
+        lambda i: "({},{})".format(*filled[i]),
+    )
+    triples = [
+        (a, b, c)
+        for a, b, c in itertools.product(*[cat.object_ids] * 3)
+        if cat.block(a, b) and cat.block(b, c)
+    ]
+    report.check(
+        "composition-closure",
+        [
+            _project(
+                cat.block(a, c), _products(cat.block(a, b), cat.block(b, c)), tol
+            )[1].max()
+            for a, b, c in triples
+        ],
+        AXIOM_SLACK * tol,
+        lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
+    )
     if cat.unital:
-        worst = 0.0
-        for o, d in cat.objects:
-            _, residual, _ = hs_member(
-                np.eye(d, dtype=complex), cat.block(o, o), tol
-            )
-            worst = max(worst, residual)
-        report.add("units", worst <= tol * 10.0, worst)
-
-    # three seeded combinations per block, drawn as one (3, 2, n) stack
-    # (the same stream as three real/imaginary draws in turn); y is the
-    # first basis element of each block (B, C)
-    y_norm = {
-        pair: op_norm(basis[0]) for pair, basis in cat.blocks.items() if basis
-    }
-    worst_cstar, worst_sub = 0.0, 0.0
-    for (a, b), basis in cat.blocks.items():
-        if not basis:
-            continue
-        z = rng.standard_normal((3, 2, len(basis)))
-        x = _combine(z[:, 0] + 1j * z[:, 1], basis, (cat.dim(a), cat.dim(b)))
-        nx = np.linalg.norm(x, 2, axis=(1, 2))
-        dev = np.abs(np.linalg.norm(_adjoints(x) @ x, 2, axis=(1, 2)) - nx**2)
-        worst_cstar = max(worst_cstar, float(np.max(dev / (1.0 + nx**2))))
-        for cid in cat.object_ids:
-            if (b, cid) not in y_norm:
-                continue
-            ny = y_norm[(b, cid)]
-            xy = np.linalg.norm(x @ cat.block(b, cid)[0], 2, axis=(1, 2))
-            excess = xy - nx * ny
-            worst_sub = max(worst_sub, float(np.max(excess / (1.0 + nx * ny))))
-    report.add("cstar-norm-identity", worst_cstar <= tol * 100.0, worst_cstar)
-    report.add("submultiplicativity", worst_sub <= tol * 100.0, worst_sub)
+        report.check(
+            "units",
+            [
+                hs_member(np.eye(d, dtype=complex), cat.block(o, o), tol)[1]
+                for o, d in cat.objects
+            ],
+            AXIOM_SLACK * tol,
+        )
     return report
 
 
@@ -508,7 +474,7 @@ def validate_functor(
         for (a, b), basis in source.blocks.items()
     }
 
-    worst = 0.0
+    devs = [np.zeros(0)]  # HS norms of the defects, block after block
     for (a, b), basis in source.blocks.items():
         if not basis:
             continue
@@ -519,10 +485,10 @@ def validate_functor(
             report.add("adjoint-closure-of-source", False, float(residual.max()))
             return report
         alt = _image(phi, target, b, a, coeffs)
-        worst = max(worst, _worst_norm(_adjoints(images[(a, b)]) - alt))
-    report.add("involution", worst <= tol * 100.0, worst)
+        devs.append(np.linalg.norm(_rows(_adjoints(images[(a, b)]) - alt), axis=1))
+    report.check("involution", np.concatenate(devs), FUNCTOR_SLACK * tol)
 
-    worst = 0.0
+    devs = [np.zeros(0)]
     for a, b, c in itertools.product(*[source.object_ids] * 3):
         left, right = source.block(a, b), source.block(b, c)
         if not left or not right:
@@ -537,22 +503,21 @@ def validate_functor(
             )
         img_mn = _image(phi, target, a, c, coeffs)
         img_m_img_n = _products(images[(a, b)], images[(b, c)])
-        worst = max(worst, _worst_norm(img_mn - img_m_img_n))
-    report.add("multiplicativity", worst <= tol * 100.0, worst)
+        devs.append(np.linalg.norm(_rows(img_mn - img_m_img_n), axis=1))
+    report.check("multiplicativity", np.concatenate(devs), FUNCTOR_SLACK * tol)
 
     if source.unital and target.unital:
-        worst = 0.0
-        for o in source.object_ids:
-            img = functor_image(
-                phi, source, target, o, o, source.identity(o), tol
-            )
-            worst = max(
-                worst,
-                float(
-                    np.linalg.norm(img - target.identity(phi.object_map[o]))
-                ),
-            )
-        report.add("units", worst <= tol * 100.0, worst)
+        report.check(
+            "units",
+            [
+                np.linalg.norm(
+                    functor_image(phi, source, target, o, o, source.identity(o), tol)
+                    - target.identity(phi.object_map[o])
+                )
+                for o in source.object_ids
+            ],
+            FUNCTOR_SLACK * tol,
+        )
     return report
 
 
@@ -594,7 +559,7 @@ def _check_phases(phases, k) -> np.ndarray:
     arr = np.asarray(phases, dtype=complex)
     if arr.shape != (k,):
         raise ValueError(f"expected {k} phases, got shape {arr.shape}")
-    if np.any(np.abs(np.abs(arr) - 1.0) > 1e-12):
+    if not np.all(np.abs(np.abs(arr) - 1.0) <= PHASE_ATOL):
         raise ValueError("phases must be unimodular")
     return arr
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import CLUSTER_RTOL, ZERO_SLACK, resolve_tol
 from .cstarcat import generated_by
 from .errors import FullnessMismatch, SpectrumMismatch
 from .numkit import _block_sums, joint_diagonalize, normal_eig, op_norm, svd
@@ -41,8 +41,6 @@ __all__ = [
     "funcalc",
     "svd_oracle",
 ]
-
-_CLUSTER = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class SpectralFunction:
     def __call__(self, s: complex, scale: float = 1.0) -> complex:
         if self.coeffs:
             return complex(np.polyval(self.coeffs[::-1], s))
-        tol = _CLUSTER * (1.0 + scale)
+        tol = CLUSTER_RTOL * (1.0 + scale)
         hits = [v for k, v in self.table if abs(k - s) <= tol]
         if not hits:
             raise SpectrumMismatch(
@@ -103,7 +101,7 @@ def _check_table_covers(f, points, scale) -> None:
     """Every table key must sit on a computed spectrum point."""
     if not isinstance(f, SpectralFunction) or not f.table:
         return
-    tol = _CLUSTER * (1.0 + scale)
+    tol = CLUSTER_RTOL * (1.0 + scale)
     for key, _ in f.table:
         if not any(abs(key - p) <= tol for p in points):
             raise SpectrumMismatch(
@@ -128,17 +126,17 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
         if x.shape[0] != x.shape[1]:
             raise ValueError("same-object element must be square")
         w, _ = normal_eig(x, tol)  # raises NotNormal when it must
-        vals = [complex(z) for z in w if abs(z) > tol * 10 * (1 + scale)]
+        vals = [complex(z) for z in w if abs(z) > ZERO_SLACK * tol * (1 + scale)]
     else:
         vals = [
             complex(v)
             for v in svd(x)[1]
-            if v > tol * 10 * (1 + scale)
+            if v > ZERO_SLACK * tol * (1 + scale)
         ]
     vals.sort(key=lambda z: (z.real, z.imag))
     out: list = []
     for z in vals:
-        if out and abs(z - out[-1]) <= _CLUSTER * (1 + scale):
+        if out and abs(z - out[-1]) <= CLUSTER_RTOL * (1 + scale):
             continue
         out.append(z)
     return np.array(out, dtype=complex)
@@ -201,7 +199,7 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
         return np.zeros_like(x)
 
     cat = generated_by(x, a_id, b_id, tol)  # NotNormal guard lives here
-    thresh = tol * 10 * (1 + scale)
+    thresh = ZERO_SLACK * tol * (1 + scale)
 
     def diagonalize(o, d):
         fam = np.reshape(cat.block(o, o), (-1, d, d))
@@ -258,7 +256,7 @@ def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):
         w, u = normal_eig(x, tol)
         out = np.zeros_like(x)
         for i, s in enumerate(w):
-            if abs(s) <= tol * 10 * (1 + scale):
+            if abs(s) <= ZERO_SLACK * tol * (1 + scale):
                 continue
             v = u[:, i: i + 1]
             out += _call(f, complex(s), scale) * (v @ v.conj().T)
@@ -266,7 +264,7 @@ def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):
     u, s, vh = svd(x)
     out = np.zeros_like(x)
     for i, si in enumerate(s):
-        if si <= tol * 10 * (1 + scale):
+        if si <= ZERO_SLACK * tol * (1 + scale):
             continue
         out += _call(f, complex(si), scale) * np.outer(u[:, i], vh[i, :])
     return out

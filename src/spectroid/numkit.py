@@ -22,7 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import (
+    CLUSTER_RTOL, JOINT_FALLBACK_SLACK, JOINT_TARGET_RTOL, PREGROUP_RTOL,
+    resolve_tol,
+)
 from .errors import DiagonalizationFailed, NotCommuting, NotNormal
 from .reporting import worst
 
@@ -95,7 +98,7 @@ def _check_normal(a: np.ndarray, tol: float) -> None:
         raise NotNormal(f"normality defect {dev[np.argmax(bad)]:.3e}")
 
 
-def normal_eig(m, tol: float | None = None, cluster_tol: float = 1e-8):
+def normal_eig(m, tol: float | None = None):
     """Unitary eigendecomposition of a normal matrix.
 
     Returns ``(evals, u)`` with complex eigenvalues in column order of
@@ -104,7 +107,7 @@ def normal_eig(m, tol: float | None = None, cluster_tol: float = 1e-8):
     tol = resolve_tol(tol)
     a = _as_matrix(m)
     _check_normal(a, tol)
-    evals, u = _normal_eig_core(a, cluster_tol * (1.0 + op_norm(a)))
+    evals, u = _normal_eig_core(a, CLUSTER_RTOL * (1.0 + op_norm(a)))
     return evals, _normalize_column_phases(u)
 
 
@@ -241,7 +244,6 @@ def joint_diagonalize(
     tol: float | None = None,
     *,
     seed: int = 0,
-    cluster_tol: float = 1e-8,
     dim: int | None = None,
 ) -> JointEigenstructure:
     """Simultaneously diagonalize a commuting family of normal matrices.
@@ -259,15 +261,13 @@ def joint_diagonalize(
     seed : int
         Seed for the random self-adjoint combination; retries draw
         fresh streams derived from it.
-    cluster_tol : float
-        Eigenvalues of any single input closer than ``cluster_tol *
-        (1 + scale)`` are treated as one point.
 
     Strategy: diagonalize a random real combination of the Hermitian
     and anti-Hermitian parts of all inputs, split the resulting blocks
     further against each input in turn, merge blocks whose eigenvalue
     tuples coincide after rounding, order blocks canonically, and
-    verify the residuals.  Up to five seeds are attempted before
+    verify the residuals (bounds: ``config.CLUSTER_RTOL`` and the
+    ``JOINT_*`` constants).  Up to five seeds are attempted before
     :class:`DiagonalizationFailed` is raised.
     """
     tol = resolve_tol(tol)
@@ -300,17 +300,16 @@ def joint_diagonalize(
     # inter-block mixing around 1e-9 that still sits under loose user
     # tolerances); fall back to the requested tolerance only when no
     # seed reaches the tight target
-    precision_target = 1e-12
     best, best_residual = None, np.inf
     for attempt in range(5):
         rng = np.random.default_rng([seed & 0xFFFFFFFF, attempt, 0x6A0D])
-        result, comp = _attempt_joint(stack, rng, cluster_tol, scales)
+        result, comp = _attempt_joint(stack, rng, scales)
         residual = _verify_joint(result, comp, scales)
-        if residual <= precision_target:
+        if residual <= JOINT_TARGET_RTOL:
             return result
         if residual < best_residual:
             best, best_residual = result, residual
-    if best_residual <= tol * 10.0 * scales.max():
+    if best_residual <= JOINT_FALLBACK_SLACK * tol * scales.max():
         return best
     raise DiagonalizationFailed(
         f"joint diagonalization failed to verify after 5 seeds "
@@ -352,7 +351,7 @@ def _scalar_defects(comp: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.diagonal(sq, axis1=-2, axis2=-1))
 
 
-def _attempt_joint(stack, rng, cluster_tol, scales):
+def _attempt_joint(stack, rng, scales):
     """One seeded diagonalization; returns the result and the inputs
     compressed into its unitary (for :func:`_verify_joint`)."""
     n = len(stack)
@@ -362,11 +361,11 @@ def _attempt_joint(stack, rng, cluster_tol, scales):
     h = np.tensordot(coeffs[:n], herm, 1) + np.tensordot(coeffs[n:], anti, 1)
     w, u = np.linalg.eigh((h + h.conj().T) / 2.0)
     h_scale = 1.0 + float(np.abs(w).max(initial=0.0))
-    thresholds = cluster_tol * scales
+    thresholds = CLUSTER_RTOL * scales
     # group generously: eigh vectors for gaps near the threshold carry
     # O(eps/gap) cross mixing, and the per-input refinement below
     # re-splits merged blocks with the inputs' own (true) separations
-    starts = _gap_starts(w, 1e-4 * h_scale)
+    starts = _gap_starts(w, PREGROUP_RTOL * h_scale)
     ends = np.append(starts[1:], len(w))
     comp = _compress(u, stack)
     final = np.all(

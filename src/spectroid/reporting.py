@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,12 +25,14 @@ def worst(devs) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class Check:
-    """One named verification with its worst residual."""
+    """One named verification with its worst residual; a numeric check
+    also carries the bound it was held to."""
 
     name: str
     passed: bool
     residual: float = 0.0
     detail: str = ""
+    bound: float | None = None
 
     def to_json(self):
         out = {
@@ -38,6 +40,8 @@ class Check:
             "passed": bool(self.passed),
             "residual": float(self.residual),
         }
+        if self.bound is not None:
+            out["bound"] = float(self.bound)
         if self.detail:
             out["detail"] = self.detail
         return out
@@ -50,13 +54,22 @@ class Report:
     checks: list[Check] = field(default_factory=list)
 
     def add(self, name, passed, residual=0.0, detail=""):
+        """A yes/no check, or a sub-report's summary: the caller's verdict."""
         self.checks.append(Check(name, bool(passed), float(residual), detail))
+
+    def check(self, name, devs, bound, label=None) -> None:
+        """The numeric check ``worst(devs) <= bound``, a NaN deviation
+        counting as +inf; ``label`` turns the index tuple of the first
+        worst entry of ``devs`` into the check's detail."""
+        value, flat = worst(devs)
+        where = ""
+        if label is not None and flat >= 0:
+            where = label(*np.unravel_index(flat, np.shape(devs)))
+        self.checks.append(Check(name, value <= bound, value, where, float(bound)))
 
     def extend(self, other: "Report", prefix: str = ""):
         for c in other.checks:
-            self.checks.append(
-                Check(prefix + c.name, c.passed, c.residual, c.detail)
-            )
+            self.checks.append(replace(c, name=prefix + c.name))
 
     @property
     def passed(self) -> bool:
@@ -64,7 +77,7 @@ class Report:
 
     @property
     def worst_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return worst([c.residual for c in self.checks])[0]
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
@@ -81,6 +94,8 @@ class Report:
         for c in self.checks:
             status = "ok  " if c.passed else "FAIL"
             line = f"[{status}] {c.name}  residual={c.residual:.3e}"
+            if c.bound is not None:
+                line += f" bound={c.bound:.3e}"
             if c.detail:
                 line += f"  ({c.detail})"
             lines.append(line)

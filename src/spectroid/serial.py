@@ -510,12 +510,16 @@ def report_from_json(d) -> Report:
             and isinstance(row.get("passed"), bool),
             f"check rows need string 'name' and boolean 'passed': {row!r}",
         )
-        residual = row.get("residual", 0.0)
+        residual, bound = row.get("residual", 0.0), row.get("bound")
         _need(
-            isinstance(residual, (int, float)) and not isinstance(residual, bool),
-            f"check {row['name']!r} residual must be a number",
+            all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in (residual, 0.0 if bound is None else bound)),
+            f"check {row['name']!r} residual and bound must be numbers",
         )
-        out.add(row["name"], row["passed"], float(residual), row.get("detail", ""))
+        out.checks.append(Check(
+            row["name"], row["passed"], float(residual), row.get("detail", ""),
+            None if bound is None else float(bound),
+        ))
     return out
 
 

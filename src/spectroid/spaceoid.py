@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import resolve_tol
+from .config import PHASE_ATOL, resolve_tol
 from .errors import (
     DomainMismatch,
     InvalidMorphism,
@@ -151,16 +151,6 @@ def _abs(z) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _add_worst(report, name, devs, tol, label=None) -> None:
-    """Add the check ``worst(devs) <= tol``; ``label`` turns the index
-    tuple of the first worst entry into the check's detail."""
-    value, flat = worst(devs)
-    where = ""
-    if label is not None and flat >= 0:
-        where = label(*np.unravel_index(flat, np.shape(devs)))
-    report.add(name, value <= tol, value, where)
-
-
 def validate(e: SpaceoidData, tol: float | None = None) -> Report:
     """Check every structure-constant invariant; returns a report with
     one named check per invariant family.  Each family is one broadcast
@@ -174,33 +164,33 @@ def validate(e: SpaceoidData, tol: float | None = None) -> Report:
     o = np.arange(len(objs))
     row, col = o[:, None], o[None, :]
 
-    _add_worst(
-        report, "unimodular", np.abs(_abs(lam) - 1.0), tol,
+    report.check(
+        "unimodular", np.abs(_abs(lam) - 1.0), tol,
         lambda p, a, b, c: str((pts[p], objs[a], objs[b], objs[c])),
     )
     # per (p, a, b): lam(p; a, a, b) then lam(p; a, b, b)
     units = np.stack(
         [lam[:, row, row, col], lam[:, row, col, col]], axis=-1
     )
-    _add_worst(
-        report, "unit-normalization", _abs(units - 1.0), tol,
+    report.check(
+        "unit-normalization", _abs(units - 1.0), tol,
         lambda p, a, b, _: f"({pts[p]},{objs[a]},{objs[b]})",
     )
     # per (p, a, b): lam(p; b, a, b)
-    _add_worst(
-        report, "positivity-normalization", _abs(lam[:, col, row, col] - 1.0),
+    report.check(
+        "positivity-normalization", _abs(lam[:, col, row, col] - 1.0),
         tol, lambda p, a, b: f"({pts[p]},{objs[b]},{objs[a]},{objs[b]})",
     )
-    _add_worst(
-        report, "involution-compatible",
+    report.check(
+        "involution-compatible",
         _abs(lam.transpose(0, 3, 2, 1) - lam.conj()), tol,
         lambda p, a, b, c: f"({pts[p]},{objs[a]},{objs[b]},{objs[c]})",
     )
     # lam(p;a,b,c) lam(p;a,c,d) = lam(p;b,c,d) lam(p;a,b,d)
     lhs = _mul(lam[:, :, :, :, None], lam[:, :, None, :, :])
     rhs = _mul(lam[:, None, :, :, :], lam[:, :, :, None, :])
-    _add_worst(
-        report, "cocycle", _abs(lhs - rhs), tol,
+    report.check(
+        "cocycle", _abs(lhs - rhs), tol,
         lambda p, a, b, c, d: (
             f"({pts[p]},{objs[a]},{objs[b]},{objs[c]},{objs[d]})"
         ),
@@ -227,7 +217,7 @@ def phase_functor_from_assignment(nu: dict) -> PhaseFunctor:
     psi = {}
     for a in objs:
         za = complex(nu[a])
-        if abs(abs(za) - 1.0) > 1e-12:
+        if not abs(abs(za) - 1.0) <= PHASE_ATOL:
             raise InvalidPhaseFunctor(f"assignment at {a} is not unimodular")
         for b in objs:
             psi[(a, b)] = za * np.conj(complex(nu[b]))
@@ -244,18 +234,13 @@ def validate_phase_functor(
     report.add("total", total)
     if not total:
         return report
-    worst = max(
-        abs(abs(pf.at(a, b)) - 1.0)
-        for a in objects
-        for b in objects
-    )
-    report.add("unimodular", worst <= tol, worst)
-    worst = max(abs(pf.at(a, a) - 1.0) for a in objects)
-    report.add("units", worst <= tol, worst)
-    worst = 0.0
-    for a, b, c in itertools.product(objects, repeat=3):
-        worst = max(worst, abs(pf.at(a, b) * pf.at(b, c) - pf.at(a, c)))
-    report.add("multiplicative", worst <= tol, worst)
+    n = len(objects)
+    psi = np.reshape([complex(pf.at(a, b)) for a in objects for b in objects], (n, n))
+    report.check("unimodular", np.abs(_abs(psi) - 1.0), tol)
+    report.check("units", _abs(np.diagonal(psi) - 1.0), tol)
+    # psi(a, b) psi(b, c) - psi(a, c) at (a, b, c)
+    prod = _mul(psi[:, :, None], psi[None, :, :])
+    report.check("multiplicative", _abs(prod - psi[:, None, :]), tol)
     return report
 
 
@@ -359,7 +344,7 @@ def linking_spaceoid(n_points: int, bundle_phases) -> SpaceoidData:
     for pl in phases:
         if pl.shape != (n_points,):
             raise ValueError("each phase list must have one entry per point")
-        if np.any(np.abs(np.abs(pl) - 1.0) > 1e-12):
+        if not np.all(np.abs(np.abs(pl) - 1.0) <= PHASE_ATOL):
             raise InvalidPhaseFunctor("bundle phases must be unimodular")
     objects = tuple(f"B{j + 1}" for j in range(n + 1))
     points = tuple(f"p{i}" for i in range(n_points))
@@ -473,12 +458,10 @@ def validate_morphism(
         map(m.fiber_scalars.__getitem__, keys), complex, int(np.prod(shape))
     ).reshape(shape)
     o = np.arange(len(objs))
-    _add_worst(
-        report, "fiber-scalars-unimodular", np.abs(_abs(scal) - 1.0), tol
-    )
-    _add_worst(report, "fiber-scalars-units", _abs(scal[:, o, o] - 1.0), tol)
-    _add_worst(
-        report, "fiber-scalars-involution",
+    report.check("fiber-scalars-unimodular", np.abs(_abs(scal) - 1.0), tol)
+    report.check("fiber-scalars-units", _abs(scal[:, o, o] - 1.0), tol)
+    report.check(
+        "fiber-scalars-involution",
         _abs(scal.transpose(0, 2, 1) - scal.conj()), tol,
     )
     # s(p;a,b) s(p;b,c) lam_dom(p;a,b,c) = lam_cod(f p; f a, f b, f c) s(p;a,c)
@@ -486,8 +469,8 @@ def validate_morphism(
     r = [cod.objects.index(str(m.f_r[a])) for a in objs]
     lhs = _mul(_mul(scal[:, :, :, None], scal[:, None, :, :]), dom.table())
     rhs = _mul(cod.table()[np.ix_(q, r, r, r)], scal[:, :, None, :])
-    _add_worst(
-        report, "functoriality", _abs(lhs - rhs), tol,
+    report.check(
+        "functoriality", _abs(lhs - rhs), tol,
         lambda p, a, b, c: f"({pts[p]},{objs[a]},{objs[b]},{objs[c]})",
     )
     return report
@@ -574,7 +557,7 @@ def morphism_distance(m1: SpaceoidMorphism, m2: SpaceoidMorphism) -> float:
     if m1.f_delta != m2.f_delta or m1.f_r != m2.f_r:
         return float("inf")
     keys = set(m1.fiber_scalars) | set(m2.fiber_scalars)
-    return max(
+    return worst([
         abs(m1.fiber_scalars.get(k, np.nan) - m2.fiber_scalars.get(k, np.nan))
         for k in keys
-    )
+    ])[0]

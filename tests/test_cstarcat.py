@@ -472,6 +472,114 @@ def test_validate_functor_rejects_product_outside_source():
         validate_functor(identity_functor(cat), cat, cat)
 
 
+# ---------------------------------------------------------------------------
+# planted failures: each numeric check trips on one finite defect at
+# about ten times its bound, and on a NaN wherever it sits
+
+
+def _unit(k, i, j):
+    m = np.zeros((k, k), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def _with_element(cat, pair, i, m, unital=None):
+    """``cat`` with basis element ``i`` of block ``pair`` replaced."""
+    blocks = {key: list(basis) for key, basis in cat.blocks.items()}
+    blocks[pair][i] = np.asarray(m, dtype=complex)
+    return cstarcat.MatrixCategory(
+        cat.objects, blocks, cat.unital if unital is None else unital
+    )
+
+
+def _tilted_projector(theta):
+    """e_00 tilted by ``theta`` toward the Hermitian e_01 + e_10, HS
+    unit norm: the span stays self-adjoint and orthonormal, but its
+    products with e_11 leave it, and the unit leaves it."""
+    m = _unit(2, 0, 0) + theta * (_unit(2, 0, 1) + _unit(2, 1, 0)) / np.sqrt(2)
+    return m / np.linalg.norm(m)
+
+
+# on linking_category(2, [1, 0]): block (A, A) is [e_00, e_11] and block
+# (A, B) spans e_01, e_10
+AXIOM_DEFECTS = {
+    "orthonormal-bases": lambda c: _with_element(
+        c, ("A", "B"), 0, (1 + 5e-7) * c.block("A", "B")[0]
+    ),
+    # a diagonal direction in (A, B) whose adjoint (B, A) does not span
+    "adjoint-closure": lambda c: _with_element(
+        c, ("A", "B"), 0, c.block("A", "B")[0] + 1e-7 * _unit(2, 0, 0)
+    ),
+    "composition-closure": lambda c: _with_element(
+        c, ("A", "A"), 0, _tilted_projector(1.4e-7), unital=False
+    ),
+    "units": lambda c: _with_element(c, ("A", "A"), 0, _tilted_projector(1e-7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_DEFECTS))
+def test_check_axioms_trips_on_planted_defect(name):
+    cat = linking_category(2, [1, 0])
+    assert check_axioms(cat).passed
+    check = next(c for c in check_axioms(AXIOM_DEFECTS[name](cat)).checks
+                 if c.name == name)
+    assert not check.passed
+    assert 5 <= check.residual / check.bound <= 20, check
+
+
+def test_check_axioms_counts_nan_basis_entry_as_failure():
+    cat = linking_category(2, [1, 0])
+    bad = cat.block("A", "B")[1].copy()
+    bad[0, 1] = np.nan
+    rep = check_axioms(_with_element(cat, ("A", "B"), 1, bad))
+    ortho = next(c for c in rep.checks if c.name == "orthonormal-bases")
+    assert not ortho.passed and ortho.residual == np.inf
+
+
+def _scaled_block_map(pair, factor):
+    cat = linking_category(2, [1, 0])
+    phi = identity_functor(cat)
+    phi.block_maps[pair] = factor * phi.block_maps[pair]
+    return phi, cat
+
+
+FUNCTOR_DEFECTS = {
+    # phi(x*) = x* but phi(x)* = exp(-i theta) x*
+    "involution": lambda: _scaled_block_map(("A", "B"), np.exp(1e-6j)),
+    # phi(e e) = (1 + eps) e but phi(e) phi(e) = (1 + eps)^2 e
+    "multiplicativity": lambda: _scaled_block_map(("A", "A"), 1 + 1e-6),
+    "units": lambda: _scaled_block_map(("A", "A"), 1 + 7e-7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTOR_DEFECTS))
+def test_validate_functor_trips_on_planted_defect(name):
+    phi, cat = FUNCTOR_DEFECTS[name]()
+    check = next(c for c in validate_functor(phi, cat, cat).checks
+                 if c.name == name)
+    assert not check.passed
+    assert 5 <= check.residual / check.bound <= 20, check
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_validate_functor_counts_nan_as_failure(where):
+    # first and last block map: a NaN fails wherever it sits
+    cat = linking_category(2, [1, 0])
+    phi = identity_functor(cat)
+    key = list(phi.block_maps)[where]
+    phi.block_maps[key] = phi.block_maps[key].copy()
+    phi.block_maps[key][0, 0] = np.nan
+    rep = validate_functor(phi, cat, cat)
+    assert not rep.passed
+    assert rep.worst_residual == np.inf
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+def test_linking_generator_rejects_non_unimodular_phase(bad):
+    with pytest.raises(ValueError):
+        linking_generator(2, [1, 0], [1.0, bad])
+
+
 def test_compose_functors_matches_pointwise():
     cat = linking_category(2, [1, 0], phases=[1.0, 1j])
     nu1 = {"A": 1j, "B": 1.0}

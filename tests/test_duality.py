@@ -393,6 +393,53 @@ def test_re_spectrum_constants_fold_counts_nan(monkeypatch):
     assert not check.passed and check.residual == np.inf
 
 
+def _gelfand_report_with_coefficients(monkeypatch, change):
+    """``gelfand``'s report on a linking category when its spectrum's
+    frame coefficients (classes along the last axis) pass through
+    ``change``."""
+    spectrum = du.spectrum
+
+    def planted(*args, **kwargs):
+        spec = spectrum(*args, **kwargs)
+        coefficients = spec.coefficients
+        spec.coefficients = lambda a, b, x: change(coefficients(a, b, x))
+        return spec
+
+    monkeypatch.setattr(du, "spectrum", planted)
+    return du.gelfand(cc.linking_category(3, [1, 2, 0])).report
+
+
+def test_gelfand_isometric_trips_on_planted_scale(monkeypatch):
+    # the transform scaled by 1 + 3.7e-6: about ten times the bound on
+    # combinations of operator norm about 2.7
+    rep = _gelfand_report_with_coefficients(monkeypatch, lambda z: z * (1 + 3.7e-6))
+    check = next(c for c in rep.checks if c.name == "isometric")
+    assert not check.passed
+    assert 5 <= check.residual / check.bound <= 20, check
+
+
+def test_gelfand_block_bijective_trips_on_a_dropped_class(monkeypatch):
+    rep = _gelfand_report_with_coefficients(monkeypatch, lambda z: z * [1, 1, 0])
+    check = next(c for c in rep.checks if c.name == "block-bijective")
+    assert not check.passed
+
+
+def test_evaluation_isomorphism_trips_on_collapsed_base_map(monkeypatch):
+    # on a flat table every scalar is 1, so sending every point to one
+    # class leaves a valid morphism that is not an isomorphism
+    evaluation = du.evaluation
+
+    def collapsed(e, tol, seed):
+        ev = evaluation(e, tol, seed)
+        first = ev.spectrum.class_points[0]
+        ev.morphism.f_delta = dict.fromkeys(ev.morphism.f_delta, first)
+        return ev
+
+    monkeypatch.setattr(du, "evaluation", collapsed)
+    rep = du.roundtrip_spaceoid(sp.trivial_spaceoid(3, 2))
+    assert {c.name for c in rep.failures()} == {"evaluation-isomorphism"}
+
+
 def test_evaluation_scalars_equal_trivializing_gauge():
     e = random_spaceoid(33, n_points=2, n_objects=3)
     gauge, _ = sp.trivialize(e)
@@ -503,6 +550,12 @@ def test_unitary_equivalence_gauge_rejects_different_classes():
     w1, w2 = du.characters(c)
     with pytest.raises(SpectrumMismatch):
         du.unitary_equivalence_gauge(w1, w2)
+
+    def nan_on_diagonals(a, b, x):
+        return np.nan * w1.value(a, b, x) if a == b else w1.value(a, b, x)
+
+    with pytest.raises(SpectrumMismatch):
+        du.unitary_equivalence_gauge(w1, nan_on_diagonals)
 
 
 def test_quotient_by_character_classical():

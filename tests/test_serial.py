@@ -302,12 +302,18 @@ def test_report_roundtrip():
     rep = Report()
     rep.add("alpha", True, 1e-12)
     rep.add("beta", False, 0.25, detail="deliberate")
+    rep.check("gamma", [1e-3, 2e-3], 1e-2, lambda i: f"entry {i}")
     text = serial.emit("report", rep)
     back = serial.parse("report", text)
     assert back == rep
+    assert back.checks[2].bound == 1e-2 and back.checks[0].bound is None
     assert serial.emit("report", back) == text
     with pytest.raises(SchemaError):
         serial.report_from_json({"checks": [{"name": "x"}]})
+    for field in ("residual", "bound"):
+        row = {"name": "x", "passed": True, field: "small"}
+        with pytest.raises(SchemaError):
+            serial.report_from_json({"checks": [row]})
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,23 @@ def test_phase_functor_from_assignment_multiplicative():
 
 
 def test_phase_functor_rejects_non_unimodular():
-    with pytest.raises(InvalidPhaseFunctor):
-        sp.phase_functor_from_assignment({"A": 2.0})
+    for bad in (2.0, np.nan):
+        with pytest.raises(InvalidPhaseFunctor):
+            sp.phase_functor_from_assignment({"A": bad})
     bad = sp.PhaseFunctor({("A", "A"): 1.0, ("A", "B"): 1j,
                            ("B", "A"): 1j, ("B", "B"): 1.0})
     rep = sp.validate_phase_functor(bad, ["A", "B"])
     assert not rep.passed  # psi_AB * psi_BA != psi_AA
+
+
+@pytest.mark.parametrize("key", [("A", "A"), ("B", "A")])
+def test_validate_phase_functor_counts_nan_as_failure(key):
+    pf = sp.phase_functor_from_assignment({"A": 1.0, "B": 1j})
+    psi = dict(pf.psi)
+    psi[key] = complex("nan")
+    rep = sp.validate_phase_functor(sp.PhaseFunctor(psi), ["A", "B"])
+    unimodular = next(c for c in rep.checks if c.name == "unimodular")
+    assert not unimodular.passed and unimodular.residual == np.inf
 
 
 def test_linking_spaceoid_two_bundles():
@@ -185,8 +196,9 @@ def test_linking_spaceoid_two_bundles():
 def test_linking_spaceoid_checks_phase_shape():
     with pytest.raises(ValueError):
         sp.linking_spaceoid(3, [[1.0, 1.0]])
-    with pytest.raises(InvalidPhaseFunctor):
-        sp.linking_spaceoid(2, [[1.0, 2.0]])
+    for bad in (2.0, np.nan):
+        with pytest.raises(InvalidPhaseFunctor):
+            sp.linking_spaceoid(2, [[1.0, bad]])
 
 
 def test_torsor_associated_is_trivial():
@@ -281,6 +293,36 @@ def test_validate_morphism_rejects_broken_functoriality():
     assert "functoriality" in {c.name for c in rep.failures()}
 
 
+def _twisted(key, factor, partner=True):
+    """Identity morphism of a trivial spaceoid with the fiber scalar at
+    ``key`` (and, with ``partner``, the one at the swapped pair, so the
+    involution still holds) multiplied by ``factor``."""
+    e = sp.trivial_spaceoid(2, 2)
+    m = sp.identity_morphism(e)
+    m.fiber_scalars[key] *= factor
+    if partner and key[1] != key[2]:
+        m.fiber_scalars[(key[0], key[2], key[1])] *= factor
+    return m, e
+
+
+# one finite defect at ten times the default tol of 1e-9
+MORPHISM_DEFECTS = {
+    "fiber-scalars-unimodular": lambda: _twisted(("p0", "O1", "O2"), 1 + 1e-8),
+    "fiber-scalars-units": lambda: _twisted(("p1", "O2", "O2"), np.exp(1e-8j)),
+    "fiber-scalars-involution": lambda: _twisted(
+        ("p0", "O2", "O1"), np.exp(1e-8j), partner=False
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MORPHISM_DEFECTS))
+def test_validate_morphism_trips_on_planted_defect(name):
+    m, e = MORPHISM_DEFECTS[name]()
+    check = next(c for c in sp.validate_morphism(m, e, e).checks if c.name == name)
+    assert not check.passed
+    assert 5 <= check.residual / check.bound <= 20, check
+
+
 def test_pullback_reindexes_table():
     e, _ = random_spaceoid(9, 3, 2)
     f_delta = {"q0": "p2", "q1": "p2", "q2": "p0"}
@@ -310,3 +352,9 @@ def test_morphism_distance_infinite_on_different_maps():
     m2 = sp.identity_morphism(e)
     m2.f_delta = {"p0": "p1", "p1": "p0"}
     assert sp.morphism_distance(m1, m2) == float("inf")
+    # equal maps, but a fiber scalar missing on one side (last or first
+    # in iteration order: a plain max() drops a NaN after the first)
+    for key in (list(m1.fiber_scalars)[-1], list(m1.fiber_scalars)[0]):
+        m3 = sp.identity_morphism(e)
+        del m3.fiber_scalars[key]
+        assert sp.morphism_distance(m1, m3) == float("inf")

@@ -1,0 +1,98 @@
+"""The tolerance model: every numeric check is one NaN-safe fold against
+a named bound (``Report.check``), and no bare factor multiplies ``tol``
+in the package source."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spectroid.reporting import Report
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spectroid"
+
+
+def _mentions_tol(node) -> bool:
+    """``tol`` (or a ``*_tol`` name) itself, or a product containing it."""
+    if isinstance(node, ast.Name):
+        return node.id == "tol" or node.id.endswith("_tol")
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and (_mentions_tol(node.left) or _mentions_tol(node.right))
+    )
+
+
+def _is_number(node) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def _literal_tol_factors(tree) -> list:
+    """Line numbers of the products of a numeric literal and ``tol``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = (node.left, node.right)
+            if any(_is_number(a) and _mentions_tol(b) for a, b in (sides, sides[::-1])):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_numeric_literal_multiplies_tol():
+    # every factor of tol is a named, documented constant in config
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _literal_tol_factors(ast.parse(path.read_text()))
+    ]
+    assert not found, f"numeric literal times tol at {found}"
+
+
+@pytest.mark.parametrize(
+    "text, flagged",
+    [
+        ("x = tol * 10", True),
+        ("x = 100 * tol", True),
+        ("x = tol * s * 1e3", True),
+        ("x = cluster_tol * 2", True),
+        ("x = SLACK * tol * (1 + s)", False),
+        ("x = 2 * np.pi * k", False),
+    ],
+)
+def test_scan_flags_literal_factors_only(text, flagged):
+    assert bool(_literal_tol_factors(ast.parse(text))) == flagged
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_check_counts_nan_as_infinite_wherever_it_sits(where):
+    devs = np.array([1e-12, 2e-12, 3e-12])
+    devs[where] = np.nan
+    rep = Report()
+    rep.check("c", devs, 1.0, lambda i: f"entry {i}")
+    (check,) = rep.checks
+    assert not check.passed
+    assert check.residual == np.inf and check.bound == 1.0
+    assert check.detail == f"entry {where}"
+
+
+def test_check_verdict_is_residual_within_bound():
+    rep = Report()
+    rep.check("at", [0.5, 1.0], 1.0)
+    rep.check("over", np.array([[0.0, 1.5]]), 1.0, lambda i, j: f"({i},{j})")
+    rep.check("empty", [], 1e-9)
+    at, over, empty = rep.checks
+    assert at.passed and at.residual == 1.0 and at.detail == ""
+    assert not over.passed and over.residual == 1.5 and over.detail == "(0,1)"
+    assert empty.passed and empty.residual == 0.0
+    assert "bound=1.000e+00" in rep.summary()
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_worst_residual_counts_nan_wherever_it_sits(first):
+    # a case that raised is recorded with a NaN residual
+    rep = Report()
+    rows = [("raised", False, float("nan")), ("fine", True, 1e-12)]
+    for name, passed, residual in rows if first else rows[::-1]:
+        rep.add(name, passed, residual)
+    assert rep.worst_residual == np.inf
