@@ -328,7 +328,7 @@ def test_joint_diagonalize_near_degenerate_never_wrong(monkeypatch, gap, defect)
     the defect, above the 1e-12 target) and returns through the
     loose-tolerance ``best`` branch, with the planted partition.  None
     raised ``DiagonalizationFailed``.  Gaps of 1e-8 and below fall
-    under ``cluster_tol`` and are one class by definition.
+    under ``config.CLUSTER_RTOL`` and are one class by definition.
     """
     residuals = []
     verify = numkit._verify_joint
