@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,8 +63,8 @@ from .spaceoid import (
     PhaseFunctor,
     SpaceoidData,
     SpaceoidMorphism,
+    _base_bijective,
     compose,
-    is_isomorphism,
     morphism_distance,
     require_morphism,
     require_valid,
@@ -163,17 +162,13 @@ class SpectrumResult:
         g = self.frames[(a, b)] * rows[..., :, None]
         return self.bases[a] @ g @ self.bases[b].conj().T
 
-    @cached_property
-    def _lam(self) -> np.ndarray:
-        return self.spaceoid.table()
-
     def character_values(self, a, b, x) -> np.ndarray:
         """Every class's character applied to ``x`` in block (a, b)
         (one matrix or a stack; classes along the last axis): the frame
         coefficients times the conjugate trivializing gauge
         ``lam(w; a, anchor, b)``, the anchor being the first object."""
         objs = self.spaceoid.objects
-        gauge = self._lam[:, objs.index(a), 0, objs.index(b)]
+        gauge = self.spaceoid.table[:, objs.index(a), 0, objs.index(b)]
         return self.coefficients(a, b, x) * np.conj(gauge)
 
 
@@ -323,8 +318,7 @@ def spectrum(
         lam[cls] = np.einsum(
             "acmjq,abmjl,bcmlq->mabc", f.conj(), f, f
         ) / idx.shape[1]
-    keys = itertools.product(points, ids, ids, ids)
-    spaceoid = SpaceoidData(points, ids, dict(zip(keys, lam.ravel().tolist())))
+    spaceoid = SpaceoidData(points, ids, lam)
     require_valid(spaceoid, tol)
 
     diag_table = {
@@ -534,7 +528,7 @@ def compression_functor(
 
 class SectionsWithGauge(NamedTuple):
     category: MatrixCategory
-    gauge: dict  # (p, A, B) -> trivializing phase used by the realization
+    gauge: np.ndarray  # (points, objects, objects) trivializing phases
 
 
 def sections_with_gauge(
@@ -550,23 +544,17 @@ def sections_with_gauge(
     """
     tol = resolve_tol(tol)
     require_valid(e, tol)
-    anchor = e.objects[0]
+    gauge = e.table[:, :, 0, :].copy()
     n = len(e.base_points)
-    gauge = {
-        (p, a, b): e.lam_at(p, a, anchor, b)
-        for p in e.base_points
-        for a in e.objects
-        for b in e.objects
+    k = np.arange(n)
+    # diag[A, B, p] is the basis element of point p in block (A, B)
+    diag = np.zeros(gauge.shape[1:] + (n, n, n), dtype=complex)
+    diag[:, :, k, k, k] = gauge.conj().transpose(1, 2, 0)
+    blocks = {
+        (a, b): list(diag[i, j])
+        for i, a in enumerate(e.objects)
+        for j, b in enumerate(e.objects)
     }
-    blocks = {}
-    for a in e.objects:
-        for b in e.objects:
-            basis = []
-            for pos, p in enumerate(e.base_points):
-                m = np.zeros((n, n), dtype=complex)
-                m[pos, pos] = np.conj(gauge[(p, a, b)])
-                basis.append(m)
-            blocks[(a, b)] = basis
     cat = MatrixCategory(
         objects=tuple((o, n) for o in e.objects), blocks=blocks, unital=True
     )
@@ -766,12 +754,11 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
     cls[pos] = np.arange(len(pos))
     at_point = v[:, np.arange(len(pts)), cls]  # (object, point)
     f = np.array([[np.diagonal(spec.frames[(a, b)]) for b in objs] for a in objs])
-    g = np.array([gauge[key] for key in itertools.product(pts, objs, objs)])
     z = (
         at_point.T[:, :, None]
         * f[:, :, cls].transpose(2, 0, 1)
         * at_point.T[:, None, :].conj()
-    ).ravel() * g
+    ).ravel() * gauge.ravel()
     scal = dict(zip(itertools.product(pts, objs, objs), (z / np.abs(z)).tolist()))
     m = SpaceoidMorphism(
         f_delta=f_delta, f_r={o: o for o in e.objects}, fiber_scalars=scal
@@ -812,10 +799,10 @@ def roundtrip_spaceoid(
     report.extend(rep, "evaluation-")
     report.add(
         "evaluation-isomorphism",
-        is_isomorphism(ev.morphism, e, ev.spectrum.spaceoid, tol),
+        rep.passed and _base_bijective(ev.morphism, ev.spectrum.spaceoid),
     )
     report.check(
-        "re-spectrum-trivial-constants", np.abs(ev.spectrum.spaceoid.table() - 1.0), tol
+        "re-spectrum-trivial-constants", np.abs(ev.spectrum.spaceoid.table - 1.0), tol
     )
     return report
 

@@ -302,12 +302,12 @@ def groupoid_from_json(d) -> FiniteGroupoid:
 
 
 def spaceoid_to_json(e: SpaceoidData) -> dict:
-    entries = []
-    for p in e.base_points:
-        for a, b, c in itertools.product(e.objects, repeat=3):
-            z = e.lam[(p, a, b, c)]
-            if z != 1:
-                entries.append([p, a, b, c, complex_to_json(z)])
+    keys = itertools.product(e.base_points, *[e.objects] * 3)
+    entries = [
+        [*key, complex_to_json(z)]
+        for key, z in zip(keys, e.table.ravel().tolist())
+        if z != 1
+    ]
     return {
         "base_points": list(e.base_points),
         "objects": list(e.objects),
@@ -324,7 +324,7 @@ def spaceoid_from_json(d) -> SpaceoidData:
             f"spaceoid needs a string list {key!r}",
         )
     points, objs = d["base_points"], d["objects"]
-    lam = {}
+    table = np.ones((len(points),) + (len(objs),) * 3, dtype=complex)
     rows = d.get("lambda", [])
     _need(isinstance(rows, list), "'lambda' must be a list")
     for row in rows:
@@ -338,9 +338,9 @@ def spaceoid_from_json(d) -> SpaceoidData:
             all(t in objs for t in (a, b, c)),
             f"lambda row names unknown objects: {row!r}",
         )
-        lam[(p, a, b, c)] = complex_from_json(v)
+        table[(points.index(p), *map(objs.index, (a, b, c)))] = complex_from_json(v)
     try:
-        return SpaceoidData(tuple(points), tuple(objs), lam)
+        return SpaceoidData(tuple(points), tuple(objs), table)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -21,6 +21,7 @@ exhibits the gauge explicitly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,13 +65,17 @@ __all__ = [
 class SpaceoidData:
     """Base points, objects, and the dense structure-constant table.
 
-    ``lam`` maps ``(p, A, B, C)`` to the unimodular constant; missing
-    entries are filled with 1 on construction so the table is total.
+    ``table[p, a, b, c]`` is lambda(p; A, B, C), with axes in the order
+    of ``base_points`` and ``objects``: shape ``(points, objects,
+    objects, objects)``.  The table is copied on construction and its
+    shape checked; its values are not (a NaN is stored, and
+    :func:`validate` fails it).  Two spaceoids are equal when their
+    labels and tables are.
     """
 
     base_points: tuple
     objects: tuple
-    lam: dict
+    table: np.ndarray
 
     def __post_init__(self):
         self.base_points = tuple(str(p) for p in self.base_points)
@@ -79,28 +84,24 @@ class SpaceoidData:
             raise ValueError("duplicate base points")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate objects")
-        table = {}
-        for p in self.base_points:
-            for a, b, c in itertools.product(self.objects, repeat=3):
-                table[(p, a, b, c)] = complex(
-                    self.lam.get((p, a, b, c), 1.0)
-                )
-        extra = set(self.lam) - set(table)
-        if extra:
-            raise ValueError(f"lambda entries outside the base: {sorted(extra)[:3]}")
-        self.lam = table
-
-    def lam_at(self, p, a, b, c) -> complex:
-        return self.lam[(str(p), str(a), str(b), str(c))]
-
-    def table(self) -> np.ndarray:
-        """``lam`` as a dense ``(points, objects, objects, objects)``
-        array, axes in the order of ``base_points`` and ``objects``."""
+        self.table = np.array(self.table, dtype=complex)
         shape = (len(self.base_points),) + (len(self.objects),) * 3
+        if self.table.shape != shape:
+            raise ValueError(f"table has shape {self.table.shape}, expected {shape}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SpaceoidData):
+            return NotImplemented
+        return (self.base_points, self.objects) == (
+            other.base_points, other.objects
+        ) and np.array_equal(self.table, other.table)
+
+    @property
+    def lam(self) -> dict:
+        """The table keyed by labels ``(p, A, B, C)``: a new dict per
+        call, for readers that work by label."""
         keys = itertools.product(self.base_points, *[self.objects] * 3)
-        return np.fromiter(
-            map(self.lam.__getitem__, keys), complex, int(np.prod(shape))
-        ).reshape(shape)
+        return dict(zip(keys, self.table.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,12 @@ class SpaceoidMorphism:
 
 def _mul(x, y) -> np.ndarray:
     """Elementwise complex product, rounded as Python's scalar ``x * y``
-    rounds it (numpy's vector loops may fuse the multiply-adds)."""
+    rounds it (numpy's vector loops may fuse the multiply-adds).
+
+    This is the one rounding rule for structure constants, gauges and
+    fiber scalars: every product of them goes through ``_mul``, chained
+    left to right, so a table does not depend on the machine's vector
+    unit."""
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -160,7 +166,7 @@ def validate(e: SpaceoidData, tol: float | None = None) -> Report:
     tol = resolve_tol(tol)
     report = Report()
     pts, objs = e.base_points, e.objects
-    lam = e.table()
+    lam = e.table
     o = np.arange(len(objs))
     row, col = o[:, None], o[None, :]
 
@@ -256,41 +262,36 @@ def require_phase_functor(pf: PhaseFunctor, objects, tol=None) -> None:
 # gauges
 
 
-def random_gauge(rng: np.random.Generator, base_points, objects) -> dict:
-    """Random unit frame change: conjugate-symmetric, 1 on diagonals."""
-    gauge = {}
-    objects = [str(o) for o in objects]
-    for p in (str(q) for q in base_points):
-        for i, a in enumerate(objects):
-            gauge[(p, a, a)] = 1.0 + 0j
-            for b in objects[i + 1:]:
-                z = np.exp(2j * np.pi * rng.random())
-                gauge[(p, a, b)] = z
-                gauge[(p, b, a)] = np.conj(z)
+def random_gauge(rng: np.random.Generator, base_points, objects) -> np.ndarray:
+    """Random unit frame change: a ``(points, objects, objects)`` array,
+    conjugate-symmetric and 1 on the diagonal.  It draws one
+    ``rng.random()`` per point and per pair a < b, in that order."""
+    n = len(objects)
+    upper = np.triu_indices(n, 1)
+    z = np.exp(2j * np.pi * rng.random((len(base_points), len(upper[0]))))
+    gauge = np.ones((len(base_points), n, n), dtype=complex)
+    gauge[:, upper[0], upper[1]] = z
+    gauge[:, upper[1], upper[0]] = z.conj()
     return gauge
 
 
-def apply_gauge(e: SpaceoidData, gauge: dict) -> SpaceoidData:
+def apply_gauge(e: SpaceoidData, gauge: np.ndarray) -> SpaceoidData:
     """Rewrite the structure constants in the frames scaled by ``gauge``.
 
-    New frames v(p;A,B) = gauge(p;A,B) * u(p;A,B) give
+    A gauge is a ``(points, objects, objects)`` array in the order of
+    ``e``'s labels.  New frames v(p;A,B) = gauge(p;A,B) * u(p;A,B) give
 
         lam'(p;A,B,C) = lam * g_AB * g_BC * conj(g_AC).
     """
-    lam = {}
-    for p in e.base_points:
-        for a, b, c in itertools.product(e.objects, repeat=3):
-            lam[(p, a, b, c)] = (
-                e.lam_at(p, a, b, c)
-                * gauge[(p, a, b)]
-                * gauge[(p, b, c)]
-                * np.conj(gauge[(p, a, c)])
-            )
-    return SpaceoidData(e.base_points, e.objects, lam)
+    g = np.asarray(gauge, dtype=complex)
+    lam = _mul(_mul(e.table, g[:, :, :, None]), g[:, None, :, :])
+    return SpaceoidData(
+        e.base_points, e.objects, _mul(lam, g.conj()[:, :, None, :])
+    )
 
 
 class Trivialization(NamedTuple):
-    gauge: dict  # (p, A, B) -> phase applied to reach the trivial frame
+    gauge: np.ndarray  # (points, objects, objects) phases reaching the trivial frame
     spaceoid: SpaceoidData  # constants in the new frame (all 1)
 
 
@@ -305,13 +306,7 @@ def trivialize(e: SpaceoidData, tol: float | None = None) -> Trivialization:
     """
     tol = resolve_tol(tol)
     require_valid(e, tol)
-    anchor = e.objects[0]
-    gauge = {
-        (p, a, b): e.lam_at(p, a, anchor, b)
-        for p in e.base_points
-        for a in e.objects
-        for b in e.objects
-    }
+    gauge = e.table[:, :, 0, :].copy()
     return Trivialization(gauge, apply_gauge(e, gauge))
 
 
@@ -324,7 +319,7 @@ def trivial_spaceoid(n_points: int, n_objects: int = 1) -> SpaceoidData:
     return SpaceoidData(
         base_points=tuple(f"p{i}" for i in range(n_points)),
         objects=tuple(f"O{i + 1}" for i in range(n_objects)),
-        lam={},
+        table=np.ones((n_points,) + (n_objects,) * 3),
     )
 
 
@@ -334,8 +329,9 @@ def linking_spaceoid(n_points: int, bundle_phases) -> SpaceoidData:
     ``bundle_phases`` holds one unimodular list per bundle (length
     ``n_points`` each); the result has ``n + 1`` objects ``B1 ...
     B{n+1}``.  Adjacent blocks carry the phase-twisted frames while
-    composite blocks keep the plain tensor frames, so for consecutive
-    objects the constants multiply the phases:
+    composite blocks keep the plain tensor frames, so the table is the
+    flat one with those frame coefficients applied as a gauge, and for
+    consecutive objects the constants multiply the phases:
 
         lam(p; B_j, B_{j+1}, B_{j+2}) = phases_j(p) * phases_{j+1}(p).
     """
@@ -348,26 +344,14 @@ def linking_spaceoid(n_points: int, bundle_phases) -> SpaceoidData:
             raise InvalidPhaseFunctor("bundle phases must be unimodular")
     objects = tuple(f"B{j + 1}" for j in range(n + 1))
     points = tuple(f"p{i}" for i in range(n_points))
-
-    def mu(pi, j, l):
-        # frame coefficient of block (B_{j+1}, B_{l+1}) in the tensor model
-        if j == l:
-            return 1.0 + 0j
-        if j < l:
-            return phases[j][pi] if l == j + 1 else 1.0 + 0j
-        return np.conj(mu(pi, l, j))
-
-    lam = {}
-    for pi, p in enumerate(points):
-        for ja, a in enumerate(objects):
-            for jb, b in enumerate(objects):
-                for jc, c in enumerate(objects):
-                    lam[(p, a, b, c)] = (
-                        mu(pi, ja, jb)
-                        * mu(pi, jb, jc)
-                        * np.conj(mu(pi, ja, jc))
-                    )
-    return SpaceoidData(points, objects, lam)
+    # frame coefficient of block (B_{j+1}, B_{l+1}) in the tensor model
+    mu = np.ones((n_points, n + 1, n + 1), dtype=complex)
+    j = np.arange(n)
+    mu[:, j, j + 1] = np.reshape(phases, (n, n_points)).T
+    lower = np.tril_indices(n + 1, -1)
+    mu[:, lower[0], lower[1]] = mu[:, lower[1], lower[0]].conj()
+    flat = SpaceoidData(points, objects, np.ones((n_points,) + (n + 1,) * 3))
+    return apply_gauge(flat, mu)
 
 
 def torsor_associated(
@@ -376,24 +360,21 @@ def torsor_associated(
     """Bundle associated to a pointwise family of phase-functor torsor
     representatives.
 
-    Each representative is exactly multiplicative, so the associated
-    constants are the coboundary psi_AB psi_BC conj(psi_AC) == 1: the
-    output is the trivial spaceoid however the representatives are
-    chosen (changing them moves the result by an isomorphism, see
+    The representatives, stacked, are a gauge on the trivial table.
+    Each is exactly multiplicative, so the associated constants are the
+    coboundary psi_AB psi_BC conj(psi_AC) == 1: the output is the
+    trivial spaceoid however the representatives are chosen (changing
+    them moves the result by an isomorphism, see
     :func:`torsor_change_morphism`).
     """
     e = trivial_spaceoid(x_size, o_size)
     if torsor_reps is None:
         return e
-    lam = {}
-    for p in e.base_points:
-        rep = torsor_reps[p]
+    reps = [torsor_reps[p] for p in e.base_points]
+    for rep in reps:
         require_phase_functor(rep, e.objects)
-        for a, b, c in itertools.product(e.objects, repeat=3):
-            lam[(p, a, b, c)] = (
-                rep.at(a, b) * rep.at(b, c) * np.conj(rep.at(a, c))
-            )
-    return SpaceoidData(e.base_points, e.objects, lam)
+    psi = [[[rep.at(a, b) for b in e.objects] for a in e.objects] for rep in reps]
+    return apply_gauge(e, psi)
 
 
 def torsor_change_morphism(
@@ -467,8 +448,8 @@ def validate_morphism(
     # s(p;a,b) s(p;b,c) lam_dom(p;a,b,c) = lam_cod(f p; f a, f b, f c) s(p;a,c)
     q = [cod.base_points.index(str(m.f_delta[p])) for p in pts]
     r = [cod.objects.index(str(m.f_r[a])) for a in objs]
-    lhs = _mul(_mul(scal[:, :, :, None], scal[:, None, :, :]), dom.table())
-    rhs = _mul(cod.table()[np.ix_(q, r, r, r)], scal[:, :, None, :])
+    lhs = _mul(_mul(scal[:, :, :, None], scal[:, None, :, :]), dom.table)
+    rhs = _mul(cod.table[np.ix_(q, r, r, r)], scal[:, :, None, :])
     report.check(
         "functoriality", _abs(lhs - rhs), tol,
         lambda p, a, b, c: f"({pts[p]},{objs[a]},{objs[b]},{objs[c]})",
@@ -525,14 +506,14 @@ def pullback(f_delta: dict, f_r: dict, e: SpaceoidData) -> SpaceoidData:
     missing = set(map(str, f_delta.values())) - set(e.base_points)
     if missing or set(map(str, f_r.values())) - set(e.objects):
         raise DomainMismatch("maps do not land in the given spaceoid")
-    lam = {}
-    for p in points:
-        q = str(f_delta[p])
-        for a, b, c in itertools.product(objects, repeat=3):
-            lam[(p, a, b, c)] = e.lam_at(
-                q, str(f_r[a]), str(f_r[b]), str(f_r[c])
-            )
-    return SpaceoidData(points, objects, lam)
+    q = [e.base_points.index(str(v)) for v in f_delta.values()]
+    r = [e.objects.index(str(v)) for v in f_r.values()]
+    return SpaceoidData(points, objects, e.table[np.ix_(q, r, r, r)])
+
+
+def _base_bijective(m: SpaceoidMorphism, cod: SpaceoidData) -> bool:
+    """Whether the base map of ``m`` hits each of ``cod``'s points once."""
+    return Counter(m.f_delta.values()) == Counter(cod.base_points)
 
 
 def is_isomorphism(
@@ -542,13 +523,7 @@ def is_isomorphism(
     tol: float | None = None,
 ) -> bool:
     """Valid morphism whose base map is a bijection."""
-    rep = validate_morphism(m, dom, cod, tol)
-    if not rep.passed:
-        return False
-    values = list(m.f_delta.values())
-    return len(set(values)) == len(values) and set(values) == set(
-        cod.base_points
-    )
+    return validate_morphism(m, dom, cod, tol).passed and _base_bijective(m, cod)
 
 
 def morphism_distance(m1: SpaceoidMorphism, m2: SpaceoidMorphism) -> float:

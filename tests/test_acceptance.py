@@ -17,10 +17,9 @@ from spectroid.reporting import Report
 def _verdict(num: int, name: str, report: Report, extra: str = "") -> None:
     status = "PASS" if report.passed else "FAIL"
     n_checks = len(report.checks)
-    worst = max((c.residual for c in report.checks), default=0.0)
     line = (
         f"ACCEPTANCE {num} {name}: {status} "
-        f"({n_checks} checks, worst residual {worst:.3e}{extra})"
+        f"({n_checks} checks, worst residual {report.worst_residual:.3e}{extra})"
     )
     print(line, flush=True)
     if not report.passed:

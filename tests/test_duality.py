@@ -193,7 +193,7 @@ def test_pauli_triangle_structure_constant():
     spec = du.spectrum(c)
     assert spec.n_classes == 1
     assert spec.ranks == (2,)
-    lam = spec.spaceoid.lam_at("w0", "A", "B", "C")
+    lam = spec.spaceoid.lam[("w0", "A", "B", "C")]
     assert abs(lam - (-1.0)) < 1e-12
     # and the spaceoid is still internally consistent
     assert sp.validate(spec.spaceoid, tol=1e-12).passed
@@ -313,6 +313,7 @@ def reference_parts(spec, tol=1e-9):
 def test_spectrum_matches_per_class_reference(make):
     spec = du.spectrum(make())
     class_block, frames, lam, coeffs = reference_parts(spec)
+    table = spec.spaceoid.lam
     ids = spec.category.object_ids
     for i in range(spec.n_classes):
         for a in ids:
@@ -320,7 +321,7 @@ def test_spectrum_matches_per_class_reference(make):
             for b in ids:
                 assert np.allclose(spec.frame(i, a, b), frames[(i, a, b)], atol=1e-11)
                 for cc_ in ids:
-                    got = spec.spaceoid.lam_at(spec.class_points[i], a, b, cc_)
+                    got = table[(spec.class_points[i], a, b, cc_)]
                     assert abs(got - lam[(i, a, b, cc_)]) < 1e-11
     for a, b in spec.category.pairs():
         stack = np.reshape(spec.category.block(a, b), (-1, spec.category.dim(a), spec.category.dim(b)))
@@ -338,18 +339,19 @@ def test_sections_realize_structure_constants():
     assert cc.is_commutative(sec) and cc.is_full(sec)
     # composition of point basis elements reproduces the table
     a, b, c = e.objects
+    table = e.lam
     for pos, p in enumerate(e.base_points):
         ab = sec.block(a, b)[pos]
         bc = sec.block(b, c)[pos]
         ac = sec.block(a, c)[pos]
-        lam = e.lam_at(p, a, b, c)
+        lam = table[(p, a, b, c)]
         assert hs_norm(ab @ bc - lam * ac) < 1e-12
 
 
 def test_sections_of_invalid_table_rejected():
     base = sp.trivial_spaceoid(2, 2)
-    bad = dict(base.lam)
-    bad[("p0", "O1", "O1", "O2")] = 1j
+    bad = base.table.copy()
+    bad[0, 0, 0, 1] = 1j  # (p0, O1, O1, O2)
     e = sp.SpaceoidData(base.base_points, base.objects, bad)
     with pytest.raises(Exception):
         du.sections(e)
@@ -365,10 +367,9 @@ def test_evaluation_roundtrip(seed):
 
 def test_roundtrip_spaceoid_with_nan_reports_failure():
     base = sp.trivial_spaceoid(3, 2)
-    e = sp.SpaceoidData(
-        base.base_points, base.objects, {("p1", "O1", "O2", "O1"): np.nan}
-    )
-    rep = du.roundtrip_spaceoid(e)
+    bad = base.table.copy()
+    bad[1, 0, 1, 0] = np.nan  # (p1, O1, O2, O1)
+    rep = du.roundtrip_spaceoid(sp.SpaceoidData(base.base_points, base.objects, bad))
     assert not rep.passed
     assert "input-unimodular" in {c.name for c in rep.failures()}
 
@@ -380,8 +381,8 @@ def test_re_spectrum_constants_fold_counts_nan(monkeypatch):
 
     def broken(e, tol, seed):
         ev = evaluation(e, tol, seed)
-        lam = dict(ev.spectrum.spaceoid.lam)
-        lam[list(lam)[-1]] = complex("nan")
+        lam = ev.spectrum.spaceoid.table.copy()
+        lam[-1, -1, -1, -1] = complex("nan")
         ev.spectrum.spaceoid = sp.SpaceoidData(
             ev.spectrum.spaceoid.base_points, ev.spectrum.spaceoid.objects, lam
         )
@@ -444,8 +445,8 @@ def test_evaluation_scalars_equal_trivializing_gauge():
     e = random_spaceoid(33, n_points=2, n_objects=3)
     gauge, _ = sp.trivialize(e)
     ev = du.evaluation(e)
-    for (p, a, b), z in ev.morphism.fiber_scalars.items():
-        assert abs(z - gauge[(p, a, b)]) < 1e-10
+    for z, g in zip(ev.morphism.fiber_scalars.values(), gauge.ravel()):
+        assert abs(z - g) < 1e-10
 
 
 # --- characters --------------------------------------------------------------
@@ -500,7 +501,7 @@ def test_characters_of_rank2_class_with_complex_gauge():
     c = scramble(cc.close(pres), 17)
     spec = du.spectrum(c)
     assert spec.ranks == (2,)
-    lam = spec.spaceoid.lam_at("w0", "B", "A", "C")
+    lam = spec.spaceoid.lam[("w0", "B", "A", "C")]
     assert abs(abs(lam) - 1.0) < 1e-10 and abs(lam.imag) > 0.1
     assert len(assert_character_laws(c)) == 1
 
@@ -717,7 +718,7 @@ def reference_spectrum_on_morphism(phi, source, target, spec1, spec2, tol=1e-9):
     def character(spec, j):
         def value(a, b, x):
             anchor = spec.spaceoid.objects[0]
-            gauge = spec.spaceoid.lam_at(spec.class_points[j], a, anchor, b)
+            gauge = spec.spaceoid.lam[(spec.class_points[j], a, anchor, b)]
             return spec.coefficients(a, b, x)[j] * np.conj(gauge)
 
         return value

@@ -210,6 +210,11 @@ def test_spaceoid_sparse_default_is_one():
     d = {"base_points": ["p0", "p1"], "objects": ["A", "B"], "lambda": []}
     e = serial.spaceoid_from_json(d)
     assert all(z == 1 for z in e.lam.values())
+    # the rows that are given land where they name, the rest are 1
+    d["lambda"] = [["p1", "A", "B", "A", [-1.0, 0.0]]]
+    lam = serial.spaceoid_from_json(d).lam
+    assert lam.pop(("p1", "A", "B", "A")) == -1
+    assert all(z == 1 for z in lam.values())
     # omitted "lambda" key entirely is also the trivial table
     e2 = serial.spaceoid_from_json(
         {"base_points": ["p0"], "objects": ["A"]}

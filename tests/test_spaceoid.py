@@ -1,12 +1,16 @@
 """Structure-constant tables: invariants, gauges, morphisms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectroid import serial
 from spectroid import spaceoid as sp
 from spectroid.errors import DomainMismatch, InvalidPhaseFunctor, InvalidSpaceoid
+from spectroid.selftest import random_morphism
 
 
 def random_spaceoid(seed, n_points=3, n_objects=3):
@@ -27,14 +31,33 @@ def test_trivial_spaceoid_is_valid():
     assert rep.worst_residual == 0.0
 
 
-def test_sparse_lambda_fills_with_one():
-    e = sp.SpaceoidData(("p0",), ("A", "B"), {("p0", "A", "B", "A"): 1.0})
-    assert e.lam_at("p0", "B", "A", "B") == 1.0
+def planted(base, entries):
+    """``base`` with the entries ``{(p, A, B, C): value}`` of a copy of
+    its table replaced."""
+    table = base.table.copy()
+    for (p, a, b, c), z in entries.items():
+        table[(base.base_points.index(p), *map(base.objects.index, (a, b, c)))] = z
+    return sp.SpaceoidData(base.base_points, base.objects, table)
 
 
 def test_lambda_outside_base_rejected():
+    # a table with one point or one object more than the labels
     with pytest.raises(ValueError):
-        sp.SpaceoidData(("p0",), ("A",), {("p1", "A", "A", "A"): 1.0})
+        sp.SpaceoidData(("p0",), ("A",), np.ones((2, 1, 1, 1)))
+    with pytest.raises(ValueError):
+        sp.SpaceoidData(("p0",), ("A",), np.ones((1, 1, 2, 1)))
+
+
+def test_table_is_copied_and_compared_by_value():
+    base = sp.trivial_spaceoid(2, 2)
+    table = base.table.copy()
+    e = sp.SpaceoidData(base.base_points, base.objects, table)
+    table[0, 0, 0, 0] = 2.0
+    assert e == base and e.table[0, 0, 0, 0] == 1.0
+    assert planted(base, {("p1", "O2", "O1", "O2"): 1 + 1e-15j}) != base
+    assert sp.SpaceoidData(("p0", "p2"), base.objects, base.table) != base
+    assert e.lam == {k: 1 + 0j for k in itertools.product(
+        base.base_points, *[base.objects] * 3)}
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -49,34 +72,24 @@ def test_validate_flags_each_invariant():
     # plant one bad entry per invariant family and watch it get named
     base = sp.trivial_spaceoid(2, 3)
 
-    bad = dict(base.lam)
-    bad[("p0", "O1", "O2", "O3")] = 2.0
-    rep = sp.validate(sp.SpaceoidData(base.base_points, base.objects, bad))
+    rep = sp.validate(planted(base, {("p0", "O1", "O2", "O3"): 2.0}))
     assert not rep.passed
     names = {c.name for c in rep.failures()}
     assert "unimodular" in names
 
-    bad = dict(base.lam)
-    bad[("p0", "O1", "O1", "O2")] = -1.0
-    rep = sp.validate(sp.SpaceoidData(base.base_points, base.objects, bad))
+    rep = sp.validate(planted(base, {("p0", "O1", "O1", "O2"): -1.0}))
     assert "unit-normalization" in {c.name for c in rep.failures()}
 
-    bad = dict(base.lam)
-    bad[("p1", "O2", "O1", "O2")] = 1j
-    rep = sp.validate(sp.SpaceoidData(base.base_points, base.objects, bad))
+    rep = sp.validate(planted(base, {("p1", "O2", "O1", "O2"): 1j}))
     assert "positivity-normalization" in {c.name for c in rep.failures()}
 
     # a lone phase on (O1,O2,O3) breaks involution against (O3,O2,O1)
-    bad = dict(base.lam)
-    bad[("p0", "O1", "O2", "O3")] = 1j
-    rep = sp.validate(sp.SpaceoidData(base.base_points, base.objects, bad))
+    rep = sp.validate(planted(base, {("p0", "O1", "O2", "O3"): 1j}))
     assert "involution-compatible" in {c.name for c in rep.failures()}
 
     # symmetric pair of phases keeps involution but breaks the cocycle
-    bad = dict(base.lam)
-    bad[("p0", "O1", "O2", "O3")] = 1j
-    bad[("p0", "O3", "O2", "O1")] = -1j
-    rep = sp.validate(sp.SpaceoidData(base.base_points, base.objects, bad))
+    bad = {("p0", "O1", "O2", "O3"): 1j, ("p0", "O3", "O2", "O1"): -1j}
+    rep = sp.validate(planted(base, bad))
     fails = {c.name for c in rep.failures()}
     assert "involution-compatible" not in fails
     assert "cocycle" in fails
@@ -84,18 +97,13 @@ def test_validate_flags_each_invariant():
 
 def test_require_valid_raises_with_location():
     base = sp.trivial_spaceoid(1, 2)
-    bad = dict(base.lam)
-    bad[("p0", "O1", "O1", "O2")] = 1j
     with pytest.raises(InvalidSpaceoid):
-        sp.require_valid(sp.SpaceoidData(base.base_points, base.objects, bad))
+        sp.require_valid(planted(base, {("p0", "O1", "O1", "O2"): 1j}))
 
 
 def test_validate_counts_nan_as_failure():
     base = sp.trivial_spaceoid(3, 2)
-    e = sp.SpaceoidData(
-        base.base_points, base.objects, {("p1", "O1", "O2", "O1"): np.nan}
-    )
-    rep = sp.validate(e)
+    rep = sp.validate(planted(base, {("p1", "O1", "O2", "O1"): np.nan}))
     assert not rep.passed
     unimodular = next(c for c in rep.checks if c.name == "unimodular")
     assert not unimodular.passed and unimodular.residual == np.inf
@@ -105,10 +113,8 @@ def test_validate_counts_nan_as_failure():
 def test_validate_detail_names_first_worst_entry():
     # two equally bad entries: the first in (point, A, B, C) order wins
     base = sp.trivial_spaceoid(2, 2)
-    bad = dict(base.lam)
-    bad[("p1", "O2", "O1", "O1")] = 2.0
-    bad[("p0", "O2", "O2", "O1")] = -2.0
-    rep = sp.validate(sp.SpaceoidData(base.base_points, base.objects, bad))
+    bad = {("p1", "O2", "O1", "O1"): 2.0, ("p0", "O2", "O2", "O1"): -2.0}
+    rep = sp.validate(planted(base, bad))
     unimodular = next(c for c in rep.checks if c.name == "unimodular")
     assert unimodular.residual == 1.0
     assert unimodular.detail == "('p0', 'O2', 'O2', 'O1')"
@@ -145,11 +151,9 @@ def test_gauge_composition_law(seed):
     e, _ = random_spaceoid(seed + 1, 2, 3)
     g = sp.random_gauge(rng, e.base_points, e.objects)
     h = sp.random_gauge(rng, e.base_points, e.objects)
-    gh = {k: g[k] * h[k] for k in g}
     once = sp.apply_gauge(sp.apply_gauge(e, g), h)
-    both = sp.apply_gauge(e, gh)
-    dev = max(abs(once.lam[k] - both.lam[k]) for k in once.lam)
-    assert dev <= 1e-12
+    both = sp.apply_gauge(e, g * h)
+    assert np.abs(once.table - both.table).max() <= 1e-12
 
 
 def test_phase_functor_from_assignment_multiplicative():
@@ -185,12 +189,13 @@ def test_linking_spaceoid_two_bundles():
     e = sp.linking_spaceoid(3, phases)
     assert e.objects == ("B1", "B2", "B3")
     assert sp.validate(e, tol=1e-12).passed
+    lam = e.lam
     # consecutive triple picks up both phases
-    assert abs(e.lam_at("p1", "B1", "B2", "B3") - 1j) < 1e-12
-    assert abs(e.lam_at("p2", "B1", "B2", "B3") - (-1j)) < 1e-12
-    assert abs(e.lam_at("p2", "B3", "B2", "B1") - 1j) < 1e-12
+    assert abs(lam[("p1", "B1", "B2", "B3")] - 1j) < 1e-12
+    assert abs(lam[("p2", "B1", "B2", "B3")] - (-1j)) < 1e-12
+    assert abs(lam[("p2", "B3", "B2", "B1")] - 1j) < 1e-12
     # triples inside one bundle stay trivial
-    assert abs(e.lam_at("p1", "B1", "B2", "B2") - 1.0) < 1e-12
+    assert abs(lam[("p1", "B1", "B2", "B2")] - 1.0) < 1e-12
 
 
 def test_linking_spaceoid_checks_phase_shape():
@@ -227,34 +232,6 @@ def test_identity_and_composition_of_morphisms():
     rep = sp.validate_morphism(ident, e, e, tol=1e-12)
     assert rep.passed, rep.summary()
     assert sp.morphism_distance(sp.compose(ident, ident), ident) <= 1e-12
-
-
-def random_morphism(seed, dom, cod, f_delta=None, f_r=None):
-    """Valid morphism dom -> cod built from trivializing gauges plus a
-    free multiplicative phase per domain point."""
-    rng = np.random.default_rng(seed)
-    g1, _ = sp.trivialize(dom)
-    g2, _ = sp.trivialize(cod)
-    if f_delta is None:
-        f_delta = {
-            p: cod.base_points[rng.integers(len(cod.base_points))]
-            for p in dom.base_points
-        }
-    if f_r is None:
-        perm = rng.permutation(len(dom.objects))
-        f_r = {a: cod.objects[perm[i]] for i, a in enumerate(dom.objects)}
-    scal = {}
-    for p in dom.base_points:
-        nu = {a: np.exp(2j * np.pi * rng.random()) for a in dom.objects}
-        for a in dom.objects:
-            for b in dom.objects:
-                scal[(p, a, b)] = (
-                    nu[a]
-                    * np.conj(nu[b])
-                    * g1[(p, a, b)]
-                    * np.conj(g2[(f_delta[p], f_r[a], f_r[b])])
-                )
-    return sp.SpaceoidMorphism(f_delta, f_r, scal)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -330,7 +307,7 @@ def test_pullback_reindexes_table():
     pb = sp.pullback(f_delta, f_r, e)
     assert pb.base_points == ("q0", "q1", "q2")
     assert abs(
-        pb.lam_at("q0", "A", "B", "A") - e.lam_at("p2", "O2", "O1", "O2")
+        pb.lam[("q0", "A", "B", "A")] - e.lam[("p2", "O2", "O1", "O2")]
     ) < 1e-15
     assert sp.validate(pb, tol=1e-12).passed
     with pytest.raises(DomainMismatch):
@@ -358,3 +335,145 @@ def test_morphism_distance_infinite_on_different_maps():
         m3 = sp.identity_morphism(e)
         del m3.fiber_scalars[key]
         assert sp.morphism_distance(m1, m3) == float("inf")
+
+
+# --- the label-keyed constructions the table code replaced --------------------
+#
+# Each reference is the dict loop the dense code replaced, kept to show
+# that the arrays are the same numbers to the bit, signed zeros included.
+
+
+def ref_random_gauge(rng, base_points, objects) -> dict:
+    gauge = {}
+    objects = [str(o) for o in objects]
+    for p in (str(q) for q in base_points):
+        for i, a in enumerate(objects):
+            gauge[(p, a, a)] = 1.0 + 0j
+            for b in objects[i + 1:]:
+                z = np.exp(2j * np.pi * rng.random())
+                gauge[(p, a, b)] = z
+                gauge[(p, b, a)] = np.conj(z)
+    return gauge
+
+
+def ref_apply_gauge(lam, gauge, points, objects) -> dict:
+    out = {}
+    for p in points:
+        for a, b, c in itertools.product(objects, repeat=3):
+            out[(p, a, b, c)] = (
+                lam[(p, a, b, c)]
+                * gauge[(p, a, b)]
+                * gauge[(p, b, c)]
+                * np.conj(gauge[(p, a, c)])
+            )
+    return out
+
+
+def ref_trivializing_gauge(lam, points, objects) -> dict:
+    return {
+        (p, a, b): lam[(p, a, objects[0], b)]
+        for p in points
+        for a in objects
+        for b in objects
+    }
+
+
+def ref_linking(n_points, bundle_phases) -> dict:
+    phases = [np.asarray(pl, dtype=complex) for pl in bundle_phases]
+    objects = [f"B{j + 1}" for j in range(len(phases) + 1)]
+
+    def mu(pi, j, l):
+        if j == l:
+            return 1.0 + 0j
+        if j < l:
+            return phases[j][pi] if l == j + 1 else 1.0 + 0j
+        return np.conj(mu(pi, l, j))
+
+    lam = {}
+    for pi in range(n_points):
+        for ja, a in enumerate(objects):
+            for jb, b in enumerate(objects):
+                for jc, c in enumerate(objects):
+                    lam[(f"p{pi}", a, b, c)] = (
+                        mu(pi, ja, jb) * mu(pi, jb, jc) * np.conj(mu(pi, ja, jc))
+                    )
+    return lam
+
+
+def ref_torsor(points, objects, reps) -> dict:
+    lam = {}
+    for p in points:
+        rep = reps[p]
+        for a, b, c in itertools.product(objects, repeat=3):
+            lam[(p, a, b, c)] = rep.at(a, b) * rep.at(b, c) * np.conj(rep.at(a, c))
+    return lam
+
+
+def ref_pullback(f_delta, f_r, lam) -> dict:
+    return {
+        (p, a, b, c): lam[(f_delta[p], f_r[a], f_r[b], f_r[c])]
+        for p in f_delta
+        for a, b, c in itertools.product(f_r, repeat=3)
+    }
+
+
+def dense(d, *axes) -> np.ndarray:
+    """A label-keyed dict as an array over the product of ``axes``."""
+    values = [d[k] for k in itertools.product(*axes)]
+    return np.array(values, dtype=complex).reshape([len(a) for a in axes])
+
+
+def assert_same(want: np.ndarray, got: np.ndarray):
+    assert np.array_equal(want, got) and want.tobytes() == got.tobytes()
+
+
+def assert_same_spaceoid(want: dict, got: sp.SpaceoidData) -> sp.SpaceoidData:
+    table = dense(want, got.base_points, *[got.objects] * 3)
+    assert_same(table, got.table)
+    return sp.SpaceoidData(got.base_points, got.objects, table)
+
+
+# the (points, objects) schedule of the benchmark's spaceoid workload
+SPACEOID_SHAPES = [(p, o) for o in range(1, 6) for p in range(2, 25) if p * o <= 48]
+
+
+@pytest.mark.parametrize("seed", [101, 0, 1])
+def test_tables_match_label_reference(seed):
+    assert len(SPACEOID_SHAPES) == 80
+    rng = np.random.default_rng(seed)
+    for n_points, n_objects in SPACEOID_SHAPES:
+        trivial = sp.trivial_spaceoid(n_points, n_objects)
+        pts, objs = trivial.base_points, trivial.objects
+        phases = [np.exp(2j * np.pi * rng.random(n_points)) for _ in objs[1:]]
+        linking = sp.linking_spaceoid(n_points, phases)
+        assert_same_spaceoid(ref_linking(n_points, phases), linking)
+        reps = {
+            p: sp.phase_functor_from_assignment(
+                {o: np.exp(2j * np.pi * rng.random()) for o in objs}
+            )
+            for p in pts
+        }
+        torsor = sp.torsor_associated(n_objects, n_points, reps)
+        assert_same_spaceoid(ref_torsor(pts, objs, reps), torsor)
+
+        for e in (trivial, linking, torsor):
+            pts, objs = e.base_points, e.objects
+            draw = int(rng.integers(2**63))
+            want = ref_random_gauge(np.random.default_rng(draw), pts, objs)
+            gauge = sp.random_gauge(np.random.default_rng(draw), pts, objs)
+            assert_same(dense(want, pts, objs, objs), gauge)
+            twisted = sp.apply_gauge(e, gauge)
+            assert_same_spaceoid(ref_apply_gauge(e.lam, want, pts, objs), twisted)
+
+            lam = twisted.lam
+            want = ref_trivializing_gauge(lam, pts, objs)
+            gauge, flat = sp.trivialize(twisted)
+            assert_same(dense(want, pts, objs, objs), gauge)
+            ref = assert_same_spaceoid(ref_apply_gauge(lam, want, pts, objs), flat)
+            # the bytes the benchmark's spaceoid workload writes out
+            assert serial.emit("spaceoid", ref) == serial.emit("spaceoid", flat)
+
+            f_delta = {f"q{i}": pts[j] for i, j in enumerate(rng.integers(len(pts), size=3))}
+            f_r = {f"X{i}": objs[j] for i, j in enumerate(rng.permutation(len(objs)))}
+            pulled = sp.pullback(f_delta, f_r, twisted)
+            assert_same_spaceoid(ref_pullback(f_delta, f_r, lam), pulled)

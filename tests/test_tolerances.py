@@ -1,6 +1,7 @@
 """The tolerance model: every numeric check is one NaN-safe fold against
 a named bound (``Report.check``), and no bare factor multiplies ``tol``
-in the package source."""
+in the package source.  A second scan keeps the label-keyed view of the
+structure constants out of the package's computations."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,57 @@ def test_no_numeric_literal_multiplies_tol():
 )
 def test_scan_flags_literal_factors_only(text, flagged):
     assert bool(_literal_tol_factors(ast.parse(text))) == flagged
+
+
+def _label_reads(tree) -> list:
+    """Line numbers of ``.lam`` reads and ``lam_at`` uses outside the
+    body of the ``SpaceoidData.lam`` property."""
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "SpaceoidData"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "lam"
+        for node in ast.walk(fn)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            isinstance(node, ast.Attribute) and node.attr in ("lam", "lam_at")
+            or isinstance(node, ast.Name) and node.id == "lam_at"
+        )
+    ]
+
+
+def test_no_computation_reads_the_labeled_table():
+    # structure constants are read as the dense table; the label-keyed
+    # view is for readers outside the package
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _label_reads(ast.parse(path.read_text()))
+    ]
+    assert not found, f"labeled structure constants read at {found}"
+
+
+@pytest.mark.parametrize(
+    "text, flagged",
+    [
+        ("x = e.lam[k]", True),
+        ("x = max(e.lam.values())", True),
+        ("x = e.lam_at(p, a, b, c)", True),
+        ("x = lam_at(p, a, b, c)", True),
+        ("lam = e.table\nx = lam[0]", False),
+        ("class SpaceoidData:\n    @property\n    def lam(self):\n"
+         "        return self.table.lam", False),
+        ("class Other:\n    @property\n    def lam(self):\n"
+         "        return self.table.lam", True),
+    ],
+)
+def test_label_scan_flags_lam_reads_only(text, flagged):
+    assert bool(_label_reads(ast.parse(text))) == flagged
 
 
 @pytest.mark.parametrize("where", [0, 1, 2])
