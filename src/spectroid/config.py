@@ -10,8 +10,8 @@ __all__ = [
     "DEFAULT_TOL", "GRAM_SLACK", "AXIOM_SLACK", "FUNCTOR_SLACK",
     "SPECTRAL_SLACK", "EQUIVALENCE_SLACK", "ISOMETRY_SLACK", "ZERO_SLACK",
     "JOINT_FALLBACK_SLACK", "JOINT_TARGET_RTOL", "PREGROUP_RTOL",
-    "CLUSTER_RTOL", "FULLNESS_RTOL", "PHASE_ATOL", "VANISHING_ATOL",
-    "ZERO_ONE_CUT", "resolve_tol",
+    "CLUSTER_RTOL", "COMMUTATOR_CERT_SLACK", "FULLNESS_RTOL", "PHASE_ATOL",
+    "VANISHING_ATOL", "ZERO_ONE_CUT", "resolve_tol",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -55,6 +55,15 @@ PREGROUP_RTOL = 1e-4
 # joint_diagonalize) or spectral points of one element (funcalc, which
 # also matches table keys so) closer than this times 1 + ||m||_op.
 CLUSTER_RTOL = 1e-8
+# joint_diagonalize certifies a pair of inputs as commuting, without
+# forming its commutator, when this times the bound its eigenbasis proves
+# on ||[m_i, m_j]||_HS is at most tol * (1 + ||m_i||_HS ||m_j||_HS), the
+# pair's bound in the explicit check.  The bound is exact arithmetic; the
+# slack leaves 90% of the check's bound for the rounding of the
+# compressions, of the defects and of the explicit commutator, each
+# O(d eps ||m_i|| ||m_j||), so a certified pair passes the explicit check
+# for any tol above about 100 d eps.
+COMMUTATOR_CERT_SLACK = 10.0
 # is_full on unital categories: h = sum_i x_i* x_i over a block's
 # HS-orthonormal basis (likewise sum_i x_i x_i*) is invertible when its
 # smallest eigenvalue exceeds this times its largest.  The ratio is at

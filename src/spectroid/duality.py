@@ -64,6 +64,8 @@ from .spaceoid import (
     SpaceoidData,
     SpaceoidMorphism,
     _base_bijective,
+    _mul,
+    _unit,
     compose,
     morphism_distance,
     require_morphism,
@@ -274,9 +276,10 @@ def spectrum(
     if not c.unital:
         raise NotUnital("spectrum needs identity elements in every C_AA")
     ids = c.object_ids
-    # joint_diagonalize runs is_commutative's test before its normality
-    # check, so a non-commutative category fails here, before the
-    # fullness test
+    # joint_diagonalize raises NotCommuting, naming the same pair as
+    # is_commutative's search, before NotNormal or a failed
+    # diagonalization, so a non-commutative category fails here, before
+    # the fullness test
     try:
         eigs = {
             o: joint_diagonalize(c.block(o, o), tol, seed=seed, dim=c.dim(o))
@@ -752,14 +755,13 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
     # frame of class i at its point: v_A[q, i] f_AB[i, i] conj(v_B[q, i])
     cls = np.empty(len(pts), dtype=int)
     cls[pos] = np.arange(len(pos))
-    at_point = v[:, np.arange(len(pts)), cls]  # (object, point)
+    at_point = v[:, np.arange(len(pts)), cls].T  # (point, object)
     f = np.array([[np.diagonal(spec.frames[(a, b)]) for b in objs] for a in objs])
-    z = (
-        at_point.T[:, :, None]
-        * f[:, :, cls].transpose(2, 0, 1)
-        * at_point.T[:, None, :].conj()
-    ).ravel() * gauge.ravel()
-    scal = dict(zip(itertools.product(pts, objs, objs), (z / np.abs(z)).tolist()))
+    # times the gauge, one _mul at a time, left to right
+    z = _mul(at_point[:, :, None], f[:, :, cls].transpose(2, 0, 1))
+    z = _mul(_mul(z, at_point[:, None, :].conj()), gauge)
+    keys = itertools.product(pts, objs, objs)
+    scal = dict(zip(keys, _unit(z).ravel().tolist()))
     m = SpaceoidMorphism(
         f_delta=f_delta, f_r={o: o for o in e.objects}, fiber_scalars=scal
     )

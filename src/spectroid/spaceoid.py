@@ -157,6 +157,16 @@ def _abs(z) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _unit(z) -> np.ndarray:
+    """Elementwise ``z / |z|``: each part divided by ``_abs(z)``
+    (numpy's complex-by-real division multiplies by a reciprocal)."""
+    r = _abs(z)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = z.real / r
+    out.imag = z.imag / r
+    return out
+
+
 def validate(e: SpaceoidData, tol: float | None = None) -> Report:
     """Check every structure-constant invariant; returns a report with
     one named check per invariant family.  Each family is one broadcast

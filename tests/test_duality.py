@@ -1,10 +1,16 @@
 """Spectrum and section functors, characters, naturality."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectroid
 from spectroid import cstarcat as cc
 from spectroid import groups
 from spectroid import duality as du
@@ -77,6 +83,33 @@ def test_classical_spectrum_reverses_points():
     # reconstruction is exact
     assert hs_norm(spec.lift("A", "A", coeffs) - x) < 1e-12
 
+
+SCALE_SCRIPT = """
+import resource, time
+from spectroid.duality import classical_category, spectrum
+c = classical_category(128)
+start = time.perf_counter()
+spec = spectrum(c)
+seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(seconds, peak_mb, spec.n_classes, max(spec.ranks))
+"""
+
+
+def test_spectrum_of_128_point_diagonal_algebra_fits():
+    # one child process on one BLAS thread; ru_maxrss (KiB on Linux) is
+    # the peak of that child alone, imports included
+    env = dict(os.environ, PYTHONPATH=str(Path(spectroid.__file__).parents[1]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", SCALE_SCRIPT], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds, peak_mb, n_classes, max_rank = proc.stdout.split()
+    assert (int(n_classes), int(max_rank)) == (128, 1)
+    assert float(seconds) < 2.0
+    assert float(peak_mb) < 500.0
 
 def test_classical_spectrum_has_trivial_constants():
     spec = du.spectrum(du.classical_category(4))
@@ -447,6 +480,29 @@ def test_evaluation_scalars_equal_trivializing_gauge():
     ev = du.evaluation(e)
     for z, g in zip(ev.morphism.fiber_scalars.values(), gauge.ravel()):
         assert abs(z - g) < 1e-10
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("seed", [3, 33, 101])
+def test_evaluation_scalars_follow_the_scalar_rounding_rule(seed):
+    # each fiber scalar is v_A f_AB conj(v_B) g, one Python complex
+    # product at a time from the left, over its modulus, bit for bit
+    e = random_spaceoid(seed, n_points=6, n_objects=4)
+    _, gauge = du.sections_with_gauge(e)
+    ev = du.evaluation(e)
+    spec = ev.spectrum
+    for q, p in enumerate(e.base_points):
+        i = spec.class_points.index(ev.morphism.f_delta[p])
+        for ai, a in enumerate(e.objects):
+            for bi, b in enumerate(e.objects):
+                z = complex(spec.bases[a][q, i]) * complex(spec.frames[(a, b)][i, i])
+                z = z * complex(spec.bases[b][q, i]).conjugate()
+                z = z * complex(gauge[q, ai, bi])
+                want = complex(z.real / abs(z), z.imag / abs(z))
+                assert _bits(ev.morphism.fiber_scalars[(p, a, b)]) == _bits(want)
 
 
 # --- characters --------------------------------------------------------------
