@@ -63,6 +63,7 @@ from .spaceoid import (
     PhaseFunctor,
     SpaceoidData,
     SpaceoidMorphism,
+    _aligned,
     _base_bijective,
     _mul,
     _unit,
@@ -584,17 +585,17 @@ def sections_on_morphism(
     tol = resolve_tol(tol)
     require_morphism(m, dom, cod, tol)
     inv_r = {v: k for k, v in m.f_r.items()}
-    block_maps = {}
-    for a2 in cod.objects:
-        for b2 in cod.objects:
-            a1, b1 = inv_r[a2], inv_r[b2]
-            mat = np.zeros(
-                (len(dom.base_points), len(cod.base_points)), dtype=complex
-            )
-            for i, p in enumerate(dom.base_points):
-                j = cod.base_points.index(m.f_delta[p])
-                mat[i, j] = m.fiber_scalars[(p, a1, b1)]
-            block_maps[(a2, b2)] = mat
+    # scal[p, i, j]: the scalar at dom point p over cod objects i and j
+    scal = _aligned(m, dom.base_points, [inv_r[o] for o in cod.objects])
+    rows = np.arange(len(dom.base_points))
+    cols = [cod.base_points.index(m.f_delta[p]) for p in dom.base_points]
+    mats = np.zeros(scal.shape[1:] + (len(rows), len(cod.base_points)), dtype=complex)
+    mats[:, :, rows, cols] = scal.transpose(1, 2, 0)
+    block_maps = {
+        (a2, b2): mats[i, j]
+        for i, a2 in enumerate(cod.objects)
+        for j, b2 in enumerate(cod.objects)
+    }
     return StarFunctor(object_map=inv_r, block_maps=block_maps)
 
 
@@ -635,8 +636,7 @@ def spectrum_on_morphism(
         return spec2.character_values(o2, o2, img).T
 
     match = _match_classes(spec1, composed, spec2.n_classes, tol)
-    points1 = np.take(spec1.class_points, match).tolist()
-    f_delta = dict(zip(spec2.class_points, points1))
+    f_delta = {p: spec1.class_points[i] for p, i in zip(spec2.class_points, match)}
     f_r = {o2: inv_obj[o2] for o2 in target.object_ids}
 
     # z[j, pair]: class j's coefficient of the image of the source frame
@@ -658,8 +658,7 @@ def spectrum_on_morphism(
             f"image of the ({inv_obj[a2]},{inv_obj[b2]}) frame nearly vanishes "
             f"at class {spec2.class_points[j]}"
         )
-    keys = itertools.product(spec2.class_points, ids2, ids2)
-    scal = dict(zip(keys, (z / np.abs(z)).ravel().tolist()))
+    scal = _unit(z).reshape(spec2.n_classes, len(ids2), -1)
     return SpaceoidMorphism(f_delta=f_delta, f_r=f_r, fiber_scalars=scal)
 
 
@@ -748,22 +747,19 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
     pos = np.argmax(np.abs(v[0]) ** 2, axis=0)
     if not np.all(np.abs(v[0, pos, np.arange(len(pos))]) ** 2 >= ZERO_ONE_CUT):
         raise SpectrumMismatch("section class is not a point evaluation")
-    f_delta = {pts[q]: spec.class_points[i] for i, q in enumerate(pos)}
-    if len(f_delta) != len(pts):
+    if len(set(pos.tolist())) != len(pts):
         raise SpectrumMismatch("point evaluation classes collide")
+    cls = np.argsort(pos)  # the class at each point
+    f_delta = {p: spec.class_points[i] for p, i in zip(pts, cls)}
 
     # frame of class i at its point: v_A[q, i] f_AB[i, i] conj(v_B[q, i])
-    cls = np.empty(len(pts), dtype=int)
-    cls[pos] = np.arange(len(pos))
     at_point = v[:, np.arange(len(pts)), cls].T  # (point, object)
     f = np.array([[np.diagonal(spec.frames[(a, b)]) for b in objs] for a in objs])
     # times the gauge, one _mul at a time, left to right
     z = _mul(at_point[:, :, None], f[:, :, cls].transpose(2, 0, 1))
     z = _mul(_mul(z, at_point[:, None, :].conj()), gauge)
-    keys = itertools.product(pts, objs, objs)
-    scal = dict(zip(keys, _unit(z).ravel().tolist()))
     m = SpaceoidMorphism(
-        f_delta=f_delta, f_r={o: o for o in e.objects}, fiber_scalars=scal
+        f_delta=f_delta, f_r={o: o for o in objs}, fiber_scalars=_unit(z)
     )
     return Evaluation(m, sec, spec)
 

@@ -10,8 +10,6 @@ failing report, not a crash).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import cstarcat as cc
@@ -155,13 +153,13 @@ def random_morphism(seed: int, dom, cod, f_delta=None, f_r=None):
     if f_r is None:
         perm = rng.permutation(len(dom.objects))
         f_r = {a: cod.objects[perm[i]] for i, a in enumerate(dom.objects)}
-    q = [cod.base_points.index(f_delta[p]) for p in dom.base_points]
-    r = [cod.objects.index(f_r[a]) for a in dom.objects]
+    f_delta = {p: f_delta[p] for p in dom.base_points}  # in the scalars' order
+    f_r = {a: f_r[a] for a in dom.objects}
+    q = [cod.base_points.index(v) for v in f_delta.values()]
+    r = [cod.objects.index(v) for v in f_r.values()]
     nu = np.exp(2j * np.pi * rng.random((len(dom.base_points), len(dom.objects))))
     scal = sp._mul(sp._mul(nu[:, :, None], nu.conj()[:, None, :]), g1)
-    scal = sp._mul(scal, g2[np.ix_(q, r, r)].conj())
-    keys = itertools.product(dom.base_points, dom.objects, dom.objects)
-    return sp.SpaceoidMorphism(f_delta, f_r, dict(zip(keys, scal.ravel().tolist())))
+    return sp.SpaceoidMorphism(f_delta, f_r, sp._mul(scal, g2[np.ix_(q, r, r)].conj()))
 
 
 def random_functor(seed: int, cat):

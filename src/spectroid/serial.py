@@ -13,8 +13,9 @@ Conventions, shared by all file kinds:
   ``lambda`` is a sparse list of ``[p, A, B, C, [re, im]]`` rows and
   omitted entries default to 1
 * morphism -> the three morphism fields, with fiber scalars as
-  ``[p, A, B, [re, im]]`` rows (stored densely; the file does not know
-  the domain, so nothing can be defaulted)
+  ``[p, A, B, [re, im]]`` rows in sorted order, one for every ``(p, A,
+  B)`` over the keys of ``f_delta`` and ``f_r`` (those keys are the
+  domain's labels; no row is defaulted)
 * spectrum report -> class list (eigenvalue tuples per object plus the
   class-to-eigenblock correspondence), the spaceoid, residual summary
 * verifier report -> named pass/fail checks with residuals
@@ -346,17 +347,20 @@ def spaceoid_from_json(d) -> SpaceoidData:
 
 
 def morphism_to_json(m: SpaceoidMorphism) -> dict:
+    keys = itertools.product(m.f_delta, m.f_r, m.f_r)
     return {
         "f_delta": {str(p): str(q) for p, q in m.f_delta.items()},
         "f_r": {str(a): str(b) for a, b in m.f_r.items()},
         "fiber_scalars": [
-            [p, a, b, complex_to_json(z)]
-            for (p, a, b), z in sorted(m.fiber_scalars.items())
+            [*key, complex_to_json(z)]
+            for key, z in sorted(zip(keys, m.fiber_scalars.ravel().tolist()))
         ],
     }
 
 
 def morphism_from_json(d) -> SpaceoidMorphism:
+    """The scalars' axes follow the key order of ``f_delta`` and ``f_r``;
+    every ``(p, A, B)`` over those keys needs exactly one row."""
     _need(isinstance(d, dict), "morphism must be an object")
     for key in ("f_delta", "f_r"):
         _need(
@@ -367,7 +371,10 @@ def morphism_from_json(d) -> SpaceoidMorphism:
             ),
             f"morphism needs a string-to-string map {key!r}",
         )
-    scalars = {}
+    pi = {p: i for i, p in enumerate(d["f_delta"])}
+    oi = {a: i for i, a in enumerate(d["f_r"])}
+    # NaN marks a cell no row has filled (a decoded scalar is finite)
+    scal = np.full((len(pi), len(oi), len(oi)), np.nan, dtype=complex)
     rows = d.get("fiber_scalars", [])
     _need(isinstance(rows, list), "'fiber_scalars' must be a list")
     for row in rows:
@@ -377,12 +384,12 @@ def morphism_from_json(d) -> SpaceoidMorphism:
             and all(isinstance(t, str) for t in row[:3]),
             f"fiber_scalars rows must be [p, A, B, [re, im]]: {row!r}",
         )
-        scalars[(row[0], row[1], row[2])] = complex_from_json(row[3])
-    return SpaceoidMorphism(
-        f_delta=dict(d["f_delta"]),
-        f_r=dict(d["f_r"]),
-        fiber_scalars=scalars,
-    )
+        cell = pi.get(row[0]), oi.get(row[1]), oi.get(row[2])
+        _need(None not in cell, f"fiber_scalars row outside f_delta/f_r: {row!r}")
+        _need(np.isnan(scal[cell]), f"duplicate fiber_scalars row {row[:3]!r}")
+        scal[cell] = complex_from_json(row[3])
+    _need(not np.isnan(scal).any(), "fiber_scalars misses a (p, A, B) cell")
+    return SpaceoidMorphism(dict(d["f_delta"]), dict(d["f_r"]), scal)
 
 
 # ---------------------------------------------------------------------------

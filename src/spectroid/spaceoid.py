@@ -120,18 +120,44 @@ class SpaceoidMorphism:
 
     ``f_delta`` maps domain base points to codomain base points,
     ``f_r`` is a bijection of objects in the same direction, and
-    ``fiber_scalars[(p, A, B)]`` (domain labels) is the coefficient of
-    the bundle map carrying the pulled-back codomain frame at
-    ``(f_delta(p), f_r(A), f_r(B))`` onto the domain frame at
-    ``(p, A, B)``.  Functoriality of that bundle map reads
+    ``fiber_scalars[p, a, b]`` is the coefficient of the bundle map
+    carrying the pulled-back codomain frame at ``(f_delta(p), f_r(A),
+    f_r(B))`` onto the domain frame at ``(p, A, B)``, with the axes in
+    the key order of ``f_delta`` and ``f_r`` (the domain's labels).
+    Functoriality of that bundle map reads
 
         s(p;A,B) s(p;B,C) lam_dom(p;A,B,C)
             = lam_cod(f(p); f(A), f(B), f(C)) s(p;A,C).
+
+    The array is copied and its shape checked on construction.  Equal
+    morphisms have equal maps and, aligned by label, equal scalars.
     """
 
     f_delta: dict
     f_r: dict
-    fiber_scalars: dict
+    fiber_scalars: np.ndarray
+
+    def __post_init__(self):
+        self.fiber_scalars = np.array(self.fiber_scalars, dtype=complex)
+        shape = (len(self.f_delta),) + (len(self.f_r),) * 2
+        if self.fiber_scalars.shape != shape:
+            raise ValueError(f"fiber_scalars {self.fiber_scalars.shape}, not {shape}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SpaceoidMorphism):
+            return NotImplemented
+        return (self.f_delta, self.f_r) == (other.f_delta, other.f_r) and (
+            np.array_equal(self.fiber_scalars, _aligned(other, self.f_delta, self.f_r))
+        )
+
+
+def _aligned(m: SpaceoidMorphism, points, objects) -> np.ndarray:
+    """``m.fiber_scalars`` at the given keys of ``m.f_delta`` and
+    ``m.f_r``, in their order (a key may repeat)."""
+    pi = {p: i for i, p in enumerate(m.f_delta)}
+    oi = {a: i for i, a in enumerate(m.f_r)}
+    r = [oi[a] for a in objects]
+    return m.fiber_scalars[np.ix_([pi[p] for p in points], r, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +420,11 @@ def torsor_change_morphism(
     representative by the fixed functor ``chi``."""
     e = trivial_spaceoid(x_size, o_size)
     require_phase_functor(chi, e.objects)
-    scal = {
-        (p, a, b): chi.at(a, b)
-        for p in e.base_points
-        for a in e.objects
-        for b in e.objects
-    }
+    psi = [[chi.at(a, b) for b in e.objects] for a in e.objects]
     return SpaceoidMorphism(
         f_delta={p: p for p in e.base_points},
         f_r={o: o for o in e.objects},
-        fiber_scalars=scal,
+        fiber_scalars=np.broadcast_to(psi, e.table.shape[:3]),
     )
 
 
@@ -432,22 +453,12 @@ def validate_morphism(
         and len(set(m.f_r.values())) == len(m.f_r)
     )
     report.add("object-bijection", bij)
-    scal_total = all(
-        (p, a, b) in m.fiber_scalars
-        for p in dom.base_points
-        for a in dom.objects
-        for b in dom.objects
-    )
-    report.add("fiber-scalars-total", scal_total)
-    if not (total and bij and scal_total):
+    report.add("fiber-scalars-total", m.fiber_scalars.shape == dom.table.shape[:3])
+    if not report.passed:
         return report
 
     pts, objs = dom.base_points, dom.objects
-    keys = itertools.product(pts, objs, objs)
-    shape = (len(pts), len(objs), len(objs))
-    scal = np.fromiter(
-        map(m.fiber_scalars.__getitem__, keys), complex, int(np.prod(shape))
-    ).reshape(shape)
+    scal = _aligned(m, pts, objs)
     o = np.arange(len(objs))
     report.check("fiber-scalars-unimodular", np.abs(_abs(scal) - 1.0), tol)
     report.check("fiber-scalars-units", _abs(scal[:, o, o] - 1.0), tol)
@@ -480,12 +491,7 @@ def identity_morphism(e: SpaceoidData) -> SpaceoidMorphism:
     return SpaceoidMorphism(
         f_delta={p: p for p in e.base_points},
         f_r={o: o for o in e.objects},
-        fiber_scalars={
-            (p, a, b): 1.0 + 0j
-            for p in e.base_points
-            for a in e.objects
-            for b in e.objects
-        },
+        fiber_scalars=np.ones(e.table.shape[:3]),
     )
 
 
@@ -497,12 +503,8 @@ def compose(m2: SpaceoidMorphism, m1: SpaceoidMorphism) -> SpaceoidMorphism:
     """
     f_delta = {p: m2.f_delta[q] for p, q in m1.f_delta.items()}
     f_r = {a: m2.f_r[b] for a, b in m1.f_r.items()}
-    scal = {}
-    for (p, a, b), z in m1.fiber_scalars.items():
-        scal[(p, a, b)] = z * m2.fiber_scalars[
-            (m1.f_delta[p], m1.f_r[a], m1.f_r[b])
-        ]
-    return SpaceoidMorphism(f_delta, f_r, scal)
+    s2 = _aligned(m2, m1.f_delta.values(), m1.f_r.values())
+    return SpaceoidMorphism(f_delta, f_r, _mul(m1.fiber_scalars, s2))
 
 
 def pullback(f_delta: dict, f_r: dict, e: SpaceoidData) -> SpaceoidData:
@@ -541,8 +543,4 @@ def morphism_distance(m1: SpaceoidMorphism, m2: SpaceoidMorphism) -> float:
     when the underlying maps differ."""
     if m1.f_delta != m2.f_delta or m1.f_r != m2.f_r:
         return float("inf")
-    keys = set(m1.fiber_scalars) | set(m2.fiber_scalars)
-    return worst([
-        abs(m1.fiber_scalars.get(k, np.nan) - m2.fiber_scalars.get(k, np.nan))
-        for k in keys
-    ])[0]
+    return worst(_abs(m1.fiber_scalars - _aligned(m2, m1.f_delta, m1.f_r)))[0]

@@ -321,12 +321,7 @@ def test_validate_morphism_needs_endpoints(capsys, tmp_path):
     m = sp.SpaceoidMorphism(
         f_delta={p: p for p in e.base_points},
         f_r={o: o for o in e.objects},
-        fiber_scalars={
-            (p, a, b): 1.0
-            for p in e.base_points
-            for a in e.objects
-            for b in e.objects
-        },
+        fiber_scalars=np.ones((len(e.base_points),) + (len(e.objects),) * 2),
     )
     mfile = tmp_path / "m.json"
     mfile.write_text(serial.emit("morphism", m))
@@ -340,6 +335,21 @@ def test_validate_morphism_needs_endpoints(capsys, tmp_path):
     )
     assert code == 0
     assert "overall: PASS" in stdout
+
+
+def test_validate_morphism_with_stray_rows_is_invalid_input(capsys, tmp_path):
+    # a row outside the maps and a repeated row make a malformed file
+    spaceoid2 = FIX / "spaceoid2.json"
+    e = serial.parse("spaceoid", spaceoid2.read_text())
+    d = serial.morphism_to_json(sp.identity_morphism(e))
+    rows = d["fiber_scalars"]
+    for extra in (["zz", "B1", "B9", [1.0, 0.0]], rows[0]):
+        mfile = tmp_path / "m.json"
+        mfile.write_text(serial.canonical_text(dict(d, fiber_scalars=rows + [extra])))
+        code, _, stderr = run_cli(
+            capsys, "validate", mfile, "--dom", spaceoid2, "--cod", spaceoid2
+        )
+        assert code == 2 and "fiber_scalars" in stderr
 
 
 # ---------------------------------------------------------------------------

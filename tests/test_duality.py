@@ -478,31 +478,20 @@ def test_evaluation_scalars_equal_trivializing_gauge():
     e = random_spaceoid(33, n_points=2, n_objects=3)
     gauge, _ = sp.trivialize(e)
     ev = du.evaluation(e)
-    for z, g in zip(ev.morphism.fiber_scalars.values(), gauge.ravel()):
+    for z, g in zip(ev.morphism.fiber_scalars.ravel(), gauge.ravel()):
         assert abs(z - g) < 1e-10
-
-
-def _bits(z: complex) -> tuple:
-    return z.real.hex(), z.imag.hex()
 
 
 @pytest.mark.parametrize("seed", [3, 33, 101])
 def test_evaluation_scalars_follow_the_scalar_rounding_rule(seed):
     # each fiber scalar is v_A f_AB conj(v_B) g, one Python complex
     # product at a time from the left, over its modulus, bit for bit
+    from test_spaceoid import assert_same, dense, ref_evaluation_scalars
+
     e = random_spaceoid(seed, n_points=6, n_objects=4)
-    _, gauge = du.sections_with_gauge(e)
     ev = du.evaluation(e)
-    spec = ev.spectrum
-    for q, p in enumerate(e.base_points):
-        i = spec.class_points.index(ev.morphism.f_delta[p])
-        for ai, a in enumerate(e.objects):
-            for bi, b in enumerate(e.objects):
-                z = complex(spec.bases[a][q, i]) * complex(spec.frames[(a, b)][i, i])
-                z = z * complex(spec.bases[b][q, i]).conjugate()
-                z = z * complex(gauge[q, ai, bi])
-                want = complex(z.real / abs(z), z.imag / abs(z))
-                assert _bits(ev.morphism.fiber_scalars[(p, a, b)]) == _bits(want)
+    want = dense(ref_evaluation_scalars(e, ev), e.base_points, e.objects, e.objects)
+    assert_same(want, ev.morphism.fiber_scalars)
 
 
 # --- characters --------------------------------------------------------------
@@ -668,8 +657,9 @@ def test_spectrum_on_phase_automorphism_recovers_functor():
     m = du.spectrum_on_morphism(phi, c, c)
     for p in m.f_delta:
         assert m.f_delta[p] == p
-    for (p, a, b), z in m.fiber_scalars.items():
-        assert abs(z - chi.at(a, b)) < 1e-12
+    for i, a in enumerate(m.f_r):
+        for j, b in enumerate(m.f_r):
+            assert np.abs(m.fiber_scalars[:, i, j] - chi.at(a, b)).max() < 1e-12
 
 
 def test_classical_point_map_frozen():
@@ -885,9 +875,28 @@ def test_spectrum_on_morphism_matches_per_class_reference(case):
     f_delta, f_r, scal = reference_spectrum_on_morphism(phi, source, target, spec1, spec2)
     assert m.f_delta == f_delta
     assert m.f_r == f_r
-    assert list(m.fiber_scalars) == list(scal)
-    for key, z in scal.items():
-        assert abs(m.fiber_scalars[key] - z) <= 1e-12
+    want = [[[scal[(p, a, b)] for b in f_r] for a in f_r] for p in f_delta]
+    assert np.abs(m.fiber_scalars - np.array(want)).max() <= 1e-12
+
+
+def test_spectrum_on_morphism_scalars_are_unit_frame_coefficients():
+    # each fiber scalar is spaceoid._unit of its frame coefficient, bit
+    # for bit: the rounding rule of lambda and of evaluation's scalars,
+    # not numpy's complex-by-real division
+    for _, source, target, phi in induced_map_cases():
+        spec1, spec2 = du.spectrum(source), du.spectrum(target)
+        m = du.spectrum_on_morphism(
+            phi, source, target, source_spectrum=spec1, target_spectrum=spec2
+        )
+        match = [spec1.class_points.index(m.f_delta[p]) for p in spec2.class_points]
+        cls = np.arange(spec2.n_classes)
+        for i, a2 in enumerate(m.f_r):
+            for j, b2 in enumerate(m.f_r):
+                a1, b1 = m.f_r[a2], m.f_r[b2]
+                frames = spec1.lift(a1, b1, np.eye(spec1.n_classes))
+                img = cc.functor_image(phi, source, target, a1, b1, frames)
+                z = spec2.coefficients(a2, b2, img)[match, cls]
+                assert sp._unit(z).tobytes() == m.fiber_scalars[:, i, j].tobytes()
 
 
 def reference_functor_naturality(phi, c1, c2, tol, seed=0):

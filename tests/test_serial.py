@@ -257,6 +257,33 @@ def test_morphism_roundtrip_exact(seed):
     assert spaceoid.validate_morphism(back, dom, cod).passed
 
 
+def test_morphism_roundtrip_aligns_scalars_by_label():
+    # a file lists f_delta in sorted key order, p0 p1 p10 p11 p2 ...,
+    # not in the domain's order: the scalars follow the file's keys
+    dom, _ = random_spaceoid(7, 12, 3)
+    cod, _ = random_spaceoid(8, 11, 3)
+    m = random_morphism(9, dom, cod)
+    text = serial.emit("morphism", m)
+    back = serial.parse("morphism", text)
+    assert list(back.f_delta) == sorted(dom.base_points) != list(dom.base_points)
+    assert back == m and serial.emit("morphism", back) == text
+    assert spaceoid.morphism_distance(back, m) == 0.0
+    assert spaceoid.validate_morphism(back, dom, cod, tol=1e-10).passed
+    # one scalar flipped by label in the file, and validate finds it there
+    d = serial.morphism_to_json(m)
+    (row,) = [r for r in d["fiber_scalars"] if r[:3] == ["p10", "O1", "O1"]]
+    row[3] = [-1.0, 0.0]
+    rep = spaceoid.validate_morphism(serial.morphism_from_json(d), dom, cod)
+    units, functoriality = rep.failures()
+    assert (units.name, functoriality.name) == ("fiber-scalars-units", "functoriality")
+    assert functoriality.detail.startswith("(p10,")
+
+
+def _identity_rows():
+    e = spaceoid.trivial_spaceoid(2, 2)
+    return serial.morphism_to_json(spaceoid.identity_morphism(e))
+
+
 def test_morphism_schema_errors():
     with pytest.raises(SchemaError):
         serial.morphism_from_json({"f_delta": {}, "f_r": {"A": 3}})
@@ -268,6 +295,26 @@ def test_morphism_schema_errors():
                 "fiber_scalars": [["p", "A", [1.0, 0.0]]],
             }
         )
+    assert serial.morphism_from_json(_identity_rows()) == spaceoid.identity_morphism(
+        spaceoid.trivial_spaceoid(2, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows.append(["zz", "O1", "O2", [1.0, 0.0]]), "outside"),
+        (lambda rows: rows.append(["p0", "O1", "O9", [1.0, 0.0]]), "outside"),
+        (lambda rows: rows.append(list(rows[0])), "duplicate"),
+        (lambda rows: rows.pop(), "misses"),
+    ],
+    ids=["unknown-point", "unknown-object", "duplicate-row", "missing-cell"],
+)
+def test_morphism_rows_must_cover_the_maps_once(edit, message):
+    d = _identity_rows()
+    edit(d["fiber_scalars"])
+    with pytest.raises(SchemaError, match=message):
+        serial.morphism_from_json(d)
 
 
 # ---------------------------------------------------------------------------

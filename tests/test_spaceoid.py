@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectroid import duality as du
 from spectroid import serial
 from spectroid import spaceoid as sp
 from spectroid.errors import DomainMismatch, InvalidPhaseFunctor, InvalidSpaceoid
@@ -120,12 +121,11 @@ def test_validate_detail_names_first_worst_entry():
     assert unimodular.detail == "('p0', 'O2', 'O2', 'O1')"
 
 
-@pytest.mark.parametrize("key", [("p0", "O1", "O1"), ("p2", "O2", "O2")])
+@pytest.mark.parametrize("key", [(0, 0, 0), (2, 1, 1)])
 def test_validate_morphism_counts_nan_as_failure(key):
     # first and last fiber scalar: a NaN fails wherever it sits
     e = sp.trivial_spaceoid(3, 2)
     m = sp.identity_morphism(e)
-    assert list(m.fiber_scalars)[0 if key[0] == "p0" else -1] == key
     m.fiber_scalars[key] = complex("nan")
     assert not sp.validate_morphism(m, e, e).passed
     assert not sp.is_isomorphism(m, e, e)
@@ -261,33 +261,47 @@ def test_validate_morphism_rejects_broken_functoriality():
     dom, _ = random_spaceoid(3, 2, 3)
     cod, _ = random_spaceoid(4, 2, 3)
     m = random_morphism(5, dom, cod)
-    m.fiber_scalars[("p0", "O1", "O2")] *= np.exp(0.1j)
-    m.fiber_scalars[("p0", "O2", "O1")] = np.conj(
-        m.fiber_scalars[("p0", "O1", "O2")]
-    )
+    m.fiber_scalars[0, 0, 1] *= np.exp(0.1j)
+    m.fiber_scalars[0, 1, 0] = np.conj(m.fiber_scalars[0, 0, 1])
     rep = sp.validate_morphism(m, dom, cod, tol=1e-10)
     assert not rep.passed
     assert "functoriality" in {c.name for c in rep.failures()}
 
 
+def test_fiber_scalars_are_copied_and_compared_by_label():
+    e, _ = random_spaceoid(17, 3, 2)
+    m = random_morphism(18, e, e)
+    scal = m.fiber_scalars.copy()
+    same = sp.SpaceoidMorphism(m.f_delta, m.f_r, scal)
+    scal[0, 0, 0] = 2.0
+    assert same == m and same.fiber_scalars[0, 0, 0] != 2.0
+    # the same morphism with its points listed backwards
+    flipped = dict(reversed(m.f_delta.items()))
+    rev = sp.SpaceoidMorphism(flipped, m.f_r, m.fiber_scalars[::-1])
+    assert rev == m and not np.array_equal(rev.fiber_scalars, m.fiber_scalars)
+    assert sp.morphism_distance(rev, m) == 0.0
+    with pytest.raises(ValueError):
+        sp.SpaceoidMorphism(m.f_delta, m.f_r, m.fiber_scalars[1:])
+
+
 def _twisted(key, factor, partner=True):
     """Identity morphism of a trivial spaceoid with the fiber scalar at
-    ``key`` (and, with ``partner``, the one at the swapped pair, so the
-    involution still holds) multiplied by ``factor``."""
+    index ``key`` (and, with ``partner``, the one at the swapped pair,
+    so the involution still holds) multiplied by ``factor``."""
     e = sp.trivial_spaceoid(2, 2)
     m = sp.identity_morphism(e)
     m.fiber_scalars[key] *= factor
     if partner and key[1] != key[2]:
-        m.fiber_scalars[(key[0], key[2], key[1])] *= factor
+        m.fiber_scalars[key[0], key[2], key[1]] *= factor
     return m, e
 
 
 # one finite defect at ten times the default tol of 1e-9
 MORPHISM_DEFECTS = {
-    "fiber-scalars-unimodular": lambda: _twisted(("p0", "O1", "O2"), 1 + 1e-8),
-    "fiber-scalars-units": lambda: _twisted(("p1", "O2", "O2"), np.exp(1e-8j)),
+    "fiber-scalars-unimodular": lambda: _twisted((0, 0, 1), 1 + 1e-8),
+    "fiber-scalars-units": lambda: _twisted((1, 1, 1), np.exp(1e-8j)),
     "fiber-scalars-involution": lambda: _twisted(
-        ("p0", "O2", "O1"), np.exp(1e-8j), partner=False
+        (0, 1, 0), np.exp(1e-8j), partner=False
     ),
 }
 
@@ -329,11 +343,11 @@ def test_morphism_distance_infinite_on_different_maps():
     m2 = sp.identity_morphism(e)
     m2.f_delta = {"p0": "p1", "p1": "p0"}
     assert sp.morphism_distance(m1, m2) == float("inf")
-    # equal maps, but a fiber scalar missing on one side (last or first
-    # in iteration order: a plain max() drops a NaN after the first)
-    for key in (list(m1.fiber_scalars)[-1], list(m1.fiber_scalars)[0]):
+    # equal maps, but a NaN fiber scalar on one side (last or first in
+    # flat order: a plain max() drops a NaN after the first)
+    for key in ((-1, -1, -1), (0, 0, 0)):
         m3 = sp.identity_morphism(e)
-        del m3.fiber_scalars[key]
+        m3.fiber_scalars[key] = np.nan
         assert sp.morphism_distance(m1, m3) == float("inf")
 
 
@@ -477,3 +491,146 @@ def test_tables_match_label_reference(seed):
             f_r = {f"X{i}": objs[j] for i, j in enumerate(rng.permutation(len(objs)))}
             pulled = sp.pullback(f_delta, f_r, twisted)
             assert_same_spaceoid(ref_pullback(f_delta, f_r, lam), pulled)
+
+
+# --- the label-keyed morphism constructions the arrays replaced ---------------
+
+
+def labeled(m: sp.SpaceoidMorphism) -> dict:
+    """The fiber scalars keyed by ``(p, A, B)``, as morphisms held them."""
+    keys = itertools.product(m.f_delta, m.f_r, m.f_r)
+    return dict(zip(keys, m.fiber_scalars.ravel().tolist()))
+
+
+def ref_identity(e) -> dict:
+    return {
+        (p, a, b): 1.0 + 0j
+        for p in e.base_points
+        for a in e.objects
+        for b in e.objects
+    }
+
+
+def ref_torsor_change(points, objects, chi) -> dict:
+    return {(p, a, b): chi.at(a, b) for p in points for a in objects for b in objects}
+
+
+def ref_random_morphism(seed, dom, cod):
+    rng = np.random.default_rng(seed)
+    g1 = ref_trivializing_gauge(dom.lam, dom.base_points, dom.objects)
+    g2 = ref_trivializing_gauge(cod.lam, cod.base_points, cod.objects)
+    f_delta = {
+        p: cod.base_points[rng.integers(len(cod.base_points))]
+        for p in dom.base_points
+    }
+    perm = rng.permutation(len(dom.objects))
+    f_r = {a: cod.objects[perm[i]] for i, a in enumerate(dom.objects)}
+    nu = np.exp(2j * np.pi * rng.random((len(dom.base_points), len(dom.objects))))
+    scal = {}
+    for i, p in enumerate(dom.base_points):
+        for j, a in enumerate(dom.objects):
+            for k, b in enumerate(dom.objects):
+                scal[(p, a, b)] = (
+                    complex(nu[i, j])
+                    * complex(nu[i, k]).conjugate()
+                    * g1[(p, a, b)]
+                    * np.conj(g2[(f_delta[p], f_r[a], f_r[b])])
+                )
+    return f_delta, f_r, scal
+
+
+def ref_compose(m2, m1) -> dict:
+    s1, s2 = labeled(m1), labeled(m2)
+    return {
+        (p, a, b): z * s2[(m1.f_delta[p], m1.f_r[a], m1.f_r[b])]
+        for (p, a, b), z in s1.items()
+    }
+
+
+def ref_section_blocks(m, dom, cod) -> dict:
+    scal = labeled(m)
+    inv_r = {v: k for k, v in m.f_r.items()}
+    block_maps = {}
+    for a2 in cod.objects:
+        for b2 in cod.objects:
+            a1, b1 = inv_r[a2], inv_r[b2]
+            mat = np.zeros((len(dom.base_points), len(cod.base_points)), dtype=complex)
+            for i, p in enumerate(dom.base_points):
+                j = cod.base_points.index(m.f_delta[p])
+                mat[i, j] = scal[(p, a1, b1)]
+            block_maps[(a2, b2)] = mat
+    return block_maps
+
+
+def ref_evaluation_scalars(e, ev) -> dict:
+    """v_A f_AB conj(v_B) g, one Python complex product at a time from
+    the left, over its modulus."""
+    _, gauge = du.sections_with_gauge(e)
+    spec = ev.spectrum
+    scal = {}
+    for q, p in enumerate(e.base_points):
+        i = spec.class_points.index(ev.morphism.f_delta[p])
+        for ai, a in enumerate(e.objects):
+            for bi, b in enumerate(e.objects):
+                z = complex(spec.bases[a][q, i]) * complex(spec.frames[(a, b)][i, i])
+                z = z * complex(spec.bases[b][q, i]).conjugate()
+                z = z * complex(gauge[q, ai, bi])
+                scal[(p, a, b)] = complex(z.real / abs(z), z.imag / abs(z))
+    return scal
+
+
+def ref_morphism_text(f_delta, f_r, scal) -> str:
+    """The morphism file as it was written from a label-keyed dict."""
+    return serial.canonical_text({
+        "f_delta": {str(p): str(q) for p, q in f_delta.items()},
+        "f_r": {str(a): str(b) for a, b in f_r.items()},
+        "fiber_scalars": [
+            [p, a, b, serial.complex_to_json(z)]
+            for (p, a, b), z in sorted(scal.items())
+        ],
+    })
+
+
+def assert_same_morphism(f_delta, f_r, scal, got: sp.SpaceoidMorphism):
+    assert list(got.f_delta.items()) == list(f_delta.items())
+    assert list(got.f_r.items()) == list(f_r.items())
+    assert_same(dense(scal, f_delta, f_r, f_r), got.fiber_scalars)
+    assert serial.emit("morphism", got) == ref_morphism_text(f_delta, f_r, scal)
+
+
+@pytest.mark.parametrize("seed", [101, 0, 1])
+def test_morphisms_match_label_reference(seed):
+    rng = np.random.default_rng(seed)
+    for n_points, n_objects in SPACEOID_SHAPES:
+        trivial = sp.trivial_spaceoid(n_points, n_objects)
+        pts, objs = trivial.base_points, trivial.objects
+        dom = sp.apply_gauge(trivial, sp.random_gauge(rng, pts, objs))
+        cod, _ = random_spaceoid(int(rng.integers(2**63)), n_points + 1, n_objects)
+        ident = {p: p for p in pts}, {o: o for o in objs}
+        assert_same_morphism(*ident, ref_identity(dom), sp.identity_morphism(dom))
+
+        chi = sp.phase_functor_from_assignment(
+            {o: np.exp(2j * np.pi * rng.random()) for o in objs}
+        )
+        got = sp.torsor_change_morphism(n_objects, n_points, chi)
+        assert_same_morphism(*ident, ref_torsor_change(pts, objs, chi), got)
+
+        draws = rng.integers(2**63, size=2)
+        m1 = random_morphism(int(draws[0]), dom, cod)
+        assert_same_morphism(*ref_random_morphism(int(draws[0]), dom, cod), m1)
+        m2 = random_morphism(int(draws[1]), cod, dom)
+        f_delta = {p: m2.f_delta[q] for p, q in m1.f_delta.items()}
+        f_r = {a: m2.f_r[b] for a, b in m1.f_r.items()}
+        assert_same_morphism(f_delta, f_r, ref_compose(m2, m1), sp.compose(m2, m1))
+
+        want = ref_section_blocks(m1, dom, cod)
+        got = du.sections_on_morphism(m1, dom, cod).block_maps
+        assert list(got) == list(want)
+        for key, mat in want.items():
+            assert_same(mat, got[key])
+
+        ev = du.evaluation(dom)
+        assert list(ev.morphism.f_delta) == list(pts)
+        f_delta = {p: ev.morphism.f_delta[p] for p in pts}
+        want = ref_evaluation_scalars(dom, ev)
+        assert_same_morphism(f_delta, ident[1], want, ev.morphism)

@@ -1,7 +1,8 @@
 """The tolerance model: every numeric check is one NaN-safe fold against
 a named bound (``Report.check``), and no bare factor multiplies ``tol``
-in the package source.  A second scan keeps the label-keyed view of the
-structure constants out of the package's computations."""
+in the package source.  Two more scans keep the label-keyed view of the
+structure constants out of the package's computations, and label-keyed
+dicts of fiber scalars out of the package altogether."""
 
 import ast
 from pathlib import Path
@@ -65,10 +66,10 @@ def test_scan_flags_literal_factors_only(text, flagged):
     assert bool(_literal_tol_factors(ast.parse(text))) == flagged
 
 
-def _label_reads(tree) -> list:
-    """Line numbers of ``.lam`` reads and ``lam_at`` uses outside the
-    body of the ``SpaceoidData.lam`` property."""
-    inside = {
+def _in_lam_property(tree) -> set:
+    """Ids of the nodes in the body of the ``SpaceoidData.lam``
+    property, the one place that builds a label-keyed table."""
+    return {
         id(node)
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef) and cls.name == "SpaceoidData"
@@ -76,6 +77,12 @@ def _label_reads(tree) -> list:
         if isinstance(fn, ast.FunctionDef) and fn.name == "lam"
         for node in ast.walk(fn)
     }
+
+
+def _label_reads(tree) -> list:
+    """Line numbers of ``.lam`` reads and ``lam_at`` uses outside the
+    body of the ``SpaceoidData.lam`` property."""
+    inside = _in_lam_property(tree)
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -114,6 +121,73 @@ def test_no_computation_reads_the_labeled_table():
 )
 def test_label_scan_flags_lam_reads_only(text, flagged):
     assert bool(_label_reads(ast.parse(text))) == flagged
+
+
+def _is_product(node, products) -> bool:
+    """``itertools.product(...)``, ``product(...)``, or a name bound to
+    one of them."""
+    if isinstance(node, ast.Name):
+        return node.id in products
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (
+        isinstance(func, ast.Attribute) and func.attr == "product"
+        or isinstance(func, ast.Name) and func.id == "product"
+    )
+
+
+def _label_keyed_dicts(tree) -> list:
+    """Line numbers of ``dict(zip(<product of labels>, ...))`` outside
+    the ``SpaceoidData.lam`` property, the product given directly or
+    through a name assigned from it."""
+    inside = _in_lam_property(tree)
+    products = {
+        t.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and id(node) not in inside
+        and _is_product(node.value, ())
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "dict"
+        and node.args
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name) and node.args[0].func.id == "zip"
+        and node.args[0].args
+        and _is_product(node.args[0].args[0], products)
+    ]
+
+
+def test_no_module_builds_label_keyed_fiber_dicts():
+    # fiber scalars, like structure constants, stay dense arrays in the
+    # package; only SpaceoidData.lam builds a label-keyed view
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _label_keyed_dicts(ast.parse(path.read_text()))
+    ]
+    assert not found, f"label-keyed dict built at {found}"
+
+
+@pytest.mark.parametrize(
+    "text, flagged",
+    [
+        ("s = dict(zip(itertools.product(p, o, o), v))", True),
+        ("s = dict(zip(product(p, o, o), v.tolist()))", True),
+        ("keys = itertools.product(p, o, o)\ns = dict(zip(keys, v))", True),
+        ("f = dict(zip(points, images))", False),
+        ("keys = itertools.product(p, o)\nrows = sorted(zip(keys, v))", False),
+        ("class SpaceoidData:\n    @property\n    def lam(self):\n"
+         "        keys = itertools.product(p, o)\n"
+         "        return dict(zip(keys, v))", False),
+    ],
+)
+def test_fiber_dict_scan_flags_label_keyed_dicts_only(text, flagged):
+    assert bool(_label_keyed_dicts(ast.parse(text))) == flagged
 
 
 @pytest.mark.parametrize("where", [0, 1, 2])
