@@ -20,11 +20,16 @@ Conventions, shared by all file kinds:
   class-to-eigenblock correspondence), the spaceoid, residual summary
 * verifier report -> named pass/fail checks with residuals
 
-Decoders raise :class:`SchemaError` on malformed input, including
-non-finite (NaN or infinite) scalars and matrix entries, and never
+Decoders raise :class:`SchemaError` on malformed input and never
 perform semantic validation (use ``validate``/``check_axioms`` for
-that).  ``parse_*`` after ``emit_*`` is the identity on values, and
-emitted text is byte-deterministic for a given value.
+that).  A number is a JSON int or float, never a boolean; a literal
+too large for a float, or a non-finite (NaN or infinite) scalar, is a
+``SchemaError``, and so is a repeated ``lambda`` or ``fiber_scalars``
+row.  Each matrix and each table of ``[re, im]`` pairs is decoded in
+one array conversion and encoded with one ``%`` template per list.
+``parse_*`` after ``emit_*`` is the identity on values, and emitted
+text is byte-deterministic for a given value: the text of
+``json.dumps(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -74,8 +80,112 @@ def _need(cond, msg: str):
 
 
 def canonical_text(payload) -> str:
-    """Serialize a JSON-able payload to its one canonical text form."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Serialize a JSON-able payload to its one canonical text form, the
+    text of ``json.dumps(payload, indent=2, sort_keys=True)`` plus a
+    newline.  (That call runs json's pure-Python encoder token by token,
+    since its C encoder does not indent.)"""
+    out = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(v):
+    """json's text for a scalar, or None for anything else."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if math.isinf(v):
+            return "Infinity" if v > 0 else "-Infinity"
+        return float.__repr__(v)
+    return None
+
+
+def _encode(o, nl: str, out: list) -> None:
+    """Append the text of ``o``; ``nl`` is a newline plus the indent of
+    the line ``o`` starts on."""
+    text = _scalar(o)
+    if text is not None:
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        rows = _flat_rows(o, inner)
+        if rows is not None:
+            out += ("[", inner, rows, nl, "]")
+            return
+        out.append("[")
+        for i, v in enumerate(o):
+            out.append("," + inner if i else inner)
+            _encode(v, inner, out)
+        out += (nl, "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{")
+        for i, (k, v) in enumerate(sorted(o.items())):
+            # json writes a number, boolean or null key as its text; any
+            # other key leaves None here, which the string encoder refuses
+            key = k if isinstance(k, str) else _scalar(k)
+            out += ("," + inner if i else inner, encode_basestring_ascii(key), ": ")
+            _encode(v, inner, out)
+        out += (nl, "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _column(values):
+    """A ``%`` code and the arguments that render a column of scalars,
+    or None when the column holds anything else."""
+    kinds = set(map(type, values))
+    # a float sum is finite only when every term is
+    if kinds == {float} and math.isfinite(sum(values)):
+        return "%r", values
+    if kinds == {str}:
+        return "%s", list(map(encode_basestring_ascii, values))
+    texts = list(map(_scalar, values))
+    return None if None in texts else ("%s", texts)
+
+
+def _flat_rows(rows, nl: str):
+    """The text of a list of same-shaped flat rows, built with one ``%``
+    template, or None when ``rows`` is not such a list.  A flat row is
+    scalars, optionally ending in an ``[re, im]`` pair; ``nl`` starts
+    each row's line."""
+    if set(map(type, rows)) != {list}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    columns = list(zip(*rows))
+    last = columns[-1]
+    pair = set(map(type, last)) == {list} and set(map(len, last)) == {2}
+    if pair:
+        columns[-1:] = zip(*last)
+    rendered = list(map(_column, columns))
+    if None in rendered:
+        return None
+    codes = [code for code, _ in rendered]
+    nl2, nl3 = nl + "  ", nl + "    "
+    if pair:
+        codes[-2:] = [f"[{nl3}{codes[-2]},{nl3}{codes[-1]}{nl2}]"]
+    row = f"[{nl2}" + f",{nl2}".join(codes) + f"{nl}]"
+    args = tuple(itertools.chain.from_iterable(zip(*(v for _, v in rendered))))
+    return f",{nl}".join([row] * len(rows)) % args
 
 
 def load_text(text: str):
@@ -89,39 +199,55 @@ def load_text(text: str):
 # scalars and matrices
 
 
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _pairs(z) -> list:
+    """Nested ``[re, im]`` lists of a complex array, in one conversion."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
-def _complex_pair(v) -> complex:
-    """Decode ``[re, im]`` without the finiteness check."""
+def _complex_array(nested, shape: tuple, what: str) -> np.ndarray:
+    """Decode ``[re, im]`` pairs nested with outer ``shape`` into one
+    complex array, in one conversion.
+
+    Every value must be an int or a float, not a boolean, and finite as
+    a float; ragged nesting, a pair of the wrong length, any other value
+    or an out-of-range literal is a :class:`SchemaError`."""
+    want = shape + (2,)
+    if 0 in want:  # numpy stops at the first empty axis
+        want = want[: want.index(0) + 1]
+    try:
+        obj = np.array(nested, dtype=object)
+    except ValueError:  # a raggedness numpy cannot even box
+        obj = None
     _need(
-        isinstance(v, (list, tuple))
-        and len(v) == 2
-        and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v),
-        f"complex scalar must be [re, im], got {v!r}",
+        obj is not None and obj.shape == want,
+        f"{what} must be [re, im] pairs nested as {shape}",
     )
-    return complex(float(v[0]), float(v[1]))
+    kinds = set(map(type, obj.ravel().tolist()))
+    _need(
+        all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds),
+        f"{what} must be numbers, found {sorted(k.__name__ for k in kinds)}",
+    )
+    try:
+        parts = obj.astype(float)
+    except OverflowError as exc:
+        raise SchemaError(f"{what} holds a number out of float range") from exc
+    _need(np.isfinite(parts).all(), f"{what} must be finite")
+    return parts.view(complex).reshape(shape)
+
+
+def complex_to_json(z) -> list:
+    return _pairs(complex(z))
 
 
 def complex_from_json(v) -> complex:
-    z = _complex_pair(v)
-    _need(
-        math.isfinite(z.real) and math.isfinite(z.imag),
-        f"complex scalar must be finite, got {v!r}",
-    )
-    return z
+    return complex(_complex_array(v, (), "complex scalar")[()])
 
 
 def matrix_to_json(m) -> dict:
     m = np.asarray(m, dtype=complex)
     _need(m.ndim == 2, f"matrix must be 2-d, got shape {m.shape}")
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [[complex_to_json(z) for z in row] for row in m],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _pairs(m)}
 
 
 def matrix_from_json(d) -> np.ndarray:
@@ -133,21 +259,8 @@ def matrix_from_json(d) -> np.ndarray:
         isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0,
         "matrix rows/cols must be non-negative integers",
     )
-    entries = d["entries"]
-    _need(
-        isinstance(entries, list) and len(entries) == rows,
-        f"matrix entries must hold {rows} rows",
-    )
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(entries):
-        _need(
-            isinstance(row, list) and len(row) == cols,
-            f"matrix row {i} must hold {cols} entries",
-        )
-        for j, v in enumerate(row):
-            out[i, j] = _complex_pair(v)
-    _need(np.isfinite(out).all(), "matrix entries must be finite")
-    return out
+    _need(isinstance(d["entries"], list), "matrix entries must be a list")
+    return _complex_array(d["entries"], (int(rows), int(cols)), "matrix entries")
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +415,56 @@ def groupoid_from_json(d) -> FiniteGroupoid:
 # spaceoids and their morphisms
 
 
+def _keyed_rows(rows, axes: tuple, shape: tuple, what: str, form: str):
+    """Decode rows ``[l_1, ..., l_k, [re, im]]`` keyed by labels.
+
+    ``axes`` maps each key column's labels to indices along one axis of
+    a table of ``shape``.  Returns the rows' flat indices into that table
+    and their complex values.  A malformed row, a label outside its axis
+    and a key given twice are each a :class:`SchemaError`."""
+    _need(isinstance(rows, list), f"{what!r} must be a list")
+    k = len(axes)
+    if not rows:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=complex)
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {k + 1}:
+        bad = next(r for r in rows if type(r) is not list or len(r) != k + 1)
+        raise SchemaError(f"{what} rows must be {form}: {bad!r}")
+    columns = list(zip(*rows))
+    try:
+        index = [
+            np.fromiter(map(axis.__getitem__, labels), np.intp, len(rows))
+            for axis, labels in zip(axes, columns)
+        ]
+    except KeyError as exc:
+        label = exc.args[0]
+        raise SchemaError(f"{what} row names {label!r}, outside its axis") from exc
+    except TypeError as exc:
+        raise SchemaError(f"{what} row labels must be strings") from exc
+    cells = np.ravel_multi_index(index, shape)
+    ordered = np.sort(cells)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        second = np.flatnonzero(cells == repeated[0])[1]
+        raise SchemaError(f"duplicate {what} row {rows[second][:k]!r}")
+    return cells, _complex_array(columns[k], (len(rows),), f"{what} values")
+
+
 def spaceoid_to_json(e: SpaceoidData) -> dict:
-    keys = itertools.product(e.base_points, *[e.objects] * 3)
-    entries = [
-        [*key, complex_to_json(z)]
-        for key, z in zip(keys, e.table.ravel().tolist())
-        if z != 1
-    ]
+    flat = e.table.ravel()
+    keep = flat != 1
+    keys = itertools.compress(
+        itertools.product(e.base_points, *[e.objects] * 3), keep.tolist()
+    )
     return {
         "base_points": list(e.base_points),
         "objects": list(e.objects),
-        "lambda": entries,
+        "lambda": [[*key, z] for key, z in zip(keys, _pairs(flat[keep]))],
     }
 
 
 def spaceoid_from_json(d) -> SpaceoidData:
+    """Rows omitted from ``lambda`` default to 1; a row given twice is a
+    :class:`SchemaError`."""
     _need(isinstance(d, dict), "spaceoid must be an object")
     for key in ("base_points", "objects"):
         _need(
@@ -325,21 +473,14 @@ def spaceoid_from_json(d) -> SpaceoidData:
             f"spaceoid needs a string list {key!r}",
         )
     points, objs = d["base_points"], d["objects"]
+    pi = {p: i for i, p in enumerate(points)}
+    oi = {a: i for i, a in enumerate(objs)}
     table = np.ones((len(points),) + (len(objs),) * 3, dtype=complex)
-    rows = d.get("lambda", [])
-    _need(isinstance(rows, list), "'lambda' must be a list")
-    for row in rows:
-        _need(
-            isinstance(row, list) and len(row) == 5,
-            f"lambda rows must be [p, A, B, C, [re, im]]: {row!r}",
-        )
-        p, a, b, c, v = row
-        _need(p in points, f"lambda row names unknown base point {p!r}")
-        _need(
-            all(t in objs for t in (a, b, c)),
-            f"lambda row names unknown objects: {row!r}",
-        )
-        table[(points.index(p), *map(objs.index, (a, b, c)))] = complex_from_json(v)
+    cells, values = _keyed_rows(
+        d.get("lambda", []), (pi, oi, oi, oi), table.shape,
+        "lambda", "[p, A, B, C, [re, im]]",
+    )
+    table.ravel()[cells] = values
     try:
         return SpaceoidData(tuple(points), tuple(objs), table)
     except ValueError as exc:
@@ -351,10 +492,10 @@ def morphism_to_json(m: SpaceoidMorphism) -> dict:
     return {
         "f_delta": {str(p): str(q) for p, q in m.f_delta.items()},
         "f_r": {str(a): str(b) for a, b in m.f_r.items()},
-        "fiber_scalars": [
-            [*key, complex_to_json(z)]
-            for key, z in sorted(zip(keys, m.fiber_scalars.ravel().tolist()))
-        ],
+        # keys are distinct, so the sort never compares two values
+        "fiber_scalars": sorted(
+            [*key, z] for key, z in zip(keys, _pairs(m.fiber_scalars.ravel()))
+        ),
     }
 
 
@@ -373,22 +514,14 @@ def morphism_from_json(d) -> SpaceoidMorphism:
         )
     pi = {p: i for i, p in enumerate(d["f_delta"])}
     oi = {a: i for i, a in enumerate(d["f_r"])}
-    # NaN marks a cell no row has filled (a decoded scalar is finite)
-    scal = np.full((len(pi), len(oi), len(oi)), np.nan, dtype=complex)
-    rows = d.get("fiber_scalars", [])
-    _need(isinstance(rows, list), "'fiber_scalars' must be a list")
-    for row in rows:
-        _need(
-            isinstance(row, list)
-            and len(row) == 4
-            and all(isinstance(t, str) for t in row[:3]),
-            f"fiber_scalars rows must be [p, A, B, [re, im]]: {row!r}",
-        )
-        cell = pi.get(row[0]), oi.get(row[1]), oi.get(row[2])
-        _need(None not in cell, f"fiber_scalars row outside f_delta/f_r: {row!r}")
-        _need(np.isnan(scal[cell]), f"duplicate fiber_scalars row {row[:3]!r}")
-        scal[cell] = complex_from_json(row[3])
-    _need(not np.isnan(scal).any(), "fiber_scalars misses a (p, A, B) cell")
+    scal = np.empty((len(pi), len(oi), len(oi)), dtype=complex)
+    cells, values = _keyed_rows(
+        d.get("fiber_scalars", []), (pi, oi, oi), scal.shape,
+        "fiber_scalars", "[p, A, B, [re, im]]",
+    )
+    # the cells are distinct, so they cover the table when they are as many
+    _need(cells.size == scal.size, "fiber_scalars misses a (p, A, B) cell")
+    scal.ravel()[cells] = values
     return SpaceoidMorphism(dict(d["f_delta"]), dict(d["f_r"]), scal)
 
 
@@ -449,10 +582,7 @@ def spectrum_report_to_json(value, residuals=None) -> dict:
             {
                 "point": c.point,
                 "rank": int(c.rank),
-                "eigenvalues": {
-                    o: [complex_to_json(z) for z in vals]
-                    for o, vals in c.eigenvalues.items()
-                },
+                "eigenvalues": {o: _pairs(vals) for o, vals in c.eigenvalues.items()},
                 "blocks": {o: int(i) for o, i in c.blocks.items()},
             }
             for c in rep.classes
@@ -482,10 +612,11 @@ def spectrum_report_from_json(d) -> SpectrumReport:
             isinstance(ev, dict) and isinstance(bl, dict),
             "class eigenvalues/blocks must be objects",
         )
-        eigenvalues = {
-            o: tuple(complex_from_json(z) for z in vals)
-            for o, vals in ev.items()
-        }
+        eigenvalues = {}
+        for o, vals in ev.items():
+            _need(isinstance(vals, list), f"eigenvalues of {o!r} must be a list")
+            z = _complex_array(vals, (len(vals),), f"eigenvalues of {o!r}")
+            eigenvalues[o] = tuple(z.tolist())
         for o, i in bl.items():
             _need(
                 isinstance(i, int) and not isinstance(i, bool),

@@ -311,6 +311,31 @@ def test_nan_input_is_invalid_input(capsys, tmp_path, command, kind):
     assert "finite" in stderr
 
 
+def _edited_spaceoid(tmp_path, edit):
+    d = json.loads((FIX / "spaceoid2.json").read_text())
+    edit(d["lambda"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a JSON integer literal too large for a float
+        (lambda rows: rows[0].__setitem__(4, [10**400, 0.0]), "out of float range"),
+        (lambda rows: rows[0].__setitem__(4, [True, 0.0]), "numbers"),
+        (lambda rows: rows.append(rows[0][:4] + [[1.0, 0.0]]), "duplicate lambda row"),
+    ],
+    ids=["overflow", "boolean", "repeated-row"],
+)
+@pytest.mark.parametrize("command", ["validate", "roundtrip"])
+def test_malformed_spaceoid_is_invalid_input(capsys, tmp_path, command, edit, message):
+    code, _, stderr = run_cli(capsys, command, _edited_spaceoid(tmp_path, edit))
+    assert code == 2
+    assert message in stderr
+
+
 def test_validate_missing_file(capsys):
     code, _, stderr = run_cli(capsys, "validate", "/nonexistent/nope.json")
     assert code == 2

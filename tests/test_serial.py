@@ -1,5 +1,12 @@
 """File-format round trips: parse(emit(v)) == v, byte-stable emits,
-schema errors on malformed input."""
+schema errors on malformed input, and agreement of the array codec with
+per-scalar reference decoders and ``json.dumps``."""
+
+import itertools
+import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +18,9 @@ from spectroid.errors import SchemaError
 from spectroid.reporting import Report
 
 from test_spaceoid import random_morphism, random_spaceoid
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def rng_matrix(seed, rows, cols):
@@ -60,6 +70,11 @@ def test_matrix_emit_is_byte_stable():
         {"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], [float("nan"), 0.0]]]},
         {"rows": 1, "cols": 1, "entries": [[[0.0, float("-inf")]]]},
         [],
+        {"rows": 1, "cols": 1, "entries": [[[10**400, 0.0]]]},
+        {"rows": 1, "cols": 1, "entries": [[[True, 0.0]]]},
+        {"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], [None, 0.0]]]},
+        {"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], [0.0, 0.0, 0.0]]]},
+        {"rows": 2, "cols": 1, "entries": [[[0.0, 0.0]], [[0.0, [0.0]]]]},
     ],
 )
 def test_matrix_schema_errors(bad):
@@ -80,14 +95,21 @@ def test_non_finite_scalars_rejected():
     for v in ([float("nan"), 0.0], [0.0, float("inf")]):
         with pytest.raises(SchemaError):
             serial.complex_from_json(v)
-    # JSON's NaN token and an overflowing literal both decode to floats
+    # JSON's NaN token and an overflowing float literal decode to floats
+    # that are not finite; a huge integer literal and a boolean are
+    # rejected before any float is made
     text = (
         '{"base_points": ["p"], "objects": ["A"], '
         '"lambda": [["p", "A", "A", "A", [%s, 0.0]]]}'
     )
-    for token in ("NaN", "1e999"):
+    for token in ("NaN", "1e999", "1" + "0" * 400, "true"):
         with pytest.raises(SchemaError):
             serial.parse("spaceoid", text % token)
+    # an integer literal past float range is rejected, not an OverflowError
+    with pytest.raises(SchemaError, match="out of float range"):
+        serial.parse(
+            "matrix", '{"rows": 1, "cols": 1, "entries": [[[1%s, 0]]]}' % ("0" * 400)
+        )
 
 
 def test_text_loader_rejects_garbage():
@@ -244,6 +266,14 @@ def test_spaceoid_schema_errors():
         )
 
 
+def test_spaceoid_repeated_lambda_row_rejected():
+    row = ["p", "A", "A", "A", [2.0, 0.0]]
+    rows = [row, row[:4] + [[1.0, 0.0]]]
+    d = {"base_points": ["p"], "objects": ["A"], "lambda": rows}
+    with pytest.raises(SchemaError, match="duplicate lambda row"):
+        serial.spaceoid_from_json(d)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_morphism_roundtrip_exact(seed):
@@ -395,3 +425,305 @@ def test_classify_every_kind():
         serial.classify({"what": 1})
     with pytest.raises(SchemaError):
         serial.classify([1, 2])
+
+
+# ---------------------------------------------------------------------------
+# the array codec against the per-scalar codec it replaced
+#
+# The reference decoders below are the per-scalar ones the array codec
+# replaced, kept to show that every decoded array is bit-identical; the
+# reference encoders build the same dicts entry by entry, and
+# ``json.dumps(indent=2, sort_keys=True)`` is the reference writer.
+
+
+def ref_complex(v):
+    if not (
+        isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in v)
+    ):
+        raise SchemaError(f"complex scalar must be [re, im], got {v!r}")
+    z = complex(float(v[0]), float(v[1]))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise SchemaError(f"complex scalar must be finite, got {v!r}")
+    return z
+
+
+def ref_matrix_from_json(d):
+    rows, cols = d["rows"], d["cols"]
+    assert len(d["entries"]) == rows
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, row in enumerate(d["entries"]):
+        assert len(row) == cols
+        for j, v in enumerate(row):
+            out[i, j] = ref_complex(v)
+    return out
+
+
+def ref_lambda_table(d):
+    points, objs = d["base_points"], d["objects"]
+    table = np.ones((len(points),) + (len(objs),) * 3, dtype=complex)
+    for p, a, b, c, v in d["lambda"]:
+        table[(points.index(p), *map(objs.index, (a, b, c)))] = ref_complex(v)
+    return table
+
+
+def ref_fiber_scalars(d):
+    pi = {p: i for i, p in enumerate(d["f_delta"])}
+    oi = {a: i for i, a in enumerate(d["f_r"])}
+    scal = np.full((len(pi), len(oi), len(oi)), np.nan, dtype=complex)
+    for p, a, b, v in d["fiber_scalars"]:
+        scal[pi[p], oi[a], oi[b]] = ref_complex(v)
+    assert not np.isnan(scal).any()
+    return scal
+
+
+def ref_pair(z):
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def ref_matrix_to_json(m):
+    m = np.asarray(m, dtype=complex)
+    return {
+        "rows": int(m.shape[0]),
+        "cols": int(m.shape[1]),
+        "entries": [[ref_pair(z) for z in row] for row in m],
+    }
+
+
+def ref_spaceoid_to_json(e):
+    keys = itertools.product(e.base_points, *[e.objects] * 3)
+    return {
+        "base_points": list(e.base_points),
+        "objects": list(e.objects),
+        "lambda": [
+            [*key, ref_pair(z)]
+            for key, z in zip(keys, e.table.ravel().tolist())
+            if z != 1
+        ],
+    }
+
+
+def ref_morphism_to_json(m):
+    keys = itertools.product(m.f_delta, m.f_r, m.f_r)
+    return {
+        "f_delta": {str(p): str(q) for p, q in m.f_delta.items()},
+        "f_r": {str(a): str(b) for a, b in m.f_r.items()},
+        "fiber_scalars": [
+            [*key, ref_pair(z)]
+            for key, z in sorted(zip(keys, m.fiber_scalars.ravel().tolist()))
+        ],
+    }
+
+
+def ref_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def assert_bit_identical(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def as_read(payload):
+    """The payload as a file reader sees it, JSON types only."""
+    return json.loads(json.dumps(payload))
+
+
+@pytest.fixture(scope="module")
+def category_files():
+    return [
+        json.loads(case.inputs[0])
+        for seed in (101, 0)
+        for case in workloads.category_deck(seed)
+    ]
+
+
+@pytest.fixture(scope="module")
+def spaceoid_files():
+    return [json.loads(case.inputs[0]) for case in workloads.spaceoid_deck(101)]
+
+
+@pytest.fixture(scope="module")
+def deck_morphisms(spaceoid_files):
+    out = []
+    for i, d in enumerate(spaceoid_files):
+        e = spaceoid.SpaceoidData(
+            tuple(d["base_points"]), tuple(d["objects"]), ref_lambda_table(d)
+        )
+        out += [spaceoid.identity_morphism(e), random_morphism(i, e, e)]
+    return out
+
+
+def test_matrix_decode_matches_reference(category_files):
+    mats = [m for d in category_files for ms in d["generators"].values() for m in ms]
+    assert len(mats) > 500
+    for m in mats:
+        assert_bit_identical(serial.matrix_from_json(m), ref_matrix_from_json(m))
+    # signed zeros survive the one-conversion decode
+    m = {"rows": 1, "cols": 2, "entries": [[[-0.0, 0.0], [0, -0.0]]]}
+    assert_bit_identical(serial.matrix_from_json(m), ref_matrix_from_json(m))
+
+
+def test_spaceoid_decode_matches_reference(spaceoid_files):
+    assert len(spaceoid_files) == 80
+    for d in spaceoid_files:
+        e = serial.spaceoid_from_json(d)
+        assert_bit_identical(e.table, ref_lambda_table(d))
+        assert list(e.base_points) == d["base_points"]
+        assert list(e.objects) == d["objects"]
+
+
+def test_morphism_decode_matches_reference(deck_morphisms):
+    for m in deck_morphisms:
+        d = as_read(ref_morphism_to_json(m))
+        back = serial.morphism_from_json(d)
+        assert_bit_identical(back.fiber_scalars, ref_fiber_scalars(d))
+        assert_bit_identical(back.fiber_scalars, m.fiber_scalars.astype(complex))
+
+
+def test_eigenvalue_decode_matches_reference():
+    spec = make_spectrum()
+    d = as_read(serial.spectrum_report_to_json(spec))
+    rep = serial.spectrum_report_from_json(d)
+    for row, c in zip(d["classes"], rep.classes):
+        for o, vals in row["eigenvalues"].items():
+            ref = np.array([ref_complex(v) for v in vals], dtype=complex)
+            assert_bit_identical(np.array(c.eigenvalues[o], dtype=complex), ref)
+
+
+_MALFORMED_PAIRS = [
+    [1.0],
+    [1.0, 2.0, 3.0],
+    ["x", 0.0],
+    [True, 0.0],
+    [0.0, False],
+    [None, 0.0],
+    [float("nan"), 0.0],
+    [0.0, float("-inf")],
+    [[1.0, 2.0], 0.0],
+    "ab",
+    {"re": 1.0, "im": 0.0},
+    1.0,
+]
+
+
+@pytest.mark.parametrize("v", _MALFORMED_PAIRS, ids=repr)
+def test_malformed_pair_rejected_everywhere(v):
+    # the reference rejects it too: numpy alone would read True as 1.0
+    with pytest.raises(SchemaError):
+        ref_complex(v)
+    with pytest.raises(SchemaError):
+        serial.complex_from_json(v)
+    cases = [
+        ("matrix", {"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], v]]}),
+        ("spaceoid", {"base_points": ["p"], "objects": ["A"],
+                      "lambda": [["p", "A", "A", "A", v]]}),
+        ("morphism", {"f_delta": {"p": "p"}, "f_r": {"A": "A"},
+                      "fiber_scalars": [["p", "A", "A", v]]}),
+    ]
+    for kind, payload in cases:
+        with pytest.raises(SchemaError):
+            serial.parse(kind, json.dumps(payload))
+
+
+def test_eigenvalues_must_be_a_list_of_pairs():
+    d = as_read(serial.spectrum_report_to_json(make_spectrum()))
+    ev = d["classes"][0]["eigenvalues"]
+    o = next(iter(ev))
+    for bad in (3, "", {}, [[True, 0.0]], [[1.0, 2.0], [1.0]]):
+        ev[o] = bad
+        with pytest.raises(SchemaError):
+            serial.spectrum_report_from_json(d)
+
+
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, float("nan"), float("inf"), -float("inf")]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    _NUMBERS,
+    st.text(),
+    st.sampled_from(["p0", "ü∑", "\n\"\\"]),
+)
+
+
+@st.composite
+def _row_lists(draw):
+    """Same-shaped flat rows, sometimes ending in an ``[re, im]`` pair,
+    sometimes with one row of another shape mixed in."""
+    kinds = st.sampled_from([st.text(max_size=3), _NUMBERS, _SCALARS])
+    columns = draw(st.lists(kinds, max_size=4))
+    if draw(st.booleans()):
+        columns.append(st.lists(_NUMBERS, min_size=2, max_size=2))
+    rows = draw(st.lists(st.tuples(*columns).map(list), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        odd = draw(st.lists(_SCALARS, max_size=3))
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, _row_lists()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_canonical_text_is_json_dumps(payload):
+    assert serial.canonical_text(payload) == ref_text(payload)
+
+
+def test_canonical_text_keys_and_errors_follow_json():
+    payload = {"b": [[1, "x", [2.5, -0.0]]], "a": {"k": []}, "c": {}, "ü": [[]]}
+    assert serial.canonical_text(payload) == ref_text(payload)
+    for keyed in ({2: 1, 10: 2}, {1.5: 0, -1.0: 1}, {True: 0, False: 1}, {None: [1]}):
+        assert serial.canonical_text(keyed) == ref_text(keyed)
+    for bad in ({1, 2}, [[1, object()]], {(1, 2): 0}, np.int64(1)):
+        with pytest.raises(TypeError):
+            serial.canonical_text(bad)
+
+
+def test_emit_matches_reference_on_deck_shapes(
+    category_files, spaceoid_files, deck_morphisms
+):
+    for d in category_files:
+        cat = serial.category_from_json(d)
+        ref = dict(serial.category_to_json(cat))
+        ref["generators"] = {
+            k: [ref_matrix_to_json(m) for m in mats]
+            for k, mats in zip(ref["generators"], cat.blocks.values())
+        }
+        assert serial.emit("category", cat) == ref_text(ref)
+        for mats in cat.blocks.values():
+            for m in mats:
+                assert serial.emit("matrix", m) == ref_text(ref_matrix_to_json(m))
+    for d in spaceoid_files:
+        e = serial.spaceoid_from_json(d)
+        for value in (e, spaceoid.trivialize(e).spaceoid):
+            ref = ref_spaceoid_to_json(value)
+            assert serial.emit("spaceoid", value) == ref_text(ref)
+        rep = spaceoid.validate(e)
+        assert serial.emit("report", rep) == ref_text(rep.to_json())
+    for m in deck_morphisms:
+        assert serial.emit("morphism", m) == ref_text(ref_morphism_to_json(m))
+    for n in range(1, 5):
+        for k in range(2, 7):
+            g = groups.connected_groupoid(n, groups.cyclic(k))
+            assert serial.emit("groupoid", g) == ref_text(serial.groupoid_to_json(g))
+    spec = make_spectrum()
+    ref = serial.spectrum_report_to_json(spec)
+    ref["spaceoid"] = ref_spaceoid_to_json(spec.spaceoid)
+    for row, c in zip(ref["classes"], serial.spectrum_report_from_json(ref).classes):
+        row["eigenvalues"] = {
+            o: [ref_pair(z) for z in v] for o, v in c.eigenvalues.items()
+        }
+    assert serial.emit("spectrum-report", spec) == ref_text(ref)
