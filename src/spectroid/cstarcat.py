@@ -152,7 +152,12 @@ def close(
     of elements all present a round ago already lies in the span it was
     tested against then.  A round offers only the adjoints of new
     elements and the products with a new factor, in row-major order;
-    ``numkit._extend`` appends their new directions to the kept basis.
+    ``numkit._extend`` appends their new directions to the kept basis,
+    best-conditioned first: each step keeps the candidate whose residual
+    is largest relative to its drop cut, so a direction that is nearly
+    dependent on the basis is never taken while a cleaner candidate for
+    it is on offer, and its rounding is not kept as a new direction.
+    The generators themselves are orthonormalized in input order.
     """
     tol = resolve_tol(tol)
     objects = tuple((str(o), int(d)) for o, d in presentation.objects)
@@ -204,7 +209,7 @@ def close(
         changed = False
         for pair, extra in candidates.items():
             if extra:
-                new = _extend(blocks[pair], np.concatenate(extra), tol)
+                new = _extend(blocks[pair], np.concatenate(extra), tol, best_first=True)
                 if new:
                     blocks[pair] = blocks[pair] + new
                     changed = True

@@ -574,14 +574,20 @@ def _combine(coeffs, basis, shape) -> np.ndarray:
     return (coeffs @ _rows(basis)).reshape(coeffs.shape[:-1] + tuple(shape))
 
 
-def _extend(basis, mats, tol: float) -> list:
+def _extend(basis, mats, tol: float, best_first: bool = False) -> list:
     """New HS-orthonormal directions of ``mats`` beyond the
-    HS-orthonormal ``basis`` (possibly empty), in input order.
+    HS-orthonormal ``basis`` (possibly empty).
 
     All inputs are projected off ``basis`` in one matrix product, done
-    twice; the survivors then run Gram-Schmidt in order, each kept
-    vector projected out of all later ones at once, twice.  An input
-    whose residual is at most ``tol * (1 + input norm)`` is dropped.
+    twice; the survivors then run Gram-Schmidt, each kept vector
+    projected out of all remaining ones at once, twice.  An input whose
+    residual is at most its cut ``tol * (1 + input norm)`` is dropped.
+    Each step keeps the first survivor in input order, or with
+    ``best_first`` the survivor whose residual is largest relative to
+    its cut (column pivoting, Businger & Golub 1965): a direction whose
+    residual is a small fraction of its input would amplify that
+    input's rounding by the inverse fraction, so it is taken only after
+    every better-conditioned candidate has been projected out of it.
     Stops once the ``d_A x d_B`` space is spanned: any residual left
     then is rounding.  Raises ``ValueError`` on non-finite input.
     """
@@ -600,12 +606,16 @@ def _extend(basis, mats, tol: float) -> list:
             rows -= (rows @ old.conj().T) @ old
     new: list[np.ndarray] = []
     while len(new) < room:
-        live = np.linalg.norm(rows, axis=1) > cut
+        norms = np.linalg.norm(rows, axis=1)
+        live = norms > cut
         rows, cut = rows[live], cut[live]
         if not len(rows):
             break
-        q = rows[0] / np.linalg.norm(rows[0])
+        k = (norms[live] / cut).argmax() if best_first else 0
+        q = rows[k] / np.linalg.norm(rows[k])
         new.append(q.reshape(shape))
+        if k:  # row 0 fills the chosen slot, so rows[1:] drops the chosen row
+            rows[k], cut[k] = rows[0], cut[0]
         rows, cut = rows[1:], cut[1:]
         for _ in range(2):
             rows -= np.outer(rows @ q.conj(), q)
