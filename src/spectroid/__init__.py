@@ -5,7 +5,7 @@ Subpackage map:
 
 - ``numkit``    dense complex linear algebra substrate
 - ``cstarcat``  matrix C*-categories (closure, checks, constructions)
-- ``groups``    small finite groups and groupoid builders
+- ``groups``    finite groups and groupoids as index tables, their axiom check
 - ``spaceoid``  rank-one bundle data over a finite base, gauges, morphisms
 - ``duality``   characters, spectrum/sections functors, the two transforms
 - ``funcalc``   continuous functional calculus for rectangular matrices

@@ -197,7 +197,7 @@ def cmd_make(args) -> int:
         gpd = groups.connected_groupoid(args.objects, g)
         cat = cc.groupoid_category(gpd, tol)
         artifact = serial.emit("category", cat)
-        traits = cc.groupoid_report(gpd)
+        traits = groups.groupoid_report(gpd)
         info = (
             f"commutative: {cc.is_commutative(cat, tol)}  "
             f"full: {cc.is_full(cat, tol)}  "
@@ -284,7 +284,7 @@ def cmd_validate(args) -> int:
             report.extend(cc.check_axioms(cat, tol), prefix)
         elif kind == "groupoid":
             report.extend(
-                cc.validate_groupoid(serial.groupoid_from_json(payload)),
+                groups.validate_groupoid(serial.groupoid_from_json(payload)),
                 prefix,
             )
         elif kind == "morphism":

@@ -8,19 +8,20 @@ maps the ``B`` space into the ``A`` space), the involution is the
 conjugate transpose, and norms are operator norms.  ``close`` produces
 such a category from generators; the remaining operations check the
 axioms, decide commutativity and fullness, and build the standard
-examples (linking categories of bijections-with-phases, groupoid
-categories via the left regular representation, and the category
-generated by a single rectangular matrix).
+examples (linking categories of bijections-with-phases, the category
+generated by a single rectangular matrix, and groupoid categories via
+the left regular representation of a ``groups.FiniteGroupoid``, whose
+format and axiom check live in ``groups``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from . import groups
 from .config import (
     AXIOM_SLACK, FULLNESS_RTOL, FUNCTOR_SLACK, GRAM_SLACK, PHASE_ATOL,
     resolve_tol,
@@ -62,11 +63,7 @@ __all__ = [
     "linking_generator",
     "multi_linking",
     "multi_linking_generator",
-    "FiniteGroupoid",
-    "validate_groupoid",
     "groupoid_category",
-    "GroupoidTraits",
-    "groupoid_report",
 ]
 
 
@@ -671,111 +668,8 @@ def multi_linking(
 # groupoids
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
-    """Explicit arrows-and-tables groupoid."""
-
-    objects: tuple
-    arrows: tuple
-    source: dict
-    target: dict
-    compose: dict  # (g, h) -> g o h, defined iff source(g) == target(h)
-    identities: dict  # object -> identity arrow
-    inverses: dict
-
-    def hom(self, a, b) -> list:
-        """Arrows from ``b`` to ``a`` (the block-(a, b) index set)."""
-        return [
-            g
-            for g in self.arrows
-            if self.source[g] == b and self.target[g] == a
-        ]
-
-
-def validate_groupoid(g: FiniteGroupoid) -> Report:
-    """Exhaustive axiom check (composability, associativity, units,
-    inverses)."""
-    report = Report()
-    ok = all(
-        g.source.get(a) in g.objects and g.target.get(a) in g.objects
-        for a in g.arrows
-    )
-    report.add("source-target-defined", ok)
-    if not ok:
-        return report
-
-    ok, detail = True, ""
-    for x in g.arrows:
-        for y in g.arrows:
-            composable = g.source[x] == g.target[y]
-            defined = (x, y) in g.compose
-            if composable != defined:
-                ok, detail = False, f"({x},{y})"
-                break
-            if defined:
-                z = g.compose[(x, y)]
-                if (
-                    z not in g.arrows
-                    or g.source[z] != g.source[y]
-                    or g.target[z] != g.target[x]
-                ):
-                    ok, detail = False, f"({x},{y})->{z}"
-                    break
-        if not ok:
-            break
-    report.add("composition-table", ok, detail=detail)
-    if not ok:
-        return report
-
-    ok, detail = True, ""
-    for x in g.arrows:
-        for y in g.arrows:
-            if g.source[x] != g.target[y]:
-                continue
-            xy = g.compose[(x, y)]
-            for z in g.arrows:
-                if g.source[y] != g.target[z]:
-                    continue
-                if g.compose[(xy, z)] != g.compose[(x, g.compose[(y, z)])]:
-                    ok, detail = False, f"({x},{y},{z})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("associativity", ok, detail=detail)
-
-    ok = True
-    for o in g.objects:
-        e = g.identities.get(o)
-        if e is None or g.source.get(e) != o or g.target.get(e) != o:
-            ok = False
-            break
-        if any(
-            g.compose[(e, y)] != y for y in g.arrows if g.target[y] == o
-        ) or any(g.compose[(x, e)] != x for x in g.arrows if g.source[x] == o):
-            ok = False
-            break
-    report.add("identities", ok)
-
-    ok = True
-    for x in g.arrows:
-        inv = g.inverses.get(x)
-        if inv is None:
-            ok = False
-            break
-        if (
-            g.compose.get((x, inv)) != g.identities[g.target[x]]
-            or g.compose.get((inv, x)) != g.identities[g.source[x]]
-        ):
-            ok = False
-            break
-    report.add("inverses", ok)
-    return report
-
-
 def groupoid_category(
-    g: FiniteGroupoid, tol: float | None = None
+    g: groups.FiniteGroupoid, tol: float | None = None
 ) -> MatrixCategory:
     """The reduced groupoid C*-category via the left regular action.
 
@@ -785,46 +679,28 @@ def groupoid_category(
     space.  Blocks are the spans of these operators.
     """
     tol = resolve_tol(tol)
-    rep = validate_groupoid(g)
+    rep = groups.validate_groupoid(g)
     if not rep.passed:
         raise InvalidGroupoid(
             "; ".join(c.name for c in rep.failures())
         )
-    spaces = {o: [h for h in g.arrows if g.target[h] == o] for o in g.objects}
-    index = {o: {h: i for i, h in enumerate(spaces[o])} for o in g.objects}
-    objects = tuple((o, len(spaces[o])) for o in g.objects)
+    spaces = [np.flatnonzero(g.target == o) for o in range(len(g.objects))]
+    slot = np.empty(len(g.arrows), dtype=np.intp)  # position in its space
+    for space in spaces:
+        slot[space] = np.arange(len(space))
 
     blocks: dict = {}
-    for a in g.objects:
-        for b in g.objects:
-            arrows = g.hom(a, b)
+    for a, space_a in enumerate(spaces):
+        for b, space_b in enumerate(spaces):
+            arrows = np.flatnonzero((g.source == b) & (g.target == a))
             ops = np.zeros(
-                (len(arrows), len(spaces[a]), len(spaces[b])), dtype=complex
+                (len(arrows), len(space_a), len(space_b)), dtype=complex
             )
-            for k, f in enumerate(arrows):
-                for h in spaces[b]:
-                    ops[k, index[a][g.compose[(f, h)]], index[b][h]] = 1.0
-            blocks[(a, b)] = hs_orthonormalize(ops, tol).basis
+            ops[
+                np.arange(len(arrows))[:, None],
+                slot[g.compose[np.ix_(arrows, space_b)]],
+                slot[space_b],
+            ] = 1.0
+            blocks[(g.objects[a], g.objects[b])] = hs_orthonormalize(ops, tol).basis
+    objects = tuple(zip(g.objects, map(len, spaces)))
     return MatrixCategory(objects=objects, blocks=blocks, unital=True)
-
-
-class GroupoidTraits(NamedTuple):
-    stabilizers_abelian: bool
-    transitive: bool
-
-
-def groupoid_report(g: FiniteGroupoid) -> GroupoidTraits:
-    """Combinatorial classification used to cross-check the category:
-    commutativity should match abelian stabilizers, fullness should
-    match transitivity."""
-    abelian = True
-    for o in g.objects:
-        stab = g.hom(o, o)
-        for x in stab:
-            for y in stab:
-                if g.compose[(x, y)] != g.compose[(y, x)]:
-                    abelian = False
-    transitive = all(
-        len(g.hom(a, b)) > 0 for a in g.objects for b in g.objects
-    )
-    return GroupoidTraits(abelian, transitive)

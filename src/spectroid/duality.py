@@ -81,7 +81,6 @@ __all__ = [
     "Character",
     "spectrum",
     "characters",
-    "match_character_class",
     "unitary_equivalence_gauge",
     "compression_functor",
     "one_dim_category",
@@ -429,23 +428,6 @@ def _match_classes(spec: SpectrumResult, values, n_chars: int, tol) -> np.ndarra
             raise SpectrumMismatch("no spectrum class matches the character")
         raise AmbiguousMatching(f"{n} spectrum classes match the character")
     return np.argmax(fits, axis=1)
-
-
-def match_character_class(
-    spec: SpectrumResult, omega, tol: float | None = None
-) -> int:
-    """Index of the spectrum class unitarily equivalent to ``omega``.
-
-    Characters are equivalent exactly when they agree on every diagonal
-    block, so the diagonal eigenvalue tables decide the match.  Raises
-    ``SpectrumMismatch`` when no class fits and ``AmbiguousMatching``
-    when several do.
-    """
-    tol = resolve_tol(tol)
-    match = _match_classes(
-        spec, lambda o, basis: _character_values(omega, o, o, basis)[None], 1, tol
-    )
-    return int(match[0])
 
 
 def unitary_equivalence_gauge(

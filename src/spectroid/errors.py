@@ -21,7 +21,6 @@ __all__ = [
     "InvalidPhaseFunctor",
     "InvalidMorphism",
     "NotOneDimensional",
-    "DomainMismatch",
     "SpectrumMismatch",
     "SchemaError",
 ]
@@ -91,11 +90,6 @@ class InvalidMorphism(SpectroidError):
 
 class NotOneDimensional(SpectroidError):
     """An operation requiring one-dimensional blocks saw a bigger one."""
-
-
-class DomainMismatch(SpectroidError):
-    """Two pieces of data that must live over the same objects/base
-    points do not."""
 
 
 class SpectrumMismatch(SpectroidError):

@@ -1,15 +1,24 @@
-"""Small finite groups and groupoid builders.
+"""Finite groups and groupoids as integer index tables.
 
-Groups are plain multiplication tables over string element names; the
-groupoid builders produce the connected ("one orbit times a group")
-shape and disjoint unions of those, which together exhaust finite
-groupoids up to isomorphism.
+A group is its multiplication table ``mult`` (``(n, n)``), ``inverse``
+and ``identity``.  A groupoid is ``source`` and ``target`` (object
+indices per arrow), ``compose`` (``(A, A)``: the index of ``x o y``, -1
+where undefined), ``identities`` (per object) and ``inverses``.  Names
+are kept only for files and messages.  The builders make connected
+groupoids (one orbit times a group) and disjoint unions of those, which
+together exhaust finite groupoids up to isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import NamedTuple
+
+import numpy as np
+
+from .reporting import Report
 
 __all__ = [
     "FiniteGroup",
@@ -18,8 +27,12 @@ __all__ = [
     "symmetric",
     "klein_four",
     "group_by_name",
+    "FiniteGroupoid",
     "connected_groupoid",
     "disjoint_union",
+    "validate_groupoid",
+    "GroupoidTraits",
+    "groupoid_report",
 ]
 
 
@@ -27,96 +40,69 @@ __all__ = [
 class FiniteGroup:
     name: str
     elements: tuple[str, ...]
-    mult: dict  # (a, b) -> a*b
-    identity: str
-    inverse: dict  # a -> a^{-1}
+    mult: np.ndarray  # (n, n): index of a*b
+    inverse: np.ndarray  # (n,): index of a^{-1}
+    identity: int
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.mult[(a, b)] == self.mult[(b, a)]
-            for a in self.elements
-            for b in self.elements
-        )
 
 
 def cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n``, elements named ``"0"..."n-1"``."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    elements = tuple(str(i) for i in range(n))
-    mult = {
-        (str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)
-    }
-    inverse = {str(a): str((-a) % n) for a in range(n)}
-    return FiniteGroup(f"Z{n}", elements, mult, "0", inverse)
+    a = np.arange(n)
+    return FiniteGroup(
+        f"Z{n}", tuple(map(str, range(n))), (a[:, None] + a) % n, -a % n, 0
+    )
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    elements = tuple(f"{a},{b}" for a in g.elements for b in h.elements)
-    mult = {}
-    for a1, b1 in itertools.product(g.elements, h.elements):
-        for a2, b2 in itertools.product(g.elements, h.elements):
-            mult[(f"{a1},{b1}", f"{a2},{b2}")] = (
-                f"{g.mult[(a1, a2)]},{h.mult[(b1, b2)]}"
-            )
-    inverse = {
-        f"{a},{b}": f"{g.inverse[a]},{h.inverse[b]}"
-        for a in g.elements
-        for b in h.elements
-    }
+    """Element ``(a, b)`` has index ``a * |h| + b`` and name ``"a,b"``."""
+    m = h.order
+    mult = g.mult[:, None, :, None] * m + h.mult[None, :, None, :]
     return FiniteGroup(
         f"{g.name}x{h.name}",
-        elements,
-        mult,
-        f"{g.identity},{h.identity}",
-        inverse,
+        tuple(map(",".join, itertools.product(g.elements, h.elements))),
+        mult.reshape(g.order * m, g.order * m),
+        (g.inverse[:, None] * m + h.inverse).ravel(),
+        g.identity * m + h.identity,
     )
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """The symmetric group on ``n`` letters (meant for tiny ``n``)."""
-    perms = sorted(itertools.permutations(range(n)))
-    names = {p: "".join(str(i) for i in p) for p in perms}
-    elements = tuple(names[p] for p in perms)
-    mult = {}
-    for p in perms:
-        for q in perms:
-            comp = tuple(p[q[i]] for i in range(n))  # p after q
-            mult[(names[p], names[q])] = names[comp]
-    identity = names[tuple(range(n))]
-    inverse = {}
-    for p in perms:
-        inv = tuple(p.index(i) for i in range(n))
-        inverse[names[p]] = names[inv]
-    return FiniteGroup(f"S{n}", elements, mult, identity, inverse)
+    """The symmetric group on ``n`` letters (meant for tiny ``n``), its
+    permutations in lexicographic order; ``p * q`` is ``p`` after ``q``."""
+    perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.intp)
+    perms = perms.reshape(-1, n)
+    # base-n codes rank the permutations in lexicographic order
+    weights = n ** np.arange(n)[::-1]
+    codes = perms @ weights
+
+    def index(p):
+        return np.searchsorted(codes, p @ weights)
+
+    return FiniteGroup(
+        f"S{n}",
+        tuple("".join(map(str, p)) for p in perms.tolist()),
+        index(perms[np.arange(len(perms))[:, None, None], perms[None]]),
+        index(np.argsort(perms, axis=1)),
+        0,
+    )
 
 
 def klein_four() -> FiniteGroup:
-    g = direct_product(cyclic(2), cyclic(2))
-    return FiniteGroup("V4", g.elements, g.mult, g.identity, g.inverse)
+    return replace(direct_product(cyclic(2), cyclic(2)), name="V4")
 
 
 _NAMED = {
-    "1": lambda: cyclic(1),
-    "Z1": lambda: cyclic(1),
-    "Z2": lambda: cyclic(2),
-    "Z3": lambda: cyclic(3),
-    "Z4": lambda: cyclic(4),
-    "Z5": lambda: cyclic(5),
-    "Z6": lambda: cyclic(6),
-    "Z7": lambda: cyclic(7),
-    "Z8": lambda: cyclic(8),
-    "Z9": lambda: cyclic(9),
-    "Z10": lambda: cyclic(10),
-    "Z11": lambda: cyclic(11),
-    "Z12": lambda: cyclic(12),
+    **{f"Z{n}": partial(cyclic, n) for n in range(1, 13)},
+    "1": partial(cyclic, 1),
     "V4": klein_four,
     "Z2xZ2": klein_four,
-    "S3": lambda: symmetric(3),
+    "S3": partial(symmetric, 3),
 }
 
 
@@ -130,84 +116,170 @@ def group_by_name(name: str) -> FiniteGroup:
         ) from None
 
 
-def connected_groupoid(n_objects: int, group: FiniteGroup, prefix: str = "X"):
+# ---------------------------------------------------------------------------
+# groupoids
+
+
+@dataclass(frozen=True)
+class FiniteGroupoid:
+    """Objects and arrows by name; the structure as index tables."""
+
+    objects: tuple
+    arrows: tuple
+    source: np.ndarray  # (A,) object index
+    target: np.ndarray  # (A,) object index
+    compose: np.ndarray  # (A, A): index of x o y, -1 where undefined
+    identities: np.ndarray  # (O,) arrow index
+    inverses: np.ndarray  # (A,) arrow index
+
+
+def connected_groupoid(
+    n_objects: int, group: FiniteGroup, prefix: str = "X"
+) -> FiniteGroupoid:
     """Transitive groupoid on ``n_objects`` objects with the given
-    isotropy group: arrows are (target, group element, source) triples.
-
-    Returns a :class:`spectroid.cstarcat.FiniteGroupoid`.
-    """
-    from .cstarcat import FiniteGroupoid
-
+    isotropy group: arrow ``(t, g, s)`` runs from object ``s`` to object
+    ``t``, has index ``(t * |G| + g) * n_objects + s`` and name
+    ``"X<t>|<g>|X<s>"``, and ``(t, g, m) o (m, h, s) = (t, g*h, s)``."""
     if n_objects < 1:
         raise ValueError("need at least one object")
     objects = tuple(f"{prefix}{i}" for i in range(n_objects))
+    m = group.order
+    t, g, s = np.unravel_index(
+        np.arange(n_objects * m * n_objects), (n_objects, m, n_objects)
+    )
 
-    def arrow_id(t, g, s):
-        return f"{t}|{g}|{s}"
+    def arrow(t, g, s):
+        return (t * m + g) * n_objects + s
 
-    arrows = []
-    source, target = {}, {}
-    for t in objects:
-        for g in group.elements:
-            for s in objects:
-                a = arrow_id(t, g, s)
-                arrows.append(a)
-                source[a] = s
-                target[a] = t
-    compose = {}
-    for t, g, mid in itertools.product(objects, group.elements, objects):
-        left = arrow_id(t, g, mid)
-        for h, s in itertools.product(group.elements, objects):
-            right = arrow_id(mid, h, s)
-            compose[(left, right)] = arrow_id(t, group.mult[(g, h)], s)
-    identities = {o: arrow_id(o, group.identity, o) for o in objects}
-    inverses = {
-        arrow_id(t, g, s): arrow_id(s, group.inverse[g], t)
-        for t in objects
-        for g in group.elements
-        for s in objects
-    }
+    names, elements = np.array(objects), np.array(group.elements)
     return FiniteGroupoid(
         objects=objects,
-        arrows=tuple(arrows),
-        source=source,
-        target=target,
-        compose=compose,
-        identities=identities,
-        inverses=inverses,
+        arrows=tuple(map("|".join, zip(names[t], elements[g], names[s]))),
+        source=s,
+        target=t,
+        compose=np.where(
+            s[:, None] == t,
+            arrow(t[:, None], group.mult[g[:, None], g], s),
+            -1,
+        ),
+        identities=arrow(np.arange(n_objects), group.identity, np.arange(n_objects)),
+        inverses=arrow(s, group.inverse[g], t),
     )
 
 
-def disjoint_union(*groupoids):
+def _shifted(parts, offsets) -> np.ndarray:
+    shifted = [p + o for p, o in zip(parts, offsets)]
+    return np.concatenate([np.zeros(0, np.intp), *shifted])
+
+
+def disjoint_union(*groupoids: FiniteGroupoid) -> FiniteGroupoid:
     """Disjoint union of groupoids; components are kept disconnected.
 
-    Object and arrow ids are prefixed with the component index so the
-    inputs never clash.
+    Object and arrow names are prefixed with the component index
+    (``c0.``, ``c1.``, ...) so the inputs never clash.
     """
-    from .cstarcat import FiniteGroupoid
-
-    objects, arrows = [], []
-    source, target, compose, identities, inverses = {}, {}, {}, {}, {}
-    for idx, g in enumerate(groupoids):
-        ren_obj = {o: f"c{idx}.{o}" for o in g.objects}
-        ren_arr = {a: f"c{idx}.{a}" for a in g.arrows}
-        objects.extend(ren_obj[o] for o in g.objects)
-        arrows.extend(ren_arr[a] for a in g.arrows)
-        for a in g.arrows:
-            source[ren_arr[a]] = ren_obj[g.source[a]]
-            target[ren_arr[a]] = ren_obj[g.target[a]]
-        for (x, y), z in g.compose.items():
-            compose[(ren_arr[x], ren_arr[y])] = ren_arr[z]
-        for o, a in g.identities.items():
-            identities[ren_obj[o]] = ren_arr[a]
-        for a, b in g.inverses.items():
-            inverses[ren_arr[a]] = ren_arr[b]
+    obj_at = np.cumsum([0] + [len(g.objects) for g in groupoids])
+    arr_at = np.cumsum([0] + [len(g.arrows) for g in groupoids])
+    compose = np.full((arr_at[-1], arr_at[-1]), -1, dtype=np.intp)
+    for g, lo, hi in zip(groupoids, arr_at, arr_at[1:]):
+        compose[lo:hi, lo:hi] = np.where(g.compose >= 0, g.compose + lo, -1)
     return FiniteGroupoid(
-        objects=tuple(objects),
-        arrows=tuple(arrows),
-        source=source,
-        target=target,
+        objects=tuple(
+            f"c{i}.{o}" for i, g in enumerate(groupoids) for o in g.objects
+        ),
+        arrows=tuple(f"c{i}.{a}" for i, g in enumerate(groupoids) for a in g.arrows),
+        source=_shifted([g.source for g in groupoids], obj_at),
+        target=_shifted([g.target for g in groupoids], obj_at),
         compose=compose,
-        identities=identities,
-        inverses=inverses,
+        identities=_shifted([g.identities for g in groupoids], arr_at),
+        inverses=_shifted([g.inverses for g in groupoids], arr_at),
+    )
+
+
+def _within(index, n: int) -> bool:
+    return bool(((index >= 0) & (index < n)).all())
+
+
+def validate_groupoid(g: FiniteGroupoid) -> Report:
+    """Exhaustive axiom check (composability, associativity, units,
+    inverses).
+
+    A failed composition table names its first bad pair ``(x,y)`` (or
+    ``(x,y)->z`` when the result has the wrong ends), and failed
+    associativity its first bad triple ``(x,y,z)``, in row-major order.
+    Associativity runs one left factor at a time, so memory stays
+    ``O(A^2)``.
+    """
+    report = Report()
+    n_obj, n_arr = len(g.objects), len(g.arrows)
+    ok = _within(g.source, n_obj) and _within(g.target, n_obj)
+    report.add("source-target-defined", ok)
+    if not ok:
+        return report
+
+    c = g.compose
+    defined = c >= 0
+    z = np.where(defined & (c < n_arr), c, 0)
+    composable = g.source[:, None] == g.target
+    bad = (composable != defined) | defined & (
+        (c >= n_arr)
+        | (g.source[z] != g.source)
+        | (g.target[z] != g.target[:, None])
+    )
+    ok, detail = not bad.any(), ""
+    if not ok:
+        x, y = np.unravel_index(np.argmax(bad), bad.shape)
+        detail = f"({g.arrows[x]},{g.arrows[y]})"
+        if composable[x, y] == defined[x, y]:
+            detail += f"->{g.arrows[c[x, y]] if c[x, y] < n_arr else c[x, y]}"
+    report.add("composition-table", ok, detail=detail)
+    if not ok:
+        return report
+
+    ok, detail = True, ""
+    for x in range(n_arr):
+        ys = np.flatnonzero(defined[x])
+        yz = c[ys]
+        # (x o y) o z against x o (y o z), over the composable (y, z)
+        bad = (yz >= 0) & (c[c[x, ys]] != c[x, yz])
+        if bad.any():
+            i, z = np.unravel_index(np.argmax(bad), bad.shape)
+            ok = False
+            detail = f"({g.arrows[x]},{g.arrows[ys[i]]},{g.arrows[z]})"
+            break
+    report.add("associativity", ok, detail=detail)
+
+    e, every = g.identities, np.arange(n_arr)
+    ok = _within(e, n_arr) and bool(
+        (g.source[e] == np.arange(n_obj)).all()
+        and (g.target[e] == np.arange(n_obj)).all()
+        and (c[e[g.target], every] == every).all()
+        and (c[every, e[g.source]] == every).all()
+    )
+    report.add("identities", ok)
+
+    inv = g.inverses
+    ok = _within(inv, n_arr) and bool(
+        (c[every, inv] == e[g.target]).all() and (c[inv, every] == e[g.source]).all()
+    )
+    report.add("inverses", ok)
+    return report
+
+
+class GroupoidTraits(NamedTuple):
+    stabilizers_abelian: bool
+    transitive: bool
+
+
+def groupoid_report(g: FiniteGroupoid) -> GroupoidTraits:
+    """Combinatorial classification used to cross-check the category:
+    commutativity should match abelian stabilizers, fullness should
+    match transitivity."""
+    loop = g.source == g.target
+    same_stabilizer = loop[:, None] & loop & (g.source[:, None] == g.source)
+    reach = np.zeros((len(g.objects),) * 2, dtype=bool)
+    reach[g.target, g.source] = True
+    return GroupoidTraits(
+        bool((g.compose == g.compose.T)[same_stabilizer].all()),
+        bool(reach.all()),
     )

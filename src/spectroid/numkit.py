@@ -217,9 +217,6 @@ class JointEigenstructure:
         offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         return np.repeat(self.starts[order], sizes) + offsets
 
-    def eigentuple(self, b: int) -> tuple[complex, ...]:
-        return tuple(self.eigenvalues[:, b])
-
 
 def _noncommuting_pair(stack: np.ndarray, tol: float, pairs=None):
     """The first pair ``(i, j)``, ``i < j`` in row-major order, of a

@@ -66,14 +66,7 @@ def _random_phases(rng, k):
     return np.exp(2j * np.pi * rng.random(k))
 
 
-_ABELIAN = (
-    groups.cyclic(2),
-    groups.cyclic(3),
-    groups.cyclic(4),
-    groups.cyclic(5),
-    groups.cyclic(6),
-    groups.klein_four(),
-)
+_ABELIAN = tuple(map(groups.group_by_name, ("Z2", "Z3", "Z4", "Z5", "Z6", "V4")))
 
 
 def random_commutative_category(
@@ -296,34 +289,21 @@ def suite_naturality(
 def groupoid_classification_cases() -> list:
     """``(name, groupoid)`` for the classification suite: transitive
     groupoids of six groups on 1-4 objects, then disjoint unions."""
-    named = [
-        ("1", groups.cyclic(1)),
-        ("Z2", groups.cyclic(2)),
-        ("Z3", groups.cyclic(3)),
-        ("Z4", groups.cyclic(4)),
-        ("V4", groups.klein_four()),
-        ("S3", groups.symmetric(3)),
+    named, connected = groups.group_by_name, groups.connected_groupoid
+    cases = [
+        (f"{name}-transitive-{n}obj", connected(n, named(name)))
+        for name in ("1", "Z2", "Z3", "Z4", "V4", "S3")
+        for n in (1, 2, 3, 4)
     ]
-    cases = []
-    for name, g in named:
-        for n in (1, 2, 3, 4):
-            cases.append(
-                (f"{name}-transitive-{n}obj", groups.connected_groupoid(n, g))
-            )
     # non-transitive: disjoint unions keeping at most four objects
-    for (na, ga), (nb, gb) in [
-        (("1", groups.cyclic(1)), ("1", groups.cyclic(1))),
-        (("Z2", groups.cyclic(2)), ("Z2", groups.cyclic(2))),
-        (("Z2", groups.cyclic(2)), ("Z3", groups.cyclic(3))),
-        (("Z4", groups.cyclic(4)), ("V4", groups.klein_four())),
-        (("S3", groups.symmetric(3)), ("Z2", groups.cyclic(2))),
-        (("S3", groups.symmetric(3)), ("S3", groups.symmetric(3))),
-        (("Z3", groups.cyclic(3)), ("1", groups.cyclic(1))),
+    for na, nb in [
+        ("1", "1"), ("Z2", "Z2"), ("Z2", "Z3"), ("Z4", "V4"), ("S3", "Z2"),
+        ("S3", "S3"), ("Z3", "1"),
     ]:
         for split in ((1, 1), (2, 2), (1, 3)):
             u = groups.disjoint_union(
-                groups.connected_groupoid(split[0], ga, prefix="X"),
-                groups.connected_groupoid(split[1], gb, prefix="Y"),
+                connected(split[0], named(na), prefix="X"),
+                connected(split[1], named(nb), prefix="Y"),
             )
             cases.append((f"{na}+{nb}-union-{split[0]}+{split[1]}obj", u))
     return cases
@@ -337,7 +317,7 @@ def suite_groupoid_classification(tol: float | None = None) -> Report:
     report = Report()
     for name, g in cases:
         def body(name=name, g=g):
-            traits = cc.groupoid_report(g)
+            traits = groups.groupoid_report(g)
             cat = cc.groupoid_category(g)
             ok_comm = cc.is_commutative(cat, tol) == traits.stabilizers_abelian
             ok_full = cc.is_full(cat, tol) == traits.transitive
@@ -361,9 +341,8 @@ def suite_dft(tol: float | None = None, m_range=range(2, 13)) -> Report:
     report = Report()
     for m in m_range:
         def body(m=m):
-            cat = cc.groupoid_category(
-                groups.connected_groupoid(1, groups.cyclic(m))
-            )
+            group = groups.cyclic(m)
+            cat = cc.groupoid_category(groups.connected_groupoid(1, group))
             obj = cat.object_ids[0]
             chars = du.characters(cat)
             if len(chars) != m:
@@ -372,13 +351,9 @@ def suite_dft(tol: float | None = None, m_range=range(2, 13)) -> Report:
                     f"expected {m} classes, got {len(chars)}",
                 )
                 return
-            # left regular representation of the generator and its powers
-            rep_elt = {}
-            for j in range(m):
-                pj = np.zeros((m, m), dtype=complex)
-                for i in range(m):
-                    pj[(i + j) % m, i] = 1.0
-                rep_elt[j] = pj
+            # left regular representation of every element: i -> j*i
+            rep_elt = np.zeros((m, m, m), dtype=complex)
+            rep_elt[np.arange(m)[:, None], group.mult, np.arange(m)] = 1.0
             # each class must sit at one frequency, bijectively
             freqs, devs = [], []
             for w in chars:

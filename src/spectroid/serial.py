@@ -24,9 +24,10 @@ Decoders raise :class:`SchemaError` on malformed input and never
 perform semantic validation (use ``validate``/``check_axioms`` for
 that).  A number is a JSON int or float, never a boolean; a literal
 too large for a float, or a non-finite (NaN or infinite) scalar, is a
-``SchemaError``, and so is a repeated ``lambda`` or ``fiber_scalars``
-row.  Each matrix and each table of ``[re, im]`` pairs is decoded in
-one array conversion and encoded with one ``%`` template per list.
+``SchemaError``, and so is a repeated ``lambda``, ``fiber_scalars`` or
+groupoid ``compose`` row.  Each matrix and each table of ``[re, im]``
+pairs is decoded in one array conversion and encoded with one ``%``
+template per list.
 ``parse_*`` after ``emit_*`` is the identity on values, and emitted
 text is byte-deterministic for a given value: the text of
 ``json.dumps(payload, indent=2, sort_keys=True)``.
@@ -42,8 +43,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .cstarcat import FiniteGroupoid, MatrixCategory
+from .cstarcat import MatrixCategory
 from .errors import SchemaError
+from .groups import FiniteGroupoid
 from .reporting import Check, Report
 from .spaceoid import SpaceoidData, SpaceoidMorphism
 
@@ -77,6 +79,18 @@ __all__ = [
 def _need(cond, msg: str):
     if not cond:
         raise SchemaError(msg)
+
+
+def _repeat(cells: np.ndarray):
+    """Row of the second occurrence of the smallest cell given twice, or
+    ``None`` when every cell is given once."""
+    ordered = np.sort(cells)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    return np.flatnonzero(cells == repeated[0])[1] if repeated.size else None
+
+
+def _indices(at: dict, names) -> np.ndarray:
+    return np.fromiter(map(at.__getitem__, names), np.intp)
 
 
 def canonical_text(payload) -> str:
@@ -336,22 +350,28 @@ def category_from_json(d) -> MatrixCategory:
 
 
 def groupoid_to_json(g: FiniteGroupoid) -> dict:
+    """Compose rows ``[left, right, result]`` sorted by name."""
+    names = np.array(g.arrows, dtype=object)
+    by_name = np.argsort(names)
+    table = g.compose[np.ix_(by_name, by_name)]  # rows and columns by name
+    x, y = np.nonzero(table >= 0)
     return {
-        "objects": [str(o) for o in g.objects],
+        "objects": list(g.objects),
         "arrows": [
-            {"id": str(a), "source": str(g.source[a]), "target": str(g.target[a])}
-            for a in g.arrows
+            {"id": a, "source": g.objects[s], "target": g.objects[t]}
+            for a, s, t in zip(g.arrows, g.source.tolist(), g.target.tolist())
         ],
-        "compose": [
-            [str(x), str(y), str(z)]
-            for (x, y), z in sorted(g.compose.items())
-        ],
-        "identities": {str(o): str(a) for o, a in g.identities.items()},
-        "inverses": {str(a): str(b) for a, b in g.inverses.items()},
+        "compose": np.stack(
+            [names[by_name[x]], names[by_name[y]], names[table[x, y]]], axis=1
+        ).tolist(),
+        "identities": dict(zip(g.objects, names[g.identities].tolist())),
+        "inverses": dict(zip(g.arrows, names[g.inverses].tolist())),
     }
 
 
 def groupoid_from_json(d) -> FiniteGroupoid:
+    """Names become indices here; a compose row given twice for the same
+    ``(left, right)`` is a :class:`SchemaError`."""
     _need(isinstance(d, dict), "groupoid must be an object")
     _need(isinstance(d.get("objects"), list), "groupoid missing 'objects'")
     objects = tuple(d["objects"])
@@ -359,8 +379,9 @@ def groupoid_from_json(d) -> FiniteGroupoid:
         all(isinstance(o, str) for o in objects),
         "groupoid objects must be strings",
     )
+    at_object = {o: i for i, o in enumerate(objects)}
+    _need(len(at_object) == len(objects), "duplicate object ids")
     _need(isinstance(d.get("arrows"), list), "groupoid missing 'arrows'")
-    arrows, source, target = [], {}, {}
     for row in d["arrows"]:
         _need(
             isinstance(row, dict)
@@ -368,46 +389,48 @@ def groupoid_from_json(d) -> FiniteGroupoid:
             f"arrow rows need string id/source/target: {row!r}",
         )
         _need(
-            row["source"] in objects and row["target"] in objects,
+            row["source"] in at_object and row["target"] in at_object,
             f"arrow {row['id']!r} references unknown objects",
         )
-        arrows.append(row["id"])
-        source[row["id"]] = row["source"]
-        target[row["id"]] = row["target"]
-    known = set(arrows)
-    _need(len(known) == len(arrows), "duplicate arrow ids")
+    arrows = tuple(row["id"] for row in d["arrows"])
+    at = {a: i for i, a in enumerate(arrows)}
+    _need(len(at) == len(arrows), "duplicate arrow ids")
 
-    compose = {}
-    _need(isinstance(d.get("compose"), list), "groupoid missing 'compose'")
-    for row in d["compose"]:
+    def known(a) -> bool:
+        return isinstance(a, str) and a in at
+
+    rows = d.get("compose")
+    _need(isinstance(rows, list), "groupoid missing 'compose'")
+    for row in rows:
         _need(
-            isinstance(row, list) and len(row) == 3 and all(r in known for r in row),
+            isinstance(row, list) and len(row) == 3 and all(map(known, row)),
             f"compose rows must be [left, right, result] over known arrows: {row!r}",
         )
-        compose[(row[0], row[1])] = row[2]
+    x, y, z = _indices(at, itertools.chain.from_iterable(rows)).reshape(-1, 3).T
+    second = _repeat(x * len(arrows) + y)
+    if second is not None:
+        raise SchemaError(f"duplicate compose row {rows[second][:2]!r}")
+    compose = np.full((len(arrows), len(arrows)), -1, dtype=np.intp)
+    compose[x, y] = z
 
-    identities = d.get("identities", {})
-    inverses = d.get("inverses", {})
-    _need(
-        isinstance(identities, dict)
-        and set(identities) == set(objects)
-        and all(a in known for a in identities.values()),
-        "'identities' must map every object to a known arrow",
-    )
-    _need(
-        isinstance(inverses, dict)
-        and set(inverses) == known
-        and all(a in known for a in inverses.values()),
-        "'inverses' must map every arrow to a known arrow",
-    )
+    def arrow_map(key, domain, what):
+        table = d.get(key, {})
+        _need(
+            isinstance(table, dict)
+            and set(table) == set(domain)
+            and all(map(known, table.values())),
+            f"{key!r} must map every {what} to a known arrow",
+        )
+        return _indices(at, map(table.get, domain))
+
     return FiniteGroupoid(
         objects=objects,
-        arrows=tuple(arrows),
-        source=source,
-        target=target,
+        arrows=arrows,
+        source=_indices(at_object, (row["source"] for row in d["arrows"])),
+        target=_indices(at_object, (row["target"] for row in d["arrows"])),
         compose=compose,
-        identities=dict(identities),
-        inverses=dict(inverses),
+        identities=arrow_map("identities", objects, "object"),
+        inverses=arrow_map("inverses", arrows, "arrow"),
     )
 
 
@@ -431,20 +454,15 @@ def _keyed_rows(rows, axes: tuple, shape: tuple, what: str, form: str):
         raise SchemaError(f"{what} rows must be {form}: {bad!r}")
     columns = list(zip(*rows))
     try:
-        index = [
-            np.fromiter(map(axis.__getitem__, labels), np.intp, len(rows))
-            for axis, labels in zip(axes, columns)
-        ]
+        index = [_indices(axis, labels) for axis, labels in zip(axes, columns)]
     except KeyError as exc:
         label = exc.args[0]
         raise SchemaError(f"{what} row names {label!r}, outside its axis") from exc
     except TypeError as exc:
         raise SchemaError(f"{what} row labels must be strings") from exc
     cells = np.ravel_multi_index(index, shape)
-    ordered = np.sort(cells)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:
-        second = np.flatnonzero(cells == repeated[0])[1]
+    second = _repeat(cells)
+    if second is not None:
         raise SchemaError(f"duplicate {what} row {rows[second][:k]!r}")
     return cells, _complex_array(columns[k], (len(rows),), f"{what} values")
 

@@ -10,7 +10,7 @@ bundle is the table of unimodular structure constants
 together with the normalizations forced by the involution (frames are
 locked to u(p; B, A) = u(p; A, B)*) and by positivity.  This module
 stores and validates those tables, applies and finds gauges (frame
-changes), and implements morphisms, pullbacks and the standard
+changes), and implements morphisms and the standard
 constructions (trivial bundles, chains of line bundles, bundles
 associated to phase-torsors).
 
@@ -29,7 +29,6 @@ import numpy as np
 
 from .config import PHASE_ATOL, resolve_tol
 from .errors import (
-    DomainMismatch,
     InvalidMorphism,
     InvalidPhaseFunctor,
     InvalidSpaceoid,
@@ -55,7 +54,6 @@ __all__ = [
     "validate_morphism",
     "compose",
     "identity_morphism",
-    "pullback",
     "is_isomorphism",
     "morphism_distance",
 ]
@@ -505,22 +503,6 @@ def compose(m2: SpaceoidMorphism, m1: SpaceoidMorphism) -> SpaceoidMorphism:
     f_r = {a: m2.f_r[b] for a, b in m1.f_r.items()}
     s2 = _aligned(m2, m1.f_delta.values(), m1.f_r.values())
     return SpaceoidMorphism(f_delta, f_r, _mul(m1.fiber_scalars, s2))
-
-
-def pullback(f_delta: dict, f_r: dict, e: SpaceoidData) -> SpaceoidData:
-    """Reindex a spaceoid along maps of points and objects.
-
-    The new base points/objects are the domains of the two maps (in
-    insertion order); constants are looked up through the maps.
-    """
-    points = tuple(str(p) for p in f_delta)
-    objects = tuple(str(o) for o in f_r)
-    missing = set(map(str, f_delta.values())) - set(e.base_points)
-    if missing or set(map(str, f_r.values())) - set(e.objects):
-        raise DomainMismatch("maps do not land in the given spaceoid")
-    q = [e.base_points.index(str(v)) for v in f_delta.values()]
-    r = [e.objects.index(str(v)) for v in f_r.values()]
-    return SpaceoidData(points, objects, e.table[np.ix_(q, r, r, r)])
 
 
 def _base_bijective(m: SpaceoidMorphism, cod: SpaceoidData) -> bool:

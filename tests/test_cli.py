@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectroid import cli, serial
+from spectroid import cli, groups, serial
 from spectroid import spaceoid as sp
 from spectroid import cstarcat as cc
 
@@ -375,6 +375,21 @@ def test_validate_morphism_with_stray_rows_is_invalid_input(capsys, tmp_path):
             capsys, "validate", mfile, "--dom", spaceoid2, "--cod", spaceoid2
         )
         assert code == 2 and "fiber_scalars" in stderr
+
+
+def test_validate_groupoid_with_repeated_compose_row_is_invalid_input(
+    capsys, tmp_path
+):
+    d = serial.groupoid_to_json(groups.connected_groupoid(2, groups.cyclic(3)))
+    gfile = tmp_path / "g.json"
+    gfile.write_text(serial.canonical_text(d))
+    assert run_cli(capsys, "validate", gfile)[0] == 0
+    # the same (left, right) pair again, with another result
+    left, right, _ = d["compose"][0]
+    d["compose"].append([left, right, d["compose"][1][2]])
+    gfile.write_text(serial.canonical_text(d))
+    code, _, stderr = run_cli(capsys, "validate", gfile)
+    assert code == 2 and "duplicate compose row" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -551,28 +551,14 @@ def test_characters_of_rank2_class_with_complex_gauge():
     assert len(assert_character_laws(c)) == 1
 
 
-def test_match_character_class_roundtrip():
-    c = cc.linking_category(3, [2, 0, 1], [1.0, 1j, np.exp(0.3j)])
-    spec = du.spectrum(c)
-    chars = du.characters(c)
-    for i, w in enumerate(chars):
-        assert du.match_character_class(spec, w) == i
-    # a spectrum recomputed with different randomness still matches by
-    # diagonals
-    spec2 = du.spectrum(c, seed=123)
-    for i in range(spec2.n_classes):
-        w = du.Character(spec2.class_points[i], i, spec2)
-        assert du.match_character_class(spec, w) == i
-
-
-def test_match_character_class_mismatch():
+def test_match_classes_without_fit_is_mismatch():
     spec = du.spectrum(du.classical_category(2))
 
-    def omega(a, b, x):
-        return 17.0  # not a character value of anything here
+    def values(o, basis):
+        return np.full((1, len(basis)), 17.0)  # no class takes this value
 
     with pytest.raises(SpectrumMismatch):
-        du.match_character_class(spec, omega)
+        du._match_classes(spec, values, 1, 1e-9)
 
 
 def test_unitary_equivalence_gauge_recovers_twist():

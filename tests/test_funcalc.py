@@ -108,6 +108,9 @@ def test_wrong_table_key_rejected():
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
+# an 8x8 draw with a degree-5 polynomial: 1.7e-6 off the oracle, with
+# every block of its closure at rank 8, inside criterion 6's bound
+@example(seed=1_152_865_252)
 def test_rectangular_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -118,7 +121,10 @@ def test_rectangular_matches_oracle(seed):
     f = fc.SpectralFunction.from_coeffs(coeffs)
     got = fc.funcalc(x, "A", "B", f)
     want = fc.svd_oracle(x, "A", "B", f)
-    assert op_norm(got - want) <= 1e-8 * (1 + f.max_abs())
+    # criterion 6's bound: relative to |f| on the spectrum, not to the
+    # coefficients
+    fmax = max((abs(f(s)) for s in fc.spectrum_of_element(x, "A", "B")), default=0.0)
+    assert op_norm(got - want) <= 1e-8 * (1 + fmax)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -145,9 +145,9 @@ def test_joint_diagonalize_recovers_planted_structure():
         mats, sizes, evals = planted_family(rng, d, n_inputs, n_blocks)
         je = numkit.joint_diagonalize(mats, 1e-9, seed=trial)
         assert je.n_blocks == n_blocks
-        # multiset of (eigentuple, size) must match the planted one
+        # multiset of (eigenvalue tuple, size) must match the planted one
         got = sorted(
-            (tuple(np.round(je.eigentuple(b), 6)), len(je.blocks[b]))
+            (tuple(np.round(je.eigenvalues[:, b], 6)), len(je.blocks[b]))
             for b in range(je.n_blocks)
         )
         want = sorted(
@@ -173,7 +173,7 @@ def test_joint_diagonalize_blocks_are_canonically_ordered():
     keys = []
     for b in range(je.n_blocks):
         key = []
-        for z in je.eigentuple(b):
+        for z in je.eigenvalues[:, b]:
             key += [round(z.real, 8), round(z.imag, 8)]
         keys.append(tuple(key))
     assert keys == sorted(keys)
@@ -239,7 +239,7 @@ def test_joint_diagonalize_degenerate_pair_needs_refinement():
     b = np.diag([5.0, 7.0, 7.0])
     je = numkit.joint_diagonalize([a, b], 1e-9)
     assert je.n_blocks == 3
-    tuples = {tuple(np.round(je.eigentuple(k), 8)) for k in range(3)}
+    tuples = {tuple(np.round(je.eigenvalues[:, k], 8)) for k in range(3)}
     assert tuples == {(1, 5), (1, 7), (2, 7)}
 
 

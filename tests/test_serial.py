@@ -193,9 +193,11 @@ def test_category_schema_errors(mangle):
 def test_groupoid_roundtrip(g):
     text = serial.emit("groupoid", g)
     back = serial.parse("groupoid", text)
-    assert back == g
+    assert (back.objects, back.arrows) == (g.objects, g.arrows)
+    for field in ("source", "target", "compose", "identities", "inverses"):
+        assert np.array_equal(getattr(back, field), getattr(g, field)), field
     assert serial.emit("groupoid", back) == text
-    assert cstarcat.validate_groupoid(back).passed
+    assert groups.validate_groupoid(back).passed
 
 
 def test_groupoid_schema_errors():
@@ -211,6 +213,23 @@ def test_groupoid_schema_errors():
     d = serial.groupoid_to_json(g)
     del d["identities"][g.objects[0]]
     with pytest.raises(SchemaError):
+        serial.groupoid_from_json(d)
+    d = serial.groupoid_to_json(g)
+    d["compose"].append(list(d["compose"][3]))
+    with pytest.raises(SchemaError, match="duplicate compose row"):
+        serial.groupoid_from_json(d)
+    # a name that is not a string is malformed, not a crash
+    d = serial.groupoid_to_json(g)
+    d["compose"][0][2] = [d["compose"][0][2]]
+    with pytest.raises(SchemaError):
+        serial.groupoid_from_json(d)
+    d = serial.groupoid_to_json(g)
+    d["inverses"][g.arrows[0]] = {}
+    with pytest.raises(SchemaError):
+        serial.groupoid_from_json(d)
+    d = serial.groupoid_to_json(g)
+    d["objects"].append(d["objects"][0])
+    with pytest.raises(SchemaError, match="duplicate object ids"):
         serial.groupoid_from_json(d)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from spectroid import duality as du
 from spectroid import serial
 from spectroid import spaceoid as sp
-from spectroid.errors import DomainMismatch, InvalidPhaseFunctor, InvalidSpaceoid
+from spectroid.errors import InvalidPhaseFunctor, InvalidSpaceoid
 from spectroid.selftest import random_morphism
 
 
@@ -314,20 +314,6 @@ def test_validate_morphism_trips_on_planted_defect(name):
     assert 5 <= check.residual / check.bound <= 20, check
 
 
-def test_pullback_reindexes_table():
-    e, _ = random_spaceoid(9, 3, 2)
-    f_delta = {"q0": "p2", "q1": "p2", "q2": "p0"}
-    f_r = {"A": "O2", "B": "O1"}
-    pb = sp.pullback(f_delta, f_r, e)
-    assert pb.base_points == ("q0", "q1", "q2")
-    assert abs(
-        pb.lam[("q0", "A", "B", "A")] - e.lam[("p2", "O2", "O1", "O2")]
-    ) < 1e-15
-    assert sp.validate(pb, tol=1e-12).passed
-    with pytest.raises(DomainMismatch):
-        sp.pullback({"q0": "nope"}, f_r, e)
-
-
 def test_is_isomorphism_requires_base_bijection():
     e, _ = random_spaceoid(13, 3, 2)
     collapse = random_morphism(14, e, e, f_delta={p: "p0" for p in e.base_points})
@@ -423,14 +409,6 @@ def ref_torsor(points, objects, reps) -> dict:
     return lam
 
 
-def ref_pullback(f_delta, f_r, lam) -> dict:
-    return {
-        (p, a, b, c): lam[(f_delta[p], f_r[a], f_r[b], f_r[c])]
-        for p in f_delta
-        for a, b, c in itertools.product(f_r, repeat=3)
-    }
-
-
 def dense(d, *axes) -> np.ndarray:
     """A label-keyed dict as an array over the product of ``axes``."""
     values = [d[k] for k in itertools.product(*axes)]
@@ -486,11 +464,6 @@ def test_tables_match_label_reference(seed):
             ref = assert_same_spaceoid(ref_apply_gauge(lam, want, pts, objs), flat)
             # the bytes the benchmark's spaceoid workload writes out
             assert serial.emit("spaceoid", ref) == serial.emit("spaceoid", flat)
-
-            f_delta = {f"q{i}": pts[j] for i, j in enumerate(rng.integers(len(pts), size=3))}
-            f_r = {f"X{i}": objs[j] for i, j in enumerate(rng.permutation(len(objs)))}
-            pulled = sp.pullback(f_delta, f_r, twisted)
-            assert_same_spaceoid(ref_pullback(f_delta, f_r, lam), pulled)
 
 
 # --- the label-keyed morphism constructions the arrays replaced ---------------
