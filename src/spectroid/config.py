@@ -10,7 +10,8 @@ __all__ = [
     "DEFAULT_TOL", "GRAM_SLACK", "AXIOM_SLACK", "FUNCTOR_SLACK",
     "SPECTRAL_SLACK", "EQUIVALENCE_SLACK", "ISOMETRY_SLACK", "ZERO_SLACK",
     "JOINT_FALLBACK_SLACK", "JOINT_TARGET_RTOL", "PREGROUP_RTOL",
-    "CLUSTER_RTOL", "COMMUTATOR_CERT_SLACK", "FULLNESS_RTOL", "PHASE_ATOL",
+    "CLUSTER_RTOL", "COMMUTATOR_CERT_SLACK", "GELFAND_CERT_SLACK",
+    "FULLNESS_RTOL", "PHASE_ATOL",
     "VANISHING_ATOL", "ZERO_ONE_CUT", "resolve_tol",
 ]
 
@@ -64,6 +65,16 @@ CLUSTER_RTOL = 1e-8
 # O(d eps ||m_i|| ||m_j||), so a certified pair passes the explicit check
 # for any tol above about 100 d eps.
 COMMUTATOR_CERT_SLACK = 10.0
+# gelfand certifies a pair of basis elements, without forming its
+# product, when this times the bound its compressions prove on the
+# pair's multiplicativity defect is at most FUNCTOR_SLACK * tol and this
+# times the bound on the product's HS residual outside its block is at
+# most tol; likewise a seeded combination x, without its SVD, when this
+# times the bound on | ||x||_op - max_p |xhat_p| | is at most
+# ISOMETRY_SLACK * tol.  As for COMMUTATOR_CERT_SLACK, the bounds are
+# exact arithmetic and the slack leaves 90% of each check's bound for
+# rounding, O(d eps) per product.
+GELFAND_CERT_SLACK = 10.0
 # is_full on unital categories: h = sum_i x_i* x_i over a block's
 # HS-orthonormal basis (likewise sum_i x_i x_i*) is invertible when its
 # smallest eigenvalue exceeds this times its largest.  The ratio is at

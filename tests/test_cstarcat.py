@@ -758,3 +758,95 @@ def test_invalid_groupoid_rejected():
     junk = np.where(g.compose >= 0, g.compose[0, 0], -1)  # every product the same
     with pytest.raises(InvalidGroupoid):
         groupoid_category(dataclasses.replace(g, compose=junk))
+
+
+# ---------------------------------------------------------------------------
+# chunked products: the same reports and messages at every chunk size
+
+
+def _not_closed():
+    """Three Hermitian directions of M_2 whose products leave their
+    span (sigma_x sigma_z = -i sigma_y), with a noisy functor."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex) / np.sqrt(2)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex) / np.sqrt(2)
+    e = np.eye(2, dtype=complex) / np.sqrt(2)
+    return cstarcat.MatrixCategory((("A", 2),), {("A", "A"): [e, sx, sz]}, unital=False)
+
+
+def _noisy_identity(cat, seed):
+    rng = np.random.default_rng(seed)
+    phi = identity_functor(cat)
+    for pair, m in phi.block_maps.items():
+        phi.block_maps[pair] = m + 1e-7 * rng.standard_normal(m.shape)
+    return phi
+
+
+CHUNK_CASES = {
+    "linking": lambda: linking_category(3, [2, 0, 1], phases=[1.0, 1j, -1.0]),
+    "groupoid": lambda: groupoid_category(
+        groups.connected_groupoid(3, groups.cyclic(3))
+    ),
+    "multi-linking": lambda: multi_linking(3, [[1, 2, 0], [2, 1, 0]]),
+}
+
+
+def _same_up_to_rounding(got, want):
+    """Equal reports, residuals within rounding of each other (a
+    projection's last bits depend on how many rows BLAS multiplies at
+    once)."""
+    assert [(c.name, c.passed, c.detail, c.bound) for c in got] == [
+        (c.name, c.passed, c.detail, c.bound) for c in want
+    ]
+    for g, w in zip(got, want):
+        assert g.residual == pytest.approx(w.residual, rel=1e-6, abs=1e-15), g
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_chunked_products_match_one_stack(monkeypatch, name):
+    cat = CHUNK_CASES[name]()
+    phi = _noisy_identity(cat, 3)
+    # the unchunked products, as one stack per triple
+    stacks = {p: np.array(cat.block(*p)) for p in cat.pairs()}
+    closure = [
+        numkit._project(
+            cat.block(a, c), cstarcat._products(stacks[(a, b)], stacks[(b, c)]), 1e-9
+        )[1].max()
+        for a, b, c in itertools.product(cat.object_ids, repeat=3)
+        if cat.block(a, b) and cat.block(b, c)
+    ]
+    want_axioms = check_axioms(cat).checks
+    want_functor = validate_functor(phi, cat, cat).checks
+    # the default chunk holds every triple here: bit for bit
+    assert next(c for c in want_axioms if c.name == "composition-closure").residual == max(closure)
+    d = max(dim for _, dim in cat.objects)
+    for chunk in (1, 7, 3 * d * d):
+        monkeypatch.setattr(cstarcat, "_PAIR_CHUNK", chunk)
+        _same_up_to_rounding(check_axioms(cat).checks, want_axioms)
+        _same_up_to_rounding(validate_functor(phi, cat, cat).checks, want_functor)
+        # the diagonal pairs of every triple certified at bound 0: the
+        # explicit pairs left still decide the verdicts
+        certified = {
+            t: (np.eye(len(cat.block(*t[:2])), len(cat.block(*t[1:])), dtype=bool),
+                np.zeros((len(cat.block(*t[:2])), len(cat.block(*t[1:])))))
+            for t in itertools.product(cat.object_ids, repeat=3)
+        }
+        got = validate_functor(phi, cat, cat, _certified=certified).checks
+        assert [(c.name, c.passed) for c in got] == [
+            (c.name, c.passed) for c in want_functor
+        ]
+
+
+def test_chunked_product_outside_source_names_the_same_residual(monkeypatch):
+    cat = _not_closed()
+    with pytest.raises(InvalidFunctor) as want:
+        validate_functor(identity_functor(cat), cat, cat)
+    assert check_axioms(cat).failures()
+    closure = next(c for c in check_axioms(cat).checks if c.name == "composition-closure")
+    for chunk in (1, 4, 12):
+        monkeypatch.setattr(cstarcat, "_PAIR_CHUNK", chunk)
+        with pytest.raises(InvalidFunctor) as got:
+            validate_functor(identity_functor(cat), cat, cat)
+        assert str(got.value) == str(want.value)
+        assert next(
+            c for c in check_axioms(cat).checks if c.name == "composition-closure"
+        ) == closure

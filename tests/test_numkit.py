@@ -730,3 +730,47 @@ def test_hs_orthonormalize_is_orthonormal_and_spanning(seed, count):
     for m in mats:
         member, _, _ = numkit.hs_member(m, basis)
         assert member
+
+
+REFINED = {  # two input diagonals, and the sizes of the blocks refinement splits
+    "two-blocks": (
+        [np.r_[0, 3e-7, 1, 1 + 3e-7, 2:10], np.r_[0, 0, 1, 1, 2, 0, 1, 2, 0, 1, 2, 0]],
+        [2, 2],
+    ),
+    "every-block": ([np.repeat([0, 3e-7, 1, 1 + 3e-7], 3), np.tile([0, 1, 2], 4)], [2] * 6),
+}
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-7])
+@pytest.mark.parametrize("case", sorted(REFINED))
+def test_refinement_recompresses_rotated_columns(monkeypatch, case, noise):
+    # eigenvalue gaps of 3e-7 sit under the first grouping's cut, so the
+    # per-input refinement splits those blocks; the compressions it
+    # updates (in place when few columns rotated) match a full
+    # recompression into the final basis, also off the blocks of a
+    # noisy (not quite commuting) pair, where a stale row or column
+    # would show
+    diagonals, split = REFINED[case]
+    rng = np.random.default_rng(3)
+    u = rand_unitary(rng, 12)
+    stack = np.stack([u @ np.diag(row) @ u.conj().T for row in diagonals]).astype(complex)
+    h = rng.standard_normal((12, 12))
+    stack[1] += noise * (h + h.T)
+    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
+    rotations = []
+    core = numkit._normal_eig_core
+
+    def rephased(c, threshold):  # an eigenbasis with other column phases
+        rotations.append(len(c))
+        evals, w = core(c, threshold)
+        return evals, w * np.exp(1j * np.arange(1, len(w) + 1))
+
+    monkeypatch.setattr(numkit, "_normal_eig_core", rephased)
+    result, comp = numkit._attempt_joint(stack, np.random.default_rng(1), scales)
+    assert rotations == split and result.n_blocks == 12
+    full = numkit._compress(result.unitary, stack)
+    assert np.abs(comp - full).max() <= 1e-13
+    residual, defects, _ = numkit._verify_joint(result, comp, scales)
+    assert (residual <= numkit.JOINT_TARGET_RTOL) == (not noise)
+    model = numkit._diag(np.repeat(result.eigenvalues, result.sizes, axis=1))
+    assert np.allclose(defects, np.linalg.norm(full - model, axis=(1, 2)), atol=1e-14)
