@@ -10,8 +10,7 @@ __all__ = [
     "DEFAULT_TOL", "GRAM_SLACK", "AXIOM_SLACK", "FUNCTOR_SLACK",
     "SPECTRAL_SLACK", "EQUIVALENCE_SLACK", "ISOMETRY_SLACK", "ZERO_SLACK",
     "JOINT_FALLBACK_SLACK", "JOINT_TARGET_RTOL", "PREGROUP_RTOL",
-    "CLUSTER_RTOL", "COMMUTATOR_CERT_SLACK", "GELFAND_CERT_SLACK",
-    "FULLNESS_RTOL", "PHASE_ATOL",
+    "CLUSTER_RTOL", "CERT_SLACK", "FULLNESS_RTOL", "PHASE_ATOL",
     "VANISHING_ATOL", "ZERO_ONE_CUT", "resolve_tol",
 ]
 
@@ -56,25 +55,20 @@ PREGROUP_RTOL = 1e-4
 # joint_diagonalize) or spectral points of one element (funcalc, which
 # also matches table keys so) closer than this times 1 + ||m||_op.
 CLUSTER_RTOL = 1e-8
-# joint_diagonalize certifies a pair of inputs as commuting, without
-# forming its commutator, when this times the bound its eigenbasis proves
-# on ||[m_i, m_j]||_HS is at most tol * (1 + ||m_i||_HS ||m_j||_HS), the
-# pair's bound in the explicit check.  The bound is exact arithmetic; the
-# slack leaves 90% of the check's bound for the rounding of the
-# compressions, of the defects and of the explicit commutator, each
-# O(d eps ||m_i|| ||m_j||), so a certified pair passes the explicit check
+# A certificate clears an explicit check, without forming the products
+# that check would, when this times the bound it proves is at most the
+# check's bound.  joint_diagonalize certifies a pair of inputs as
+# commuting when its eigenbasis bounds ||[m_i, m_j]||_HS so against
+# tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand certifies a pair of basis
+# elements when its compressions bound the pair's multiplicativity
+# defect so against FUNCTOR_SLACK * tol and the product's HS residual
+# outside its block against tol, and a seeded combination x, without
+# its SVD, when they bound | ||x||_op - max_p |xhat_p| | so against
+# ISOMETRY_SLACK * tol.  The bounds are exact arithmetic; the slack
+# leaves 90% of each check's bound for rounding, O(d eps) relative to
+# the sizes multiplied, so a certified item passes the explicit check
 # for any tol above about 100 d eps.
-COMMUTATOR_CERT_SLACK = 10.0
-# gelfand certifies a pair of basis elements, without forming its
-# product, when this times the bound its compressions prove on the
-# pair's multiplicativity defect is at most FUNCTOR_SLACK * tol and this
-# times the bound on the product's HS residual outside its block is at
-# most tol; likewise a seeded combination x, without its SVD, when this
-# times the bound on | ||x||_op - max_p |xhat_p| | is at most
-# ISOMETRY_SLACK * tol.  As for COMMUTATOR_CERT_SLACK, the bounds are
-# exact arithmetic and the slack leaves 90% of each check's bound for
-# rounding, O(d eps) per product.
-GELFAND_CERT_SLACK = 10.0
+CERT_SLACK = 10.0
 # is_full on unital categories: h = sum_i x_i* x_i over a block's
 # HS-orthonormal basis (likewise sum_i x_i x_i*) is invertible when its
 # smallest eigenvalue exceeds this times its largest.  The ratio is at

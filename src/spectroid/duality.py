@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    EQUIVALENCE_SLACK, FUNCTOR_SLACK, GELFAND_CERT_SLACK, ISOMETRY_SLACK,
+    CERT_SLACK, EQUIVALENCE_SLACK, FUNCTOR_SLACK, ISOMETRY_SLACK,
     SPECTRAL_SLACK, VANISHING_ATOL, ZERO_ONE_CUT, resolve_tol,
 )
 from .cstarcat import (
@@ -854,13 +854,13 @@ def _isometry_bounds(q: _Compressions, z, top):
 def _certified_products(c, q: _Compressions | None, spec, gauge, tol) -> dict:
     """``validate_functor``'s ``_certified`` argument: per triple of
     objects, the pairs whose bounds from :func:`_product_bounds` clear
-    the multiplicativity and membership checks with
-    ``config.GELFAND_CERT_SLACK`` to spare, and those bounds."""
+    the multiplicativity and membership checks with ``config.CERT_SLACK``
+    to spare, and those bounds."""
     if q is None:
         return {}
     mult, outside = _product_bounds(q, spec.spaceoid.table, gauge)
-    done = (GELFAND_CERT_SLACK * mult <= FUNCTOR_SLACK * tol) & (
-        GELFAND_CERT_SLACK * outside <= tol
+    done = (CERT_SLACK * mult <= FUNCTOR_SLACK * tol) & (
+        CERT_SLACK * outside <= tol
     )
     ids = list(enumerate(c.object_ids))
     return {
@@ -883,15 +883,16 @@ def gelfand(
     the basis elements' compressions into the spectrum's class-ordered
     bases (:func:`_product_bounds`, :func:`_isometry_bounds`).  Each
     item, a pair of basis elements or a combination, reports its proven
-    upper bound where ``config.GELFAND_CERT_SLACK`` times it clears the
-    check's bound, and its explicit defect elsewhere; only those
-    products and operator norms are formed.
+    upper bound where ``config.CERT_SLACK`` times it clears the check's
+    bound, and its explicit defect elsewhere; only those products and
+    operator norms are formed.  The block maps are the frame
+    coefficients of the compressions ``spectrum`` kept.
     """
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
     sec, gauge = sections_with_gauge(spec.spaceoid, tol)
     block_maps = {
-        (a, b): spec.coefficients(a, b, _stack(c, a, b)).T
+        (a, b): spec._frame_coefficients(a, b, spec.compressions[(a, b)]).T
         for a, b in c.pairs()
     }
     phi = StarFunctor(
@@ -937,7 +938,7 @@ def _isometry_devs(c, block_maps, q, tol, seed) -> np.ndarray:
         bound = _isometry_bounds(
             q, np.reshape(zs, (o, o, 3, n)), np.reshape(tops, (o, o, 3))
         ).reshape(-1, 3)
-        done = GELFAND_CERT_SLACK * bound <= ISOMETRY_SLACK * tol
+        done = CERT_SLACK * bound <= ISOMETRY_SLACK * tol
         devs[done] = bound[done]
     for m, t in zip(*np.nonzero(np.isnan(devs))):
         x = np.tensordot(zs[m][t], _stack(c, *keys[m]), 1)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    CLUSTER_RTOL, COMMUTATOR_CERT_SLACK, JOINT_FALLBACK_SLACK, JOINT_TARGET_RTOL,
+    CERT_SLACK, CLUSTER_RTOL, JOINT_FALLBACK_SLACK, JOINT_TARGET_RTOL,
     PREGROUP_RTOL, resolve_tol,
 )
 from .errors import DiagonalizationFailed, NotCommuting, NotNormal
@@ -279,12 +279,11 @@ def _uncertified_pairs(stack, tol, result, defects, delta):
       + e_i e_j) + 2 delta (1 + delta)^2 / (1 - delta) n_i n_j) / (1 -
       delta)``.
 
-    A pair is certified when that bound times
-    ``config.COMMUTATOR_CERT_SLACK`` is at most the pair's bound in
-    :func:`_noncommuting_pair`, ``tol * (1 + n_i n_j)``: the slack
-    leaves room for the rounding of ``comp``, of ``e_i`` and of the
-    explicit commutator, so a certified pair passes that check.  A NaN
-    certifies nothing."""
+    A pair is certified when that bound times ``config.CERT_SLACK`` is
+    at most the pair's bound in :func:`_noncommuting_pair`, ``tol * (1
+    + n_i n_j)``: the slack leaves room for the rounding of ``comp``, of
+    ``e_i`` and of the explicit commutator, so a certified pair passes
+    that check.  A NaN certifies nothing."""
     i, j = np.triu_indices(len(stack), 1)
     if not delta < 1.0:
         return i, j
@@ -294,7 +293,7 @@ def _uncertified_pairs(stack, tol, result, defects, delta):
     block = 2.0 * (mu[i] * e[j] + mu[j] * e[i] + e[i] * e[j])
     mixing = 2.0 * delta * (1.0 + delta) ** 2 / (1.0 - delta) * nn
     bound = (block + mixing) / (1.0 - delta)
-    certified = COMMUTATOR_CERT_SLACK * bound <= tol * (1.0 + nn)
+    certified = CERT_SLACK * bound <= tol * (1.0 + nn)
     return i[~certified], j[~certified]
 
 
@@ -464,9 +463,8 @@ def _attempt_joint(stack, rng, scales):
     # block every input seen so far acts as a scalar, so only the
     # current one can split it.  Refinement only rotates the columns of
     # the block it splits, so blocks on which every input is already
-    # scalar are final.  Only the rows and columns of ``comp`` at the m
-    # rotated columns of d are compressed again, 4 n m d^2 flops against
-    # 2 n d^3 for all of it, which is done instead once 2 m >= d.
+    # scalar are final, and only the rows and columns of ``comp`` at
+    # rotated columns are compressed again.
     if todo:
         rotated = np.zeros(len(w), dtype=bool)
         for m, threshold in zip(stack, thresholds):
@@ -487,9 +485,7 @@ def _attempt_joint(stack, rng, scales):
             todo = new_blocks
         blocks += todo
         moved = np.flatnonzero(rotated)
-        if 2 * len(moved) >= len(w):
-            comp = _compress(u, stack)
-        elif len(moved):
+        if len(moved):
             u_moved = u[:, moved]
             comp[:, moved, :] = (u_moved.conj().T @ stack) @ u
             comp[:, :, moved] = u.conj().T @ (stack @ u_moved)

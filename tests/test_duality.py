@@ -435,8 +435,8 @@ def _gelfand_report_with_coefficients(monkeypatch, change):
 
     def planted(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        coefficients = spec.coefficients
-        spec.coefficients = lambda a, b, x: change(coefficients(a, b, x))
+        coefficients = spec._frame_coefficients
+        spec._frame_coefficients = lambda a, b, t: change(coefficients(a, b, t))
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted)

@@ -52,7 +52,8 @@ def gelfand_parts(cat):
     spec = du.spectrum(cat, TOL)
     sec, gauge = du.sections_with_gauge(spec.spaceoid, TOL)
     maps = {
-        (a, b): spec.coefficients(a, b, cc._stack(cat, a, b)).T for a, b in cat.pairs()
+        (a, b): spec._frame_coefficients(a, b, spec.compressions[(a, b)]).T
+        for a, b in cat.pairs()
     }
     return spec, sec, gauge, maps
 
@@ -166,16 +167,16 @@ def test_gelfand_reports_the_explicit_residual_of_a_planted_pair(monkeypatch):
 
     def planted_spectrum(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        coefficients = spec.coefficients
+        coefficients = spec._frame_coefficients
 
-        def scaled(a, b, x):  # the image of basis element 2 of (A, A)
-            z = coefficients(a, b, x)
-            if (a, b) == ("A", "A") and np.ndim(x) == 3:
+        def scaled(a, b, t):  # the image of basis element 2 of (A, A)
+            z = coefficients(a, b, t)
+            if (a, b) == ("A", "A") and np.ndim(t) == 3:
                 z = z.copy()
                 z[2] *= 1 + 10 * BOUND
             return z
 
-        spec.coefficients = scaled
+        spec._frame_coefficients = scaled
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted_spectrum)
@@ -249,8 +250,8 @@ def test_gelfand_with_a_nan_coefficient_fails_without_raising(monkeypatch):
 
     def planted_spectrum(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        coefficients = spec.coefficients
-        spec.coefficients = lambda a, b, x: _nan_at(coefficients(a, b, x), 4)
+        coefficients = spec._frame_coefficients
+        spec._frame_coefficients = lambda a, b, t: _nan_at(coefficients(a, b, t), 4)
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted_spectrum)

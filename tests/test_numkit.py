@@ -746,10 +746,10 @@ REFINED = {  # two input diagonals, and the sizes of the blocks refinement split
 def test_refinement_recompresses_rotated_columns(monkeypatch, case, noise):
     # eigenvalue gaps of 3e-7 sit under the first grouping's cut, so the
     # per-input refinement splits those blocks; the compressions it
-    # updates (in place when few columns rotated) match a full
-    # recompression into the final basis, also off the blocks of a
-    # noisy (not quite commuting) pair, where a stale row or column
-    # would show
+    # updates at the rotated columns (all of them in "every-block")
+    # match a full recompression into the final basis, also off the
+    # blocks of a noisy (not quite commuting) pair, where a stale row
+    # or column would show
     diagonals, split = REFINED[case]
     rng = np.random.default_rng(3)
     u = rand_unitary(rng, 12)
