@@ -27,6 +27,7 @@ Conventions fixed here (everything downstream depends on them):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -107,46 +108,46 @@ __all__ = [
 class SpectrumResult:
     """Joint eigenspace classes of a commutative full category.
 
-    Carries everything needed to move elements back and forth: the
-    per-object eigenstructures, the class-to-eigenblock matching, the
-    compressed unit frames, and the resulting spaceoid.  Every object
-    has the same dimension ``d``, the sum of the class ranks; class
-    ``i`` owns the columns ``starts[i] : starts[i] + ranks[i]`` of each
-    object's class-ordered eigenbasis ``bases[o]``, and ``frames[(A,
-    B)]`` is the ``d x d`` block-diagonal matrix, in the bases of A and
-    B, whose i-th diagonal block is the unit frame of class ``i`` in
-    block (A, B).  ``compressions[(A, B)]`` is block (A, B)'s basis
-    compressed into those bases, ``bases[A]* e bases[B]`` per element.
+    Carries everything needed to move elements back and forth, as dense
+    arrays whose object axes follow ``spaceoid.objects``.  With ``o``
+    objects and ``k`` classes, every object has the same dimension
+    ``d``, the sum of the class ranks, and every block has one basis
+    element per class:
+
+    * ``ranks`` ``(k,)``: class ``i`` owns the columns ``starts[i] :
+      starts[i] + ranks[i]`` of each class-ordered eigenbasis;
+    * ``class_block`` ``(o, k)``: each object's eigenblock of each class;
+    * ``bases`` ``(o, d, d)``: the class-ordered eigenbases;
+    * ``frames`` ``(o, o, d, d)``: per block (A, B), the block-diagonal
+      matrix, in the bases of A and B, whose i-th diagonal block is the
+      unit frame of class ``i``;
+    * ``diag_table`` ``(o, k, k)``: the eigenvalue on each class (rows)
+      of each basis element of the object's diagonal block;
+    * ``compressions`` ``(o, o, k, d, d)``: each block's basis compressed
+      into those bases, ``bases[A]* e bases[B]`` per element.
     """
 
     spaceoid: SpaceoidData
     category: MatrixCategory = field(repr=False)
-    class_points: tuple
-    ranks: tuple
-    eigs: dict = field(repr=False)  # obj id -> JointEigenstructure
-    class_block: dict = field(repr=False)  # obj id -> block idx per class
-    bases: dict = field(repr=False)  # obj id -> d x d unitary, class order
-    frames: dict = field(repr=False)  # (A, B) -> d x d block-diagonal frames
-    diag_table: dict = field(repr=False)  # obj id -> (n_classes, n_AA basis)
-    compressions: dict = field(repr=False)  # (A, B) -> (n_AB, d, d)
+    ranks: np.ndarray
+    class_block: np.ndarray = field(repr=False)
+    bases: np.ndarray = field(repr=False)
+    frames: np.ndarray = field(repr=False)
+    diag_table: np.ndarray = field(repr=False)
+    compressions: np.ndarray = field(repr=False)
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_points)
+        return len(self.ranks)
 
     @property
     def starts(self) -> np.ndarray:
         """First column of every class in the class-ordered bases."""
-        ranks = np.asarray(self.ranks, dtype=int)
-        return np.cumsum(ranks) - ranks
+        return np.cumsum(self.ranks) - self.ranks
 
-    def _span(self, i: int) -> slice:
-        start = int(self.starts[i])
-        return slice(start, start + self.ranks[i])
-
-    def frame(self, i: int, a, b) -> np.ndarray:
-        """The ``r x r`` unit frame of class ``i`` in block ``(a, b)``."""
-        return self.frames[(a, b)][self._span(i), self._span(i)]
+    def _index(self, a, b) -> tuple:
+        objs = self.spaceoid.objects
+        return objs.index(a), objs.index(b)
 
     def coefficients(self, a, b, x) -> np.ndarray:
         """Frame coefficients of ``x`` across all classes of block (a, b).
@@ -154,31 +155,38 @@ class SpectrumResult:
         ``x`` is one ``d_A x d_B`` matrix or a ``(..., d_A, d_B)``
         stack; the classes run along the last axis of the result.
         """
-        t = self.bases[a].conj().T @ np.asarray(x, dtype=complex) @ self.bases[b]
-        return self._frame_coefficients(a, b, t)
+        return self._coefficients(*self._index(a, b), x)
 
-    def _frame_coefficients(self, a, b, t) -> np.ndarray:
-        """:meth:`coefficients` of matrices already compressed into the
-        class-ordered bases."""
-        per_row = np.sum(self.frames[(a, b)].conj() * t, axis=-1)
+    def _coefficients(self, i, j, x) -> np.ndarray:
+        t = _adjoints(self.bases[i]) @ np.asarray(x, dtype=complex) @ self.bases[j]
+        return self._frame_coefficients(self.frames[i, j], t)
+
+    def _frame_coefficients(self, f, t) -> np.ndarray:
+        """:meth:`coefficients` of matrices ``t`` already compressed into
+        the class-ordered bases, against the block-diagonal frames ``f``
+        (broadcast against ``t``)."""
+        per_row = np.sum(f.conj() * t, axis=-1)
         return np.add.reduceat(per_row, self.starts, axis=-1) / self.ranks
 
     def lift(self, a, b, coeffs) -> np.ndarray:
         """Inverse of :meth:`coefficients` on the block's image (classes
         along the last axis of ``coeffs``)."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        rows = np.repeat(coeffs, self.ranks, axis=-1)  # class value per row
-        g = self.frames[(a, b)] * rows[..., :, None]
-        return self.bases[a] @ g @ self.bases[b].conj().T
+        return self._lift(*self._index(a, b), coeffs)
+
+    def _lift(self, i, j, coeffs) -> np.ndarray:
+        """:meth:`lift` at object positions ``i`` and ``j``: ints, or
+        index arrays broadcast against the leading axes of ``coeffs``."""
+        rows = np.repeat(np.asarray(coeffs, dtype=complex), self.ranks, axis=-1)
+        g = self.frames[i, j] * rows[..., :, None]
+        return self.bases[i] @ g @ _adjoints(self.bases[j])
 
     def character_values(self, a, b, x) -> np.ndarray:
         """Every class's character applied to ``x`` in block (a, b)
         (one matrix or a stack; classes along the last axis): the frame
         coefficients times the conjugate trivializing gauge
         ``lam(w; a, anchor, b)``, the anchor being the first object."""
-        objs = self.spaceoid.objects
-        gauge = self.spaceoid.table[:, objs.index(a), 0, objs.index(b)]
-        return self.coefficients(a, b, x) * np.conj(gauge)
+        i, j = self._index(a, b)
+        return self._coefficients(i, j, x) * np.conj(self.spaceoid.table[:, i, 0, j])
 
 
 def _match_blocks(c, eig0, eig_b, a0, b, tol) -> np.ndarray:
@@ -248,17 +256,19 @@ def _rank_groups(ranks: np.ndarray):
 
 
 def _class_frames(t, ranks, tol) -> np.ndarray:
-    """Block-diagonal unit frames from a block's basis compressed into
-    class-ordered eigenbases (``t``, shape ``(n, d, d)``): per class,
-    the canonical frame of the basis element whose class slice has the
-    largest HS norm."""
+    """Block-diagonal unit frames from blocks' bases compressed into
+    class-ordered eigenbases (``t``, shape ``(pairs, n, d, d)``): per
+    pair and class, the canonical frame of the basis element whose
+    class slice has the largest HS norm."""
     starts = np.cumsum(ranks) - ranks
-    sq = np.diagonal(_block_sums(np.abs(t) ** 2, starts, starts), axis1=1, axis2=2)
-    best = np.argmax(sq, axis=0)
-    out = np.zeros(t.shape[1:], dtype=complex)
+    sq = np.diagonal(_block_sums(np.abs(t) ** 2, starts, starts), axis1=-2, axis2=-1)
+    best = np.argmax(sq, axis=-2)  # (pairs, classes)
+    pair = np.arange(len(t))[:, None, None, None]
+    out = np.zeros(t.shape[:1] + t.shape[2:], dtype=complex)
     for cls, idx in _rank_groups(ranks):
         rows, cols = idx[:, :, None], idx[:, None, :]
-        out[rows, cols] = _canonical_frame(t[best[cls][:, None, None], rows, cols], tol)
+        best_t = t[pair, best[:, cls, None, None], rows, cols]
+        out[:, rows, cols] = _canonical_frame(best_t, tol)
     return out
 
 
@@ -274,9 +284,9 @@ def spectrum(
     a line (any of these means the input is outside the duality's
     domain).
 
-    Each block's basis is compressed once, as a stack, into the
-    class-ordered joint eigenbases of its two objects; frames, the
-    structure constants and the completeness check are slices and
+    Every block's basis is compressed, in one product over all pairs,
+    into the class-ordered joint eigenbases of its two objects; frames,
+    the structure constants and the completeness check are slices and
     segmented sums of those compressions.
     """
     tol = resolve_tol(tol)
@@ -288,84 +298,79 @@ def spectrum(
     # diagonalization, so a non-commutative category fails here, before
     # the fullness test
     try:
-        eigs = {
-            o: joint_diagonalize(c.block(o, o), tol, seed=seed, dim=c.dim(o))
-            for o in ids
-        }
+        eigs = [
+            joint_diagonalize(c.block(o, o), tol, seed=seed, dim=c.dim(o)) for o in ids
+        ]
     except NotCommuting as exc:
         raise NotCommutative("diagonal blocks do not commute") from exc
     if not is_full(c, tol):
         raise NotFull("inner products do not span the diagonal blocks")
 
     a0 = ids[0]
-    k = eigs[a0].n_blocks
-    for o in ids[1:]:
-        if eigs[o].n_blocks != k:
-            raise FullnessMismatch(
-                f"{a0} has {k} classes but {o} has {eigs[o].n_blocks}"
+    k = eigs[0].n_blocks
+    for o, eig in zip(ids[1:], eigs[1:]):
+        if eig.n_blocks != k:
+            raise FullnessMismatch(f"{a0} has {k} classes but {o} has {eig.n_blocks}")
+    class_block = np.stack([np.arange(k)] + [
+        _match_blocks(c, eigs[0], eig, a0, o, tol) for o, eig in zip(ids[1:], eigs[1:])
+    ])
+    # in a full category every class has a nonzero fiber in every block,
+    # so a block whose dimension is not the class count has a fiber that
+    # is not a line
+    for a, b in c.pairs():
+        if c.block_dim(a, b) != k:
+            raise NotOneDimensional(
+                f"block ({a},{b}) has dimension {c.block_dim(a, b)} for {k} classes"
             )
-
-    class_block = {a0: np.arange(k)}
-    for o in ids[1:]:
-        class_block[o] = _match_blocks(c, eigs[a0], eigs[o], a0, o, tol)
-    ranks = eigs[a0].sizes
+    ranks = eigs[0].sizes
     points = tuple(f"w{i}" for i in range(k))
-    bases = {o: eigs[o].unitary[:, eigs[o].columns(class_block[o])] for o in ids}
+    bases = np.stack(
+        [eig.unitary[:, eig.columns(cb)] for eig, cb in zip(eigs, class_block)]
+    )
 
     n_obj, d = len(ids), int(ranks.sum())
-    comp = {
-        (a, b): bases[a].conj().T @ _stack(c, a, b) @ bases[b] for a, b in c.pairs()
-    }
-    table = np.zeros((n_obj, n_obj, d, d), dtype=complex)
-    table[np.arange(n_obj), np.arange(n_obj)] = np.eye(d)
-    for ai, bi in zip(*np.triu_indices(n_obj, 1)):
-        table[ai, bi] = _class_frames(comp[(ids[ai], ids[bi])], ranks, tol)
-        table[bi, ai] = table[ai, bi].conj().T
+    x = np.reshape([_stack(c, a, b) for a, b in c.pairs()], (n_obj, n_obj, k, d, d))
+    comp = _adjoints(bases)[:, None, None] @ x @ bases[None, :, None]
+    frames = np.zeros((n_obj, n_obj, d, d), dtype=complex)
+    frames[np.arange(n_obj), np.arange(n_obj)] = np.eye(d)
+    upper = np.triu_indices(n_obj, 1)
+    frames[upper] = _class_frames(comp[upper], ranks, tol)
+    frames[upper[::-1]] = _adjoints(frames[upper])
 
     # lam(w_i; A, B, C) = tr(f_AC* f_AB f_BC) / r_i, one rank at a time
     lam = np.empty((k, n_obj, n_obj, n_obj), dtype=complex)
     for cls, idx in _rank_groups(ranks):
-        f = table[:, :, idx[:, :, None], idx[:, None, :]]  # (A, B, class, r, r)
+        f = frames[:, :, idx[:, :, None], idx[:, None, :]]  # (A, B, class, r, r)
         lam[cls] = np.einsum(
             "acmjq,abmjl,bcmlq->mabc", f.conj(), f, f
         ) / idx.shape[1]
     spaceoid = SpaceoidData(points, ids, lam)
     require_valid(spaceoid, tol)
 
-    diag_table = {
-        o: eigs[o].eigenvalues[:, class_block[o]].T
-        if c.block_dim(o, o)
-        else np.zeros((k, 0), dtype=complex)
-        for o in ids
-    }
-
     result = SpectrumResult(
         spaceoid=spaceoid,
         category=c,
-        class_points=points,
-        ranks=tuple(ranks.tolist()),
-        eigs=eigs,
+        ranks=ranks,
         class_block=class_block,
         bases=bases,
-        frames={
-            (a, b): table[ai, bi]
-            for ai, a in enumerate(ids)
-            for bi, b in enumerate(ids)
-        },
-        diag_table=diag_table,
+        frames=frames,
+        diag_table=np.stack(
+            [eig.eigenvalues[:, cb].T for eig, cb in zip(eigs, class_block)]
+        ),
         compressions=comp,
     )
 
     # completeness: every element must be recovered by its coefficients
-    for a, b in c.pairs():
-        x = _stack(c, a, b)
-        coeffs = result._frame_coefficients(a, b, comp[(a, b)])
-        err = np.linalg.norm(result.lift(a, b, coeffs) - x, axis=(1, 2))
-        bound = SPECTRAL_SLACK * tol * (1 + np.linalg.norm(x, axis=(1, 2)))
-        if not np.all(err <= bound):
-            raise NotOneDimensional(
-                f"block ({a},{b}) is not spanned by the class fibers"
-            )
+    i, j, _ = np.ogrid[:n_obj, :n_obj, :1]  # the pair axes, broadcast over elements
+    coeffs = result._frame_coefficients(frames[i, j], comp)
+    err = np.linalg.norm(result._lift(i, j, coeffs) - x, axis=(-2, -1))
+    bound = SPECTRAL_SLACK * tol * (1 + np.linalg.norm(x, axis=(-2, -1)))
+    bad = ~np.all(err <= bound, axis=-1)
+    if bad.any():
+        a, b = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NotOneDimensional(
+            f"block ({ids[a]},{ids[b]}) is not spanned by the class fibers"
+        )
     return result
 
 
@@ -393,10 +398,7 @@ def characters(
     """All characters of a commutative full unital category, in class
     order (one per spectrum point)."""
     spec = spectrum(c, tol, seed)
-    return [
-        Character(spec.class_points[i], i, spec)
-        for i in range(spec.n_classes)
-    ]
+    return [Character(p, i, spec) for i, p in enumerate(spec.spaceoid.base_points)]
 
 
 def _character_values(omega, a, b, basis):
@@ -420,13 +422,10 @@ def _match_classes(spec: SpectrumResult, values, n_chars: int, tol) -> np.ndarra
     """
     c = spec.category
     fits = np.ones((n_chars, spec.n_classes), dtype=bool)
-    for o in c.object_ids:
-        basis = _stack(c, o, o)
-        if not len(basis):
-            continue
-        vals = values(o, basis)
+    for o, table in zip(c.object_ids, spec.diag_table):
+        vals = values(o, _stack(c, o, o))
         scale = 1.0 + np.max(np.abs(vals), axis=1, initial=0.0)
-        dev = np.max(np.abs(spec.diag_table[o] - vals[:, None, :]), axis=2)
+        dev = np.max(np.abs(table - vals[:, None, :]), axis=2)
         fits &= dev <= SPECTRAL_SLACK * tol * scale[:, None]
     count = fits.sum(axis=1)
     bad = count != 1
@@ -501,7 +500,7 @@ def compression_functor(
     on the same objects plus the evaluation *-functor onto it."""
     tol = resolve_tol(tol)
     target = one_dim_category(cat.object_ids)
-    omega = Character(spec.class_points[idx], idx, spec)
+    omega = Character(spec.spaceoid.base_points[idx], idx, spec)
     block_maps = {}
     for a, b in cat.pairs():
         block_maps[(a, b)] = omega.value(a, b, _stack(cat, a, b))[None, :]
@@ -626,7 +625,8 @@ def spectrum_on_morphism(
         return spec2.character_values(o2, o2, img).T
 
     match = _match_classes(spec1, composed, spec2.n_classes, tol)
-    f_delta = {p: spec1.class_points[i] for p, i in zip(spec2.class_points, match)}
+    points1 = spec1.spaceoid.base_points
+    f_delta = {p: points1[i] for p, i in zip(spec2.spaceoid.base_points, match)}
     f_r = {o2: inv_obj[o2] for o2 in target.object_ids}
 
     # z[j, pair]: class j's coefficient of the image of the source frame
@@ -646,7 +646,7 @@ def spectrum_on_morphism(
         a2, b2 = pairs[n]
         raise SpectrumMismatch(
             f"image of the ({inv_obj[a2]},{inv_obj[b2]}) frame nearly vanishes "
-            f"at class {spec2.class_points[j]}"
+            f"at class {spec2.spaceoid.base_points[j]}"
         )
     scal = _unit(z).reshape(spec2.n_classes, len(ids2), -1)
     return SpaceoidMorphism(f_delta=f_delta, f_r=f_r, fiber_scalars=scal)
@@ -676,28 +676,21 @@ class _Compressions(NamedTuple):
     rho: np.ndarray  # (o, o) ||F*F - I||_HS of the block-diagonal frames
     gram: np.ndarray  # (o, o) ||Q Q* - I||_HS, Q the source basis rows
     sv: np.ndarray  # (o, o, n) singular values of the block maps, NaN if not finite
-    frames: np.ndarray  # (o, o, d, d)
-    cls: np.ndarray  # (d,) class of each row of the class-ordered bases
 
 
-def _compressions(c, spec, block_maps) -> _Compressions | None:
+def _compressions(c, spec, maps) -> _Compressions:
     """Measure every basis element's compression into the class-ordered
     bases of its objects, ``T(e) = U_A* e U_B`` (as ``spectrum`` formed
     it), against the model ``blockdiag_p(c_p(e) F_p)`` built from the
-    functor's own block maps; ``None`` (nothing is certified) unless
-    every block map is square with one row per class."""
-    ids, n = c.object_ids, spec.n_classes
-    if not n or any(m.shape != (n, n) for m in block_maps.values()):
-        return None
-    o, d = len(ids), c.dim(ids[0])
-    maps = np.reshape([block_maps[p] for p in c.pairs()], (o, o, n, n))
-    rows = np.reshape([_stack(c, a, b) for a, b in c.pairs()], (o, o, n, d * d))
-    u = np.stack([spec.bases[a] for a in ids])
-    f = np.reshape([spec.frames[p] for p in c.pairs()], (o, o, d, d))
-    cls = np.repeat(np.arange(spec.n_classes), spec.ranks)
-    resid = np.reshape([spec.compressions[p] for p in c.pairs()], (o, o, n, d, d))
-    resid -= np.swapaxes(maps[:, :, cls], -1, -2)[..., None] * f[:, :, None]
-    resid = resid.reshape(rows.shape)
+    functor's own block maps ``maps``, ``(o, o, n, n)``."""
+    u, f = spec.bases, spec.frames
+    n, d = maps.shape[-1], u.shape[-1]
+    rows = np.reshape(
+        [_stack(c, a, b) for a, b in c.pairs()], maps.shape[:2] + (n, d * d)
+    )
+    cls = np.repeat(np.arange(n), spec.ranks)
+    model = np.swapaxes(maps[:, :, cls], -1, -2)[..., None] * f[:, :, None]
+    resid = (spec.compressions - model).reshape(rows.shape)
     finite = np.isfinite(maps).all(axis=(-2, -1))
     sv = np.full(maps.shape[:-1], np.nan)
     if finite.any():
@@ -712,20 +705,18 @@ def _compressions(c, spec, block_maps) -> _Compressions | None:
         rho=np.linalg.norm(_adjoints(f) @ f - np.eye(d), axis=(-2, -1)),
         gram=np.linalg.norm(rows @ _adjoints(rows) - np.eye(n), axis=(-2, -1)),
         sv=sv,
-        frames=f,
-        cls=cls,
     )
 
 
-def _product_bounds(q: _Compressions, lam, gauge):
+def _product_bounds(q: _Compressions, spec, gauge):
     """Proven bounds ``(mult, outside)``, each ``(o, o, o, n, n)``, for
     every pair ``x = e_i`` of block (A, B) and ``y = e_j`` of (B, C):
     ``mult`` on the multiplicativity defect ``||phi(P xy) - phi(x)
     phi(y)||_HS`` and ``outside`` on the HS residual ``||xy - P xy||``,
     ``P`` the projection on block (A, C), as ``validate_functor`` forms
-    them.  ``lam`` is the spaceoid table ``(n, A, B, C)`` and ``gauge``
-    the sections' ``(n, A, B)``, so ``phi(e) = sum_p c_p(e) conj(g_p^AB)
-    E_pp``.
+    them.  ``lam`` is the spectrum's table ``(n, A, B, C)``, ``F`` its
+    frames and ``gauge`` the sections' ``(n, A, B)``, so ``phi(e) =
+    sum_p c_p(e) conj(g_p^AB) E_pp``.
 
     Notation: ``T``, ``E_e = T(e) - M(e)`` with ``M(e) =
     blockdiag_p(c_p(e) F_p^AB)``, ``eta``, ``nu``, ``delta``, ``rho``
@@ -768,7 +759,8 @@ def _product_bounds(q: _Compressions, lam, gauge):
     Nothing assumes that ``c(e)`` is the compression's own coefficient
     vector: a defect of the functor's block maps shows in ``eta``.
     """
-    f, cls = q.frames, q.cls
+    lam, f = spec.spaceoid.table, spec.frames
+    cls = np.repeat(np.arange(len(lam)), spec.ranks)  # class of each row of F
     sq = np.abs(q.maps) ** 2  # (A, B, p, i)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam_rows = np.moveaxis(lam[cls], 0, -1)  # (A, B, C, d)
@@ -837,10 +829,10 @@ def _isometry_bounds(q: _Compressions, z, top):
     |z_k| ||e_k||`` (forming ``x`` and ``xhat``, and the SVD).
     Premises: ``delta < 1`` and ``rho <= 1``; a NaN certifies nothing.
     """
-    o = len(q.delta)
+    o, d = len(q.delta), math.isqrt(q.resid.shape[-1])
     eta_x = np.linalg.norm(z @ q.resid, axis=-1)
     rho = q.rho[..., None]
-    rounding = (q.frames.shape[-1] + z.shape[-1]) * _EPS * (
+    rounding = (d + z.shape[-1]) * _EPS * (
         1 + top + np.einsum("abtk,abk->abt", np.abs(z), q.norm)
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -851,14 +843,12 @@ def _isometry_bounds(q: _Compressions, z, top):
     return np.where(premise, bound, np.nan)
 
 
-def _certified_products(c, q: _Compressions | None, spec, gauge, tol) -> dict:
+def _certified_products(c, q: _Compressions, spec, gauge, tol) -> dict:
     """``validate_functor``'s ``_certified`` argument: per triple of
     objects, the pairs whose bounds from :func:`_product_bounds` clear
     the multiplicativity and membership checks with ``config.CERT_SLACK``
     to spare, and those bounds."""
-    if q is None:
-        return {}
-    mult, outside = _product_bounds(q, spec.spaceoid.table, gauge)
+    mult, outside = _product_bounds(q, spec, gauge)
     done = (CERT_SLACK * mult <= FUNCTOR_SLACK * tol) & (
         CERT_SLACK * outside <= tol
     )
@@ -891,14 +881,17 @@ def gelfand(
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
     sec, gauge = sections_with_gauge(spec.spaceoid, tol)
-    block_maps = {
-        (a, b): spec._frame_coefficients(a, b, spec.compressions[(a, b)]).T
-        for a, b in c.pairs()
-    }
-    phi = StarFunctor(
-        object_map={o: o for o in c.object_ids}, block_maps=block_maps
+    maps = np.swapaxes(
+        spec._frame_coefficients(spec.frames[:, :, None], spec.compressions), -1, -2
     )
-    q = _compressions(c, spec, block_maps)
+    ids = list(enumerate(c.object_ids))
+    phi = StarFunctor(
+        object_map={o: o for o in c.object_ids},
+        block_maps={
+            (a, b): maps[i, j] for (i, a), (j, b) in itertools.product(ids, repeat=2)
+        },
+    )
+    q = _compressions(c, spec, maps)
     report = Report()
     report.extend(
         validate_functor(
@@ -909,40 +902,27 @@ def gelfand(
     # fullness forces every block to have exactly one dimension per
     # class, so bijectivity is squareness plus full rank (decided as
     # numpy.linalg.matrix_rank decides it)
-    bijective = q is not None and bool(
-        np.all(q.sv > q.sv.max(axis=-1, keepdims=True) * len(q.sv[0, 0]) * _EPS)
+    bijective = bool(
+        np.all(q.sv > q.sv.max(axis=-1, keepdims=True) * q.sv.shape[-1] * _EPS)
     )
     report.add("block-bijective", bijective)
-    report.check(
-        "isometric", _isometry_devs(c, block_maps, q, tol, seed), ISOMETRY_SLACK * tol
-    )
+    report.check("isometric", _isometry_devs(c, q, tol, seed), ISOMETRY_SLACK * tol)
     return GelfandResult(spec, sec, phi, report)
 
 
-def _isometry_devs(c, block_maps, q, tol, seed) -> np.ndarray:
-    """``gelfand``'s isometry deviations, ``(blocks, 3)``: the proven
+def _isometry_devs(c, q: _Compressions, tol, seed) -> np.ndarray:
+    """``gelfand``'s isometry deviations, ``(o, o, 3)``: the proven
     bound where it clears, else ``| ||x||_op - max_p |xhat_p| |``."""
-    rng = np.random.default_rng(seed)
-    keys, zs = [], []
-    for a, b in c.pairs():
-        if c.block_dim(a, b):
-            z = rng.standard_normal((3, 2, c.block_dim(a, b)))
-            keys.append((a, b))
-            zs.append(z[:, 0] + 1j * z[:, 1])
-    tops = [
-        np.abs(z @ block_maps[p].T).max(axis=1, initial=0.0) for p, z in zip(keys, zs)
-    ]
-    devs = np.full((len(keys), 3), np.nan)
-    if q is not None:
-        o, n = len(q.delta), q.maps.shape[-1]
-        bound = _isometry_bounds(
-            q, np.reshape(zs, (o, o, 3, n)), np.reshape(tops, (o, o, 3))
-        ).reshape(-1, 3)
-        done = CERT_SLACK * bound <= ISOMETRY_SLACK * tol
-        devs[done] = bound[done]
-    for m, t in zip(*np.nonzero(np.isnan(devs))):
-        x = np.tensordot(zs[m][t], _stack(c, *keys[m]), 1)
-        devs[m, t] = abs(np.linalg.norm(x, 2) - tops[m][t])
+    shape = q.maps.shape
+    z = np.random.default_rng(seed).standard_normal(shape[:2] + (3, 2, shape[-1]))
+    z = z[..., 0, :] + 1j * z[..., 1, :]
+    tops = np.abs(z @ np.swapaxes(q.maps, -1, -2)).max(axis=-1, initial=0.0)
+    bound = _isometry_bounds(q, z, tops)
+    devs = np.where(CERT_SLACK * bound <= ISOMETRY_SLACK * tol, bound, np.nan)
+    ids = c.object_ids
+    for i, j, t in zip(*np.nonzero(np.isnan(devs))):
+        x = np.tensordot(z[i, j, t], _stack(c, ids[i], ids[j]), 1)
+        devs[i, j, t] = abs(np.linalg.norm(x, 2) - tops[i, j, t])
     return devs
 
 
@@ -971,20 +951,20 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
     # class i is a point evaluation: rank one, its column of the anchor
     # basis concentrated (weight >= 1/2) on one point
     objs, pts = e.objects, e.base_points
-    if any(r != 1 for r in spec.ranks):
+    if np.any(spec.ranks != 1):
         raise SpectrumMismatch("section class is not a point evaluation")
-    v = np.stack([spec.bases[o] for o in objs])  # (object, point, class)
+    v = spec.bases  # (object, point, class)
     pos = np.argmax(np.abs(v[0]) ** 2, axis=0)
     if not np.all(np.abs(v[0, pos, np.arange(len(pos))]) ** 2 >= ZERO_ONE_CUT):
         raise SpectrumMismatch("section class is not a point evaluation")
     if len(set(pos.tolist())) != len(pts):
         raise SpectrumMismatch("point evaluation classes collide")
     cls = np.argsort(pos)  # the class at each point
-    f_delta = {p: spec.class_points[i] for p, i in zip(pts, cls)}
+    f_delta = {p: spec.spaceoid.base_points[i] for p, i in zip(pts, cls)}
 
     # frame of class i at its point: v_A[q, i] f_AB[i, i] conj(v_B[q, i])
     at_point = v[:, np.arange(len(pts)), cls].T  # (point, object)
-    f = np.array([[np.diagonal(spec.frames[(a, b)]) for b in objs] for a in objs])
+    f = np.diagonal(spec.frames, axis1=-2, axis2=-1)
     # times the gauge, one _mul at a time, left to right
     z = _mul(at_point[:, :, None], f[:, :, cls].transpose(2, 0, 1))
     z = _mul(_mul(z, at_point[:, None, :].conj()), gauge)

@@ -30,7 +30,6 @@ from .errors import DiagonalizationFailed, NotCommuting, NotNormal
 from .reporting import worst
 
 __all__ = [
-    "adjoint",
     "op_norm",
     "hs_norm",
     "normal_eig",
@@ -51,11 +50,6 @@ def _as_matrix(m) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
     return a
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(m).conj().T
 
 
 def _adjoints(mats) -> np.ndarray:
@@ -182,33 +176,28 @@ def _cluster_complex(values: np.ndarray, threshold: float):
 class JointEigenstructure:
     """Result of :func:`joint_diagonalize`.
 
-    ``unitary`` holds the joint eigenbasis in its columns; ``blocks``
-    is the ordered partition of column indices into maximal common
-    eigenspaces, each a contiguous range, in order; ``eigenvalues[i,
-    b]`` is the eigenvalue of input ``i`` on block ``b``.
+    ``unitary`` holds the joint eigenbasis in its columns, cut in order
+    into the maximal common eigenspaces: block ``b`` is the ``sizes[b]``
+    columns from ``starts[b]``.  ``eigenvalues[i, b]`` is the eigenvalue
+    of input ``i`` on block ``b``.
     """
 
     unitary: np.ndarray
-    blocks: tuple[tuple[int, ...], ...]
+    sizes: np.ndarray  # (n_blocks,) positive ints summing to the column count
     eigenvalues: np.ndarray  # shape (n_inputs, n_blocks)
 
     def __post_init__(self):
-        cols = [c for blk in self.blocks for c in blk]
-        if cols != list(range(self.unitary.shape[1])) or not all(self.blocks):
-            raise ValueError("eigenblocks must be contiguous column ranges in order")
+        if not (np.all(self.sizes > 0) and self.sizes.sum() == self.unitary.shape[1]):
+            raise ValueError("eigenblock sizes must be positive and sum to the columns")
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.array([len(blk) for blk in self.blocks], dtype=int)
+        return len(self.sizes)
 
     @property
     def starts(self) -> np.ndarray:
         """First column of every block."""
-        return np.array([blk[0] for blk in self.blocks], dtype=int)
+        return np.cumsum(self.sizes) - self.sizes
 
     def columns(self, order) -> np.ndarray:
         """Column indices of the blocks listed in ``order``, block after
@@ -364,7 +353,9 @@ def joint_diagonalize(
         _require_commuting(stack, tol)
         raise
     if d == 0:
-        return JointEigenstructure(stack[0], (), np.zeros((len(mats), 0), complex))
+        return JointEigenstructure(
+            stack[0], np.zeros(0, dtype=int), np.zeros((len(mats), 0), complex)
+        )
 
     scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
     fallback = JOINT_FALLBACK_SLACK * tol * scales.max()
@@ -406,7 +397,7 @@ def trivial_eigenstructure(dim: int) -> JointEigenstructure:
     """The single-block structure for the empty family over ``dim``."""
     return JointEigenstructure(
         unitary=np.eye(dim, dtype=complex),
-        blocks=(tuple(range(dim)),),
+        sizes=np.array([dim]),
         eigenvalues=np.zeros((0, 1), dtype=complex),
     )
 
@@ -514,10 +505,7 @@ def _attempt_joint(stack, rng, scales):
     u_ordered = u_perm * phases
     comp = phases.conj()[:, None] * comp[:, perm[:, None], perm] * phases
     eigenvalues = np.add.reduceat(dg[:, perm], new_starts, axis=1) / sizes
-    blocks_out = tuple(
-        tuple(range(a, a + z)) for a, z in zip(new_starts.tolist(), sizes.tolist())
-    )
-    result = JointEigenstructure(u_ordered, blocks_out, eigenvalues)
+    result = JointEigenstructure(u_ordered, sizes, eigenvalues)
     return result, comp
 
 

@@ -488,7 +488,7 @@ def suite_classical(k_max: int = 16, tol: float = 1e-10) -> Report:
         def body(k=k):
             cat = du.classical_category(k)
             g = du.gelfand(cat, tol)
-            if not (g.report.passed and g.spectrum.ranks == (1,) * k):
+            if not (g.report.passed and g.spectrum.ranks.tolist() == [1] * k):
                 report.add(f"classical-{k}", False, g.report.worst_residual)
                 return
             # the comparison functor must be a permutation matrix exactly:

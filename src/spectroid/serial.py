@@ -572,15 +572,13 @@ def _as_spectrum_report(value, residuals=None) -> SpectrumReport:
         return value
     # duck-typed SpectrumResult from the duality module
     classes = []
-    for i, p in enumerate(value.class_points):
+    objs = value.spaceoid.objects
+    for i, p in enumerate(value.spaceoid.base_points):
         eigenvalues = {
-            str(o): tuple(complex(z) for z in value.diag_table[o][i])
-            for o in value.category.object_ids
+            str(o): tuple(complex(z) for z in value.diag_table[n, i])
+            for n, o in enumerate(objs)
         }
-        blocks = {
-            str(o): int(value.class_block[o][i])
-            for o in value.category.object_ids
-        }
+        blocks = {str(o): int(value.class_block[n, i]) for n, o in enumerate(objs)}
         classes.append(
             SpectrumClass(str(p), int(value.ranks[i]), eigenvalues, blocks)
         )

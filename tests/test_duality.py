@@ -1,5 +1,6 @@
 """Spectrum and section functors, characters, naturality."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import spectroid
 from spectroid import cstarcat as cc
-from spectroid import groups
+from spectroid import groups, selftest
 from spectroid import duality as du
 from spectroid import spaceoid as sp
 from spectroid.errors import (
@@ -23,7 +24,7 @@ from spectroid.errors import (
     NotUnital,
     SpectrumMismatch,
 )
-from spectroid.numkit import hs_norm, op_norm
+from spectroid.numkit import hs_norm, joint_diagonalize, op_norm
 
 
 # --- helpers -----------------------------------------------------------------
@@ -73,8 +74,8 @@ def test_classical_spectrum_reverses_points():
     c = du.classical_category(3)
     spec = du.spectrum(c)
     assert spec.n_classes == 3
-    assert spec.ranks == (1, 1, 1)
-    assert spec.class_points == ("w0", "w1", "w2")
+    assert spec.ranks.tolist() == [1, 1, 1]
+    assert spec.spaceoid.base_points == ("w0", "w1", "w2")
     # canonical class order sorts the eigenvalue keys, which reverses
     # the point order for indicator bases
     x = np.diag([5.0, 7.0, 11.0]).astype(complex)
@@ -191,12 +192,50 @@ def test_spectrum_raises_not_one_dimensional():
         du.spectrum(c)
 
 
+def test_spectrum_rejects_a_two_dimensional_fiber_up_front():
+    # one rank-2 class per object, and block (A, B) all of M_2: its one
+    # fiber is two-dimensional, so the block has 4 dimensions for 1 class
+    eye = np.eye(2) / np.sqrt(2)
+    units = [np.outer(u, v) for u in np.eye(2) for v in np.eye(2)]
+    c = _two_object_family([eye], [eye], units)
+    assert cc.is_commutative(c) and cc.is_full(c)
+    with pytest.raises(NotOneDimensional, match="dimension 4 for 1 classes"):
+        du.spectrum(c)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cc.linking_category(3, [1, 2, 0], [1.0, 1j, -1.0]),
+    pauli_triangle,
+    lambda: cc.groupoid_category(groups.connected_groupoid(2, groups.klein_four())),
+])
+def test_spectrum_fields_are_dense_arrays(make):
+    c = make()
+    spec = du.spectrum(c)
+    o, k, d = len(c.object_ids), spec.n_classes, c.dim(c.object_ids[0])
+    assert spec.spaceoid.objects == c.object_ids
+    assert len(spec.spaceoid.base_points) == k and spec.ranks.sum() == d
+    want = {
+        "ranks": ((k,), "i"),
+        "class_block": ((o, k), "i"),
+        "bases": ((o, d, d), "c"),
+        "frames": ((o, o, d, d), "c"),
+        "diag_table": ((o, k, k), "c"),
+        "compressions": ((o, o, k, d, d), "c"),
+    }
+    for name, (shape, kind) in want.items():
+        value = getattr(spec, name)
+        assert isinstance(value, np.ndarray), name
+        assert (value.shape, value.dtype.kind) == (shape, kind), name
+    fields = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
+    assert not any(isinstance(v, (dict, tuple)) for v in fields)
+
+
 def test_linking_spectrum_frozen_coefficients():
     gen = cc.linking_generator(2, [0, 1], [1.0, 1j])
     c = cc.linking_category(2, [0, 1], [1.0, 1j])
     spec = du.spectrum(c)
     assert spec.n_classes == 2
-    assert spec.ranks == (1, 1)
+    assert spec.ranks.tolist() == [1, 1]
     # class order reverses points, so the transform lists the phases
     # backwards
     coeffs = spec.coefficients("A", "B", gen)
@@ -216,8 +255,8 @@ def test_single_generator_linking_has_one_rank2_class():
     assert c.unital
     spec = du.spectrum(c)
     assert spec.n_classes == 1
-    assert spec.ranks == (2,)
-    f = spec.frame(0, "A", "B")
+    assert spec.ranks.tolist() == [2]
+    f = spec.frames[0, 1]  # the one class owns every column
     assert np.allclose(f, np.diag([1.0, 1j]), atol=1e-12)
 
 
@@ -225,7 +264,7 @@ def test_pauli_triangle_structure_constant():
     c = pauli_triangle()
     spec = du.spectrum(c)
     assert spec.n_classes == 1
-    assert spec.ranks == (2,)
+    assert spec.ranks.tolist() == [2]
     lam = spec.spaceoid.lam[("w0", "A", "B", "C")]
     assert abs(lam - (-1.0)) < 1e-12
     # and the spaceoid is still internally consistent
@@ -263,15 +302,16 @@ def reference_canonical_frame(comp):
 
 def block_isometry(eig, b):
     """Columns of the joint eigenbasis spanning eigenblock ``b``."""
-    return eig.unitary[:, list(eig.blocks[b])]
+    return eig.unitary[:, eig.columns([b])]
 
 
 def reference_parts(spec, tol=1e-9):
     """Class matching, frames, structure constants and coefficients by
     one compression per class, basis element and block, starting from
-    the same joint eigenstructures as ``spec``."""
-    c, eigs = spec.category, spec.eigs
+    the same joint eigenstructures as ``spec`` (default seed)."""
+    c = spec.category
     ids = c.object_ids
+    eigs = {o: joint_diagonalize(c.block(o, o), tol, dim=c.dim(o)) for o in ids}
     a0, k = ids[0], eigs[ids[0]].n_blocks
     class_block = {(i, a0): i for i in range(k)}
     for b in ids[1:]:
@@ -289,7 +329,7 @@ def reference_parts(spec, tol=1e-9):
             ]
             assert len(hits) == 1
             class_block[(i, b)] = hits[0]
-    ranks = [len(eigs[a0].blocks[i]) for i in range(k)]
+    ranks = eigs[a0].sizes.tolist()
 
     def iso(i, a):
         return block_isometry(eigs[a], class_block[(i, a)])
@@ -346,19 +386,53 @@ def reference_parts(spec, tol=1e-9):
 def test_spectrum_matches_per_class_reference(make):
     spec = du.spectrum(make())
     class_block, frames, lam, coeffs = reference_parts(spec)
-    table = spec.spaceoid.lam
-    ids = spec.category.object_ids
+    table = spec.spaceoid.table
+    ids = list(enumerate(spec.category.object_ids))
     for i in range(spec.n_classes):
-        for a in ids:
-            assert spec.class_block[a][i] == class_block[(i, a)]
-            for b in ids:
-                assert np.allclose(spec.frame(i, a, b), frames[(i, a, b)], atol=1e-11)
-                for cc_ in ids:
-                    got = table[(spec.class_points[i], a, b, cc_)]
-                    assert abs(got - lam[(i, a, b, cc_)]) < 1e-11
+        span = slice(spec.starts[i], spec.starts[i] + spec.ranks[i])
+        for ai, a in ids:
+            assert spec.class_block[ai, i] == class_block[(i, a)]
+            for bi, b in ids:
+                got_frame = spec.frames[ai, bi, span, span]
+                assert np.allclose(got_frame, frames[(i, a, b)], atol=1e-11)
+                for ci, cc_ in ids:
+                    assert abs(table[i, ai, bi, ci] - lam[(i, a, b, cc_)]) < 1e-11
     for a, b in spec.category.pairs():
         stack = np.reshape(spec.category.block(a, b), (-1, spec.category.dim(a), spec.category.dim(b)))
         assert np.allclose(spec.coefficients(a, b, stack), coeffs[(a, b)], atol=1e-11)
+
+
+# --- scale oracles: dual groups far past the acceptance sizes ------------------
+
+
+def test_large_cyclic_groups_match_the_dft_table():
+    report = selftest.suite_dft(tol=1e-9, m_range=(16, 32, 64))
+    assert report.passed, report.summary()
+    assert [c.name for c in report.checks] == ["dft-Z16", "dft-Z32", "dft-Z64"]
+
+
+def test_product_group_matches_the_product_character_table():
+    # Z4 x Z6: the character at frequency (j, l) takes element (a, b),
+    # index 6a + b, to exp(-2 pi i (ja/4 + lb/6)), the DFT sign of
+    # criterion 5
+    group = groups.direct_product(groups.cyclic(4), groups.cyclic(6))
+    cat = cc.groupoid_category(groups.connected_groupoid(1, group))
+    obj, n = cat.object_ids[0], group.order
+    # left regular representation of every element: i -> g*i
+    rep_elt = np.zeros((n, n, n), dtype=complex)
+    rep_elt[np.arange(n)[:, None], group.mult, np.arange(n)] = 1.0
+    a, b = np.divmod(np.arange(n), 6)
+    chars = du.characters(cat)
+    assert len(chars) == n
+    freqs = set()
+    for w in chars:
+        values = w.value(obj, obj, rep_elt)
+        j = round(-np.angle(values[6]) * 4 / (2 * np.pi)) % 4  # element (1, 0)
+        l_ = round(-np.angle(values[1]) * 6 / (2 * np.pi)) % 6  # element (0, 1)
+        freqs.add((j, l_))
+        table = np.exp(-2j * np.pi * (j * a / 4 + l_ * b / 6))
+        assert np.abs(values - table).max() <= 1e-9
+    assert len(freqs) == n
 
 
 # --- sections ----------------------------------------------------------------
@@ -436,7 +510,7 @@ def _gelfand_report_with_coefficients(monkeypatch, change):
     def planted(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
         coefficients = spec._frame_coefficients
-        spec._frame_coefficients = lambda a, b, t: change(coefficients(a, b, t))
+        spec._frame_coefficients = lambda f, t: change(coefficients(f, t))
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted)
@@ -465,7 +539,7 @@ def test_evaluation_isomorphism_trips_on_collapsed_base_map(monkeypatch):
 
     def collapsed(e, tol, seed):
         ev = evaluation(e, tol, seed)
-        first = ev.spectrum.class_points[0]
+        first = ev.spectrum.spaceoid.base_points[0]
         ev.morphism.f_delta = dict.fromkeys(ev.morphism.f_delta, first)
         return ev
 
@@ -545,7 +619,7 @@ def test_characters_of_rank2_class_with_complex_gauge():
     )
     c = scramble(cc.close(pres), 17)
     spec = du.spectrum(c)
-    assert spec.ranks == (2,)
+    assert spec.ranks.tolist() == [2]
     lam = spec.spaceoid.lam[("w0", "B", "A", "C")]
     assert abs(abs(lam) - 1.0) < 1e-10 and abs(lam.imag) > 0.1
     assert len(assert_character_laws(c)) == 1
@@ -750,20 +824,23 @@ def reference_spectrum_on_morphism(phi, source, target, spec1, spec2, tol=1e-9):
     def character(spec, j):
         def value(a, b, x):
             anchor = spec.spaceoid.objects[0]
-            gauge = spec.spaceoid.lam[(spec.class_points[j], a, anchor, b)]
+            gauge = spec.spaceoid.lam[(spec.spaceoid.base_points[j], a, anchor, b)]
             return spec.coefficients(a, b, x)[j] * np.conj(gauge)
 
         return value
 
     def frame_matrix(spec, i, a, b):
         cols = slice(int(spec.starts[i]), int(spec.starts[i]) + spec.ranks[i])
-        return spec.bases[a][:, cols] @ spec.frame(i, a, b) @ spec.bases[b][:, cols].conj().T
+        ai, bi = (spec.spaceoid.objects.index(o) for o in (a, b))
+        u_a, u_b = spec.bases[ai][:, cols], spec.bases[bi][:, cols]
+        return u_a @ spec.frames[ai, bi, cols, cols] @ u_b.conj().T
 
+    points1, points2 = spec1.spaceoid.base_points, spec2.spaceoid.base_points
     f_delta = {}
-    for j, pj in enumerate(spec2.class_points):
+    for j, pj in enumerate(points2):
         omega = character(spec2, j)
         candidates = set(range(spec1.n_classes))
-        for o in source.object_ids:
+        for oi, o in enumerate(source.object_ids):
             basis = source.block(o, o)
             o2 = phi.object_map[o]
             vals = np.array([
@@ -773,14 +850,14 @@ def reference_spectrum_on_morphism(phi, source, target, spec1, spec2, tol=1e-9):
             scale = 1.0 + float(np.max(np.abs(vals), initial=0.0))
             candidates = {
                 i for i in candidates
-                if np.max(np.abs(spec1.diag_table[o][i] - vals)) <= tol * 100 * scale
+                if np.max(np.abs(spec1.diag_table[oi, i] - vals)) <= tol * 100 * scale
             }
         assert len(candidates) == 1
-        f_delta[pj] = spec1.class_points[candidates.pop()]
+        f_delta[pj] = points1[candidates.pop()]
     inv = {v: k for k, v in phi.object_map.items()}
     scal = {}
-    for j, pj in enumerate(spec2.class_points):
-        i = spec1.class_points.index(f_delta[pj])
+    for j, pj in enumerate(points2):
+        i = points1.index(f_delta[pj])
         for a2 in target.object_ids:
             for b2 in target.object_ids:
                 u1 = frame_matrix(spec1, i, inv[a2], inv[b2])
@@ -874,7 +951,8 @@ def test_spectrum_on_morphism_scalars_are_unit_frame_coefficients():
         m = du.spectrum_on_morphism(
             phi, source, target, source_spectrum=spec1, target_spectrum=spec2
         )
-        match = [spec1.class_points.index(m.f_delta[p]) for p in spec2.class_points]
+        points1 = spec1.spaceoid.base_points
+        match = [points1.index(m.f_delta[p]) for p in spec2.spaceoid.base_points]
         cls = np.arange(spec2.n_classes)
         for i, a2 in enumerate(m.f_r):
             for j, b2 in enumerate(m.f_r):

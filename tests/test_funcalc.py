@@ -310,7 +310,7 @@ def reference_funcalc(x, a_id, b_id, f, tol=1e-9, seed=0):
     from spectroid.numkit import hs_norm, joint_diagonalize
 
     def iso(eig, b):
-        return eig.unitary[:, list(eig.blocks[b])]
+        return eig.unitary[:, eig.columns([b])]
 
     def surviving(eig, gens, thresh):
         keep = []

@@ -48,18 +48,20 @@ CATEGORIES = {
 
 
 def gelfand_parts(cat):
-    """``gelfand``'s spectrum, sections, gauge and block maps."""
+    """``gelfand``'s spectrum, sections, gauge and block maps, ``(o, o,
+    n, n)``."""
     spec = du.spectrum(cat, TOL)
     sec, gauge = du.sections_with_gauge(spec.spaceoid, TOL)
-    maps = {
-        (a, b): spec._frame_coefficients(a, b, spec.compressions[(a, b)]).T
-        for a, b in cat.pairs()
-    }
-    return spec, sec, gauge, maps
+    coeffs = spec._frame_coefficients(spec.frames[:, :, None], spec.compressions)
+    return spec, sec, gauge, np.swapaxes(coeffs, -1, -2)
 
 
 def functor(cat, maps):
-    return cc.StarFunctor({o: o for o in cat.object_ids}, maps)
+    ids = list(enumerate(cat.object_ids))
+    block_maps = {
+        (a, b): maps[i, j] for (i, a), (j, b) in itertools.product(ids, repeat=2)
+    }
+    return cc.StarFunctor({o: o for o in cat.object_ids}, block_maps)
 
 
 def explicit_products(cat, sec, maps):
@@ -67,7 +69,8 @@ def explicit_products(cat, sec, maps):
     its product's HS residual outside block (a, c), all products of
     the triple formed at once."""
     out = {}
-    for a, b, c in itertools.product(cat.object_ids, repeat=3):
+    ids = list(enumerate(cat.object_ids))
+    for (i, a), (j, b), (k, c) in itertools.product(ids, repeat=3):
         left, right, basis = (np.array(cat.block(*p)) for p in [(a, b), (b, c), (a, c)])
         prods = left[:, None] @ right[None]
         coeffs = np.einsum("kxy,ijxy->ijk", basis.conj(), prods)
@@ -75,22 +78,22 @@ def explicit_products(cat, sec, maps):
             prods - np.einsum("ijk,kxy->ijxy", coeffs, basis), axis=(-2, -1)
         )
 
-        def image(pair, co):
-            return np.tensordot(co @ maps[pair].T, np.array(sec.block(*pair)), 1)
+        def image(at, pair, co):
+            return np.tensordot(co @ maps[at].T, np.array(sec.block(*pair)), 1)
 
-        defect = image((a, c), coeffs) - (
-            image((a, b), np.eye(len(left)))[:, None]
-            @ image((b, c), np.eye(len(right)))[None]
+        defect = image((i, k), (a, c), coeffs) - (
+            image((i, j), (a, b), np.eye(len(left)))[:, None]
+            @ image((j, k), (b, c), np.eye(len(right)))[None]
         )
         out[(a, b, c)] = np.linalg.norm(defect, axis=(-2, -1)), outside
     return out
 
 
 def planted(maps, pair, scale, rng):
-    """``maps`` with one entry of block ``pair``'s map moved by
-    ``scale`` times the multiplicativity bound."""
-    out = dict(maps)
-    m = out[pair] = maps[pair].copy()
+    """``maps`` with one entry of the map of the block at positions
+    ``pair`` moved by ``scale`` times the multiplicativity bound."""
+    out = maps.copy()
+    m = out[pair]
     p, k = rng.integers(len(m), size=2)
     m[p, k] += scale * BOUND * np.exp(2j * np.pi * rng.random())
     return out
@@ -106,9 +109,9 @@ def test_certified_pairs_bound_their_explicit_defects(name, scale):
     cat = CATEGORIES[name]()
     spec, sec, gauge, maps = gelfand_parts(cat)
     ids = cat.object_ids
-    maps = planted(maps, (ids[0], ids[-1]), scale, np.random.default_rng(7))
+    maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
     q = du._compressions(cat, spec, maps)
-    mult, outside = du._product_bounds(q, spec.spaceoid.table, gauge)
+    mult, outside = du._product_bounds(q, spec, gauge)
     certified = du._certified_products(cat, q, spec, gauge, TOL)
     explicit = explicit_products(cat, sec, maps)
     worst, n_done = 0.0, 0
@@ -143,8 +146,8 @@ def test_one_bad_pair_among_many_is_named_as_before():
     spec, sec, gauge, maps = gelfand_parts(cat)
     # phi(e_k) scaled by 1 + 1e-6: only the pair (k, k) fails, at ten
     # times the bound
-    m = maps[("A", "A")] = maps[("A", "A")].copy()
-    m[:, k] *= 1 + 10 * BOUND
+    maps = maps.copy()
+    maps[0, 0, :, k] *= 1 + 10 * BOUND
     certified = du._certified_products(
         cat, du._compressions(cat, spec, maps), spec, gauge, TOL
     )
@@ -169,11 +172,11 @@ def test_gelfand_reports_the_explicit_residual_of_a_planted_pair(monkeypatch):
         spec = spectrum(*args, **kwargs)
         coefficients = spec._frame_coefficients
 
-        def scaled(a, b, t):  # the image of basis element 2 of (A, A)
-            z = coefficients(a, b, t)
-            if (a, b) == ("A", "A") and np.ndim(t) == 3:
+        def scaled(f, t):  # the image of basis element 2 of (A, A)
+            z = coefficients(f, t)
+            if np.ndim(t) == 5:  # gelfand's block maps, all pairs at once
                 z = z.copy()
-                z[2] *= 1 + 10 * BOUND
+                z[0, 0, 2] *= 1 + 10 * BOUND
             return z
 
         spec._frame_coefficients = scaled
@@ -204,17 +207,18 @@ def _plant_nan(where, cat, spec, gauge, maps):
     """One NaN in one input of the certificate; returns the inputs."""
     a = cat.object_ids[0]
     if where == "block-map":
-        maps = {**maps, (a, a): _nan_at(maps[(a, a)], 1)}
+        maps = maps.copy()
+        maps[0, 0] = _nan_at(maps[0, 0], 1)
     elif where == "basis":
         blocks = dict(cat.blocks)
         blocks[(a, a)] = [_nan_at(blocks[(a, a)][0], 3)] + blocks[(a, a)][1:]
         cat = cc.MatrixCategory(cat.objects, blocks, cat.unital)
     elif where == "bases":
-        spec = dataclasses.replace(spec, bases={a: _nan_at(spec.bases[a], 2)})
+        spec = dataclasses.replace(spec, bases=_nan_at(spec.bases, 2))
     elif where == "frames":
-        spec = dataclasses.replace(spec, frames={(a, a): _nan_at(spec.frames[(a, a)])})
+        spec = dataclasses.replace(spec, frames=_nan_at(spec.frames))
     elif where == "compressions":
-        comp = {(a, a): _nan_at(spec.compressions[(a, a)], 5)}
+        comp = _nan_at(spec.compressions, 5)
         spec = dataclasses.replace(spec, compressions=comp)
     elif where == "table":
         spec = dataclasses.replace(
@@ -240,8 +244,7 @@ def test_nan_in_any_input_certifies_nothing(make, where):
     (done, _), = du._certified_products(cat, q, spec, gauge, TOL).values()
     assert not done.any()
     if where not in ("basis", "table", "gauge"):  # the inputs the isometry reads
-        n = len(next(iter(maps.values())))
-        z = np.ones((1, 1, 3, n), dtype=complex)
+        z = np.ones((1, 1, 3, maps.shape[-1]), dtype=complex)
         assert np.isnan(du._isometry_bounds(q, z, np.ones((1, 1, 3)))).all()
 
 
@@ -251,7 +254,13 @@ def test_gelfand_with_a_nan_coefficient_fails_without_raising(monkeypatch):
     def planted_spectrum(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
         coefficients = spec._frame_coefficients
-        spec._frame_coefficients = lambda a, b, t: _nan_at(coefficients(a, b, t), 4)
+
+        def with_nan(f, t):  # entry 4 of every block's 3 x 3 coefficients
+            z = coefficients(f, t).copy()
+            z[..., 1, 1] = np.nan
+            return z
+
+        spec._frame_coefficients = with_nan
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted_spectrum)
@@ -272,11 +281,14 @@ def test_isometry_bounds_hold_and_large_defects_stay_explicit(name, scale):
     spec, _, _, maps = gelfand_parts(cat)
     # one block's transform scaled: about `scale` times the isometry bound
     # on combinations of operator norm about 1-3
-    pair = (cat.object_ids[0], cat.object_ids[-1])
-    maps = {**maps, pair: maps[pair] * (1 + scale * ISOMETRY_SLACK * TOL / 2)}
+    maps = maps.copy()
+    maps[0, -1] *= 1 + scale * ISOMETRY_SLACK * TOL / 2
     q = du._compressions(cat, spec, maps)
-    explicit = du._isometry_devs(cat, maps, None, TOL, seed=3)
-    reported = du._isometry_devs(cat, maps, q, TOL, seed=3)
+    # a NaN unitarity defect certifies nothing: every deviation explicit
+    explicit = du._isometry_devs(
+        cat, q._replace(delta=np.full_like(q.delta, np.nan)), TOL, seed=3
+    )
+    reported = du._isometry_devs(cat, q, TOL, seed=3)
     assert np.all(reported >= explicit)
     large = explicit >= ISOMETRY_SLACK * TOL
     assert np.array_equal(reported[large], explicit[large])

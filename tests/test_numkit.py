@@ -46,7 +46,7 @@ def rand_unitary(rng, n):
 def test_adjoint_hand_value():
     m = np.array([[1 + 2j, 3], [0, -1j]])
     expected = np.array([[1 - 2j, 0], [3, 1j]])
-    assert np.allclose(numkit.adjoint(m), expected)
+    assert np.allclose(numkit._adjoints(m), expected)
 
 
 def test_op_norm_row_vector_is_pythagorean():
@@ -80,8 +80,9 @@ def test_adjoint_is_involutive_and_antimultiplicative(seed):
     rng = np.random.default_rng(seed)
     m = rand_matrix(rng, 3, 2)
     n = rand_matrix(rng, 2, 3)
-    assert np.allclose(numkit.adjoint(numkit.adjoint(m)), m)
-    assert np.allclose(numkit.adjoint(m @ n), numkit.adjoint(n) @ numkit.adjoint(m))
+    adj = numkit._adjoints
+    assert np.allclose(adj(adj(m)), m)
+    assert np.allclose(adj(m @ n), adj(n) @ adj(m))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +148,7 @@ def test_joint_diagonalize_recovers_planted_structure():
         assert je.n_blocks == n_blocks
         # multiset of (eigenvalue tuple, size) must match the planted one
         got = sorted(
-            (tuple(np.round(je.eigenvalues[:, b], 6)), len(je.blocks[b]))
+            (tuple(np.round(je.eigenvalues[:, b], 6)), int(je.sizes[b]))
             for b in range(je.n_blocks)
         )
         want = sorted(
@@ -160,9 +161,9 @@ def test_joint_diagonalize_recovers_planted_structure():
         for i, m in enumerate(mats):
             conj = u.conj().T @ m @ u
             model = np.zeros_like(conj)
-            for b, blk in enumerate(je.blocks):
-                ix = np.ix_(list(blk), list(blk))
-                model[ix] = je.eigenvalues[i, b] * np.eye(len(blk))
+            for b in range(je.n_blocks):
+                blk = je.columns([b])
+                model[np.ix_(blk, blk)] = je.eigenvalues[i, b] * np.eye(len(blk))
             assert np.linalg.norm(conj - model) < 1e-8
 
 
@@ -180,7 +181,7 @@ def test_joint_diagonalize_blocks_are_canonically_ordered():
     # determinism: same call, same result
     je2 = numkit.joint_diagonalize(mats, 1e-9, seed=0)
     assert np.array_equal(je.unitary, je2.unitary)
-    assert je.blocks == je2.blocks
+    assert np.array_equal(je.sizes, je2.sizes)
 
 
 def test_joint_diagonalize_circulant_shift():
@@ -201,10 +202,19 @@ def test_joint_diagonalize_circulant_shift():
         assert je.eigenvalues[1, b] == pytest.approx(je.eigenvalues[0, b] ** 2)
 
 
+@pytest.mark.parametrize("sizes", [[1, 1], [2, 2], [3, 0], [4, -1]])
+def test_joint_eigenstructure_rejects_bad_sizes(sizes):
+    # a non-positive size, or sizes that do not sum to the column count
+    u, evals = np.eye(3, dtype=complex), np.zeros((1, len(sizes)), complex)
+    assert numkit.JointEigenstructure(u, np.array([1, 2]), evals[:, :2]).n_blocks == 2
+    with pytest.raises(ValueError, match="eigenblock sizes"):
+        numkit.JointEigenstructure(u, np.array(sizes), evals)
+
+
 def test_joint_diagonalize_empty_family():
     je = numkit.joint_diagonalize([], dim=3)
     assert je.n_blocks == 1
-    assert je.blocks == ((0, 1, 2),)
+    assert je.sizes.tolist() == [3]
     assert np.array_equal(je.unitary, np.eye(3))
 
 
@@ -280,14 +290,15 @@ def near_degenerate_family(gap, seed, defect=0.0):
 def assert_planted_partition(je, q, labels, atol):
     """Each block has the size of one planted class and its columns lie
     in that class's eigenspace."""
-    assert sorted(len(blk) for blk in je.blocks) == [1, 2, 3]
+    assert sorted(je.sizes.tolist()) == [1, 2, 3]
     projectors = []
     for cls in range(3):
         basis, _ = np.linalg.qr(q[:, labels == cls])
         projectors.append(basis @ basis.conj().T)
     seen = set()
-    for blk in je.blocks:
-        u = je.unitary[:, list(blk)]
+    for b in range(je.n_blocks):
+        blk = je.columns([b])
+        u = je.unitary[:, blk]
         misses = [np.linalg.norm(u - p @ u) for p in projectors]
         cls = int(np.argmin(misses))
         assert misses[cls] < atol and np.sum(labels == cls) == len(blk)
@@ -409,7 +420,7 @@ def outcome(call):
     except (NotCommuting, NotNormal, DiagonalizationFailed) as exc:
         return (type(exc), str(exc), getattr(exc, "pair", None),
                 getattr(exc, "residual", None))
-    return ("ok", je.unitary.tobytes(), je.blocks, je.eigenvalues.tobytes())
+    return ("ok", je.unitary.tobytes(), je.sizes.tolist(), je.eigenvalues.tobytes())
 
 
 def planted_pair_family(factor, j, k, n=6, d=8, seed=0, tol=1e-9):

@@ -384,7 +384,7 @@ def test_spectrum_report_roundtrip():
     rep = serial.spectrum_report_from_json(serial.load_text(text))
     assert serial.emit("spectrum-report", rep) == text
     assert serial.parse("spectrum-report", text) == rep
-    assert [c.point for c in rep.classes] == list(spec.class_points)
+    assert [c.point for c in rep.classes] == list(spec.spaceoid.base_points)
     assert rep.spaceoid == spec.spaceoid
     assert rep.residuals.passed
 

@@ -542,11 +542,11 @@ def ref_evaluation_scalars(e, ev) -> dict:
     spec = ev.spectrum
     scal = {}
     for q, p in enumerate(e.base_points):
-        i = spec.class_points.index(ev.morphism.f_delta[p])
+        i = spec.spaceoid.base_points.index(ev.morphism.f_delta[p])
         for ai, a in enumerate(e.objects):
             for bi, b in enumerate(e.objects):
-                z = complex(spec.bases[a][q, i]) * complex(spec.frames[(a, b)][i, i])
-                z = z * complex(spec.bases[b][q, i]).conjugate()
+                z = complex(spec.bases[ai, q, i]) * complex(spec.frames[ai, bi, i, i])
+                z = z * complex(spec.bases[bi, q, i]).conjugate()
                 z = z * complex(gauge[q, ai, bi])
                 scal[(p, a, b)] = complex(z.real / abs(z), z.imag / abs(z))
     return scal
