@@ -26,8 +26,8 @@ AXIOM_SLACK = 10.0
 # validate_functor involution, multiplicativity, units: HS norm of the
 # image defect of a basis element, a product of two, or a unit.  Absolute.
 FUNCTOR_SLACK = 100.0
-# duality, values read off joint eigenbases: a frame's unitarity defect
-# (scale 1 + rank), a character against a class's eigenvalues (scale
+# duality, values read off joint eigenbases: a transported basis's
+# unitarity defect (scale 1 + d), a character against a class's eigenvalues (scale
 # 1 + max|value|), spectrum's lift-back residual (scale 1 + ||x||_HS),
 # and the recovered phases' multiplicativity (absolute).
 SPECTRAL_SLACK = 100.0
@@ -81,7 +81,7 @@ PHASE_ATOL = 1e-12
 # its HS-orthonormal basis is below this vanishes at the class.
 VANISHING_ATOL = 1e-8
 # Cut for a quantity that is 0 or 1 in exact arithmetic: an induced
-# frame coefficient's modulus (spectrum_on_morphism), a section class's
+# class unit's coefficient modulus (spectrum_on_morphism), a section class's
 # squared weight on its point (evaluation).
 ZERO_ONE_CUT = 0.5
 

@@ -1,23 +1,22 @@
 """The two arrows of the finite commutative duality.
 
-``spectrum`` turns a commutative, full, unital matrix category into a
-spaceoid: its base points are the joint-eigenspace classes shared by
-all objects, and the structure constants record how the canonical unit
-frames of the one-dimensional fiber spaces compose.  ``sections``
-turns any spaceoid back into a concrete diagonal matrix category.
-``gelfand`` and ``evaluation`` are the comparison maps of the two
-composites, and ``verify_duality`` checks naturality of both on
+``spectrum`` turns a commutative full unital matrix category into a
+spaceoid: its base points are the joint-eigenspace classes of the
+anchor object, carried to every other object along the blocks that
+join them, and the spaceoid comes out already trivialized.
+``sections`` turns any spaceoid back into a concrete diagonal matrix
+category.  ``gelfand`` and ``evaluation`` are the comparison maps of
+the two composites, and ``verify_duality`` checks naturality of both on
 concrete instances.
 
 Conventions fixed here (everything downstream depends on them):
 
-* classes are ordered by the first object's canonical eigenvalue-tuple
-  order and named ``w0, w1, ...``;
-* the fiber frame of a diagonal pair is the class projection itself;
-  off-diagonal frames have unit operator norm, are conjugate-symmetric
-  under swapping the pair, and their first significant entry (first
-  entry within a factor 10 of the largest modulus, row-major) is made
-  real positive;
+* the anchor is the first object; classes are ordered by its canonical
+  eigenvalue-tuple order and named ``w0, w1, ...``;
+* the spectrum is in the anchor's gauge: every object's basis is the
+  anchor's joint eigenbasis transported along block (anchor, B), so
+  every fiber frame is the identity on its class and every structure
+  constant is exactly 1;
 * both induced maps are contravariant: a functor ``C1 -> C2`` induces
   a spaceoid morphism ``spectrum(C2) -> spectrum(C1)`` and a spaceoid
   morphism ``E1 -> E2`` induces a functor ``sections(E2) ->
@@ -44,12 +43,12 @@ from .cstarcat import (
     _stack,
     check_axioms,
     functor_image,
+    is_commutative,
     is_full,
     validate_functor,
 )
 from .errors import (
     AmbiguousMatching,
-    FullnessMismatch,
     InvalidFunctor,
     NotCommutative,
     NotCommuting,
@@ -58,7 +57,7 @@ from .errors import (
     NotUnital,
     SpectrumMismatch,
 )
-from .numkit import _adjoints, _block_sums, joint_diagonalize
+from .numkit import _adjoints, joint_diagonalize
 from .reporting import Report, worst
 from .spaceoid import (
     PhaseFunctor,
@@ -106,7 +105,8 @@ __all__ = [
 
 @dataclass
 class SpectrumResult:
-    """Joint eigenspace classes of a commutative full category.
+    """Joint eigenspace classes of a commutative full category, in the
+    anchor's gauge.
 
     Carries everything needed to move elements back and forth, as dense
     arrays whose object axes follow ``spaceoid.objects``.  With ``o``
@@ -115,25 +115,22 @@ class SpectrumResult:
     element per class:
 
     * ``ranks`` ``(k,)``: class ``i`` owns the columns ``starts[i] :
-      starts[i] + ranks[i]`` of each class-ordered eigenbasis;
-    * ``class_block`` ``(o, k)``: each object's eigenblock of each class;
-    * ``bases`` ``(o, d, d)``: the class-ordered eigenbases;
-    * ``frames`` ``(o, o, d, d)``: per block (A, B), the block-diagonal
-      matrix, in the bases of A and B, whose i-th diagonal block is the
-      unit frame of class ``i``;
-    * ``diag_table`` ``(o, k, k)``: the eigenvalue on each class (rows)
-      of each basis element of the object's diagonal block;
-    * ``compressions`` ``(o, o, k, d, d)``: each block's basis compressed
-      into those bases, ``bases[A]* e bases[B]`` per element.
+      starts[i] + ranks[i]`` of every basis;
+    * ``bases`` ``(o, d, d)``: the class-ordered bases, the anchor's
+      joint eigenbasis and its transports to the other objects;
+    * ``compressions`` ``(o, o, k, d, d)``: each block's basis
+      compressed into those bases, ``bases[A]* e bases[B]`` per
+      element, a multiple of the identity on every class.
+
+    The frame of every class in every block is the identity, so the
+    coefficient of ``x`` at a class is the mean of the diagonal of its
+    compression over the class's columns.
     """
 
     spaceoid: SpaceoidData
     category: MatrixCategory = field(repr=False)
     ranks: np.ndarray
-    class_block: np.ndarray = field(repr=False)
     bases: np.ndarray = field(repr=False)
-    frames: np.ndarray = field(repr=False)
-    diag_table: np.ndarray = field(repr=False)
     compressions: np.ndarray = field(repr=False)
 
     @property
@@ -145,28 +142,34 @@ class SpectrumResult:
         """First column of every class in the class-ordered bases."""
         return np.cumsum(self.ranks) - self.ranks
 
+    @property
+    def diag_table(self) -> np.ndarray:
+        """``(o, k, k)``: the eigenvalue on each class (rows) of each
+        basis element of the object's diagonal block."""
+        n = np.arange(len(self.bases))
+        diag = np.diagonal(self.compressions[n, n], axis1=-2, axis2=-1)
+        return np.swapaxes(self._class_means(diag), -1, -2)
+
     def _index(self, a, b) -> tuple:
         objs = self.spaceoid.objects
         return objs.index(a), objs.index(b)
 
     def coefficients(self, a, b, x) -> np.ndarray:
-        """Frame coefficients of ``x`` across all classes of block (a, b).
+        """Class coefficients of ``x`` across all classes of block (a,
+        b), which are also the characters' values on ``x``.
 
         ``x`` is one ``d_A x d_B`` matrix or a ``(..., d_A, d_B)``
         stack; the classes run along the last axis of the result.
         """
-        return self._coefficients(*self._index(a, b), x)
+        i, j = self._index(a, b)
+        # the diagonal of bases[i]* x bases[j], without the rest of it
+        xu = np.asarray(x, dtype=complex) @ self.bases[j]
+        return self._class_means(np.sum(self.bases[i].conj() * xu, axis=-2))
 
-    def _coefficients(self, i, j, x) -> np.ndarray:
-        t = _adjoints(self.bases[i]) @ np.asarray(x, dtype=complex) @ self.bases[j]
-        return self._frame_coefficients(self.frames[i, j], t)
-
-    def _frame_coefficients(self, f, t) -> np.ndarray:
-        """:meth:`coefficients` of matrices ``t`` already compressed into
-        the class-ordered bases, against the block-diagonal frames ``f``
-        (broadcast against ``t``)."""
-        per_row = np.sum(f.conj() * t, axis=-1)
-        return np.add.reduceat(per_row, self.starts, axis=-1) / self.ranks
+    def _class_means(self, diag) -> np.ndarray:
+        """Per class, the mean of ``diag`` (one entry per basis column,
+        along the last axis) over the class's columns."""
+        return np.add.reduceat(diag, self.starts, axis=-1) / self.ranks
 
     def lift(self, a, b, coeffs) -> np.ndarray:
         """Inverse of :meth:`coefficients` on the block's image (classes
@@ -177,73 +180,7 @@ class SpectrumResult:
         """:meth:`lift` at object positions ``i`` and ``j``: ints, or
         index arrays broadcast against the leading axes of ``coeffs``."""
         rows = np.repeat(np.asarray(coeffs, dtype=complex), self.ranks, axis=-1)
-        g = self.frames[i, j] * rows[..., :, None]
-        return self.bases[i] @ g @ _adjoints(self.bases[j])
-
-    def character_values(self, a, b, x) -> np.ndarray:
-        """Every class's character applied to ``x`` in block (a, b)
-        (one matrix or a stack; classes along the last axis): the frame
-        coefficients times the conjugate trivializing gauge
-        ``lam(w; a, anchor, b)``, the anchor being the first object."""
-        i, j = self._index(a, b)
-        return self._coefficients(i, j, x) * np.conj(self.spaceoid.table[:, i, 0, j])
-
-
-def _match_blocks(c, eig0, eig_b, a0, b, tol) -> np.ndarray:
-    """Match each class block of the anchor object to the unique block
-    of ``b`` with a nonvanishing compression of the (a0, b) space.
-
-    The whole basis is compressed into both eigenbases at once; the HS
-    norm of every (basis element, class block, block of ``b``) slice
-    is a segmented sum of ``|T|^2``.  Returns the block of ``b`` per
-    class.
-    """
-    basis = _stack(c, a0, b)
-    scale = np.linalg.norm(basis, axis=(1, 2)).max(initial=0.0)
-    thresh = tol * (1.0 + scale)
-    t = eig0.unitary.conj().T @ basis @ eig_b.unitary
-    sums = _block_sums(np.abs(t) ** 2, eig0.starts, eig_b.starts)
-    hits = np.sqrt(sums.max(axis=0, initial=0.0)) > thresh
-    count = hits.sum(axis=1)
-    match = np.argmax(hits, axis=1)
-    bad = (count != 1) | (eig_b.sizes[match] != eig0.sizes)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if count[i] != 1:
-            raise AmbiguousMatching(
-                f"class {i} of {a0} meets {count[i]} blocks of {b}"
-            )
-        raise FullnessMismatch(
-            f"rank mismatch between {a0} class {i} and {b} block {match[i]}"
-        )
-    if len(set(match.tolist())) != eig0.n_blocks:
-        raise AmbiguousMatching(f"matching {a0} -> {b} is not a bijection")
-    return match
-
-
-def _canonical_frame(comp, tol):
-    """Scale and phase-normalize one-dimensional block compressions.
-
-    ``comp`` is one ``r x r`` matrix or a ``(..., r, r)`` stack; each
-    is divided by its operator norm, must then be unitary, and is
-    rotated so its first significant entry (first within a factor 10
-    of the largest modulus, row-major) is real positive.
-    """
-    s = np.linalg.norm(comp, 2, axis=(-2, -1))
-    f = comp / s[..., None, None]
-    r = f.shape[-1]
-    dev = np.linalg.norm(
-        _adjoints(f) @ f - np.eye(r), axis=(-2, -1)
-    )
-    if not np.all(dev <= SPECTRAL_SLACK * tol * (1 + r)):
-        raise NotOneDimensional(
-            "block compression is not a scalar multiple of a unitary"
-        )
-    flat = f.reshape(f.shape[:-2] + (r * r,))
-    mag = np.abs(flat)
-    first = np.argmax(mag >= 0.1 * mag.max(axis=-1, keepdims=True), axis=-1)
-    z = np.take_along_axis(flat, first[..., None], axis=-1)
-    return f * np.conj(z / np.abs(z))[..., None]
+        return (self.bases[i] * rows[..., None, :]) @ _adjoints(self.bases[j])
 
 
 def _rank_groups(ranks: np.ndarray):
@@ -255,65 +192,91 @@ def _rank_groups(ranks: np.ndarray):
         yield cls, starts[cls][:, None] + np.arange(r)
 
 
-def _class_frames(t, ranks, tol) -> np.ndarray:
-    """Block-diagonal unit frames from blocks' bases compressed into
-    class-ordered eigenbases (``t``, shape ``(pairs, n, d, d)``): per
-    pair and class, the canonical frame of the basis element whose
-    class slice has the largest HS norm."""
-    starts = np.cumsum(ranks) - ranks
-    sq = np.diagonal(_block_sums(np.abs(t) ** 2, starts, starts), axis1=-2, axis2=-1)
-    best = np.argmax(sq, axis=-2)  # (pairs, classes)
-    pair = np.arange(len(t))[:, None, None, None]
-    out = np.zeros(t.shape[:1] + t.shape[2:], dtype=complex)
-    for cls, idx in _rank_groups(ranks):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        best_t = t[pair, best[:, cls, None, None], rows, cols]
-        out[:, rows, cols] = _canonical_frame(best_t, tol)
-    return out
+def _transported_bases(c, eig, tol) -> np.ndarray:
+    """The anchor's class-ordered joint eigenbasis ``U`` and, for every
+    other object B, its classes carried along block (anchor, B), as one
+    ``(o, d, d)`` stack.
+
+    B's class-``i`` columns are the polar factor of ``e* U^i``, with
+    ``e`` the first basis element whose class-``i`` slice ``U^i* e``
+    has at least half the largest squared HS norm: then ``U^i* e`` is a
+    positive multiple of the identity in B's columns.  Slices that tie,
+    as every element's do in a group category, go to the first element,
+    so rounding does not pick the gauge.  Raises ``AmbiguousMatching``
+    when a transported basis is not unitary within ``SPECTRAL_SLACK *
+    tol * (1 + d)`` (HS norm of ``V* V - I``).
+    """
+    ids, u = c.object_ids, eig.unitary
+    d = u.shape[1]
+    for o in ids[1:]:
+        if c.dim(o) != d:
+            raise AmbiguousMatching(
+                f"the anchor's classes have total rank {d} but {o} has dimension {c.dim(o)}"
+            )
+    bases = np.broadcast_to(u, (len(ids), d, d)).copy()
+    if len(ids) > 1:
+        # t[b, e]: the elements of block (anchor, B) in the anchor's basis;
+        # sq[b, e, i]: the squared norms of their class slices
+        t = _adjoints(u) @ np.stack([_stack(c, ids[0], b) for b in ids[1:]])
+        sq = np.add.reduceat(np.sum(np.abs(t) ** 2, axis=-1), eig.starts, axis=-1)
+        pick = np.argmax(sq >= sq.max(axis=1, keepdims=True) / 2, axis=1)
+        best = t[np.arange(len(t))[:, None], pick]  # (o - 1, k, d, d)
+        for cls, idx in _rank_groups(eig.sizes):
+            w, _, vh = np.linalg.svd(best[:, cls[:, None], idx], full_matrices=False)
+            bases[1:, :, idx] = np.moveaxis((w @ vh).conj(), -1, 1)
+    dev = np.linalg.norm(_adjoints(bases) @ bases - np.eye(d), axis=(-2, -1))
+    bad = ~(dev <= SPECTRAL_SLACK * tol * (1 + d))
+    if bad.any():
+        raise AmbiguousMatching(
+            f"the anchor's classes carried to {ids[np.argmax(bad)]} are not orthonormal"
+        )
+    return bases
 
 
 def spectrum(
     c: MatrixCategory, tol: float | None = None, seed: int = 0
 ) -> SpectrumResult:
-    """Decompose a commutative full unital category into its spaceoid.
+    """Decompose a commutative full unital category into its spaceoid,
+    in the anchor's gauge.
 
     Raises ``NotUnital`` / ``NotCommutative`` / ``NotFull`` when the
-    hypotheses fail, ``FullnessMismatch`` when objects disagree on the
-    class structure, ``AmbiguousMatching`` when classes cannot be put
-    in bijection, and ``NotOneDimensional`` when a matched fiber is not
-    a line (any of these means the input is outside the duality's
-    domain).
+    hypotheses fail, ``AmbiguousMatching`` when the anchor's classes do
+    not carry over to an object as an orthonormal basis, and
+    ``NotOneDimensional`` when a fiber is not a line (any of these means
+    the input is outside the duality's domain).  A category that is not
+    commutative raises ``NotCommutative`` whichever object is the
+    anchor.
 
+    Only the anchor's diagonal block is jointly diagonalized; the other
+    objects' bases are transported from it (:func:`_transported_bases`).
     Every block's basis is compressed, in one product over all pairs,
-    into the class-ordered joint eigenbases of its two objects; frames,
-    the structure constants and the completeness check are slices and
-    segmented sums of those compressions.
+    into those bases.  The completeness check, over all pairs, the
+    diagonal ones included, proves every compression a multiple of the
+    identity on every class, so every frame is the identity, every
+    structure constant is 1, and every C_BB is diagonalized without a
+    diagonalization of its own.
     """
     tol = resolve_tol(tol)
     if not c.unital:
         raise NotUnital("spectrum needs identity elements in every C_AA")
-    ids = c.object_ids
-    # joint_diagonalize raises NotCommuting, naming the same pair as
-    # is_commutative's search, before NotNormal or a failed
-    # diagonalization, so a non-commutative category fails here, before
-    # the fullness test
     try:
-        eigs = [
-            joint_diagonalize(c.block(o, o), tol, seed=seed, dim=c.dim(o)) for o in ids
-        ]
-    except NotCommuting as exc:
-        raise NotCommutative("diagonal blocks do not commute") from exc
+        return _spectrum(c, tol, seed)
+    except (NotCommuting, NotFull, NotOneDimensional, AmbiguousMatching) as exc:
+        # only the anchor is diagonalized, so a non-commutative block
+        # elsewhere fails one of the later checks; commutativity is
+        # consulted on this path only
+        if isinstance(exc, NotCommuting) or not is_commutative(c, tol):
+            raise NotCommutative("diagonal blocks do not commute") from exc
+        raise
+
+
+def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
+    """:func:`spectrum` on a unital category, before the error contract."""
+    ids = c.object_ids
+    eig = joint_diagonalize(c.block(ids[0], ids[0]), tol, seed=seed, dim=c.dim(ids[0]))
     if not is_full(c, tol):
         raise NotFull("inner products do not span the diagonal blocks")
-
-    a0 = ids[0]
-    k = eigs[0].n_blocks
-    for o, eig in zip(ids[1:], eigs[1:]):
-        if eig.n_blocks != k:
-            raise FullnessMismatch(f"{a0} has {k} classes but {o} has {eig.n_blocks}")
-    class_block = np.stack([np.arange(k)] + [
-        _match_blocks(c, eigs[0], eig, a0, o, tol) for o, eig in zip(ids[1:], eigs[1:])
-    ])
+    k = eig.n_blocks
     # in a full category every class has a nonzero fiber in every block,
     # so a block whose dimension is not the class count has a fiber that
     # is not a line
@@ -322,47 +285,23 @@ def spectrum(
             raise NotOneDimensional(
                 f"block ({a},{b}) has dimension {c.block_dim(a, b)} for {k} classes"
             )
-    ranks = eigs[0].sizes
-    points = tuple(f"w{i}" for i in range(k))
-    bases = np.stack(
-        [eig.unitary[:, eig.columns(cb)] for eig, cb in zip(eigs, class_block)]
-    )
+    bases = _transported_bases(c, eig, tol)
 
-    n_obj, d = len(ids), int(ranks.sum())
+    n_obj, d = bases.shape[:2]
     x = np.reshape([_stack(c, a, b) for a, b in c.pairs()], (n_obj, n_obj, k, d, d))
     comp = _adjoints(bases)[:, None, None] @ x @ bases[None, :, None]
-    frames = np.zeros((n_obj, n_obj, d, d), dtype=complex)
-    frames[np.arange(n_obj), np.arange(n_obj)] = np.eye(d)
-    upper = np.triu_indices(n_obj, 1)
-    frames[upper] = _class_frames(comp[upper], ranks, tol)
-    frames[upper[::-1]] = _adjoints(frames[upper])
-
-    # lam(w_i; A, B, C) = tr(f_AC* f_AB f_BC) / r_i, one rank at a time
-    lam = np.empty((k, n_obj, n_obj, n_obj), dtype=complex)
-    for cls, idx in _rank_groups(ranks):
-        f = frames[:, :, idx[:, :, None], idx[:, None, :]]  # (A, B, class, r, r)
-        lam[cls] = np.einsum(
-            "acmjq,abmjl,bcmlq->mabc", f.conj(), f, f
-        ) / idx.shape[1]
-    spaceoid = SpaceoidData(points, ids, lam)
-    require_valid(spaceoid, tol)
-
+    points = tuple(f"w{i}" for i in range(k))
     result = SpectrumResult(
-        spaceoid=spaceoid,
+        spaceoid=SpaceoidData(points, ids, np.ones((k, n_obj, n_obj, n_obj), dtype=complex)),
         category=c,
-        ranks=ranks,
-        class_block=class_block,
+        ranks=eig.sizes,
         bases=bases,
-        frames=frames,
-        diag_table=np.stack(
-            [eig.eigenvalues[:, cb].T for eig, cb in zip(eigs, class_block)]
-        ),
         compressions=comp,
     )
 
     # completeness: every element must be recovered by its coefficients
     i, j, _ = np.ogrid[:n_obj, :n_obj, :1]  # the pair axes, broadcast over elements
-    coeffs = result._frame_coefficients(frames[i, j], comp)
+    coeffs = result._class_means(np.diagonal(comp, axis1=-2, axis2=-1))
     err = np.linalg.norm(result._lift(i, j, coeffs) - x, axis=(-2, -1))
     bound = SPECTRAL_SLACK * tol * (1 + np.linalg.norm(x, axis=(-2, -1)))
     bad = ~np.all(err <= bound, axis=-1)
@@ -389,7 +328,7 @@ class Character:
     def value(self, a, b, x) -> complex:
         """The character applied to ``x`` in block ``(a, b)`` (or to
         each matrix of a stack)."""
-        return self.spec.character_values(a, b, x)[..., self.index]
+        return self.spec.coefficients(a, b, x)[..., self.index]
 
 
 def characters(
@@ -606,9 +545,10 @@ def spectrum_on_morphism(
 
     Base points map by composing characters with the functor: every
     target character is evaluated at once on the images of each source
-    diagonal basis.  Fiber scalars are the target-side frame
-    coefficients of the images of the source frames, all classes of a
-    pair in one lift, image and coefficient pass.
+    diagonal basis.  Fiber scalars are the target-side coefficients of
+    the images of the source's class units (the lifts of unit
+    coefficient vectors), all classes of a pair in one lift, image and
+    coefficient pass.
     """
     tol = resolve_tol(tol)
     spec1 = source_spectrum or spectrum(source, tol, seed)
@@ -622,14 +562,14 @@ def spectrum_on_morphism(
     def composed(o1, basis):
         o2 = phi.object_map[o1]
         img = _image(phi, target, o1, o1, np.eye(len(basis)))
-        return spec2.character_values(o2, o2, img).T
+        return spec2.coefficients(o2, o2, img).T
 
     match = _match_classes(spec1, composed, spec2.n_classes, tol)
     points1 = spec1.spaceoid.base_points
     f_delta = {p: points1[i] for p, i in zip(spec2.spaceoid.base_points, match)}
     f_r = {o2: inv_obj[o2] for o2 in target.object_ids}
 
-    # z[j, pair]: class j's coefficient of the image of the source frame
+    # z[j, pair]: class j's coefficient of the image of the source unit
     # of its matched class
     ids2 = target.object_ids
     pairs = list(itertools.product(ids2, ids2))
@@ -637,15 +577,15 @@ def spectrum_on_morphism(
     z = np.empty((spec2.n_classes, len(pairs)), dtype=complex)
     for n, (a2, b2) in enumerate(pairs):
         a1, b1 = inv_obj[a2], inv_obj[b2]
-        frames = spec1.lift(a1, b1, np.eye(spec1.n_classes))
-        img = functor_image(phi, source, target, a1, b1, frames, tol)
+        units = spec1.lift(a1, b1, np.eye(spec1.n_classes))
+        img = functor_image(phi, source, target, a1, b1, units, tol)
         z[:, n] = spec2.coefficients(a2, b2, img)[match, cls]
     small = ~(np.abs(z) >= ZERO_ONE_CUT)
     if small.any():
         j, n = np.unravel_index(np.argmax(small), small.shape)
         a2, b2 = pairs[n]
         raise SpectrumMismatch(
-            f"image of the ({inv_obj[a2]},{inv_obj[b2]}) frame nearly vanishes "
+            f"image of the ({inv_obj[a2]},{inv_obj[b2]}) class unit nearly vanishes "
             f"at class {spec2.spaceoid.base_points[j]}"
         )
     scal = _unit(z).reshape(spec2.n_classes, len(ids2), -1)
@@ -668,12 +608,11 @@ class _Compressions(NamedTuple):
     object dimension (see :func:`_product_bounds`)."""
 
     maps: np.ndarray  # (o, o, n, n) the functor's block maps c, classes first
-    resid: np.ndarray  # (o, o, n, d*d) rows of T(e) - blockdiag_p(c_p(e) F_p)
+    resid: np.ndarray  # (o, o, n, d*d) rows of T(e) - blockdiag_p(c_p(e) I)
     eta: np.ndarray  # (o, o, n) their HS norms
     nu: np.ndarray  # (o, o, n) max_p |c_p(e)|
     norm: np.ndarray  # (o, o, n) ||e||_HS
     delta: np.ndarray  # (o,) ||U*U - I||_HS of the class-ordered bases
-    rho: np.ndarray  # (o, o) ||F*F - I||_HS of the block-diagonal frames
     gram: np.ndarray  # (o, o) ||Q Q* - I||_HS, Q the source basis rows
     sv: np.ndarray  # (o, o, n) singular values of the block maps, NaN if not finite
 
@@ -681,15 +620,15 @@ class _Compressions(NamedTuple):
 def _compressions(c, spec, maps) -> _Compressions:
     """Measure every basis element's compression into the class-ordered
     bases of its objects, ``T(e) = U_A* e U_B`` (as ``spectrum`` formed
-    it), against the model ``blockdiag_p(c_p(e) F_p)`` built from the
+    it), against the model ``blockdiag_p(c_p(e) I)`` built from the
     functor's own block maps ``maps``, ``(o, o, n, n)``."""
-    u, f = spec.bases, spec.frames
+    u = spec.bases
     n, d = maps.shape[-1], u.shape[-1]
     rows = np.reshape(
         [_stack(c, a, b) for a, b in c.pairs()], maps.shape[:2] + (n, d * d)
     )
     cls = np.repeat(np.arange(n), spec.ranks)
-    model = np.swapaxes(maps[:, :, cls], -1, -2)[..., None] * f[:, :, None]
+    model = np.swapaxes(maps[:, :, cls], -1, -2)[..., None] * np.eye(d)
     resid = (spec.compressions - model).reshape(rows.shape)
     finite = np.isfinite(maps).all(axis=(-2, -1))
     sv = np.full(maps.shape[:-1], np.nan)
@@ -702,43 +641,39 @@ def _compressions(c, spec, maps) -> _Compressions:
         nu=np.abs(maps).max(axis=2),
         norm=np.linalg.norm(rows, axis=-1),
         delta=np.linalg.norm(_adjoints(u) @ u - np.eye(d), axis=(-2, -1)),
-        rho=np.linalg.norm(_adjoints(f) @ f - np.eye(d), axis=(-2, -1)),
         gram=np.linalg.norm(rows @ _adjoints(rows) - np.eye(n), axis=(-2, -1)),
         sv=sv,
     )
 
 
-def _product_bounds(q: _Compressions, spec, gauge):
+def _product_bounds(q: _Compressions, gauge):
     """Proven bounds ``(mult, outside)``, each ``(o, o, o, n, n)``, for
     every pair ``x = e_i`` of block (A, B) and ``y = e_j`` of (B, C):
     ``mult`` on the multiplicativity defect ``||phi(P xy) - phi(x)
     phi(y)||_HS`` and ``outside`` on the HS residual ``||xy - P xy||``,
     ``P`` the projection on block (A, C), as ``validate_functor`` forms
-    them.  ``lam`` is the spectrum's table ``(n, A, B, C)``, ``F`` its
-    frames and ``gauge`` the sections' ``(n, A, B)``, so ``phi(e) =
-    sum_p c_p(e) conj(g_p^AB) E_pp``.
+    them.  ``gauge`` is the sections' ``(n, A, B)``, so ``phi(e) =
+    sum_p c_p(e) conj(g_p^AB) E_pp``; the spectrum's frames are the
+    identity.
 
     Notation: ``T``, ``E_e = T(e) - M(e)`` with ``M(e) =
-    blockdiag_p(c_p(e) F_p^AB)``, ``eta``, ``nu``, ``delta``, ``rho``
-    and ``gram`` as in :class:`_Compressions`; ``zeta = ||F^AB F^BC -
-    blockdiag_p(lam_p F_p^AC)||_HS``, the frames' cocycle defect;
-    ``theta = max_p |lam_p - mu_p|``, the sections' gauge defect, with
-    ``mu_p = conj(g_p^AB g_p^BC) / conj(g_p^AC)``; ``w_p = c_p(x) c_p(y)
-    lam_p`` and ``v_p = c_p(x) c_p(y)``, whose norms per pair are one
-    matrix product of the squared block maps.
+    blockdiag_p(c_p(e) I)``, ``eta``, ``nu``, ``delta`` and ``gram`` as
+    in :class:`_Compressions`; ``theta = max_p |1 - mu_p|``, the
+    sections' gauge defect, with ``mu_p = conj(g_p^AB g_p^BC) /
+    conj(g_p^AC)``; ``v_p = c_p(x) c_p(y)``, whose norms per pair are
+    one matrix product of the squared block maps.
 
     * ``U_B U_B* = I + D`` with ``||D||_HS = delta_B`` (U is square), so
       ``T(xy) = T(x) T(y) - U_A* x D y U_C``.  Expanding ``T = M + E``,
-      ``M(x) M(y) = blockdiag(v_p F_p^AB F_p^BC)`` and ``||F_p||_op <= 1
-      + rho``: ``T(xy) = blockdiag(w_p F_p^AC) + R`` with ``||R||_HS <=
-      eps = nu_i nu_j zeta + (1 + rho_AB) nu_i eta_j + (1 + rho_BC)
-      eta_i nu_j + eta_i eta_j + sqrt((1 + delta_A)(1 + delta_C)) ||x||
-      ||y|| delta_B``.
+      ``M(x) M(y) = blockdiag(v_p I)`` and ``||M(x)||_op <= nu``:
+      ``T(xy) = blockdiag(v_p I) + R`` with ``||R||_HS <= eps = nu_i
+      eta_j + eta_i nu_j + eta_i eta_j + sqrt((1 + delta_A)(1 +
+      delta_C)) ||x|| ||y|| delta_B``.
     * Let the block map ``C`` of (A, C) be square with singular values
-      in ``[s_min, s_max]``, ``s_min > 0``, and ``kappa = C^-1 w``, so
-      ``||kappa|| <= ||w|| / s_min`` and ``sum_k kappa_k M(e_k) =
-      blockdiag(w_p F_p^AC)``.  Then ``Delta = xy - sum_k kappa_k e_k``
-      has ``T(Delta) = R - sum_k kappa_k E_k``, and for ``delta < 1``
+      in ``[s_min, s_max]``, ``s_min > 0``, and ``kappa = C^-1 v``, so
+      ``||kappa|| <= ||v|| / s_min`` and ``sum_k kappa_k M(e_k) =
+      blockdiag(v_p I)``.  Then ``Delta = xy - sum_k kappa_k e_k`` has
+      ``T(Delta) = R - sum_k kappa_k E_k``, and for ``delta < 1``
       ``||Delta||_HS <= dist = (eps + ||kappa|| ||eta^AC||_2) / sqrt((1
       - delta_A)(1 - delta_C))``.
     * The projection's coefficients are ``kappa' = G kappa + Q Delta``,
@@ -748,7 +683,7 @@ def _product_bounds(q: _Compressions, spec, gauge):
       kappa)_k e_k||`` is at most ``outside = dist + sqrt(1 + gram)
       K``.
     * The defect is ``diag_p(conj(g_p^AC) ((C (kappa' - kappa))_p + v_p
-      (lam_p - mu_p)))``, of HS norm at most ``mult = max_p |g_p^AC|
+      (1 - mu_p)))``, of HS norm at most ``mult = max_p |g_p^AC|
       (s_max K + ||v|| theta)``.
 
     Both bounds also cover the rounding of the explicit check itself,
@@ -759,20 +694,13 @@ def _product_bounds(q: _Compressions, spec, gauge):
     Nothing assumes that ``c(e)`` is the compression's own coefficient
     vector: a defect of the functor's block maps shows in ``eta``.
     """
-    lam, f = spec.spaceoid.table, spec.frames
-    cls = np.repeat(np.arange(len(lam)), spec.ranks)  # class of each row of F
     sq = np.abs(q.maps) ** 2  # (A, B, p, i)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam_rows = np.moveaxis(lam[cls], 0, -1)  # (A, B, C, d)
-        zeta = np.linalg.norm(
-            f[:, :, None] @ f[None] - lam_rows[..., None] * f[:, None], axis=(-2, -1)
-        )
         mu = np.conj(gauge[:, :, :, None] * gauge[:, None]) / np.conj(
             gauge[:, :, None, :]
         )
-        theta = np.abs(lam - mu).max(axis=0, initial=0.0)
+        theta = np.abs(1 - mu).max(axis=0, initial=0.0)
         g_max = np.abs(gauge).max(axis=0, initial=0.0)
-        w = np.sqrt(np.einsum("abpi,pabc,bcpj->abcij", sq, np.abs(lam) ** 2, sq))
         v = np.sqrt(np.einsum("abpi,bcpj->abcij", sq, sq))
 
         def at(x, axes):  # broadcast to (A, B, C, i, j)
@@ -786,22 +714,18 @@ def _product_bounds(q: _Compressions, spec, gauge):
         s_min = at(q.sv.min(axis=-1, initial=np.inf), [0, 2])
         nu_i, nu_j = at(q.nu, [0, 1, 3]), at(q.nu, [1, 2, 4])
         eta_i, eta_j = at(q.eta, [0, 1, 3]), at(q.eta, [1, 2, 4])
+        size = at(q.norm, [0, 1, 3]) * at(q.norm, [1, 2, 4])  # ||x|| ||y||
         eps = (
-            nu_i * nu_j * at(zeta, [0, 1, 2])
-            + (1 + at(q.rho, [0, 1])) * nu_i * eta_j
-            + (1 + at(q.rho, [1, 2])) * eta_i * nu_j
-            + eta_i * eta_j
-            + np.sqrt((1 + d_a) * (1 + d_c))
-            * at(q.norm, [0, 1, 3]) * at(q.norm, [1, 2, 4]) * d_b
+            nu_i * eta_j + eta_i * nu_j + eta_i * eta_j
+            + np.sqrt((1 + d_a) * (1 + d_c)) * size * d_b
         )
-        kappa = w / s_min
+        kappa = v / s_min
         dist = (eps + kappa * at(np.linalg.norm(q.eta, axis=-1), [0, 2])) / np.sqrt(
             (1 - d_a) * (1 - d_c)
         )
         coeff = gram * kappa + np.sqrt(1 + gram) * dist
-        size = at(q.norm, [0, 1, 3]) * at(q.norm, [1, 2, 4])  # ||x|| ||y||
         s_max = at(q.sv.max(axis=-1, initial=0.0), [0, 2])
-        rounding = (f.shape[-1] ** 2 + q.maps.shape[-1]) * _EPS
+        rounding = (q.resid.shape[-1] + q.maps.shape[-1]) * _EPS
         outside = dist + np.sqrt(1 + gram) * coeff + rounding * (1 + size)
         mult = at(g_max, [0, 2]) * (
             s_max * coeff + v * at(theta, [0, 1, 2])
@@ -817,38 +741,35 @@ def _isometry_bounds(q: _Compressions, z, top):
     ``(o, o, t, n)``), where ``top = max_p |xhat_p|`` and ``xhat = C z``
     is the block map ``C`` applied to ``z``.
 
-    ``T(x) = blockdiag_p(xhat_p F_p) + E_x`` with ``E_x = sum_k z_k
+    ``T(x) = blockdiag_p(xhat_p I) + E_x`` with ``E_x = sum_k z_k
     E_k``, so ``eta_x = ||E_x||_HS`` is the norm of ``z`` times the
     stacked residual rows.  The block-diagonal model has operator norm
-    ``max_p |xhat_p| ||F_p||_op``, within ``top rho`` of ``top`` for
-    ``rho <= 1``, so ``| ||T(x)||_op - top | <= eta_x + top rho``.  With
-    ``s = sqrt((1 - delta_A)(1 - delta_B))``, ``||x||_op`` lies within
-    ``(1/s - 1) ||T(x)||_op`` of ``||T(x)||_op``, and ``||T(x)||_op <=
-    top (1 + rho) + eta_x``.  The bound also covers the explicit
-    check's rounding, ``(d + n) eps`` relative to ``1 + top + sum_k
-    |z_k| ||e_k||`` (forming ``x`` and ``xhat``, and the SVD).
-    Premises: ``delta < 1`` and ``rho <= 1``; a NaN certifies nothing.
+    ``top``, so ``| ||T(x)||_op - top | <= eta_x``.  With ``s = sqrt((1
+    - delta_A)(1 - delta_B))``, ``||x||_op`` lies within ``(1/s - 1)
+    ||T(x)||_op`` of ``||T(x)||_op``, and ``||T(x)||_op <= top +
+    eta_x``.  The bound also covers the explicit check's rounding, ``(d
+    + n) eps`` relative to ``1 + top + sum_k |z_k| ||e_k||`` (forming
+    ``x`` and ``xhat``, and the SVD).  Premise: ``delta < 1``; a NaN
+    certifies nothing.
     """
     o, d = len(q.delta), math.isqrt(q.resid.shape[-1])
     eta_x = np.linalg.norm(z @ q.resid, axis=-1)
-    rho = q.rho[..., None]
     rounding = (d + z.shape[-1]) * _EPS * (
         1 + top + np.einsum("abtk,abk->abt", np.abs(z), q.norm)
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt((1 - q.delta[:, None]) * (1 - q.delta[None, :]))[..., None]
-        bound = eta_x + top * rho + (1 / s - 1) * (top * (1 + rho) + eta_x) + rounding
-    delta_a, delta_b = q.delta.reshape(o, 1, 1), q.delta.reshape(1, o, 1)
-    premise = (delta_a < 1) & (delta_b < 1) & (rho <= 1)
+        bound = eta_x + (1 / s - 1) * (top + eta_x) + rounding
+    premise = (q.delta.reshape(o, 1, 1) < 1) & (q.delta.reshape(1, o, 1) < 1)
     return np.where(premise, bound, np.nan)
 
 
-def _certified_products(c, q: _Compressions, spec, gauge, tol) -> dict:
+def _certified_products(c, q: _Compressions, gauge, tol) -> dict:
     """``validate_functor``'s ``_certified`` argument: per triple of
     objects, the pairs whose bounds from :func:`_product_bounds` clear
     the multiplicativity and membership checks with ``config.CERT_SLACK``
     to spare, and those bounds."""
-    mult, outside = _product_bounds(q, spec, gauge)
+    mult, outside = _product_bounds(q, gauge)
     done = (CERT_SLACK * mult <= FUNCTOR_SLACK * tol) & (
         CERT_SLACK * outside <= tol
     )
@@ -875,14 +796,14 @@ def gelfand(
     item, a pair of basis elements or a combination, reports its proven
     upper bound where ``config.CERT_SLACK`` times it clears the check's
     bound, and its explicit defect elsewhere; only those products and
-    operator norms are formed.  The block maps are the frame
+    operator norms are formed.  The block maps are the class
     coefficients of the compressions ``spectrum`` kept.
     """
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
     sec, gauge = sections_with_gauge(spec.spaceoid, tol)
     maps = np.swapaxes(
-        spec._frame_coefficients(spec.frames[:, :, None], spec.compressions), -1, -2
+        spec._class_means(np.diagonal(spec.compressions, axis1=-2, axis2=-1)), -1, -2
     )
     ids = list(enumerate(c.object_ids))
     phi = StarFunctor(
@@ -895,7 +816,7 @@ def gelfand(
     report = Report()
     report.extend(
         validate_functor(
-            phi, c, sec, tol, _certified=_certified_products(c, q, spec, gauge, tol)
+            phi, c, sec, tol, _certified=_certified_products(c, q, gauge, tol)
         ),
         "functor-",
     )
@@ -936,8 +857,9 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
     """The comparison morphism ``e -> spectrum(sections(e))``.
 
     Every base point hosts the character "evaluate there"; the fiber
-    scalars express the re-diagonalized frames in the original ones
-    (for the canonical conventions they equal the trivializing gauge).
+    scalars express the re-diagonalized frames, which are the identity
+    in the transported bases, in the original ones (they equal the
+    trivializing gauge).
     """
     tol = resolve_tol(tol)
     sec, gauge = sections_with_gauge(e, tol)
@@ -962,12 +884,10 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
     cls = np.argsort(pos)  # the class at each point
     f_delta = {p: spec.spaceoid.base_points[i] for p, i in zip(pts, cls)}
 
-    # frame of class i at its point: v_A[q, i] f_AB[i, i] conj(v_B[q, i])
+    # unit of class i at its point, v_A[q, i] conj(v_B[q, i]), times the
+    # gauge, one _mul at a time, left to right
     at_point = v[:, np.arange(len(pts)), cls].T  # (point, object)
-    f = np.diagonal(spec.frames, axis1=-2, axis2=-1)
-    # times the gauge, one _mul at a time, left to right
-    z = _mul(at_point[:, :, None], f[:, :, cls].transpose(2, 0, 1))
-    z = _mul(_mul(z, at_point[:, None, :].conj()), gauge)
+    z = _mul(_mul(at_point[:, :, None], at_point[:, None, :].conj()), gauge)
     m = SpaceoidMorphism(
         f_delta=f_delta, f_r={o: o for o in objs}, fiber_scalars=_unit(z)
     )

@@ -549,13 +549,12 @@ def morphism_from_json(d) -> SpaceoidMorphism:
 
 @dataclass(frozen=True)
 class SpectrumClass:
-    """One unitary class: its id, rank, eigenvalue tuples per object,
-    and the class-to-eigenblock correspondence."""
+    """One unitary class: its id, rank and eigenvalue tuples per
+    object."""
 
     point: str
     rank: int
     eigenvalues: dict  # object id -> tuple of complex values
-    blocks: dict  # object id -> eigenblock index
 
 
 @dataclass(frozen=True)
@@ -572,16 +571,13 @@ def _as_spectrum_report(value, residuals=None) -> SpectrumReport:
         return value
     # duck-typed SpectrumResult from the duality module
     classes = []
-    objs = value.spaceoid.objects
+    objs, table = value.spaceoid.objects, value.diag_table
     for i, p in enumerate(value.spaceoid.base_points):
         eigenvalues = {
-            str(o): tuple(complex(z) for z in value.diag_table[n, i])
+            str(o): tuple(complex(z) for z in table[n, i])
             for n, o in enumerate(objs)
         }
-        blocks = {str(o): int(value.class_block[n, i]) for n, o in enumerate(objs)}
-        classes.append(
-            SpectrumClass(str(p), int(value.ranks[i]), eigenvalues, blocks)
-        )
+        classes.append(SpectrumClass(str(p), int(value.ranks[i]), eigenvalues))
     return SpectrumReport(
         classes=tuple(classes),
         spaceoid=value.spaceoid,
@@ -599,7 +595,6 @@ def spectrum_report_to_json(value, residuals=None) -> dict:
                 "point": c.point,
                 "rank": int(c.rank),
                 "eigenvalues": {o: _pairs(vals) for o, vals in c.eigenvalues.items()},
-                "blocks": {o: int(i) for o, i in c.blocks.items()},
             }
             for c in rep.classes
         ],
@@ -622,25 +617,16 @@ def spectrum_report_from_json(d) -> SpectrumReport:
             isinstance(rank, int) and not isinstance(rank, bool) and rank >= 1,
             f"class {row.get('point')!r} needs a positive integer rank",
         )
+        # files written before the anchor gauge also carry a per-class
+        # "blocks" map; it is ignored
         ev = row.get("eigenvalues", {})
-        bl = row.get("blocks", {})
-        _need(
-            isinstance(ev, dict) and isinstance(bl, dict),
-            "class eigenvalues/blocks must be objects",
-        )
+        _need(isinstance(ev, dict), "class eigenvalues must be an object")
         eigenvalues = {}
         for o, vals in ev.items():
             _need(isinstance(vals, list), f"eigenvalues of {o!r} must be a list")
             z = _complex_array(vals, (len(vals),), f"eigenvalues of {o!r}")
             eigenvalues[o] = tuple(z.tolist())
-        for o, i in bl.items():
-            _need(
-                isinstance(i, int) and not isinstance(i, bool),
-                f"block index for {o!r} must be an integer",
-            )
-        classes.append(
-            SpectrumClass(row["point"], rank, eigenvalues, dict(bl))
-        )
+        classes.append(SpectrumClass(row["point"], rank, eigenvalues))
     _need("spaceoid" in d, "spectrum report missing 'spaceoid'")
     return SpectrumReport(
         classes=tuple(classes),

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,7 +51,7 @@ def gelfand_parts(cat):
     n, n)``."""
     spec = du.spectrum(cat, TOL)
     sec, gauge = du.sections_with_gauge(spec.spaceoid, TOL)
-    coeffs = spec._frame_coefficients(spec.frames[:, :, None], spec.compressions)
+    coeffs = spec._class_means(np.diagonal(spec.compressions, axis1=-2, axis2=-1))
     return spec, sec, gauge, np.swapaxes(coeffs, -1, -2)
 
 
@@ -111,8 +110,8 @@ def test_certified_pairs_bound_their_explicit_defects(name, scale):
     ids = cat.object_ids
     maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
     q = du._compressions(cat, spec, maps)
-    mult, outside = du._product_bounds(q, spec, gauge)
-    certified = du._certified_products(cat, q, spec, gauge, TOL)
+    mult, outside = du._product_bounds(q, gauge)
+    certified = du._certified_products(cat, q, gauge, TOL)
     explicit = explicit_products(cat, sec, maps)
     worst, n_done = 0.0, 0
     for (i, a), (j, b), (k, c) in itertools.product(enumerate(ids), repeat=3):
@@ -149,7 +148,7 @@ def test_one_bad_pair_among_many_is_named_as_before():
     maps = maps.copy()
     maps[0, 0, :, k] *= 1 + 10 * BOUND
     certified = du._certified_products(
-        cat, du._compressions(cat, spec, maps), spec, gauge, TOL
+        cat, du._compressions(cat, spec, maps), gauge, TOL
     )
     done, _ = certified[("A", "A", "A")]
     assert not done[k, k]
@@ -170,16 +169,16 @@ def test_gelfand_reports_the_explicit_residual_of_a_planted_pair(monkeypatch):
 
     def planted_spectrum(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        coefficients = spec._frame_coefficients
+        class_means = spec._class_means
 
-        def scaled(f, t):  # the image of basis element 2 of (A, A)
-            z = coefficients(f, t)
-            if np.ndim(t) == 5:  # gelfand's block maps, all pairs at once
+        def scaled(diag):  # the image of basis element 2 of (A, A)
+            z = class_means(diag)
+            if np.ndim(diag) == 4:  # gelfand's block maps, all pairs at once
                 z = z.copy()
                 z[0, 0, 2] *= 1 + 10 * BOUND
             return z
 
-        spec._frame_coefficients = scaled
+        spec._class_means = scaled
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted_spectrum)
@@ -215,21 +214,15 @@ def _plant_nan(where, cat, spec, gauge, maps):
         cat = cc.MatrixCategory(cat.objects, blocks, cat.unital)
     elif where == "bases":
         spec = dataclasses.replace(spec, bases=_nan_at(spec.bases, 2))
-    elif where == "frames":
-        spec = dataclasses.replace(spec, frames=_nan_at(spec.frames))
     elif where == "compressions":
         comp = _nan_at(spec.compressions, 5)
         spec = dataclasses.replace(spec, compressions=comp)
-    elif where == "table":
-        spec = dataclasses.replace(
-            spec, spaceoid=SimpleNamespace(table=_nan_at(spec.spaceoid.table))
-        )
     elif where == "gauge":
         gauge = _nan_at(gauge, 1)
     return cat, spec, gauge, maps
 
 
-NAN_INPUTS = ["block-map", "basis", "bases", "frames", "compressions", "table", "gauge"]
+NAN_INPUTS = ["block-map", "basis", "bases", "compressions", "gauge"]
 
 
 @pytest.mark.parametrize("where", NAN_INPUTS)
@@ -241,9 +234,9 @@ def test_nan_in_any_input_certifies_nothing(make, where):
     spec, _, gauge, maps = gelfand_parts(make())
     cat, spec, gauge, maps = _plant_nan(where, make(), spec, gauge, maps)
     q = du._compressions(cat, spec, maps)
-    (done, _), = du._certified_products(cat, q, spec, gauge, TOL).values()
+    (done, _), = du._certified_products(cat, q, gauge, TOL).values()
     assert not done.any()
-    if where not in ("basis", "table", "gauge"):  # the inputs the isometry reads
+    if where not in ("basis", "gauge"):  # the inputs the isometry reads
         z = np.ones((1, 1, 3, maps.shape[-1]), dtype=complex)
         assert np.isnan(du._isometry_bounds(q, z, np.ones((1, 1, 3)))).all()
 
@@ -253,14 +246,14 @@ def test_gelfand_with_a_nan_coefficient_fails_without_raising(monkeypatch):
 
     def planted_spectrum(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        coefficients = spec._frame_coefficients
+        class_means = spec._class_means
 
-        def with_nan(f, t):  # entry 4 of every block's 3 x 3 coefficients
-            z = coefficients(f, t).copy()
+        def with_nan(diag):  # entry 4 of every block's 3 x 3 coefficients
+            z = class_means(diag).copy()
             z[..., 1, 1] = np.nan
             return z
 
-        spec._frame_coefficients = with_nan
+        spec._class_means = with_nan
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted_spectrum)

@@ -396,7 +396,17 @@ def test_spectrum_report_carries_class_data():
     for row in d["classes"]:
         assert row["rank"] >= 1
         assert set(row["eigenvalues"]) == set(spec.category.object_ids)
-        assert set(row["blocks"]) == set(spec.category.object_ids)
+        assert "blocks" not in row
+
+
+def test_spectrum_report_reader_ignores_the_old_blocks_map():
+    # files written before the anchor gauge carry each class's
+    # eigenblock per object; they still load, to the same report
+    d = serial.spectrum_report_to_json(make_spectrum())
+    old = json.loads(json.dumps(d))
+    for n, row in enumerate(old["classes"]):
+        row["blocks"] = dict.fromkeys(row["eigenvalues"], n)
+    assert serial.spectrum_report_from_json(old) == serial.spectrum_report_from_json(d)
 
 
 def test_report_roundtrip():

@@ -536,8 +536,8 @@ def ref_section_blocks(m, dom, cod) -> dict:
 
 
 def ref_evaluation_scalars(e, ev) -> dict:
-    """v_A f_AB conj(v_B) g, one Python complex product at a time from
-    the left, over its modulus."""
+    """v_A conj(v_B) g, one Python complex product at a time from the
+    left, over its modulus (the frames are the identity)."""
     _, gauge = du.sections_with_gauge(e)
     spec = ev.spectrum
     scal = {}
@@ -545,8 +545,7 @@ def ref_evaluation_scalars(e, ev) -> dict:
         i = spec.spaceoid.base_points.index(ev.morphism.f_delta[p])
         for ai, a in enumerate(e.objects):
             for bi, b in enumerate(e.objects):
-                z = complex(spec.bases[ai, q, i]) * complex(spec.frames[ai, bi, i, i])
-                z = z * complex(spec.bases[bi, q, i]).conjugate()
+                z = complex(spec.bases[ai, q, i]) * complex(spec.bases[bi, q, i]).conjugate()
                 z = z * complex(gauge[q, ai, bi])
                 scal[(p, a, b)] = complex(z.real / abs(z), z.imag / abs(z))
     return scal
