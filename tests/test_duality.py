@@ -191,6 +191,26 @@ def _two_object_family(c_aa, c_bb, c_ab):
     return cc.MatrixCategory((("A", 2), ("B", 2)), blocks, unital=True)
 
 
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A")], ids=["A-first", "B-first"])
+def test_non_commutative_full_category_raises_whichever_object_is_the_anchor(order):
+    # A is a line and C_BB is M_2: anchored at A the transport meets the
+    # non-commutative block only after the diagonalization, anchored at
+    # B the diagonalization itself fails; both report NotCommutative
+    c = cc.close(
+        cc.CategoryPresentation(
+            objects=(("A", 1), ("B", 2)),
+            generators={("A", "B"): [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]},
+        ),
+        unitize=True,
+    )
+    dims = dict(c.objects)
+    c = cc.MatrixCategory(tuple((o, dims[o]) for o in order), c.blocks, c.unital)
+    assert c.object_ids == order
+    assert cc.is_full(c) and not cc.is_commutative(c)
+    with pytest.raises(NotCommutative):
+        du.spectrum(c)
+
+
 def test_spectrum_raises_ambiguous_matching():
     # both diagonals split into two lines; the (A, B) block mixes them
     e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
@@ -427,6 +447,13 @@ def test_spectrum_matches_per_class_reference(make):
     ranks, diag_table, chars = reference_parts(spec)
     assert spec.ranks.tolist() == ranks
     assert np.allclose(spec.diag_table, diag_table, atol=1e-11)
+    assert_same_characters_up_to_gauge(spec, chars)
+
+
+def assert_same_characters_up_to_gauge(spec, chars):
+    """``spec``'s coefficients on every block's basis equal ``chars``
+    (``(a, b) -> (n, k)``, classes in ``spec``'s order) times a unit
+    phase per class and block, multiplicative across blocks."""
     c, k = spec.category, spec.n_classes
     ids = list(enumerate(c.object_ids))
     phase = np.empty((k, len(ids), len(ids)), dtype=complex)
@@ -442,6 +469,43 @@ def test_spectrum_matches_per_class_reference(make):
     assert np.allclose(
         phase[:, :, :, None] * phase[:, None, :, :], phase[:, :, None, :], atol=1e-11
     )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: scramble(cc.linking_category(4, [2, 0, 3, 1], [1j, -1.0, 1.0, 1j]), 7),
+        pauli_triangle,
+        lambda: scramble(
+            cc.groupoid_category(groups.connected_groupoid(3, groups.klein_four())), 9
+        ),
+        lambda: selftest.random_commutative_category(9),
+    ],
+)
+def test_spectrum_is_the_same_from_every_anchor(make):
+    # rotating the objects puts each one first in turn: the same ranks,
+    # diagonal tables and characters up to a gauge, once the classes
+    # are matched on their diagonal tables
+    c = make()
+    spec = du.spectrum(c)
+    ids, k = c.object_ids, spec.n_classes
+    # (class, object x element): each class's values on every diagonal block
+    profile = np.swapaxes(spec.diag_table, 0, 1).reshape(k, -1)
+    for shift in range(1, len(ids)):
+        objects = c.objects[shift:] + c.objects[:shift]
+        other = du.spectrum(cc.MatrixCategory(objects, c.blocks, c.unital))
+        back = [other.category.object_ids.index(o) for o in ids]
+        theirs = np.swapaxes(other.diag_table[back], 0, 1).reshape(k, -1)
+        dist = np.linalg.norm(profile[:, None] - theirs[None], axis=-1)
+        match = np.argmin(dist, axis=1)  # spec's class -> other's class
+        assert sorted(match.tolist()) == list(range(k))
+        assert np.all(dist[np.arange(k), match] < 1e-10)
+        assert other.ranks[match].tolist() == spec.ranks.tolist()
+        chars = {
+            (a, b): other.coefficients(a, b, np.array(c.block(a, b)))[:, match]
+            for a, b in c.pairs()
+        }
+        assert_same_characters_up_to_gauge(spec, chars)
 
 
 def _count_joint_diagonalizations(monkeypatch):
