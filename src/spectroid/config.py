@@ -62,12 +62,16 @@ CLUSTER_RTOL = 1e-8
 # tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand certifies a pair of basis
 # elements when its compressions bound the pair's multiplicativity
 # defect so against FUNCTOR_SLACK * tol and the product's HS residual
-# outside its block against tol, and a seeded combination x, without
-# its SVD, when they bound | ||x||_op - max_p |xhat_p| | so against
-# ISOMETRY_SLACK * tol.  The bounds are exact arithmetic; the slack
-# leaves 90% of each check's bound for rounding, O(d eps) relative to
-# the sizes multiplied, so a certified item passes the explicit check
-# for any tol above about 100 d eps.
+# outside its block against tol, a basis element when they bound its
+# involution defect so against FUNCTOR_SLACK * tol and its adjoint's
+# residual outside its block against tol, and a seeded combination x,
+# without its SVD, when they bound | ||x||_op - max_p |xhat_p| | so
+# against ISOMETRY_SLACK * tol.  roundtrip_category's check_axioms
+# takes the same residual bounds for adjoint-closure and
+# composition-closure, against AXIOM_SLACK * tol.  The bounds are exact
+# arithmetic; the slack leaves 90% of each check's bound for rounding,
+# O(d eps) relative to the sizes multiplied, so a certified item passes
+# the explicit check for any tol above about 100 d eps.
 CERT_SLACK = 10.0
 # is_full on unital categories: h = sum_i x_i* x_i over a block's
 # HS-orthonormal basis (likewise sum_i x_i x_i*) is invertible when its

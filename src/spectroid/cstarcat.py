@@ -238,23 +238,20 @@ def _products(left, right) -> np.ndarray:
     return prods.reshape((-1,) + prods.shape[2:])
 
 
-def _product_chunks(left, right, pairs=None):
-    """The products ``left[i] @ right[j]`` of two stacks in chunks of
-    about ``_PAIR_CHUNK`` matrix entries, so memory does not grow with
-    the number of pairs.  ``pairs``, index arrays ``(i, j)``, limits
-    them to those pairs, and each chunk comes as ``(s, products)`` with
-    ``s`` the slice of ``pairs`` it covers; the default is every pair,
-    ``i``-major, as one ``_products`` stack when that fits in a chunk."""
+def _product_chunks(left, right):
+    """Every product ``left[i] @ right[j]`` of two stacks, ``i``-major,
+    in chunks of about ``_PAIR_CHUNK`` matrix entries, so memory does
+    not grow with the number of pairs: each chunk comes as ``(s,
+    products)`` with ``s`` the slice of the pairs it covers, and the
+    products come as one ``_products`` stack when they fit in a chunk."""
     size = left.shape[1] * right.shape[2]
-    if pairs is None:
-        n = len(left) * len(right)
-        if n * size <= _PAIR_CHUNK:
-            yield slice(0, n), _products(left, right)
-            return
-        pairs = np.divmod(np.arange(n), len(right))
-    i, j = pairs
+    n = len(left) * len(right)
+    if n * size <= _PAIR_CHUNK:
+        yield slice(0, n), _products(left, right)
+        return
+    i, j = np.divmod(np.arange(n), len(right))
     step = max(1, _PAIR_CHUNK // max(1, size))
-    for s in range(0, len(i), step):
+    for s in range(0, n, step):
         chunk = slice(s, s + step)
         yield chunk, left[i[chunk]] @ right[j[chunk]]
 
@@ -269,7 +266,9 @@ def _closure_residual(left, right, target, tol) -> float:
     ])
 
 
-def check_axioms(cat: MatrixCategory, tol: float | None = None) -> Report:
+def check_axioms(
+    cat: MatrixCategory, tol: float | None = None, *, _certified=None
+) -> Report:
     """Verify the concrete C*-category axioms; returns a named report.
 
     Checks basis orthonormality, adjoint and composition closure, and
@@ -277,26 +276,43 @@ def check_axioms(cat: MatrixCategory, tol: float | None = None) -> Report:
     operator-norm identities ``||x* x|| = ||x||^2`` and ``||x y|| <=
     ||x|| ||y||`` are not checked: they hold for every matrix, so no
     defect of a category could make them fail.
+
+    ``_certified`` is private to ``duality.roundtrip_category``, which
+    takes it from ``duality.gelfand``: a dict mapping a pair ``(a, b)``
+    to an ``(n_ab,)`` array and a triple ``(a, b, c)`` to an ``(n_ab,
+    n_bc)`` array of proven upper bounds on the HS residuals outside
+    their blocks of the adjoints of (a, b)'s basis elements, or of the
+    products of (a, b)'s with (b, c)'s, each clearing the check with
+    ``config.CERT_SLACK`` to spare.  In ``adjoint-closure`` and
+    ``composition-closure`` the bounds stand in for the residuals of the
+    keys they cover, and only the other blocks' adjoints and triples'
+    products are formed.
     """
     tol = resolve_tol(tol)
+    certified = _certified or {}
     report = Report()
     for (a, b), basis in cat.blocks.items():
         if any(m.shape != (cat.dim(a), cat.dim(b)) for m in basis):
             report.add("shapes", False, detail=f"block ({a},{b})")
             return report
     filled = [pair for pair, basis in cat.blocks.items() if basis]
-    rows = [_rows(cat.block(a, b)) for a, b in filled]
+    stacks = {pair: _stack(cat, *pair) for pair in cat.pairs()}
+    rows = [_rows(stacks[pair]) for pair in filled]
     report.check(
         "orthonormal-bases",
         [np.linalg.norm(q.conj() @ q.T - np.eye(len(q))) for q in rows],
         GRAM_SLACK * tol,
     )
+    residuals = []
+    for a, b in filled:
+        res = certified.get((a, b))
+        residuals.append(
+            _project(stacks[(b, a)], _adjoints(stacks[(a, b)]), tol)[1].max()
+            if res is None else res.max()
+        )
     report.check(
         "adjoint-closure",
-        [
-            _project(cat.block(b, a), _adjoints(cat.block(a, b)), tol)[1].max()
-            for a, b in filled
-        ],
+        residuals,
         AXIOM_SLACK * tol,
         lambda i: "({},{})".format(*filled[i]),
     )
@@ -305,13 +321,16 @@ def check_axioms(cat: MatrixCategory, tol: float | None = None) -> Report:
         for a, b, c in itertools.product(*[cat.object_ids] * 3)
         if cat.block(a, b) and cat.block(b, c)
     ]
-    stacks = {pair: _stack(cat, *pair) for pair in cat.pairs()}
+    residuals = []
+    for a, b, c in triples:
+        res = certified.get((a, b, c))
+        residuals.append(
+            _closure_residual(stacks[(a, b)], stacks[(b, c)], stacks[(a, c)], tol)
+            if res is None else res.max()
+        )
     report.check(
         "composition-closure",
-        [
-            _closure_residual(stacks[(a, b)], stacks[(b, c)], stacks[(a, c)], tol)
-            for a, b, c in triples
-        ],
+        residuals,
         AXIOM_SLACK * tol,
         lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
     )
@@ -478,22 +497,24 @@ def functor_from_images(
     return StarFunctor(dict(object_map), block_maps)
 
 
-def _product_defects(phi, source, target, images, a, b, c, pairs, tol):
-    """HS defects ``||phi(x y) - phi(x) phi(y)||`` of the pairs ``(i,
-    j)`` of basis elements ``x = e_i`` of (a, b) and ``y = e_j`` of (b,
-    c), in the order given, formed in chunks of ``_product_chunks``.
+def _product_defects(phi, source, target, image, a, b, c, tol):
+    """HS defects ``||phi(x y) - phi(x) phi(y)||`` of every pair of
+    basis elements ``x = e_i`` of (a, b) and ``y = e_j`` of (b, c),
+    ``i``-major, formed in chunks of ``_product_chunks``; ``image(a,
+    b)`` is the stack of the images of block (a, b)'s basis.
 
     Raises ``InvalidFunctor`` when a product falls outside its source
     block (a, c), naming the largest residual of these pairs."""
     basis = _stack(source, a, c)
+    left, right = _stack(source, a, b), _stack(source, b, c)
+    i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
     member, residual, devs = [], [], []
-    i, j = pairs
-    for s, prods in _product_chunks(_stack(source, a, b), _stack(source, b, c), pairs):
+    for s, prods in _product_chunks(left, right):
         ok, res, coeffs = _project(basis, prods, tol)
         member.append(ok)
         residual.append(res)
         img_mn = _image(phi, target, a, c, coeffs)
-        img_m_img_n = images[(a, b)][i[s]] @ images[(b, c)][j[s]]
+        img_m_img_n = image(a, b)[i[s]] @ image(b, c)[j[s]]
         devs.append(np.linalg.norm(_rows(img_mn - img_m_img_n), axis=1))
     if not np.concatenate(member).all():
         raise InvalidFunctor(
@@ -517,13 +538,17 @@ def validate_functor(
     falls outside its source block.
 
     ``_certified`` is private to ``duality.gelfand``: a dict mapping a
-    triple ``(a, b, c)`` to ``(done, bound)``, two ``(n_ab, n_bc)``
-    arrays.  A pair marked in ``done`` has a proven upper bound on its
-    multiplicativity defect, and its product lies in block (a, c); the
-    bound stands in for the defect, and only the other pairs are
-    formed.
+    pair ``(a, b)`` to an ``(n_ab,)`` array of proven upper bounds on
+    the involution defects of (a, b)'s basis elements, whose adjoints
+    lie in block (b, a), and a triple ``(a, b, c)`` to an ``(n_ab,
+    n_bc)`` array of bounds on the multiplicativity defects of the
+    pairs of (a, b)'s and (b, c)'s basis elements, whose products lie
+    in block (a, c).  In ``involution`` and ``multiplicativity`` the
+    bounds stand in for the defects of the keys they cover, and only the
+    other blocks' adjoints and triples' products are formed.
     """
     tol = resolve_tol(tol)
+    certified = _certified or {}
     report = Report()
 
     src_ids, tgt_ids = set(source.object_ids), set(target.object_ids)
@@ -536,40 +561,39 @@ def validate_functor(
     if not bijective:
         return report
 
-    images = {
-        (a, b): _image(phi, target, a, b, np.eye(len(basis)))
-        for (a, b), basis in source.blocks.items()
-    }
+    images = {}
+
+    def image(a, b):  # the images of block (a, b)'s basis, formed on first use
+        if (a, b) not in images:
+            images[(a, b)] = _image(phi, target, a, b, np.eye(source.block_dim(a, b)))
+        return images[(a, b)]
 
     devs = [np.zeros(0)]  # HS norms of the defects, block after block
     for (a, b), basis in source.blocks.items():
         if not basis:
             continue
-        member, residual, coeffs = _project(
-            source.block(b, a), _adjoints(basis), tol
-        )
-        if not member.all():
-            report.add("adjoint-closure-of-source", False, float(residual.max()))
-            return report
-        alt = _image(phi, target, b, a, coeffs)
-        devs.append(np.linalg.norm(_rows(_adjoints(images[(a, b)]) - alt), axis=1))
+        dev = certified.get((a, b))
+        if dev is None:
+            member, residual, coeffs = _project(
+                source.block(b, a), _adjoints(basis), tol
+            )
+            if not member.all():
+                report.add("adjoint-closure-of-source", False, float(residual.max()))
+                return report
+            alt = _image(phi, target, b, a, coeffs)
+            dev = np.linalg.norm(_rows(_adjoints(image(a, b)) - alt), axis=1)
+        devs.append(dev)
     report.check("involution", np.concatenate(devs), FUNCTOR_SLACK * tol)
 
-    certified = _certified or {}
     devs = [np.zeros(0)]
     for a, b, c in itertools.product(*[source.object_ids] * 3):
         shape = (source.block_dim(a, b), source.block_dim(b, c))
         if not shape[0] or not shape[1]:
             continue
-        done, dev = certified.get(
-            (a, b, c), (np.zeros(shape, dtype=bool), np.zeros(shape))
-        )
-        if not done.all():
-            dev = np.where(done, dev, 0.0)
-            dev[~done] = _product_defects(
-                phi, source, target, images, a, b, c, np.nonzero(~done), tol
-            )
-        devs.append(dev.ravel())
+        dev = certified.get((a, b, c))
+        if dev is None:
+            dev = _product_defects(phi, source, target, image, a, b, c, tol)
+        devs.append(np.ravel(dev))
     report.check("multiplicativity", np.concatenate(devs), FUNCTOR_SLACK * tol)
 
     if source.unital and target.unital:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    CERT_SLACK, EQUIVALENCE_SLACK, FUNCTOR_SLACK, ISOMETRY_SLACK,
+    AXIOM_SLACK, CERT_SLACK, EQUIVALENCE_SLACK, FUNCTOR_SLACK, ISOMETRY_SLACK,
     SPECTRAL_SLACK, VANISHING_ATOL, ZERO_ONE_CUT, resolve_tol,
 )
 from .cstarcat import (
@@ -239,7 +239,8 @@ def spectrum(
     """Decompose a commutative full unital category into its spaceoid,
     in the anchor's gauge.
 
-    Raises ``NotUnital`` / ``NotCommutative`` / ``NotFull`` when the
+    Raises ``ValueError`` when a block has a non-finite entry, and
+    ``NotUnital`` / ``NotCommutative`` / ``NotFull`` when the
     hypotheses fail, ``AmbiguousMatching`` when the anchor's classes do
     not carry over to an object as an orthonormal basis, and
     ``NotOneDimensional`` when a fiber is not a line (any of these means
@@ -259,6 +260,9 @@ def spectrum(
     tol = resolve_tol(tol)
     if not c.unital:
         raise NotUnital("spectrum needs identity elements in every C_AA")
+    for (a, b), basis in c.blocks.items():
+        if not np.isfinite(basis).all():
+            raise ValueError(f"block ({a},{b}) has non-finite entries")
     try:
         return _spectrum(c, tol, seed)
     except (NotCommuting, NotFull, NotOneDimensional, AmbiguousMatching) as exc:
@@ -764,24 +768,86 @@ def _isometry_bounds(q: _Compressions, z, top):
     return np.where(premise, bound, np.nan)
 
 
-def _certified_products(c, q: _Compressions, gauge, tol) -> dict:
-    """``validate_functor``'s ``_certified`` argument: per triple of
-    objects, the pairs whose bounds from :func:`_product_bounds` clear
-    the multiplicativity and membership checks with ``config.CERT_SLACK``
-    to spare, and those bounds."""
+def _adjoint_bounds(q: _Compressions, gauge):
+    """Proven bounds ``(inv, outside)``, each ``(o, o, n)``, for every
+    basis element ``e`` of block (A, B): ``inv`` on the involution defect
+    ``||phi(P e*) - phi(e)*||_HS`` and ``outside`` on the HS residual
+    ``||e* - P e*||``, ``P`` the projection on block (B, A), as
+    ``validate_functor`` and ``check_axioms`` form them.
+
+    This is :func:`_product_bounds`' argument with ``xy`` replaced by
+    ``e*`` and block (A, C) by (B, A).  ``T(e*) = T(e)*`` exactly, so
+    ``T(e*) = blockdiag_p(v_p I) + E_e*`` with ``v = conj(c(e))`` and
+    ``eps = eta_e``: no unitarity defect enters in the middle.  With the
+    block map ``C`` of (B, A), ``kappa = C^-1 v``, ``dist``, ``K`` and
+    ``outside`` are as there, and ``phi(P e*) - phi(e)*`` is
+    ``diag_p(conj(g_p^BA) (C (kappa' - kappa))_p + v_p (conj(g_p^BA) -
+    g_p^AB))``, of HS norm at most ``inv = max_p |g_p^BA| s_max K + ||v||
+    theta`` with the gauge defect ``theta = max_p |g_p^AB -
+    conj(g_p^BA)|``.  The rounding allowance, the premises (``delta <
+    1``, a bijective block map of (B, A)) and the NaN rule are those of
+    :func:`_product_bounds`.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta = np.abs(gauge - np.conj(np.swapaxes(gauge, 1, 2))).max(axis=0, initial=0.0)
+        g_max = np.abs(gauge).max(axis=0, initial=0.0).T
+        v = np.linalg.norm(q.maps, axis=2)
+        d_a, d_b = q.delta[:, None, None], q.delta[None, :, None]
+        gram = q.gram.T[..., None]
+        s_min = q.sv.min(axis=-1, initial=np.inf).T[..., None]
+        s_max = q.sv.max(axis=-1, initial=0.0).T[..., None]
+        kappa = v / s_min
+        eta_ba = np.linalg.norm(q.eta, axis=-1).T[..., None]
+        dist = (q.eta + kappa * eta_ba) / np.sqrt((1 - d_a) * (1 - d_b))
+        coeff = gram * kappa + np.sqrt(1 + gram) * dist
+        rounding = (q.resid.shape[-1] + q.maps.shape[-1]) * _EPS
+        outside = dist + np.sqrt(1 + gram) * coeff + rounding * (1 + q.norm)
+        inv = g_max[..., None] * (
+            s_max * coeff + rounding * (1 + s_max * q.norm + v)
+        ) + v * theta[..., None]
+    premise = (d_a < 1) & (d_b < 1) & (s_min > 0)
+    return np.where(premise, inv, np.nan), np.where(premise, outside, np.nan)
+
+
+def _certificates(c, q: _Compressions, gauge, tol) -> tuple:
+    """The ``_certified`` arguments ``(functor, axioms)`` of
+    ``validate_functor`` and ``check_axioms``.  Each maps a pair ``(a,
+    b)`` of objects to the bounds, ``(n,)``, on the adjoints of block
+    (a, b)'s basis elements, and a triple ``(a, b, c)`` to those, ``(n,
+    n)``, on the products of (a, b)'s with (b, c)'s, when every item's
+    bounds from :func:`_adjoint_bounds` or :func:`_product_bounds` clear
+    the checks with ``config.CERT_SLACK`` to spare: for
+    ``validate_functor`` the defect's ``FUNCTOR_SLACK * tol`` and the
+    residual's ``tol``, its membership cut; for ``check_axioms`` the
+    residual's ``AXIOM_SLACK * tol``.  A key with an item that does not
+    clear is left out, and the check forms the whole key: BLAS rounds a
+    row of a product differently with the number of rows, so forming
+    only the items left over could move a failing residual in its last
+    bits, and a key formed whole reports what the explicit check
+    reports."""
     mult, outside = _product_bounds(q, gauge)
-    done = (CERT_SLACK * mult <= FUNCTOR_SLACK * tol) & (
-        CERT_SLACK * outside <= tol
+    inv, adj_outside = _adjoint_bounds(q, gauge)
+    ids = c.object_ids
+
+    def clears(bound, check_bound):
+        return CERT_SLACK * bound <= check_bound
+
+    def keyed(bound, cleared):  # the keys whose items all clear
+        n_obj = bound.ndim // 2 + 1  # (o, o, n) or (o, o, o, n, n)
+        ok = cleared.all(axis=tuple(range(n_obj, bound.ndim)))
+        return {tuple(ids[i] for i in key): bound[key] for key in zip(*np.nonzero(ok))}
+
+    functor = keyed(inv, clears(inv, FUNCTOR_SLACK * tol) & clears(adj_outside, tol))
+    functor.update(
+        keyed(mult, clears(mult, FUNCTOR_SLACK * tol) & clears(outside, tol))
     )
-    ids = list(enumerate(c.object_ids))
-    return {
-        (a, b, e): (done[i, j, k], mult[i, j, k])
-        for (i, a), (j, b), (k, e) in itertools.product(ids, repeat=3)
-    }
+    axioms = keyed(adj_outside, clears(adj_outside, AXIOM_SLACK * tol))
+    axioms.update(keyed(outside, clears(outside, AXIOM_SLACK * tol)))
+    return functor, axioms
 
 
 def gelfand(
-    c: MatrixCategory, tol: float | None = None, seed: int = 0
+    c: MatrixCategory, tol: float | None = None, seed: int = 0, *, _axioms=None
 ) -> GelfandResult:
     """The comparison functor ``c -> sections(spectrum(c))``.
 
@@ -790,14 +856,20 @@ def gelfand(
     combinations ``x`` per block with ``xhat`` the functor's block map
     applied to their coordinates.
 
-    ``functor-multiplicativity`` and ``isometric`` are proven first from
-    the basis elements' compressions into the spectrum's class-ordered
-    bases (:func:`_product_bounds`, :func:`_isometry_bounds`).  Each
-    item, a pair of basis elements or a combination, reports its proven
-    upper bound where ``config.CERT_SLACK`` times it clears the check's
-    bound, and its explicit defect elsewhere; only those products and
-    operator norms are formed.  The block maps are the class
-    coefficients of the compressions ``spectrum`` kept.
+    ``functor-involution``, ``functor-multiplicativity`` and
+    ``isometric`` are proven first from the basis elements' compressions
+    into the spectrum's class-ordered bases (:func:`_adjoint_bounds`,
+    :func:`_product_bounds`, :func:`_isometry_bounds`).  A block's
+    adjoints, a triple's products or a combination report their proven
+    upper bounds where ``config.CERT_SLACK`` times every one clears the
+    check's bound, and their explicit defects elsewhere
+    (:func:`_certificates`); only those adjoints, products and operator
+    norms are formed.  The block maps are the class coefficients of the
+    compressions ``spectrum`` kept.
+
+    ``_axioms`` is private to :func:`roundtrip_category`: a dict that
+    receives ``check_axioms``' ``_certified`` argument, the bounds on
+    the adjoints' and products' residuals outside their blocks.
     """
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
@@ -813,13 +885,11 @@ def gelfand(
         },
     )
     q = _compressions(c, spec, maps)
+    functor, axioms = _certificates(c, q, gauge, tol)
+    if _axioms is not None:
+        _axioms.update(axioms)
     report = Report()
-    report.extend(
-        validate_functor(
-            phi, c, sec, tol, _certified=_certified_products(c, q, gauge, tol)
-        ),
-        "functor-",
-    )
+    report.extend(validate_functor(phi, c, sec, tol, _certified=functor), "functor-")
     # fullness forces every block to have exactly one dimension per
     # class, so bijectivity is squareness plus full rank (decided as
     # numpy.linalg.matrix_rank decides it)
@@ -901,11 +971,24 @@ def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
 def roundtrip_category(
     c: MatrixCategory, tol: float | None = None, seed: int = 0
 ) -> Report:
-    """Certify the comparison functor of one category."""
+    """Certify the comparison functor of one category.
+
+    The report holds ``check_axioms``' checks (prefix ``input-``), then
+    ``gelfand``'s (``gelfand-``) and the spectrum's ``validate``
+    (``spaceoid-``).  ``gelfand`` runs first, and ``input-adjoint-closure``
+    and ``input-composition-closure`` take its proven bounds on the
+    adjoints' and products' residuals outside their blocks: a block's
+    adjoints or a triple's products report their bounds where
+    ``config.CERT_SLACK`` times every one clears ``AXIOM_SLACK * tol``,
+    and their explicit residuals elsewhere, so only those adjoints and
+    products are formed.  Check names and verdicts are those of the
+    three calls made apart.
+    """
     tol = resolve_tol(tol)
+    axioms = {}
+    out = gelfand(c, tol, seed, _axioms=axioms)
     report = Report()
-    report.extend(check_axioms(c, tol), "input-")
-    out = gelfand(c, tol, seed)
+    report.extend(check_axioms(c, tol, _certified=axioms), "input-")
     report.extend(out.report, "gelfand-")
     report.extend(validate(out.spectrum.spaceoid, tol), "spaceoid-")
     return report

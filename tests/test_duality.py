@@ -179,6 +179,32 @@ def test_spectrum_rejects_bad_inputs():
         du.spectrum(c3)
 
 
+# one non-finite entry in a block of linking_category(3, [1, 2, 0]): the
+# anchor's block, a diagonal block the anchor does not see, off-diagonal
+# blocks
+NON_FINITE = [
+    (("A", "A"), np.nan),
+    (("B", "B"), np.nan),
+    (("A", "B"), np.nan),
+    (("B", "B"), np.inf),
+    (("B", "A"), -np.inf),
+]
+
+
+@pytest.mark.parametrize("call", ["spectrum", "gelfand", "roundtrip_category"])
+@pytest.mark.parametrize("pair, value", NON_FINITE)
+def test_non_finite_entries_are_rejected_up_front(call, pair, value):
+    cat = cc.linking_category(3, [1, 2, 0])
+    blocks = {key: list(basis) for key, basis in cat.blocks.items()}
+    bad = blocks[pair][1].copy()
+    bad[0, 0] = value
+    blocks[pair][1] = bad
+    with pytest.raises(ValueError, match="non-finite") as info:
+        getattr(du, call)(cc.MatrixCategory(cat.objects, blocks, cat.unital))
+    # numpy's LinAlgError is a ValueError too; the check must come first
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 def _two_object_family(c_aa, c_bb, c_ab):
     """A hand-built unital block family on two 2-dim objects (not
     closed under products: only the spectrum's own checks look at it)."""

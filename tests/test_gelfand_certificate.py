@@ -1,5 +1,6 @@
 """gelfand's certificate: its proven bounds against the explicit
-products and operator norms they stand in for."""
+adjoints, products and operator norms they stand in for, in gelfand
+and in the round trip's input checks."""
 
 import dataclasses
 import itertools
@@ -15,7 +16,9 @@ import spectroid
 from spectroid import cstarcat as cc
 from spectroid import duality as du
 from spectroid import groups, selftest
-from spectroid.config import FUNCTOR_SLACK, ISOMETRY_SLACK
+from spectroid import spaceoid as sp
+from spectroid.config import AXIOM_SLACK, CERT_SLACK, FUNCTOR_SLACK, ISOMETRY_SLACK
+from spectroid.reporting import Report
 
 TOL = 1e-9
 BOUND = FUNCTOR_SLACK * TOL  # validate_functor's multiplicativity bound
@@ -88,6 +91,25 @@ def explicit_products(cat, sec, maps):
     return out
 
 
+def explicit_adjoints(cat, sec, maps):
+    """Per pair ``(a, b)``: every basis element's involution defect and
+    its adjoint's HS residual outside block (b, a)."""
+    out = {}
+    ids = list(enumerate(cat.object_ids))
+    for (i, a), (j, b) in itertools.product(ids, repeat=2):
+        basis, other = np.array(cat.block(a, b)), np.array(cat.block(b, a))
+        adj = np.swapaxes(basis.conj(), -1, -2)
+        coeffs = np.einsum("kxy,ixy->ik", other.conj(), adj)
+        outside = np.linalg.norm(
+            adj - np.einsum("ik,kxy->ixy", coeffs, other), axis=(-2, -1)
+        )
+        img = np.tensordot(maps[i, j].T, np.array(sec.block(a, b)), 1)
+        alt = np.tensordot(coeffs @ maps[j, i].T, np.array(sec.block(b, a)), 1)
+        defect = alt - np.swapaxes(img.conj(), -1, -2)
+        out[(a, b)] = np.linalg.norm(defect, axis=(-2, -1)), outside
+    return out
+
+
 def planted(maps, pair, scale, rng):
     """``maps`` with one entry of the map of the block at positions
     ``pair`` moved by ``scale`` times the multiplicativity bound."""
@@ -111,21 +133,21 @@ def test_certified_pairs_bound_their_explicit_defects(name, scale):
     maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
     q = du._compressions(cat, spec, maps)
     mult, outside = du._product_bounds(q, gauge)
-    certified = du._certified_products(cat, q, gauge, TOL)
+    certified, _ = du._certificates(cat, q, gauge, TOL)
     explicit = explicit_products(cat, sec, maps)
-    worst, n_done = 0.0, 0
+    worst = 0.0
     for (i, a), (j, b), (k, c) in itertools.product(enumerate(ids), repeat=3):
         defect, resid = explicit[(a, b, c)]
-        done, bound = certified[(a, b, c)]
-        assert np.array_equal(bound, mult[i, j, k])
         # every bound holds, on every pair, not only on the certified ones
         assert np.all(mult[i, j, k] >= defect), (a, b, c)
         assert np.all(outside[i, j, k] >= resid), (a, b, c)
-        # no defect at or above the check's bound is ever certified
-        assert not np.any(done & (defect >= BOUND)), (a, b, c)
-        worst, n_done = max(worst, defect.max()), n_done + done.sum()
-    if not scale:  # an exact functor: every pair is certified
-        assert n_done == sum(d.size for d, _ in explicit.values())
+        if (a, b, c) in certified:
+            assert np.array_equal(certified[(a, b, c)], mult[i, j, k])
+            # no defect at or above the check's bound is ever certified
+            assert not np.any(defect >= BOUND), (a, b, c)
+        worst = max(worst, defect.max())
+    if not scale:  # an exact functor: every triple is certified
+        assert sum(len(key) == 3 for key in certified) == len(ids) ** 3
     phi = functor(cat, maps)
     check = multiplicativity(
         cc.validate_functor(phi, cat, sec, TOL, _certified=certified)
@@ -139,6 +161,48 @@ def test_certified_pairs_bound_their_explicit_defects(name, scale):
         assert check.passed
 
 
+def involution(report):
+    return next(c for c in report.checks if c.name == "involution")
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("name", sorted(CATEGORIES))
+def test_certified_adjoints_bound_their_explicit_defects(name, scale):
+    cat = CATEGORIES[name]()
+    spec, sec, gauge, maps = gelfand_parts(cat)
+    ids = cat.object_ids
+    maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
+    q = du._compressions(cat, spec, maps)
+    inv, outside = du._adjoint_bounds(q, gauge)
+    certified, axioms = du._certificates(cat, q, gauge, TOL)
+    explicit = explicit_adjoints(cat, sec, maps)
+    worst = 0.0
+    for (i, a), (j, b) in itertools.product(enumerate(ids), repeat=2):
+        defect, resid = explicit[(a, b)]
+        # every bound holds, on every element, not only on the certified ones
+        assert np.all(inv[i, j] >= defect), (a, b)
+        assert np.all(outside[i, j] >= resid), (a, b)
+        # no defect or residual at or above its check's bound is certified
+        if (a, b) in certified:
+            assert np.array_equal(certified[(a, b)], inv[i, j])
+            assert not np.any(defect >= BOUND), (a, b)
+        if (a, b) in axioms:
+            assert np.array_equal(axioms[(a, b)], outside[i, j])
+            assert not np.any(resid >= AXIOM_SLACK * TOL), (a, b)
+        worst = max(worst, defect.max())
+    if not scale:  # an exact functor: every block is certified
+        assert sum(len(key) == 2 for key in certified) == len(ids) ** 2
+    phi = functor(cat, maps)
+    check = involution(cc.validate_functor(phi, cat, sec, TOL, _certified=certified))
+    if worst > BOUND:
+        # a failing check reports the explicit residual, as before
+        assert not check.passed
+        assert check == involution(cc.validate_functor(phi, cat, sec, TOL))
+        assert check.residual == pytest.approx(worst, rel=1e-12)
+    else:
+        assert check.passed
+
+
 def test_one_bad_pair_among_many_is_named_as_before():
     n, k = 12, 5
     cat = du.classical_category(n)
@@ -147,18 +211,24 @@ def test_one_bad_pair_among_many_is_named_as_before():
     # times the bound
     maps = maps.copy()
     maps[0, 0, :, k] *= 1 + 10 * BOUND
-    certified = du._certified_products(
-        cat, du._compressions(cat, spec, maps), gauge, TOL
-    )
-    done, _ = certified[("A", "A", "A")]
-    assert not done[k, k]
-    # products that vanish, away from e_k, stay certified
+    q = du._compressions(cat, spec, maps)
+    certified, _ = du._certificates(cat, q, gauge, TOL)
+    mult = du._product_bounds(q, gauge)[0][0, 0, 0]
+    assert ("A", "A", "A") not in certified
+    assert not CERT_SLACK * mult[k, k] <= BOUND
+    # products that vanish, away from e_k, have bounds that clear, but
+    # the triple is formed whole
     away = ~np.eye(n, dtype=bool)
     away[k] = away[:, k] = False
-    assert done[away].all()
+    assert np.all(CERT_SLACK * mult[away] <= BOUND)
     phi = functor(cat, maps)
     rep = cc.validate_functor(phi, cat, sec, TOL, _certified=certified)
-    assert rep.checks == cc.validate_functor(phi, cat, sec, TOL).checks
+    plain = cc.validate_functor(phi, cat, sec, TOL)
+    # the same checks and verdicts; a passing check may report a bound
+    assert [(c.name, c.passed) for c in rep.checks] == [
+        (c.name, c.passed) for c in plain.checks
+    ]
+    assert multiplicativity(rep) == multiplicativity(plain)
     check = multiplicativity(rep)
     assert not check.passed
     assert 5 <= check.residual / check.bound <= 20, check
@@ -191,6 +261,70 @@ def test_gelfand_reports_the_explicit_residual_of_a_planted_pair(monkeypatch):
     assert (check.residual, check.bound, check.detail) == (
         plain.residual, plain.bound, plain.detail
     )
+
+
+# --- the round trip's certified input checks ---------------------------------
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+@pytest.mark.parametrize("name", ["adjoint-closure", "composition-closure"])
+def test_roundtrip_reports_a_planted_closure_defect_as_check_axioms_does(name):
+    # basis element 2 of (A, B) moved by 1e-7 e_00, a direction outside
+    # the span: its adjoint, and its product with a projection of (A, A),
+    # leave their blocks at about ten times AXIOM_SLACK * tol
+    cat = cc.linking_category(3, [1, 2, 0])
+    blocks = {key: list(basis) for key, basis in cat.blocks.items()}
+    blocks[("A", "B")][2] = blocks[("A", "B")][2] + 1e-7 * np.diag([1.0, 0, 0])
+    cat = cc.MatrixCategory(cat.objects, blocks, cat.unital)
+    plain = _check(cc.check_axioms(cat, TOL), name)
+    check = _check(du.roundtrip_category(cat, TOL), "input-" + name)
+    assert not check.passed
+    assert 5 <= check.residual / check.bound <= 20, check
+    assert (check.residual, check.bound, check.detail) == (
+        plain.residual, plain.bound, plain.detail
+    )
+
+
+EQUIVALENCE = {
+    **{
+        f"random-{seed}": (lambda seed=seed: selftest.random_commutative_category(seed))
+        for seed in range(8)
+    },
+    "linking-scrambled": CATEGORIES["linking-scrambled"],
+    "groupoid-V4": lambda: _groupoid(3, groups.klein_four()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE))
+def test_roundtrip_matches_its_parts_run_apart(name):
+    cat = EQUIVALENCE[name]()
+    report = du.roundtrip_category(cat, TOL)
+    axioms = cc.check_axioms(cat, TOL)
+    g = du.gelfand(cat, TOL)
+    apart = Report()
+    apart.extend(axioms, "input-")
+    apart.extend(g.report, "gelfand-")
+    apart.extend(sp.validate(g.spectrum.spaceoid, TOL), "spaceoid-")
+    assert [(c.name, c.passed) for c in report.checks] == [
+        (c.name, c.passed) for c in apart.checks
+    ]
+    # a certified check's value is at least the residual formed explicitly
+    explicit = {"input-" + c.name: c for c in axioms.checks}
+    functor = cc.validate_functor(g.functor, cat, g.sections, TOL)
+    explicit.update({"gelfand-functor-" + c.name: c for c in functor.checks})
+    for c in report.checks:
+        assert c.residual >= explicit.get(c.name, c).residual, c.name
+    # and so is every certified item's
+    bounds = {}
+    du.gelfand(cat, TOL, _axioms=bounds)
+    _, sec, _, maps = gelfand_parts(cat)
+    adjoints, products = explicit_adjoints(cat, sec, maps), explicit_products(cat, sec, maps)
+    for key, bound in bounds.items():
+        resid = adjoints[key][1] if len(key) == 2 else products[key][1]
+        assert np.all(bound >= resid), key
 
 
 # --- NaN certifies nothing --------------------------------------------------
@@ -234,8 +368,13 @@ def test_nan_in_any_input_certifies_nothing(make, where):
     spec, _, gauge, maps = gelfand_parts(make())
     cat, spec, gauge, maps = _plant_nan(where, make(), spec, gauge, maps)
     q = du._compressions(cat, spec, maps)
-    (done, _), = du._certified_products(cat, q, gauge, TOL).values()
-    assert not done.any()
+    functor, axioms = du._certificates(cat, q, gauge, TOL)
+    assert not functor
+    inv, outside = du._adjoint_bounds(q, gauge)
+    assert np.isnan(inv).all()
+    if where != "gauge":  # the residual bounds do not read the gauge
+        assert not axioms
+        assert np.isnan(outside).all()
     if where not in ("basis", "gauge"):  # the inputs the isometry reads
         z = np.ones((1, 1, 3, maps.shape[-1]), dtype=complex)
         assert np.isnan(du._isometry_bounds(q, z, np.ones((1, 1, 3)))).all()
