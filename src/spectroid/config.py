@@ -37,8 +37,8 @@ EQUIVALENCE_SLACK = 1000.0
 # gelfand isometric: | ||x||_op - max_i |xhat_i| | on seeded Gaussian
 # combinations x of a block's basis.  Absolute.
 ISOMETRY_SLACK = 1000.0
-# funcalc: a singular value, eigenvalue or class component's norm that
-# is at most this is zero.  Scale 1 + ||x||_op.
+# funcalc: a singular value, eigenvalue or class coefficient's modulus
+# that is at most this is zero.  Scale 1 + ||x||_op.
 ZERO_SLACK = 10.0
 # joint_diagonalize accepts its best attempt when none met
 # JOINT_TARGET_RTOL.  Scale max_i (1 + ||m_i||_op) over the inputs.

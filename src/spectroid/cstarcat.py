@@ -356,10 +356,20 @@ def is_commutative(cat: MatrixCategory, tol: float | None = None) -> bool:
 
 
 def _invertible(h: np.ndarray) -> bool:
-    """A positive matrix's smallest eigenvalue exceeds ``FULLNESS_RTOL``
-    times its largest (vacuously true for the empty matrix)."""
+    """Every positive matrix of a stack has its smallest eigenvalue
+    above ``FULLNESS_RTOL`` times its largest (vacuously true for empty
+    matrices)."""
     w = np.linalg.eigvalsh(h)
-    return not len(w) or bool(w[0] > FULLNESS_RTOL * w[-1])
+    return not w.shape[-1] or bool(np.all(w[..., 0] > FULLNESS_RTOL * w[..., -1]))
+
+
+def _grams(basis) -> tuple:
+    """``sum_i x_i* x_i`` and ``sum_i x_i x_i*`` over a ``(n, d_a,
+    d_b)`` stack of matrices ``x_i``."""
+    n, da, db = basis.shape
+    rows = basis.reshape(n * da, db)  # the x_i stacked vertically
+    cols = basis.transpose(1, 0, 2).reshape(da, n * db)
+    return rows.conj().T @ rows, cols @ cols.conj().T
 
 
 def is_full(cat: MatrixCategory, tol: float | None = None) -> bool:
@@ -380,23 +390,21 @@ def is_full(cat: MatrixCategory, tol: float | None = None) -> bool:
     ``v != 0``, then ``sum_i |x_i v|^2 = <v, h v> = 0``, so every ``y
     v = 0`` for y in the block, every element of J kills ``v``, and the
     unit of C_BB is not in J.  The argument needs the unit and closure,
-    not commutativity.  Without units the spans' dimensions are
-    compared directly (Gram-Schmidt rank against the diagonal block's
-    dimension).
+    not commutativity.  Each object's Gram matrices, over all its
+    pairs, go through one stacked ``eigvalsh``.  Without units the
+    spans' dimensions are compared directly (Gram-Schmidt rank against
+    the diagonal block's dimension).
     """
     tol = resolve_tol(tol)
+    if cat.unital:
+        grams = {o: [] for o in cat.object_ids}  # per object, over its pairs
+        for a, b in cat.pairs():
+            at_b, at_a = _grams(_stack(cat, a, b))
+            grams[b].append(at_b)
+            grams[a].append(at_a)
+        return all(_invertible(np.stack(h)) for h in grams.values())
     for a, b in cat.pairs():
         basis = _stack(cat, a, b)
-        if cat.unital:
-            n, da, db = basis.shape
-            rows = basis.reshape(n * da, db)  # the x_i stacked vertically
-            cols = basis.transpose(1, 0, 2).reshape(da, n * db)
-            if not (
-                _invertible(rows.conj().T @ rows)
-                and _invertible(cols @ cols.conj().T)
-            ):
-                return False
-            continue
         right = _products(_adjoints(basis), basis)
         left = _products(basis, _adjoints(basis))
         if hs_orthonormalize(right, tol).rank != cat.block_dim(b, b):

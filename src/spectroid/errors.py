@@ -13,7 +13,6 @@ __all__ = [
     "NotCommutative",
     "NotFull",
     "NotUnital",
-    "FullnessMismatch",
     "AmbiguousMatching",
     "InvalidFunctor",
     "InvalidGroupoid",
@@ -58,10 +57,6 @@ class NotFull(SpectroidError):
 
 class NotUnital(SpectroidError):
     """An operation requiring units was given a non-unital category."""
-
-
-class FullnessMismatch(SpectroidError):
-    """Per-object spectra have different sizes; no common base exists."""
 
 
 class AmbiguousMatching(SpectroidError):

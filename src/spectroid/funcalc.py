@@ -1,27 +1,25 @@
 """Continuous functional calculus for rectangular matrix elements.
 
 A single matrix ``x`` placed in a block between objects ``A`` and
-``B`` generates a small commutative full category (for ``A == B`` the
-element must be normal).  Its class decomposition indexes the distinct
-nonzero singular values of ``x`` (eigenvalues in the square
-same-object case), and applying a scalar function means rescaling each
-class component:
+``B`` generates a small commutative category (for ``A == B`` the
+element must be normal).  Cut to the supports of its diagonal blocks,
+that category is unital and full, so it has a spectrum, and ``x`` has
+a Gel'fand transform over it: one coefficient ``xhat_i`` per class,
+whose modulus is a distinct nonzero singular value of ``x`` (an
+eigenvalue itself, in the square same-object case).  Applying a scalar
+function rescales each class with its phase kept:
 
-    x = sum_i p_i * u_i   ->   f[x] = sum_i f(p_i) * u_i,
+    f[x] = lift(f(|xhat|) * xhat / |xhat|),
 
-with ``u_i`` the unit partial isometries cut out of ``x`` itself by
-the class projections.  ``funcalc`` computes this through the
-generated category's joint eigenstructures, on whole eigenbases and
-along one path for both cases: ``x`` is compressed once into the
-eigenbases of its two objects, the classes and their pairing are read
-from segmented norms of that compression, and ``f`` is applied as one
-block-diagonal rescale of it.  ``svd_oracle`` computes the same thing
-directly from a singular value decomposition (or a normal
-eigendecomposition) and exists to cross-check it.
+with ``f(xhat)`` in its place on one object.  ``funcalc`` computes
+this through :func:`duality.spectrum` of that corner and inherits its
+error contract.  ``svd_oracle`` computes the same thing directly from
+a singular value decomposition (or a normal eigendecomposition) and
+exists to cross-check it.
 
-The zero classes — where every generated element vanishes — belong to
-the unitization, carry no part of ``x``, and are discarded, so ``f``
-is only ever evaluated on the nonzero spectrum.
+A class whose coefficient is under the zero cut carries no part of
+``x`` and is discarded, as the oracle discards such singular values,
+so ``f`` is only ever evaluated on the nonzero spectrum.
 """
 
 from __future__ import annotations
@@ -31,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CLUSTER_RTOL, ZERO_SLACK, resolve_tol
-from .cstarcat import generated_by
-from .errors import FullnessMismatch, SpectrumMismatch
-from .numkit import _block_sums, joint_diagonalize, normal_eig, op_norm, svd
+from .cstarcat import MatrixCategory, _grams, _stack, generated_by
+from .duality import spectrum
+from .errors import SpectrumMismatch
+from .numkit import normal_eig, op_norm, svd
 
 __all__ = [
     "SpectralFunction",
@@ -142,56 +141,41 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def _surviving(eig, generators, thresh) -> np.ndarray:
-    """Per eigenblock: whether some generated diagonal element acts
-    there with HS norm above ``thresh * sqrt(rank)``.  The generators
-    are compressed into the eigenbasis once; the per-block norms are
-    segmented sums of the squared compressions."""
-    t = eig.unitary.conj().T @ generators @ eig.unitary
-    sq = _block_sums(np.abs(t) ** 2, eig.starts, eig.starts)
-    norms = np.sqrt(np.diagonal(sq, axis1=-2, axis2=-1))
-    return np.any(norms > thresh * np.sqrt(eig.sizes), axis=0)
+def _support(basis, d) -> np.ndarray:
+    """Isometry onto the support of a diagonal block, from its
+    HS-orthonormal basis, a ``(n, d, d)`` stack.
 
-
-def _block_index(eig_a, rows, eig_b, cols):
-    """Index arrays ``(r, c)`` that pick the blocks ``(rows[k],
-    cols[k])`` of a matrix cut at the two eigenstructures' blocks, as
-    one ``(k, R, C)`` stack padded to the largest block shape.  Padding
-    points at index -1: a zero row and column appended to the matrix."""
-
-    def index(eig, blocks):
-        span = np.arange(eig.sizes[blocks].max(initial=0))
-        inside = span < eig.sizes[blocks][:, None]
-        return np.where(inside, eig.starts[blocks][:, None] + span, -1)
-
-    return index(eig_a, rows)[:, :, None], index(eig_b, cols)[:, None, :]
+    ``sum_b b b*`` does not depend on which orthonormal basis is used:
+    with class projections ``P_i`` of ranks ``r_i`` it is ``sum_i P_i /
+    r_i``, so its eigenvalues are ``1/r_i >= 1/d`` on the support and
+    rounding off it, and a cut at ``1/(2d)`` separates the two."""
+    w, v = np.linalg.eigh(_grams(basis)[1])
+    return v[:, w > 0.5 / d]
 
 
 def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
-    """Apply a scalar function to a matrix element through the
-    category it generates.
+    """Apply a scalar function to a matrix element through its
+    Gel'fand transform over the category it generates.
 
-    The element's block is decomposed along the generated category's
-    joint eigenspace classes; classes belonging to the unitization
-    (all generators vanish there) are dropped, and ``f`` — a
-    :class:`SpectralFunction` or plain callable — rescales the
-    surviving components.  The identity function returns ``x`` itself
-    to machine precision.
+    Every block of ``generated_by(x)`` is cut to the supports ``W`` of
+    the diagonal blocks (:func:`_support`); that corner is unital and
+    full, and :func:`duality.spectrum` decomposes it.  ``xhat =
+    spec.coefficients(A, B, W_A* x W_B)`` has one coefficient per
+    class.  The points are ``xhat`` on one object and ``|xhat|`` across
+    two; classes with ``|xhat|`` at most ``ZERO_SLACK * tol * (1 +
+    ||x||_op)`` are dropped, and ``f`` (a :class:`SpectralFunction` or
+    plain callable) rescales the others with their phase kept, ``g =
+    xhat * f(p) / p``.  The result is ``W_A lift(g) W_B*``; the
+    identity function returns ``x`` itself to machine precision.
 
-    One path serves both cases: ``x`` is compressed once into the two
-    joint eigenbases, ``T = U_A* x U_B`` (the same basis twice when
-    ``A == B``), and every class component is a block of ``T``.  Across
-    two objects each surviving class of ``A`` must meet exactly one
-    surviving class of ``B`` (``FullnessMismatch`` otherwise) and its
-    point is the operator norm of that block; on one object a class is
-    its own partner, its point is the block's trace over its rank, and
-    classes whose point vanishes are dropped.  ``f`` then rescales
-    ``T`` block by block, ``out = U_A G U_B*``.
+    ``spectrum``'s errors pass through: a closure that is not
+    commutative raises ``NotCommutative``.
     """
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
     scale = op_norm(x)
-    if scale == 0.0:
+    cut = ZERO_SLACK * tol * (1 + scale)
+    if scale <= cut:  # every point is under the zero cut; the closure may be empty
         if isinstance(f, SpectralFunction) and f.table:
             raise SpectrumMismatch(
                 "zero element has empty spectrum; only the empty table applies"
@@ -199,49 +183,24 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
         return np.zeros_like(x)
 
     cat = generated_by(x, a_id, b_id, tol)  # NotNormal guard lives here
-    thresh = ZERO_SLACK * tol * (1 + scale)
-
-    def diagonalize(o, d):
-        fam = np.reshape(cat.block(o, o), (-1, d, d))
-        eig = joint_diagonalize(
-            list(fam) + [np.eye(d, dtype=complex)], tol, seed=seed
-        )
-        return eig, np.flatnonzero(_surviving(eig, fam, tol * (1 + scale)))
-
-    eig_a, keep_a = diagonalize(a_id, x.shape[0])
-    eig_b, keep_b = (
-        (eig_a, keep_a) if a_id == b_id else diagonalize(b_id, x.shape[1])
+    w = {o: _support(_stack(cat, o, o), d) for o, d in cat.objects}
+    corner = MatrixCategory(
+        objects=tuple((o, w[o].shape[1]) for o in w),
+        blocks={
+            (a, b): list(w[a].conj().T @ _stack(cat, a, b) @ w[b])
+            for a, b in cat.pairs()
+        },
+        unital=True,
     )
-    if len(keep_a) != len(keep_b):
-        raise FullnessMismatch(
-            "row and column sides disagree on the nonzero classes"
-        )
-    t = eig_a.unitary.conj().T @ x @ eig_b.unitary
-    if a_id != b_id:
-        sq = _block_sums(np.abs(t) ** 2, eig_a.starts, eig_b.starts)
-        hits = np.sqrt(sq[np.ix_(keep_a, keep_b)]) > thresh
-        if np.any(hits.sum(axis=1) != 1) or np.any(hits.sum(axis=0) != 1):
-            raise FullnessMismatch(
-                "class matching between the two sides is not a bijection"
-            )
-        keep_b = keep_b[np.argmax(hits, axis=1)]
-
-    r, c = _block_index(eig_a, keep_a, eig_b, keep_b)
-    padded = np.zeros((t.shape[0] + 1, t.shape[1] + 1), dtype=complex)
-    padded[:-1, :-1] = t
-    comps = padded[r, c]
-    if a_id == b_id:
-        points = np.trace(comps, axis1=1, axis2=2) / eig_a.sizes[keep_a]
-        live = np.abs(points) > thresh
-        r, c, comps, points = r[live], c[live], comps[live], points[live]
-    else:
-        points = np.linalg.norm(comps, 2, axis=(1, 2))
-    points = points.astype(complex).tolist()
+    spec = spectrum(corner, tol, seed)
+    xhat = spec.coefficients(a_id, b_id, w[a_id].conj().T @ x @ w[b_id])
+    live = np.abs(xhat) > cut
+    points = xhat[live] if a_id == b_id else np.abs(xhat[live]).astype(complex)
+    points = points.tolist()
     _check_table_covers(f, points, scale)
-    gain = np.array([_call(f, p, scale) for p in points], dtype=complex)
-    g = np.zeros_like(padded)
-    g[r, c] = comps * (gain / points)[:, None, None]
-    return eig_a.unitary @ g[:-1, :-1] @ eig_b.unitary.conj().T
+    g = np.zeros_like(xhat)
+    g[live] = xhat[live] * [_call(f, p, scale) / p for p in points]
+    return w[a_id] @ spec.lift(a_id, b_id, g) @ w[b_id].conj().T
 
 
 def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):

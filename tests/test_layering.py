@@ -1,6 +1,7 @@
 """Import layering of the package: every import sits at module level,
 and ``groups`` (finite groups and groupoids) sits below ``cstarcat``,
-which builds the groupoid C*-categories from it."""
+which builds the groupoid C*-categories from it.  Every public error
+class has a raise site, so a dead one cannot stay in ``errors``."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,39 @@ def _package_imports(tree) -> set:
                 if parts[0] == "spectroid" and len(parts) > 1:
                     found.add(parts[1])
     return found
+
+
+def _raised_names(tree) -> set:
+    """Names of the exceptions a module raises, however spelled:
+    ``raise X``, ``raise X(...)``, ``raise errors.X(...)``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                found.add(exc.attr)
+    return found
+
+
+def _public_errors() -> list:
+    """``errors.__all__``, read from the module's source."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("errors.py has no __all__")
+
+
+def test_every_error_class_has_a_raise_site():
+    raised = set().union(
+        *(_raised_names(ast.parse(path.read_text())) for path in SRC.glob("*.py"))
+    )
+    dead = [n for n in _public_errors() if n != "SpectroidError" and n not in raised]
+    assert not dead, f"error classes nothing raises: {dead}"
 
 
 def test_no_module_imports_inside_a_function():
@@ -88,3 +122,18 @@ def test_function_import_scan(text, lines):
 )
 def test_package_import_scan(text, modules):
     assert _package_imports(ast.parse(text)) == modules
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("raise NotFull('x')", {"NotFull"}),
+        ("raise errors.NotFull('x')", {"NotFull"}),
+        ("try:\n    pass\nexcept ValueError:\n    raise", set()),
+        ("raise NotCommutative('x') from exc", {"NotCommutative"}),
+        ("def f():\n    raise AmbiguousMatching", {"AmbiguousMatching"}),
+        ("x = NotUnital('x')", set()),
+    ],
+)
+def test_raise_scan(text, names):
+    assert _raised_names(ast.parse(text)) == names
