@@ -57,9 +57,10 @@ PREGROUP_RTOL = 1e-4
 CLUSTER_RTOL = 1e-8
 # A certificate clears an explicit check, without forming the products
 # that check would, when this times the bound it proves is at most the
-# check's bound.  joint_diagonalize certifies a pair of inputs as
-# commuting when its eigenbasis bounds ||[m_i, m_j]||_HS so against
-# tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand certifies a pair of basis
+# check's bound.  spectrum certifies a pair of basis elements of each
+# diagonal block as commuting when its completeness residuals and the
+# object's class-ordered basis bound ||[m_i, m_j]||_HS so against tol
+# * (1 + ||m_i||_HS ||m_j||_HS).  gelfand certifies a pair of basis
 # elements when its compressions bound the pair's multiplicativity
 # defect so against FUNCTOR_SLACK * tol and the product's HS residual
 # outside its block against tol, a basis element when they bound its

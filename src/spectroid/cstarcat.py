@@ -57,7 +57,6 @@ __all__ = [
     "identity_functor",
     "compose_functors",
     "functor_image",
-    "functor_from_images",
     "validate_functor",
     "generated_by",
     "linking_category",
@@ -473,36 +472,6 @@ def functor_image(
         )
     img = _image(phi, target, a, b, coeffs)
     return img if x.ndim == 3 else img[0]
-
-
-def functor_from_images(
-    source: MatrixCategory,
-    target: MatrixCategory,
-    object_map: dict,
-    images: dict,
-    tol: float | None = None,
-) -> StarFunctor:
-    """Build the coordinate form of a functor from basis images.
-
-    ``images[(A, B)]`` lists, per source basis element, its image
-    matrix in the target block; each must lie in the target span.
-    """
-    tol = resolve_tol(tol)
-    block_maps = {}
-    for (a, b), basis in source.blocks.items():
-        tgt = target.block(object_map[a], object_map[b])
-        if not basis:
-            block_maps[(a, b)] = np.zeros((len(tgt), 0), dtype=complex)
-            continue
-        member, residual, coeffs = _project(tgt, images[(a, b)], tol)
-        if not member.all():
-            j = int(np.argmin(member))
-            raise InvalidFunctor(
-                f"image of basis {j} of ({a},{b}) is outside the target "
-                f"block (residual {residual[j]:.3e})"
-            )
-        block_maps[(a, b)] = coeffs.T
-    return StarFunctor(dict(object_map), block_maps)
 
 
 def _product_defects(phi, source, target, image, a, b, c, tol):

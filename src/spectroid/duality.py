@@ -49,15 +49,15 @@ from .cstarcat import (
 )
 from .errors import (
     AmbiguousMatching,
+    DiagonalizationFailed,
     InvalidFunctor,
     NotCommutative,
-    NotCommuting,
     NotFull,
     NotOneDimensional,
     NotUnital,
     SpectrumMismatch,
 )
-from .numkit import _adjoints, joint_diagonalize
+from .numkit import _adjoints, _noncommuting_pair, joint_diagonalize
 from .reporting import Report, worst
 from .spaceoid import (
     PhaseFunctor,
@@ -192,10 +192,11 @@ def _rank_groups(ranks: np.ndarray):
         yield cls, starts[cls][:, None] + np.arange(r)
 
 
-def _transported_bases(c, eig, tol) -> np.ndarray:
+def _transported_bases(c, eig, tol) -> tuple:
     """The anchor's class-ordered joint eigenbasis ``U`` and, for every
     other object B, its classes carried along block (anchor, B), as one
-    ``(o, d, d)`` stack.
+    ``(o, d, d)`` stack, and the ``(o,)`` HS norms of their unitarity
+    defects ``V* V - I``.
 
     B's class-``i`` columns are the polar factor of ``e* U^i``, with
     ``e`` the first basis element whose class-``i`` slice ``U^i* e``
@@ -203,8 +204,8 @@ def _transported_bases(c, eig, tol) -> np.ndarray:
     positive multiple of the identity in B's columns.  Slices that tie,
     as every element's do in a group category, go to the first element,
     so rounding does not pick the gauge.  Raises ``AmbiguousMatching``
-    when a transported basis is not unitary within ``SPECTRAL_SLACK *
-    tol * (1 + d)`` (HS norm of ``V* V - I``).
+    when a transported basis's defect exceeds ``SPECTRAL_SLACK * tol *
+    (1 + d)``.
     """
     ids, u = c.object_ids, eig.unitary
     d = u.shape[1]
@@ -230,7 +231,7 @@ def _transported_bases(c, eig, tol) -> np.ndarray:
         raise AmbiguousMatching(
             f"the anchor's classes carried to {ids[np.argmax(bad)]} are not orthonormal"
         )
-    return bases
+    return bases, dev
 
 
 def spectrum(
@@ -239,12 +240,15 @@ def spectrum(
     """Decompose a commutative full unital category into its spaceoid,
     in the anchor's gauge.
 
-    Raises ``ValueError`` when a block has a non-finite entry, and
-    ``NotUnital`` / ``NotCommutative`` / ``NotFull`` when the
+    Raises ``ValueError`` when a block has a non-finite entry,
+    ``NotUnital`` when the category is not unital or a diagonal block
+    is empty, and ``NotCommutative`` / ``NotFull`` when the other
     hypotheses fail, ``AmbiguousMatching`` when the anchor's classes do
-    not carry over to an object as an orthonormal basis, and
-    ``NotOneDimensional`` when a fiber is not a line (any of these means
-    the input is outside the duality's domain).  A category that is not
+    not carry over to an object as an orthonormal basis,
+    ``NotOneDimensional`` when a fiber is not a line, and
+    ``DiagonalizationFailed`` when the anchor's block commutes but its
+    joint diagonalization does not verify (any of these means the input
+    is outside the duality's domain).  A category that is not
     commutative raises ``NotCommutative`` whichever object is the
     anchor.
 
@@ -255,21 +259,26 @@ def spectrum(
     diagonal ones included, proves every compression a multiple of the
     identity on every class, so every frame is the identity, every
     structure constant is 1, and every C_BB is diagonalized without a
-    diagonalization of its own.
+    diagonalization of its own.  Every diagonal block, the anchor's
+    included, is then proved commutative by one rule
+    (:func:`_require_commuting`).
     """
     tol = resolve_tol(tol)
     if not c.unital:
         raise NotUnital("spectrum needs identity elements in every C_AA")
+    for o in c.object_ids:
+        if not c.block(o, o):
+            raise NotUnital(f"block ({o},{o}) is empty, so it has no identity")
     for (a, b), basis in c.blocks.items():
         if not np.isfinite(basis).all():
             raise ValueError(f"block ({a},{b}) has non-finite entries")
     try:
         return _spectrum(c, tol, seed)
-    except (NotCommuting, NotFull, NotOneDimensional, AmbiguousMatching) as exc:
+    except (DiagonalizationFailed, NotFull, NotOneDimensional, AmbiguousMatching) as exc:
         # only the anchor is diagonalized, so a non-commutative block
-        # elsewhere fails one of the later checks; commutativity is
-        # consulted on this path only
-        if isinstance(exc, NotCommuting) or not is_commutative(c, tol):
+        # fails its diagonalization or one of the later checks;
+        # commutativity is consulted on this path only
+        if not is_commutative(c, tol):
             raise NotCommutative("diagonal blocks do not commute") from exc
         raise
 
@@ -277,7 +286,7 @@ def spectrum(
 def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
     """:func:`spectrum` on a unital category, before the error contract."""
     ids = c.object_ids
-    eig = joint_diagonalize(c.block(ids[0], ids[0]), tol, seed=seed, dim=c.dim(ids[0]))
+    eig = joint_diagonalize(c.block(ids[0], ids[0]), tol, seed=seed)
     if not is_full(c, tol):
         raise NotFull("inner products do not span the diagonal blocks")
     k = eig.n_blocks
@@ -289,7 +298,7 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
             raise NotOneDimensional(
                 f"block ({a},{b}) has dimension {c.block_dim(a, b)} for {k} classes"
             )
-    bases = _transported_bases(c, eig, tol)
+    bases, delta = _transported_bases(c, eig, tol)
 
     n_obj, d = bases.shape[:2]
     x = np.reshape([_stack(c, a, b) for a, b in c.pairs()], (n_obj, n_obj, k, d, d))
@@ -306,15 +315,64 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
     # completeness: every element must be recovered by its coefficients
     i, j, _ = np.ogrid[:n_obj, :n_obj, :1]  # the pair axes, broadcast over elements
     coeffs = result._class_means(np.diagonal(comp, axis1=-2, axis2=-1))
+    norms = np.linalg.norm(x, axis=(-2, -1))
     err = np.linalg.norm(result._lift(i, j, coeffs) - x, axis=(-2, -1))
-    bound = SPECTRAL_SLACK * tol * (1 + np.linalg.norm(x, axis=(-2, -1)))
-    bad = ~np.all(err <= bound, axis=-1)
+    bad = ~np.all(err <= SPECTRAL_SLACK * tol * (1 + norms), axis=-1)
     if bad.any():
         a, b = np.unravel_index(np.argmax(bad), bad.shape)
         raise NotOneDimensional(
             f"block ({ids[a]},{ids[b]}) is not spanned by the class fibers"
         )
+    n = np.arange(n_obj)
+    _require_commuting(x[n, n], coeffs[n, n], err[n, n], norms[n, n], delta, tol, ids)
     return result
+
+
+def _require_commuting(m, coeffs, err, norms, delta, tol, ids) -> None:
+    """Raise ``NotCommutative`` for the first object whose diagonal
+    block has a pair of basis elements ``m_i``, ``m_j`` (``i < j``, in
+    row-major order) that ``numkit._noncommuting_pair`` finds not
+    commuting: ``||[m_i, m_j]||_HS`` above ``tol * (1 + n_i n_j)``, ``n_i
+    = ||m_i||_HS``.
+
+    Arguments, per object: ``m`` ``(o, n, d, d)``, the diagonal block's
+    basis; ``coeffs`` ``(o, n, k)``, its class coefficients ``c(m_i)``;
+    ``err`` and ``norms`` ``(o, n)``, the completeness check's residuals
+    ``f_i = ||m_i - U M_i U*||_HS``, with ``M_i = blockdiag_p(c_p(m_i)
+    I)`` and ``U`` the object's class-ordered basis, and ``n_i``; and
+    ``delta`` ``(o,)``, ``||U*U - I||_HS``.  With ``mu_i = max_p
+    |c_p(m_i)| = ||M_i||_op``:
+
+    * ``||U||_op^2 = ||U*U||_op <= 1 + delta``, so ``||U A U*||_HS <= (1
+      + delta) ||A||_HS`` and ``||U M_i U*||_op <= (1 + delta) mu_i``.
+    * ``M_i`` and ``M_j`` are diagonal, so they commute, and ``[U M_i
+      U*, U M_j U*] = U (M_i D M_j - M_j D M_i) U*`` with ``D = U*U -
+      I``.
+    * With ``m_i = U M_i U* + F_i``, ``||F_i||_HS = f_i``, and ``||[X,
+      Y]||_HS <= 2 ||X||_op ||Y||_HS``: ``||[m_i, m_j]||_HS <= 2 ((1 +
+      delta)(delta mu_i mu_j + mu_i f_j + mu_j f_i) + f_i f_j)``.
+
+    A pair is certified when that bound times ``config.CERT_SLACK`` is
+    at most the explicit check's bound: the slack leaves room for the
+    rounding of ``f`` and of the explicit commutator, so a certified
+    pair passes that check.  A NaN certifies nothing.  Commutators are
+    formed only for the pairs left over.
+    """
+    i, j = np.triu_indices(m.shape[1], 1)
+    mu, dl = np.abs(coeffs).max(axis=-1), delta[:, None]
+    bound = 2 * (
+        (1 + dl) * (dl * mu[:, i] * mu[:, j] + mu[:, i] * err[:, j] + mu[:, j] * err[:, i])
+        + err[:, i] * err[:, j]
+    )
+    left = ~(CERT_SLACK * bound <= tol * (1 + norms[:, i] * norms[:, j]))
+    for o in np.flatnonzero(left.any(axis=1)):
+        pair = _noncommuting_pair(m[o], tol, (i[left[o]], j[left[o]]))
+        if pair is not None:
+            a, b, res = pair
+            raise NotCommutative(
+                f"basis elements {a} and {b} of block ({ids[o]},{ids[o]}) "
+                f"do not commute (residual {res:.3e})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -650,22 +708,20 @@ def _compressions(c, spec, maps) -> _Compressions:
     )
 
 
-def _product_bounds(q: _Compressions, gauge):
+def _product_bounds(q: _Compressions):
     """Proven bounds ``(mult, outside)``, each ``(o, o, o, n, n)``, for
     every pair ``x = e_i`` of block (A, B) and ``y = e_j`` of (B, C):
     ``mult`` on the multiplicativity defect ``||phi(P xy) - phi(x)
     phi(y)||_HS`` and ``outside`` on the HS residual ``||xy - P xy||``,
     ``P`` the projection on block (A, C), as ``validate_functor`` forms
-    them.  ``gauge`` is the sections' ``(n, A, B)``, so ``phi(e) =
-    sum_p c_p(e) conj(g_p^AB) E_pp``; the spectrum's frames are the
-    identity.
+    them.  The spectrum's frames are the identity and its structure
+    constants are 1, so the sections' basis element of point ``p`` is
+    ``E_pp`` in every block, and ``phi(e) = sum_p c_p(e) E_pp``.
 
     Notation: ``T``, ``E_e = T(e) - M(e)`` with ``M(e) =
     blockdiag_p(c_p(e) I)``, ``eta``, ``nu``, ``delta`` and ``gram`` as
-    in :class:`_Compressions`; ``theta = max_p |1 - mu_p|``, the
-    sections' gauge defect, with ``mu_p = conj(g_p^AB g_p^BC) /
-    conj(g_p^AC)``; ``v_p = c_p(x) c_p(y)``, whose norms per pair are
-    one matrix product of the squared block maps.
+    in :class:`_Compressions`; ``v_p = c_p(x) c_p(y)``, whose norms per
+    pair are one matrix product of the squared block maps.
 
     * ``U_B U_B* = I + D`` with ``||D||_HS = delta_B`` (U is square), so
       ``T(xy) = T(x) T(y) - U_A* x D y U_C``.  Expanding ``T = M + E``,
@@ -686,9 +742,8 @@ def _product_bounds(q: _Compressions, gauge):
       + gram) dist``, and the residual ``||Delta - sum_k (kappa' -
       kappa)_k e_k||`` is at most ``outside = dist + sqrt(1 + gram)
       K``.
-    * The defect is ``diag_p(conj(g_p^AC) ((C (kappa' - kappa))_p + v_p
-      (1 - mu_p)))``, of HS norm at most ``mult = max_p |g_p^AC|
-      (s_max K + ||v|| theta)``.
+    * The defect is ``diag_p((C (kappa' - kappa))_p)``, of HS norm at
+      most ``mult = s_max K``.
 
     Both bounds also cover the rounding of the explicit check itself,
     ``(d^2 + n) eps`` relative to the sizes it multiplies, so each holds
@@ -700,11 +755,6 @@ def _product_bounds(q: _Compressions, gauge):
     """
     sq = np.abs(q.maps) ** 2  # (A, B, p, i)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mu = np.conj(gauge[:, :, :, None] * gauge[:, None]) / np.conj(
-            gauge[:, :, None, :]
-        )
-        theta = np.abs(1 - mu).max(axis=0, initial=0.0)
-        g_max = np.abs(gauge).max(axis=0, initial=0.0)
         v = np.sqrt(np.einsum("abpi,bcpj->abcij", sq, sq))
 
         def at(x, axes):  # broadcast to (A, B, C, i, j)
@@ -731,10 +781,7 @@ def _product_bounds(q: _Compressions, gauge):
         s_max = at(q.sv.max(axis=-1, initial=0.0), [0, 2])
         rounding = (q.resid.shape[-1] + q.maps.shape[-1]) * _EPS
         outside = dist + np.sqrt(1 + gram) * coeff + rounding * (1 + size)
-        mult = at(g_max, [0, 2]) * (
-            s_max * coeff + v * at(theta, [0, 1, 2])
-            + rounding * (1 + s_max * size + v)
-        )
+        mult = s_max * coeff + rounding * (1 + s_max * size + v)
     premise = (d_a < 1) & (d_c < 1) & (s_min > 0)
     return np.where(premise, mult, np.nan), np.where(premise, outside, np.nan)
 
@@ -768,7 +815,7 @@ def _isometry_bounds(q: _Compressions, z, top):
     return np.where(premise, bound, np.nan)
 
 
-def _adjoint_bounds(q: _Compressions, gauge):
+def _adjoint_bounds(q: _Compressions):
     """Proven bounds ``(inv, outside)``, each ``(o, o, n)``, for every
     basis element ``e`` of block (A, B): ``inv`` on the involution defect
     ``||phi(P e*) - phi(e)*||_HS`` and ``outside`` on the HS residual
@@ -781,16 +828,12 @@ def _adjoint_bounds(q: _Compressions, gauge):
     ``eps = eta_e``: no unitarity defect enters in the middle.  With the
     block map ``C`` of (B, A), ``kappa = C^-1 v``, ``dist``, ``K`` and
     ``outside`` are as there, and ``phi(P e*) - phi(e)*`` is
-    ``diag_p(conj(g_p^BA) (C (kappa' - kappa))_p + v_p (conj(g_p^BA) -
-    g_p^AB))``, of HS norm at most ``inv = max_p |g_p^BA| s_max K + ||v||
-    theta`` with the gauge defect ``theta = max_p |g_p^AB -
-    conj(g_p^BA)|``.  The rounding allowance, the premises (``delta <
-    1``, a bijective block map of (B, A)) and the NaN rule are those of
+    ``diag_p((C (kappa' - kappa))_p)``, of HS norm at most ``inv = s_max
+    K``.  The rounding allowance, the premises (``delta < 1``, a
+    bijective block map of (B, A)) and the NaN rule are those of
     :func:`_product_bounds`.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        theta = np.abs(gauge - np.conj(np.swapaxes(gauge, 1, 2))).max(axis=0, initial=0.0)
-        g_max = np.abs(gauge).max(axis=0, initial=0.0).T
         v = np.linalg.norm(q.maps, axis=2)
         d_a, d_b = q.delta[:, None, None], q.delta[None, :, None]
         gram = q.gram.T[..., None]
@@ -802,14 +845,12 @@ def _adjoint_bounds(q: _Compressions, gauge):
         coeff = gram * kappa + np.sqrt(1 + gram) * dist
         rounding = (q.resid.shape[-1] + q.maps.shape[-1]) * _EPS
         outside = dist + np.sqrt(1 + gram) * coeff + rounding * (1 + q.norm)
-        inv = g_max[..., None] * (
-            s_max * coeff + rounding * (1 + s_max * q.norm + v)
-        ) + v * theta[..., None]
+        inv = s_max * coeff + rounding * (1 + s_max * q.norm + v)
     premise = (d_a < 1) & (d_b < 1) & (s_min > 0)
     return np.where(premise, inv, np.nan), np.where(premise, outside, np.nan)
 
 
-def _certificates(c, q: _Compressions, gauge, tol) -> tuple:
+def _certificates(c, q: _Compressions, tol) -> tuple:
     """The ``_certified`` arguments ``(functor, axioms)`` of
     ``validate_functor`` and ``check_axioms``.  Each maps a pair ``(a,
     b)`` of objects to the bounds, ``(n,)``, on the adjoints of block
@@ -825,8 +866,8 @@ def _certificates(c, q: _Compressions, gauge, tol) -> tuple:
     only the items left over could move a failing residual in its last
     bits, and a key formed whole reports what the explicit check
     reports."""
-    mult, outside = _product_bounds(q, gauge)
-    inv, adj_outside = _adjoint_bounds(q, gauge)
+    mult, outside = _product_bounds(q)
+    inv, adj_outside = _adjoint_bounds(q)
     ids = c.object_ids
 
     def clears(bound, check_bound):
@@ -873,7 +914,7 @@ def gelfand(
     """
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
-    sec, gauge = sections_with_gauge(spec.spaceoid, tol)
+    sec = sections(spec.spaceoid, tol)
     maps = np.swapaxes(
         spec._class_means(np.diagonal(spec.compressions, axis1=-2, axis2=-1)), -1, -2
     )
@@ -885,7 +926,7 @@ def gelfand(
         },
     )
     q = _compressions(c, spec, maps)
-    functor, axioms = _certificates(c, q, gauge, tol)
+    functor, axioms = _certificates(c, q, tol)
     if _axioms is not None:
         _axioms.update(axioms)
     report = Report()

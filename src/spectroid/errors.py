@@ -8,7 +8,6 @@ catch the lot in one clause.
 __all__ = [
     "SpectroidError",
     "NotNormal",
-    "NotCommuting",
     "DiagonalizationFailed",
     "NotCommutative",
     "NotFull",
@@ -31,15 +30,6 @@ class SpectroidError(Exception):
 
 class NotNormal(SpectroidError):
     """A matrix expected to be normal is not (beyond tolerance)."""
-
-
-class NotCommuting(SpectroidError):
-    """A family expected to commute pairwise does not; carries the pair."""
-
-    def __init__(self, msg, pair=None, residual=None):
-        super().__init__(msg)
-        self.pair = pair
-        self.residual = residual
 
 
 class DiagonalizationFailed(SpectroidError):

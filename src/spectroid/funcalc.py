@@ -84,11 +84,6 @@ class SpectralFunction:
             )
         return hits[0]
 
-    def max_abs(self) -> float:
-        if self.coeffs:
-            return float(sum(abs(c) for c in self.coeffs))
-        return float(max((abs(v) for _, v in self.table), default=0.0))
-
 
 def _call(f, s, scale):
     if isinstance(f, SpectralFunction):

@@ -23,10 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    CERT_SLACK, CLUSTER_RTOL, JOINT_FALLBACK_SLACK, JOINT_TARGET_RTOL,
-    PREGROUP_RTOL, resolve_tol,
+    CLUSTER_RTOL, JOINT_FALLBACK_SLACK, JOINT_TARGET_RTOL, PREGROUP_RTOL,
+    resolve_tol,
 )
-from .errors import DiagonalizationFailed, NotCommuting, NotNormal
+from .errors import DiagonalizationFailed, NotNormal
 from .reporting import worst
 
 __all__ = [
@@ -82,26 +82,20 @@ def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
     return u * _column_phases(u)
 
 
-def _check_normal(a: np.ndarray, tol: float) -> None:
-    """Raise :class:`NotNormal` for the first matrix of a stack (or the
-    one matrix) whose normality defect exceeds ``tol * (1 + ||a||^2)``."""
-    ah = _adjoints(a)
-    dev = np.ravel(np.linalg.norm(a @ ah - ah @ a, axis=(-2, -1)))
-    bound = tol * (1.0 + np.ravel(np.linalg.norm(a, axis=(-2, -1))) ** 2)
-    bad = ~(dev <= bound)
-    if bad.any():
-        raise NotNormal(f"normality defect {dev[np.argmax(bad)]:.3e}")
-
-
 def normal_eig(m, tol: float | None = None):
     """Unitary eigendecomposition of a normal matrix.
 
     Returns ``(evals, u)`` with complex eigenvalues in column order of
-    ``u``; see :func:`_normal_eig_core` for the method.
+    ``u``; see :func:`_normal_eig_core` for the method.  Raises
+    :class:`NotNormal` when the normality defect ``||a a* - a* a||_HS``
+    exceeds ``tol * (1 + ||a||_HS^2)``.
     """
     tol = resolve_tol(tol)
     a = _as_matrix(m)
-    _check_normal(a, tol)
+    ah = a.conj().T
+    dev = np.linalg.norm(a @ ah - ah @ a)
+    if not dev <= tol * (1.0 + np.linalg.norm(a) ** 2):
+        raise NotNormal(f"normality defect {dev:.3e}")
     evals, u = _normal_eig_core(a, CLUSTER_RTOL * (1.0 + op_norm(a)))
     return evals, _normalize_column_phases(u)
 
@@ -199,13 +193,6 @@ class JointEigenstructure:
         """First column of every block."""
         return np.cumsum(self.sizes) - self.sizes
 
-    def columns(self, order) -> np.ndarray:
-        """Column indices of the blocks listed in ``order``, block after
-        block."""
-        sizes = self.sizes[order]
-        offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return np.repeat(self.starts[order], sizes) + offsets
-
 
 def _noncommuting_pair(stack: np.ndarray, tol: float, pairs=None):
     """The first pair ``(i, j)``, ``i < j`` in row-major order, of a
@@ -233,78 +220,19 @@ def _noncommuting_pair(stack: np.ndarray, tol: float, pairs=None):
     return None
 
 
-def _require_commuting(stack: np.ndarray, tol: float, pairs=None) -> None:
-    """Raise :class:`NotCommuting` for the first failing pair of
-    :func:`_noncommuting_pair`."""
-    pair = _noncommuting_pair(stack, tol, pairs)
-    if pair is not None:
-        i, j, dev = pair
-        raise NotCommuting(
-            f"inputs {i} and {j} do not commute (residual {dev:.3e})",
-            pair=(i, j),
-            residual=dev,
-        )
-
-
-def _uncertified_pairs(stack, tol, result, defects, delta):
-    """Index arrays ``(i, j)``, in row-major order, of the pairs whose
-    commutation the joint eigenbasis ``result`` cannot certify.
-
-    ``defects[i]`` is ``e_i = ||comp_i - M_i||_HS``, where ``comp_i =
-    U* m_i U`` and ``M_i`` is the block-scalar model, and ``delta`` is
-    ``||U*U - I||_HS``, which bounds the spectral norm.  With ``mu_i =
-    max_b |lambda_i(b)|`` and ``n_i = ||m_i||_HS``:
-
-    * ``M_i`` and ``M_j`` are diagonal, so they commute, and
-      ``[comp_i, comp_j] = [M_i, E_j] + [E_i, M_j] + [E_i, E_j]`` with
-      ``E_i = comp_i - M_i``; since ``||XY||_HS <= ||X||_op ||Y||_HS``,
-      ``||[comp_i, comp_j]||_HS <= 2 (mu_i e_j + mu_j e_i + e_i e_j)``.
-    * ``G = U*U`` has its eigenvalues in ``[1 - delta, 1 + delta]``.
-      For ``delta < 1``, ``m_i = U^-* comp_i U^-1`` and ``[m_i, m_j] =
-      U^-* ([comp_i, comp_j] + comp_i R comp_j - comp_j R comp_i)
-      U^-1`` with ``R = G^-1 - I``, ``||R||_op <= delta / (1 - delta)``,
-      ``||U^-1||_op^2 <= 1 / (1 - delta)`` and ``||comp_i||_op <= (1 +
-      delta) n_i``.  So ``||[m_i, m_j]||_HS <= (2 (mu_i e_j + mu_j e_i
-      + e_i e_j) + 2 delta (1 + delta)^2 / (1 - delta) n_i n_j) / (1 -
-      delta)``.
-
-    A pair is certified when that bound times ``config.CERT_SLACK`` is
-    at most the pair's bound in :func:`_noncommuting_pair`, ``tol * (1
-    + n_i n_j)``: the slack leaves room for the rounding of ``comp``, of
-    ``e_i`` and of the explicit commutator, so a certified pair passes
-    that check.  A NaN certifies nothing."""
-    i, j = np.triu_indices(len(stack), 1)
-    if not delta < 1.0:
-        return i, j
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    mu = np.abs(result.eigenvalues).max(axis=1, initial=0.0)
-    e, nn = defects, norms[i] * norms[j]
-    block = 2.0 * (mu[i] * e[j] + mu[j] * e[i] + e[i] * e[j])
-    mixing = 2.0 * delta * (1.0 + delta) ** 2 / (1.0 - delta) * nn
-    bound = (block + mixing) / (1.0 - delta)
-    certified = CERT_SLACK * bound <= tol * (1.0 + nn)
-    return i[~certified], j[~certified]
-
-
 def joint_diagonalize(
-    family,
-    tol: float | None = None,
-    *,
-    seed: int = 0,
-    dim: int | None = None,
+    family, tol: float | None = None, *, seed: int = 0
 ) -> JointEigenstructure:
     """Simultaneously diagonalize a commuting family of normal matrices.
 
     Parameters
     ----------
-    family : sequence of square matrices, all the same size
-        Must be finite, pairwise commuting and individually normal.  A
-        failure raises ``ValueError`` on non-finite entries, else
-        :class:`NotCommuting` naming the first pair in row-major order
-        whose commutator exceeds ``tol * (1 + ||m_i||_HS ||m_j||_HS)``,
-        else :class:`NotNormal`.  The empty family is allowed when
-        ``dim`` is given and yields the single full block (no
-        eigenvalues).
+    family : non-empty sequence of square matrices, all the same size
+        Must be finite (``ValueError`` otherwise).  Commutation and
+        normality are not checked: a family without them does not
+        verify and raises :class:`DiagonalizationFailed`, or comes back
+        with a residual under the fallback bound.  A caller that needs
+        them proves them from the result, as ``duality.spectrum`` does.
     tol : float, optional
         Verification tolerance (scale-relative).
     seed : int
@@ -318,28 +246,11 @@ def joint_diagonalize(
     verify the residuals (bounds: ``config.CLUSTER_RTOL`` and the
     ``JOINT_*`` constants).  Up to five seeds are attempted before
     :class:`DiagonalizationFailed` is raised.
-
-    Order of checks: finiteness, then normality.  Commutation is
-    checked where it decides the outcome, so the exceptions above keep
-    their order:
-
-    * when normality fails, every pair is searched before
-      :class:`NotNormal` is raised;
-    * the accepted attempt (the target one, or the fallback ``best``)
-      certifies the pairs its block-scalar models clear
-      (:func:`_uncertified_pairs`) and forms commutators only for the
-      rest, which yields the same first failing pair;
-    * when the first attempt misses the fallback bound, every pair is
-      searched before the next attempt; no attempt can verify
-      otherwise, so :class:`DiagonalizationFailed` comes after that
-      search.
     """
     tol = resolve_tol(tol)
     mats = [_as_matrix(m) for m in family]
     if not mats:
-        if dim is None:
-            raise ValueError("empty family needs an explicit dim")
-        return trivial_eigenstructure(dim)
+        raise ValueError("joint_diagonalize needs a non-empty family")
     d = mats[0].shape[0]
     for m in mats:
         if m.shape != (d, d):
@@ -347,58 +258,30 @@ def joint_diagonalize(
     stack = np.stack(mats)
     if not np.isfinite(stack).all():
         raise ValueError("non-finite entries in joint_diagonalize input")
-    try:
-        _check_normal(stack, tol)
-    except NotNormal:
-        _require_commuting(stack, tol)
-        raise
     if d == 0:
         return JointEigenstructure(
             stack[0], np.zeros(0, dtype=int), np.zeros((len(mats), 0), complex)
         )
 
     scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
-    fallback = JOINT_FALLBACK_SLACK * tol * scales.max()
     # aim for machine precision first (an unlucky combination can leave
     # inter-block mixing around 1e-9 that still sits under loose user
     # tolerances); fall back to the requested tolerance only when no
     # seed reaches the tight target
-    searched = False  # every pair has passed the explicit search
     best, best_residual = None, np.inf
     for attempt in range(5):
         rng = np.random.default_rng([seed & 0xFFFFFFFF, attempt, 0x6A0D])
         result, comp = _attempt_joint(stack, rng, scales)
-        residual, defects, delta = _verify_joint(result, comp, scales)
+        residual = _verify_joint(result, comp, scales)
         if residual <= JOINT_TARGET_RTOL:
-            if not searched:
-                _require_commuting(
-                    stack, tol, _uncertified_pairs(stack, tol, result, defects, delta)
-                )
             return result
         if residual < best_residual:
-            best, best_residual = (result, defects, delta), residual
-        if attempt == 0 and not residual <= fallback:
-            # a non-commuting family fails here, after one attempt; when
-            # no attempt verifies, this one missed too, so the search
-            # has run before DiagonalizationFailed
-            _require_commuting(stack, tol)
-            searched = True
-    if best_residual <= fallback:
-        if not searched:
-            _require_commuting(stack, tol, _uncertified_pairs(stack, tol, *best))
-        return best[0]
+            best, best_residual = result, residual
+    if best_residual <= JOINT_FALLBACK_SLACK * tol * scales.max():
+        return best
     raise DiagonalizationFailed(
         f"joint diagonalization failed to verify after 5 seeds "
         f"(best residual {best_residual:.3e})"
-    )
-
-
-def trivial_eigenstructure(dim: int) -> JointEigenstructure:
-    """The single-block structure for the empty family over ``dim``."""
-    return JointEigenstructure(
-        unitary=np.eye(dim, dtype=complex),
-        sizes=np.array([dim]),
-        eigenvalues=np.zeros((0, 1), dtype=complex),
     )
 
 
@@ -509,18 +392,17 @@ def _attempt_joint(stack, rng, scales):
     return result, comp
 
 
-def _verify_joint(result: JointEigenstructure, comp, scales):
-    """``(residual, defects, delta)`` of one attempt.  ``defects[i]`` is
-    the HS distance of ``comp[i]`` (input ``i`` compressed into
-    ``result.unitary``) from its block-scalar model, ``delta`` the HS
-    norm of the unitarity defect ``U*U - I``, and ``residual`` the
-    worst of ``delta`` and the defects over the inputs' scales, a NaN
-    counting as +inf."""
+def _verify_joint(result: JointEigenstructure, comp, scales) -> float:
+    """The residual of one attempt: the worst of the HS norm of the
+    unitarity defect ``U*U - I`` and, per input, the HS distance of
+    ``comp[i]`` (input ``i`` compressed into ``result.unitary``) from
+    its block-scalar model over the input's scale, a NaN counting as
+    +inf."""
     u = result.unitary
     model = _diag(np.repeat(result.eigenvalues, result.sizes, axis=1))
     defects = np.linalg.norm(comp - model, axis=(1, 2))
-    delta = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
-    return worst(np.append(defects / scales, delta))[0], defects, delta
+    delta = np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
+    return worst(np.append(defects / scales, delta))[0]
 
 
 class OrthoBasis(NamedTuple):

@@ -57,8 +57,6 @@ __all__ = [
     "classify",
     "emit",
     "parse",
-    "complex_to_json",
-    "complex_from_json",
     "matrix_to_json",
     "matrix_from_json",
     "category_to_json",
@@ -248,14 +246,6 @@ def _complex_array(nested, shape: tuple, what: str) -> np.ndarray:
         raise SchemaError(f"{what} holds a number out of float range") from exc
     _need(np.isfinite(parts).all(), f"{what} must be finite")
     return parts.view(complex).reshape(shape)
-
-
-def complex_to_json(z) -> list:
-    return _pairs(complex(z))
-
-
-def complex_from_json(v) -> complex:
-    return complex(_complex_array(v, (), "complex scalar")[()])
 
 
 def matrix_to_json(m) -> dict:

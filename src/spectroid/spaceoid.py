@@ -50,11 +50,9 @@ __all__ = [
     "trivial_spaceoid",
     "linking_spaceoid",
     "torsor_associated",
-    "torsor_change_morphism",
     "validate_morphism",
     "compose",
     "identity_morphism",
-    "is_isomorphism",
     "morphism_distance",
 ]
 
@@ -397,9 +395,7 @@ def torsor_associated(
     The representatives, stacked, are a gauge on the trivial table.
     Each is exactly multiplicative, so the associated constants are the
     coboundary psi_AB psi_BC conj(psi_AC) == 1: the output is the
-    trivial spaceoid however the representatives are chosen (changing
-    them moves the result by an isomorphism, see
-    :func:`torsor_change_morphism`).
+    trivial spaceoid however the representatives are chosen.
     """
     e = trivial_spaceoid(x_size, o_size)
     if torsor_reps is None:
@@ -409,21 +405,6 @@ def torsor_associated(
         require_phase_functor(rep, e.objects)
     psi = [[[rep.at(a, b) for b in e.objects] for a in e.objects] for rep in reps]
     return apply_gauge(e, psi)
-
-
-def torsor_change_morphism(
-    o_size: int, x_size: int, chi: PhaseFunctor
-) -> SpaceoidMorphism:
-    """The isomorphism induced by multiplying every torsor
-    representative by the fixed functor ``chi``."""
-    e = trivial_spaceoid(x_size, o_size)
-    require_phase_functor(chi, e.objects)
-    psi = [[chi.at(a, b) for b in e.objects] for a in e.objects]
-    return SpaceoidMorphism(
-        f_delta={p: p for p in e.base_points},
-        f_r={o: o for o in e.objects},
-        fiber_scalars=np.broadcast_to(psi, e.table.shape[:3]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +489,6 @@ def compose(m2: SpaceoidMorphism, m1: SpaceoidMorphism) -> SpaceoidMorphism:
 def _base_bijective(m: SpaceoidMorphism, cod: SpaceoidData) -> bool:
     """Whether the base map of ``m`` hits each of ``cod``'s points once."""
     return Counter(m.f_delta.values()) == Counter(cod.base_points)
-
-
-def is_isomorphism(
-    m: SpaceoidMorphism,
-    dom: SpaceoidData,
-    cod: SpaceoidData,
-    tol: float | None = None,
-) -> bool:
-    """Valid morphism whose base map is a bijection."""
-    return validate_morphism(m, dom, cod, tol).passed and _base_bijective(m, cod)
 
 
 def morphism_distance(m1: SpaceoidMorphism, m2: SpaceoidMorphism) -> float:

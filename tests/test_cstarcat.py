@@ -7,10 +7,10 @@ import pytest
 from spectroid import cstarcat, groups, numkit, selftest
 from spectroid.cstarcat import (
     CategoryPresentation,
+    StarFunctor,
     close,
     check_axioms,
     compose_functors,
-    functor_from_images,
     generated_by,
     groupoid_category,
     identity_functor,
@@ -460,15 +460,22 @@ def test_identity_functor_validates():
     assert rep.passed, rep.summary()
 
 
+def gauge_functor(cat, nu):
+    """Block (A, B) multiplied by the phase ``nu_A conj(nu_B)``."""
+    return StarFunctor(
+        {o: o for o in cat.object_ids},
+        {
+            (a, b): nu[a] * np.conj(nu[b]) * np.eye(len(basis))
+            for (a, b), basis in cat.blocks.items()
+        },
+    )
+
+
 def test_gauge_automorphism_is_star_functor():
     # multiply block (A,B) by a phase nu_A conj(nu_B): always a functor
     cat = linking_category(3, [2, 0, 1], phases=[1.0, 1j, -1.0])
     nu = {"A": np.exp(0.7j), "B": np.exp(-1.2j)}
-    images = {
-        (a, b): [nu[a] * np.conj(nu[b]) * m for m in cat.block(a, b)]
-        for (a, b) in cat.blocks
-    }
-    phi = functor_from_images(cat, cat, {"A": "A", "B": "B"}, images)
+    phi = gauge_functor(cat, nu)
     rep = validate_functor(phi, cat, cat)
     assert rep.passed, rep.summary()
 
@@ -602,14 +609,7 @@ def test_compose_functors_matches_pointwise():
     nu1 = {"A": 1j, "B": 1.0}
     nu2 = {"A": np.exp(0.3j), "B": np.exp(0.9j)}
 
-    def gauge(nu):
-        images = {
-            (a, b): [nu[a] * np.conj(nu[b]) * m for m in cat.block(a, b)]
-            for (a, b) in cat.blocks
-        }
-        return functor_from_images(cat, cat, {"A": "A", "B": "B"}, images)
-
-    phi1, phi2 = gauge(nu1), gauge(nu2)
+    phi1, phi2 = gauge_functor(cat, nu1), gauge_functor(cat, nu2)
     comp = compose_functors(phi2, phi1)
     x = cat.block("A", "B")[0] + 2j * cat.block("A", "B")[1]
     via_comp = cstarcat.functor_image(comp, cat, cat, "A", "B", x)

@@ -27,6 +27,9 @@ from spectroid.errors import (
 )
 from spectroid.numkit import hs_norm, joint_diagonalize, op_norm
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
 
 # --- helpers -----------------------------------------------------------------
 
@@ -237,6 +240,129 @@ def test_non_commutative_full_category_raises_whichever_object_is_the_anchor(ord
         du.spectrum(c)
 
 
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A")], ids=["A-first", "B-first"])
+@pytest.mark.parametrize("empty", ["A", "B"])
+def test_empty_diagonal_block_is_not_unital(order, empty):
+    # a unital-flagged category whose C_XX holds no identity, whether X
+    # is the anchor or not
+    c = cc.linking_category(3, [1, 2, 0])
+    blocks = dict(c.blocks)
+    blocks[(empty, empty)] = []
+    with pytest.raises(NotUnital, match=f"block \\({empty},{empty}\\) is empty"):
+        du.spectrum(cc.MatrixCategory(tuple((o, 3) for o in order), blocks, True))
+
+
+def _spy_on_commutators(monkeypatch):
+    """Record the pairs ``spectrum`` leaves to the explicit commutator
+    check, one ``set`` of ``(i, j)`` per diagonal block it checks."""
+    calls = []
+    search = du._noncommuting_pair
+
+    def spy(stack, tol, pairs):
+        calls.append((stack, set(zip(pairs[0].tolist(), pairs[1].tolist()))))
+        return search(stack, tol, pairs)
+
+    monkeypatch.setattr(du, "_noncommuting_pair", spy)
+    return calls
+
+
+def _assert_certified_pairs_commute(stack, explicit, tol=1e-9):
+    """Every pair of ``stack`` outside ``explicit`` passes the explicit
+    check, ``||[m_i, m_j]||_HS <= tol (1 + ||m_i|| ||m_j||)``."""
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    for i, j in zip(*np.triu_indices(len(stack), 1)):
+        if (i, j) not in explicit:
+            dev = np.linalg.norm(stack[i] @ stack[j] - stack[j] @ stack[i])
+            assert dev <= tol * (1 + norms[i] * norms[j]), (i, j)
+
+
+def _planted_b_defect(delta, order):
+    """``linking_category(3, [1, 2, 0], [1, 1j, -1])`` with basis
+    element 0 of (B, B) moved by ``delta * E_01``, objects in ``order``."""
+    c = cc.linking_category(3, [1, 2, 0], [1, 1j, -1])
+    blocks = {key: list(basis) for key, basis in c.blocks.items()}
+    e01 = np.zeros((3, 3), dtype=complex)
+    e01[0, 1] = 1.0
+    blocks[("B", "B")][0] = blocks[("B", "B")][0] + delta * e01
+    return cc.MatrixCategory(tuple((o, 3) for o in order), blocks, c.unital)
+
+
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A")], ids=["A-first", "B-first"])
+@pytest.mark.parametrize("delta", [1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7])
+def test_planted_defect_verdict_does_not_depend_on_the_anchor(monkeypatch, order, delta):
+    # from 3e-9 on, (B, B) fails is_commutative at tol 1e-9: spectrum
+    # raises NotCommutative with either object first, though anchored
+    # at A its diagonalization never sees (B, B); below, both orders
+    # return a spectrum
+    c = _planted_b_defect(delta, order)
+    calls = _spy_on_commutators(monkeypatch)
+    if cc.is_commutative(c, 1e-9):
+        assert delta <= 1e-9
+        du.spectrum(c, 1e-9)
+    else:
+        assert delta >= 3e-9
+        with pytest.raises(NotCommutative):
+            du.spectrum(c, 1e-9)
+    for stack, explicit in calls:
+        _assert_certified_pairs_commute(stack, explicit)
+
+
+def _planted_pair_category(factor, j, k, d=6, seed=0, tol=1e-9):
+    """A one-object category whose ``d`` basis elements commute, are
+    Hermitian and span the diagonal algebra of a random basis, with
+    element ``k`` moved by ``eps H`` so that only the pair ``(j, k)``
+    fails to commute, by ``factor`` times its bound ``tol (1 + ||m_j||
+    ||m_k||)``.
+
+    In the planted basis ``H`` swaps columns 0 and 1, on which every
+    element but ``j`` is scalar."""
+    rng = np.random.default_rng(seed)
+    q = rand_unitary(rng, d)
+    lam = rng.integers(-3, 4, size=(d, d)).astype(float)
+    lam[:, 1] = lam[:, 0]
+    lam[j, 1] = lam[j, 0] + 2.0
+    assert abs(np.linalg.det(lam)) > 0.5  # the span holds the unit
+    mats = [q @ np.diag(row) @ q.conj().T for row in lam]
+    x = np.zeros((d, d))
+    x[0, 1] = x[1, 0] = 1.0
+    h = q @ x @ q.conj().T
+    # ||[eps H, m_j]||_HS = eps * 2 sqrt(2), and H is HS-orthogonal to m_k
+    eps = 0.0
+    for _ in range(5):
+        nk = np.sqrt(np.linalg.norm(mats[k]) ** 2 + 2 * eps ** 2)
+        eps = factor * tol * (1.0 + np.linalg.norm(mats[j]) * nk) / (2 * np.sqrt(2))
+    mats[k] = mats[k] + eps * h
+    return cc.MatrixCategory((("A", d),), {("A", "A"): mats}, unital=True)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("factor", [0.5, 1.01, 2.0, 10.0])
+def test_planted_pair_is_never_certified(monkeypatch, factor, seed):
+    # spectrum leaves the planted pair to the explicit check at any size
+    # of its defect, and every pair it certifies passes that check
+    c = _planted_pair_category(factor, 1, 3, seed=seed)
+    calls = _spy_on_commutators(monkeypatch)
+    if factor < 1:
+        du.spectrum(c, 1e-9)
+    else:
+        with pytest.raises(NotCommutative, match="elements 1 and 3 of block"):
+            du.spectrum(c, 1e-9)
+    (stack, explicit), = calls
+    assert (1, 3) in explicit
+    _assert_certified_pairs_commute(stack, explicit)
+
+
+@pytest.mark.parametrize("name", ["category-roundtrip", "spaceoid-roundtrip"])
+def test_commuting_decks_form_no_commutator(monkeypatch, name):
+    # the benchmark's seed-101 category and spaceoid decks: every pair
+    # of every diagonal block is certified from the completeness check
+    calls = _spy_on_commutators(monkeypatch)
+    w = workloads.WORKLOADS[name]
+    for case in w.make_deck(101):
+        assert w.run(*case.inputs)[0], case.label
+    assert not calls
+
+
 def test_spectrum_raises_ambiguous_matching():
     # both diagonals split into two lines; the (A, B) block mixes them
     e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
@@ -381,7 +507,7 @@ def reference_canonical_frame(comp):
 
 def block_isometry(eig, b):
     """Columns of the joint eigenbasis spanning eigenblock ``b``."""
-    return eig.unitary[:, eig.columns([b])]
+    return eig.unitary[:, eig.starts[b]:eig.starts[b] + eig.sizes[b]]
 
 
 def reference_parts(spec, tol=1e-9):
@@ -393,7 +519,7 @@ def reference_parts(spec, tol=1e-9):
     transport."""
     c = spec.category
     ids = c.object_ids
-    eigs = {o: joint_diagonalize(c.block(o, o), tol, dim=c.dim(o)) for o in ids}
+    eigs = {o: joint_diagonalize(c.block(o, o), tol) for o in ids}
     a0, k = ids[0], eigs[ids[0]].n_blocks
     blocks = {(o, j): block_isometry(eigs[o], j) for o in ids for j in range(k)}
     class_block = {(i, a0): i for i in range(k)}

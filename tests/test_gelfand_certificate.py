@@ -50,12 +50,12 @@ CATEGORIES = {
 
 
 def gelfand_parts(cat):
-    """``gelfand``'s spectrum, sections, gauge and block maps, ``(o, o,
-    n, n)``."""
+    """``gelfand``'s spectrum, sections and block maps, ``(o, o, n,
+    n)``."""
     spec = du.spectrum(cat, TOL)
-    sec, gauge = du.sections_with_gauge(spec.spaceoid, TOL)
+    sec = du.sections(spec.spaceoid, TOL)
     coeffs = spec._class_means(np.diagonal(spec.compressions, axis1=-2, axis2=-1))
-    return spec, sec, gauge, np.swapaxes(coeffs, -1, -2)
+    return spec, sec, np.swapaxes(coeffs, -1, -2)
 
 
 def functor(cat, maps):
@@ -128,12 +128,12 @@ def multiplicativity(report):
 @pytest.mark.parametrize("name", sorted(CATEGORIES))
 def test_certified_pairs_bound_their_explicit_defects(name, scale):
     cat = CATEGORIES[name]()
-    spec, sec, gauge, maps = gelfand_parts(cat)
+    spec, sec, maps = gelfand_parts(cat)
     ids = cat.object_ids
     maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
     q = du._compressions(cat, spec, maps)
-    mult, outside = du._product_bounds(q, gauge)
-    certified, _ = du._certificates(cat, q, gauge, TOL)
+    mult, outside = du._product_bounds(q)
+    certified, _ = du._certificates(cat, q, TOL)
     explicit = explicit_products(cat, sec, maps)
     worst = 0.0
     for (i, a), (j, b), (k, c) in itertools.product(enumerate(ids), repeat=3):
@@ -169,12 +169,12 @@ def involution(report):
 @pytest.mark.parametrize("name", sorted(CATEGORIES))
 def test_certified_adjoints_bound_their_explicit_defects(name, scale):
     cat = CATEGORIES[name]()
-    spec, sec, gauge, maps = gelfand_parts(cat)
+    spec, sec, maps = gelfand_parts(cat)
     ids = cat.object_ids
     maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
     q = du._compressions(cat, spec, maps)
-    inv, outside = du._adjoint_bounds(q, gauge)
-    certified, axioms = du._certificates(cat, q, gauge, TOL)
+    inv, outside = du._adjoint_bounds(q)
+    certified, axioms = du._certificates(cat, q, TOL)
     explicit = explicit_adjoints(cat, sec, maps)
     worst = 0.0
     for (i, a), (j, b) in itertools.product(enumerate(ids), repeat=2):
@@ -206,14 +206,14 @@ def test_certified_adjoints_bound_their_explicit_defects(name, scale):
 def test_one_bad_pair_among_many_is_named_as_before():
     n, k = 12, 5
     cat = du.classical_category(n)
-    spec, sec, gauge, maps = gelfand_parts(cat)
+    spec, sec, maps = gelfand_parts(cat)
     # phi(e_k) scaled by 1 + 1e-6: only the pair (k, k) fails, at ten
     # times the bound
     maps = maps.copy()
     maps[0, 0, :, k] *= 1 + 10 * BOUND
     q = du._compressions(cat, spec, maps)
-    certified, _ = du._certificates(cat, q, gauge, TOL)
-    mult = du._product_bounds(q, gauge)[0][0, 0, 0]
+    certified, _ = du._certificates(cat, q, TOL)
+    mult = du._product_bounds(q)[0][0, 0, 0]
     assert ("A", "A", "A") not in certified
     assert not CERT_SLACK * mult[k, k] <= BOUND
     # products that vanish, away from e_k, have bounds that clear, but
@@ -320,7 +320,7 @@ def test_roundtrip_matches_its_parts_run_apart(name):
     # and so is every certified item's
     bounds = {}
     du.gelfand(cat, TOL, _axioms=bounds)
-    _, sec, _, maps = gelfand_parts(cat)
+    _, sec, maps = gelfand_parts(cat)
     adjoints, products = explicit_adjoints(cat, sec, maps), explicit_products(cat, sec, maps)
     for key, bound in bounds.items():
         resid = adjoints[key][1] if len(key) == 2 else products[key][1]
@@ -336,7 +336,7 @@ def _nan_at(arr, index=0):
     return out
 
 
-def _plant_nan(where, cat, spec, gauge, maps):
+def _plant_nan(where, cat, spec, maps):
     """One NaN in one input of the certificate; returns the inputs."""
     a = cat.object_ids[0]
     if where == "block-map":
@@ -351,12 +351,10 @@ def _plant_nan(where, cat, spec, gauge, maps):
     elif where == "compressions":
         comp = _nan_at(spec.compressions, 5)
         spec = dataclasses.replace(spec, compressions=comp)
-    elif where == "gauge":
-        gauge = _nan_at(gauge, 1)
-    return cat, spec, gauge, maps
+    return cat, spec, maps
 
 
-NAN_INPUTS = ["block-map", "basis", "bases", "compressions", "gauge"]
+NAN_INPUTS = ["block-map", "basis", "bases", "compressions"]
 
 
 @pytest.mark.parametrize("where", NAN_INPUTS)
@@ -365,17 +363,16 @@ NAN_INPUTS = ["block-map", "basis", "bases", "compressions", "gauge"]
 ], ids=["classical", "group-Z5"])
 def test_nan_in_any_input_certifies_nothing(make, where):
     # one object, so every pair and every combination reads every input
-    spec, _, gauge, maps = gelfand_parts(make())
-    cat, spec, gauge, maps = _plant_nan(where, make(), spec, gauge, maps)
+    spec, _, maps = gelfand_parts(make())
+    cat, spec, maps = _plant_nan(where, make(), spec, maps)
     q = du._compressions(cat, spec, maps)
-    functor, axioms = du._certificates(cat, q, gauge, TOL)
+    functor, axioms = du._certificates(cat, q, TOL)
     assert not functor
-    inv, outside = du._adjoint_bounds(q, gauge)
+    inv, outside = du._adjoint_bounds(q)
     assert np.isnan(inv).all()
-    if where != "gauge":  # the residual bounds do not read the gauge
-        assert not axioms
-        assert np.isnan(outside).all()
-    if where not in ("basis", "gauge"):  # the inputs the isometry reads
+    assert not axioms
+    assert np.isnan(outside).all()
+    if where != "basis":  # the inputs the isometry reads
         z = np.ones((1, 1, 3, maps.shape[-1]), dtype=complex)
         assert np.isnan(du._isometry_bounds(q, z, np.ones((1, 1, 3)))).all()
 
@@ -410,7 +407,7 @@ def test_gelfand_with_a_nan_coefficient_fails_without_raising(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CATEGORIES))
 def test_isometry_bounds_hold_and_large_defects_stay_explicit(name, scale):
     cat = CATEGORIES[name]()
-    spec, _, _, maps = gelfand_parts(cat)
+    spec, _, maps = gelfand_parts(cat)
     # one block's transform scaled: about `scale` times the isometry bound
     # on combinations of operator norm about 1-3
     maps = maps.copy()

@@ -1,7 +1,9 @@
 """Import layering of the package: every import sits at module level,
 and ``groups`` (finite groups and groupoids) sits below ``cstarcat``,
 which builds the groupoid C*-categories from it.  Every public error
-class has a raise site, so a dead one cannot stay in ``errors``."""
+class has a raise site, so a dead one cannot stay in ``errors``, and
+every public name has a caller in the package or the benchmark, so a
+name only tests use cannot stay in an ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,13 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectroid"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public names with no caller yet: the functoriality suite of ROADMAP
+# item 9 is to use them, and item 10 deletes whichever it does not.
+AWAITING_CALLER = {
+    "identity_functor", "compose_functors", "identity_morphism", "compression_functor",
+}
 
 
 def _function_imports(tree) -> list:
@@ -60,23 +69,53 @@ def _raised_names(tree) -> set:
     return found
 
 
-def _public_errors() -> list:
-    """``errors.__all__``, read from the module's source."""
-    tree = ast.parse((SRC / "errors.py").read_text())
-    for node in tree.body:
+def _read_names(tree) -> set:
+    """Names a module reads, however spelled: ``x``, ``m.x``,
+    ``obj.x``.  Definitions, imports and the strings of ``__all__`` do
+    not count."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+def _exported(path) -> list:
+    """A module's ``__all__``, read from its source (empty without one)."""
+    for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("errors.py has no __all__")
+    return []
 
 
 def test_every_error_class_has_a_raise_site():
     raised = set().union(
         *(_raised_names(ast.parse(path.read_text())) for path in SRC.glob("*.py"))
     )
-    dead = [n for n in _public_errors() if n != "SpectroidError" and n not in raised]
-    assert not dead, f"error classes nothing raises: {dead}"
+    errors = _exported(SRC / "errors.py")
+    dead = [n for n in errors if n != "SpectroidError" and n not in raised]
+    assert errors and not dead, f"error classes nothing raises: {dead}"
+
+
+def test_every_public_name_has_a_caller():
+    programs = [
+        path for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+        if not path.name.startswith("test_")
+    ]
+    read = set().union(*(_read_names(ast.parse(p.read_text())) for p in programs))
+    public = {
+        f"{path.stem}.{name}": name
+        for path in sorted(SRC.glob("*.py")) for name in _exported(path)
+    }
+    unused = [key for key, name in public.items() if name not in read | AWAITING_CALLER]
+    assert not unused, f"public names only tests use: {unused}"
+    # the allowlist shrinks as its names find callers
+    assert not AWAITING_CALLER & read, AWAITING_CALLER & read
+    assert AWAITING_CALLER <= set(public.values())
 
 
 def test_no_module_imports_inside_a_function():
@@ -137,3 +176,18 @@ def test_package_import_scan(text, modules):
 )
 def test_raise_scan(text, names):
     assert _raised_names(ast.parse(text)) == names
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("y = f(x)", {"f", "x"}),
+        ("du.spectrum(c)", {"du", "spectrum", "c"}),
+        ("def spectrum(c):\n    return c", {"c"}),
+        ("from .numkit import hs_member", set()),
+        ("__all__ = ['spectrum']", set()),
+        ("spec.ranks = r", {"spec", "r"}),
+    ],
+)
+def test_read_name_scan(text, names):
+    assert _read_names(ast.parse(text)) == names

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectroid import numkit
-from spectroid.errors import DiagonalizationFailed, NotCommuting, NotNormal
+from spectroid.errors import DiagonalizationFailed, NotNormal
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -137,6 +137,11 @@ def planted_family(rng, d, n_inputs, n_blocks):
     return mats, sizes, evals
 
 
+def block_columns(je, b):
+    """Column indices of eigenblock ``b``."""
+    return np.arange(je.starts[b], je.starts[b] + je.sizes[b])
+
+
 def test_joint_diagonalize_recovers_planted_structure():
     rng = np.random.default_rng(11)
     for trial in range(10):
@@ -162,7 +167,7 @@ def test_joint_diagonalize_recovers_planted_structure():
             conj = u.conj().T @ m @ u
             model = np.zeros_like(conj)
             for b in range(je.n_blocks):
-                blk = je.columns([b])
+                blk = block_columns(je, b)
                 model[np.ix_(blk, blk)] = je.eigenvalues[i, b] * np.eye(len(blk))
             assert np.linalg.norm(conj - model) < 1e-8
 
@@ -211,36 +216,29 @@ def test_joint_eigenstructure_rejects_bad_sizes(sizes):
         numkit.JointEigenstructure(u, np.array(sizes), evals)
 
 
-def test_joint_diagonalize_empty_family():
-    je = numkit.joint_diagonalize([], dim=3)
-    assert je.n_blocks == 1
-    assert je.sizes.tolist() == [3]
-    assert np.array_equal(je.unitary, np.eye(3))
+def test_joint_diagonalize_rejects_empty_family():
+    with pytest.raises(ValueError, match="non-empty"):
+        numkit.joint_diagonalize([])
 
 
-def test_joint_diagonalize_rejects_noncommuting():
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    z = np.diag([1.0, -1.0])
-    with pytest.raises(NotCommuting) as exc:
-        numkit.joint_diagonalize([x, z])
-    assert exc.value.pair == (0, 1)
-    assert exc.value.residual > 1.0
+NOT_DIAGONALIZABLE = {
+    "paulis": [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+    "non-normal": [np.array([[0.0, 1.0], [0.0, 0.0]])],
+    "commuting-then-not": [np.diag([1.0, -1.0]), 2 * np.eye(2), np.ones((2, 2))],
+}
 
 
-def test_joint_diagonalize_names_first_noncommuting_pair():
-    # (0, 1) commute; (0, 2) and (1, 2) do not: the first in (i, j)
-    # order is named, with its own residual
-    z = np.diag([1.0, -1.0])
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NotCommuting) as exc:
-        numkit.joint_diagonalize([z, 2 * z, 3 * x])
-    assert exc.value.pair == (0, 2)
-    assert exc.value.residual == pytest.approx(np.linalg.norm(z @ x - x @ z) * 3)
+@pytest.mark.parametrize("name", NOT_DIAGONALIZABLE)
+def test_joint_diagonalize_fails_to_verify_without_a_check_of_its_own(monkeypatch, name):
+    # commutation and normality are the caller's to prove: a family
+    # without them fails the verification, and no commutator or
+    # normality product is formed on the way
+    def forbidden(*args, **kwargs):
+        raise AssertionError("joint_diagonalize formed a commutator")
 
-
-def test_joint_diagonalize_rejects_nonnormal():
-    with pytest.raises(NotNormal):
-        numkit.joint_diagonalize([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    monkeypatch.setattr(numkit, "_noncommuting_pair", forbidden)
+    with pytest.raises(DiagonalizationFailed, match="after 5 seeds"):
+        numkit.joint_diagonalize(NOT_DIAGONALIZABLE[name], 1e-9)
 
 
 def test_joint_diagonalize_degenerate_pair_needs_refinement():
@@ -267,9 +265,9 @@ def test_verify_joint_counts_nan_as_infinite(where):
     je = numkit.joint_diagonalize(stack, 1e-9)
     comp = numkit._compress(je.unitary, stack)
     scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
-    assert numkit._verify_joint(je, comp, scales)[0] < 1e-12
+    assert numkit._verify_joint(je, comp, scales) < 1e-12
     comp[where] = np.nan
-    assert numkit._verify_joint(je, comp, scales)[0] == np.inf
+    assert numkit._verify_joint(je, comp, scales) == np.inf
 
 
 def near_degenerate_family(gap, seed, defect=0.0):
@@ -297,7 +295,7 @@ def assert_planted_partition(je, q, labels, atol):
         projectors.append(basis @ basis.conj().T)
     seen = set()
     for b in range(je.n_blocks):
-        blk = je.columns([b])
+        blk = block_columns(je, b)
         u = je.unitary[:, blk]
         misses = [np.linalg.norm(u - p @ u) for p in projectors]
         cls = int(np.argmin(misses))
@@ -345,9 +343,8 @@ def test_joint_diagonalize_near_degenerate_never_wrong(monkeypatch, gap, defect)
     verify = numkit._verify_joint
 
     def spy(result, comp, scales):
-        out = verify(result, comp, scales)
-        residuals.append(out[0])
-        return out
+        residuals.append(verify(result, comp, scales))
+        return residuals[-1]
 
     monkeypatch.setattr(numkit, "_verify_joint", spy)
     for seed in range(3):
@@ -365,7 +362,7 @@ def test_joint_diagonalize_near_degenerate_never_wrong(monkeypatch, gap, defect)
 
 
 # ---------------------------------------------------------------------------
-# commutation: certified from the eigenbasis, searched in chunks
+# commutation: the explicit search, in chunks
 
 
 def reference_noncommuting_pair(stack, tol):
@@ -380,216 +377,6 @@ def reference_noncommuting_pair(stack, tol):
         return None
     f = int(np.argmax(bad))
     return int(i[f]), int(j[f]), float(dev[f])
-
-
-def reference_joint_diagonalize(family, tol, seed):
-    """The order of checks without the certificate: the pairwise
-    search, then normality, then the seeded attempts."""
-    stack = np.stack([np.asarray(m, dtype=complex) for m in family])
-    pair = reference_noncommuting_pair(stack, tol)
-    if pair is not None:
-        i, j, dev = pair
-        raise NotCommuting(
-            f"inputs {i} and {j} do not commute (residual {dev:.3e})",
-            pair=(i, j), residual=dev,
-        )
-    numkit._check_normal(stack, tol)
-    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
-    best, best_residual = None, np.inf
-    for attempt in range(5):
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, attempt, 0x6A0D])
-        result, comp = numkit._attempt_joint(stack, rng, scales)
-        residual = numkit._verify_joint(result, comp, scales)[0]
-        if residual <= numkit.JOINT_TARGET_RTOL:
-            return result
-        if residual < best_residual:
-            best, best_residual = result, residual
-    if best_residual <= numkit.JOINT_FALLBACK_SLACK * tol * scales.max():
-        return best
-    raise DiagonalizationFailed(
-        f"joint diagonalization failed to verify after 5 seeds "
-        f"(best residual {best_residual:.3e})"
-    )
-
-
-def outcome(call):
-    """A result's arrays, or an exception's type, message, pair and
-    residual."""
-    try:
-        je = call()
-    except (NotCommuting, NotNormal, DiagonalizationFailed) as exc:
-        return (type(exc), str(exc), getattr(exc, "pair", None),
-                getattr(exc, "residual", None))
-    return ("ok", je.unitary.tobytes(), je.sizes.tolist(), je.eigenvalues.tobytes())
-
-
-def planted_pair_family(factor, j, k, n=6, d=8, seed=0, tol=1e-9):
-    """``n`` commuting Hermitian inputs on C^d, with input ``k`` moved
-    by ``eps H`` so that only the pair ``(j, k)`` fails to commute, by
-    ``factor`` times its bound ``tol (1 + ||m_j|| ||m_k||)``.
-
-    In the planted eigenbasis ``H`` swaps columns 0 and 1, on which
-    every input but ``j`` is scalar."""
-    rng = np.random.default_rng(seed)
-    q = rand_unitary(rng, d)
-    lam = rng.integers(-3, 4, size=(n, d)).astype(float)
-    lam[:, 1] = lam[:, 0]
-    lam[j, 1] = lam[j, 0] + 2.0
-    mats = [q @ np.diag(row) @ q.conj().T for row in lam]
-    x = np.zeros((d, d))
-    x[0, 1] = x[1, 0] = 1.0
-    h = q @ x @ q.conj().T
-    # ||[eps H, m_j]||_HS = eps * 2 sqrt(2), and H is HS-orthogonal to m_k
-    eps = 0.0
-    for _ in range(5):
-        nk = np.sqrt(np.linalg.norm(mats[k]) ** 2 + 2 * eps ** 2)
-        eps = factor * tol * (1.0 + np.linalg.norm(mats[j]) * nk) / (2 * np.sqrt(2))
-    mats[k] = mats[k] + eps * h
-    return mats
-
-
-def nilpotent_family(rng, d=5):
-    """A commuting family whose first input is not normal: a Jordan
-    block on the first two planted directions, where the other inputs
-    are scalar."""
-    q = rand_unitary(rng, d)
-    jordan = np.diag(rng.integers(1, 4, size=d).astype(complex))
-    jordan[1, 1] = jordan[0, 0]
-    jordan[0, 1] = 1.0
-    other = np.diag(np.arange(d, dtype=complex))
-    other[1, 1] = other[0, 0]
-    return [q @ jordan @ q.conj().T, q @ other @ q.conj().T, np.eye(d)]
-
-
-def equivalence_cases():
-    rng = np.random.default_rng(8)
-    for trial in range(8):  # commuting scrambles
-        d = int(rng.integers(2, 9))
-        n_blocks = int(rng.integers(1, min(d, 4) + 1))
-        mats, _, _ = planted_family(rng, d, int(rng.integers(1, 6)), n_blocks)
-        yield f"scramble-{trial}", mats, 1e-9
-    yield "scramble-tiny-tol", planted_family(rng, 7, 4, 3)[0], 1e-15
-    for gap in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-        for defect in (0.0, 1e-11, 1e-9):
-            mats, _, _ = near_degenerate_family(gap, 1, defect)
-            yield f"near-{gap}-{defect}", mats, 1e-9
-    for factor in (0.5, 1.01, 2.0, 10.0):
-        for j, k in ((1, 3), (0, 5), (4, 2)):
-            mats = planted_pair_family(factor, j, k, seed=j + k)
-            yield f"pair-{factor}-{j}{k}", mats, 1e-9
-    yield "non-normal", nilpotent_family(rng), 1e-9
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    yield "non-normal-non-commuting", [np.eye(2), n, n.T], 1e-9
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    yield "paulis", [np.diag([1.0, -1.0]), np.eye(2), x], 1e-9
-
-
-@pytest.mark.parametrize(
-    "mats, tol", [pytest.param(m, t, id=name) for name, m, t in equivalence_cases()]
-)
-def test_joint_diagonalize_matches_search_first_reference(mats, tol):
-    # the same result bit for bit, or the same exception, pair and residual
-    for seed in range(2):
-        want = outcome(lambda: reference_joint_diagonalize(mats, tol, seed))
-        got = outcome(lambda: numkit.joint_diagonalize(mats, tol, seed=seed))
-        assert got == want
-
-
-def test_equivalence_cases_reach_every_outcome():
-    kinds = {}
-    for name, mats, tol in equivalence_cases():
-        kind = outcome(lambda: reference_joint_diagonalize(mats, tol, 0))[0]
-        kinds.setdefault(kind, []).append(name)
-    assert set(kinds) == {"ok", NotCommuting, NotNormal}
-    # the planted pair is named at 1.01x and above, and passes at 0.5x
-    assert not any(n.startswith("pair-0.5") for n in kinds[NotCommuting])
-    assert sum(n.startswith("pair-") for n in kinds[NotCommuting]) == 9
-
-
-def counting(monkeypatch, name):
-    calls = []
-    original = getattr(numkit, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(numkit, name, counted)
-    return calls
-
-
-def test_commuting_family_accepted_at_target_forms_no_commutator(monkeypatch):
-    searches = counting(monkeypatch, "_noncommuting_pair")
-    rng = np.random.default_rng(21)
-    for trial in range(5):
-        mats, _, _ = planted_family(rng, 8, 6, 3)
-        numkit.joint_diagonalize(mats, 1e-9, seed=trial)
-    mats, _, _ = near_degenerate_family(1e-6, 0)
-    numkit.joint_diagonalize(mats, 1e-9)
-    # every search ran over the empty set of uncertified pairs
-    assert len(searches) == 6
-    assert all(len(args[2][0]) == 0 for args in searches)
-
-
-def test_non_commuting_family_pays_for_one_attempt(monkeypatch):
-    attempts = counting(monkeypatch, "_attempt_joint")
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NotCommuting) as exc:
-        numkit.joint_diagonalize([np.diag([1.0, -1.0]), x])
-    assert exc.value.pair == (0, 1) and len(attempts) == 1
-
-
-def test_unverified_attempts_search_every_pair_once(monkeypatch):
-    # attempts that miss the fallback bound: the first one triggers the
-    # full search, so DiagonalizationFailed (or NotCommuting) comes
-    # after it, and a later attempt at the target needs no certificate
-    verify = numkit._verify_joint
-    misses = []
-
-    def spy(result, comp, scales):
-        residual, defects, delta = verify(result, comp, scales)
-        if len(misses) < budget:
-            misses.append(residual)
-            return np.inf, defects, delta
-        return residual, defects, delta
-
-    monkeypatch.setattr(numkit, "_verify_joint", spy)
-    searches = counting(monkeypatch, "_noncommuting_pair")
-    mats, _, _ = planted_family(np.random.default_rng(4), 6, 3, 2)
-    budget = 5
-    with pytest.raises(DiagonalizationFailed):
-        numkit.joint_diagonalize(mats, 1e-9)
-    assert len(misses) == 5 and len(searches) == 1 and searches[0][2] is None
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    misses.clear()
-    searches.clear()
-    with pytest.raises(NotCommuting):
-        numkit.joint_diagonalize([np.diag([1.0, -1.0]), x])
-    assert len(misses) == 1 and len(searches) == 1
-    misses.clear()
-    searches.clear()
-    budget = 2
-    numkit.joint_diagonalize(mats, 1e-9)
-    assert len(misses) == 2 and len(searches) == 1
-
-
-@pytest.mark.parametrize("factor", [0.5, 1.01, 2.0, 10.0])
-def test_planted_pair_is_never_certified(factor):
-    # the certificate leaves the planted pair to the explicit search at
-    # any size of its defect; every pair it certifies passes that search
-    stack = np.stack(planted_pair_family(factor, 1, 3)).astype(complex)
-    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    for attempt in range(3):
-        rng = np.random.default_rng([0, attempt, 0x6A0D])
-        result, comp = numkit._attempt_joint(stack, rng, scales)
-        _, defects, delta = numkit._verify_joint(result, comp, scales)
-        i, j = numkit._uncertified_pairs(stack, 1e-9, result, defects, delta)
-        assert (1, 3) in set(zip(i.tolist(), j.tolist()))
-        every = set(zip(*np.triu_indices(len(stack), 1)))
-        for a, b in every - set(zip(i.tolist(), j.tolist())):
-            dev = np.linalg.norm(stack[a] @ stack[b] - stack[b] @ stack[a])
-            assert dev <= 1e-9 * (1.0 + norms[a] * norms[b])
 
 
 @settings(max_examples=30, deadline=None)
@@ -781,7 +568,6 @@ def test_refinement_recompresses_rotated_columns(monkeypatch, case, noise):
     assert rotations == split and result.n_blocks == 12
     full = numkit._compress(result.unitary, stack)
     assert np.abs(comp - full).max() <= 1e-13
-    residual, defects, _ = numkit._verify_joint(result, comp, scales)
+    residual = numkit._verify_joint(result, comp, scales)
     assert (residual <= numkit.JOINT_TARGET_RTOL) == (not noise)
-    model = numkit._diag(np.repeat(result.eigenvalues, result.sizes, axis=1))
-    assert np.allclose(defects, np.linalg.norm(full - model, axis=(1, 2)), atol=1e-14)
+    assert residual == pytest.approx(numkit._verify_joint(result, full, scales), abs=1e-14)

@@ -82,19 +82,10 @@ def test_matrix_schema_errors(bad):
         serial.matrix_from_json(bad)
 
 
-def test_complex_scalar_contract():
-    assert serial.complex_to_json(1 - 2j) == [1.0, -2.0]
-    assert serial.complex_from_json([1.0, -2.0]) == 1 - 2j
-    with pytest.raises(SchemaError):
-        serial.complex_from_json([1.0])
-    with pytest.raises(SchemaError):
-        serial.complex_from_json([True, 0.0])
-
-
 def test_non_finite_scalars_rejected():
     for v in ([float("nan"), 0.0], [0.0, float("inf")]):
         with pytest.raises(SchemaError):
-            serial.complex_from_json(v)
+            serial.matrix_from_json({"rows": 1, "cols": 1, "entries": [[v]]})
     # JSON's NaN token and an overflowing float literal decode to floats
     # that are not finite; a huge integer literal and a boolean are
     # rejected before any float is made
@@ -643,8 +634,6 @@ def test_malformed_pair_rejected_everywhere(v):
     # the reference rejects it too: numpy alone would read True as 1.0
     with pytest.raises(SchemaError):
         ref_complex(v)
-    with pytest.raises(SchemaError):
-        serial.complex_from_json(v)
     cases = [
         ("matrix", {"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], v]]}),
         ("spaceoid", {"base_points": ["p"], "objects": ["A"],

@@ -128,7 +128,6 @@ def test_validate_morphism_counts_nan_as_failure(key):
     m = sp.identity_morphism(e)
     m.fiber_scalars[key] = complex("nan")
     assert not sp.validate_morphism(m, e, e).passed
-    assert not sp.is_isomorphism(m, e, e)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -218,14 +217,6 @@ def test_torsor_associated_is_trivial():
     assert sp.torsor_associated(3, 2, None).lam.keys() == e.lam.keys()
 
 
-def test_torsor_change_morphism_is_isomorphism():
-    chi = sp.phase_functor_from_assignment({"O1": 1.0, "O2": 1j, "O3": -1j})
-    e1 = sp.torsor_associated(3, 2)
-    e2 = sp.torsor_associated(3, 2)
-    m = sp.torsor_change_morphism(3, 2, chi)
-    assert sp.is_isomorphism(m, e1, e2, tol=1e-12)
-
-
 def test_identity_and_composition_of_morphisms():
     e, _ = random_spaceoid(11, 2, 3)
     ident = sp.identity_morphism(e)
@@ -312,15 +303,6 @@ def test_validate_morphism_trips_on_planted_defect(name):
     check = next(c for c in sp.validate_morphism(m, e, e).checks if c.name == name)
     assert not check.passed
     assert 5 <= check.residual / check.bound <= 20, check
-
-
-def test_is_isomorphism_requires_base_bijection():
-    e, _ = random_spaceoid(13, 3, 2)
-    collapse = random_morphism(14, e, e, f_delta={p: "p0" for p in e.base_points})
-    assert sp.validate_morphism(collapse, e, e, tol=1e-10).passed
-    assert not sp.is_isomorphism(collapse, e, e, tol=1e-10)
-    auto = random_morphism(15, e, e, f_delta={p: p for p in e.base_points})
-    assert sp.is_isomorphism(auto, e, e, tol=1e-10)
 
 
 def test_morphism_distance_infinite_on_different_maps():
@@ -484,10 +466,6 @@ def ref_identity(e) -> dict:
     }
 
 
-def ref_torsor_change(points, objects, chi) -> dict:
-    return {(p, a, b): chi.at(a, b) for p in points for a in objects for b in objects}
-
-
 def ref_random_morphism(seed, dom, cod):
     rng = np.random.default_rng(seed)
     g1 = ref_trivializing_gauge(dom.lam, dom.base_points, dom.objects)
@@ -557,7 +535,7 @@ def ref_morphism_text(f_delta, f_r, scal) -> str:
         "f_delta": {str(p): str(q) for p, q in f_delta.items()},
         "f_r": {str(a): str(b) for a, b in f_r.items()},
         "fiber_scalars": [
-            [p, a, b, serial.complex_to_json(z)]
+            [p, a, b, [z.real, z.imag]]
             for (p, a, b), z in sorted(scal.items())
         ],
     })
@@ -580,12 +558,6 @@ def test_morphisms_match_label_reference(seed):
         cod, _ = random_spaceoid(int(rng.integers(2**63)), n_points + 1, n_objects)
         ident = {p: p for p in pts}, {o: o for o in objs}
         assert_same_morphism(*ident, ref_identity(dom), sp.identity_morphism(dom))
-
-        chi = sp.phase_functor_from_assignment(
-            {o: np.exp(2j * np.pi * rng.random()) for o in objs}
-        )
-        got = sp.torsor_change_morphism(n_objects, n_points, chi)
-        assert_same_morphism(*ident, ref_torsor_change(pts, objs, chi), got)
 
         draws = rng.integers(2**63, size=2)
         m1 = random_morphism(int(draws[0]), dom, cod)
