@@ -362,6 +362,136 @@ def test_joint_diagonalize_near_degenerate_never_wrong(monkeypatch, gap, defect)
 
 
 # ---------------------------------------------------------------------------
+# the seeded attempts and the target/fallback rule, checked against a
+# reference of the rule alone
+
+
+def reference_joint_diagonalize(family, tol, seed):
+    """The seeded attempts, then the target/fallback rule; no
+    commutation or normality check comes before them."""
+    stack = np.stack([np.asarray(m, dtype=complex) for m in family])
+    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
+    best, best_residual = None, np.inf
+    for attempt in range(5):
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, attempt, 0x6A0D])
+        result, comp = numkit._attempt_joint(stack, rng, scales)
+        residual = numkit._verify_joint(result, comp, scales)
+        if residual <= numkit.JOINT_TARGET_RTOL:
+            return result, "target"
+        if residual < best_residual:
+            best, best_residual = result, residual
+    if best_residual <= numkit.JOINT_FALLBACK_SLACK * tol * scales.max():
+        return best, "fallback"
+    raise DiagonalizationFailed(
+        f"joint diagonalization failed to verify after 5 seeds "
+        f"(best residual {best_residual:.3e})"
+    )
+
+
+def outcome(call):
+    """A result's arrays, or an exception's type and message."""
+    try:
+        je = call()
+    except DiagonalizationFailed as exc:
+        return (DiagonalizationFailed, str(exc))
+    return ("ok", je.unitary.tobytes(), je.sizes.tolist(), je.eigenvalues.tobytes())
+
+
+def planted_pair_family(factor, j, k, n=6, d=8, seed=0, tol=1e-9):
+    """``n`` commuting Hermitian inputs on C^d, with input ``k`` moved
+    by ``eps H`` so that only the pair ``(j, k)`` fails to commute, by
+    ``factor`` times its bound ``tol (1 + ||m_j|| ||m_k||)``.
+
+    In the planted eigenbasis ``H`` swaps columns 0 and 1, on which
+    every input but ``j`` is scalar."""
+    rng = np.random.default_rng(seed)
+    q = rand_unitary(rng, d)
+    lam = rng.integers(-3, 4, size=(n, d)).astype(float)
+    lam[:, 1] = lam[:, 0]
+    lam[j, 1] = lam[j, 0] + 2.0
+    mats = [q @ np.diag(row) @ q.conj().T for row in lam]
+    x = np.zeros((d, d))
+    x[0, 1] = x[1, 0] = 1.0
+    h = q @ x @ q.conj().T
+    # ||[eps H, m_j]||_HS = eps * 2 sqrt(2), and H is HS-orthogonal to m_k
+    eps = 0.0
+    for _ in range(5):
+        nk = np.sqrt(np.linalg.norm(mats[k]) ** 2 + 2 * eps ** 2)
+        eps = factor * tol * (1.0 + np.linalg.norm(mats[j]) * nk) / (2 * np.sqrt(2))
+    mats[k] = mats[k] + eps * h
+    return mats
+
+
+def nilpotent_family(rng, d=5):
+    """A commuting family whose first input is not normal: a Jordan
+    block on the first two planted directions, where the other inputs
+    are scalar."""
+    q = rand_unitary(rng, d)
+    jordan = np.diag(rng.integers(1, 4, size=d).astype(complex))
+    jordan[1, 1] = jordan[0, 0]
+    jordan[0, 1] = 1.0
+    other = np.diag(np.arange(d, dtype=complex))
+    other[1, 1] = other[0, 0]
+    return [q @ jordan @ q.conj().T, q @ other @ q.conj().T, np.eye(d)]
+
+
+def attempt_cases():
+    rng = np.random.default_rng(8)
+    for trial in range(8):  # commuting scrambles
+        d = int(rng.integers(2, 9))
+        n_blocks = int(rng.integers(1, min(d, 4) + 1))
+        mats, _, _ = planted_family(rng, d, int(rng.integers(1, 6)), n_blocks)
+        yield f"scramble-{trial}", mats, 1e-9
+    yield "scramble-tiny-tol", planted_family(rng, 7, 4, 3)[0], 1e-15
+    for gap in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        for defect in (0.0, 1e-11, 1e-9):
+            mats, _, _ = near_degenerate_family(gap, 1, defect)
+            yield f"near-{gap}-{defect}", mats, 1e-9
+    for factor in (0.5, 1.01, 2.0, 10.0):
+        for j, k in ((1, 3), (0, 5), (4, 2)):
+            mats = planted_pair_family(factor, j, k, seed=j + k)
+            yield f"pair-{factor}-{j}{k}", mats, 1e-9
+    yield "non-normal", nilpotent_family(rng), 1e-9
+    n = np.array([[0.0, 1.0], [0.0, 0.0]])
+    yield "non-normal-non-commuting", [np.eye(2), n, n.T], 1e-9
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    yield "paulis", [np.diag([1.0, -1.0]), np.eye(2), x], 1e-9
+
+
+@pytest.mark.parametrize(
+    "mats, tol", [pytest.param(m, t, id=name) for name, m, t in attempt_cases()]
+)
+def test_joint_diagonalize_matches_attempts_reference(mats, tol):
+    # the same result bit for bit, or the same exception and message
+    for seed in range(2):
+        want = outcome(lambda: reference_joint_diagonalize(mats, tol, seed)[0])
+        got = outcome(lambda: numkit.joint_diagonalize(mats, tol, seed=seed))
+        assert got == want
+
+
+def test_attempt_cases_reach_every_outcome():
+    kinds, names = {}, []
+    for name, mats, tol in attempt_cases():
+        names.append(name)
+        try:
+            kind = reference_joint_diagonalize(mats, tol, 0)[1]
+        except DiagonalizationFailed:
+            kind = DiagonalizationFailed
+        kinds.setdefault(kind, []).append(name)
+    # the reference test above covers both returns and the failure
+    assert set(kinds) == {"target", "fallback", DiagonalizationFailed}
+    # exactly commuting normal families reach the target
+    assert {n for n in names if n.startswith("scramble")} <= set(kinds["target"])
+    # no check of its own, so a family that is not commuting and normal
+    # fails the verification, and a defect within the fallback bound is
+    # returned for the caller to reject
+    assert {"non-normal", "non-normal-non-commuting", "paulis"} <= set(
+        kinds[DiagonalizationFailed]
+    )
+    assert "pair-2.0-13" in kinds["fallback"]
+
+
+# ---------------------------------------------------------------------------
 # commutation: the explicit search, in chunks
 
 
