@@ -25,7 +25,6 @@ Conventions fixed here (everything downstream depends on them):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -39,10 +38,8 @@ from .config import (
 from .cstarcat import (
     MatrixCategory,
     StarFunctor,
-    _image,
     _stack,
     check_axioms,
-    functor_image,
     is_commutative,
     is_full,
     validate_functor,
@@ -120,7 +117,10 @@ class SpectrumResult:
       joint eigenbasis and its transports to the other objects;
     * ``compressions`` ``(o, o, k, d, d)``: each block's basis
       compressed into those bases, ``bases[A]* e bases[B]`` per
-      element, a multiple of the identity on every class.
+      element, a multiple of the identity on every class;
+    * ``block_maps`` ``(o, o, k, k)``: ``block_maps[A, B][p, j] =
+      c_p(e_j)``, the class coefficients of block (A, B)'s basis
+      element ``j``, which are also the characters' values on it.
 
     The frame of every class in every block is the identity, so the
     coefficient of ``x`` at a class is the mean of the diagonal of its
@@ -132,6 +132,7 @@ class SpectrumResult:
     ranks: np.ndarray
     bases: np.ndarray = field(repr=False)
     compressions: np.ndarray = field(repr=False)
+    block_maps: np.ndarray = field(repr=False)
 
     @property
     def n_classes(self) -> int:
@@ -144,11 +145,10 @@ class SpectrumResult:
 
     @property
     def diag_table(self) -> np.ndarray:
-        """``(o, k, k)``: the eigenvalue on each class (rows) of each
-        basis element of the object's diagonal block."""
+        """``(o, k, k)``: the diagonal blocks' block maps, the
+        eigenvalue on each class (rows) of each diagonal basis element."""
         n = np.arange(len(self.bases))
-        diag = np.diagonal(self.compressions[n, n], axis1=-2, axis2=-1)
-        return np.swapaxes(self._class_means(diag), -1, -2)
+        return self.block_maps[n, n]
 
     def _index(self, a, b) -> tuple:
         objs = self.spaceoid.objects
@@ -164,12 +164,7 @@ class SpectrumResult:
         i, j = self._index(a, b)
         # the diagonal of bases[i]* x bases[j], without the rest of it
         xu = np.asarray(x, dtype=complex) @ self.bases[j]
-        return self._class_means(np.sum(self.bases[i].conj() * xu, axis=-2))
-
-    def _class_means(self, diag) -> np.ndarray:
-        """Per class, the mean of ``diag`` (one entry per basis column,
-        along the last axis) over the class's columns."""
-        return np.add.reduceat(diag, self.starts, axis=-1) / self.ranks
+        return _class_means(np.sum(self.bases[i].conj() * xu, axis=-2), self.ranks)
 
     def lift(self, a, b, coeffs) -> np.ndarray:
         """Inverse of :meth:`coefficients` on the block's image (classes
@@ -181,6 +176,12 @@ class SpectrumResult:
         index arrays broadcast against the leading axes of ``coeffs``."""
         rows = np.repeat(np.asarray(coeffs, dtype=complex), self.ranks, axis=-1)
         return (self.bases[i] * rows[..., None, :]) @ _adjoints(self.bases[j])
+
+
+def _class_means(diag, ranks) -> np.ndarray:
+    """Per class, the mean of ``diag`` (one entry per basis column,
+    along the last axis) over the class's ``ranks`` columns."""
+    return np.add.reduceat(diag, np.cumsum(ranks) - ranks, axis=-1) / ranks
 
 
 def _rank_groups(ranks: np.ndarray):
@@ -255,13 +256,13 @@ def spectrum(
     Only the anchor's diagonal block is jointly diagonalized; the other
     objects' bases are transported from it (:func:`_transported_bases`).
     Every block's basis is compressed, in one product over all pairs,
-    into those bases.  The completeness check, over all pairs, the
-    diagonal ones included, proves every compression a multiple of the
-    identity on every class, so every frame is the identity, every
-    structure constant is 1, and every C_BB is diagonalized without a
-    diagonalization of its own.  Every diagonal block, the anchor's
-    included, is then proved commutative by one rule
-    (:func:`_require_commuting`).
+    into those bases; their diagonals' class means are the
+    ``block_maps``.  The completeness check, over all pairs, the diagonal
+    ones included, proves every compression a multiple of the identity
+    on every class, so every frame is the identity, every structure
+    constant is 1, and every C_BB is diagonalized without one of its
+    own.  Every diagonal block, the anchor's included, is then proved
+    commutative by one rule (:func:`_require_commuting`).
     """
     tol = resolve_tol(tol)
     if not c.unital:
@@ -303,6 +304,8 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
     n_obj, d = bases.shape[:2]
     x = np.reshape([_stack(c, a, b) for a, b in c.pairs()], (n_obj, n_obj, k, d, d))
     comp = _adjoints(bases)[:, None, None] @ x @ bases[None, :, None]
+    # coeffs[A, B, j, p] = c_p(e_j), the block maps with elements first
+    coeffs = _class_means(np.diagonal(comp, axis1=-2, axis2=-1), eig.sizes)
     points = tuple(f"w{i}" for i in range(k))
     result = SpectrumResult(
         spaceoid=SpaceoidData(points, ids, np.ones((k, n_obj, n_obj, n_obj), dtype=complex)),
@@ -310,11 +313,11 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
         ranks=eig.sizes,
         bases=bases,
         compressions=comp,
+        block_maps=np.swapaxes(coeffs, -1, -2),
     )
 
     # completeness: every element must be recovered by its coefficients
     i, j, _ = np.ogrid[:n_obj, :n_obj, :1]  # the pair axes, broadcast over elements
-    coeffs = result._class_means(np.diagonal(comp, axis1=-2, axis2=-1))
     norms = np.linalg.norm(x, axis=(-2, -1))
     err = np.linalg.norm(result._lift(i, j, coeffs) - x, axis=(-2, -1))
     bad = ~np.all(err <= SPECTRAL_SLACK * tol * (1 + norms), axis=-1)
@@ -410,24 +413,21 @@ def _character_values(omega, a, b, basis):
     return np.array([omega(a, b, x) for x in basis], dtype=complex)
 
 
-def _match_classes(spec: SpectrumResult, values, n_chars: int, tol) -> np.ndarray:
-    """Spectrum class of each of ``n_chars`` characters.
+def _match_classes(table, values, tol) -> np.ndarray:
+    """Spectrum class of each of ``m`` characters.
 
-    ``values(o, basis)`` gives the characters' values on the stacked
-    basis of ``C_oo``, one row per character.  A character fits a class
-    when, on every object, its values lie within ``SPECTRAL_SLACK * tol
-    * (1 + max |value|)`` of the class's diagonal eigenvalue table.  Raises
-    ``SpectrumMismatch`` when the first character that does not fit
-    exactly one class fits none, ``AmbiguousMatching`` when it fits
-    several.
+    ``table`` ``(o, k, n)`` holds the ``k`` classes' values on each
+    object's diagonal basis (the spectrum's diagonal block maps) and
+    ``values`` ``(o, m, n)`` the characters' values on the same bases.
+    A character fits a class when, on every object, its values lie
+    within ``SPECTRAL_SLACK * tol * (1 + max |value|)`` of the class's
+    row.  Raises ``SpectrumMismatch`` when the first character that does
+    not fit exactly one class fits none, ``AmbiguousMatching`` when it
+    fits several.
     """
-    c = spec.category
-    fits = np.ones((n_chars, spec.n_classes), dtype=bool)
-    for o, table in zip(c.object_ids, spec.diag_table):
-        vals = values(o, _stack(c, o, o))
-        scale = 1.0 + np.max(np.abs(vals), axis=1, initial=0.0)
-        dev = np.max(np.abs(table - vals[:, None, :]), axis=2)
-        fits &= dev <= SPECTRAL_SLACK * tol * scale[:, None]
+    scale = 1.0 + np.max(np.abs(values), axis=-1, initial=0.0)
+    dev = np.max(np.abs(table[:, None] - values[:, :, None]), axis=-1)
+    fits = np.all(dev <= SPECTRAL_SLACK * tol * scale[..., None], axis=0)
     count = fits.sum(axis=1)
     bad = count != 1
     if bad.any():
@@ -498,13 +498,12 @@ def compression_functor(
     cat: MatrixCategory, spec: SpectrumResult, idx: int, tol=None
 ):
     """Quotient onto one spectrum class: the one-dimensional category
-    on the same objects plus the evaluation *-functor onto it."""
+    on the same objects plus the evaluation *-functor onto it, whose
+    block maps are the class's rows of ``spec.block_maps``."""
     tol = resolve_tol(tol)
     target = one_dim_category(cat.object_ids)
-    omega = Character(spec.spaceoid.base_points[idx], idx, spec)
-    block_maps = {}
-    for a, b in cat.pairs():
-        block_maps[(a, b)] = omega.value(a, b, _stack(cat, a, b))[None, :]
+    rows = spec.block_maps[:, :, idx]
+    block_maps = {(a, b): rows[spec._index(a, b)][None, :] for a, b in cat.pairs()}
     phi = StarFunctor(
         object_map={o: o for o in cat.object_ids}, block_maps=block_maps
     )
@@ -603,55 +602,57 @@ def spectrum_on_morphism(
     target_spectrum: SpectrumResult | None = None,
 ) -> SpaceoidMorphism:
     """Induced spaceoid morphism spectrum(target) -> spectrum(source)
-    of a *-functor ``phi: source -> target`` (contravariant).
+    of a *-functor ``phi: source -> target`` (contravariant), read off
+    the block maps ``C1``, ``C2`` of the spectra and ``Phi`` of the
+    functor alone.  Raises ``InvalidFunctor`` before either spectrum is
+    computed when the object map is not a bijection onto the target.
 
-    Base points map by composing characters with the functor: every
-    target character is evaluated at once on the images of each source
-    diagonal basis.  Fiber scalars are the target-side coefficients of
-    the images of the source's class units (the lifts of unit
-    coefficient vectors), all classes of a pair in one lift, image and
-    coefficient pass.
+    The target characters composed with ``phi`` take the values ``C2[phi
+    A, phi B] Phi_AB`` on block (A, B)'s basis; on the diagonal blocks
+    they are matched against ``C1[A, A]``.  Source class ``q``'s unit
+    ``U_A E_q U_B*`` has the coordinates ``r_q conj(C1[A, B][q, :])``
+    (``<e_j, U_A E_q U_B*>_HS = r_q conj(c_q(e_j))``), so its image's
+    target class coefficients are column ``q`` of ``C2 Phi C1* diag(r)``,
+    and each fiber scalar is ``spaceoid._unit`` of the entry at a target
+    class and the source class it matches.
     """
     tol = resolve_tol(tol)
+    inv_obj = {v: k for k, v in phi.object_map.items()}
+    if len(inv_obj) != len(phi.object_map) or (set(phi.object_map), set(inv_obj)) != (
+        set(source.object_ids), set(target.object_ids)
+    ):
+        raise InvalidFunctor("object map is not a bijection onto the target")
     spec1 = source_spectrum or spectrum(source, tol, seed)
     spec2 = target_spectrum or spectrum(target, tol, seed)
-    if set(phi.object_map) != set(source.object_ids) or set(
-        phi.object_map.values()
-    ) != set(target.object_ids):
-        raise InvalidFunctor("object map is not a bijection onto the target")
-    inv_obj = {v: k for k, v in phi.object_map.items()}
 
-    def composed(o1, basis):
-        o2 = phi.object_map[o1]
-        img = _image(phi, target, o1, o1, np.eye(len(basis)))
-        return spec2.coefficients(o2, o2, img).T
-
-    match = _match_classes(spec1, composed, spec2.n_classes, tol)
+    # every array in the target's object order
+    ids2 = target.object_ids
+    i1 = [spec1.spaceoid.objects.index(inv_obj[o]) for o in ids2]
+    i2 = [spec2.spaceoid.objects.index(o) for o in ids2]
+    c1, c2 = spec1.block_maps[np.ix_(i1, i1)], spec2.block_maps[np.ix_(i2, i2)]
+    maps = np.reshape(
+        [phi.block_maps[(inv_obj[a], inv_obj[b])] for a, b in target.pairs()],
+        c2.shape[:-1] + c1.shape[-1:],
+    )
+    composed = c2 @ maps
+    n = np.arange(len(ids2))
+    match = _match_classes(c1[n, n], composed[n, n], tol)
     points1 = spec1.spaceoid.base_points
     f_delta = {p: points1[i] for p, i in zip(spec2.spaceoid.base_points, match)}
-    f_r = {o2: inv_obj[o2] for o2 in target.object_ids}
+    f_r = {o2: inv_obj[o2] for o2 in ids2}
 
-    # z[j, pair]: class j's coefficient of the image of the source unit
-    # of its matched class
-    ids2 = target.object_ids
-    pairs = list(itertools.product(ids2, ids2))
-    cls = np.arange(spec2.n_classes)
-    z = np.empty((spec2.n_classes, len(pairs)), dtype=complex)
-    for n, (a2, b2) in enumerate(pairs):
-        a1, b1 = inv_obj[a2], inv_obj[b2]
-        units = spec1.lift(a1, b1, np.eye(spec1.n_classes))
-        img = functor_image(phi, source, target, a1, b1, units, tol)
-        z[:, n] = spec2.coefficients(a2, b2, img)[match, cls]
+    # units[A, B][:, q]: the coordinates of source class q's unit;
+    # z[p, A, B]: class p's coefficient of the image of its matched unit
+    units = np.swapaxes(c1, -1, -2).conj() * spec1.ranks
+    z = np.moveaxis((composed @ units)[..., np.arange(len(match)), match], -1, 0)
     small = ~(np.abs(z) >= ZERO_ONE_CUT)
     if small.any():
-        j, n = np.unravel_index(np.argmax(small), small.shape)
-        a2, b2 = pairs[n]
+        j, a, b = np.unravel_index(np.argmax(small), small.shape)
         raise SpectrumMismatch(
-            f"image of the ({inv_obj[a2]},{inv_obj[b2]}) class unit nearly vanishes "
+            f"image of the ({f_r[ids2[a]]},{f_r[ids2[b]]}) class unit nearly vanishes "
             f"at class {spec2.spaceoid.base_points[j]}"
         )
-    scal = _unit(z).reshape(spec2.n_classes, len(ids2), -1)
-    return SpaceoidMorphism(f_delta=f_delta, f_r=f_r, fiber_scalars=scal)
+    return SpaceoidMorphism(f_delta=f_delta, f_r=f_r, fiber_scalars=_unit(z))
 
 
 class GelfandResult(NamedTuple):
@@ -905,8 +906,8 @@ def gelfand(
     upper bounds where ``config.CERT_SLACK`` times every one clears the
     check's bound, and their explicit defects elsewhere
     (:func:`_certificates`); only those adjoints, products and operator
-    norms are formed.  The block maps are the class coefficients of the
-    compressions ``spectrum`` kept.
+    norms are formed.  The block maps are the spectrum's
+    ``block_maps``.
 
     ``_axioms`` is private to :func:`roundtrip_category`: a dict that
     receives ``check_axioms``' ``_certified`` argument, the bounds on
@@ -915,15 +916,10 @@ def gelfand(
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
     sec = sections(spec.spaceoid, tol)
-    maps = np.swapaxes(
-        spec._class_means(np.diagonal(spec.compressions, axis1=-2, axis2=-1)), -1, -2
-    )
-    ids = list(enumerate(c.object_ids))
+    maps = spec.block_maps
     phi = StarFunctor(
         object_map={o: o for o in c.object_ids},
-        block_maps={
-            (a, b): maps[i, j] for (i, a), (j, b) in itertools.product(ids, repeat=2)
-        },
+        block_maps={(a, b): maps[spec._index(a, b)] for a, b in c.pairs()},
     )
     q = _compressions(c, spec, maps)
     functor, axioms = _certificates(c, q, tol)
@@ -1061,21 +1057,18 @@ def roundtrip_spaceoid(
 
 def _functor_naturality(phi, c1, c2, tol, seed) -> float:
     """Worst residual of the square gelfand o phi = sections(spectrum
-    morphism) o gelfand on every basis element."""
-    g1 = gelfand(c1, tol, seed)
-    g2 = gelfand(c2, tol, seed)
+    morphism) o gelfand on every basis element; gelfand's block maps are
+    the spectra's ``block_maps``."""
+    s1, s2 = spectrum(c1, tol, seed), spectrum(c2, tol, seed)
     m = spectrum_on_morphism(
-        phi, c1, c2, tol, seed,
-        source_spectrum=g1.spectrum, target_spectrum=g2.spectrum,
+        phi, c1, c2, tol, seed, source_spectrum=s1, target_spectrum=s2
     )
-    gamma = sections_on_morphism(
-        m, g2.spectrum.spaceoid, g1.spectrum.spaceoid, tol
-    )
+    gamma = sections_on_morphism(m, s2.spaceoid, s1.spaceoid, tol)
     # down then across (gelfand in C1, then the section functor) against
     # across then down (phi, then gelfand in C2), on every basis element
     devs = [
-        gamma.block_maps[(a1, b1)] @ g1.functor.block_maps[(a1, b1)]
-        - g2.functor.block_maps[(phi.object_map[a1], phi.object_map[b1])]
+        gamma.block_maps[(a1, b1)] @ s1.block_maps[s1._index(a1, b1)]
+        - s2.block_maps[s2._index(phi.object_map[a1], phi.object_map[b1])]
         @ phi.block_maps[(a1, b1)]
         for a1, b1 in c1.pairs()
     ]

@@ -164,9 +164,12 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     identity function returns ``x`` itself to machine precision.
 
     ``spectrum``'s errors pass through: a closure that is not
-    commutative raises ``NotCommutative``.
+    commutative raises ``NotCommutative``.  As ``spectrum`` does, a
+    non-finite ``x`` raises ``ValueError`` before any norm is taken.
     """
     x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise ValueError("element has non-finite entries")
     tol = resolve_tol(tol)
     scale = op_norm(x)
     cut = ZERO_SLACK * tol * (1 + scale)

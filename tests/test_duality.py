@@ -19,6 +19,7 @@ from spectroid import duality as du
 from spectroid import spaceoid as sp
 from spectroid.errors import (
     AmbiguousMatching,
+    InvalidFunctor,
     NotCommutative,
     NotFull,
     NotOneDimensional,
@@ -412,6 +413,7 @@ def test_spectrum_fields_are_dense_arrays(make):
         "bases": ((o, d, d), "c"),
         "diag_table": ((o, k, k), "c"),
         "compressions": ((o, o, k, d, d), "c"),
+        "block_maps": ((o, o, k, k), "c"),
     }
     for name, (shape, kind) in want.items():
         value = getattr(spec, name)
@@ -419,6 +421,15 @@ def test_spectrum_fields_are_dense_arrays(make):
         assert (value.shape, value.dtype.kind) == (shape, kind), name
     fields = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
     assert not any(isinstance(v, (dict, tuple)) for v in fields)
+    # block_maps[A, B][p, j] is c_p(e_j), the mean of the diagonal of
+    # e_j's compression over class p's columns; diag_table is its diagonal
+    diag = np.diagonal(spec.compressions, axis1=-2, axis2=-1)
+    for p, cols in enumerate(np.split(np.arange(d), np.cumsum(spec.ranks)[:-1])):
+        assert np.array_equal(
+            spec.block_maps[:, :, p], diag[..., cols].sum(axis=-1) / len(cols)
+        )
+    n = np.arange(o)
+    assert np.array_equal(spec.diag_table, spec.block_maps[n, n])
     # the anchor's gauge: every structure constant is exactly 1
     assert spec.spaceoid.table.shape == (k, o, o, o)
     assert np.all(spec.spaceoid.table == 1)
@@ -800,8 +811,8 @@ def _gelfand_report_with_coefficients(monkeypatch, change):
 
     def planted(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        class_means = spec._class_means
-        spec._class_means = lambda diag: change(class_means(diag))
+        coeffs = np.swapaxes(spec.block_maps, -1, -2)
+        spec.block_maps = np.swapaxes(change(coeffs), -1, -2)
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted)
@@ -915,13 +926,22 @@ def test_characters_of_rank2_class_with_complex_gauge():
 
 
 def test_match_classes_without_fit_is_mismatch():
-    spec = du.spectrum(du.classical_category(2))
-
-    def values(o, basis):
-        return np.full((1, len(basis)), 17.0)  # no class takes this value
-
+    table = du.spectrum(du.classical_category(2)).diag_table  # (1, 2, 2)
     with pytest.raises(SpectrumMismatch):
-        du._match_classes(spec, values, 1, 1e-9)
+        # no class takes this value
+        du._match_classes(table, np.full((1, 1, 2), 17.0), 1e-9)
+    # the characters in reverse class order match back
+    assert du._match_classes(table, table[:, ::-1], 1e-9).tolist() == [1, 0]
+    # classes 0 and 1 agree on the first object and differ on the
+    # second: that object alone fits both, the two together one
+    table = np.array([[[1.0, 2.0], [1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    values = np.array([[[1.0, 2.0]], [[0.0, 1.0]]])
+    with pytest.raises(AmbiguousMatching, match="2 spectrum classes"):
+        du._match_classes(table[:1], values[:1], 1e-9)
+    assert du._match_classes(table, values, 1e-9).tolist() == [1]
+    values[1, 0, 0] = np.nan
+    with pytest.raises(SpectrumMismatch):
+        du._match_classes(table, values, 1e-9)
 
 
 def test_unitary_equivalence_gauge_recovers_twist():
@@ -1214,7 +1234,21 @@ def induced_map_cases():
     ]
 
 
-@pytest.mark.parametrize("case", induced_map_cases(), ids=lambda c: c[0])
+def random_functor_cases():
+    """``selftest.random_functor`` draws, as criterion 3 makes them: a
+    random commutative category and a scrambled copy joined by a random
+    phase automorphism."""
+    cases = []
+    for seed in range(12):
+        cat = selftest.random_commutative_category(700 + seed, 5, 4)
+        phi, target = selftest.random_functor(800 + seed, cat)
+        cases.append((f"random functor {seed}", cat, target, phi))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case", induced_map_cases() + random_functor_cases(), ids=lambda c: c[0]
+)
 def test_spectrum_on_morphism_matches_per_class_reference(case):
     _, source, target, phi = case
     assert cc.validate_functor(phi, source, target).passed
@@ -1230,10 +1264,11 @@ def test_spectrum_on_morphism_matches_per_class_reference(case):
 
 
 def test_spectrum_on_morphism_scalars_are_unit_frame_coefficients():
-    # each fiber scalar is spaceoid._unit of its class unit's image's
-    # coefficient, bit
-    # for bit: the rounding rule of lambda and of evaluation's scalars,
-    # not numpy's complex-by-real division
+    # each fiber scalar is spaceoid._unit, bit for bit, of its class
+    # unit's image's coefficient read off the block maps, C2 Phi C1*
+    # diag(r): the rounding rule of lambda and of evaluation's scalars,
+    # not numpy's complex-by-real division; that coefficient is the one
+    # of the materialized image of the lifted class unit
     for _, source, target, phi in induced_map_cases():
         spec1, spec2 = du.spectrum(source), du.spectrum(target)
         m = du.spectrum_on_morphism(
@@ -1245,10 +1280,58 @@ def test_spectrum_on_morphism_scalars_are_unit_frame_coefficients():
         for i, a2 in enumerate(m.f_r):
             for j, b2 in enumerate(m.f_r):
                 a1, b1 = m.f_r[a2], m.f_r[b2]
-                units = spec1.lift(a1, b1, np.eye(spec1.n_classes))
-                img = cc.functor_image(phi, source, target, a1, b1, units)
-                z = spec2.coefficients(a2, b2, img)[match, cls]
+                c1 = spec1.block_maps[spec1._index(a1, b1)]
+                c2 = spec2.block_maps[spec2._index(a2, b2)]
+                units = c1.conj().T * spec1.ranks
+                z = (c2 @ phi.block_maps[(a1, b1)] @ units)[cls, match]
                 assert sp._unit(z).tobytes() == m.fiber_scalars[:, i, j].tobytes()
+                lifted = spec1.lift(a1, b1, np.eye(spec1.n_classes))
+                img = cc.functor_image(phi, source, target, a1, b1, lifted)
+                want = spec2.coefficients(a2, b2, img)[match, cls]
+                assert np.abs(z - want).max() <= 1e-12
+
+
+def test_spectrum_on_morphism_rejects_a_non_injective_object_map(monkeypatch):
+    source = cc.linking_category(2, [0, 1])
+    target = du.classical_category(2)
+    phi = cc.StarFunctor(
+        {"A": "A", "B": "A"},
+        {pair: np.eye(2, dtype=complex) for pair in source.pairs()},
+    )
+    assert not cc.validate_functor(phi, source, target).passed
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the object map is checked first")
+
+    monkeypatch.setattr(du, "spectrum", no_spectrum)
+    with pytest.raises(InvalidFunctor, match="bijection"):
+        du.spectrum_on_morphism(phi, source, target)
+
+
+def test_induced_maps_read_only_the_block_maps(monkeypatch):
+    # the induced morphism and the naturality square are k x k algebra
+    # on the block maps: no element is lifted, imaged or compressed, and
+    # no gelfand certificate runs
+    _, source, target, phi = induced_map_cases()[2]
+    spec1, spec2 = du.spectrum(source), du.spectrum(target)
+    want = du.spectrum_on_morphism(
+        phi, source, target, source_spectrum=spec1, target_spectrum=spec2
+    )
+    square = du._functor_naturality(phi, source, target, 1e-9, 0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a d x d route was taken")
+
+    for name in ("coefficients", "lift"):
+        monkeypatch.setattr(du.SpectrumResult, name, forbidden)
+    for name in ("_image", "functor_image"):
+        monkeypatch.setattr(cc, name, forbidden)
+    monkeypatch.setattr(du, "gelfand", forbidden)
+    got = du.spectrum_on_morphism(
+        phi, source, target, source_spectrum=spec1, target_spectrum=spec2
+    )
+    assert sp.morphism_distance(got, want) == 0.0
+    assert du._functor_naturality(phi, source, target, 1e-9, 0) == square
 
 
 def reference_functor_naturality(phi, c1, c2, tol, seed=0):

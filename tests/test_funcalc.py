@@ -92,6 +92,26 @@ def test_zero_element():
         fc.funcalc(x, "A", "B", fc.SpectralFunction.from_table({1.0: 1.0}))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "b_id, x",
+    [("B", np.arange(6.0).reshape(2, 3)), ("A", np.diag([1.0, 2.0, 3.0]))],
+    ids=["A-B", "A-A"],
+)
+def test_non_finite_element_is_rejected_up_front(monkeypatch, b_id, x, bad):
+    # spectrum's contract: ValueError before any norm, closure or warning
+    x = x.astype(complex)
+    x[0, 1] = bad
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm was taken")
+
+    monkeypatch.setattr(fc, "op_norm", no_norm)
+    with pytest.raises(ValueError, match="non-finite"):
+        fc.funcalc(x, "A", b_id, fc.SpectralFunction.from_coeffs([0.0, 1.0]))
+
+
 def test_wrong_table_key_rejected():
     x = np.array([[3.0, 4.0]])
     with pytest.raises(SpectrumMismatch):

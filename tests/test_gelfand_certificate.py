@@ -54,8 +54,7 @@ def gelfand_parts(cat):
     n)``."""
     spec = du.spectrum(cat, TOL)
     sec = du.sections(spec.spaceoid, TOL)
-    coeffs = spec._class_means(np.diagonal(spec.compressions, axis1=-2, axis2=-1))
-    return spec, sec, np.swapaxes(coeffs, -1, -2)
+    return spec, sec, spec.block_maps
 
 
 def functor(cat, maps):
@@ -239,16 +238,9 @@ def test_gelfand_reports_the_explicit_residual_of_a_planted_pair(monkeypatch):
 
     def planted_spectrum(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        class_means = spec._class_means
-
-        def scaled(diag):  # the image of basis element 2 of (A, A)
-            z = class_means(diag)
-            if np.ndim(diag) == 4:  # gelfand's block maps, all pairs at once
-                z = z.copy()
-                z[0, 0, 2] *= 1 + 10 * BOUND
-            return z
-
-        spec._class_means = scaled
+        spec.block_maps = spec.block_maps.copy()
+        # the image of basis element 2 of (A, A)
+        spec.block_maps[0, 0, :, 2] *= 1 + 10 * BOUND
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted_spectrum)
@@ -382,14 +374,8 @@ def test_gelfand_with_a_nan_coefficient_fails_without_raising(monkeypatch):
 
     def planted_spectrum(*args, **kwargs):
         spec = spectrum(*args, **kwargs)
-        class_means = spec._class_means
-
-        def with_nan(diag):  # entry 4 of every block's 3 x 3 coefficients
-            z = class_means(diag).copy()
-            z[..., 1, 1] = np.nan
-            return z
-
-        spec._class_means = with_nan
+        spec.block_maps = spec.block_maps.copy()
+        spec.block_maps[..., 1, 1] = np.nan  # entry 4 of every block's 3 x 3 map
         return spec
 
     monkeypatch.setattr(du, "spectrum", planted_spectrum)
