@@ -155,6 +155,25 @@ def close(
     dependent on the basis is never taken while a cleaner candidate for
     it is on offer, and its rounding is not kept as a new direction.
     The generators themselves are orthonormalized in input order.
+
+    Rounds stop when the generators act on the span.  Let G be the
+    orthonormalized generators and their adjoints, one stack per pair,
+    and call the elements added since the last round fresh.  Before
+    round 0, and before every round from round 2 on, ``_generators_act``
+    tests that the adjoint of every fresh element and every product ``g
+    y`` of ``g`` in G with ``y`` fresh lie in the span, under
+    ``_project``'s drop rule; when they all do, ``close`` stops without
+    the round, which would add nothing.  Proof: a span that contains G
+    and is closed under adjoints and under left multiplication by G
+    contains every word in the generators, so it is the closure.  Before
+    round 0 every element is fresh, and G is the span's basis and its
+    adjoints.  From round r >= 2 on, the elements that are not fresh
+    were all there at round r - 1, so their adjoints and their pairwise
+    products have been offered; G lies in their span (its adjoints were
+    offered in round 0), so their products with G lie in the span too.
+    Before round 1 this fails: the products of the generators with the
+    generators' adjoints, new in round 0, are only offered in round 1,
+    so round 1 always runs.
     """
     tol = resolve_tol(tol)
     objects = tuple((str(o), int(d)) for o, d in presentation.objects)
@@ -177,13 +196,24 @@ def close(
         for o, d in objects:
             blocks[(o, o)].append(np.eye(d, dtype=complex))
 
-    for pair in blocks:
-        blocks[pair] = hs_orthonormalize(blocks[pair], tol).basis
+    # every block is one (n, d_A, d_B) stack while it closes
+    for a, b in blocks:
+        basis = hs_orthonormalize(blocks[(a, b)], tol).basis
+        blocks[(a, b)] = np.array(basis, complex).reshape(len(basis), dims[a], dims[b])
+    gens = {
+        (a, b): np.concatenate([blocks[(a, b)], _adjoints(blocks[(b, a)])])
+        for a, b in blocks
+    }
 
-    # old[pair]: how many elements of the basis the last round multiplied
+    # old[pair]: how many elements of the basis the last round multiplied.
+    # A round that adds no direction leaves nothing fresh, so from round
+    # 2 on the stop test passes before the next round: the loop ends
+    # within the dimension count plus two rounds.
     old = dict.fromkeys(blocks, 0)
-    max_iters = sum(dims[a] * dims[b] for a in ids for b in ids) + 1
-    for _ in range(max_iters):
+    max_iters = sum(dims[a] * dims[b] for a in ids for b in ids) + 2
+    for r in range(max_iters):
+        if r != 1 and _generators_act(blocks, gens, old, ids, tol):
+            break
         # a block that spans its whole space takes no candidates
         candidates: dict = {
             pair: [] for pair, basis in blocks.items()
@@ -200,18 +230,14 @@ def close(
             # row-major: old left x new right, then new left x all right
             if nl and len(right) > nr:
                 candidates[(a, c)].append(_products(left[:nl], right[nr:]))
-            if len(left) > nl and right:
+            if len(left) > nl and len(right):
                 candidates[(a, c)].append(_products(left[nl:], right))
         old = {pair: len(basis) for pair, basis in blocks.items()}
-        changed = False
         for pair, extra in candidates.items():
             if extra:
                 new = _extend(blocks[pair], np.concatenate(extra), tol, best_first=True)
                 if new:
-                    blocks[pair] = blocks[pair] + new
-                    changed = True
-        if not changed:
-            break
+                    blocks[pair] = np.concatenate([blocks[pair], new])
     else:
         raise SpectroidError("closure did not stabilize (numerical drift?)")
 
@@ -219,7 +245,40 @@ def close(
         hs_member(np.eye(d, dtype=complex), blocks[(o, o)], tol)[0]
         for o, d in objects
     )
+    blocks = {pair: list(basis) for pair, basis in blocks.items()}
     return MatrixCategory(objects=objects, blocks=blocks, unital=unital)
+
+
+def _generators_act(blocks, gens, old, ids, tol) -> bool:
+    """True when the adjoints of the fresh elements (those of block
+    ``(a, b)`` past ``old[(a, b)]``) and the products ``g y`` of the
+    generator stacks ``gens`` with them lie in the span of their target
+    blocks, each within ``_project``'s drop rule; a full target block
+    holds everything.  The candidates of a target block go through one
+    ``_project``; the blocks are tested in increasing number of
+    candidates, and the test stops at the first that fails, so a test
+    that fails costs little."""
+    fresh = {pair: basis[old[pair]:] for pair, basis in blocks.items()}
+
+    def size(pair):  # the number of candidates of a target block
+        a, c = pair
+        return len(fresh[(c, a)]) + sum(
+            len(gens[(a, b)]) * len(fresh[(b, c)]) for b in ids
+        )
+
+    for a, c in sorted(blocks, key=size):
+        basis = blocks[(a, c)]
+        if len(basis) == basis.shape[1] * basis.shape[2]:
+            continue
+        tests = []
+        if len(fresh[(c, a)]):
+            tests.append(_adjoints(fresh[(c, a)]))
+        for b in ids:
+            if len(gens[(a, b)]) and len(fresh[(b, c)]):
+                tests.append(_products(gens[(a, b)], fresh[(b, c)]))
+        if tests and not _project(basis, np.concatenate(tests), tol)[0].all():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +508,20 @@ def _image(phi: StarFunctor, target: MatrixCategory, a, b, coeffs):
     )
 
 
+def _check_block_maps(phi: StarFunctor, source, target) -> None:
+    """Raise ``InvalidFunctor`` naming the first source block whose map
+    is not (target block dim x source block dim); ``phi``'s object map
+    is a bijection."""
+    for a, b in source.pairs():
+        a2, b2 = phi.object_map[a], phi.object_map[b]
+        want = (target.block_dim(a2, b2), source.block_dim(a, b))
+        got = np.shape(phi.block_maps.get((a, b)))
+        if got != want:
+            raise InvalidFunctor(
+                f"block map ({a},{b}) has shape {got}, expected {want}"
+            )
+
+
 def functor_image(
     phi: StarFunctor,
     source: MatrixCategory,
@@ -511,8 +584,9 @@ def validate_functor(
 ) -> Report:
     """Check *-functor axioms on all basis elements and pairs.
 
-    Raises ``InvalidFunctor`` when a product of source basis elements
-    falls outside its source block.
+    Raises ``InvalidFunctor`` when a block map's shape is not (target
+    block dim x source block dim), or when a product of source basis
+    elements falls outside its source block.
 
     ``_certified`` is private to ``duality.gelfand``: a dict mapping a
     pair ``(a, b)`` to an ``(n_ab,)`` array of proven upper bounds on
@@ -537,6 +611,7 @@ def validate_functor(
     report.add("object-bijection", bijective)
     if not bijective:
         return report
+    _check_block_maps(phi, source, target)
 
     images = {}
 
@@ -601,15 +676,17 @@ def generated_by(
     """The C*-category generated by one matrix placed in block (A, B).
 
     No units are adjoined.  When ``a_id == b_id`` the generator must be
-    square and normal.
+    square and normal.  Raises ``ValueError`` on non-finite input.
     """
     tol = resolve_tol(tol)
     arr = np.asarray(x, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite entries in generated_by input")
     if a_id == b_id:
         if arr.shape[0] != arr.shape[1]:
             raise ValueError("same-object generator must be square")
         comm = arr @ arr.conj().T - arr.conj().T @ arr
-        if float(np.linalg.norm(comm)) > tol * (1.0 + hs_norm(arr) ** 2):
+        if not np.linalg.norm(comm) <= tol * (1.0 + hs_norm(arr) ** 2):
             raise NotNormal("same-object generator must be normal")
         objects = ((a_id, arr.shape[0]),)
     else:

@@ -38,6 +38,7 @@ from .config import (
 from .cstarcat import (
     MatrixCategory,
     StarFunctor,
+    _check_block_maps,
     _stack,
     check_axioms,
     is_commutative,
@@ -605,7 +606,9 @@ def spectrum_on_morphism(
     of a *-functor ``phi: source -> target`` (contravariant), read off
     the block maps ``C1``, ``C2`` of the spectra and ``Phi`` of the
     functor alone.  Raises ``InvalidFunctor`` before either spectrum is
-    computed when the object map is not a bijection onto the target.
+    computed when the object map is not a bijection onto the target, or
+    when a block map's shape is not (target block dim x source block
+    dim).
 
     The target characters composed with ``phi`` take the values ``C2[phi
     A, phi B] Phi_AB`` on block (A, B)'s basis; on the diagonal blocks
@@ -622,6 +625,7 @@ def spectrum_on_morphism(
         set(source.object_ids), set(target.object_ids)
     ):
         raise InvalidFunctor("object map is not a bijection onto the target")
+    _check_block_maps(phi, source, target)
     spec1 = source_spectrum or spectrum(source, tol, seed)
     spec2 = target_spectrum or spectrum(target, tol, seed)
 

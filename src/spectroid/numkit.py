@@ -475,8 +475,9 @@ def _extend(basis, mats, tol: float, best_first: bool = False) -> list:
     room = rows.shape[1] - len(basis)
     if len(basis):
         old = _rows(basis)
+        old_h = old.conj().T
         for _ in range(2):
-            rows -= (rows @ old.conj().T) @ old
+            rows -= (rows @ old_h) @ old
     new: list[np.ndarray] = []
     while len(new) < room:
         norms = np.linalg.norm(rows, axis=1)

@@ -122,6 +122,28 @@ def test_generated_by_rejects_nonnormal_square():
         generated_by(np.array([[0.0, 1.0], [0.0, 0.0]]), "A", "A")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("b", ["A", "B"])
+def test_generated_by_rejects_non_finite_input_up_front(monkeypatch, value, b):
+    # no commutator is formed (an inf would warn) and no norm is taken
+    def no_norm(*args, **kwargs):
+        raise AssertionError("non-finite input is rejected before any norm")
+
+    monkeypatch.setattr(cstarcat, "hs_norm", no_norm)
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = value
+    with pytest.raises(ValueError, match="non-finite entries in generated_by"):
+        generated_by(x, "A", b)
+
+
+def test_generated_by_normality_test_is_nan_safe(monkeypatch):
+    # a NaN normality defect fails the test instead of passing it
+    monkeypatch.setattr(cstarcat, "hs_norm", lambda m: np.nan)
+    with pytest.raises(NotNormal):
+        generated_by(np.diag([1.0, 2.0]), "A", "A")
+
+
 def test_close_is_idempotent_and_axioms_pass():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -141,10 +163,11 @@ def test_close_is_idempotent_and_axioms_pass():
         assert cat.block_dim(*pair) == cat2.block_dim(*pair)
 
 
-def reference_close(presentation, unitize=False, tol=1e-9):
+def reference_close(presentation, unitize=False, tol=1e-9, rounds=None):
     """The full-recompute closure: every round offers every adjoint and
     every product of the whole current bases, and orthonormalizes the
-    old basis and the candidates together."""
+    old basis and the candidates together.  A ``rounds`` list gets one
+    entry per round run, whether it added a direction."""
     objects = tuple((str(o), int(d)) for o, d in presentation.objects)
     dims = dict(objects)
     ids = [o for o, _ in objects]
@@ -176,6 +199,8 @@ def reference_close(presentation, unitize=False, tol=1e-9):
                 if len(new) > len(blocks[pair]):
                     blocks[pair] = new
                     changed = True
+        if rounds is not None:
+            rounds.append(changed)
         if not changed:
             break
     else:
@@ -319,37 +344,141 @@ def _once_cases():
     yield _single_presentation(x, "A", "B")
 
 
-@pytest.mark.parametrize(
+once_cases = pytest.mark.parametrize(
     "pres", list(_once_cases()), ids=["chain3x3", "chain4x2", "chain2x4", "rect4x3"]
 )
-def test_close_offers_each_product_and_adjoint_once(monkeypatch, pres):
-    products, adjoints, extend = cstarcat._products, cstarcat._adjoints, cstarcat._extend
-    offered = {"pairs": [], "adjoints": [], "made": 0, "kernel": 0}
+
+
+def _record_close(monkeypatch, pres):
+    """Close ``pres`` recording what is made and where.  The adjoints of
+    the generator stacks are made once, before the first stop test;
+    the stop test's products and adjoints (``_generators_act``) and the
+    rounds' candidates are kept apart.  A round is a run of ``_extend``
+    calls between two batches of made candidates."""
+    products, adjoints = cstarcat._products, cstarcat._adjoints
+    extend, project, act = cstarcat._extend, cstarcat._project, cstarcat._generators_act
+    made = {
+        part: {"pairs": [], "adjoints": [], "made": 0}
+        for part in ("setup", "test", "round")
+    }
+    rec = {"part": "setup", "kernel": 0, "projected": 0, "rounds": [], "extending": False}
 
     def record_products(left, right):
-        offered["pairs"] += [np.append(x, y) for x in left for y in right]
+        made[rec["part"]]["pairs"] += [np.append(x, y) for x in left for y in right]
         out = products(left, right)
-        offered["made"] += len(out)
+        made[rec["part"]]["made"] += len(out)
+        rec["extending"] = False
         return out
 
     def record_adjoints(mats):
-        offered["adjoints"] += [np.ravel(x) for x in mats]
+        made[rec["part"]]["adjoints"] += [np.ravel(x) for x in mats]
         out = adjoints(mats)
-        offered["made"] += len(out)
+        made[rec["part"]]["made"] += len(out)
+        rec["extending"] = False
         return out
 
+    def record_act(*args):
+        rec["part"] = "test"
+        try:
+            return act(*args)
+        finally:
+            rec["part"] = "round"
+
+    def record_project(basis, mats, tol):
+        rec["projected"] += len(mats)
+        return project(basis, mats, tol)
+
     def record_extend(basis, mats, tol, best_first=False):
-        offered["kernel"] += len(mats)
-        return extend(basis, mats, tol, best_first)
+        rec["kernel"] += len(mats)
+        new = extend(basis, mats, tol, best_first)
+        if not rec["extending"]:
+            rec["rounds"].append(False)
+            rec["extending"] = True
+        rec["rounds"][-1] |= bool(new)
+        return new
 
     monkeypatch.setattr(cstarcat, "_products", record_products)
     monkeypatch.setattr(cstarcat, "_adjoints", record_adjoints)
+    monkeypatch.setattr(cstarcat, "_generators_act", record_act)
+    monkeypatch.setattr(cstarcat, "_project", record_project)
     monkeypatch.setattr(cstarcat, "_extend", record_extend)
-    close(pres)
-    # everything the kernel is offered is one of the recorded candidates
-    assert offered["made"] == offered["kernel"] > 0
-    assert not _repeats(offered["adjoints"])
-    assert not _repeats(offered["pairs"])
+    return close(pres), made, rec
+
+
+@once_cases
+def test_close_offers_each_product_and_adjoint_once(monkeypatch, pres):
+    _, made, rec = _record_close(monkeypatch, pres)
+    # the setup makes only the generators' adjoints, and the stop test
+    # projects everything it makes
+    n_gens = sum(len(numkit.hs_orthonormalize(g).basis) for g in pres.generators.values())
+    assert made["setup"]["made"] == len(made["setup"]["adjoints"]) == n_gens
+    assert made["test"]["made"] == rec["projected"] > 0
+    # everything the kernel is offered is one of the rounds' candidates
+    assert made["round"]["made"] == rec["kernel"] > 0
+    assert not _repeats(made["round"]["adjoints"])
+    assert not _repeats(made["round"]["pairs"])
+
+
+@once_cases
+def test_close_runs_no_round_that_adds_nothing(monkeypatch, pres):
+    # the semi-naive rounds add the reference's spans round by round; a
+    # close that ran until a round added nothing would run one round
+    # more than the reference's adding rounds, and the stop test saves it
+    cat, _, rec = _record_close(monkeypatch, pres)
+    ref_rounds = []
+    assert_same_closure(cat, reference_close(pres, rounds=ref_rounds))
+    # the idle round is round 2 or later, where the stop test runs
+    assert ref_rounds[-1] is False and all(ref_rounds[:-1])
+    assert len(ref_rounds) >= 3
+    assert rec["rounds"] == ref_rounds[:-1]
+
+
+@pytest.mark.parametrize("name", ["z5-algebra", "z5-algebra-unitized", "diagonal-unitized"])
+def test_close_of_a_star_algebra_makes_no_extend_call(monkeypatch, name):
+    rng = np.random.default_rng(41)
+    if name.startswith("z5"):
+        cat = selftest.scramble_category(
+            groupoid_category(groups.connected_groupoid(1, groups.cyclic(5))), rng
+        )
+        pres = CategoryPresentation(objects=cat.objects, generators=cat.blocks)
+    else:
+        pres = diag_presentation(4, ids=("A", "B"))
+    unitize = name.endswith("unitized")
+
+    def no_extend(*args, **kwargs):
+        raise AssertionError("the stop test before round 0 passes")
+
+    monkeypatch.setattr(cstarcat, "_extend", no_extend)
+    got = close(pres, unitize=unitize)
+    assert_same_closure(got, reference_close(pres, unitize))
+    assert got.unital
+
+
+@pytest.mark.parametrize(
+    "name", ["hermitian-diagonal", "x-and-adjoint", "unitized-pair", "first-column"]
+)
+def test_close_continues_past_a_span_the_generators_do_not_act_on(name):
+    # the first three presentations are closed under adjoints but not
+    # under products with their generators; the last, the matrices
+    # supported on the first column, under products with the generators
+    # and their adjoints (E12 E21 = E11) but not under adjoints: the
+    # stop test before round 0 must fail on each
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    if name == "hermitian-diagonal":
+        objects, gens = (("A", 3),), {("A", "A"): [np.diag([1.0, 2.0, 4.0])]}
+    elif name == "first-column":
+        units = np.eye(4).reshape(4, 2, 2)  # E11, E12, E21, E22
+        objects, gens = (("A", 2),), {("A", "A"): [units[0], units[2]]}
+    else:
+        objects = (("A", 3), ("B", 2))
+        gens = {("A", "B"): [x], ("B", "A"): [x.conj().T]}
+    pres = CategoryPresentation(objects=objects, generators=gens)
+    unitize = name == "unitized-pair"
+    got = close(pres, unitize=unitize)
+    assert_same_closure(got, reference_close(pres, unitize))
+    grown = sum(len(b) for b in got.blocks.values())
+    assert grown > sum(map(len, gens.values())) + unitize * len(objects)
 
 
 @pytest.mark.parametrize("scrambled", [False, True])
@@ -486,6 +615,15 @@ def test_broken_functor_fails_validation():
     phi.block_maps[("A", "B")] = 2.0 * phi.block_maps[("A", "B")]  # not isometric
     rep = validate_functor(phi, cat, cat)
     assert not rep.passed
+
+
+def test_validate_functor_names_a_block_map_of_the_wrong_shape():
+    cat = linking_category(2, [1, 0], [1, 1j])
+    phi = identity_functor(cat)
+    phi.block_maps[("A", "B")] = np.eye(2, 3)
+    want = r"block map \(A,B\) has shape \(2, 3\), expected \(2, 2\)"
+    with pytest.raises(InvalidFunctor, match=want):
+        validate_functor(phi, cat, cat)
 
 
 def test_validate_functor_rejects_product_outside_source():

@@ -1308,6 +1308,20 @@ def test_spectrum_on_morphism_rejects_a_non_injective_object_map(monkeypatch):
         du.spectrum_on_morphism(phi, source, target)
 
 
+def test_spectrum_on_morphism_names_a_block_map_of_the_wrong_shape(monkeypatch):
+    cat = cc.linking_category(2, [1, 0], [1, 1j])
+    phi = cc.identity_functor(cat)
+    phi.block_maps[("A", "B")] = np.eye(2, 3)
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("the block maps are checked first")
+
+    monkeypatch.setattr(du, "spectrum", no_spectrum)
+    want = r"block map \(A,B\) has shape \(2, 3\), expected \(2, 2\)"
+    with pytest.raises(InvalidFunctor, match=want):
+        du.spectrum_on_morphism(phi, cat, cat)
+
+
 def test_induced_maps_read_only_the_block_maps(monkeypatch):
     # the induced morphism and the naturality square are k x k algebra
     # on the block maps: no element is lifted, imaged or compressed, and
