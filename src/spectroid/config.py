@@ -28,8 +28,9 @@ AXIOM_SLACK = 10.0
 FUNCTOR_SLACK = 100.0
 # duality, values read off joint eigenbases: a transported basis's
 # unitarity defect (scale 1 + d), a character against a class's eigenvalues (scale
-# 1 + max|value|), spectrum's lift-back residual (scale 1 + ||x||_HS),
-# and the recovered phases' multiplicativity (absolute).
+# 1 + max|value|), spectrum's lift-back residual or its proven bound
+# (scale 1 + ||x||_HS), and the recovered phases' multiplicativity
+# (absolute).
 SPECTRAL_SLACK = 100.0
 # unitary_equivalence_gauge: two characters' values on the diagonal
 # bases.  Scale 1 + max|value|.
@@ -57,10 +58,12 @@ PREGROUP_RTOL = 1e-4
 CLUSTER_RTOL = 1e-8
 # A certificate clears an explicit check, without forming the products
 # that check would, when this times the bound it proves is at most the
-# check's bound.  spectrum certifies a pair of basis elements of each
-# diagonal block as commuting when its completeness residuals and the
-# object's class-ordered basis bound ||[m_i, m_j]||_HS so against tol
-# * (1 + ||m_i||_HS ||m_j||_HS).  gelfand certifies a pair of basis
+# check's bound.  spectrum certifies a basis element complete when its
+# compression's residual and its objects' class-ordered bases bound its
+# lift-back residual so against SPECTRAL_SLACK * tol * (1 + ||x||_HS),
+# and a pair of basis elements of each diagonal block as commuting when
+# its completeness bounds and the object's class-ordered basis bound
+# ||[m_i, m_j]||_HS so against tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand certifies a pair of basis
 # elements when its compressions bound the pair's multiplicativity
 # defect so against FUNCTOR_SLACK * tol and the product's HS residual
 # outside its block against tol, a basis element when they bound its
@@ -78,6 +81,9 @@ CERT_SLACK = 10.0
 # HS-orthonormal basis (likewise sum_i x_i x_i*) is invertible when its
 # smallest eigenvalue exceeds this times its largest.  The ratio is at
 # least about 1/dim for a full block and rounding (1e-16) otherwise.
+# spectrum, once completeness is proven, applies the same cut to the
+# squared norms of the classes' rows of each block map, which are
+# those eigenvalues up to the bases' unitarity defects.
 FULLNESS_RTOL = 1e-8
 # Input phases (linking generators and spaceoids, phase-functor
 # assignments) must satisfy | |z| - 1 | <= PHASE_ATOL.

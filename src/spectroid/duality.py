@@ -32,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import (
-    AXIOM_SLACK, CERT_SLACK, EQUIVALENCE_SLACK, FUNCTOR_SLACK, ISOMETRY_SLACK,
-    SPECTRAL_SLACK, VANISHING_ATOL, ZERO_ONE_CUT, resolve_tol,
+    AXIOM_SLACK, CERT_SLACK, EQUIVALENCE_SLACK, FULLNESS_RTOL, FUNCTOR_SLACK,
+    ISOMETRY_SLACK, SPECTRAL_SLACK, VANISHING_ATOL, ZERO_ONE_CUT, resolve_tol,
 )
 from .cstarcat import (
     MatrixCategory,
@@ -97,8 +97,27 @@ __all__ = [
 ]
 
 
+_EPS = np.finfo(float).eps
+
+
 # ---------------------------------------------------------------------------
 # spectrum
+
+
+class _Residuals(NamedTuple):
+    """``spectrum``'s completeness data, ``n`` = classes = basis elements
+    per block, ``d`` = object dimension, and the arrays it was measured
+    on, which ``gelfand``'s certificate compares by identity before it
+    reuses the data."""
+
+    category: MatrixCategory
+    bases: np.ndarray
+    compressions: np.ndarray
+    block_maps: np.ndarray
+    resid: np.ndarray  # (o, o, n, d*d) rows of E(e) = T(e) - blockdiag_p(c_p(e) I)
+    eta: np.ndarray  # (o, o, n) their HS norms
+    norm: np.ndarray  # (o, o, n) ||e||_HS
+    delta: np.ndarray  # (o,) ||U*U - I||_HS of the class-ordered bases
 
 
 @dataclass
@@ -134,6 +153,10 @@ class SpectrumResult:
     bases: np.ndarray = field(repr=False)
     compressions: np.ndarray = field(repr=False)
     block_maps: np.ndarray = field(repr=False)
+    # what spectrum proved completeness from, for gelfand's certificate:
+    # a _Residuals, set by spectrum; a plain attribute, not a field, so a
+    # copy made by dataclasses.replace starts without it
+    _residuals = None
 
     @property
     def n_classes(self) -> int:
@@ -183,6 +206,47 @@ def _class_means(diag, ranks) -> np.ndarray:
     """Per class, the mean of ``diag`` (one entry per basis column,
     along the last axis) over the class's ``ranks`` columns."""
     return np.add.reduceat(diag, np.cumsum(ranks) - ranks, axis=-1) / ranks
+
+
+def _residual_rows(comp, coeffs, ranks) -> np.ndarray:
+    """``E(e) = T(e) - blockdiag_p(c_p(e) I)`` for a ``(..., d, d)``
+    stack of compressions ``T(e)`` and their class coefficients
+    ``coeffs`` ``(..., k)``, as rows ``(..., d*d)``: the compressions
+    with the coefficients taken off their diagonals."""
+    resid = comp.copy()
+    i = np.arange(comp.shape[-1])
+    resid[..., i, i] -= np.repeat(coeffs, ranks, axis=-1)
+    return resid.reshape(comp.shape[:-2] + (-1,))
+
+
+def _lift_bound(eta, norm, delta, d) -> np.ndarray:
+    """Proven bounds, ``(o, o, n)``, on the lift residuals ``f_e = ||e -
+    U_A M(e) U_B*||_HS`` of the basis elements ``e`` of every block (A,
+    B), ``M(e) = blockdiag_p(c_p(e) I)`` over the ``k`` classes, from
+    the HS norms ``eta`` of ``E(e) = T(e) - M(e)``, ``T(e) = U_A* e
+    U_B``, the norms ``||e||_HS`` and the ``(o,)`` unitarity defects
+    ``delta = ||U*U - I||_HS`` of the square ``d x d`` class-ordered
+    bases.
+
+    Lemma (an element within ``eta`` of its block-scalar model, in bases
+    ``delta`` from unitary).  ``||U||_op^2 = ||U*U||_op <= 1 + delta``,
+    so ``||U X V*||_HS <= sqrt((1 + delta_U)(1 + delta_V)) ||X||_HS``;
+    and ``U U* = I + D`` with ``||D||_HS = delta``, since ``U U*`` and
+    ``U*U`` are unitarily similar for square ``U``.  So ``U_A T(e) U_B*
+    = (I + D_A) e (I + D_B)``, hence ``e - U_A M(e) U_B* = U_A E(e) U_B*
+    - (D_A e + e D_B + D_A e D_B)`` and ``f_e <= sqrt((1 + delta_A)(1 +
+    delta_B)) eta_e + (delta_A + delta_B + delta_A delta_B) ||e||_HS``.
+
+    The bound adds ``(d^2 + k) eps (1 + ||e||_HS)`` for the rounding of
+    ``eta`` and of the explicit lift, so it holds for ``f_e`` as
+    computed.  A NaN in any input makes the bound NaN.
+    """
+    d_a, d_b = delta[:, None, None], delta[None, :, None]
+    return (
+        np.sqrt((1 + d_a) * (1 + d_b)) * eta
+        + (d_a + d_b + d_a * d_b) * norm
+        + (d * d + eta.shape[-1]) * _EPS * (1 + norm)
+    )
 
 
 def _rank_groups(ranks: np.ndarray):
@@ -258,12 +322,21 @@ def spectrum(
     objects' bases are transported from it (:func:`_transported_bases`).
     Every block's basis is compressed, in one product over all pairs,
     into those bases; their diagonals' class means are the
-    ``block_maps``.  The completeness check, over all pairs, the diagonal
-    ones included, proves every compression a multiple of the identity
-    on every class, so every frame is the identity, every structure
-    constant is 1, and every C_BB is diagonalized without one of its
-    own.  Every diagonal block, the anchor's included, is then proved
-    commutative by one rule (:func:`_require_commuting`).
+    ``block_maps``, and what is left of each compression, ``E(e) = T(e)
+    - blockdiag_p(c_p(e) I)``, is one residual array.  The completeness
+    check, over all pairs, the diagonal ones included, proves every
+    element within ``SPECTRAL_SLACK * tol * (1 + ||e||_HS)`` of the
+    multiple of the identity on every class that its coefficients give,
+    so every frame is the identity, every structure constant is 1, and
+    every C_BB is diagonalized without one of its own.  A pair is proved
+    from the residual array (:func:`_lift_bound`) where ``CERT_SLACK``
+    times every element's bound clears that; only the pairs left over
+    lift their coefficients back explicitly.  Once completeness holds, a
+    block is full exactly when no class vanishes in it, which its block
+    map shows (``FULLNESS_RTOL``).  Every diagonal block, the anchor's
+    included, is then proved commutative by one rule
+    (:func:`_require_commuting`).  Only a failing input consults
+    ``is_commutative`` and ``is_full``.
     """
     tol = resolve_tol(tol)
     if not c.unital:
@@ -277,11 +350,14 @@ def spectrum(
     try:
         return _spectrum(c, tol, seed)
     except (DiagonalizationFailed, NotFull, NotOneDimensional, AmbiguousMatching) as exc:
-        # only the anchor is diagonalized, so a non-commutative block
-        # fails its diagonalization or one of the later checks;
-        # commutativity is consulted on this path only
+        # only the anchor is diagonalized and fullness is read off the
+        # block maps, so a category that is not commutative, or not
+        # full, fails one of the later checks; both hypotheses are
+        # consulted on this path only, commutativity first
         if not is_commutative(c, tol):
             raise NotCommutative("diagonal blocks do not commute") from exc
+        if not isinstance(exc, NotFull) and not is_full(c, tol):
+            raise NotFull("inner products do not span the diagonal blocks") from exc
         raise
 
 
@@ -289,12 +365,10 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
     """:func:`spectrum` on a unital category, before the error contract."""
     ids = c.object_ids
     eig = joint_diagonalize(c.block(ids[0], ids[0]), tol, seed=seed)
-    if not is_full(c, tol):
-        raise NotFull("inner products do not span the diagonal blocks")
     k = eig.n_blocks
     # in a full category every class has a nonzero fiber in every block,
     # so a block whose dimension is not the class count has a fiber that
-    # is not a line
+    # is not a line, or the category is not full
     for a, b in c.pairs():
         if c.block_dim(a, b) != k:
             raise NotOneDimensional(
@@ -316,17 +390,39 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
         compressions=comp,
         block_maps=np.swapaxes(coeffs, -1, -2),
     )
+    resid = _residual_rows(comp, coeffs, eig.sizes)
+    eta = np.linalg.norm(resid, axis=-1)
+    norms = np.linalg.norm(x.reshape(resid.shape), axis=-1)
+    result._residuals = _Residuals(
+        c, bases, comp, result.block_maps, resid, eta, norms, delta
+    )
 
-    # completeness: every element must be recovered by its coefficients
-    i, j, _ = np.ogrid[:n_obj, :n_obj, :1]  # the pair axes, broadcast over elements
-    norms = np.linalg.norm(x, axis=(-2, -1))
-    err = np.linalg.norm(result._lift(i, j, coeffs) - x, axis=(-2, -1))
-    bad = ~np.all(err <= SPECTRAL_SLACK * tol * (1 + norms), axis=-1)
+    # completeness: every element must be recovered by its coefficients;
+    # err holds the proven bound on each lift residual, or the residual
+    # itself for the pairs whose bounds do not clear
+    cut = SPECTRAL_SLACK * tol * (1 + norms)
+    err = _lift_bound(eta, norms, delta, d)
+    left = ~np.all(CERT_SLACK * err <= cut, axis=-1)
+    if left.any():
+        a, b = np.nonzero(left)
+        lift = result._lift(a[:, None], b[:, None], coeffs[a, b])
+        err[a, b] = np.linalg.norm(lift - x[a, b], axis=(-2, -1))
+    bad = ~np.all(err <= cut, axis=-1)
     if bad.any():
         a, b = np.unravel_index(np.argmax(bad), bad.shape)
         raise NotOneDimensional(
             f"block ({ids[a]},{ids[b]}) is not spanned by the class fibers"
         )
+    # fullness: a class whose row of the block map vanishes, next to the
+    # largest, has no fiber in the block (with completeness proven, these
+    # squared row norms are the eigenvalues is_full measures, up to the
+    # bases' unitarity defects)
+    sq = np.sum(np.abs(coeffs) ** 2, axis=-2)
+    thin = ~(sq.min(axis=-1) > FULLNESS_RTOL * sq.max(axis=-1))
+    if thin.any():
+        a, b = np.unravel_index(np.argmax(thin), thin.shape)
+        p = np.argmin(sq[a, b])
+        raise NotFull(f"class {points[p]} vanishes in block ({ids[a]},{ids[b]})")
     n = np.arange(n_obj)
     _require_commuting(x[n, n], coeffs[n, n], err[n, n], norms[n, n], delta, tol, ids)
     return result
@@ -341,14 +437,15 @@ def _require_commuting(m, coeffs, err, norms, delta, tol, ids) -> None:
 
     Arguments, per object: ``m`` ``(o, n, d, d)``, the diagonal block's
     basis; ``coeffs`` ``(o, n, k)``, its class coefficients ``c(m_i)``;
-    ``err`` and ``norms`` ``(o, n)``, the completeness check's residuals
-    ``f_i = ||m_i - U M_i U*||_HS``, with ``M_i = blockdiag_p(c_p(m_i)
-    I)`` and ``U`` the object's class-ordered basis, and ``n_i``; and
-    ``delta`` ``(o,)``, ``||U*U - I||_HS``.  With ``mu_i = max_p
-    |c_p(m_i)| = ||M_i||_op``:
+    ``err`` ``(o, n)``, upper bounds on the lift residuals ``f_i = ||m_i
+    - U M_i U*||_HS``, with ``M_i = blockdiag_p(c_p(m_i) I)`` and ``U``
+    the object's class-ordered basis (the completeness check's explicit
+    residuals, or :func:`_lift_bound`'s proven bounds on them);
+    ``norms`` ``(o, n)``, the ``n_i``; and ``delta`` ``(o,)``, ``||U*U -
+    I||_HS``.  With ``mu_i = max_p |c_p(m_i)| = ||M_i||_op``:
 
-    * ``||U||_op^2 = ||U*U||_op <= 1 + delta``, so ``||U A U*||_HS <= (1
-      + delta) ||A||_HS`` and ``||U M_i U*||_op <= (1 + delta) mu_i``.
+    * By the lemma of :func:`_lift_bound`, ``||U A U*||_HS <= (1 +
+      delta) ||A||_HS`` and ``||U M_i U*||_op <= (1 + delta) mu_i``.
     * ``M_i`` and ``M_j`` are diagonal, so they commute, and ``[U M_i
       U*, U M_j U*] = U (M_i D M_j - M_j D M_i) U*`` with ``D = U*U -
       I``.
@@ -526,7 +623,7 @@ class SectionsWithGauge(NamedTuple):
 
 
 def sections_with_gauge(
-    e: SpaceoidData, tol: float | None = None
+    e: SpaceoidData, tol: float | None = None, *, _valid: bool = False
 ) -> SectionsWithGauge:
     """Concrete diagonal realization of the section category.
 
@@ -534,10 +631,16 @@ def sections_with_gauge(
     element for point ``p`` of block ``(A, B)`` is ``conj(g(p;A,B)) *
     e_pp`` with ``g`` the trivializing gauge, which makes the stored
     structure constants of the realization equal to the spaceoid's
-    table exactly.
+    table exactly.  Raises ``InvalidSpaceoid`` when ``e`` does not
+    validate.
+
+    ``_valid`` is private to :func:`gelfand` and :func:`evaluation`: True
+    when the caller has already validated ``e``, which is then not
+    validated again.
     """
     tol = resolve_tol(tol)
-    require_valid(e, tol)
+    if not _valid:
+        require_valid(e, tol)
     gauge = e.table[:, :, 0, :].copy()
     n = len(e.base_points)
     k = np.arange(n)
@@ -666,9 +769,6 @@ class GelfandResult(NamedTuple):
     report: Report
 
 
-_EPS = np.finfo(float).eps
-
-
 class _Compressions(NamedTuple):
     """Per-element quantities of ``gelfand``'s certificates, object
     indices first; ``n`` = classes = basis elements per block, ``d`` =
@@ -688,15 +788,32 @@ def _compressions(c, spec, maps) -> _Compressions:
     """Measure every basis element's compression into the class-ordered
     bases of its objects, ``T(e) = U_A* e U_B`` (as ``spectrum`` formed
     it), against the model ``blockdiag_p(c_p(e) I)`` built from the
-    functor's own block maps ``maps``, ``(o, o, n, n)``."""
+    functor's own block maps ``maps``, ``(o, o, n, n)``.
+
+    ``delta``, ``||e||_HS`` and, when ``maps`` are the spectrum's own
+    block maps, the residual rows and ``eta`` are those ``spectrum``
+    proved completeness from, while ``c`` and ``spec`` still hold the
+    arrays it measured them on; otherwise they are measured here."""
     u = spec.bases
     n, d = maps.shape[-1], u.shape[-1]
     rows = np.reshape(
         [_stack(c, a, b) for a, b in c.pairs()], maps.shape[:2] + (n, d * d)
     )
-    cls = np.repeat(np.arange(n), spec.ranks)
-    model = np.swapaxes(maps[:, :, cls], -1, -2)[..., None] * np.eye(d)
-    resid = (spec.compressions - model).reshape(rows.shape)
+    r = spec._residuals
+    if r is not None and not (
+        r.category is c and r.bases is u and r.compressions is spec.compressions
+    ):
+        r = None
+    if r is not None and maps is r.block_maps:
+        resid, eta = r.resid, r.eta
+    else:
+        resid = _residual_rows(spec.compressions, np.swapaxes(maps, -1, -2), spec.ranks)
+        eta = np.linalg.norm(resid, axis=-1)
+    if r is not None:
+        norm, delta = r.norm, r.delta
+    else:
+        norm = np.linalg.norm(rows, axis=-1)
+        delta = np.linalg.norm(_adjoints(u) @ u - np.eye(d), axis=(-2, -1))
     finite = np.isfinite(maps).all(axis=(-2, -1))
     sv = np.full(maps.shape[:-1], np.nan)
     if finite.any():
@@ -704,10 +821,10 @@ def _compressions(c, spec, maps) -> _Compressions:
     return _Compressions(
         maps=maps,
         resid=resid,
-        eta=np.linalg.norm(resid, axis=-1),
+        eta=eta,
         nu=np.abs(maps).max(axis=2),
-        norm=np.linalg.norm(rows, axis=-1),
-        delta=np.linalg.norm(_adjoints(u) @ u - np.eye(d), axis=(-2, -1)),
+        norm=norm,
+        delta=delta,
         gram=np.linalg.norm(rows @ _adjoints(rows) - np.eye(n), axis=(-2, -1)),
         sv=sv,
     )
@@ -728,9 +845,10 @@ def _product_bounds(q: _Compressions):
     in :class:`_Compressions`; ``v_p = c_p(x) c_p(y)``, whose norms per
     pair are one matrix product of the squared block maps.
 
-    * ``U_B U_B* = I + D`` with ``||D||_HS = delta_B`` (U is square), so
-      ``T(xy) = T(x) T(y) - U_A* x D y U_C``.  Expanding ``T = M + E``,
-      ``M(x) M(y) = blockdiag(v_p I)`` and ``||M(x)||_op <= nu``:
+    * ``U_B U_B* = I + D`` with ``||D||_HS = delta_B`` (the lemma of
+      :func:`_lift_bound`), so ``T(xy) = T(x) T(y) - U_A* x D y U_C``.
+      Expanding ``T = M + E``, ``M(x) M(y) = blockdiag(v_p I)`` and
+      ``||M(x)||_op <= nu``:
       ``T(xy) = blockdiag(v_p I) + R`` with ``||R||_HS <= eps = nu_i
       eta_j + eta_i nu_j + eta_i eta_j + sqrt((1 + delta_A)(1 +
       delta_C)) ||x|| ||y|| delta_B``.
@@ -919,7 +1037,8 @@ def gelfand(
     """
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
-    sec = sections(spec.spaceoid, tol)
+    # the spectrum's table is the constant 1, valid by construction
+    sec = sections_with_gauge(spec.spaceoid, tol, _valid=True).category
     maps = spec.block_maps
     phi = StarFunctor(
         object_map={o: o for o in c.object_ids},
@@ -964,16 +1083,22 @@ class Evaluation(NamedTuple):
     spectrum: SpectrumResult
 
 
-def evaluation(e: SpaceoidData, tol: float | None = None, seed: int = 0):
+def evaluation(
+    e: SpaceoidData, tol: float | None = None, seed: int = 0, *, _valid: bool = False
+):
     """The comparison morphism ``e -> spectrum(sections(e))``.
 
     Every base point hosts the character "evaluate there"; the fiber
     scalars express the re-diagonalized frames, which are the identity
     in the transported bases, in the original ones (they equal the
-    trivializing gauge).
+    trivializing gauge).  Raises ``InvalidSpaceoid`` when ``e`` does not
+    validate.
+
+    ``_valid`` is private to :func:`roundtrip_spaceoid`, which has
+    validated ``e`` already: see :func:`sections_with_gauge`.
     """
     tol = resolve_tol(tol)
-    sec, gauge = sections_with_gauge(e, tol)
+    sec, gauge = sections_with_gauge(e, tol, _valid=_valid)
     spec = spectrum(sec, tol, seed)
     if spec.n_classes != len(e.base_points):
         raise SpectrumMismatch(
@@ -1016,8 +1141,9 @@ def roundtrip_category(
 
     The report holds ``check_axioms``' checks (prefix ``input-``), then
     ``gelfand``'s (``gelfand-``) and the spectrum's ``validate``
-    (``spaceoid-``).  ``gelfand`` runs first, and ``input-adjoint-closure``
-    and ``input-composition-closure`` take its proven bounds on the
+    (``spaceoid-``), the one validation of the spectrum's table.
+    ``gelfand`` runs first, and ``input-adjoint-closure`` and
+    ``input-composition-closure`` take its proven bounds on the
     adjoints' and products' residuals outside their blocks: a block's
     adjoints or a triple's products report their bounds where
     ``config.CERT_SLACK`` times every one clears ``AXIOM_SLACK * tol``,
@@ -1038,7 +1164,11 @@ def roundtrip_category(
 def roundtrip_spaceoid(
     e: SpaceoidData, tol: float | None = None, seed: int = 0
 ) -> Report:
-    """Certify the comparison morphism of one spaceoid."""
+    """Certify the comparison morphism of one spaceoid.
+
+    ``e`` is validated once: ``input-`` holds the checks, and
+    ``evaluation`` runs only when they pass, without validating ``e``
+    again."""
     tol = resolve_tol(tol)
     report = Report()
     report.extend(validate(e, tol), "input-")
@@ -1046,7 +1176,7 @@ def roundtrip_spaceoid(
         # a broken table is a verification failure, not a crash; the
         # evaluation machinery assumes the cocycle identities
         return report
-    ev = evaluation(e, tol, seed)
+    ev = evaluation(e, tol, seed, _valid=True)
     rep = validate_morphism(ev.morphism, e, ev.spectrum.spaceoid, tol)
     report.extend(rep, "evaluation-")
     report.add(

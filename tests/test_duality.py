@@ -20,6 +20,7 @@ from spectroid import spaceoid as sp
 from spectroid.errors import (
     AmbiguousMatching,
     InvalidFunctor,
+    InvalidSpaceoid,
     NotCommutative,
     NotFull,
     NotOneDimensional,
@@ -395,6 +396,116 @@ def test_spectrum_rejects_a_two_dimensional_fiber_up_front():
     assert cc.is_commutative(c) and cc.is_full(c)
     with pytest.raises(NotOneDimensional, match="dimension 4 for 1 classes"):
         du.spectrum(c)
+
+
+# --- spectrum's completeness and fullness certificates -------------------------
+
+
+def _linking_chain():
+    phases = [np.exp([0.3j, 1.1j, -2.0j, 0.7j]), np.exp([0.5j, 0.2j, 2.5j, -1.3j])]
+    return cc.multi_linking(4, [[1, 2, 3, 0], [0, 3, 1, 2]], phases)
+
+
+@pytest.mark.parametrize("make", [
+    _linking_chain,
+    lambda: scramble(
+        cc.groupoid_category(groups.connected_groupoid(3, groups.cyclic(4))), 8
+    ),
+    lambda: du.sections(random_spaceoid(21, n_points=4, n_objects=3)),
+    lambda: du.classical_category(16),
+], ids=["linking-chain", "groupoid-Z4-scrambled", "sections-gauged", "classical-16"])
+def test_spectrum_certifies_completeness_and_fullness_without_forming_them(
+    monkeypatch, make
+):
+    c = make()
+
+    def formed(*args, **kwargs):
+        raise AssertionError("formed on the success path")
+
+    monkeypatch.setattr(du, "is_full", formed)
+    monkeypatch.setattr(du.SpectrumResult, "_lift", formed)
+    spec = du.spectrum(c)
+    assert spec.n_classes == c.block_dim(c.object_ids[0], c.object_ids[0])
+
+
+def _perturbed(cat, pair, size, seed=0):
+    """``cat`` with basis element 0 of block ``pair`` moved by ``size``
+    in HS norm, in a random direction."""
+    rng = np.random.default_rng(seed)
+    blocks = {key: list(basis) for key, basis in cat.blocks.items()}
+    x = blocks[pair][0]
+    g = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    blocks[pair][0] = x + size * g / np.linalg.norm(g)
+    return cc.MatrixCategory(cat.objects, blocks, cat.unital)
+
+
+def test_spectrum_lifts_explicitly_where_the_certificate_misses(monkeypatch):
+    # an element 5e-8 from its block: CERT_SLACK times its bound misses
+    # SPECTRAL_SLACK * tol * (1 + 1) = 2e-7, its explicit lift residual
+    # clears it; the perturbed block (B2, B3) does not carry the classes
+    c = _linking_chain()
+    want = du.spectrum(c)
+    lifted = []
+    lift = du.SpectrumResult._lift
+
+    def spy(self, i, j, coeffs):
+        lifted.append((np.ravel(i).tolist(), np.ravel(j).tolist()))
+        return lift(self, i, j, coeffs)
+
+    monkeypatch.setattr(du.SpectrumResult, "_lift", spy)
+    got = du.spectrum(_perturbed(c, ("B2", "B3"), 5e-8))
+    assert lifted == [([1], [2])]
+    assert got.spaceoid.base_points == want.spaceoid.base_points
+    assert np.array_equal(got.ranks, want.ranks)
+    assert np.array_equal(got.bases, want.bases)
+    assert np.allclose(got.block_maps, want.block_maps, rtol=0, atol=1e-7)
+    with pytest.raises(NotOneDimensional, match=r"block \(B2,B3\)"):
+        du.spectrum(_perturbed(c, ("B2", "B3"), 1e-6))
+
+
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A")], ids=["A-first", "B-first"])
+def test_spectrum_reads_a_vanishing_class_off_the_block_maps(order):
+    # block (A, B) is complete, but one class's fiber in it is 1e-9 of
+    # the other's: is_full's Gram ratio is 1e-18, and so is the block
+    # map's ratio of squared row norms
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    c = _two_object_family([e11, e22], [e11, e22], [e11, 1e-9 * e22])
+    c = cc.MatrixCategory(tuple((o, 2) for o in order), c.blocks, c.unital)
+    assert cc.is_commutative(c) and not cc.is_full(c)
+    with pytest.raises(NotFull, match=r"class w\d vanishes in block"):
+        du.spectrum(c)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lift_bound_covers_the_explicit_lift_residual(seed):
+    # random class ranks; bases 1e-12 to 1e-1 from unitary; elements
+    # 1e-12 to 1 from the lift of a block-scalar model
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, 4, size=rng.integers(1, 5))
+    o, k, d = 2, len(ranks), int(ranks.sum())
+
+    def noise(size, *shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return size * z / np.linalg.norm(z, axis=(-2, -1), keepdims=True)
+
+    u = np.stack([
+        rand_unitary(rng, d) + noise(10 ** rng.uniform(-12, -1), d, d) for _ in range(o)
+    ])
+    uh = np.swapaxes(u.conj(), -1, -2)
+
+    def lift(coeffs):  # U_A blockdiag_p(c_p I) U_B* for every pair and element
+        rows = np.repeat(coeffs, ranks, axis=-1)
+        return (u[:, None, None] * rows[..., None, :]) @ uh[None, :, None]
+
+    size = 10 ** rng.uniform(-12, 0, (o, o, k, 1, 1))
+    x = lift(rng.standard_normal((o, o, k, k))) + size * noise(1.0, o, o, k, d, d)
+    comp = uh[:, None, None] @ x @ u[None, :, None]
+    coeffs = du._class_means(np.diagonal(comp, axis1=-2, axis2=-1), ranks)
+    eta = np.linalg.norm(du._residual_rows(comp, coeffs, ranks), axis=-1)
+    norm = np.linalg.norm(x, axis=(-2, -1))
+    delta = np.linalg.norm(uh @ u - np.eye(d), axis=(-2, -1))
+    explicit = np.linalg.norm(x - lift(coeffs), axis=(-2, -1))
+    assert np.all(du._lift_bound(eta, norm, delta, d) >= explicit)
 
 
 @pytest.mark.parametrize("make", [
@@ -783,13 +894,42 @@ def test_roundtrip_spaceoid_with_nan_reports_failure():
     assert "input-unimodular" in {c.name for c in rep.failures()}
 
 
+def test_round_trips_validate_each_table_once(monkeypatch):
+    # roundtrip_spaceoid validates its input, and roundtrip_category the
+    # spectrum's table, exactly once: evaluation and gelfand build their
+    # sections without validating again
+    calls = []
+    validate = sp.validate
+
+    def counted(e, tol=None):
+        calls.append(e)
+        return validate(e, tol)
+
+    monkeypatch.setattr(sp, "validate", counted)
+    monkeypatch.setattr(du, "validate", counted)
+    e = random_spaceoid(7)
+    assert du.roundtrip_spaceoid(e).passed
+    assert len(calls) == 1 and calls[0] is e
+    calls.clear()
+    assert du.roundtrip_category(cc.linking_category(3, [1, 2, 0])).passed
+    assert len(calls) == 1
+
+
+def test_evaluation_alone_rejects_an_invalid_table():
+    base = sp.trivial_spaceoid(2, 2)
+    bad = base.table.copy()
+    bad[0, 0, 0, 1] = 1j  # (p0, O1, O1, O2)
+    with pytest.raises(InvalidSpaceoid):
+        du.evaluation(sp.SpaceoidData(base.base_points, base.objects, bad))
+
+
 def test_re_spectrum_constants_fold_counts_nan(monkeypatch):
     # a NaN in the last structure constant of the re-computed spectrum
     # (the position a plain max() fold drops) must fail the check
     evaluation = du.evaluation
 
-    def broken(e, tol, seed):
-        ev = evaluation(e, tol, seed)
+    def broken(e, tol, seed, **private):
+        ev = evaluation(e, tol, seed, **private)
         lam = ev.spectrum.spaceoid.table.copy()
         lam[-1, -1, -1, -1] = complex("nan")
         ev.spectrum.spaceoid = sp.SpaceoidData(
@@ -839,8 +979,8 @@ def test_evaluation_isomorphism_trips_on_collapsed_base_map(monkeypatch):
     # class leaves a valid morphism that is not an isomorphism
     evaluation = du.evaluation
 
-    def collapsed(e, tol, seed):
-        ev = evaluation(e, tol, seed)
+    def collapsed(e, tol, seed, **private):
+        ev = evaluation(e, tol, seed, **private)
         first = ev.spectrum.spaceoid.base_points[0]
         ev.morphism.f_delta = dict.fromkeys(ev.morphism.f_delta, first)
         return ev
