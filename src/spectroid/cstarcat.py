@@ -157,19 +157,17 @@ def close(
     The generators themselves are orthonormalized in input order.
 
     Rounds stop when the generators act on the span.  Let G be the
-    orthonormalized generators and their adjoints, one HS-orthonormal
-    stack per pair (a, b): block (a, b)'s basis, extended by ``_extend``
-    with the adjoints of (b, a)'s, so a self-adjoint generator set
-    enters once; and call the elements added since the last round
-    fresh.  Before round 0, and before every round from round 2 on,
-    ``_generators_act`` tests that the adjoint of every fresh element
-    and every product ``g y`` of ``g`` in G with ``y`` fresh lie in the
-    span, under ``_project``'s drop rule; when they all do, ``close``
-    stops without the round, which would add nothing.  Proof: a span
-    that contains G and is closed under adjoints and under left
-    multiplication by G contains every word in the generators, so it is
-    the closure.  Before round 0 every element is fresh, and G spans the
-    span's basis and its adjoints.  From round r >= 2 on, the elements that are not fresh
+    orthonormalized generators and their adjoints, one stack per pair,
+    and call the elements added since the last round fresh.  Before
+    round 0, and before every round from round 2 on, ``_generators_act``
+    tests that the adjoint of every fresh element and every product ``g
+    y`` of ``g`` in G with ``y`` fresh lie in the span, under
+    ``_project``'s drop rule; when they all do, ``close`` stops without
+    the round, which would add nothing.  Proof: a span that contains G
+    and is closed under adjoints and under left multiplication by G
+    contains every word in the generators, so it is the closure.  Before
+    round 0 every element is fresh, and G is the span's basis and its
+    adjoints.  From round r >= 2 on, the elements that are not fresh
     were all there at round r - 1, so their adjoints and their pairwise
     products have been offered; G lies in their span (its adjoints were
     offered in round 0), so their products with G lie in the span too.
@@ -202,12 +200,10 @@ def close(
     for a, b in blocks:
         basis = hs_orthonormalize(blocks[(a, b)], tol).basis
         blocks[(a, b)] = np.array(basis, complex).reshape(len(basis), dims[a], dims[b])
-    gens = {}  # G, one stack per pair
-    for (a, b), basis in blocks.items():
-        adj = _adjoints(blocks[(b, a)])  # HS-orthonormal, as the basis is
-        if len(basis) and len(adj):
-            adj = np.reshape(_extend(basis, adj, tol), (-1,) + basis.shape[1:])
-        gens[(a, b)] = np.concatenate([basis, adj])
+    gens = {
+        (a, b): np.concatenate([blocks[(a, b)], _adjoints(blocks[(b, a)])])
+        for a, b in blocks
+    }
 
     # old[pair]: how many elements of the basis the last round multiplied.
     # A round that adds no direction leaves nothing fresh, so from round

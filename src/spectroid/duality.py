@@ -104,22 +104,6 @@ _EPS = np.finfo(float).eps
 # spectrum
 
 
-class _Residuals(NamedTuple):
-    """``spectrum``'s completeness data, ``n`` = classes = basis elements
-    per block, ``d`` = object dimension, and the arrays it was measured
-    on, which ``gelfand``'s certificate compares by identity before it
-    reuses the data."""
-
-    category: MatrixCategory
-    bases: np.ndarray
-    compressions: np.ndarray
-    block_maps: np.ndarray
-    resid: np.ndarray  # (o, o, n, d*d) rows of E(e) = T(e) - blockdiag_p(c_p(e) I)
-    eta: np.ndarray  # (o, o, n) their HS norms
-    norm: np.ndarray  # (o, o, n) ||e||_HS
-    delta: np.ndarray  # (o,) ||U*U - I||_HS of the class-ordered bases
-
-
 @dataclass
 class SpectrumResult:
     """Joint eigenspace classes of a commutative full category, in the
@@ -153,10 +137,6 @@ class SpectrumResult:
     bases: np.ndarray = field(repr=False)
     compressions: np.ndarray = field(repr=False)
     block_maps: np.ndarray = field(repr=False)
-    # what spectrum proved completeness from, for gelfand's certificate:
-    # a _Residuals, set by spectrum; a plain attribute, not a field, so a
-    # copy made by dataclasses.replace starts without it
-    _residuals = None
 
     @property
     def n_classes(self) -> int:
@@ -237,9 +217,14 @@ def _lift_bound(eta, norm, delta, d) -> np.ndarray:
     - (D_A e + e D_B + D_A e D_B)`` and ``f_e <= sqrt((1 + delta_A)(1 +
     delta_B)) eta_e + (delta_A + delta_B + delta_A delta_B) ||e||_HS``.
 
-    The bound adds ``(d^2 + k) eps (1 + ||e||_HS)`` for the rounding of
-    ``eta`` and of the explicit lift, so it holds for ``f_e`` as
-    computed.  A NaN in any input makes the bound NaN.
+    The lemma holds in exact arithmetic.  The bound adds ``(d^2 + k) eps
+    (1 + ||e||_HS)``, the rounding margin of :func:`_product_bounds`,
+    for the rounding of ``eta`` and of the explicit lift; it is a
+    margin, not a proven allowance (the worst case of ``eta``'s product
+    ``U_A* e U_B`` alone is about ``2 d^2 eps ||e||_HS``), and the
+    ``CERT_SLACK`` factor by which a certified bound must clear the
+    check covers rounding of that order.  A NaN in any input makes the
+    bound NaN.
     """
     d_a, d_b = delta[:, None, None], delta[None, :, None]
     return (
@@ -393,9 +378,6 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
     resid = _residual_rows(comp, coeffs, eig.sizes)
     eta = np.linalg.norm(resid, axis=-1)
     norms = np.linalg.norm(x.reshape(resid.shape), axis=-1)
-    result._residuals = _Residuals(
-        c, bases, comp, result.block_maps, resid, eta, norms, delta
-    )
 
     # completeness: every element must be recovered by its coefficients;
     # err holds the proven bound on each lift residual, or the residual
@@ -788,32 +770,13 @@ def _compressions(c, spec, maps) -> _Compressions:
     """Measure every basis element's compression into the class-ordered
     bases of its objects, ``T(e) = U_A* e U_B`` (as ``spectrum`` formed
     it), against the model ``blockdiag_p(c_p(e) I)`` built from the
-    functor's own block maps ``maps``, ``(o, o, n, n)``.
-
-    ``delta``, ``||e||_HS`` and, when ``maps`` are the spectrum's own
-    block maps, the residual rows and ``eta`` are those ``spectrum``
-    proved completeness from, while ``c`` and ``spec`` still hold the
-    arrays it measured them on; otherwise they are measured here."""
+    functor's own block maps ``maps``, ``(o, o, n, n)``."""
     u = spec.bases
     n, d = maps.shape[-1], u.shape[-1]
     rows = np.reshape(
         [_stack(c, a, b) for a, b in c.pairs()], maps.shape[:2] + (n, d * d)
     )
-    r = spec._residuals
-    if r is not None and not (
-        r.category is c and r.bases is u and r.compressions is spec.compressions
-    ):
-        r = None
-    if r is not None and maps is r.block_maps:
-        resid, eta = r.resid, r.eta
-    else:
-        resid = _residual_rows(spec.compressions, np.swapaxes(maps, -1, -2), spec.ranks)
-        eta = np.linalg.norm(resid, axis=-1)
-    if r is not None:
-        norm, delta = r.norm, r.delta
-    else:
-        norm = np.linalg.norm(rows, axis=-1)
-        delta = np.linalg.norm(_adjoints(u) @ u - np.eye(d), axis=(-2, -1))
+    resid = _residual_rows(spec.compressions, np.swapaxes(maps, -1, -2), spec.ranks)
     finite = np.isfinite(maps).all(axis=(-2, -1))
     sv = np.full(maps.shape[:-1], np.nan)
     if finite.any():
@@ -821,10 +784,10 @@ def _compressions(c, spec, maps) -> _Compressions:
     return _Compressions(
         maps=maps,
         resid=resid,
-        eta=eta,
+        eta=np.linalg.norm(resid, axis=-1),
         nu=np.abs(maps).max(axis=2),
-        norm=norm,
-        delta=delta,
+        norm=np.linalg.norm(rows, axis=-1),
+        delta=np.linalg.norm(_adjoints(u) @ u - np.eye(d), axis=(-2, -1)),
         gram=np.linalg.norm(rows @ _adjoints(rows) - np.eye(n), axis=(-2, -1)),
         sv=sv,
     )

@@ -351,10 +351,8 @@ once_cases = pytest.mark.parametrize(
 
 def _record_close(monkeypatch, pres):
     """Close ``pres`` recording what is made and where.  The adjoints of
-    the generator stacks are made once, before the first stop test,
-    where ``_extend`` merges them into the stacks that hold generators
-    too (``rec["setup_offered"]`` counts what it is offered there); the
-    stop test's products and adjoints (``_generators_act``) and the
+    the generator stacks are made once, before the first stop test;
+    the stop test's products and adjoints (``_generators_act``) and the
     rounds' candidates are kept apart.  A round is a run of ``_extend``
     calls between two batches of made candidates."""
     products, adjoints = cstarcat._products, cstarcat._adjoints
@@ -363,10 +361,7 @@ def _record_close(monkeypatch, pres):
         part: {"pairs": [], "adjoints": [], "made": 0}
         for part in ("setup", "test", "round")
     }
-    rec = {
-        "part": "setup", "setup_offered": 0, "kernel": 0, "projected": 0,
-        "rounds": [], "extending": False,
-    }
+    rec = {"part": "setup", "kernel": 0, "projected": 0, "rounds": [], "extending": False}
 
     def record_products(left, right):
         made[rec["part"]]["pairs"] += [np.append(x, y) for x in left for y in right]
@@ -394,9 +389,6 @@ def _record_close(monkeypatch, pres):
         return project(basis, mats, tol)
 
     def record_extend(basis, mats, tol, best_first=False):
-        if rec["part"] == "setup":  # the generator stacks, not a round
-            rec["setup_offered"] += len(mats)
-            return extend(basis, mats, tol, best_first)
         rec["kernel"] += len(mats)
         new = extend(basis, mats, tol, best_first)
         if not rec["extending"]:
@@ -418,15 +410,8 @@ def test_close_offers_each_product_and_adjoint_once(monkeypatch, pres):
     _, made, rec = _record_close(monkeypatch, pres)
     # the setup makes only the generators' adjoints, and the stop test
     # projects everything it makes
-    rank = {
-        pair: len(numkit.hs_orthonormalize(g).basis) for pair, g in pres.generators.items()
-    }
-    n_gens = sum(rank.values())
+    n_gens = sum(len(numkit.hs_orthonormalize(g).basis) for g in pres.generators.values())
     assert made["setup"]["made"] == len(made["setup"]["adjoints"]) == n_gens
-    # _extend merges the adjoints of (b, a) into the stack of (a, b) only
-    # where both hold generators
-    merged = sum(n for (a, b), n in rank.items() if rank.get((b, a)))
-    assert rec["setup_offered"] == merged
     assert made["test"]["made"] == rec["projected"] > 0
     # everything the kernel is offered is one of the rounds' candidates
     assert made["round"]["made"] == rec["kernel"] > 0
@@ -459,21 +444,11 @@ def test_close_of_a_star_algebra_makes_no_extend_call(monkeypatch, name):
     else:
         pres = diag_presentation(4, ids=("A", "B"))
     unitize = name.endswith("unitized")
-    extend, act = cstarcat._extend, cstarcat._generators_act
-    tested = []
 
-    def no_round_extend(*args, **kwargs):
-        # before the first stop test, _extend builds the generator stacks
-        if tested:
-            raise AssertionError("the stop test before round 0 passes")
-        return extend(*args, **kwargs)
+    def no_extend(*args, **kwargs):
+        raise AssertionError("the stop test before round 0 passes")
 
-    def record_act(*args):
-        tested.append(True)
-        return act(*args)
-
-    monkeypatch.setattr(cstarcat, "_extend", no_round_extend)
-    monkeypatch.setattr(cstarcat, "_generators_act", record_act)
+    monkeypatch.setattr(cstarcat, "_extend", no_extend)
     got = close(pres, unitize=unitize)
     assert_same_closure(got, reference_close(pres, unitize))
     assert got.unital
