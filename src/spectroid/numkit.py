@@ -239,13 +239,20 @@ def joint_diagonalize(
         Seed for the random self-adjoint combination; retries draw
         fresh streams derived from it.
 
-    Strategy: diagonalize a random real combination of the Hermitian
-    and anti-Hermitian parts of all inputs, split the resulting blocks
-    further against each input in turn, merge blocks whose eigenvalue
-    tuples coincide after rounding, order blocks canonically, and
-    verify the residuals (bounds: ``config.CLUSTER_RTOL`` and the
-    ``JOINT_*`` constants).  Up to five seeds are attempted before
-    :class:`DiagonalizationFailed` is raised.
+    Strategy: a family whose off-diagonal entries are all exactly zero
+    is read off its diagonals (:func:`_diagonal_joint`) when, in every
+    input, any two distinct diagonal values lie more than
+    ``config.CLUSTER_RTOL`` times ``1 + max|diag|`` apart, so that no
+    clustering below could merge two of its classes; the result does
+    not depend on ``seed``.  Any other family, near ties included, takes
+    the seeded route: diagonalize a random real combination of the
+    Hermitian and anti-Hermitian parts of all inputs, split the
+    resulting blocks further against each input in turn, merge blocks
+    whose eigenvalue tuples coincide after rounding, order blocks
+    canonically, and verify the residuals (bounds:
+    ``config.CLUSTER_RTOL`` and the ``JOINT_*`` constants).  Up to five
+    seeds are attempted before :class:`DiagonalizationFailed` is
+    raised.  Both routes verify against ``JOINT_TARGET_RTOL``.
     """
     tol = resolve_tol(tol)
     mats = [_as_matrix(m) for m in family]
@@ -263,6 +270,9 @@ def joint_diagonalize(
             stack[0], np.zeros(0, dtype=int), np.zeros((len(mats), 0), complex)
         )
 
+    exact = _diagonal_joint(stack)
+    if exact is not None:
+        return exact
     scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
     # aim for machine precision first (an unlucky combination can leave
     # inter-block mixing around 1e-9 that still sits under loose user
@@ -283,6 +293,68 @@ def joint_diagonalize(
         f"joint diagonalization failed to verify after 5 seeds "
         f"(best residual {best_residual:.3e})"
     )
+
+
+def _canonical_keys(means: np.ndarray) -> list[tuple]:
+    """The ordering key of every block: its eigenvalues ``means[:,
+    b]``, real and imaginary parts per input, rounded."""
+    parts = np.round(np.stack([means.real, means.imag], axis=1), _ROUND_DECIMALS)
+    return [tuple(k) for k in parts.reshape(2 * len(means), -1).T.tolist()]
+
+
+def _separated(values: np.ndarray, thresholds: np.ndarray) -> bool:
+    """Whether, in every row of ``values``, any two distinct entries lie
+    more than that row's threshold apart; the rows are compared in
+    chunks of about ``_PAIR_CHUNK`` pairs."""
+    n, k = values.shape
+    step = max(1, _PAIR_CHUNK // max(1, k * k))
+    for s in range(0, n, step):
+        v = values[s:s + step]
+        gap = np.abs(v[:, :, None] - v[:, None, :])
+        if not np.all((gap == 0) | (gap > thresholds[s:s + step, None, None])):
+            return False
+    return True
+
+
+def _diagonal_joint(stack: np.ndarray) -> JointEigenstructure | None:
+    """The joint eigenstructure of a family whose off-diagonal entries
+    are all zero, read off its diagonals; ``None`` when some entry off
+    the diagonal is nonzero, when some input has two distinct diagonal
+    values within ``CLUSTER_RTOL`` times its scale ``1 + max|diag|``
+    (its operator norm), when two classes share a rounded key, or when
+    the result misses ``JOINT_TARGET_RTOL``.
+
+    The classes are the columns with equal diagonal tuples, ascending
+    within a class and ordered by :func:`_canonical_keys`; the unitary
+    is the standard basis in that order, and the eigenvalues are the
+    class means, summed in column order as ``_attempt_joint`` sums
+    them.
+    """
+    dg = np.diagonal(stack, axis1=1, axis2=2)
+    if np.count_nonzero(stack) != np.count_nonzero(dg):
+        return None
+    scales = 1.0 + np.abs(dg).max(axis=1)
+    classes: dict[tuple, list[int]] = {}
+    for p, col in enumerate(dg.T.tolist()):
+        classes.setdefault(tuple(col), []).append(p)
+    cols = list(classes.values())
+    if not _separated(dg[:, [c[0] for c in cols]], CLUSTER_RTOL * scales):
+        return None
+    sizes = np.array([len(c) for c in cols])
+    starts = np.cumsum(sizes) - sizes
+    means = np.add.reduceat(dg[:, np.concatenate(cols)], starts, axis=1) / sizes
+    keys = _canonical_keys(means)
+    if len(set(keys)) < len(keys):
+        return None
+    order = sorted(range(len(cols)), key=keys.__getitem__)
+    perm = np.concatenate([cols[b] for b in order])
+    result = JointEigenstructure(
+        np.eye(len(perm), dtype=complex)[:, perm], sizes[order], means[:, order]
+    )
+    comp = stack[:, perm[:, None], perm]
+    if _verify_joint(result, comp, scales) <= JOINT_TARGET_RTOL:
+        return result
+    return None
 
 
 def _diag(rows: np.ndarray) -> np.ndarray:
@@ -373,8 +445,7 @@ def _attempt_joint(stack, rng, scales):
         label[blk] = b
     sizes = np.bincount(label, minlength=len(blocks))
     means = (dg @ (label[:, None] == np.arange(len(blocks)))) / sizes
-    parts = np.round(np.stack([means.real, means.imag], axis=1), _ROUND_DECIMALS)
-    keys = [tuple(k) for k in parts.reshape(2 * n, -1).T.tolist()]
+    keys = _canonical_keys(means)
     keyed: dict[tuple, list[int]] = {}
     for key, blk in zip(keys, blocks):
         keyed.setdefault(key, []).extend(blk)

@@ -21,7 +21,6 @@ exhibits the gauge explicitly.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -488,7 +487,7 @@ def compose(m2: SpaceoidMorphism, m1: SpaceoidMorphism) -> SpaceoidMorphism:
 
 def _base_bijective(m: SpaceoidMorphism, cod: SpaceoidData) -> bool:
     """Whether the base map of ``m`` hits each of ``cod``'s points once."""
-    return Counter(m.f_delta.values()) == Counter(cod.base_points)
+    return sorted(m.f_delta.values()) == sorted(cod.base_points)
 
 
 def morphism_distance(m1: SpaceoidMorphism, m2: SpaceoidMorphism) -> float:

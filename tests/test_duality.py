@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import spectroid
 from spectroid import cstarcat as cc
-from spectroid import groups, selftest
+from spectroid import groups, numkit, selftest
 from spectroid import duality as du
 from spectroid import spaceoid as sp
 from spectroid.errors import (
@@ -882,6 +882,22 @@ def test_sections_of_invalid_table_rejected():
 def test_evaluation_roundtrip(seed):
     e = random_spaceoid(seed, n_points=3, n_objects=3)
     rep = du.roundtrip_spaceoid(e, tol=1e-9, seed=0)
+    assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (5, 3), (8, 2)])
+def test_evaluation_reads_the_section_anchor_off_its_diagonal(monkeypatch, shape):
+    # every element of the anchor's diagonal block is conj(g) E_pp, so
+    # joint_diagonalize makes no seeded attempt, and the round trip passes
+    def seeded(*args):
+        raise AssertionError("a seeded attempt ran")
+
+    e = random_spaceoid(40 + shape[0], *shape)
+    monkeypatch.setattr(numkit, "_attempt_joint", seeded)
+    ev = du.evaluation(e, 1e-9)
+    assert sp.validate_morphism(ev.morphism, e, ev.spectrum.spaceoid, 1e-9).passed
+    assert sp._base_bijective(ev.morphism, ev.spectrum.spaceoid)
+    rep = du.roundtrip_spaceoid(e, 1e-9)
     assert rep.passed, rep.summary()
 
 

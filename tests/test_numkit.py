@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectroid import duality as du
 from spectroid import numkit
+from spectroid import spaceoid as sp
 from spectroid.errors import DiagonalizationFailed, NotNormal
 
 # ---------------------------------------------------------------------------
@@ -241,10 +243,14 @@ def test_joint_diagonalize_fails_to_verify_without_a_check_of_its_own(monkeypatc
         numkit.joint_diagonalize(NOT_DIAGONALIZABLE[name], 1e-9)
 
 
-def test_joint_diagonalize_degenerate_pair_needs_refinement():
-    # first input has a degenerate eigenvalue that only the second splits
-    a = np.diag([1.0, 1.0, 2.0])
-    b = np.diag([5.0, 7.0, 7.0])
+@pytest.mark.parametrize("scrambled", [True, False], ids=["scrambled", "diagonal"])
+def test_joint_diagonalize_degenerate_pair_needs_refinement(scrambled):
+    # first input has a degenerate eigenvalue that only the second
+    # splits; conjugated by a random unitary the family takes the seeded
+    # route, and its diagonal twin is read off its diagonals
+    u = rand_unitary(np.random.default_rng(4), 3) if scrambled else np.eye(3)
+    a = u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T
+    b = u @ np.diag([5.0, 7.0, 7.0]) @ u.conj().T
     je = numkit.joint_diagonalize([a, b], 1e-9)
     assert je.n_blocks == 3
     tuples = {tuple(np.round(je.eigenvalues[:, k], 8)) for k in range(3)}
@@ -489,6 +495,110 @@ def test_attempt_cases_reach_every_outcome():
         kinds[DiagonalizationFailed]
     )
     assert "pair-2.0-13" in kinds["fallback"]
+
+
+# ---------------------------------------------------------------------------
+# the diagonal path: a family with no nonzero entry off the diagonal is
+# read off its diagonals, without a seeded attempt
+
+
+def diagonal_family(seed, n=3):
+    """``n`` diagonal inputs on C^9 whose columns fall into four classes
+    of sizes 1, 2, 2 and 4, shuffled; input 0 tells the classes apart,
+    and the others repeat values across classes."""
+    rng = np.random.default_rng(seed)
+    tuples = rng.integers(-2, 3, size=(n, 4)) + 1j * rng.integers(-1, 2, size=(n, 4))
+    tuples[0] = [0.0, 1.5, -2.0, 3.0j]
+    labels = rng.permutation(np.repeat(np.arange(4), [1, 2, 2, 4]))
+    return [np.diag(row[labels]) for row in tuples]
+
+
+def section_anchor(seed, n_points, n_objects):
+    """The anchor's diagonal block of the sections of a gauged spaceoid:
+    every element is ``conj(g) E_pp``."""
+    e = sp.trivial_spaceoid(n_points, n_objects)
+    rng = np.random.default_rng(seed)
+    c = du.sections(sp.apply_gauge(e, sp.random_gauge(rng, e.base_points, e.objects)))
+    return c.block(c.object_ids[0], c.object_ids[0])
+
+
+DIAGONAL_FAMILIES = {
+    "repeated-tuples-0": lambda: diagonal_family(0),
+    "repeated-tuples-1": lambda: diagonal_family(1, n=5),
+    "sections-gauged-5x3": lambda: section_anchor(2, 5, 3),
+    "sections-gauged-9x1": lambda: section_anchor(3, 9, 1),
+    "classical-16": lambda: du.classical_category(16).block("A", "A"),
+}
+
+
+def block_supports(je):
+    """Each block's rows: where its columns' row norms exceed 1/2."""
+    return [
+        frozenset(np.flatnonzero(
+            np.linalg.norm(je.unitary[:, block_columns(je, b)], axis=1) > 0.5
+        ).tolist())
+        for b in range(je.n_blocks)
+    ]
+
+
+def forbid_seeded_attempts(monkeypatch):
+    def seeded(*args):
+        raise AssertionError("a seeded attempt ran")
+
+    monkeypatch.setattr(numkit, "_attempt_joint", seeded)
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_FAMILIES))
+def test_joint_diagonalize_reads_a_diagonal_family_off_its_diagonals(monkeypatch, name):
+    mats = DIAGONAL_FAMILIES[name]()
+    want = reference_joint_diagonalize(mats, 1e-9, 0)[0]
+    forbid_seeded_attempts(monkeypatch)
+    got = numkit.joint_diagonalize(mats, 1e-9)
+    # the seeded route's classes, sizes and eigenvalues, in its order;
+    # columns may be ordered otherwise inside a class
+    assert got.sizes.tolist() == want.sizes.tolist()
+    assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12)
+    assert block_supports(got) == block_supports(want)
+    # a permutation of the standard basis, whatever the seed
+    d = len(got.unitary)
+    assert np.array_equal(np.sort(np.abs(got.unitary), axis=0)[-1], np.ones(d))
+    assert np.array_equal(got.unitary @ got.unitary.conj().T, np.eye(d))
+    for seed in (1, 7, 2 ** 32 - 1):
+        again = numkit.joint_diagonalize(mats, 1e-9, seed=seed)
+        assert outcome(lambda: again) == outcome(lambda: got)
+    if name.startswith("repeated"):
+        assert got.sizes.max() > 1
+
+
+def _near_ties():
+    base = [np.diag([1.0, 1.0, 2.0, 3.0]), np.diag([5.0, 7.0, 7.0, 5.0])]
+    for gap in (1e-10, 1e-15):
+        mats = [m.astype(complex) for m in base]
+        mats[0][1, 1] += gap
+        yield f"tie-{gap}", mats
+    mats = [m.astype(complex) for m in base]
+    mats[1][0, 3] = 1e-300
+    yield "off-diagonal-1e-300", mats
+    # 1.3e-8 apart, beyond CLUSTER_RTOL * (1 + 6.4e-9), yet one rounded key
+    z = 0.45e-8 * (1 + 1j)
+    yield "one-rounded-key", [np.diag([-z, -z, z]), np.diag([1.0, 2.0, 2.0])]
+
+
+@pytest.mark.parametrize("mats", [pytest.param(m, id=n) for n, m in _near_ties()])
+def test_joint_diagonalize_sends_near_ties_to_the_seeded_route(monkeypatch, mats):
+    attempts = []
+    attempt = numkit._attempt_joint
+
+    def spy(*args):
+        attempts.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(numkit, "_attempt_joint", spy)
+    for seed in range(2):
+        want = outcome(lambda: reference_joint_diagonalize(mats, 1e-9, seed)[0])
+        attempts.clear()
+        got = outcome(lambda: numkit.joint_diagonalize(mats, 1e-9, seed=seed))
+        assert attempts and got == want
 
 
 # ---------------------------------------------------------------------------

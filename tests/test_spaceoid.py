@@ -305,6 +305,21 @@ def test_validate_morphism_trips_on_planted_defect(name):
     assert 5 <= check.residual / check.bound <= 20, check
 
 
+@pytest.mark.parametrize("images, bijective", [
+    (("p1", "p2", "p0"), True),
+    (("p0", "p0", "p2"), False),  # collapsed: p1 is missed
+    (("p0", "p1", "p2", "p1"), False),  # every point hit, p1 twice
+    (("p0", "p1"), False),
+])
+def test_base_bijective_needs_every_point_hit_once(images, bijective):
+    cod = sp.trivial_spaceoid(3)
+    m = sp.SpaceoidMorphism(
+        {f"q{i}": p for i, p in enumerate(images)}, {"O1": "O1"},
+        np.ones((len(images), 1, 1)),
+    )
+    assert sp._base_bijective(m, cod) is bijective
+
+
 def test_morphism_distance_infinite_on_different_maps():
     e, _ = random_spaceoid(16, 2, 2)
     m1 = sp.identity_morphism(e)

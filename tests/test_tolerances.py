@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectroid.reporting import Report
+from spectroid.reporting import Check, Report
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectroid"
 
@@ -222,3 +222,42 @@ def test_worst_residual_counts_nan_wherever_it_sits(first):
     for name, passed, residual in rows if first else rows[::-1]:
         rep.add(name, passed, residual)
     assert rep.worst_residual == np.inf
+
+
+def _mixed_report():
+    rep = Report()
+    rep.add("yes-no", False, 2.5, "why")
+    rep.check("numeric", [1e-12, 3e-12], 1e-9, lambda i: f"entry {i}")
+    rep.add("plain", True)
+    return rep
+
+
+def test_extend_keeps_every_field_and_the_order():
+    rep = Report()
+    rep.add("first", True)
+    rep.extend(_mixed_report(), "sub-")
+    rep.extend(Report(), "empty-")
+    assert [tuple(c) for c in rep.checks] == [
+        ("first", True, 0.0, "", None),
+        ("sub-yes-no", False, 2.5, "why", None),
+        ("sub-numeric", True, 3e-12, "entry 1", 1e-9),
+        ("sub-plain", True, 0.0, "", None),
+    ]
+    assert all(type(c) is Check for c in rep.checks)
+    assert not rep.passed and rep.worst_residual == 2.5
+
+
+def test_check_fields_cannot_be_assigned():
+    check = _mixed_report().checks[0]
+    with pytest.raises(AttributeError):
+        check.passed = True
+    assert not check.passed
+
+
+def test_check_to_json():
+    assert [c.to_json() for c in _mixed_report().checks] == [
+        {"name": "yes-no", "passed": False, "residual": 2.5, "detail": "why"},
+        {"name": "numeric", "passed": True, "residual": 3e-12, "bound": 1e-9,
+         "detail": "entry 1"},
+        {"name": "plain", "passed": True, "residual": 0.0},
+    ]
