@@ -70,7 +70,7 @@ class Report:
 
     def extend(self, other: "Report", prefix: str = ""):
         """Append ``other``'s checks, renamed with ``prefix``; each is
-        built afresh, which takes half the time of ``_replace``."""
+        built afresh, which is faster than ``_replace``."""
         self.checks.extend([Check(prefix + c.name, *c[1:]) for c in other.checks])
 
     @property
