@@ -52,9 +52,10 @@ JOINT_TARGET_RTOL = 1e-12
 # joint_diagonalize first groups its random Hermitian combination's
 # eigenvalues w at gaps above this times 1 + max|w|.
 PREGROUP_RTOL = 1e-4
-# One spectral point: eigenvalues of one input (normal_eig,
-# joint_diagonalize) or spectral points of one element (funcalc, which
-# also matches table keys so) closer than this times 1 + ||m||_op.
+# One spectral point: eigenvalues of one input closer than this times
+# 1 + ||m||_op (normal_eig; joint_diagonalize's one class rule, single
+# linkage per input on both its routes), or spectral points of one
+# element (funcalc, which also matches table keys so).
 CLUSTER_RTOL = 1e-8
 # A certificate clears an explicit check, without forming the products
 # that check would, when this times the bound it proves is at most the

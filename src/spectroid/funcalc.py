@@ -164,9 +164,11 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     identity function returns ``x`` itself to machine precision.
 
     ``spectrum``'s errors pass through: a closure that is not
-    commutative raises ``NotCommutative``.  As ``spectrum`` does, a
-    non-finite ``x`` raises ``ValueError`` before any norm is taken.
+    commutative raises ``NotCommutative``.  A missing ``f``, and as in
+    ``spectrum`` a non-finite ``x``, raise ``ValueError`` before any work.
     """
+    if f is None:
+        raise ValueError("f is required: a SpectralFunction or a callable")
     x = np.asarray(x, dtype=complex)
     if not np.isfinite(x).all():
         raise ValueError("element has non-finite entries")
@@ -203,7 +205,10 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
 
 def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):
     """Independent reference for :func:`funcalc` via a plain SVD (or a
-    normal eigendecomposition on a single object)."""
+    normal eigendecomposition on a single object), rejecting a missing
+    ``f`` as :func:`funcalc` does."""
+    if f is None:
+        raise ValueError("f is required: a SpectralFunction or a callable")
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
     scale = op_norm(x)

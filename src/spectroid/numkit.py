@@ -10,9 +10,10 @@ membership tests.
 The joint diagonalizer is the workhorse: given pairwise commuting
 normal matrices it produces one unitary, a partition of its columns
 into the maximal common eigenspaces, and the table of eigenvalues per
-(input, block).  Blocks are ordered canonically (lexicographically by
-the rounded eigenvalue tuples, inputs in the order given) so results
-are reproducible for a fixed seed.
+(input, block).  One rule decides the blocks: eigenvalues of one input
+within ``config.CLUSTER_RTOL`` times ``1 + ||m||_op`` are one class.
+Blocks are ordered canonically (by the rounded eigenvalue tuples, then
+by smallest column) so results are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -239,20 +240,20 @@ def joint_diagonalize(
         Seed for the random self-adjoint combination; retries draw
         fresh streams derived from it.
 
-    Strategy: a family whose off-diagonal entries are all exactly zero
-    is read off its diagonals (:func:`_diagonal_joint`) when, in every
-    input, any two distinct diagonal values lie more than
-    ``config.CLUSTER_RTOL`` times ``1 + max|diag|`` apart, so that no
-    clustering below could merge two of its classes; the result does
-    not depend on ``seed``.  Any other family, near ties included, takes
-    the seeded route: diagonalize a random real combination of the
-    Hermitian and anti-Hermitian parts of all inputs, split the
-    resulting blocks further against each input in turn, merge blocks
-    whose eigenvalue tuples coincide after rounding, order blocks
-    canonically, and verify the residuals (bounds:
-    ``config.CLUSTER_RTOL`` and the ``JOINT_*`` constants).  Up to five
-    seeds are attempted before :class:`DiagonalizationFailed` is
-    raised.  Both routes verify against ``JOINT_TARGET_RTOL``.
+    Strategy: the classes are those of one rule on both routes, single
+    linkage of each input's eigenvalues at the cut ``config.CLUSTER_RTOL``
+    times ``1 + ||m||_op``.  A family whose off-diagonal entries are all
+    exactly zero is read off its diagonals (:func:`_diagonal_joint`)
+    when, in every input, any two distinct diagonal values lie more
+    than the cut apart; the result does not depend on ``seed``.  Any
+    other family, near ties included, takes the seeded route:
+    diagonalize a random real combination of the Hermitian and
+    anti-Hermitian parts of all inputs, then split its blocks against
+    each input in turn by the rule, keeping a block whole unsplit only
+    when every input's compression lies within the cut over sqrt(2) of
+    a scalar.  Both routes order the classes by :func:`_class_order`
+    and verify against ``JOINT_TARGET_RTOL``; up to five seeds are
+    attempted before :class:`DiagonalizationFailed` is raised.
     """
     tol = resolve_tol(tol)
     mats = [_as_matrix(m) for m in family]
@@ -295,13 +296,6 @@ def joint_diagonalize(
     )
 
 
-def _canonical_keys(means: np.ndarray) -> list[tuple]:
-    """The ordering key of every block: its eigenvalues ``means[:,
-    b]``, real and imaginary parts per input, rounded."""
-    parts = np.round(np.stack([means.real, means.imag], axis=1), _ROUND_DECIMALS)
-    return [tuple(k) for k in parts.reshape(2 * len(means), -1).T.tolist()]
-
-
 def _separated(values: np.ndarray, thresholds: np.ndarray) -> bool:
     """Whether, in every row of ``values``, any two distinct entries lie
     more than that row's threshold apart; the rows are compared in
@@ -321,14 +315,13 @@ def _diagonal_joint(stack: np.ndarray) -> JointEigenstructure | None:
     are all zero, read off its diagonals; ``None`` when some entry off
     the diagonal is nonzero, when some input has two distinct diagonal
     values within ``CLUSTER_RTOL`` times its scale ``1 + max|diag|``
-    (its operator norm), when two classes share a rounded key, or when
-    the result misses ``JOINT_TARGET_RTOL``.
+    (its operator norm), or when the result misses
+    ``JOINT_TARGET_RTOL``.
 
-    The classes are the columns with equal diagonal tuples, ascending
-    within a class and ordered by :func:`_canonical_keys`; the unitary
-    is the standard basis in that order, and the eigenvalues are the
-    class means, summed in column order as ``_attempt_joint`` sums
-    them.
+    Otherwise the one rule, eigenvalues of one input within the cut are
+    one class, makes the classes the columns with equal diagonal
+    tuples, as the seeded route would; :func:`_class_order` orders
+    them, and the unitary is the standard basis in that order.
     """
     dg = np.diagonal(stack, axis1=1, axis2=2)
     if np.count_nonzero(stack) != np.count_nonzero(dg):
@@ -340,21 +333,33 @@ def _diagonal_joint(stack: np.ndarray) -> JointEigenstructure | None:
     cols = list(classes.values())
     if not _separated(dg[:, [c[0] for c in cols]], CLUSTER_RTOL * scales):
         return None
-    sizes = np.array([len(c) for c in cols])
-    starts = np.cumsum(sizes) - sizes
-    means = np.add.reduceat(dg[:, np.concatenate(cols)], starts, axis=1) / sizes
-    keys = _canonical_keys(means)
-    if len(set(keys)) < len(keys):
-        return None
-    order = sorted(range(len(cols)), key=keys.__getitem__)
-    perm = np.concatenate([cols[b] for b in order])
-    result = JointEigenstructure(
-        np.eye(len(perm), dtype=complex)[:, perm], sizes[order], means[:, order]
-    )
+    perm, sizes, eigenvalues = _class_order(dg, cols)
+    u = np.eye(len(perm), dtype=complex)[:, perm]
+    result = JointEigenstructure(u, sizes, eigenvalues)
     comp = stack[:, perm[:, None], perm]
     if _verify_joint(result, comp, scales) <= JOINT_TARGET_RTOL:
         return result
     return None
+
+
+def _class_order(dg: np.ndarray, blocks) -> tuple:
+    """The canonical order of a partition of the columns into classes,
+    given the compressed diagonals ``dg`` (one row per input).
+
+    Each class, an ascending list of columns, has its diagonal means,
+    summed in column order, as eigenvalues; the classes are ordered by
+    them, real and imaginary parts per input rounded to
+    ``_ROUND_DECIMALS``, and on equal keys by their smallest column.
+    Returns the column order, the sizes and the eigenvalues ``(n_inputs,
+    n_classes)`` in that order."""
+    sizes = np.array([len(blk) for blk in blocks])
+    starts = np.cumsum(sizes) - sizes
+    means = np.add.reduceat(dg[:, np.concatenate(blocks)], starts, axis=1) / sizes
+    parts = np.round(np.stack([means.real, means.imag], axis=1), _ROUND_DECIMALS)
+    keys = parts.reshape(2 * len(means), -1).T.tolist()
+    order = sorted(range(len(blocks)), key=lambda b: (keys[b], blocks[b][0]))
+    perm = np.concatenate([blocks[b] for b in order])
+    return perm, sizes[order], means[:, order]
 
 
 def _diag(rows: np.ndarray) -> np.ndarray:
@@ -393,6 +398,10 @@ def _attempt_joint(stack, rng, scales):
     w, u = np.linalg.eigh((h + h.conj().T) / 2.0)
     h_scale = 1.0 + float(np.abs(w).max(initial=0.0))
     thresholds = CLUSTER_RTOL * scales
+    # a block is kept whole only when each input's compression lies
+    # within threshold / sqrt(2) (HS) of a scalar: by Schur's inequality
+    # its eigenvalues are then all within the threshold of each other
+    whole = thresholds / np.sqrt(2.0)
     # group generously: eigh vectors for gaps near the threshold carry
     # O(eps/gap) cross mixing, and the per-input refinement below
     # re-splits merged blocks with the inputs' own (true) separations
@@ -400,7 +409,7 @@ def _attempt_joint(stack, rng, scales):
     ends = np.append(starts[1:], len(w))
     comp = _compress(u, stack)
     final = np.all(
-        _scalar_defects(comp, starts) <= thresholds[:, None], axis=0
+        _scalar_defects(comp, starts) <= whole[:, None], axis=0
     )
     blocks = [list(range(a, b)) for a, b, f in zip(starts, ends, final) if f]
     todo = [list(range(a, b)) for a, b, f in zip(starts, ends, final) if not f]
@@ -413,14 +422,14 @@ def _attempt_joint(stack, rng, scales):
     # rotated columns are compressed again.
     if todo:
         rotated = np.zeros(len(w), dtype=bool)
-        for m, threshold in zip(stack, thresholds):
+        for m, threshold, bound in zip(stack, thresholds, whole):
             new_blocks = []
             for blk in todo:
                 cols = np.array(blk)
                 sub = u[:, cols]
                 c = sub.conj().T @ m @ sub
                 mean = np.trace(c) / len(blk)
-                if np.linalg.norm(c - mean * np.eye(len(blk))) <= threshold:
+                if np.linalg.norm(c - mean * np.eye(len(blk))) <= bound:
                     new_blocks.append(blk)
                     continue
                 evals, w_rot = _normal_eig_core(c, threshold)
@@ -436,31 +445,11 @@ def _attempt_joint(stack, rng, scales):
             comp[:, moved, :] = (u_moved.conj().T @ stack) @ u
             comp[:, :, moved] = u.conj().T @ (stack @ u_moved)
 
-    # Merge blocks whose rounded eigenvalue tuples coincide, compute the
-    # canonical order, and rebuild the unitary with contiguous blocks;
-    # keys and eigenvalues are means of the compressed diagonals.
-    dg = np.diagonal(comp, axis1=1, axis2=2)
-    label = np.empty(len(w), dtype=int)
-    for b, blk in enumerate(blocks):
-        label[blk] = b
-    sizes = np.bincount(label, minlength=len(blocks))
-    means = (dg @ (label[:, None] == np.arange(len(blocks)))) / sizes
-    keys = _canonical_keys(means)
-    keyed: dict[tuple, list[int]] = {}
-    for key, blk in zip(keys, blocks):
-        keyed.setdefault(key, []).extend(blk)
-    merged = sorted((key, sorted(cols)) for key, cols in keyed.items())
-
-    perm = np.array([c for _, cols in merged for c in cols])
-    sizes = np.array([len(cols) for _, cols in merged])
-    new_starts = np.cumsum(sizes) - sizes
+    perm, sizes, eigenvalues = _class_order(np.diagonal(comp, axis1=1, axis2=2), blocks)
     u_perm = u[:, perm]
     phases = _column_phases(u_perm)
-    u_ordered = u_perm * phases
     comp = phases.conj()[:, None] * comp[:, perm[:, None], perm] * phases
-    eigenvalues = np.add.reduceat(dg[:, perm], new_starts, axis=1) / sizes
-    result = JointEigenstructure(u_ordered, sizes, eigenvalues)
-    return result, comp
+    return JointEigenstructure(u_perm * phases, sizes, eigenvalues), comp
 
 
 def _verify_joint(result: JointEigenstructure, comp, scales) -> float:

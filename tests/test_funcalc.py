@@ -112,6 +112,24 @@ def test_non_finite_element_is_rejected_up_front(monkeypatch, b_id, x, bad):
         fc.funcalc(x, "A", b_id, fc.SpectralFunction.from_coeffs([0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "call", [fc.funcalc, fc.svd_oracle], ids=["funcalc", "svd_oracle"]
+)
+@pytest.mark.parametrize(
+    "b_id, x",
+    [("B", np.arange(6.0).reshape(2, 3)), ("A", np.diag([1.0, 2.0, 3.0]))],
+    ids=["A-B", "A-A"],
+)
+def test_missing_function_is_rejected_up_front(monkeypatch, call, b_id, x):
+    # ValueError naming f, before any norm, closure or spectrum
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm was taken")
+
+    monkeypatch.setattr(fc, "op_norm", no_norm)
+    with pytest.raises(ValueError, match="f is required"):
+        call(x, "A", b_id)
+
+
 def test_wrong_table_key_rejected():
     x = np.array([[3.0, 4.0]])
     with pytest.raises(SpectrumMismatch):

@@ -579,9 +579,6 @@ def _near_ties():
     mats = [m.astype(complex) for m in base]
     mats[1][0, 3] = 1e-300
     yield "off-diagonal-1e-300", mats
-    # 1.3e-8 apart, beyond CLUSTER_RTOL * (1 + 6.4e-9), yet one rounded key
-    z = 0.45e-8 * (1 + 1j)
-    yield "one-rounded-key", [np.diag([-z, -z, z]), np.diag([1.0, 2.0, 2.0])]
 
 
 @pytest.mark.parametrize("mats", [pytest.param(m, id=n) for n, m in _near_ties()])
@@ -599,6 +596,110 @@ def test_joint_diagonalize_sends_near_ties_to_the_seeded_route(monkeypatch, mats
         attempts.clear()
         got = outcome(lambda: numkit.joint_diagonalize(mats, 1e-9, seed=seed))
         assert attempts and got == want
+
+
+# ---------------------------------------------------------------------------
+# one rule decides the classes on both routes: eigenvalues of one input
+# within CLUSTER_RTOL * (1 + ||m||_op) of each other are one class, and
+# no others are
+
+
+def assert_same_classes_on_both_routes(mats, sizes=None):
+    """The family has ``sizes`` (when given), and its conjugations by
+    the random unitaries of seeds 0-2, diagonalized with those seeds,
+    have its sizes, in order, and its eigenvalues within 1e-12."""
+    want = numkit.joint_diagonalize(mats, 1e-9)
+    if sizes is not None:
+        assert want.sizes.tolist() == sizes
+    for seed in range(3):
+        q = rand_unitary(np.random.default_rng(seed), len(mats[0]))
+        family = [q @ m @ q.conj().T for m in mats]
+        je = numkit.joint_diagonalize(family, 1e-9, seed=seed)
+        assert je.sizes.tolist() == want.sizes.tolist(), seed
+        assert np.allclose(je.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12), seed
+
+
+# z's distinct values are 1.27e-8 apart, beyond the 1.0e-8 cut, yet
+# round to one key at 8 decimals (-0.0 and 0.0); w's are 0.9e-8 apart,
+# inside it.  w's block keeps 0.74e-8 of HS defect, more than cut /
+# sqrt(2), so the refinement runs and clusters it whole again.
+_Z = 0.45e-8 * (1 + 1j)
+_W = 0.45e-8
+PLANTED_CLASSES = {
+    "one-rounded-key-alone": ([np.diag([-_Z, -_Z, _Z])], [2, 1]),
+    "one-rounded-key-with-unit": ([np.diag([-_Z, -_Z, _Z]), np.eye(3)], [2, 1]),
+    # the pair (-z, z) shares a class of the second input, and its HS
+    # defect 0.9e-8 is under the cut but over cut / sqrt(2)
+    "one-rounded-key": ([np.diag([-_Z, -_Z, _Z]), np.diag([1.0, 2.0, 2.0])], [1, 1, 1]),
+    "within-the-cut": ([np.diag([-_W, -_W, _W])], [3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_CLASSES))
+def test_joint_diagonalize_classes_follow_the_cluster_rule(name):
+    mats, sizes = PLANTED_CLASSES[name]
+    assert_same_classes_on_both_routes(mats, sizes)
+
+
+def test_refinement_splits_classes_that_share_a_rounded_key(monkeypatch):
+    # the conjugated family reaches the per-input refinement: the
+    # eigensolve of the whole block and a union of its equal pair
+    calls = []
+    core, cluster = numkit._normal_eig_core, numkit._cluster_complex
+
+    def core_spy(a, threshold):
+        calls.append("core")
+        return core(a, threshold)
+
+    def cluster_spy(values, threshold):
+        groups = cluster(values, threshold)
+        calls.append(("cluster", sorted(len(g) for g in groups)))
+        return groups
+
+    monkeypatch.setattr(numkit, "_normal_eig_core", core_spy)
+    monkeypatch.setattr(numkit, "_cluster_complex", cluster_spy)
+    q = rand_unitary(np.random.default_rng(0), 3)
+    je = numkit.joint_diagonalize([q @ np.diag([-_Z, -_Z, _Z]) @ q.conj().T], 1e-9)
+    assert je.sizes.tolist() == [2, 1]
+    assert calls == ["core", ("cluster", [1, 2])]
+
+
+def near_cut_family(seed):
+    """1-3 diagonal inputs on C^2 to C^7; each input's distinct levels
+    lie on a line, consecutive ones 1.05-1.4 cuts apart, so the rule
+    separates all of them, though a block of just two of them keeps
+    less than one cut of HS defect."""
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+    mats = []
+    for _ in range(n):
+        k = int(rng.integers(1, min(d, 3) + 1))
+        base = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
+        # an upper bound on the cut: the levels stay within 1e-7 of base
+        cut = numkit.CLUSTER_RTOL * (1.0 + abs(base) + 1e-7)
+        steps = np.cumsum(rng.uniform(1.05, 1.4, size=k - 1) * cut)
+        levels = base + np.exp(2j * np.pi * rng.uniform()) * np.append(0.0, steps)
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, d - k)])
+        mats.append(np.diag(levels[rng.permutation(labels)]))
+    return mats
+
+
+def test_joint_diagonalize_routes_agree_at_the_cut(monkeypatch):
+    attempts = []
+    attempt = numkit._attempt_joint
+
+    def spy(*args):
+        attempts.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(numkit, "_attempt_joint", spy)
+    for seed in range(100):
+        mats = near_cut_family(seed)
+        attempts.clear()
+        numkit.joint_diagonalize(mats, 1e-9)
+        assert not attempts, "the diagonal family took a seeded attempt"
+        assert_same_classes_on_both_routes(mats)
+    assert attempts
 
 
 # ---------------------------------------------------------------------------
