@@ -64,16 +64,17 @@ CLUSTER_RTOL = 1e-8
 # lift-back residual so against SPECTRAL_SLACK * tol * (1 + ||x||_HS),
 # and a pair of basis elements of each diagonal block as commuting when
 # its completeness bounds and the object's class-ordered basis bound
-# ||[m_i, m_j]||_HS so against tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand certifies a pair of basis
-# elements when its compressions bound the pair's multiplicativity
-# defect so against FUNCTOR_SLACK * tol and the product's HS residual
-# outside its block against tol, a basis element when they bound its
-# involution defect so against FUNCTOR_SLACK * tol and its adjoint's
-# residual outside its block against tol, and a seeded combination x,
-# without its SVD, when they bound | ||x||_op - max_p |xhat_p| | so
-# against ISOMETRY_SLACK * tol.  roundtrip_category's check_axioms
-# takes the same residual bounds for adjoint-closure and
-# composition-closure, against AXIOM_SLACK * tol.  The bounds are exact
+# ||[m_i, m_j]||_HS so against tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand's
+# functor checks take their bounds whole when the compressions bound
+# every pair of basis elements' multiplicativity defect and every basis
+# element's involution defect so against FUNCTOR_SLACK * tol, and each
+# product's and adjoint's HS residual outside its block against tol;
+# its isometry check, without an SVD, when they bound every seeded
+# combination's | ||x||_op - max_p |xhat_p| | so against
+# ISOMETRY_SLACK * tol.  roundtrip_category's check_axioms takes the
+# same residual bounds whole for adjoint-closure and
+# composition-closure when every one clears AXIOM_SLACK * tol.
+# Otherwise the check is formed whole.  The bounds are exact
 # arithmetic; the slack leaves 90% of each check's bound for rounding,
 # O(d eps) relative to the sizes multiplied, so a certified item passes
 # the explicit check for any tol above about 100 d eps.

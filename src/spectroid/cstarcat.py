@@ -336,18 +336,16 @@ def check_axioms(
     defect of a category could make them fail.
 
     ``_certified`` is private to ``duality.roundtrip_category``, which
-    takes it from ``duality.gelfand``: a dict mapping a pair ``(a, b)``
-    to an ``(n_ab,)`` array and a triple ``(a, b, c)`` to an ``(n_ab,
-    n_bc)`` array of proven upper bounds on the HS residuals outside
-    their blocks of the adjoints of (a, b)'s basis elements, or of the
-    products of (a, b)'s with (b, c)'s, each clearing the check with
-    ``config.CERT_SLACK`` to spare.  In ``adjoint-closure`` and
-    ``composition-closure`` the bounds stand in for the residuals of the
-    keys they cover, and only the other blocks' adjoints and triples'
-    products are formed.
+    takes it from ``duality.gelfand``: ``None``, or a pair of arrays,
+    ``(o, o, n)`` and ``(o, o, o, n, n)`` indexed by object position, of
+    proven upper bounds on the HS residuals outside their blocks of the
+    adjoints of every block's basis elements and of the products of
+    every triple's, each clearing the check with ``config.CERT_SLACK``
+    to spare.  Then ``adjoint-closure`` and ``composition-closure``
+    report the bounds and form no adjoint or product; with ``None`` they
+    form every one.
     """
     tol = resolve_tol(tol)
-    certified = _certified or {}
     report = Report()
     for (a, b), basis in cat.blocks.items():
         if any(m.shape != (cat.dim(a), cat.dim(b)) for m in basis):
@@ -361,34 +359,34 @@ def check_axioms(
         [np.linalg.norm(q.conj() @ q.T - np.eye(len(q))) for q in rows],
         GRAM_SLACK * tol,
     )
-    residuals = []
-    for a, b in filled:
-        res = certified.get((a, b))
-        residuals.append(
-            _project(stacks[(b, a)], _adjoints(stacks[(a, b)]), tol)[1].max()
-            if res is None else res.max()
-        )
-    report.check(
-        "adjoint-closure",
-        residuals,
-        AXIOM_SLACK * tol,
-        lambda i: "({},{})".format(*filled[i]),
-    )
     triples = [
         (a, b, c)
         for a, b, c in itertools.product(*[cat.object_ids] * 3)
         if cat.block(a, b) and cat.block(b, c)
     ]
-    residuals = []
-    for a, b, c in triples:
-        res = certified.get((a, b, c))
-        residuals.append(
+    if _certified is None:
+        adjoints = [
+            _project(stacks[(b, a)], _adjoints(stacks[(a, b)]), tol)[1].max()
+            for a, b in filled
+        ]
+        products = [
             _closure_residual(stacks[(a, b)], stacks[(b, c)], stacks[(a, c)], tol)
-            if res is None else res.max()
-        )
+            for a, b, c in triples
+        ]
+    else:  # every block is filled: the bounds index the same pairs and triples
+        at = {o: i for i, o in enumerate(cat.object_ids)}
+        adj, prod = _certified
+        adjoints = [adj[at[a], at[b]].max() for a, b in filled]
+        products = [prod[at[a], at[b], at[c]].max() for a, b, c in triples]
+    report.check(
+        "adjoint-closure",
+        adjoints,
+        AXIOM_SLACK * tol,
+        lambda i: "({},{})".format(*filled[i]),
+    )
     report.check(
         "composition-closure",
-        residuals,
+        products,
         AXIOM_SLACK * tol,
         lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
     )
@@ -588,18 +586,16 @@ def validate_functor(
     block dim x source block dim), or when a product of source basis
     elements falls outside its source block.
 
-    ``_certified`` is private to ``duality.gelfand``: a dict mapping a
-    pair ``(a, b)`` to an ``(n_ab,)`` array of proven upper bounds on
-    the involution defects of (a, b)'s basis elements, whose adjoints
-    lie in block (b, a), and a triple ``(a, b, c)`` to an ``(n_ab,
-    n_bc)`` array of bounds on the multiplicativity defects of the
-    pairs of (a, b)'s and (b, c)'s basis elements, whose products lie
-    in block (a, c).  In ``involution`` and ``multiplicativity`` the
-    bounds stand in for the defects of the keys they cover, and only the
-    other blocks' adjoints and triples' products are formed.
+    ``_certified`` is private to ``duality.gelfand``: ``None``, or a
+    pair of arrays, ``(o, o, n)`` and ``(o, o, o, n, n)`` indexed by
+    object position, of proven upper bounds on the involution defects of
+    every block's basis elements and on the multiplicativity defects of
+    the pairs of every triple's, each clearing the check with
+    ``config.CERT_SLACK`` to spare.  Then ``involution`` and
+    ``multiplicativity`` report the bounds and form no adjoint or
+    product; with ``None`` they form every one.
     """
     tol = resolve_tol(tol)
-    certified = _certified or {}
     report = Report()
 
     src_ids, tgt_ids = set(source.object_ids), set(target.object_ids)
@@ -620,12 +616,11 @@ def validate_functor(
             images[(a, b)] = _image(phi, target, a, b, np.eye(source.block_dim(a, b)))
         return images[(a, b)]
 
-    devs = [np.zeros(0)]  # HS norms of the defects, block after block
-    for (a, b), basis in source.blocks.items():
-        if not basis:
-            continue
-        dev = certified.get((a, b))
-        if dev is None:
+    if _certified is None:
+        inv = [np.zeros(0)]  # HS norms of the defects, block after block
+        for (a, b), basis in source.blocks.items():
+            if not basis:
+                continue
             member, residual, coeffs = _project(
                 source.block(b, a), _adjoints(basis), tol
             )
@@ -633,20 +628,17 @@ def validate_functor(
                 report.add("adjoint-closure-of-source", False, float(residual.max()))
                 return report
             alt = _image(phi, target, b, a, coeffs)
-            dev = np.linalg.norm(_rows(_adjoints(image(a, b)) - alt), axis=1)
-        devs.append(dev)
-    report.check("involution", np.concatenate(devs), FUNCTOR_SLACK * tol)
-
-    devs = [np.zeros(0)]
-    for a, b, c in itertools.product(*[source.object_ids] * 3):
-        shape = (source.block_dim(a, b), source.block_dim(b, c))
-        if not shape[0] or not shape[1]:
-            continue
-        dev = certified.get((a, b, c))
-        if dev is None:
-            dev = _product_defects(phi, source, target, image, a, b, c, tol)
-        devs.append(np.ravel(dev))
-    report.check("multiplicativity", np.concatenate(devs), FUNCTOR_SLACK * tol)
+            inv.append(np.linalg.norm(_rows(_adjoints(image(a, b)) - alt), axis=1))
+        mult = [np.zeros(0)] + [
+            _product_defects(phi, source, target, image, a, b, c, tol)
+            for a, b, c in itertools.product(*[source.object_ids] * 3)
+            if source.block(a, b) and source.block(b, c)
+        ]
+        inv, mult = np.concatenate(inv), np.concatenate(mult)
+    else:
+        inv, mult = _certified
+    report.check("involution", inv, FUNCTOR_SLACK * tol)
+    report.check("multiplicativity", mult, FUNCTOR_SLACK * tol)
 
     if source.unital and target.unital:
         report.check(

@@ -547,9 +547,9 @@ def unitary_equivalence_gauge(
         basis = c.block(a, b)
         v1 = _character_values(w1, a, b, basis)
         v2 = _character_values(w2, a, b, basis)
-        j = int(np.argmax(np.abs(v1)))
-        if abs(v1[j]) < VANISHING_ATOL:
-            # the block vanishes at this class on both sides
+        j = int(np.argmax(np.abs(v1))) if basis else 0
+        if not basis or abs(v1[j]) < VANISHING_ATOL:
+            # the block is empty, or vanishes at this class on both sides
             psi[(a, b)] = 1.0 + 0j
             continue
         z = v2[j] / v1[j]
@@ -936,40 +936,28 @@ def _adjoint_bounds(q: _Compressions):
     return np.where(premise, inv, np.nan), np.where(premise, outside, np.nan)
 
 
-def _certificates(c, q: _Compressions, tol) -> tuple:
+def _certificates(q: _Compressions, tol) -> tuple:
     """The ``_certified`` arguments ``(functor, axioms)`` of
-    ``validate_functor`` and ``check_axioms``.  Each maps a pair ``(a,
-    b)`` of objects to the bounds, ``(n,)``, on the adjoints of block
-    (a, b)'s basis elements, and a triple ``(a, b, c)`` to those, ``(n,
-    n)``, on the products of (a, b)'s with (b, c)'s, when every item's
-    bounds from :func:`_adjoint_bounds` or :func:`_product_bounds` clear
-    the checks with ``config.CERT_SLACK`` to spare: for
-    ``validate_functor`` the defect's ``FUNCTOR_SLACK * tol`` and the
-    residual's ``tol``, its membership cut; for ``check_axioms`` the
-    residual's ``AXIOM_SLACK * tol``.  A key with an item that does not
-    clear is left out, and the check forms the whole key: BLAS rounds a
-    row of a product differently with the number of rows, so forming
-    only the items left over could move a failing residual in its last
-    bits, and a key formed whole reports what the explicit check
-    reports."""
+    ``validate_functor`` and ``check_axioms``: the whole bound arrays of
+    :func:`_adjoint_bounds` and :func:`_product_bounds`, ``(o, o, n)``
+    and ``(o, o, o, n, n)`` by object position, when
+    ``config.CERT_SLACK`` times every item's bound clears the checks,
+    else ``None``, and the check forms every adjoint and product as when
+    called alone.  ``functor`` holds the bounds on the defects, which
+    clear ``FUNCTOR_SLACK * tol`` while the residuals outside the blocks
+    clear ``tol``, its membership cut; ``axioms`` holds those residuals'
+    bounds, which clear ``AXIOM_SLACK * tol``."""
     mult, outside = _product_bounds(q)
     inv, adj_outside = _adjoint_bounds(q)
-    ids = c.object_ids
 
-    def clears(bound, check_bound):
-        return CERT_SLACK * bound <= check_bound
+    def clear(cut, *bounds):  # a NaN clears nothing
+        return all(np.all(CERT_SLACK * b <= cut) for b in bounds)
 
-    def keyed(bound, cleared):  # the keys whose items all clear
-        n_obj = bound.ndim // 2 + 1  # (o, o, n) or (o, o, o, n, n)
-        ok = cleared.all(axis=tuple(range(n_obj, bound.ndim)))
-        return {tuple(ids[i] for i in key): bound[key] for key in zip(*np.nonzero(ok))}
-
-    functor = keyed(inv, clears(inv, FUNCTOR_SLACK * tol) & clears(adj_outside, tol))
-    functor.update(
-        keyed(mult, clears(mult, FUNCTOR_SLACK * tol) & clears(outside, tol))
-    )
-    axioms = keyed(adj_outside, clears(adj_outside, AXIOM_SLACK * tol))
-    axioms.update(keyed(outside, clears(outside, AXIOM_SLACK * tol)))
+    functor = axioms = None
+    if clear(FUNCTOR_SLACK * tol, inv, mult) and clear(tol, adj_outside, outside):
+        functor = inv, mult
+    if clear(AXIOM_SLACK * tol, adj_outside, outside):
+        axioms = adj_outside, outside
     return functor, axioms
 
 
@@ -986,17 +974,18 @@ def gelfand(
     ``functor-involution``, ``functor-multiplicativity`` and
     ``isometric`` are proven first from the basis elements' compressions
     into the spectrum's class-ordered bases (:func:`_adjoint_bounds`,
-    :func:`_product_bounds`, :func:`_isometry_bounds`).  A block's
-    adjoints, a triple's products or a combination report their proven
-    upper bounds where ``config.CERT_SLACK`` times every one clears the
-    check's bound, and their explicit defects elsewhere
-    (:func:`_certificates`); only those adjoints, products and operator
-    norms are formed.  The block maps are the spectrum's
-    ``block_maps``.
+    :func:`_product_bounds`, :func:`_isometry_bounds`).  The functor
+    checks report their proven upper bounds when ``config.CERT_SLACK``
+    times every adjoint's and product's bound clears (:func:`_certificates`),
+    and ``isometric`` when every combination's does; otherwise the check
+    forms every adjoint and product, or every operator norm, as
+    ``validate_functor`` does when called alone.  The block maps are
+    the spectrum's ``block_maps``.
 
-    ``_axioms`` is private to :func:`roundtrip_category`: a dict that
-    receives ``check_axioms``' ``_certified`` argument, the bounds on
-    the adjoints' and products' residuals outside their blocks.
+    ``_axioms`` is private to :func:`roundtrip_category`: a list that
+    receives ``check_axioms``' ``_certified`` argument, the whole bounds
+    on the adjoints' and products' residuals outside their blocks, or
+    ``None``.
     """
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
@@ -1008,9 +997,9 @@ def gelfand(
         block_maps={(a, b): maps[spec._index(a, b)] for a, b in c.pairs()},
     )
     q = _compressions(c, spec, maps)
-    functor, axioms = _certificates(c, q, tol)
+    functor, axioms = _certificates(q, tol)
     if _axioms is not None:
-        _axioms.update(axioms)
+        _axioms.append(axioms)
     report = Report()
     report.extend(validate_functor(phi, c, sec, tol, _certified=functor), "functor-")
     # fullness forces every block to have exactly one dimension per
@@ -1026,18 +1015,19 @@ def gelfand(
 
 def _isometry_devs(c, q: _Compressions, tol, seed) -> np.ndarray:
     """``gelfand``'s isometry deviations, ``(o, o, 3)``: the proven
-    bound where it clears, else ``| ||x||_op - max_p |xhat_p| |``."""
+    bounds when every one clears, else every ``| ||x||_op - max_p
+    |xhat_p| |``, the combinations formed as one stack."""
     shape = q.maps.shape
     z = np.random.default_rng(seed).standard_normal(shape[:2] + (3, 2, shape[-1]))
     z = z[..., 0, :] + 1j * z[..., 1, :]
     tops = np.abs(z @ np.swapaxes(q.maps, -1, -2)).max(axis=-1, initial=0.0)
     bound = _isometry_bounds(q, z, tops)
-    devs = np.where(CERT_SLACK * bound <= ISOMETRY_SLACK * tol, bound, np.nan)
-    ids = c.object_ids
-    for i, j, t in zip(*np.nonzero(np.isnan(devs))):
-        x = np.tensordot(z[i, j, t], _stack(c, ids[i], ids[j]), 1)
-        devs[i, j, t] = abs(np.linalg.norm(x, 2) - tops[i, j, t])
-    return devs
+    if np.all(CERT_SLACK * bound <= ISOMETRY_SLACK * tol):
+        return bound
+    rows = np.reshape([_stack(c, a, b) for a, b in c.pairs()], q.resid.shape)
+    d = math.isqrt(rows.shape[-1])
+    x = (z @ rows).reshape(tops.shape + (d, d))
+    return np.abs(np.linalg.norm(x, 2, axis=(-2, -1)) - tops)
 
 
 class Evaluation(NamedTuple):
@@ -1106,19 +1096,18 @@ def roundtrip_category(
     ``gelfand``'s (``gelfand-``) and the spectrum's ``validate``
     (``spaceoid-``), the one validation of the spectrum's table.
     ``gelfand`` runs first, and ``input-adjoint-closure`` and
-    ``input-composition-closure`` take its proven bounds on the
-    adjoints' and products' residuals outside their blocks: a block's
-    adjoints or a triple's products report their bounds where
-    ``config.CERT_SLACK`` times every one clears ``AXIOM_SLACK * tol``,
-    and their explicit residuals elsewhere, so only those adjoints and
-    products are formed.  Check names and verdicts are those of the
-    three calls made apart.
+    ``input-composition-closure`` report its proven bounds on the
+    adjoints' and products' residuals outside their blocks when
+    ``config.CERT_SLACK`` times every one clears ``AXIOM_SLACK * tol``;
+    otherwise ``check_axioms`` forms every adjoint and product, as when
+    called alone.  Check names and verdicts are those of the three
+    calls made apart.
     """
     tol = resolve_tol(tol)
-    axioms = {}
+    axioms = []
     out = gelfand(c, tol, seed, _axioms=axioms)
     report = Report()
-    report.extend(check_axioms(c, tol, _certified=axioms), "input-")
+    report.extend(check_axioms(c, tol, _certified=axioms[0]), "input-")
     report.extend(out.report, "gelfand-")
     report.extend(validate(out.spectrum.spaceoid, tol), "spaceoid-")
     return report

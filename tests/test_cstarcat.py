@@ -961,15 +961,19 @@ def test_chunked_products_match_one_stack(monkeypatch, name):
         monkeypatch.setattr(cstarcat, "_PAIR_CHUNK", chunk)
         _same_up_to_rounding(check_axioms(cat).checks, want_axioms)
         _same_up_to_rounding(validate_functor(phi, cat, cat).checks, want_functor)
-        # the triples (a, a, c) certified at bound 0: the triples left
-        # explicit, each formed whole in chunks, still decide the verdicts
-        certified = {
-            t: np.zeros((len(cat.block(*t[:2])), len(cat.block(*t[1:]))))
-            for t in itertools.product(cat.object_ids, repeat=3)
-            if t[0] == t[1]
-        }
-        got = validate_functor(phi, cat, cat, _certified=certified).checks
-        _same_up_to_rounding(got, want_functor)
+        # whole bound arrays (every block here has dimension n): the two
+        # checks report them and form no product; the others are unchanged
+        o, n = len(cat.objects), len(cat.block(*cat.pairs()[0]))
+        bounds = np.full((o, o, n), 1e-9), np.full((o, o, o, n, n), 2e-9)
+        with monkeypatch.context() as m:
+            m.setattr(cstarcat, "_product_defects", None)  # a call would raise
+            got = validate_functor(phi, cat, cat, _certified=bounds).checks
+        names = ("involution", "multiplicativity")
+        assert [c.residual for c in got if c.name in names] == [1e-9, 2e-9]
+        _same_up_to_rounding(
+            [c for c in got if c.name not in names],
+            [c for c in want_functor if c.name not in names],
+        )
 
 
 def test_chunked_product_outside_source_names_the_same_residual(monkeypatch):

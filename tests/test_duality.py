@@ -1129,6 +1129,23 @@ def test_unitary_equivalence_gauge_rejects_different_classes():
         du.unitary_equivalence_gauge(w1, nan_on_diagonals)
 
 
+def test_unitary_equivalence_gauge_takes_an_empty_block_as_vanishing():
+    # two lines with no morphisms between them: the empty blocks take
+    # the vanishing branch, psi = 1, instead of an argmax of nothing
+    one = np.ones((1, 1), dtype=complex)
+    c = cc.MatrixCategory(
+        (("A", 1), ("B", 1)),
+        {("A", "A"): [one], ("A", "B"): [], ("B", "A"): [], ("B", "B"): [one]},
+        unital=True,
+    )
+
+    def w1(a, b, x):
+        return complex(x[0, 0])
+
+    psi = du.unitary_equivalence_gauge(w1, w1, c)
+    assert {pair: psi.at(*pair) for pair in c.pairs()} == dict.fromkeys(c.pairs(), 1)
+
+
 def test_quotient_by_character_classical():
     c = du.classical_category(3)
     spec = du.spectrum(c)

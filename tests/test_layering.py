@@ -3,7 +3,8 @@ and ``groups`` (finite groups and groupoids) sits below ``cstarcat``,
 which builds the groupoid C*-categories from it.  Every public error
 class has a raise site, so a dead one cannot stay in ``errors``, and
 every public name has a caller in the package or the benchmark, so a
-name only tests use cannot stay in an ``__all__``."""
+name only tests use cannot stay in an ``__all__``.  The ``_`` parameters
+of public functions stay on an allowlist that can only shrink."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # item 9 is to use them, and item 10 deletes whichever it does not.
 AWAITING_CALLER = {
     "identity_functor", "compose_functors", "identity_morphism", "compression_functor",
+}
+
+
+# Private switches of public functions: each lets one caller in the
+# package skip work it has done already.  The list only shrinks.
+PRIVATE_SWITCHES = {
+    "check_axioms._certified", "validate_functor._certified", "gelfand._axioms",
+    "sections_with_gauge._valid", "evaluation._valid",
 }
 
 
@@ -118,6 +127,30 @@ def test_every_public_name_has_a_caller():
     assert AWAITING_CALLER <= set(public.values())
 
 
+def _private_parameters(tree, exported) -> set:
+    """``function._parameter`` for every ``_``-prefixed parameter of a
+    module-level function named in ``exported``."""
+    found = set()
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        for arg in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]:
+            if fn.name in exported and arg is not None and arg.arg.startswith("_"):
+                found.add(f"{fn.name}.{arg.arg}")
+    return found
+
+
+def test_private_switches_stay_on_their_allowlist():
+    found = set().union(*(
+        _private_parameters(ast.parse(path.read_text()), _exported(path))
+        for path in SRC.glob("*.py")
+    ))
+    # no new switch, and every listed one still exists
+    assert found <= PRIVATE_SWITCHES, f"new switches: {found - PRIVATE_SWITCHES}"
+    assert PRIVATE_SWITCHES <= found, f"gone, unlist them: {PRIVATE_SWITCHES - found}"
+
+
 def test_no_module_imports_inside_a_function():
     found = [
         f"{path.name}:{line}"
@@ -191,3 +224,18 @@ def test_raise_scan(text, names):
 )
 def test_read_name_scan(text, names):
     assert _read_names(ast.parse(text)) == names
+
+
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ("def f(x, *, _skip=None):\n    pass", {"f._skip"}),
+        ("def f(_a, /, _b, *_c, _d=1, **_e):\n    pass", {f"f._{n}" for n in "abcde"}),
+        ("async def f(_x):\n    pass", {"f._x"}),
+        ("def g(_x):\n    pass", set()),
+        ("class f:\n    def m(self, _x):\n        pass", set()),
+        ("def f():\n    def h(_x):\n        pass", set()),
+    ],
+)
+def test_private_parameter_scan(text, found):
+    assert _private_parameters(ast.parse(text), {"f"}) == found
