@@ -248,8 +248,8 @@ def test_gelfand_reports_the_explicit_residual_of_a_planted_pair(monkeypatch):
     g = du.gelfand(du.classical_category(8), TOL)
     check = next(c for c in g.report.checks if c.name == "functor-multiplicativity")
     assert not check.passed
-    # every functor check, the certified involution too, as the call
-    # alone makes it: residual, bound and detail
+    # every functor check, the involution too, as the call alone makes
+    # it: residual, bound and detail
     plain = cc.validate_functor(g.functor, g.spectrum.category, g.sections, TOL)
     got = [c for c in g.report.checks if c.name.startswith("functor-")]
     assert got == [c._replace(name="functor-" + c.name) for c in plain.checks]

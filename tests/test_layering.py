@@ -22,7 +22,8 @@ AWAITING_CALLER = {
 
 
 # Private switches of public functions: each lets one caller in the
-# package skip work it has done already.  The list only shrinks.
+# package hand over what it has already proven or checked.  The list
+# only shrinks.
 PRIVATE_SWITCHES = {
     "check_axioms._certified", "validate_functor._certified", "gelfand._axioms",
     "sections_with_gauge._valid", "evaluation._valid",
