@@ -43,6 +43,7 @@ from .numkit import (
     hs_member,
     hs_norm,
     hs_orthonormalize,
+    joint_diagonalize,
 )
 from .reporting import Report
 
@@ -669,24 +670,65 @@ def generated_by(
 
     No units are adjoined.  When ``a_id == b_id`` the generator must be
     square and normal.  Raises ``ValueError`` on non-finite input.
+
+    By Gel'fand duality the closure is fixed by ``x``'s spectral data,
+    so it comes from one :func:`numkit.joint_diagonalize`, without
+    ``close``'s product rounds.  Across two objects that is the
+    Hermitian dilation ``D = [[0, x], [x*, 0]]``, whose eigenvalues are
+    the ``+-s`` of ``x``'s singular values ``s``, so its classes follow
+    the one ``CLUSTER_RTOL`` rule in ``s``; on one object it is ``x``
+    itself.  A class is kept when its eigenvalue (on one object, its
+    modulus) exceeds ``tol * (1 + ||x||_op)``, ``close``'s drop rule;
+    that also drops the kernel and the mirrored classes ``-s``.  A kept
+    class of rank ``r`` with columns ``W``, scaled by ``sqrt(2)`` across
+    two objects, splits into isometries ``U = W[:m]`` and ``V = W[m:]``
+    (``U = V = W`` on one object); block ``(P, Q)`` is spanned by
+    ``W_P W_Q* / sqrt(r)`` over the kept classes, an HS-orthonormal
+    basis.  The result is unital when the kept ranks fill every object.
+
+    ``joint_diagonalize``'s errors pass through.  The limit near the
+    cuts: a singular value ``s`` within the cluster cut of ``-s``, or of
+    0 when ``x`` has a kernel, shares one class with them.  That class
+    has mean zero and is dropped.  At the default tolerance
+    ``funcalc``'s zero cut drops ``s`` too; at a tighter ``tol`` (1e-10)
+    the class raises ``DiagonalizationFailed`` when it misses
+    ``joint_diagonalize``'s fallback bound, and ``s`` is missing from
+    ``funcalc``'s result when it does not.
     """
     tol = resolve_tol(tol)
     arr = np.asarray(x, dtype=complex)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries in generated_by input")
+    m, n = arr.shape
     if a_id == b_id:
-        if arr.shape[0] != arr.shape[1]:
+        if m != n:
             raise ValueError("same-object generator must be square")
         comm = arr @ arr.conj().T - arr.conj().T @ arr
         if not np.linalg.norm(comm) <= tol * (1.0 + hs_norm(arr) ** 2):
             raise NotNormal("same-object generator must be normal")
-        objects = ((a_id, arr.shape[0]),)
+        objects = ((a_id, m),)
+        rows = {a_id: slice(None)}
+        eig = joint_diagonalize([arr], tol)
+        values, cols = np.abs(eig.eigenvalues[0]), eig.unitary
     else:
-        objects = ((a_id, arr.shape[0]), (b_id, arr.shape[1]))
-    pres = CategoryPresentation(
-        objects=objects, generators={(a_id, b_id): [arr]}
+        objects = ((a_id, m), (b_id, n))
+        rows = {a_id: slice(0, m), b_id: slice(m, None)}
+        dilation = np.block([[np.zeros((m, m)), arr], [arr.conj().T, np.zeros((n, n))]])
+        eig = joint_diagonalize([dilation], tol)
+        values, cols = eig.eigenvalues[0].real, np.sqrt(2.0) * eig.unitary
+    cut = tol * (1.0 + np.abs(values).max(initial=0.0))
+    kept = [
+        (cols[:, s:s + r], r)
+        for s, r, v in zip(eig.starts, eig.sizes, values) if v > cut
+    ]
+    blocks = {
+        (p, q): [w[rows[p]] @ w[rows[q]].conj().T / np.sqrt(r) for w, r in kept]
+        for p in rows for q in rows
+    }
+    rank = sum(r for _, r in kept)
+    return MatrixCategory(
+        objects=objects, blocks=blocks, unital=all(rank == d for _, d in objects)
     )
-    return close(pres, unitize=False, tol=tol)
 
 
 def _check_phases(phases, k) -> np.ndarray:

@@ -11,11 +11,15 @@ function rescales each class with its phase kept:
 
     f[x] = lift(f(|xhat|) * xhat / |xhat|),
 
-with ``f(xhat)`` in its place on one object.  ``funcalc`` computes
-this through :func:`duality.spectrum` of that corner and inherits its
-error contract.  ``svd_oracle`` computes the same thing directly from
-a singular value decomposition (or a normal eigendecomposition) and
-exists to cross-check it.
+with ``f(xhat)`` in its place on one object.  The generated category
+comes from one eigendecomposition (:func:`cstarcat.generated_by`: of
+the Hermitian dilation ``[[0, x], [x*, 0]]`` across two objects, of
+``x`` on one), not from ``close``'s product rounds.  ``funcalc``
+computes the transform through :func:`duality.spectrum` of that corner
+and inherits its error contract, and ``joint_diagonalize``'s.
+``svd_oracle`` computes the same thing directly from a singular value
+decomposition (or a normal eigendecomposition) and exists to
+cross-check it.
 
 A class whose coefficient is under the zero cut carries no part of
 ``x`` and is discarded, as the oracle discards such singular values,
@@ -32,7 +36,7 @@ from .config import CLUSTER_RTOL, ZERO_SLACK, resolve_tol
 from .cstarcat import MatrixCategory, _grams, _stack, generated_by
 from .duality import spectrum
 from .errors import SpectrumMismatch
-from .numkit import normal_eig, op_norm, svd
+from .numkit import _cluster_complex, normal_eig, op_norm, svd
 
 __all__ = [
     "SpectralFunction",
@@ -108,8 +112,9 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
 
     Distinct nonzero singular values when the objects differ; distinct
     nonzero eigenvalues of a normal element on a single object.
-    Values within the clustering tolerance are merged; the result is
-    sorted by (real, imaginary).
+    Values are grouped by single linkage at ``CLUSTER_RTOL * (1 +
+    ||x||_op)``, the one class rule; each group is its smallest value
+    by (real, imaginary), and the points come sorted so.
     """
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
@@ -128,12 +133,8 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
             if v > ZERO_SLACK * tol * (1 + scale)
         ]
     vals.sort(key=lambda z: (z.real, z.imag))
-    out: list = []
-    for z in vals:
-        if out and abs(z - out[-1]) <= CLUSTER_RTOL * (1 + scale):
-            continue
-        out.append(z)
-    return np.array(out, dtype=complex)
+    groups = _cluster_complex(np.array(vals, dtype=complex), CLUSTER_RTOL * (1 + scale))
+    return np.array([vals[i] for i in sorted(g[0] for g in groups)], dtype=complex)
 
 
 def _support(basis, d) -> np.ndarray:
@@ -163,8 +164,10 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     xhat * f(p) / p``.  The result is ``W_A lift(g) W_B*``; the
     identity function returns ``x`` itself to machine precision.
 
-    ``spectrum``'s errors pass through: a closure that is not
-    commutative raises ``NotCommutative``.  A missing ``f``, and as in
+    ``generated_by``'s and ``spectrum``'s errors pass through: a
+    closure whose eigendecomposition does not verify raises
+    ``DiagonalizationFailed``, one that is not commutative
+    ``NotCommutative``.  A missing ``f``, and as in
     ``spectrum`` a non-finite ``x``, raise ``ValueError`` before any work.
     """
     if f is None:

@@ -392,43 +392,50 @@ def suite_funcalc(
     rectangular and normal-square inputs; identity is exact."""
     rng = np.random.default_rng(seed)
     report = Report()
-    identity = fc.SpectralFunction.from_coeffs([0.0, 1.0])
     for i in range(n_cases):
         case_seed = int(rng.integers(2**63))
 
         def body(i=i, case_seed=case_seed):
-            crng = np.random.default_rng(case_seed)
-            qa = int(crng.integers(1, max_dim + 1))
-            qb = int(crng.integers(1, max_dim + 1))
-            square_normal = crng.random() < 0.4
-            if square_normal:
-                u = rand_unitary(crng, qa)
-                eigs = crng.standard_normal(qa) + 1j * crng.standard_normal(qa)
-                x = u @ np.diag(eigs) @ u.conj().T
-                a_id, b_id = "A", "A"
-            else:
-                x = crng.standard_normal((qa, qb)) + 1j * crng.standard_normal(
-                    (qa, qb)
-                )
-                if crng.random() < 0.3 and min(qa, qb) > 1:
-                    # plant a kernel: zero out trailing singular values
-                    u_, s_, vh_ = np.linalg.svd(x, full_matrices=False)
-                    r = int(crng.integers(1, min(qa, qb)))
-                    x = (u_[:, :r] * s_[:r]) @ vh_[:r]
-                a_id, b_id = "A", "B"
-            f = _random_polynomial(crng)
-            got = fc.funcalc(x, a_id, b_id, f, seed=case_seed)
-            want = fc.svd_oracle(x, a_id, b_id, f)
-            pts = fc.spectrum_of_element(x, a_id, b_id)
-            fmax = max((abs(fc._call(f, s, 1.0)) for s in pts), default=0.0)
-            case = Report()
-            case.check("oracle", np.linalg.norm(got - want, 2), tol * (1.0 + fmax))
-            ident = fc.funcalc(x, a_id, b_id, identity)
-            case.check("identity", np.linalg.norm(ident - x, 2), 1e-10)
+            case = _funcalc_case(case_seed, tol, max_dim)
             report.add(f"funcalc-{i}", case.passed, case.worst_residual)
 
         _guard(report, f"funcalc-{i}", body)
     return report
+
+
+def _funcalc_case(case_seed: int, tol: float, max_dim: int) -> Report:
+    """One case of :func:`suite_funcalc`, drawn from its seed: the
+    oracle check and the identity check."""
+    crng = np.random.default_rng(case_seed)
+    qa = int(crng.integers(1, max_dim + 1))
+    qb = int(crng.integers(1, max_dim + 1))
+    square_normal = crng.random() < 0.4
+    if square_normal:
+        u = rand_unitary(crng, qa)
+        eigs = crng.standard_normal(qa) + 1j * crng.standard_normal(qa)
+        x = u @ np.diag(eigs) @ u.conj().T
+        a_id, b_id = "A", "A"
+    else:
+        x = crng.standard_normal((qa, qb)) + 1j * crng.standard_normal(
+            (qa, qb)
+        )
+        if crng.random() < 0.3 and min(qa, qb) > 1:
+            # plant a kernel: zero out trailing singular values
+            u_, s_, vh_ = np.linalg.svd(x, full_matrices=False)
+            r = int(crng.integers(1, min(qa, qb)))
+            x = (u_[:, :r] * s_[:r]) @ vh_[:r]
+        a_id, b_id = "A", "B"
+    f = _random_polynomial(crng)
+    got = fc.funcalc(x, a_id, b_id, f, seed=case_seed)
+    want = fc.svd_oracle(x, a_id, b_id, f)
+    pts = fc.spectrum_of_element(x, a_id, b_id)
+    fmax = max((abs(fc._call(f, s, 1.0)) for s in pts), default=0.0)
+    case = Report()
+    case.check("oracle", np.linalg.norm(got - want, 2), tol * (1.0 + fmax))
+    identity = fc.SpectralFunction.from_coeffs([0.0, 1.0])
+    ident = fc.funcalc(x, a_id, b_id, identity)
+    case.check("identity", np.linalg.norm(ident - x, 2), 1e-10)
+    return case
 
 
 def suite_gauge(

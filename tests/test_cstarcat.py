@@ -321,6 +321,29 @@ def test_generated_by_matches_full_recompute_reference():
         assert_same_closure(generated_by(x, "A", b), want)
 
 
+def test_generated_by_matches_close_without_calling_it(monkeypatch):
+    # one eigendecomposition gives close's closure: the same block
+    # dimensions and unital flag, spans within the default tolerance
+    # (3.1e-11 at worst here)
+    from spectroid.config import DEFAULT_TOL
+
+    cases = list(_single_generators())
+    wants = [close(_single_presentation(x, "A", b)) for x, b in cases]
+
+    def no_close(*args, **kwargs):
+        raise AssertionError("generated_by called close")
+
+    monkeypatch.setattr(cstarcat, "close", no_close)
+    for (x, b), want in zip(cases, wants):
+        got = generated_by(x, "A", b)
+        assert got.unital == want.unital
+        for pair in want.blocks:
+            assert got.block_dim(*pair) == want.block_dim(*pair), pair
+            if want.block(*pair):
+                dist = projector_distance(got.block(*pair), want.block(*pair))
+                assert dist <= DEFAULT_TOL, pair
+
+
 def _repeats(rows):
     """Pairs (i < j) of equal-length rows within 1e-9 of each other."""
     found = []

@@ -51,6 +51,18 @@ def test_spectrum_of_zero_is_empty():
     assert fc.spectrum_of_element(np.zeros((2, 3)), "A", "B").size == 0
 
 
+def test_spectrum_links_points_within_the_cut_by_single_linkage():
+    # 1 and 1 + 5e-9 + 1e-9 i lie within the cut 1e-8 (1 + |1 + 1i|),
+    # but 1 + 1e-9 + 1i sorts between them: merging only neighbours in
+    # (real, imaginary) order kept three points
+    vals = [1.0, 1.0 + 1e-9 + 1j, 1.0 + 5e-9 + 1e-9j]
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rand_rect(rng, 3, 3))
+    for x in (np.diag(vals), q @ np.diag(vals) @ q.conj().T):
+        pts = fc.spectrum_of_element(x, "A", "A")
+        assert np.allclose(pts, [1.0, 1.0 + 1e-9 + 1j], rtol=0, atol=1e-12)
+
+
 # --- frozen funcalc examples --------------------------------------------------
 
 
@@ -149,6 +161,10 @@ def test_wrong_table_key_rejected():
 # an 8x8 draw with a degree-5 polynomial: 1.7e-6 off the oracle, with
 # every block of its closure at rank 8, inside criterion 6's bound
 @example(seed=1_152_865_252)
+# draws whose closure by product rounds drifted into NotCommutative
+@example(seed=197)
+@example(seed=855)
+@example(seed=906_698)
 def test_rectangular_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -340,6 +356,20 @@ def test_benchmark_rectangles_close_on_their_singular_values(x, f):
     fmax = max((abs(f(s)) for s in points), default=0.0)
     got, want = fc.funcalc(x, "A", "B", f), fc.svd_oracle(x, "A", "B", f)
     assert op_norm(got - want) <= 1e-8 * (1 + fmax)
+
+
+def test_funcalc_on_the_benchmark_rectangles_never_calls_close(monkeypatch):
+    # the closure of one element comes from one eigendecomposition, not
+    # from close's product rounds
+    from spectroid import cstarcat
+
+    def no_close(*args, **kwargs):
+        raise AssertionError("funcalc called close")
+
+    monkeypatch.setattr(cstarcat, "close", no_close)
+    for param in benchmark_rectangles():
+        x, f = param.values
+        fc.funcalc(x, "A", "B", f)
 
 
 # --- whole-eigenbasis funcalc against the per-class reference -----------------
@@ -543,3 +573,89 @@ def test_singular_value_under_the_zero_cut_is_dropped():
     for func in (lambda s: s, table):
         got = fc.funcalc(x, "A", "B", func)
         assert np.array_equal(got, fc.svd_oracle(x, "A", "B", func))
+
+
+def between_the_cuts():
+    """Planted singular values that the cluster rule in s, at 1e-8 (1 +
+    ||x||), keeps apart from each other and from the kernel, but whose
+    squares lie within the same rule's cut on x* x, 1e-8 (1 + ||x||^2):
+    small values above the drop cut and near pairs."""
+    rng = np.random.default_rng(41)
+    planted = [
+        ("2, 1e-5, 0 (3x3)", 3, 3, [2.0, 1e-5]),
+        ("2, 1e-4, 0 (4x3)", 4, 3, [2.0, 1e-4]),
+        ("2, 1e-5 (3x2)", 3, 2, [2.0, 1e-5]),
+        ("1e-7, 1e-7, 0 (3x3)", 3, 3, [1e-7, 1e-7]),
+        ("3, 3+1e-6, 1 (3x3)", 3, 3, [3.0, 3.0 + 1e-6, 1.0]),
+        ("1, 1e-3, 1e-3+1e-7 (3x3)", 3, 3, [1.0, 1e-3, 1e-3 + 1e-7]),
+    ]
+    return [
+        pytest.param(with_spectrum(rng, m, n, values), id=label)
+        for label, m, n, values in planted
+    ]
+
+
+@pytest.mark.parametrize("x", between_the_cuts())
+def test_singular_values_between_the_cuts_keep_their_classes(x):
+    # one block dimension per spectral point, and the oracle within
+    # criterion 6's bound
+    from spectroid.cstarcat import generated_by
+
+    f = fc.SpectralFunction.from_coeffs([0, 0.5 - 1j, 0.25j, -0.1])
+    points = fc.spectrum_of_element(x, "A", "B")
+    cat = generated_by(x)
+    for pair in cat.blocks:
+        assert cat.block_dim(*pair) == len(points), pair
+    fmax = max((abs(f(s)) for s in points), default=0.0)
+    got, want = fc.funcalc(x, "A", "B", f), fc.svd_oracle(x, "A", "B", f)
+    assert op_norm(got - want) <= 1e-8 * (1 + fmax)
+
+
+# suite_funcalc(500, seed)'s cases that a closure by close's product
+# rounds failed over seeds 0-15, as (seed, case index, case seed): 28
+# missed the oracle or identity bound, 3 raised NotCommutative
+DRIFT_CASES = [
+    (0, 173, 1_685_224_246_578_469_997),
+    (0, 296, 1_131_621_604_251_248_058),
+    (0, 480, 3_329_373_755_088_809_978),
+    (1, 215, 5_640_827_383_418_641_547),
+    (2, 67, 4_155_908_805_447_320_564),
+    (2, 176, 4_777_224_168_742_935_152),
+    (2, 327, 7_091_035_285_389_271_317),
+    (4, 253, 8_277_080_595_732_147_090),
+    (4, 355, 2_859_838_488_512_010_089),
+    (5, 421, 7_851_363_355_647_446_562),
+    (6, 107, 6_394_527_810_101_940_094),
+    (7, 147, 3_966_021_031_994_492_282),
+    (7, 305, 4_102_546_883_918_238_233),
+    (7, 338, 4_366_368_190_094_128_304),
+    (7, 367, 7_293_969_877_938_999_104),
+    (7, 438, 5_079_744_029_710_612_144),
+    (8, 176, 8_249_384_614_102_211_471),
+    (9, 167, 7_311_882_311_887_415_071),
+    (9, 434, 2_268_528_927_283_820_584),
+    (10, 296, 5_219_838_977_140_068_772),
+    (10, 442, 8_314_686_352_149_684_625),
+    (10, 482, 595_005_388_223_599_519),
+    (11, 387, 6_591_689_011_940_924_957),
+    (12, 34, 1_239_176_056_900_853_210),
+    (12, 425, 2_482_063_566_639_766_379),
+    (12, 471, 61_537_596_097_044_726),
+    (13, 129, 5_392_204_498_119_309_405),
+    (13, 154, 1_034_120_109_038_044_691),
+    (14, 278, 2_635_519_273_160_465_027),
+    (14, 443, 3_933_526_503_626_393_972),
+    (15, 248, 6_595_352_045_081_306_926),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, index, case_seed", DRIFT_CASES, ids=[f"{s}-{i}" for s, i, _ in DRIFT_CASES]
+)
+def test_suite_funcalc_drift_cases_pass(seed, index, case_seed):
+    from spectroid import selftest
+
+    rng = np.random.default_rng(seed)
+    assert [int(rng.integers(2**63)) for _ in range(index + 1)][-1] == case_seed
+    case = selftest._funcalc_case(case_seed, 1e-8, 8)
+    assert case.passed, [c for c in case.checks if not c.passed]
