@@ -665,6 +665,7 @@ def generated_by(
     a_id: str = "A",
     b_id: str = "B",
     tol: float | None = None,
+    seed: int = 0,
 ) -> MatrixCategory:
     """The C*-category generated by one matrix placed in block (A, B).
 
@@ -685,15 +686,18 @@ def generated_by(
     (``U = V = W`` on one object); block ``(P, Q)`` is spanned by
     ``W_P W_Q* / sqrt(r)`` over the kept classes, an HS-orthonormal
     basis.  The result is unital when the kept ranks fill every object.
+    Basis element ``i`` of every block belongs to kept class ``i``, the
+    order ``funcalc`` reads them in.
 
-    ``joint_diagonalize``'s errors pass through.  The limit near the
-    cuts: a singular value ``s`` within the cluster cut of ``-s``, or of
-    0 when ``x`` has a kernel, shares one class with them.  That class
-    has mean zero and is dropped.  At the default tolerance
-    ``funcalc``'s zero cut drops ``s`` too; at a tighter ``tol`` (1e-10)
-    the class raises ``DiagonalizationFailed`` when it misses
-    ``joint_diagonalize``'s fallback bound, and ``s`` is missing from
-    ``funcalc``'s result when it does not.
+    ``seed`` seeds the one ``joint_diagonalize``, whose errors pass
+    through.  The limit near the cuts: a singular value ``s`` within
+    the cluster cut of ``-s``, or of 0 when ``x`` has a kernel, shares
+    one class with them.  That class has mean zero and is dropped.  At
+    the default tolerance ``funcalc``'s zero cut drops ``s`` too; at a
+    tighter ``tol`` (1e-10) the class raises ``DiagonalizationFailed``
+    when it misses ``joint_diagonalize``'s fallback bound, and when it
+    does not, ``x`` lies outside the closure's span by about ``s`` and
+    ``funcalc``'s span certificate raises ``DiagonalizationFailed``.
     """
     tol = resolve_tol(tol)
     arr = np.asarray(x, dtype=complex)
@@ -708,13 +712,13 @@ def generated_by(
             raise NotNormal("same-object generator must be normal")
         objects = ((a_id, m),)
         rows = {a_id: slice(None)}
-        eig = joint_diagonalize([arr], tol)
+        eig = joint_diagonalize([arr], tol, seed=seed)
         values, cols = np.abs(eig.eigenvalues[0]), eig.unitary
     else:
         objects = ((a_id, m), (b_id, n))
         rows = {a_id: slice(0, m), b_id: slice(m, None)}
         dilation = np.block([[np.zeros((m, m)), arr], [arr.conj().T, np.zeros((n, n))]])
-        eig = joint_diagonalize([dilation], tol)
+        eig = joint_diagonalize([dilation], tol, seed=seed)
         values, cols = eig.eigenvalues[0].real, np.sqrt(2.0) * eig.unitary
     cut = tol * (1.0 + np.abs(values).max(initial=0.0))
     kept = [

@@ -2,9 +2,8 @@
 
 A single matrix ``x`` placed in a block between objects ``A`` and
 ``B`` generates a small commutative category (for ``A == B`` the
-element must be normal).  Cut to the supports of its diagonal blocks,
-that category is unital and full, so it has a spectrum, and ``x`` has
-a Gel'fand transform over it: one coefficient ``xhat_i`` per class,
+element must be normal), and by Gel'fand duality ``x`` is a section
+of that category's spectrum: one coefficient ``xhat_i`` per class,
 whose modulus is a distinct nonzero singular value of ``x`` (an
 eigenvalue itself, in the square same-object case).  Applying a scalar
 function rescales each class with its phase kept:
@@ -14,9 +13,8 @@ function rescales each class with its phase kept:
 with ``f(xhat)`` in its place on one object.  The generated category
 comes from one eigendecomposition (:func:`cstarcat.generated_by`: of
 the Hermitian dilation ``[[0, x], [x*, 0]]`` across two objects, of
-``x`` on one), not from ``close``'s product rounds.  ``funcalc``
-computes the transform through :func:`duality.spectrum` of that corner
-and inherits its error contract, and ``joint_diagonalize``'s.
+``x`` on one), and its bases already hold the classes, so ``funcalc``
+reads ``xhat`` and the lift off them, with no second spectrum.
 ``svd_oracle`` computes the same thing directly from a singular value
 decomposition (or a normal eigendecomposition) and exists to
 cross-check it.
@@ -33,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CLUSTER_RTOL, ZERO_SLACK, resolve_tol
-from .cstarcat import MatrixCategory, _grams, _stack, generated_by
-from .duality import spectrum
-from .errors import SpectrumMismatch
+from .cstarcat import _stack, generated_by
+from .errors import DiagonalizationFailed, SpectrumMismatch
 from .numkit import _cluster_complex, normal_eig, op_norm, svd
 
 __all__ = [
@@ -137,38 +134,29 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
     return np.array([vals[i] for i in sorted(g[0] for g in groups)], dtype=complex)
 
 
-def _support(basis, d) -> np.ndarray:
-    """Isometry onto the support of a diagonal block, from its
-    HS-orthonormal basis, a ``(n, d, d)`` stack.
-
-    ``sum_b b b*`` does not depend on which orthonormal basis is used:
-    with class projections ``P_i`` of ranks ``r_i`` it is ``sum_i P_i /
-    r_i``, so its eigenvalues are ``1/r_i >= 1/d`` on the support and
-    rounding off it, and a cut at ``1/(2d)`` separates the two."""
-    w, v = np.linalg.eigh(_grams(basis)[1])
-    return v[:, w > 0.5 / d]
-
-
 def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     """Apply a scalar function to a matrix element through its
     Gel'fand transform over the category it generates.
 
-    Every block of ``generated_by(x)`` is cut to the supports ``W`` of
-    the diagonal blocks (:func:`_support`); that corner is unital and
-    full, and :func:`duality.spectrum` decomposes it.  ``xhat =
-    spec.coefficients(A, B, W_A* x W_B)`` has one coefficient per
-    class.  The points are ``xhat`` on one object and ``|xhat|`` across
-    two; classes with ``|xhat|`` at most ``ZERO_SLACK * tol * (1 +
-    ||x||_op)`` are dropped, and ``f`` (a :class:`SpectralFunction` or
-    plain callable) rescales the others with their phase kept, ``g =
-    xhat * f(p) / p``.  The result is ``W_A lift(g) W_B*``; the
+    ``generated_by(x, a_id, b_id, tol, seed)`` gives the closure from
+    one eigendecomposition; basis element ``i`` of each of its blocks
+    belongs to class ``i``, with ``b_i = U_i V_i* / sqrt(r_i)`` in
+    block ``(A, B)`` and ``d_i = U_i U_i* / sqrt(r_i)`` in ``(A, A)``.
+    So ``c_i = <b_i, x>_HS = s_i sqrt(r_i)`` and ``tr d_i = sqrt(r_i)``,
+    and the transform is ``xhat = c / tr d``.  The points are ``xhat``
+    on one object and ``|xhat|`` across two; classes with ``|xhat|`` at
+    most ``ZERO_SLACK * tol * (1 + ||x||_op)`` are dropped, and ``f``
+    (a :class:`SpectralFunction` or plain callable) rescales the others
+    with their phase kept: ``f[x] = sum_i c_i f(p_i) / p_i b_i``.  The
     identity function returns ``x`` itself to machine precision.
 
-    ``generated_by``'s and ``spectrum``'s errors pass through: a
-    closure whose eigendecomposition does not verify raises
-    ``DiagonalizationFailed``, one that is not commutative
-    ``NotCommutative``.  A missing ``f``, and as in
-    ``spectrum`` a non-finite ``x``, raise ``ValueError`` before any work.
+    ``x`` must lie in its closure's span: ``||x - sum_i c_i b_i||_HS``
+    above the zero cut raises ``DiagonalizationFailed``, so no part of
+    ``x`` above the cut is dropped without an error.  A missing ``f``
+    and a non-finite ``x`` raise ``ValueError`` before any work, a
+    same-object ``x`` that is not normal ``NotNormal``, a table that
+    does not cover the points ``SpectrumMismatch``, and
+    ``joint_diagonalize``'s ``DiagonalizationFailed`` passes through.
     """
     if f is None:
         raise ValueError("f is required: a SpectralFunction or a callable")
@@ -185,25 +173,21 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
             )
         return np.zeros_like(x)
 
-    cat = generated_by(x, a_id, b_id, tol)  # NotNormal guard lives here
-    w = {o: _support(_stack(cat, o, o), d) for o, d in cat.objects}
-    corner = MatrixCategory(
-        objects=tuple((o, w[o].shape[1]) for o in w),
-        blocks={
-            (a, b): list(w[a].conj().T @ _stack(cat, a, b) @ w[b])
-            for a, b in cat.pairs()
-        },
-        unital=True,
-    )
-    spec = spectrum(corner, tol, seed)
-    xhat = spec.coefficients(a_id, b_id, w[a_id].conj().T @ x @ w[b_id])
+    cat = generated_by(x, a_id, b_id, tol, seed)  # NotNormal guard lives here
+    b = _stack(cat, a_id, b_id).reshape(-1, x.size)
+    c = b.conj() @ x.ravel()
+    residual = np.linalg.norm(x.ravel() - c @ b)
+    if residual > cut:
+        raise DiagonalizationFailed(
+            f"element is {residual:.3e} outside its closure's span (cut {cut:.3e})"
+        )
+    xhat = c / np.trace(_stack(cat, a_id, a_id), axis1=1, axis2=2).real
     live = np.abs(xhat) > cut
     points = xhat[live] if a_id == b_id else np.abs(xhat[live]).astype(complex)
     points = points.tolist()
     _check_table_covers(f, points, scale)
-    g = np.zeros_like(xhat)
-    g[live] = xhat[live] * [_call(f, p, scale) / p for p in points]
-    return w[a_id] @ spec.lift(a_id, b_id, g) @ w[b_id].conj().T
+    g = c[live] * [_call(f, p, scale) / p for p in points]
+    return (g @ b[live]).reshape(x.shape)
 
 
 def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):

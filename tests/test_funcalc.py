@@ -360,16 +360,33 @@ def test_benchmark_rectangles_close_on_their_singular_values(x, f):
 
 def test_funcalc_on_the_benchmark_rectangles_never_calls_close(monkeypatch):
     # the closure of one element comes from one eigendecomposition, not
-    # from close's product rounds
-    from spectroid import cstarcat
+    # from close's product rounds, and f[x] is read off that closure:
+    # one joint_diagonalize per element, carrying funcalc's seed, and no
+    # spectrum of a corner
+    from spectroid import cstarcat, duality
 
-    def no_close(*args, **kwargs):
-        raise AssertionError("funcalc called close")
+    def never(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"funcalc called {name}")
+        return call
 
-    monkeypatch.setattr(cstarcat, "close", no_close)
-    for param in benchmark_rectangles():
+    joint_diagonalize, seeds = cstarcat.joint_diagonalize, []
+
+    def spy(family, tol=None, *, seed=0):
+        seeds.append(seed)
+        return joint_diagonalize(family, tol, seed=seed)
+
+    monkeypatch.setattr(cstarcat, "close", never("close"))
+    for module in (cstarcat, duality):
+        monkeypatch.setattr(module, "joint_diagonalize", spy)
+    # also where funcalc would bind it by name
+    for module in (duality, fc):
+        monkeypatch.setattr(module, "spectrum", never("spectrum"), raising=False)
+    for i, param in enumerate(benchmark_rectangles()):
         x, f = param.values
-        fc.funcalc(x, "A", "B", f)
+        seeds.clear()
+        fc.funcalc(x, "A", "B", f, seed=7 + i)
+        assert seeds == [7 + i], i
 
 
 # --- whole-eigenbasis funcalc against the per-class reference -----------------
@@ -514,11 +531,13 @@ KERNEL_CASES = (
     [c for c in reference_cases() if c[0] in KERNEL_CASES],
     ids=lambda c: c[0],
 )
-def test_support_cut_has_its_margin_on_planted_kernels(case):
+def test_closure_classes_line_up_across_blocks_on_planted_kernels(case):
     # sum_b b b* over a diagonal block's HS-orthonormal basis is sum_i
     # P_i / r_i: its eigenvalues sit at 1/r_i on the support and under
-    # tol off it, far on either side of the cut at 1/(2d); the support
-    # then has x's rank on both objects
+    # tol off it, so the kept classes have x's rank on both objects.
+    # Basis element i of (A, A), (A, B) and (B, B) is one class of rank
+    # r_i, which funcalc reads: tr d_i = sqrt(r_i) on both objects, b_i
+    # b_i* = d_i^A / sqrt(r_i) and b_i* b_i = d_i^B / sqrt(r_i)
     from spectroid.config import DEFAULT_TOL
     from spectroid.cstarcat import _stack, generated_by
 
@@ -533,7 +552,15 @@ def test_support_cut_has_its_margin_on_planted_kernels(case):
         assert np.all(np.abs(w[: d - rank]) < DEFAULT_TOL), o
         want = np.sort(np.repeat(1.0 / ranks, ranks))
         assert np.allclose(w[d - rank:], want, rtol=0, atol=DEFAULT_TOL), o
-        assert fc._support(_stack(cat, o, o), d).shape == (d, rank), o
+    b, da, db = _stack(cat, "A", b_id), _stack(cat, "A", "A"), _stack(cat, b_id, b_id)
+    got = np.trace(da, axis1=1, axis2=2)
+    root = np.sqrt(np.sort(ranks))
+    assert np.allclose(np.sort(got.real), root, rtol=0, atol=DEFAULT_TOL)
+    assert np.allclose(np.trace(db, axis1=1, axis2=2), got, rtol=0, atol=DEFAULT_TOL)
+    r = np.round(got.real ** 2)[:, None, None]
+    dagger = b.conj().transpose(0, 2, 1)
+    assert np.allclose(b @ dagger, da / np.sqrt(r), rtol=0, atol=DEFAULT_TOL)
+    assert np.allclose(dagger @ b, db / np.sqrt(r), rtol=0, atol=DEFAULT_TOL)
 
 
 def raising_cases():
@@ -573,6 +600,19 @@ def test_singular_value_under_the_zero_cut_is_dropped():
     for func in (lambda s: s, table):
         got = fc.funcalc(x, "A", "B", func)
         assert np.array_equal(got, fc.svd_oracle(x, "A", "B", func))
+
+
+def test_singular_value_above_the_zero_cut_is_not_dropped_silently():
+    # at tol 1e-10 the dilation class {5e-9, -5e-9, 0} verifies under
+    # joint_diagonalize's fallback bound and has mean zero, so the
+    # closure loses s = 5e-9; x is then 5.0e-9 outside the closure's
+    # span, above the zero cut 10 * 1e-10 * (1 + 2) = 3e-9
+    from spectroid.errors import DiagonalizationFailed
+
+    x = with_spectrum(np.random.default_rng(0), 3, 3, [2.0, 5e-9])
+    assert len(fc.spectrum_of_element(x, "A", "B", tol=1e-10)) == 2
+    with pytest.raises(DiagonalizationFailed, match="outside its closure's span"):
+        fc.funcalc(x, "A", "B", lambda s: s, tol=1e-10)
 
 
 def between_the_cuts():

@@ -161,9 +161,14 @@ def test_no_module_imports_inside_a_function():
     assert not found, f"function-level import at {found}"
 
 
-def test_groups_imports_nothing_from_cstarcat():
-    tree = ast.parse((SRC / "groups.py").read_text())
-    assert "cstarcat" not in _package_imports(tree)
+@pytest.mark.parametrize(
+    "module, banned", [("groups", "cstarcat"), ("funcalc", "duality")]
+)
+def test_module_imports_nothing_from(module, banned):
+    # groups builds tables without categories; funcalc reads f[x] off
+    # its element's closure, not off a spectrum of a corner
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assert banned not in _package_imports(tree)
 
 
 @pytest.mark.parametrize(
