@@ -45,16 +45,17 @@ ZERO_SLACK = 10.0
 # JOINT_TARGET_RTOL.  Scale max_i (1 + ||m_i||_op) over the inputs.
 JOINT_FALLBACK_SLACK = 10.0
 
-# joint_diagonalize stops at the first seeded attempt whose residual
-# (unitarity defect; per input, the block-scalar model's HS residual
-# over 1 + ||m_i||_op) is at most this, so a loose tol hides no mixing.
+# joint_diagonalize returns a diagonal or one-input route's result, or
+# stops at the first seeded attempt, whose residual (unitarity defect;
+# per input, the block-scalar model's HS residual over 1 + ||m_i||_op)
+# is at most this, so a loose tol hides no mixing.
 JOINT_TARGET_RTOL = 1e-12
 # joint_diagonalize first groups its random Hermitian combination's
 # eigenvalues w at gaps above this times 1 + max|w|.
 PREGROUP_RTOL = 1e-4
 # One spectral point: eigenvalues of one input closer than this times
 # 1 + ||m||_op (normal_eig; joint_diagonalize's one class rule, single
-# linkage per input on both its routes), or spectral points of one
+# linkage per input on all its routes), or spectral points of one
 # element (funcalc, which also matches table keys so).
 CLUSTER_RTOL = 1e-8
 # A certificate clears an explicit check, without forming the products

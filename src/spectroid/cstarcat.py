@@ -689,8 +689,13 @@ def generated_by(
     Basis element ``i`` of every block belongs to kept class ``i``, the
     order ``funcalc`` reads them in.
 
-    ``seed`` seeds the one ``joint_diagonalize``, whose errors pass
-    through.  The limit near the cuts: a singular value ``s`` within
+    That one-input ``joint_diagonalize`` reads the classes off the
+    input's own normal eigendecomposition; ``seed`` seeds the attempts
+    it falls back to when that result misses its target, and its errors
+    pass through.  Each kept class forms one product ``W W*``, sliced
+    into its blocks.
+
+    The limit near the cuts: a singular value ``s`` within
     the cluster cut of ``-s``, or of 0 when ``x`` has a kernel, shares
     one class with them.  That class has mean zero and is dropped.  At
     the default tolerance ``funcalc``'s zero cut drops ``s`` too; at a
@@ -725,10 +730,8 @@ def generated_by(
         (cols[:, s:s + r], r)
         for s, r, v in zip(eig.starts, eig.sizes, values) if v > cut
     ]
-    blocks = {
-        (p, q): [w[rows[p]] @ w[rows[q]].conj().T / np.sqrt(r) for w, r in kept]
-        for p in rows for q in rows
-    }
+    products = [w @ w.conj().T / np.sqrt(r) for w, r in kept]
+    blocks = {(p, q): [g[rows[p], rows[q]] for g in products] for p in rows for q in rows}
     rank = sum(r for _, r in kept)
     return MatrixCategory(
         objects=objects, blocks=blocks, unital=all(rank == d for _, d in objects)

@@ -170,14 +170,11 @@ class SpectrumResult:
         xu = np.asarray(x, dtype=complex) @ self.bases[j]
         return _class_means(np.sum(self.bases[i].conj() * xu, axis=-2), self.ranks)
 
-    def lift(self, a, b, coeffs) -> np.ndarray:
-        """Inverse of :meth:`coefficients` on the block's image (classes
-        along the last axis of ``coeffs``)."""
-        return self._lift(*self._index(a, b), coeffs)
-
     def _lift(self, i, j, coeffs) -> np.ndarray:
-        """:meth:`lift` at object positions ``i`` and ``j``: ints, or
-        index arrays broadcast against the leading axes of ``coeffs``."""
+        """Inverse of :meth:`coefficients` on the image of block (i, j),
+        at object positions ``i`` and ``j`` (ints, or index arrays
+        broadcast against the leading axes of ``coeffs``), the classes
+        along the last axis of ``coeffs``."""
         rows = np.repeat(np.asarray(coeffs, dtype=complex), self.ranks, axis=-1)
         return (self.bases[i] * rows[..., None, :]) @ _adjoints(self.bases[j])
 

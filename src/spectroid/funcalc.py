@@ -75,8 +75,11 @@ class SpectralFunction:
         return SpectralFunction(coeffs=tuple(complex(c) for c in coeffs))
 
     def __call__(self, s: complex, scale: float = 1.0) -> complex:
-        if self.coeffs:
-            return complex(np.polyval(self.coeffs[::-1], s))
+        if self.coeffs:  # Horner's rule, highest order first
+            s, value = complex(s), 0j
+            for c in reversed(self.coeffs):
+                value = value * s + c
+            return value
         tol = CLUSTER_RTOL * (1.0 + scale)
         hits = [v for k, v in self.table if abs(k - s) <= tol]
         if not hits:
@@ -115,23 +118,22 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
-    scale = op_norm(x)
-    if scale == 0.0:
-        return np.array([], dtype=complex)
     if a_id == b_id:
+        scale = op_norm(x)
+        if scale == 0.0:
+            return np.array([], dtype=complex)
         if x.shape[0] != x.shape[1]:
             raise ValueError("same-object element must be square")
         w, _ = normal_eig(x, tol)  # raises NotNormal when it must
-        vals = [complex(z) for z in w if abs(z) > ZERO_SLACK * tol * (1 + scale)]
     else:
-        vals = [
-            complex(v)
-            for v in svd(x)[1]
-            if v > ZERO_SLACK * tol * (1 + scale)
-        ]
-    vals.sort(key=lambda z: (z.real, z.imag))
-    groups = _cluster_complex(np.array(vals, dtype=complex), CLUSTER_RTOL * (1 + scale))
-    return np.array([vals[i] for i in sorted(g[0] for g in groups)], dtype=complex)
+        w = np.linalg.svd(x, compute_uv=False)
+        scale = float(w.max(initial=0.0))  # 0.0 for an empty x
+        if scale == 0.0:
+            return np.array([], dtype=complex)
+    vals = w[np.abs(w) > ZERO_SLACK * tol * (1 + scale)].astype(complex)
+    vals = vals[np.lexsort((vals.imag, vals.real))]
+    groups = _cluster_complex(vals, CLUSTER_RTOL * (1 + scale))
+    return vals[[g[0] for g in groups]]
 
 
 def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
@@ -198,22 +200,17 @@ def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):
         raise ValueError("f is required: a SpectralFunction or a callable")
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
-    scale = op_norm(x)
-    if scale == 0.0:
-        return np.zeros_like(x)
     if a_id == b_id:
+        scale = op_norm(x)
+        if scale == 0.0:
+            return np.zeros_like(x)
         w, u = normal_eig(x, tol)
-        out = np.zeros_like(x)
-        for i, s in enumerate(w):
-            if abs(s) <= ZERO_SLACK * tol * (1 + scale):
-                continue
-            v = u[:, i: i + 1]
-            out += _call(f, complex(s), scale) * (v @ v.conj().T)
-        return out
-    u, s, vh = svd(x)
-    out = np.zeros_like(x)
-    for i, si in enumerate(s):
-        if si <= ZERO_SLACK * tol * (1 + scale):
-            continue
-        out += _call(f, complex(si), scale) * np.outer(u[:, i], vh[i, :])
-    return out
+        vh = u.conj().T
+    else:
+        u, w, vh = svd(x)
+        scale = float(w.max(initial=0.0))  # 0.0 for an empty x
+        if scale == 0.0:
+            return np.zeros_like(x)
+    live = np.flatnonzero(np.abs(w) > ZERO_SLACK * tol * (1 + scale))
+    fw = np.array([_call(f, complex(w[i]), scale) for i in live], dtype=complex)
+    return (u[:, live] * fw) @ vh[live]

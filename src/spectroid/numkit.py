@@ -12,8 +12,12 @@ normal matrices it produces one unitary, a partition of its columns
 into the maximal common eigenspaces, and the table of eigenvalues per
 (input, block).  One rule decides the blocks: eigenvalues of one input
 within ``config.CLUSTER_RTOL`` times ``1 + ||m||_op`` are one class.
-Blocks are ordered canonically (by the rounded eigenvalue tuples, then
-by smallest column) so results are reproducible for a fixed seed.
+It takes one of three routes: a separated diagonal family is read off
+its diagonals, a one-input family off that input's own normal
+eigendecomposition, and any other family, or one whose result misses
+the target, takes seeded attempts.  Blocks are ordered canonically (by
+the rounded eigenvalue tuples, then by smallest column) so results are
+reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ def op_norm(m) -> float:
     a = _as_matrix(m)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def hs_norm(m) -> float:
@@ -112,9 +116,11 @@ def _normal_eig_core(a: np.ndarray, threshold: float):
     re_part = (a + a.conj().T) / 2.0
     im_part = (a - a.conj().T) / 2.0j
     wr, u = np.linalg.eigh(re_part)
-    for grp in np.split(np.arange(len(wr)), _gap_starts(wr, threshold)[1:]):
-        if len(grp) < 2:
+    cuts = [0, *(np.flatnonzero(np.diff(wr) > threshold) + 1).tolist(), len(wr)]
+    for start, end in zip(cuts, cuts[1:]):
+        if end - start < 2:
             continue
+        grp = np.arange(start, end)
         sub = u[:, grp]
         ki = sub.conj().T @ im_part @ sub
         _, v = np.linalg.eigh((ki + ki.conj().T) / 2.0)
@@ -145,26 +151,28 @@ def _block_sums(p: np.ndarray, row_starts, col_starts) -> np.ndarray:
 
 
 def _cluster_complex(values: np.ndarray, threshold: float):
-    """Group indices of complex values by union-find on |difference|."""
+    """Group indices of complex values by single linkage: values within
+    ``threshold`` of each other (``|difference|``; a NaN is within it
+    of nothing) are linked, and a group is a connected component.
+
+    Each index takes the smallest label among itself and its links
+    until no label changes, so every component ends labelled by its
+    smallest index.  Groups come in order of their smallest index, each
+    an ascending list of indices."""
     n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    if not n:
+        return []
+    near = np.abs(values[:, None] - values) <= threshold
+    labels = np.arange(n)
+    while True:
+        nxt = np.minimum(labels, np.where(near, labels, n).min(axis=1))
+        if (nxt == labels).all():
+            break
+        labels = nxt
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in groups.values()]
+    for i, root in enumerate(labels.tolist()):
+        groups.setdefault(root, []).append(i)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -240,20 +248,24 @@ def joint_diagonalize(
         Seed for the random self-adjoint combination; retries draw
         fresh streams derived from it.
 
-    Strategy: the classes are those of one rule on both routes, single
-    linkage of each input's eigenvalues at the cut ``config.CLUSTER_RTOL``
-    times ``1 + ||m||_op``.  A family whose off-diagonal entries are all
-    exactly zero is read off its diagonals (:func:`_diagonal_joint`)
-    when, in every input, any two distinct diagonal values lie more
-    than the cut apart; the result does not depend on ``seed``.  Any
-    other family, near ties included, takes the seeded route:
-    diagonalize a random real combination of the Hermitian and
+    Strategy: the classes are those of one rule on all three routes,
+    single linkage of each input's eigenvalues at the cut
+    ``config.CLUSTER_RTOL`` times ``1 + ||m||_op``.  A family whose
+    off-diagonal entries are all exactly zero is read off its diagonals
+    (:func:`_diagonal_joint`) when, in every input, any two distinct
+    diagonal values lie more than the cut apart.  Any other family of
+    one input is read off that input's own normal eigendecomposition
+    (:func:`_normal_joint`).  Neither depends on ``seed``, and each
+    returns only a result that meets ``JOINT_TARGET_RTOL``.  Any other
+    family, and a family whose result misses it, takes the seeded
+    route: diagonalize a random real combination of the Hermitian and
     anti-Hermitian parts of all inputs, then split its blocks against
     each input in turn by the rule, keeping a block whole unsplit only
     when every input's compression lies within the cut over sqrt(2) of
-    a scalar.  Both routes order the classes by :func:`_class_order`
-    and verify against ``JOINT_TARGET_RTOL``; up to five seeds are
-    attempted before :class:`DiagonalizationFailed` is raised.
+    a scalar.  All routes order the classes by :func:`_class_order` and
+    verify against ``JOINT_TARGET_RTOL``; up to five seeds are
+    attempted before the best attempt is returned under the fallback
+    bound or :class:`DiagonalizationFailed` is raised.
     """
     tol = resolve_tol(tol)
     mats = [_as_matrix(m) for m in family]
@@ -275,6 +287,10 @@ def joint_diagonalize(
     if exact is not None:
         return exact
     scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
+    if len(stack) == 1:
+        own = _normal_joint(stack, scales)
+        if own is not None:
+            return own
     # aim for machine precision first (an unlucky combination can leave
     # inter-block mixing around 1e-9 that still sits under loose user
     # tolerances); fall back to the requested tolerance only when no
@@ -337,6 +353,29 @@ def _diagonal_joint(stack: np.ndarray) -> JointEigenstructure | None:
     u = np.eye(len(perm), dtype=complex)[:, perm]
     result = JointEigenstructure(u, sizes, eigenvalues)
     comp = stack[:, perm[:, None], perm]
+    if _verify_joint(result, comp, scales) <= JOINT_TARGET_RTOL:
+        return result
+    return None
+
+
+def _normal_joint(stack: np.ndarray, scales: np.ndarray) -> JointEigenstructure | None:
+    """The joint eigenstructure of a one-input family read off that
+    input's own normal eigendecomposition (:func:`_normal_eig_core` over
+    the whole space); ``None`` when the result misses
+    ``JOINT_TARGET_RTOL``.
+
+    The classes are the single-linkage groups of its eigenvalues at the
+    cut ``CLUSTER_RTOL`` times the input's scale, the one rule;
+    :func:`_class_order` orders them and :func:`_column_phases` fixes
+    the column phases, as on the seeded route.
+    """
+    threshold = CLUSTER_RTOL * scales[0]
+    evals, u = _normal_eig_core(stack[0], threshold)
+    blocks = _cluster_complex(evals, threshold)
+    perm, sizes, eigenvalues = _class_order(evals[None], blocks)
+    u_perm = u[:, perm]
+    result = JointEigenstructure(u_perm * _column_phases(u_perm), sizes, eigenvalues)
+    comp = _compress(result.unitary, stack)
     if _verify_joint(result, comp, scales) <= JOINT_TARGET_RTOL:
         return result
     return None

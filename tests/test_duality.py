@@ -87,7 +87,7 @@ def test_classical_spectrum_reverses_points():
     coeffs = spec.coefficients("A", "A", x)
     assert np.allclose(coeffs, [11.0, 7.0, 5.0], atol=1e-12)
     # reconstruction is exact
-    assert hs_norm(spec.lift("A", "A", coeffs) - x) < 1e-12
+    assert hs_norm(spec._lift(*spec._index("A", "A"), coeffs) - x) < 1e-12
 
 
 SCALE_SCRIPT = """
@@ -1458,7 +1458,7 @@ def test_spectrum_on_morphism_scalars_are_unit_frame_coefficients():
                 units = c1.conj().T * spec1.ranks
                 z = (c2 @ phi.block_maps[(a1, b1)] @ units)[cls, match]
                 assert sp._unit(z).tobytes() == m.fiber_scalars[:, i, j].tobytes()
-                lifted = spec1.lift(a1, b1, np.eye(spec1.n_classes))
+                lifted = spec1._lift(*spec1._index(a1, b1), np.eye(spec1.n_classes))
                 img = cc.functor_image(phi, source, target, a1, b1, lifted)
                 want = spec2.coefficients(a2, b2, img)[match, cls]
                 assert np.abs(z - want).max() <= 1e-12
@@ -1509,7 +1509,7 @@ def test_induced_maps_read_only_the_block_maps(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a d x d route was taken")
 
-    for name in ("coefficients", "lift"):
+    for name in ("coefficients", "_lift"):
         monkeypatch.setattr(du.SpectrumResult, name, forbidden)
     for name in ("_image", "functor_image"):
         monkeypatch.setattr(cc, name, forbidden)

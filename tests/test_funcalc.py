@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spectroid import funcalc as fc
 from spectroid.errors import NotNormal, SpectrumMismatch
-from spectroid.numkit import op_norm
+from spectroid.numkit import normal_eig, op_norm
 
 
 def rand_rect(rng, m, n):
@@ -61,6 +61,24 @@ def test_spectrum_links_points_within_the_cut_by_single_linkage():
     for x in (np.diag(vals), q @ np.diag(vals) @ q.conj().T):
         pts = fc.spectrum_of_element(x, "A", "A")
         assert np.allclose(pts, [1.0, 1.0 + 1e-9 + 1j], rtol=0, atol=1e-12)
+
+
+# --- polynomials against numpy ------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_polynomial_matches_polyval(degree):
+    # Horner's rule on Python complexes against numpy's, within 1e-14
+    # relative to the sum of the terms' moduli
+    rng = np.random.default_rng(degree)
+    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    f = fc.SpectralFunction.from_coeffs(coeffs)
+    points = rng.standard_normal(20) * 2 + 1j * rng.standard_normal(20) * 2
+    for s in [*points, 0j, 1.0, np.complex128(-0.5j)]:
+        got, want = f(s), complex(np.polyval(coeffs[::-1], s))
+        assert type(got) is complex
+        terms = np.abs(coeffs) @ np.abs(s) ** np.arange(degree + 1)
+        assert abs(got - want) <= 1e-14 * terms
 
 
 # --- frozen funcalc examples --------------------------------------------------
@@ -337,6 +355,23 @@ def benchmark_rectangles():
         yield pytest.param(x, fc.SpectralFunction.from_coeffs(coeffs), id=label)
 
 
+def benchmark_normals(seed=101):
+    """The 96 normal elements of the benchmark's funcalc deck at run
+    seed 101: 8 per side 1-12, each from its own case stream, drawn from
+    the run seed after the 144 rectangles' streams."""
+    from spectroid.selftest import rand_unitary
+
+    rng = np.random.default_rng(seed)
+    for _ in range(144):
+        rng.integers(2**63)
+    for q in range(1, 13):
+        for _ in range(8):
+            crng = np.random.default_rng(int(rng.integers(2**63)))
+            u = rand_unitary(crng, q)
+            eigs = crng.standard_normal(q) + 1j * crng.standard_normal(q)
+            yield u @ np.diag(eigs) @ u.conj().T
+
+
 @pytest.mark.parametrize("x, f", benchmark_rectangles())
 def test_benchmark_rectangles_close_on_their_singular_values(x, f):
     # each block of the generated category has one dimension per
@@ -362,8 +397,10 @@ def test_funcalc_on_the_benchmark_rectangles_never_calls_close(monkeypatch):
     # the closure of one element comes from one eigendecomposition, not
     # from close's product rounds, and f[x] is read off that closure:
     # one joint_diagonalize per element, carrying funcalc's seed, and no
-    # spectrum of a corner
-    from spectroid import cstarcat, duality
+    # spectrum of a corner.  That one-input family verifies on its own
+    # normal eigendecomposition, so no seeded attempt runs, on the
+    # rectangles nor on the benchmark's shapes of normal elements
+    from spectroid import cstarcat, duality, numkit
 
     def never(name):
         def call(*args, **kwargs):
@@ -382,11 +419,16 @@ def test_funcalc_on_the_benchmark_rectangles_never_calls_close(monkeypatch):
     # also where funcalc would bind it by name
     for module in (duality, fc):
         monkeypatch.setattr(module, "spectrum", never("spectrum"), raising=False)
+    monkeypatch.setattr(numkit, "_attempt_joint", never("a seeded attempt"))
     for i, param in enumerate(benchmark_rectangles()):
         x, f = param.values
         seeds.clear()
         fc.funcalc(x, "A", "B", f, seed=7 + i)
         assert seeds == [7 + i], i
+    for i, x in enumerate(benchmark_normals()):
+        seeds.clear()
+        fc.funcalc(x, "A", "A", lambda s: s * s, seed=i)
+        assert seeds == [i], i
 
 
 # --- whole-eigenbasis funcalc against the per-class reference -----------------
@@ -467,6 +509,53 @@ def with_spectrum(rng, m, n, values, normal=False):
     v = u if normal else np.linalg.qr(rand_rect(rng, n, n))[0]
     k = len(values)
     return (u[:, :k] * np.asarray(values)) @ v[:, :k].conj().T
+
+
+def reference_svd_oracle(x, a_id, b_id, f, tol=1e-9):
+    """svd_oracle one singular value (eigenvalue) at a time."""
+    x = np.asarray(x, dtype=complex)
+    scale = op_norm(x)
+    out = np.zeros_like(x)
+    if scale == 0.0:
+        return out
+    cut = fc.ZERO_SLACK * tol * (1 + scale)
+    if a_id == b_id:
+        w, u = normal_eig(x, tol)
+        for i, s in enumerate(w):
+            if abs(s) > cut:
+                out += fc._call(f, complex(s), scale) * np.outer(u[:, i], u[:, i].conj())
+        return out
+    u, s, vh = np.linalg.svd(x)
+    for i, si in enumerate(s):
+        if si > cut:
+            out += fc._call(f, complex(si), scale) * np.outer(u[:, i], vh[i])
+    return out
+
+
+def oracle_cases():
+    rng = np.random.default_rng(12)
+    yield "wide", rand_rect(rng, 3, 7), "B"
+    yield "tall", rand_rect(rng, 8, 2), "B"
+    yield "rank-deficient", planted_rank(rng, 6, 5, 2), "B"
+    yield "rank-deficient-normal", with_spectrum(rng, 5, 5, [2.0, -1j], normal=True), "A"
+    yield "normal", rand_normal_matrix(rng, 6), "A"
+    yield "below-the-cut", np.diag([1.5e-8, 1.0, 2.0]), "B"
+    yield "zero", np.zeros((3, 4)), "B"
+    yield "zero-square", np.zeros((3, 3)), "A"
+    yield "empty", np.zeros((0, 3)), "B"
+    yield "empty-square", np.zeros((0, 0)), "A"
+
+
+@pytest.mark.parametrize(
+    "x, b_id", [pytest.param(x, b, id=name) for name, x, b in oracle_cases()]
+)
+def test_svd_oracle_matches_per_value_loop(x, b_id):
+    f = fc.SpectralFunction.from_coeffs([0.5, -1j, 0.25, 0.1j])
+    for func in (f, lambda s: s, lambda s: 1.0):
+        got = fc.svd_oracle(x, "A", b_id, func)
+        want = reference_svd_oracle(x, "A", b_id, func)
+        assert got.shape == x.shape and got.dtype == complex
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * (1 + op_norm(x))
 
 
 def reference_cases():

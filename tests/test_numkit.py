@@ -468,11 +468,28 @@ def attempt_cases():
     "mats, tol", [pytest.param(m, t, id=name) for name, m, t in attempt_cases()]
 )
 def test_joint_diagonalize_matches_attempts_reference(mats, tol):
-    # the same result bit for bit, or the same exception and message
+    # a family of two or more inputs, or one input that misses the target
+    # on its own eigendecomposition: the same result bit for bit, or the
+    # same exception and message.  One input that meets it: the reference's
+    # class sizes, and its eigenvalues and class projectors U_i U_i*
+    # within JOINT_TARGET_RTOL (1 + ||m||_op)
+    stack = np.stack([np.asarray(m, dtype=complex) for m in mats])
+    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
+    own = numkit._normal_joint(stack, scales) if len(stack) == 1 else None
     for seed in range(2):
         want = outcome(lambda: reference_joint_diagonalize(mats, tol, seed)[0])
         got = outcome(lambda: numkit.joint_diagonalize(mats, tol, seed=seed))
-        assert got == want
+        if own is None:
+            assert got == want
+            continue
+        assert got == outcome(lambda: own)
+        ref = reference_joint_diagonalize(mats, tol, seed)[0]
+        assert own.sizes.tolist() == ref.sizes.tolist()
+        bound = numkit.JOINT_TARGET_RTOL * scales[0]
+        assert np.abs(own.eigenvalues - ref.eigenvalues).max() <= bound
+        for b in range(own.n_blocks):
+            u, v = (je.unitary[:, block_columns(je, b)] for je in (own, ref))
+            assert np.linalg.norm(u @ u.conj().T - v @ v.conj().T) <= bound
 
 
 def test_attempt_cases_reach_every_outcome():
@@ -664,6 +681,54 @@ def test_refinement_splits_classes_that_share_a_rounded_key(monkeypatch):
     assert calls == ["core", ("cluster", [1, 2])]
 
 
+def one_input_misses():
+    """One-input families that miss JOINT_TARGET_RTOL on their own
+    eigendecomposition, and whether the seeded route then fails at tol
+    1e-10.  w's three values lie within one cut, so the one class keeps
+    a block-scalar residual of 7.35e-9.  In "near-real-parts" two
+    eigenvalues' real parts lie 1e-5 apart, over the cut, but their
+    imaginary parts 1.5 apart: the Hermitian part's eigenvectors mix
+    them by about eps / 1e-5, which the anti-Hermitian part turns into a
+    residual over the target."""
+    rng = np.random.default_rng(0)
+    q = rand_unitary(rng, 3)
+    yield "within-the-cut", np.diag([-_W, -_W, _W]), True
+    yield "within-the-cut-scrambled", q @ np.diag([-_W, -_W, _W]) @ q.conj().T, True
+    q = rand_unitary(rng, 4)
+    near = np.diag([0.3 + 1j, 0.3 + 1e-5 - 0.5j, -1.0, 2.0j])
+    yield "near-real-parts", q @ near @ q.conj().T, False
+
+
+@pytest.mark.parametrize(
+    "m, fails", [pytest.param(m, f, id=name) for name, m, f in one_input_misses()]
+)
+def test_one_input_that_misses_its_own_eigendecomposition_takes_the_seeded_route(
+    monkeypatch, m, fails
+):
+    # the seeded route's outcome bit for bit, at tol 1e-10 and at the
+    # default tolerance
+    attempts = []
+    attempt = numkit._attempt_joint
+
+    def spy(*args):
+        attempts.append(args)
+        return attempt(*args)
+
+    monkeypatch.setattr(numkit, "_attempt_joint", spy)
+    stack = np.stack([m.astype(complex)])
+    assert numkit._normal_joint(stack, 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))) is None
+    kinds = set()
+    for tol in (1e-10, None):
+        for seed in range(2):
+            ref_tol = numkit.resolve_tol(tol)
+            want = outcome(lambda: reference_joint_diagonalize([m], ref_tol, seed)[0])
+            attempts.clear()
+            got = outcome(lambda: numkit.joint_diagonalize([m], tol, seed=seed))
+            assert attempts and got == want
+            kinds.add((tol, got[0]))
+    assert kinds == {(1e-10, DiagonalizationFailed if fails else "ok"), (None, "ok")}
+
+
 def near_cut_family(seed):
     """1-3 diagonal inputs on C^2 to C^7; each input's distinct levels
     lie on a line, consecutive ones 1.05-1.4 cuts apart, so the rule
@@ -700,6 +765,67 @@ def test_joint_diagonalize_routes_agree_at_the_cut(monkeypatch):
         assert not attempts, "the diagonal family took a seeded attempt"
         assert_same_classes_on_both_routes(mats)
     assert attempts
+
+
+# ---------------------------------------------------------------------------
+# the class rule's single linkage, against a union-find loop
+
+
+def reference_cluster(values, threshold):
+    """Union-find on every pair within ``threshold``; groups in order of
+    their smallest index, each ascending."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+CLUSTER_CASES = {
+    "empty": [],
+    "one": [1 + 1j],
+    "one-nan": [np.nan],
+    # a chain of four links, each within the cut, whose ends lie 4 cuts
+    # apart, shuffled so the chain's members are not neighbours in order
+    "chain": [3.0, 0.0, 9.0, 1.0, 2.0, 4.0, 7.5],
+    "chain-complex": [0.0, 1j, 2j, 2j + 1, 5.0, 1 + 1j],
+    "exact-ties": [2.0, 2.0, 5.0, 2.0, 5.0, 5.0 + 1j],
+    "at-the-cut": [0.0, 1.0, 2.0 + 1e-15, 3.0],
+    "nan": [1.0, np.nan, 1.5, np.nan, 9.0, complex(np.nan, 1.0)],
+    "apart": [0.0, 10.0, 20.0, 30.0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_CASES))
+def test_cluster_complex_matches_union_find(name):
+    values = np.array(CLUSTER_CASES[name], dtype=complex)
+    assert numkit._cluster_complex(values, 1.0) == reference_cluster(values, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 30))
+def test_cluster_complex_matches_union_find_on_random_values(seed, n):
+    # integer grids make exact ties and links at exactly the cut
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-4, 5, n) + 1j * rng.integers(-2, 3, n)
+    values = values * rng.choice([1.0, 0.5]) + rng.choice([0.0, 1e-9], n)
+    for threshold in (0.0, 0.5, 1.0, 1.5):
+        want = reference_cluster(values, threshold)
+        assert numkit._cluster_complex(values, threshold) == want
 
 
 # ---------------------------------------------------------------------------
