@@ -184,9 +184,9 @@ def cmd_make(args) -> int:
         n = max(args.objects, 2)
         perms, phases = _random_bijections_and_phases(rng, points, n - 1)
         if n == 2:
-            cat = cc.linking_category(points, perms[0], phases[0], tol=tol)
+            cat = cc.linking_category(points, perms[0], phases[0])
         else:
-            cat = cc.multi_linking(points, perms, phases, tol=tol)
+            cat = cc.multi_linking(points, perms, phases)
         artifact = serial.emit("category", cat)
     elif kind == "groupoid":
         if args.arg is None:

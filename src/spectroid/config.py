@@ -60,12 +60,12 @@ PREGROUP_RTOL = 1e-4
 CLUSTER_RTOL = 1e-8
 # A certificate clears an explicit check, without forming the products
 # that check would, when this times the bound it proves is at most the
-# check's bound.  spectrum certifies a basis element complete when its
-# compression's residual and its objects' class-ordered bases bound its
-# lift-back residual so against SPECTRAL_SLACK * tol * (1 + ||x||_HS),
-# and a pair of basis elements of each diagonal block as commuting when
-# its completeness bounds and the object's class-ordered basis bound
-# ||[m_i, m_j]||_HS so against tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand's
+# check's bound.  spectrum takes its completeness bounds whole when the
+# compressions' residuals and the class-ordered bases bound every basis
+# element's lift-back residual so against SPECTRAL_SLACK * tol * (1 +
+# ||x||_HS), and its commutation bounds whole when the completeness
+# bounds and the bases bound every pair of basis elements of every
+# diagonal block so against tol * (1 + ||m_i||_HS ||m_j||_HS).  gelfand's
 # functor checks take their bounds whole when the compressions bound
 # every pair of basis elements' multiplicativity defect and every basis
 # element's involution defect so against FUNCTOR_SLACK * tol, and each

@@ -61,7 +61,6 @@ __all__ = [
     "validate_functor",
     "generated_by",
     "linking_category",
-    "linking_generator",
     "multi_linking",
     "multi_linking_generator",
     "groupoid_category",
@@ -756,48 +755,19 @@ def _check_bijection(r, k) -> list[int]:
     return r
 
 
-def linking_generator(k: int, r, phases=None) -> np.ndarray:
-    """The distinguished element sum_i phases[i] e_{i, r(i)}."""
-    r = _check_bijection(r, k)
-    phases = _check_phases(phases, k)
-    out = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        out[i, r[i]] = phases[i]
-    return out
-
-
 def linking_category(
-    k: int,
-    r,
-    phases=None,
-    a_id: str = "A",
-    b_id: str = "B",
-    tol: float | None = None,
+    k: int, r, phases=None, a_id: str = "A", b_id: str = "B"
 ) -> MatrixCategory:
     """Two diagonal algebras of size ``k`` linked along a bijection.
 
     Diagonal blocks are the full diagonal algebras; the off-diagonal
     block is the span of the matrix units along the graph of ``r``
-    (phases scale the distinguished generator but not the span).
+    (phases scale the basis elements but not the span).  Built in
+    closed form by :func:`_linking_chain` on ``(a_id, b_id)``.
     """
-    tol = resolve_tol(tol)
-    r = _check_bijection(r, k)
-    units = [_unit_matrix(k, i, i) for i in range(k)]
-    pres = CategoryPresentation(
-        objects=((a_id, k), (b_id, k)),
-        generators={
-            (a_id, a_id): units,
-            (b_id, b_id): units,
-            (a_id, b_id): [linking_generator(k, r, phases)],
-        },
-    )
-    return close(pres, unitize=False, tol=tol)
-
-
-def _unit_matrix(k, i, j):
-    m = np.zeros((k, k), dtype=complex)
-    m[i, j] = 1.0
-    return m
+    if a_id == b_id:
+        raise ValueError("duplicate object ids")
+    return _linking_chain(k, (a_id, b_id), [r], [phases])
 
 
 def multi_linking_generator(k: int, correspondences, phase_lists, j: int, l: int):
@@ -816,35 +786,44 @@ def multi_linking_generator(k: int, correspondences, phase_lists, j: int, l: int
     return out
 
 
-def multi_linking(
-    k: int,
-    correspondences,
-    phase_lists=None,
-    tol: float | None = None,
-) -> MatrixCategory:
+def multi_linking(k: int, correspondences, phase_lists=None) -> MatrixCategory:
     """Chain of linked diagonal algebras: n-1 bijections, n objects.
 
-    Objects are named ``B1 ... Bn``; block (B_j, B_l) ends up spanned
-    by the matrix units of the composed bijection, with phases
-    multiplying along composition.
+    Objects are named ``B1 ... Bn``; block (B_j, B_l) is spanned by the
+    matrix units of the composed bijection, with phases multiplying
+    along composition.  Built in closed form by :func:`_linking_chain`.
     """
-    tol = resolve_tol(tol)
     n = len(correspondences) + 1
     if phase_lists is None:
         phase_lists = [None] * (n - 1)
     if len(phase_lists) != n - 1:
         raise ValueError("need one phase list per correspondence")
     ids = [f"B{j + 1}" for j in range(n)]
-    units = [_unit_matrix(k, i, i) for i in range(k)]
-    generators = {(o, o): list(units) for o in ids}
-    for j in range(n - 1):
-        generators[(ids[j], ids[j + 1])] = [
-            multi_linking_generator(k, correspondences, phase_lists, j, j + 1)
-        ]
-    pres = CategoryPresentation(
-        objects=tuple((o, k) for o in ids), generators=generators
-    )
-    return close(pres, unitize=False, tol=tol)
+    return _linking_chain(k, ids, correspondences, phase_lists)
+
+
+def _linking_chain(k, ids, correspondences, phase_lists) -> MatrixCategory:
+    """The closure of a linking chain on objects ``ids``, without
+    ``close``: its spectrum is ``k`` points joined across the objects
+    by the composed bijections, with trivial holonomy, so every block
+    is known outright.  Diagonal blocks hold ``E_00, E_11, ...``; block
+    ``(ids[j], ids[l])``, ``j < l``, holds the nonzero entries of
+    :func:`multi_linking_generator`, one element per row in row order
+    (element ``i`` is ``phase * E_{i, pi(i)}``), and block ``(ids[l],
+    ids[j])`` their adjoints in the same order.  Each block is an
+    HS-orthonormal basis, and the diagonal units make it unital."""
+    rows = np.arange(k)
+    units = np.zeros((k, k, k), dtype=complex)
+    units[rows, rows, rows] = 1.0
+    blocks = {(o, o): list(units.copy()) for o in ids}
+    for j, l in itertools.combinations(range(len(ids)), 2):
+        gen = multi_linking_generator(k, correspondences, phase_lists, j, l)
+        cols = np.nonzero(gen)[1]  # one per row, in row order
+        up, down = np.zeros((2, k, k, k), dtype=complex)
+        up[rows, rows, cols] = gen[rows, cols]
+        down[rows, cols, rows] = gen[rows, cols].conj()
+        blocks[(ids[j], ids[l])], blocks[(ids[l], ids[j])] = list(up), list(down)
+    return MatrixCategory(objects=tuple((o, k) for o in ids), blocks=blocks, unital=True)
 
 
 # ---------------------------------------------------------------------------

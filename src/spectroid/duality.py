@@ -310,10 +310,10 @@ def spectrum(
     element within ``SPECTRAL_SLACK * tol * (1 + ||e||_HS)`` of the
     multiple of the identity on every class that its coefficients give,
     so every frame is the identity, every structure constant is 1, and
-    every C_BB is diagonalized without one of its own.  A pair is proved
-    from the residual array (:func:`_lift_bound`) where ``CERT_SLACK``
-    times every element's bound clears that; only the pairs left over
-    lift their coefficients back explicitly.  Once completeness holds, a
+    every C_BB is diagonalized without one of its own.  It is proved
+    from the residual array (:func:`_lift_bound`) when ``CERT_SLACK``
+    times every element's bound clears that; otherwise every element
+    lifts its coefficients back explicitly.  Once completeness holds, a
     block is full exactly when no class vanishes in it, which its block
     map shows (``FULLNESS_RTOL``).  Every diagonal block, the anchor's
     included, is then proved commutative by one rule
@@ -377,15 +377,14 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
     norms = np.linalg.norm(x.reshape(resid.shape), axis=-1)
 
     # completeness: every element must be recovered by its coefficients;
-    # err holds the proven bound on each lift residual, or the residual
-    # itself for the pairs whose bounds do not clear
+    # err holds the proven bounds on the lift residuals when every one
+    # clears, else every residual itself (a NaN clears nothing)
     cut = SPECTRAL_SLACK * tol * (1 + norms)
     err = _lift_bound(eta, norms, delta, d)
-    left = ~np.all(CERT_SLACK * err <= cut, axis=-1)
-    if left.any():
-        a, b = np.nonzero(left)
-        lift = result._lift(a[:, None], b[:, None], coeffs[a, b])
-        err[a, b] = np.linalg.norm(lift - x[a, b], axis=(-2, -1))
+    if not np.all(CERT_SLACK * err <= cut):
+        n = np.arange(n_obj)
+        lift = result._lift(n[:, None, None], n[None, :, None], coeffs)
+        err = np.linalg.norm(lift - x, axis=(-2, -1))
     bad = ~np.all(err <= cut, axis=-1)
     if bad.any():
         a, b = np.unravel_index(np.argmax(bad), bad.shape)
@@ -435,8 +434,10 @@ def _require_commuting(m, coeffs, err, norms, delta, tol, ids) -> None:
     A pair is certified when that bound times ``config.CERT_SLACK`` is
     at most the explicit check's bound: the slack leaves room for the
     rounding of ``f`` and of the explicit commutator, so a certified
-    pair passes that check.  A NaN certifies nothing.  Commutators are
-    formed only for the pairs left over.
+    pair passes that check.  A NaN certifies nothing.  The bounds stand
+    in for the whole check or for none of it: when any pair is left
+    uncertified, every pair of every block is searched explicitly, and
+    otherwise no commutator is formed.
     """
     i, j = np.triu_indices(m.shape[1], 1)
     mu, dl = np.abs(coeffs).max(axis=-1), delta[:, None]
@@ -444,9 +445,10 @@ def _require_commuting(m, coeffs, err, norms, delta, tol, ids) -> None:
         (1 + dl) * (dl * mu[:, i] * mu[:, j] + mu[:, i] * err[:, j] + mu[:, j] * err[:, i])
         + err[:, i] * err[:, j]
     )
-    left = ~(CERT_SLACK * bound <= tol * (1 + norms[:, i] * norms[:, j]))
-    for o in np.flatnonzero(left.any(axis=1)):
-        pair = _noncommuting_pair(m[o], tol, (i[left[o]], j[left[o]]))
+    if np.all(CERT_SLACK * bound <= tol * (1 + norms[:, i] * norms[:, j])):
+        return
+    for o in range(len(m)):
+        pair = _noncommuting_pair(m[o], tol)
         if pair is not None:
             a, b, res = pair
             raise NotCommutative(

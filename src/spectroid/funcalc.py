@@ -119,12 +119,12 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
     if a_id == b_id:
-        scale = op_norm(x)
-        if scale == 0.0:
+        if not x.any():
             return np.array([], dtype=complex)
         if x.shape[0] != x.shape[1]:
             raise ValueError("same-object element must be square")
         w, _ = normal_eig(x, tol)  # raises NotNormal when it must
+        scale = float(np.abs(w).max())  # ||x||_op for a normal x
     else:
         w = np.linalg.svd(x, compute_uv=False)
         scale = float(w.max(initial=0.0))  # 0.0 for an empty x
@@ -201,10 +201,10 @@ def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):
     x = np.asarray(x, dtype=complex)
     tol = resolve_tol(tol)
     if a_id == b_id:
-        scale = op_norm(x)
-        if scale == 0.0:
+        if not x.any():
             return np.zeros_like(x)
         w, u = normal_eig(x, tol)
+        scale = float(np.abs(w).max())  # ||x||_op for a normal x
         vh = u.conj().T
     else:
         u, w, vh = svd(x)

@@ -203,20 +203,16 @@ class JointEigenstructure:
         return np.cumsum(self.sizes) - self.sizes
 
 
-def _noncommuting_pair(stack: np.ndarray, tol: float, pairs=None):
+def _noncommuting_pair(stack: np.ndarray, tol: float):
     """The first pair ``(i, j)``, ``i < j`` in row-major order, of a
     stack of square matrices whose commutator exceeds ``tol * (1 +
     ||m_i|| ||m_j||)`` (HS norms; NaN counts as exceeding), as ``(i, j,
     residual)``; ``None`` when every pair commutes.
 
-    ``pairs``, index arrays ``(i, j)`` in row-major order, limits the
-    search to those pairs.  The commutators are formed in chunks of
-    about ``_PAIR_CHUNK`` matrix entries, and the search stops at the
-    first chunk with a failing pair, so memory does not grow with the
-    number of pairs."""
-    i, j = np.triu_indices(len(stack), 1) if pairs is None else pairs
-    if not len(i):
-        return None
+    The commutators are formed in chunks of about ``_PAIR_CHUNK``
+    matrix entries, and the search stops at the first chunk with a
+    failing pair, so memory does not grow with the number of pairs."""
+    i, j = np.triu_indices(len(stack), 1)
     norms = np.linalg.norm(stack, axis=(1, 2))
     step = max(1, _PAIR_CHUNK // max(1, stack.shape[-1] ** 2))
     for s in range(0, len(i), step):

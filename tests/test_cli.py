@@ -143,6 +143,18 @@ def test_make_linking_roundtrips(capsys, tmp_path):
     assert run_cli(capsys, "roundtrip", out)[0] == 0
 
 
+def test_make_large_linking_chain_roundtrips(capsys, tmp_path):
+    # 16 points on 8 objects, built in closed form; the file closes back
+    # to the same blocks
+    out = tmp_path / "cat.json"
+    code, _, _ = run_cli(capsys, "make", "linking", "16", "--objects", "8", "--out", out)
+    assert code == 0
+    cat = serial.parse("category", out.read_text())
+    assert len(cat.objects) == 8
+    assert all(cat.block_dim(a, b) == 16 for a, b in cat.pairs())
+    assert run_cli(capsys, "roundtrip", out)[0] == 0
+
+
 def test_make_groupoid_reports_traits(capsys, tmp_path):
     out = tmp_path / "cat.json"
     code, stdout, _ = run_cli(

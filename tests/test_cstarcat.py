@@ -17,7 +17,6 @@ from spectroid.cstarcat import (
     is_commutative,
     is_full,
     linking_category,
-    linking_generator,
     multi_linking,
     multi_linking_generator,
     validate_functor,
@@ -227,7 +226,7 @@ def _chain_presentation(k, n, rng, scrambled):
     for j in range(n - 1):
         phases = np.exp(2j * np.pi * rng.random(k))
         gens[(ids[j], ids[j + 1])] = [
-            linking_generator(k, rng.permutation(k), phases)
+            multi_linking_generator(k, [rng.permutation(k)], [phases], 0, 1)
         ]
     objects = tuple((o, k) for o in ids)
     if scrambled:
@@ -575,7 +574,7 @@ def test_linking_generator_span_is_phase_independent():
     c1 = linking_category(2, [1, 0], phases=None)
     c2 = linking_category(2, [1, 0], phases=[1.0, 1j])
     assert same_span(c1.block("A", "B"), c2.block("A", "B"))
-    z = linking_generator(2, [1, 0], [1.0, 1j])
+    z = multi_linking_generator(2, [[1, 0]], [[1.0, 1j]], 0, 1)
     expected = np.array([[0.0, 1.0], [1j, 0.0]])
     assert np.allclose(z, expected)
 
@@ -600,6 +599,86 @@ def test_multi_linking_phases_multiply():
     assert np.allclose(np.diag(gen), [1.0, -1.0])
     member, _, _ = numkit.hs_member(gen / numkit.hs_norm(gen), cat.block("B1", "B3"))
     assert member
+
+
+def _linking_presentation(k, ids, perms, phases):
+    """The presentation the linking constructors once closed: diagonal
+    units on every object and one generator per adjacent pair."""
+    units = [np.diag(row).astype(complex) for row in np.eye(k)]
+    gens = {(o, o): list(units) for o in ids}
+    for j in range(len(ids) - 1):
+        gens[(ids[j], ids[j + 1])] = [multi_linking_generator(k, perms, phases, j, j + 1)]
+    return CategoryPresentation(objects=tuple((o, k) for o in ids), generators=gens)
+
+
+def _random_chain(seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+    perms = [rng.permutation(k) for _ in range(n - 1)]
+    phases = [np.exp(2j * np.pi * rng.random(k)) for _ in range(n - 1)]
+    return k, perms, phases
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_closed_form_linking_chain_matches_close(seed):
+    # close is the oracle: the same block dimensions, unital flag and spans
+    k, perms, phases = _random_chain(seed)
+    if len(perms) == 1:
+        cat, ids = linking_category(k, perms[0], phases[0]), ("A", "B")
+    else:
+        cat = multi_linking(k, perms, phases)
+        ids = tuple(f"B{j + 1}" for j in range(len(perms) + 1))
+    ref = close(_linking_presentation(k, ids, perms, phases))
+    assert cat.objects == ref.objects and cat.unital == ref.unital
+    for pair in ref.pairs():
+        assert cat.block_dim(*pair) == ref.block_dim(*pair)
+        assert projector_distance(cat.block(*pair), ref.block(*pair)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_form_elements_are_the_generator_entries(seed):
+    # element i of block (B_j, B_l) is gen[i, pi(i)] E_{i, pi(i)} bit for
+    # bit, block (B_l, B_j) holds their adjoints in the same order, and
+    # every diagonal block holds E_00, E_11, ...
+    k, perms, phases = _random_chain(seed)
+    cat = multi_linking(k, perms, phases)
+    ids, rows = cat.object_ids, np.arange(k)
+    for o in ids:
+        assert np.array_equal(np.stack(cat.block(o, o)), np.eye(k)[:, None] * np.eye(k))
+    for j, l in itertools.combinations(range(len(ids)), 2):
+        gen = multi_linking_generator(k, perms, phases, j, l)
+        cols = np.argmax(gen != 0, axis=1)
+        want = np.zeros((k, k, k), dtype=complex)
+        want[rows, rows, cols] = gen[rows, cols]
+        assert np.array_equal(np.stack(cat.block(ids[j], ids[l])), want)
+        assert np.array_equal(
+            np.stack(cat.block(ids[l], ids[j])), want.conj().transpose(0, 2, 1)
+        )
+
+
+def test_linking_constructors_never_close(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("close called")
+
+    monkeypatch.setattr(cstarcat, "close", forbidden)
+    linking_category(4, [1, 2, 3, 0], np.exp([0.1j, 0.2j, 0.3j, 0.4j]))
+    multi_linking(3, [[1, 2, 0], [2, 0, 1], [0, 2, 1]])
+    for seed in range(12):  # every kind of random category
+        selftest.random_commutative_category(seed)
+
+
+@pytest.mark.parametrize("k, n", [(16, 8), (32, 4)])
+def test_large_linking_chains_pass_the_axioms(k, n):
+    rng = np.random.default_rng(k + n)
+    perms = [rng.permutation(k) for _ in range(n - 1)]
+    phases = [np.exp(2j * np.pi * rng.random(k)) for _ in range(n - 1)]
+    rep = check_axioms(multi_linking(k, perms, phases))
+    assert rep.passed, rep.summary()
+
+
+def test_linking_category_rejects_one_object_twice():
+    with pytest.raises(ValueError, match="duplicate object ids"):
+        linking_category(2, [1, 0], a_id="A", b_id="A")
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +841,7 @@ def test_validate_functor_counts_nan_as_failure(where):
 @pytest.mark.parametrize("bad", [2.0, np.nan])
 def test_linking_generator_rejects_non_unimodular_phase(bad):
     with pytest.raises(ValueError):
-        linking_generator(2, [1, 0], [1.0, bad])
+        multi_linking_generator(2, [[1, 0]], [[1.0, bad]], 0, 1)
 
 
 def test_compose_functors_matches_pointwise():

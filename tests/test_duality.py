@@ -255,27 +255,26 @@ def test_empty_diagonal_block_is_not_unital(order, empty):
 
 
 def _spy_on_commutators(monkeypatch):
-    """Record the pairs ``spectrum`` leaves to the explicit commutator
-    check, one ``set`` of ``(i, j)`` per diagonal block it checks."""
+    """Record the diagonal blocks ``spectrum`` leaves to the explicit
+    commutator check, one stack per block it searches."""
     calls = []
     search = du._noncommuting_pair
 
-    def spy(stack, tol, pairs):
-        calls.append((stack, set(zip(pairs[0].tolist(), pairs[1].tolist()))))
-        return search(stack, tol, pairs)
+    def spy(stack, tol):
+        calls.append(stack)
+        return search(stack, tol)
 
     monkeypatch.setattr(du, "_noncommuting_pair", spy)
     return calls
 
 
-def _assert_certified_pairs_commute(stack, explicit, tol=1e-9):
-    """Every pair of ``stack`` outside ``explicit`` passes the explicit
-    check, ``||[m_i, m_j]||_HS <= tol (1 + ||m_i|| ||m_j||)``."""
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    for i, j in zip(*np.triu_indices(len(stack), 1)):
-        if (i, j) not in explicit:
-            dev = np.linalg.norm(stack[i] @ stack[j] - stack[j] @ stack[i])
-            assert dev <= tol * (1 + norms[i] * norms[j]), (i, j)
+def _assert_whole_blocks_searched(c, calls):
+    """The certificate stands in for the whole check or for none of it:
+    an explicit search takes the whole diagonal blocks, in object
+    order."""
+    assert len(calls) <= len(c.object_ids)
+    for stack, o in zip(calls, c.object_ids):
+        assert np.array_equal(stack, np.stack(c.block(o, o)))
 
 
 def _planted_b_defect(delta, order):
@@ -305,8 +304,7 @@ def test_planted_defect_verdict_does_not_depend_on_the_anchor(monkeypatch, order
         assert delta >= 3e-9
         with pytest.raises(NotCommutative):
             du.spectrum(c, 1e-9)
-    for stack, explicit in calls:
-        _assert_certified_pairs_commute(stack, explicit)
+    _assert_whole_blocks_searched(c, calls)
 
 
 def _planted_pair_category(factor, j, k, d=6, seed=0, tol=1e-9):
@@ -340,8 +338,8 @@ def _planted_pair_category(factor, j, k, d=6, seed=0, tol=1e-9):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("factor", [0.5, 1.01, 2.0, 10.0])
 def test_planted_pair_is_never_certified(monkeypatch, factor, seed):
-    # spectrum leaves the planted pair to the explicit check at any size
-    # of its defect, and every pair it certifies passes that check
+    # spectrum leaves the planted pair, and with it the whole block, to
+    # the explicit check at any size of its defect
     c = _planted_pair_category(factor, 1, 3, seed=seed)
     calls = _spy_on_commutators(monkeypatch)
     if factor < 1:
@@ -349,9 +347,8 @@ def test_planted_pair_is_never_certified(monkeypatch, factor, seed):
     else:
         with pytest.raises(NotCommutative, match="elements 1 and 3 of block"):
             du.spectrum(c, 1e-9)
-    (stack, explicit), = calls
-    assert (1, 3) in explicit
-    _assert_certified_pairs_commute(stack, explicit)
+    assert len(calls) == 1
+    _assert_whole_blocks_searched(c, calls)
 
 
 @pytest.mark.parametrize("name", ["category-roundtrip", "spaceoid-roundtrip"])
@@ -442,19 +439,22 @@ def _perturbed(cat, pair, size, seed=0):
 def test_spectrum_lifts_explicitly_where_the_certificate_misses(monkeypatch):
     # an element 5e-8 from its block: CERT_SLACK times its bound misses
     # SPECTRAL_SLACK * tol * (1 + 1) = 2e-7, its explicit lift residual
-    # clears it; the perturbed block (B2, B3) does not carry the classes
+    # clears it; the bounds stand in for all pairs or none, so every
+    # pair is lifted, in one call; the perturbed block (B2, B3) does not
+    # carry the classes
     c = _linking_chain()
     want = du.spectrum(c)
     lifted = []
     lift = du.SpectrumResult._lift
 
     def spy(self, i, j, coeffs):
-        lifted.append((np.ravel(i).tolist(), np.ravel(j).tolist()))
+        a, b = np.broadcast_arrays(i, j)
+        lifted.append(set(zip(a.ravel().tolist(), b.ravel().tolist())))
         return lift(self, i, j, coeffs)
 
     monkeypatch.setattr(du.SpectrumResult, "_lift", spy)
     got = du.spectrum(_perturbed(c, ("B2", "B3"), 5e-8))
-    assert lifted == [([1], [2])]
+    assert lifted == [{(a, b) for a in range(3) for b in range(3)}]
     assert got.spaceoid.base_points == want.spaceoid.base_points
     assert np.array_equal(got.ranks, want.ranks)
     assert np.array_equal(got.bases, want.bases)
@@ -547,8 +547,14 @@ def test_spectrum_fields_are_dense_arrays(make):
 
 
 def test_linking_spectrum_frozen_coefficients():
-    gen = cc.linking_generator(2, [0, 1], [1.0, 1j])
-    c = cc.linking_category(2, [0, 1], [1.0, 1j])
+    # closed by close from the presentation linking_category once used:
+    # the frozen values test spectrum, not the constructor
+    gen = cc.multi_linking_generator(2, [[0, 1]], [[1.0, 1j]], 0, 1)
+    units = [np.diag(row).astype(complex) for row in np.eye(2)]
+    c = cc.close(cc.CategoryPresentation(
+        objects=(("A", 2), ("B", 2)),
+        generators={("A", "A"): units, ("B", "B"): units, ("A", "B"): [gen]},
+    ))
     spec = du.spectrum(c)
     assert spec.n_classes == 2
     assert spec.ranks.tolist() == [1, 1]
@@ -568,7 +574,7 @@ def test_linking_spectrum_frozen_coefficients():
 def test_single_generator_linking_has_one_rank2_class():
     # without the diagonal algebras the two points merge into one
     # class of rank 2; B's basis, carried along gen, keeps the phases
-    gen = cc.linking_generator(2, [0, 1], [1.0, 1j])
+    gen = cc.multi_linking_generator(2, [[0, 1]], [[1.0, 1j]], 0, 1)
     pres = cc.CategoryPresentation(
         objects=(("A", 2), ("B", 2)), generators={("A", "B"): [gen]}
     )

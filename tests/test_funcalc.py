@@ -51,6 +51,28 @@ def test_spectrum_of_zero_is_empty():
     assert fc.spectrum_of_element(np.zeros((2, 3)), "A", "B").size == 0
 
 
+def test_one_object_oracles_read_the_scale_off_the_eigenvalues(monkeypatch):
+    # ||x||_op of a normal x is max |lambda|, so on one object neither
+    # oracle takes an operator norm of its own; a zero element returns
+    # before the square check and before NotNormal
+    def forbidden(*args, **kwargs):
+        raise AssertionError("op_norm called")
+
+    monkeypatch.setattr(fc, "op_norm", forbidden)
+    x = rand_normal_matrix(np.random.default_rng(5), 4)
+    assert np.allclose(fc.svd_oracle(x, "A", "A", lambda s: s), x, atol=1e-12)
+    assert fc.spectrum_of_element(x, "A", "A").size == 4
+    zero = np.zeros((2, 3))
+    assert fc.spectrum_of_element(zero, "A", "A").size == 0
+    assert not fc.svd_oracle(zero, "A", "A", lambda s: s).any()
+    with pytest.raises(ValueError, match="square"):
+        fc.spectrum_of_element(np.ones((2, 3)), "A", "A")
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for oracle in (fc.spectrum_of_element, lambda y, a, b: fc.svd_oracle(y, a, b, abs)):
+        with pytest.raises(NotNormal):
+            oracle(nilpotent, "A", "A")
+
+
 def test_spectrum_links_points_within_the_cut_by_single_linkage():
     # 1 and 1 + 5e-9 + 1e-9 i lie within the cut 1e-8 (1 + |1 + 1i|),
     # but 1 + 1e-9 + 1i sorts between them: merging only neighbours in

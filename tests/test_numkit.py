@@ -864,14 +864,14 @@ def test_chunked_search_matches_one_stack(seed, d, n):
             assert numkit._noncommuting_pair(stack, 1e-9) == want
 
 
-def test_search_over_given_pairs_in_row_major_order():
+def test_search_in_row_major_order():
     z = np.diag([1.0, -1.0]).astype(complex)
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     stack = np.stack([z, x, 2 * z, 3 * x])
     assert numkit._noncommuting_pair(stack, 1e-9)[:2] == (0, 1)
-    pairs = (np.array([0, 2, 2]), np.array([2, 3, 3]))
-    assert numkit._noncommuting_pair(stack, 1e-9, pairs)[:2] == (2, 3)
-    assert numkit._noncommuting_pair(stack, 1e-9, (pairs[0][:1], pairs[1][:1])) is None
+    # (z, 2z) commutes, so the first failing pair is (z, 3x), before (2z, 3x)
+    assert numkit._noncommuting_pair(stack[[0, 2, 3]], 1e-9)[:2] == (0, 2)
+    assert numkit._noncommuting_pair(stack[[0, 2]], 1e-9) is None
 
 
 # ---------------------------------------------------------------------------
