@@ -33,7 +33,7 @@ import numpy as np
 from .config import CLUSTER_RTOL, ZERO_SLACK, resolve_tol
 from .cstarcat import _stack, generated_by
 from .errors import DiagonalizationFailed, SpectrumMismatch
-from .numkit import _cluster_complex, normal_eig, op_norm, svd
+from .numkit import _as_matrix, _cluster_complex, normal_eig, op_norm, svd
 
 __all__ = [
     "SpectralFunction",
@@ -136,6 +136,25 @@ def spectrum_of_element(x, a_id="A", b_id="B", tol=None) -> np.ndarray:
     return vals[[g[0] for g in groups]]
 
 
+def _under_zero_cut(x: np.ndarray, tol: float) -> bool:
+    """Whether ``||x||_op <= ZERO_SLACK * tol * (1 + ||x||_op)``, the
+    zero rule, without an SVD where the HS norm decides it.
+
+    The rule holds for every norm up to one bound and for none above
+    it, and ``||x||_HS / sqrt(min(m, n)) <= ||x||_op <= ||x||_HS``; when
+    both ends of that band, widened by 1e-12 for rounding, fall on one
+    side of the bound, so does ``||x||_op``.  Only inside the band is
+    :func:`op_norm` taken."""
+    def under(s):
+        return s <= ZERO_SLACK * tol * (1 + s)
+
+    hs = float(np.linalg.norm(x))
+    low = hs * (1 - 1e-12) / np.sqrt(max(1, min(x.shape)))
+    if under(hs * (1 + 1e-12)) == under(low):
+        return under(low)
+    return under(op_norm(x))
+
+
 def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     """Apply a scalar function to a matrix element through its
     Gel'fand transform over the category it generates.
@@ -151,6 +170,15 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     (a :class:`SpectralFunction` or plain callable) rescales the others
     with their phase kept: ``f[x] = sum_i c_i f(p_i) / p_i b_i``.  The
     identity function returns ``x`` itself to machine precision.
+    ``||x||_op``, for that cut and for the table's matching tolerance,
+    is read off the same eigendecomposition as ``max |xhat|``, the
+    value of the top class.
+
+    An ``x`` under the zero rule, ``||x||_op`` at most that cut, has
+    every point under it and returns zeros (raises ``SpectrumMismatch``
+    for a non-empty table) before any closure is built.  The rule is
+    decided from ``||x||_HS``, which bounds ``||x||_op`` within a factor
+    ``sqrt(min(m, n))``; only inside that band is ``op_norm`` taken.
 
     ``x`` must lie in its closure's span: ``||x - sum_i c_i b_i||_HS``
     above the zero cut raises ``DiagonalizationFailed``, so no part of
@@ -165,10 +193,9 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     x = np.asarray(x, dtype=complex)
     if not np.isfinite(x).all():
         raise ValueError("element has non-finite entries")
+    x = _as_matrix(x)
     tol = resolve_tol(tol)
-    scale = op_norm(x)
-    cut = ZERO_SLACK * tol * (1 + scale)
-    if scale <= cut:  # every point is under the zero cut; the closure may be empty
+    if _under_zero_cut(x, tol):  # so is every point; the closure may be empty
         if isinstance(f, SpectralFunction) and f.table:
             raise SpectrumMismatch(
                 "zero element has empty spectrum; only the empty table applies"
@@ -178,12 +205,14 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     cat = generated_by(x, a_id, b_id, tol, seed)  # NotNormal guard lives here
     b = _stack(cat, a_id, b_id).reshape(-1, x.size)
     c = b.conj() @ x.ravel()
+    xhat = c / np.trace(_stack(cat, a_id, a_id), axis1=1, axis2=2).real
+    scale = float(np.abs(xhat).max(initial=0.0))  # ||x||_op: the top class's value
+    cut = ZERO_SLACK * tol * (1 + scale)
     residual = np.linalg.norm(x.ravel() - c @ b)
     if residual > cut:
         raise DiagonalizationFailed(
             f"element is {residual:.3e} outside its closure's span (cut {cut:.3e})"
         )
-    xhat = c / np.trace(_stack(cat, a_id, a_id), axis1=1, axis2=2).real
     live = np.abs(xhat) > cut
     points = xhat[live] if a_id == b_id else np.abs(xhat[live]).astype(complex)
     points = points.tolist()

@@ -111,7 +111,8 @@ def _normal_eig_core(a: np.ndarray, threshold: float):
     Diagonalizes the Hermitian part first, then rotates inside each of
     its eigenvalue clusters (gaps at most ``threshold``) to diagonalize
     the anti-Hermitian part — the two commute exactly when ``a`` is
-    normal.
+    normal.  :func:`_normal_joint` does not call it on a Hermitian
+    input, whose one ``eigh`` needs no rotation pass.
     """
     re_part = (a + a.conj().T) / 2.0
     im_part = (a - a.conj().T) / 2.0j
@@ -251,17 +252,21 @@ def joint_diagonalize(
     (:func:`_diagonal_joint`) when, in every input, any two distinct
     diagonal values lie more than the cut apart.  Any other family of
     one input is read off that input's own normal eigendecomposition
-    (:func:`_normal_joint`).  Neither depends on ``seed``, and each
-    returns only a result that meets ``JOINT_TARGET_RTOL``.  Any other
-    family, and a family whose result misses it, takes the seeded
-    route: diagonalize a random real combination of the Hermitian and
-    anti-Hermitian parts of all inputs, then split its blocks against
-    each input in turn by the rule, keeping a block whole unsplit only
-    when every input's compression lies within the cut over sqrt(2) of
-    a scalar.  All routes order the classes by :func:`_class_order` and
-    verify against ``JOINT_TARGET_RTOL``; up to five seeds are
-    attempted before the best attempt is returned under the fallback
-    bound or :class:`DiagonalizationFailed` is raised.
+    (:func:`_normal_joint`): one ``eigh`` when the input is Hermitian,
+    with ``||m||_op`` read off its eigenvalues, and otherwise an SVD for
+    the scale, then an ``eigh`` and a rotation pass.  Neither route
+    depends on ``seed``, and each returns only a result that meets
+    ``JOINT_TARGET_RTOL``.  Any other family, and a family whose result
+    misses it, takes the seeded route (a one-input family keeps the
+    scale it has found): diagonalize a random real combination of the
+    Hermitian and anti-Hermitian parts of all inputs, then split its
+    blocks against each input in turn by the rule, keeping a block
+    whole unsplit only when every input's compression lies within the
+    cut over sqrt(2) of a scalar.  All routes order the classes by
+    :func:`_class_order` and verify against ``JOINT_TARGET_RTOL``; up
+    to five seeds are attempted before the best attempt is returned
+    under the fallback bound or :class:`DiagonalizationFailed` is
+    raised.
     """
     tol = resolve_tol(tol)
     mats = [_as_matrix(m) for m in family]
@@ -282,11 +287,12 @@ def joint_diagonalize(
     exact = _diagonal_joint(stack)
     if exact is not None:
         return exact
-    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
     if len(stack) == 1:
-        own = _normal_joint(stack, scales)
+        own, scales = _normal_joint(stack)
         if own is not None:
             return own
+    else:
+        scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
     # aim for machine precision first (an unlucky combination can leave
     # inter-block mixing around 1e-9 that still sits under loose user
     # tolerances); fall back to the requested tolerance only when no
@@ -354,27 +360,37 @@ def _diagonal_joint(stack: np.ndarray) -> JointEigenstructure | None:
     return None
 
 
-def _normal_joint(stack: np.ndarray, scales: np.ndarray) -> JointEigenstructure | None:
+def _normal_joint(stack: np.ndarray) -> tuple:
     """The joint eigenstructure of a one-input family read off that
-    input's own normal eigendecomposition (:func:`_normal_eig_core` over
-    the whole space); ``None`` when the result misses
-    ``JOINT_TARGET_RTOL``.
+    input's own normal eigendecomposition, or ``None`` when the result
+    misses ``JOINT_TARGET_RTOL``, with the input's scale ``1 +
+    ||m||_op`` as a one-entry array, which the seeded route reuses.
 
-    The classes are the single-linkage groups of its eigenvalues at the
-    cut ``CLUSTER_RTOL`` times the input's scale, the one rule;
+    A Hermitian input, whose anti-Hermitian part is exactly zero (such
+    as ``cstarcat.generated_by``'s dilation), is diagonalized by one
+    ``eigh``, and its operator norm is read off the eigenvalues as
+    ``max |w|``.  Any other input takes its operator norm by SVD first,
+    because :func:`_normal_eig_core`'s rotation pass cuts at
+    ``CLUSTER_RTOL`` times its scale.  The classes are the
+    single-linkage groups of the eigenvalues at that cut, the one rule;
     :func:`_class_order` orders them and :func:`_column_phases` fixes
     the column phases, as on the seeded route.
     """
-    threshold = CLUSTER_RTOL * scales[0]
-    evals, u = _normal_eig_core(stack[0], threshold)
-    blocks = _cluster_complex(evals, threshold)
+    a = stack[0]
+    if np.array_equal(a, a.conj().T):
+        w, u = np.linalg.eigh(a)
+        evals, scales = w.astype(complex), 1.0 + np.abs(w).max(keepdims=True)
+    else:
+        scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
+        evals, u = _normal_eig_core(a, CLUSTER_RTOL * scales[0])
+    blocks = _cluster_complex(evals, CLUSTER_RTOL * scales[0])
     perm, sizes, eigenvalues = _class_order(evals[None], blocks)
     u_perm = u[:, perm]
     result = JointEigenstructure(u_perm * _column_phases(u_perm), sizes, eigenvalues)
     comp = _compress(result.unitary, stack)
     if _verify_joint(result, comp, scales) <= JOINT_TARGET_RTOL:
-        return result
-    return None
+        return result, scales
+    return None, scales
 
 
 def _class_order(dg: np.ndarray, blocks) -> tuple:

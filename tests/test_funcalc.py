@@ -144,6 +144,22 @@ def test_zero_element():
         fc.funcalc(x, "A", "B", fc.SpectralFunction.from_table({1.0: 1.0}))
 
 
+def test_funcalc_reads_the_scale_off_its_closure(monkeypatch):
+    # ||x||_op is the largest |xhat| of the closure's one
+    # eigendecomposition, and the HS norm decides the zero exit outside
+    # the sqrt(rank) band, so funcalc takes no operator norm of its own
+    def forbidden(*args, **kwargs):
+        raise AssertionError("op_norm called")
+
+    rng = np.random.default_rng(7)
+    f = fc.SpectralFunction.from_coeffs([0, 1j, 0.5])
+    cases = [(rand_rect(rng, 3, 5), "B"), (rand_normal_matrix(rng, 4), "A")]
+    wants = [fc.svd_oracle(x, "A", b_id, f) for x, b_id in cases]
+    monkeypatch.setattr(fc, "op_norm", forbidden)
+    for (x, b_id), want in zip(cases, wants):
+        assert np.allclose(fc.funcalc(x, "A", b_id, f), want, rtol=0, atol=1e-10)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize(
@@ -531,6 +547,82 @@ def with_spectrum(rng, m, n, values, normal=False):
     v = u if normal else np.linalg.qr(rand_rect(rng, n, n))[0]
     k = len(values)
     return (u[:, :k] * np.asarray(values)) @ v[:, :k].conj().T
+
+
+def zero_rule_cases():
+    """``(name, x, b_id, tol, in_band)``: zero and sub-cut elements on
+    two objects and on one, and elements whose ||x||_op lies a relative
+    1e-6 under or over the zero rule's bound t / (1 - t), t = ZERO_SLACK
+    tol, while ||x||_HS / sqrt(3) < bound < ||x||_HS, so that only an
+    operator norm decides them.  At tol 1e-6 the bound is 1e-5, a
+    thousand cluster cuts, so the classes over it stay apart from the
+    kernel and from each other."""
+    rng = np.random.default_rng(19)
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    yield "zero A-B", np.zeros((3, 4)), "B", 1e-9, False
+    yield "zero A-A", np.zeros((3, 3)), "A", 1e-9, False
+    yield "zero non-square A-A", np.zeros((2, 3)), "A", 1e-9, False
+    yield "empty A-B", np.zeros((0, 3)), "B", 1e-9, False
+    yield "sub-cut A-B", 1e-12 * rand_rect(rng, 3, 4), "B", 1e-9, False
+    yield "sub-cut A-A", 1e-12 * rand_normal_matrix(rng, 3), "A", 1e-9, False
+    yield "sub-cut not normal A-A", 1e-12 * nilpotent, "A", 1e-9, False
+    t = fc.ZERO_SLACK * 1e-6
+    for side, factor in (("under", 1 - 1e-6), ("over", 1 + 1e-6)):
+        s = factor * t / (1 - t)
+        x = with_spectrum(rng, 3, 4, [s, s, 0.9 * s])
+        yield f"just {side} A-B", x, "B", 1e-6, True
+        x = with_spectrum(rng, 3, 3, [s, 1j * s, -0.9 * s], normal=True)
+        yield f"just {side} A-A", x, "A", 1e-6, True
+
+
+@pytest.mark.parametrize(
+    "x, b_id, tol, in_band",
+    [pytest.param(*case[1:], id=case[0]) for case in zero_rule_cases()],
+)
+def test_zero_exit_follows_the_operator_norm_rule(monkeypatch, x, b_id, tol, in_band):
+    # the rule ||x||_op <= ZERO_SLACK tol (1 + ||x||_op), from an SVD
+    # here: under it funcalc returns zeros of x's shape, or raises
+    # SpectrumMismatch for a table; over it funcalc matches the oracle,
+    # with a callable and with a table on the oracle's points.  An
+    # operator norm is taken inside the sqrt(rank) band only
+    s = np.linalg.svd(x, compute_uv=False).max(initial=0.0)
+    zero = s <= fc.ZERO_SLACK * tol * (1 + s)
+    norms = []
+
+    def counted(m):
+        norms.append(m)
+        return op_norm(m)
+
+    def double(z):
+        return 2 * z
+
+    monkeypatch.setattr(fc, "op_norm", counted)
+    if zero:
+        got = fc.funcalc(x, "A", b_id, double, tol=tol)
+        assert got.shape == x.shape and got.dtype == complex and not got.any()
+        with pytest.raises(SpectrumMismatch, match="zero element"):
+            fc.funcalc(x, "A", b_id, fc.SpectralFunction.from_table({s: 1.0}), tol=tol)
+    else:
+        points = fc.spectrum_of_element(x, "A", b_id, tol)
+        assert len(points)
+        table = fc.SpectralFunction.from_table({p: 3.0 * p for p in points})
+        for func in (double, table):
+            want = fc.svd_oracle(x, "A", b_id, func, tol)
+            got = fc.funcalc(x, "A", b_id, func, tol=tol)
+            assert got.any() and np.allclose(got, want, rtol=0, atol=1e-14)
+    assert len(norms) == (2 if in_band else 0)
+
+
+def test_zero_rule_cases_sit_where_they_are_named():
+    # the band cases lie under and over the rule's bound by a relative
+    # 1e-6, with the bound strictly inside the sqrt(rank) band of their
+    # HS norm; every other case is under the bound
+    for name, x, _, tol, in_band in zero_rule_cases():
+        s = np.linalg.svd(x, compute_uv=False).max(initial=0.0)
+        t = fc.ZERO_SLACK * tol
+        bound, hs = t / (1 - t), np.linalg.norm(x)
+        assert (s <= t * (1 + s)) == ("over" not in name), name
+        assert (hs / np.sqrt(3) < bound < hs) == in_band, name
 
 
 def reference_svd_oracle(x, a_id, b_id, f, tol=1e-9):

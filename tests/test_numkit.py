@@ -139,6 +139,18 @@ def planted_family(rng, d, n_inputs, n_blocks):
     return mats, sizes, evals
 
 
+def hermitian(m):
+    """The Hermitian part of ``m``, whose anti-Hermitian part is then
+    exactly zero."""
+    return (m + m.conj().T) / 2.0
+
+
+def dilation(x):
+    """``[[0, x], [x*, 0]]``, as ``cstarcat.generated_by`` builds it."""
+    m, n = x.shape
+    return np.block([[np.zeros((m, m)), x], [x.conj().T, np.zeros((n, n))]])
+
+
 def block_columns(je, b):
     """Column indices of eigenblock ``b``."""
     return np.arange(je.starts[b], je.starts[b] + je.sizes[b])
@@ -475,7 +487,7 @@ def test_joint_diagonalize_matches_attempts_reference(mats, tol):
     # within JOINT_TARGET_RTOL (1 + ||m||_op)
     stack = np.stack([np.asarray(m, dtype=complex) for m in mats])
     scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
-    own = numkit._normal_joint(stack, scales) if len(stack) == 1 else None
+    own = numkit._normal_joint(stack)[0] if len(stack) == 1 else None
     for seed in range(2):
         want = outcome(lambda: reference_joint_diagonalize(mats, tol, seed)[0])
         got = outcome(lambda: numkit.joint_diagonalize(mats, tol, seed=seed))
@@ -694,6 +706,8 @@ def one_input_misses():
     q = rand_unitary(rng, 3)
     yield "within-the-cut", np.diag([-_W, -_W, _W]), True
     yield "within-the-cut-scrambled", q @ np.diag([-_W, -_W, _W]) @ q.conj().T, True
+    w = hermitian(q @ np.diag([-_W, -_W, _W]) @ q.conj().T)
+    yield "within-the-cut-hermitian", w, True
     q = rand_unitary(rng, 4)
     near = np.diag([0.3 + 1j, 0.3 + 1e-5 - 0.5j, -1.0, 2.0j])
     yield "near-real-parts", q @ near @ q.conj().T, False
@@ -716,7 +730,7 @@ def test_one_input_that_misses_its_own_eigendecomposition_takes_the_seeded_route
 
     monkeypatch.setattr(numkit, "_attempt_joint", spy)
     stack = np.stack([m.astype(complex)])
-    assert numkit._normal_joint(stack, 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))) is None
+    assert numkit._normal_joint(stack)[0] is None
     kinds = set()
     for tol in (1e-10, None):
         for seed in range(2):
@@ -727,6 +741,148 @@ def test_one_input_that_misses_its_own_eigendecomposition_takes_the_seeded_route
             assert attempts and got == want
             kinds.add((tol, got[0]))
     assert kinds == {(1e-10, DiagonalizationFailed if fails else "ok"), (None, "ok")}
+
+
+def parent_normal_joint(stack):
+    """The one-input route as it reads a non-Hermitian input, on any
+    input: the scale by SVD, :func:`numkit._normal_eig_core` with its
+    rotation pass, the one rule.  Returns the result and whether it
+    meets ``JOINT_TARGET_RTOL``."""
+    scales = 1.0 + np.linalg.norm(stack, 2, axis=(1, 2))
+    threshold = numkit.CLUSTER_RTOL * scales[0]
+    evals, u = numkit._normal_eig_core(stack[0], threshold)
+    blocks = numkit._cluster_complex(evals, threshold)
+    perm, sizes, eigenvalues = numkit._class_order(evals[None], blocks)
+    u_perm = u[:, perm]
+    result = numkit.JointEigenstructure(
+        u_perm * numkit._column_phases(u_perm), sizes, eigenvalues
+    )
+    comp = numkit._compress(result.unitary, stack)
+    residual = numkit._verify_joint(result, comp, scales)
+    return result, residual <= numkit.JOINT_TARGET_RTOL
+
+
+def hermitian_inputs():
+    """Exactly Hermitian one-input families that are not diagonal:
+    ``cstarcat.generated_by``'s dilations of a Gaussian rectangle, of a
+    planted kernel and of a repeated singular value, and scrambled
+    Hermitian inputs with and without repeated eigenvalues."""
+    from spectroid import cstarcat
+
+    rng = np.random.default_rng(23)
+    q = rand_unitary(rng, 5)
+    kernel = rand_matrix(rng, 4, 2) @ rand_matrix(rng, 2, 6)
+    repeated = 2.0 * rand_unitary(rng, 3)[:, :2] @ rand_unitary(rng, 4)[:2]
+    for name, x in (
+        ("gaussian 3x5", rand_matrix(rng, 3, 5)),
+        ("kernel 4x6 rank 2", kernel),
+        ("repeated 3x4", repeated),
+    ):
+        families = []
+        joint = cstarcat.joint_diagonalize
+
+        def capture(family, tol=None, *, seed=0):
+            families.append(family)
+            return joint(family, tol, seed=seed)
+
+        cstarcat.joint_diagonalize = capture
+        try:
+            cstarcat.generated_by(x)
+        finally:
+            cstarcat.joint_diagonalize = joint
+        assert np.array_equal(families[0][0], dilation(x))
+        yield f"dilation {name}", families[0][0]
+    for name, levels in (
+        ("scrambled", [-2.0, -0.5, 0.1, 1.0, 3.0]),
+        ("scrambled repeated", [1.0, 1.0, 1.0, -1.0, 0.0]),
+    ):
+        yield name, hermitian(q @ np.diag(levels) @ q.conj().T)
+    yield "real symmetric", hermitian(rng.standard_normal((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "m", [pytest.param(m, id=name) for name, m in hermitian_inputs()]
+)
+def test_hermitian_one_input_takes_one_eigh_and_no_svd(monkeypatch, m):
+    # its operator norm is max |w| of that one eigh, and no rotation pass
+    # nor seeded attempt follows; the classes, their eigenvalues and
+    # projectors are those of the route that reads a non-Hermitian input
+    want, verified = parent_normal_joint(np.stack([m.astype(complex)]))
+    assert verified
+    calls = []
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            if name != "norm" or 2 in args[1:2] or kwargs.get("ord") == 2:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+
+    def never(*args):
+        raise AssertionError("a rotation pass or seeded attempt ran")
+
+    monkeypatch.setattr(numkit, "_normal_eig_core", never)
+    monkeypatch.setattr(numkit, "_attempt_joint", never)
+    got = numkit.joint_diagonalize([m])
+    assert calls == ["eigh"]
+    assert got.sizes.tolist() == want.sizes.tolist()
+    bound = numkit.JOINT_TARGET_RTOL * (1.0 + np.abs(np.linalg.eigvalsh(m)).max())
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= bound
+    for b in range(got.n_blocks):
+        u, v = (je.unitary[:, block_columns(je, b)] for je in (got, want))
+        assert np.linalg.norm(u @ u.conj().T - v @ v.conj().T) <= bound
+
+
+def planted_gap_families():
+    """Hermitian inputs with two eigenvalues a factor 1 -+ 1e-3 of the
+    cut ``CLUSTER_RTOL (1 + ||m||_op)`` apart, scrambled, and the
+    dilation of a rectangle with two singular values so far apart."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            gap = factor * numkit.CLUSTER_RTOL * (1.0 + 2.0)
+            q = rand_unitary(rng, 5)
+            levels = np.diag([-1.0, 0.5, 0.5 + gap, 0.5 + gap, 2.0])
+            yield f"scrambled {factor} seed {seed}", hermitian(q @ levels @ q.conj().T)
+            u, v = rand_unitary(rng, 3), rand_unitary(rng, 4)
+            x = (u[:, :2] * [1.0, 1.0 + factor * numkit.CLUSTER_RTOL * 2.0]) @ v[:2]
+            yield f"dilation {factor} seed {seed}", dilation(x)
+
+
+@pytest.mark.parametrize(
+    "m", [pytest.param(m, id=name) for name, m in planted_gap_families()]
+)
+def test_hermitian_route_splits_at_the_cut_as_the_rotation_route(m):
+    # a gap over the cut: both routes verify with the same classes; under
+    # it both miss, and joint_diagonalize returns the seeded route's
+    # outcome bit for bit
+    stack = np.stack([m])
+    want, verified = parent_normal_joint(stack)
+    got = numkit._normal_joint(stack)[0]
+    assert (got is not None) == verified
+    if got is None:
+        for seed in range(2):
+            ref = outcome(lambda: reference_joint_diagonalize([m], 1e-9, seed)[0])
+            assert outcome(lambda: numkit.joint_diagonalize([m], seed=seed)) == ref
+        return
+    assert got.sizes.tolist() == want.sizes.tolist()
+    for b in range(got.n_blocks):
+        u, v = (je.unitary[:, block_columns(je, b)] for je in (got, want))
+        assert np.linalg.norm(u @ u.conj().T - v @ v.conj().T) <= 1e-6
+
+
+def test_planted_gap_families_reach_both_outcomes():
+    outcomes = {}
+    for name, m in planted_gap_families():
+        verified = numkit._normal_joint(np.stack([m]))[0] is not None
+        outcomes.setdefault(name.split(" seed")[0], set()).add(verified)
+    assert outcomes == {
+        f"{kind} {factor}": {factor > 1}
+        for kind in ("scrambled", "dilation") for factor in (1 - 1e-3, 1 + 1e-3)
+    }
 
 
 def near_cut_family(seed):
