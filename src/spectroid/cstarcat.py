@@ -342,10 +342,17 @@ def check_axioms(
     adjoints of every block's basis elements and of the products of
     every triple's, each clearing the check with ``config.CERT_SLACK``
     to spare.  Then ``adjoint-closure`` and ``composition-closure``
-    report the bounds and form no adjoint or product; with ``None`` they
-    form every one.
+    report the bounds and form no adjoint or product, and, as every
+    block holds ``n`` elements of one ``d x d`` shape, the bases'
+    orthonormality and the units are measured on all blocks at once
+    (:func:`_certified_axioms`).  With ``None``, or a category whose
+    blocks do not have the bounds' shape, every adjoint and product is
+    formed, block by block.
     """
     tol = resolve_tol(tol)
+    x = None if _certified is None else _uniform_stack(cat)
+    if x is not None and x.shape[:3] == np.shape(_certified[0]):
+        return _certified_axioms(cat, x, _certified, tol)
     report = Report()
     for (a, b), basis in cat.blocks.items():
         if any(m.shape != (cat.dim(a), cat.dim(b)) for m in basis):
@@ -364,29 +371,21 @@ def check_axioms(
         for a, b, c in itertools.product(*[cat.object_ids] * 3)
         if cat.block(a, b) and cat.block(b, c)
     ]
-    if _certified is None:
-        adjoints = [
-            _project(stacks[(b, a)], _adjoints(stacks[(a, b)]), tol)[1].max()
-            for a, b in filled
-        ]
-        products = [
-            _closure_residual(stacks[(a, b)], stacks[(b, c)], stacks[(a, c)], tol)
-            for a, b, c in triples
-        ]
-    else:  # every block is filled: the bounds index the same pairs and triples
-        at = {o: i for i, o in enumerate(cat.object_ids)}
-        adj, prod = _certified
-        adjoints = [adj[at[a], at[b]].max() for a, b in filled]
-        products = [prod[at[a], at[b], at[c]].max() for a, b, c in triples]
     report.check(
         "adjoint-closure",
-        adjoints,
+        [
+            _project(stacks[(b, a)], _adjoints(stacks[(a, b)]), tol)[1].max()
+            for a, b in filled
+        ],
         AXIOM_SLACK * tol,
         lambda i: "({},{})".format(*filled[i]),
     )
     report.check(
         "composition-closure",
-        products,
+        [
+            _closure_residual(stacks[(a, b)], stacks[(b, c)], stacks[(a, c)], tol)
+            for a, b, c in triples
+        ],
         AXIOM_SLACK * tol,
         lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
     )
@@ -399,6 +398,61 @@ def check_axioms(
             ],
             AXIOM_SLACK * tol,
         )
+    return report
+
+
+def _uniform_stack(cat: MatrixCategory):
+    """Every block's basis as one ``(o, o, n, d, d)`` array by object
+    position, when every block holds ``n > 0`` elements of one ``d x d``
+    shape and every object has dimension ``d``; otherwise ``None``."""
+    try:
+        x = np.array([cat.block(a, b) for a, b in cat.pairs()], dtype=complex)
+    except ValueError:  # blocks of different lengths or element shapes
+        return None
+    if x.ndim != 4 or not x.shape[1] or x.shape[2] != x.shape[3]:
+        return None
+    if any(d != x.shape[3] for _, d in cat.objects):
+        return None
+    o = len(cat.objects)
+    return x.reshape((o, o) + x.shape[1:])
+
+
+def _certified_axioms(cat, x, bounds, tol) -> Report:
+    """:func:`check_axioms` with ``_certified`` ``bounds`` on a category
+    whose blocks ``x``, ``(o, o, n, d, d)``, have the bounds' shape:
+    one batched Gram matrix per block, the bounds' maxima per pair and
+    per triple, and one batched projection of every object's identity.
+    The checks, their items' order and their details are those of the
+    block-by-block path: ``adjoint-closure`` runs over the pairs in the
+    order of ``cat.blocks``, the other checks in object order."""
+    report = Report()
+    ids = cat.object_ids
+    o, n, d = len(ids), x.shape[2], x.shape[3]
+    rows = x.reshape(o, o, n, d * d)
+    gram = rows.conj() @ np.swapaxes(rows, -1, -2) - np.eye(n)
+    report.check(
+        "orthonormal-bases", np.linalg.norm(gram, axis=(-2, -1)), GRAM_SLACK * tol
+    )
+    adj, prod = bounds
+    at = {obj: i for i, obj in enumerate(ids)}
+    pairs = list(cat.blocks)
+    i, j = np.array([(at[a], at[b]) for a, b in pairs]).T
+    report.check(
+        "adjoint-closure",
+        adj.max(axis=-1)[i, j],
+        AXIOM_SLACK * tol,
+        lambda p: "({},{})".format(*pairs[p]),
+    )
+    report.check(
+        "composition-closure",
+        prod.max(axis=(-2, -1)),
+        AXIOM_SLACK * tol,
+        lambda a, b, c: "({0},{1})x({1},{2})".format(ids[a], ids[b], ids[c]),
+    )
+    if cat.unital:
+        diag = x[np.arange(o), np.arange(o)]
+        units = np.broadcast_to(np.eye(d), (o, 1, d, d))
+        report.check("units", _project(diag, units, tol)[1][:, 0], AXIOM_SLACK * tol)
     return report
 
 
@@ -593,7 +647,10 @@ def validate_functor(
     the pairs of every triple's, each clearing the check with
     ``config.CERT_SLACK`` to spare.  Then ``involution`` and
     ``multiplicativity`` report the bounds and form no adjoint or
-    product; with ``None`` they form every one.
+    product, and ``units`` maps every object's identity through one
+    batched projection (:func:`_unit_defects`); with ``None`` they form
+    every adjoint and product, and ``units`` maps the identities one
+    object at a time.
     """
     tol = resolve_tol(tol)
     report = Report()
@@ -641,18 +698,43 @@ def validate_functor(
     report.check("multiplicativity", mult, FUNCTOR_SLACK * tol)
 
     if source.unital and target.unital:
-        report.check(
-            "units",
-            [
+        if _certified is None:
+            units = [
                 np.linalg.norm(
                     functor_image(phi, source, target, o, o, source.identity(o), tol)
                     - target.identity(phi.object_map[o])
                 )
                 for o in source.object_ids
-            ],
-            FUNCTOR_SLACK * tol,
-        )
+            ]
+        else:
+            units = _unit_defects(phi, source, target, tol)
+        report.check("units", units, FUNCTOR_SLACK * tol)
     return report
+
+
+def _unit_defects(phi, source, target, tol) -> np.ndarray:
+    """``||phi(1_A) - 1_phi(A)||_HS`` for every source object ``A``, in
+    object order, from one batched projection of the identities; every
+    diagonal block of ``source``, and of ``target``, holds the same
+    number of elements of one shape, as in ``duality.gelfand``.  Raises
+    ``InvalidFunctor`` as ``functor_image`` does, for the first object
+    whose identity is not in its block."""
+    ids = source.object_ids
+    src = np.array([source.block(o, o) for o in ids], dtype=complex)
+    d = src.shape[-1]
+    member, residual, coeffs = _project(
+        src, np.broadcast_to(np.eye(d), (len(ids), 1, d, d)), tol
+    )
+    if not member.all():
+        f = int(np.argmin(member[:, 0]))
+        raise InvalidFunctor(
+            f"element not in source block ({ids[f]},{ids[f]}) "
+            f"(residual {residual[f, 0]:.3e})"
+        )
+    maps = np.array([phi.block_maps[(o, o)] for o in ids])
+    tgt = np.array([target.block(phi.object_map[o], phi.object_map[o]) for o in ids])
+    img = _combine(coeffs @ np.swapaxes(maps, -1, -2), tgt, tgt.shape[-2:])
+    return np.linalg.norm(img[:, 0] - np.eye(tgt.shape[-1]), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

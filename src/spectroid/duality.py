@@ -39,7 +39,6 @@ from .cstarcat import (
     MatrixCategory,
     StarFunctor,
     _check_block_maps,
-    _stack,
     check_axioms,
     is_commutative,
     is_full,
@@ -117,6 +116,8 @@ class SpectrumResult:
 
     * ``ranks`` ``(k,)``: class ``i`` owns the columns ``starts[i] :
       starts[i] + ranks[i]`` of every basis;
+    * ``elements`` ``(o, o, k, d, d)``: every block's basis as one
+      stack, the category's blocks as the spectrum read them;
     * ``bases`` ``(o, d, d)``: the class-ordered bases, the anchor's
       joint eigenbasis and its transports to the other objects;
     * ``compressions`` ``(o, o, k, d, d)``: each block's basis
@@ -134,6 +135,7 @@ class SpectrumResult:
     spaceoid: SpaceoidData
     category: MatrixCategory = field(repr=False)
     ranks: np.ndarray
+    elements: np.ndarray = field(repr=False)
     bases: np.ndarray = field(repr=False)
     compressions: np.ndarray = field(repr=False)
     block_maps: np.ndarray = field(repr=False)
@@ -240,11 +242,12 @@ def _rank_groups(ranks: np.ndarray):
         yield cls, starts[cls][:, None] + np.arange(r)
 
 
-def _transported_bases(c, eig, tol) -> tuple:
+def _transported_bases(x, ids, eig, tol) -> tuple:
     """The anchor's class-ordered joint eigenbasis ``U`` and, for every
     other object B, its classes carried along block (anchor, B), as one
     ``(o, d, d)`` stack, and the ``(o,)`` HS norms of their unitarity
-    defects ``V* V - I``.
+    defects ``V* V - I``; ``x`` is the category's ``(o, o, k, d, d)``
+    stack of blocks, object axes in the order of ``ids``.
 
     B's class-``i`` columns are the polar factor of ``e* U^i``, with
     ``e`` the first basis element whose class-``i`` slice ``U^i* e``
@@ -255,18 +258,13 @@ def _transported_bases(c, eig, tol) -> tuple:
     when a transported basis's defect exceeds ``SPECTRAL_SLACK * tol *
     (1 + d)``.
     """
-    ids, u = c.object_ids, eig.unitary
+    u = eig.unitary
     d = u.shape[1]
-    for o in ids[1:]:
-        if c.dim(o) != d:
-            raise AmbiguousMatching(
-                f"the anchor's classes have total rank {d} but {o} has dimension {c.dim(o)}"
-            )
     bases = np.broadcast_to(u, (len(ids), d, d)).copy()
     if len(ids) > 1:
         # t[b, e]: the elements of block (anchor, B) in the anchor's basis;
         # sq[b, e, i]: the squared norms of their class slices
-        t = _adjoints(u) @ np.stack([_stack(c, ids[0], b) for b in ids[1:]])
+        t = _adjoints(u) @ x[0, 1:]
         sq = np.add.reduceat(np.sum(np.abs(t) ** 2, axis=-1), eig.starts, axis=-1)
         pick = np.argmax(sq >= sq.max(axis=1, keepdims=True) / 2, axis=1)
         best = t[np.arange(len(t))[:, None], pick]  # (o - 1, k, d, d)
@@ -356,10 +354,14 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
             raise NotOneDimensional(
                 f"block ({a},{b}) has dimension {c.block_dim(a, b)} for {k} classes"
             )
-    bases, delta = _transported_bases(c, eig, tol)
-
-    n_obj, d = bases.shape[:2]
-    x = np.reshape([_stack(c, a, b) for a, b in c.pairs()], (n_obj, n_obj, k, d, d))
+    n_obj, d = len(ids), eig.unitary.shape[1]
+    for o in ids[1:]:
+        if c.dim(o) != d:
+            raise AmbiguousMatching(
+                f"the anchor's classes have total rank {d} but {o} has dimension {c.dim(o)}"
+            )
+    x = np.reshape([c.block(a, b) for a, b in c.pairs()], (n_obj, n_obj, k, d, d))
+    bases, delta = _transported_bases(x, ids, eig, tol)
     comp = _adjoints(bases)[:, None, None] @ x @ bases[None, :, None]
     # coeffs[A, B, j, p] = c_p(e_j), the block maps with elements first
     coeffs = _class_means(np.diagonal(comp, axis1=-2, axis2=-1), eig.sizes)
@@ -368,6 +370,7 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
         spaceoid=SpaceoidData(points, ids, np.ones((k, n_obj, n_obj, n_obj), dtype=complex)),
         category=c,
         ranks=eig.sizes,
+        elements=x,
         bases=bases,
         compressions=comp,
         block_maps=np.swapaxes(coeffs, -1, -2),
@@ -756,6 +759,7 @@ class _Compressions(NamedTuple):
     object dimension (see :func:`_product_bounds`)."""
 
     maps: np.ndarray  # (o, o, n, n) the functor's block maps c, classes first
+    rows: np.ndarray  # (o, o, n, d*d) the basis elements e, as rows
     resid: np.ndarray  # (o, o, n, d*d) rows of T(e) - blockdiag_p(c_p(e) I)
     eta: np.ndarray  # (o, o, n) their HS norms
     nu: np.ndarray  # (o, o, n) max_p |c_p(e)|
@@ -765,16 +769,15 @@ class _Compressions(NamedTuple):
     sv: np.ndarray  # (o, o, n) singular values of the block maps, NaN if not finite
 
 
-def _compressions(c, spec, maps) -> _Compressions:
+def _compressions(spec, maps) -> _Compressions:
     """Measure every basis element's compression into the class-ordered
     bases of its objects, ``T(e) = U_A* e U_B`` (as ``spectrum`` formed
-    it), against the model ``blockdiag_p(c_p(e) I)`` built from the
-    functor's own block maps ``maps``, ``(o, o, n, n)``."""
+    it, from the blocks it stacked), against the model
+    ``blockdiag_p(c_p(e) I)`` built from the functor's own block maps
+    ``maps``, ``(o, o, n, n)``."""
     u = spec.bases
     n, d = maps.shape[-1], u.shape[-1]
-    rows = np.reshape(
-        [_stack(c, a, b) for a, b in c.pairs()], maps.shape[:2] + (n, d * d)
-    )
+    rows = spec.elements.reshape(maps.shape[:2] + (n, d * d))
     resid = _residual_rows(spec.compressions, np.swapaxes(maps, -1, -2), spec.ranks)
     finite = np.isfinite(maps).all(axis=(-2, -1))
     sv = np.full(maps.shape[:-1], np.nan)
@@ -782,6 +785,7 @@ def _compressions(c, spec, maps) -> _Compressions:
         sv[finite] = np.linalg.svd(maps[finite], compute_uv=False)
     return _Compressions(
         maps=maps,
+        rows=rows,
         resid=resid,
         eta=np.linalg.norm(resid, axis=-1),
         nu=np.abs(maps).max(axis=2),
@@ -995,7 +999,7 @@ def gelfand(
         object_map={o: o for o in c.object_ids},
         block_maps={(a, b): maps[spec._index(a, b)] for a, b in c.pairs()},
     )
-    q = _compressions(c, spec, maps)
+    q = _compressions(spec, maps)
     functor, axioms = _certificates(q, tol)
     if _axioms is not None:
         _axioms.append(axioms)
@@ -1008,11 +1012,11 @@ def gelfand(
         np.all(q.sv > q.sv.max(axis=-1, keepdims=True) * q.sv.shape[-1] * _EPS)
     )
     report.add("block-bijective", bijective)
-    report.check("isometric", _isometry_devs(c, q, tol, seed), ISOMETRY_SLACK * tol)
+    report.check("isometric", _isometry_devs(q, tol, seed), ISOMETRY_SLACK * tol)
     return GelfandResult(spec, sec, phi, report)
 
 
-def _isometry_devs(c, q: _Compressions, tol, seed) -> np.ndarray:
+def _isometry_devs(q: _Compressions, tol, seed) -> np.ndarray:
     """``gelfand``'s isometry deviations, ``(o, o, 3)``: the proven
     bounds when every one clears, else every ``| ||x||_op - max_p
     |xhat_p| |``, the combinations formed as one stack."""
@@ -1023,9 +1027,8 @@ def _isometry_devs(c, q: _Compressions, tol, seed) -> np.ndarray:
     bound = _isometry_bounds(q, z, tops)
     if np.all(CERT_SLACK * bound <= ISOMETRY_SLACK * tol):
         return bound
-    rows = np.reshape([_stack(c, a, b) for a, b in c.pairs()], q.resid.shape)
-    d = math.isqrt(rows.shape[-1])
-    x = (z @ rows).reshape(tops.shape + (d, d))
+    d = math.isqrt(q.rows.shape[-1])
+    x = (z @ q.rows).reshape(tops.shape + (d, d))
     return np.abs(np.linalg.norm(x, 2, axis=(-2, -1)) - tops)
 
 

@@ -126,7 +126,7 @@ def _normal_eig_core(a: np.ndarray, threshold: float):
         ki = sub.conj().T @ im_part @ sub
         _, v = np.linalg.eigh((ki + ki.conj().T) / 2.0)
         u[:, grp] = sub @ v
-    evals = np.einsum("ij,jk,ki->i", u.conj().T, a, u)
+    evals = (u.conj() * (a @ u)).sum(0)
     return evals, u
 
 
@@ -522,31 +522,38 @@ class OrthoBasis(NamedTuple):
 
 
 def _rows(mats) -> np.ndarray:
-    """A non-empty stack of equal-shape matrices (a sequence, or one
-    ``(n, d_A, d_B)`` array) as the rows of an ``(n, d_A*d_B)`` array."""
+    """A stack of equal-shape matrices (a sequence, or one ``(..., n,
+    d_A, d_B)`` array) as the rows of an ``(..., n, d_A*d_B)`` array."""
     x = np.asarray(mats, dtype=complex)
-    if x.ndim != 3:
+    if x.ndim < 3:
         raise ValueError(f"expected a stack of 2-d arrays, got shape {x.shape}")
-    return x.reshape(x.shape[0], x.shape[1] * x.shape[2])
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norms of ``x`` along its last axis: the expression
+    ``np.linalg.norm(x, axis=-1)`` evaluates, without its wrapper."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 def _project(basis, mats, tol: float):
-    """Batched :func:`hs_member`: every matrix of a non-empty stack
-    against one HS-orthonormal basis of the same shape.
+    """Batched :func:`hs_member`: every matrix of a stack against one
+    HS-orthonormal basis of the same shape, or, with leading axes, every
+    stack against its own basis (the leading axes broadcast).
 
     Returns ``(member, residual, coeffs)`` arrays with one entry (one
-    row of ``coeffs``) per matrix, ``coeffs[i, k] = <basis[k],
-    mats[i]>``.
+    row of ``coeffs``) per matrix, ``coeffs[..., i, k] = <basis[...,
+    k], mats[..., i]>``.
     """
     x = _rows(mats)
     if len(basis):
         q = _rows(basis)
-        coeffs = x @ q.conj().T
-        residual = np.linalg.norm(x - coeffs @ q, axis=1)
+        coeffs = x @ np.swapaxes(q.conj(), -1, -2)
+        residual = _row_norms(x - coeffs @ q)
     else:
-        coeffs = np.zeros((len(x), 0), dtype=complex)
-        residual = np.linalg.norm(x, axis=1)
-    member = residual <= tol * (1.0 + np.linalg.norm(x, axis=1))
+        coeffs = np.zeros(x.shape[:-1] + (0,), dtype=complex)
+        residual = _row_norms(x)
+    member = residual <= tol * (1.0 + _row_norms(x))
     return member, residual, coeffs
 
 
@@ -582,7 +589,7 @@ def _extend(basis, mats, tol: float, best_first: bool = False) -> list:
     rows = _rows(stack)
     if not np.isfinite(rows).all():
         raise ValueError("non-finite entries in Gram-Schmidt input")
-    cut = tol * (1.0 + np.linalg.norm(rows, axis=1))
+    cut = tol * (1.0 + _row_norms(rows))
     room = rows.shape[1] - len(basis)
     if len(basis):
         old = _rows(basis)
@@ -591,19 +598,21 @@ def _extend(basis, mats, tol: float, best_first: bool = False) -> list:
             rows -= (rows @ old_h) @ old
     new: list[np.ndarray] = []
     while len(new) < room:
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
         live = norms > cut
-        rows, cut = rows[live], cut[live]
+        if not live.all():
+            rows, cut, norms = rows[live], cut[live], norms[live]
         if not len(rows):
             break
-        k = (norms[live] / cut).argmax() if best_first else 0
+        k = (norms / cut).argmax() if best_first else 0
         q = rows[k] / np.linalg.norm(rows[k])
         new.append(q.reshape(shape))
         if k:  # row 0 fills the chosen slot, so rows[1:] drops the chosen row
             rows[k], cut[k] = rows[0], cut[0]
         rows, cut = rows[1:], cut[1:]
+        q_conj = q.conj()
         for _ in range(2):
-            rows -= np.outer(rows @ q.conj(), q)
+            rows -= (rows @ q_conj)[:, None] * q
     return new
 
 

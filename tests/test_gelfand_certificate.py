@@ -18,6 +18,7 @@ from spectroid import duality as du
 from spectroid import groups, selftest
 from spectroid import spaceoid as sp
 from spectroid.config import AXIOM_SLACK, CERT_SLACK, FUNCTOR_SLACK, ISOMETRY_SLACK
+from spectroid.errors import InvalidFunctor
 from spectroid.reporting import Report
 
 TOL = 1e-9
@@ -130,7 +131,7 @@ def test_certified_pairs_bound_their_explicit_defects(name, scale):
     spec, sec, maps = gelfand_parts(cat)
     ids = cat.object_ids
     maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
-    q = du._compressions(cat, spec, maps)
+    q = du._compressions(spec, maps)
     mult, outside = du._product_bounds(q)
     certified, _ = du._certificates(q, TOL)
     explicit = explicit_products(cat, sec, maps)
@@ -172,7 +173,7 @@ def test_certified_adjoints_bound_their_explicit_defects(name, scale):
     spec, sec, maps = gelfand_parts(cat)
     ids = cat.object_ids
     maps = planted(maps, (0, -1), scale, np.random.default_rng(7))
-    q = du._compressions(cat, spec, maps)
+    q = du._compressions(spec, maps)
     inv, outside = du._adjoint_bounds(q)
     certified, axioms = du._certificates(q, TOL)
     explicit = explicit_adjoints(cat, sec, maps)
@@ -215,7 +216,7 @@ def test_one_bad_pair_among_many_is_named_as_before():
     # times the bound
     maps = maps.copy()
     maps[0, 0, :, k] *= 1 + 10 * BOUND
-    q = du._compressions(cat, spec, maps)
+    q = du._compressions(spec, maps)
     certified, _ = du._certificates(q, TOL)
     mult = du._product_bounds(q)[0][0, 0, 0]
     assert not CERT_SLACK * mult[k, k] <= BOUND
@@ -304,12 +305,19 @@ def test_roundtrip_matches_its_parts_run_apart(name):
     assert [(c.name, c.passed) for c in report.checks] == [
         (c.name, c.passed) for c in apart.checks
     ]
-    # a certified check's value is at least the residual formed explicitly
+    # a certified check's value is at least the residual formed
+    # explicitly; a measured one, batched in the round trip, is that
+    # residual up to rounding
     explicit = {"input-" + c.name: c for c in axioms.checks}
     functor = cc.validate_functor(g.functor, cat, g.sections, TOL)
     explicit.update({"gelfand-functor-" + c.name: c for c in functor.checks})
+    measured = {"input-orthonormal-bases", "input-units", "gelfand-functor-units"}
     for c in report.checks:
-        assert c.residual >= explicit.get(c.name, c).residual, c.name
+        want = explicit.get(c.name, c).residual
+        if c.name in measured:
+            assert c.residual == pytest.approx(want, rel=0, abs=1e-14), c.name
+        else:
+            assert c.residual >= want, c.name
     # and so is every certified item's
     bounds = []
     du.gelfand(cat, TOL, _axioms=bounds)
@@ -323,6 +331,140 @@ def test_roundtrip_matches_its_parts_run_apart(name):
         assert np.all(adj[tuple(at[o] for o in key)] >= resid), key
     for key, (_, resid) in products.items():
         assert np.all(prod[tuple(at[o] for o in key)] >= resid), key
+
+
+def _reversed_blocks(cat):
+    """``cat`` with its ``blocks`` dict in reverse row-major order."""
+    return cc.MatrixCategory(cat.objects, dict(reversed(cat.blocks.items())), cat.unital)
+
+
+AXIOM_CASES = {
+    **RANDOM,
+    **CATEGORIES,
+    "linking-reversed": lambda: _reversed_blocks(_scrambled(_linking(), 11)),
+    "groupoid-reversed": lambda: _reversed_blocks(_groupoid(3, groups.cyclic(4))),
+}
+
+
+def _axiom_bounds(cat):
+    """``gelfand``'s bounds for ``check_axioms``' ``_certified``."""
+    bounds = []
+    du.gelfand(cat, TOL, _axioms=bounds)
+    assert bounds[0] is not None
+    return bounds[0]
+
+
+def _bound_checks(cat, bounds) -> Report:
+    """The closure checks the bounds stand in for, read pair by pair in
+    the order of ``cat.blocks`` and triple by triple in object order."""
+    adj, prod = bounds
+    ids = cat.object_ids
+    at = {o: i for i, o in enumerate(ids)}
+    pairs = list(cat.blocks)
+    triples = list(itertools.product(ids, repeat=3))
+    report = Report()
+    report.check(
+        "adjoint-closure",
+        [adj[at[a], at[b]].max() for a, b in pairs],
+        AXIOM_SLACK * TOL,
+        lambda i: "({},{})".format(*pairs[i]),
+    )
+    report.check(
+        "composition-closure",
+        [prod[at[a], at[b], at[c]].max() for a, b, c in triples],
+        AXIOM_SLACK * TOL,
+        lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
+    )
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_CASES))
+def test_certified_axioms_match_the_block_by_block_checks(name):
+    cat = AXIOM_CASES[name]()
+    bounds = _axiom_bounds(cat)
+    got = cc.check_axioms(cat, TOL, _certified=bounds).checks
+    explicit = cc.check_axioms(cat, TOL).checks
+    assert [(c.name, c.passed, c.bound) for c in got] == [
+        (c.name, c.passed, c.bound) for c in explicit
+    ]
+    # the closure checks report the bounds, labelled by their pairs and
+    # triples; the others measure what the explicit checks measure
+    closure = {c.name: c for c in _bound_checks(cat, bounds).checks}
+    for c, e in zip(got, explicit):
+        if c.name in closure:
+            assert c == closure[c.name]
+        else:
+            assert c.detail == e.detail
+            assert abs(c.residual - e.residual) <= 1e-14, (c, e)
+    if "reversed" in name:
+        # values read in row-major order but labelled from cat.blocks
+        # would name another pair
+        at = {o: i for i, o in enumerate(cat.object_ids)}
+        row_major = [bounds[0][at[a], at[b]].max() for a, b in cat.pairs()]
+        mislabel = "({},{})".format(*list(cat.blocks)[int(np.argmax(row_major))])
+        assert closure["adjoint-closure"].detail not in ("", mislabel)
+
+
+def _with_block(cat, pair, basis):
+    blocks = {key: list(b) for key, b in cat.blocks.items()}
+    blocks[pair] = basis
+    return cc.MatrixCategory(cat.objects, blocks, cat.unital)
+
+
+def _unit_plants(cat):
+    """Block (B1, B1) of a linking chain, E_00, E_11, E_22, without the
+    identity in its span: E_11 removed, or replaced by E_01, which keeps
+    the basis orthonormal and every block's shape."""
+    e = list(cat.block("B1", "B1"))
+    off = np.zeros_like(e[0])
+    off[0, 1] = 1.0
+    return {
+        "removed": _with_block(cat, ("B1", "B1"), [e[0], e[2]]),
+        "replaced": _with_block(cat, ("B1", "B1"), [e[0], off, e[2]]),
+    }
+
+
+def test_certified_axioms_catch_a_planted_basis_scale():
+    cat = _linking()
+    bounds = _axiom_bounds(cat)
+    basis = list(cat.block("B1", "B2"))
+    basis[1] = basis[1] * (1 + 1e-6)
+    bad = _with_block(cat, ("B1", "B2"), basis)
+    got = _check(cc.check_axioms(bad, TOL, _certified=bounds), "orthonormal-bases")
+    want = _check(cc.check_axioms(bad, TOL), "orthonormal-bases")
+    assert not got.passed
+    assert got.residual == pytest.approx(want.residual, rel=1e-9)
+
+
+@pytest.mark.parametrize("plant", ["removed", "replaced"])
+def test_certified_axioms_catch_a_planted_missing_unit(plant):
+    cat = _linking()
+    bounds = _axiom_bounds(cat)
+    bad = _unit_plants(cat)[plant]
+    got = _check(cc.check_axioms(bad, TOL, _certified=bounds), "units")
+    want = _check(cc.check_axioms(bad, TOL), "units")
+    assert not got.passed
+    assert got.residual == pytest.approx(want.residual, rel=1e-12)
+
+
+def test_certified_functor_units_match_and_catch_a_planted_defect():
+    cat = _linking()
+    spec, sec, maps = gelfand_parts(cat)
+    certified, _ = du._certificates(du._compressions(spec, maps), TOL)
+    assert certified is not None
+    # phi(1) scaled by 1 + 1e-6 at the first object
+    maps = maps.copy()
+    maps[0, 0] *= 1 + 1e-6
+    phi = functor(cat, maps)
+    got = _check(cc.validate_functor(phi, cat, sec, TOL, _certified=certified), "units")
+    want = _check(cc.validate_functor(phi, cat, sec, TOL), "units")
+    assert not got.passed
+    assert got.residual == pytest.approx(want.residual, rel=1e-9)
+    # an identity outside its block raises, as functor_image does
+    with pytest.raises(InvalidFunctor, match=r"source block \(B1,B1\)"):
+        cc.validate_functor(
+            phi, _unit_plants(cat)["replaced"], sec, TOL, _certified=certified
+        )
 
 
 def _explicit_work(monkeypatch, cat):
@@ -378,22 +520,19 @@ def _nan_at(arr, index=0):
     return out
 
 
-def _plant_nan(where, cat, spec, maps):
+def _plant_nan(where, spec, maps):
     """One NaN in one input of the certificate; returns the inputs."""
-    a = cat.object_ids[0]
     if where == "block-map":
         maps = maps.copy()
         maps[0, 0] = _nan_at(maps[0, 0], 1)
-    elif where == "basis":
-        blocks = dict(cat.blocks)
-        blocks[(a, a)] = [_nan_at(blocks[(a, a)][0], 3)] + blocks[(a, a)][1:]
-        cat = cc.MatrixCategory(cat.objects, blocks, cat.unital)
+    elif where == "basis":  # entry 3 of the first block's first element
+        spec = dataclasses.replace(spec, elements=_nan_at(spec.elements, 3))
     elif where == "bases":
         spec = dataclasses.replace(spec, bases=_nan_at(spec.bases, 2))
     elif where == "compressions":
         comp = _nan_at(spec.compressions, 5)
         spec = dataclasses.replace(spec, compressions=comp)
-    return cat, spec, maps
+    return spec, maps
 
 
 NAN_INPUTS = ["block-map", "basis", "bases", "compressions"]
@@ -406,8 +545,8 @@ NAN_INPUTS = ["block-map", "basis", "bases", "compressions"]
 def test_nan_in_any_input_certifies_nothing(make, where):
     # one object, so every pair and every combination reads every input
     spec, _, maps = gelfand_parts(make())
-    cat, spec, maps = _plant_nan(where, make(), spec, maps)
-    q = du._compressions(cat, spec, maps)
+    spec, maps = _plant_nan(where, spec, maps)
+    q = du._compressions(spec, maps)
     functor, axioms = du._certificates(q, TOL)
     assert functor is None
     inv, outside = du._adjoint_bounds(q)
@@ -448,12 +587,12 @@ def test_isometry_bounds_hold_and_large_defects_stay_explicit(name, scale):
     # on combinations of operator norm about 1-3
     maps = maps.copy()
     maps[0, -1] *= 1 + scale * ISOMETRY_SLACK * TOL / 2
-    q = du._compressions(cat, spec, maps)
+    q = du._compressions(spec, maps)
     # a NaN unitarity defect certifies nothing: every deviation explicit
     explicit = du._isometry_devs(
-        cat, q._replace(delta=np.full_like(q.delta, np.nan)), TOL, seed=3
+        q._replace(delta=np.full_like(q.delta, np.nan)), TOL, seed=3
     )
-    reported = du._isometry_devs(cat, q, TOL, seed=3)
+    reported = du._isometry_devs(q, TOL, seed=3)
     assert np.all(reported >= explicit)
     large = explicit >= ISOMETRY_SLACK * TOL
     assert np.array_equal(reported[large], explicit[large])

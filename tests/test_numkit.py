@@ -1110,6 +1110,111 @@ def test_hs_orthonormalize_matches_reference_loop(seed, count):
         assert np.allclose(b, w, atol=1e-11)
 
 
+def kernel_extend(basis, mats, tol, best_first=False):
+    """The Gram-Schmidt kernel as written with ``np.linalg.norm`` row
+    norms, a compacting copy of the survivors on every step and an
+    ``np.outer`` rank-one update; ``numkit._extend`` must match it bit
+    for bit."""
+    stack = np.array(mats, dtype=complex)
+    shape = stack.shape[1:]
+    rows = stack.reshape(len(stack), -1)
+    cut = tol * (1.0 + np.linalg.norm(rows, axis=1))
+    room = rows.shape[1] - len(basis)
+    if len(basis):
+        old = np.asarray(basis, dtype=complex).reshape(len(basis), -1)
+        old_h = old.conj().T
+        for _ in range(2):
+            rows -= (rows @ old_h) @ old
+    new = []
+    while len(new) < room:
+        norms = np.linalg.norm(rows, axis=1)
+        live = norms > cut
+        rows, cut = rows[live], cut[live]
+        if not len(rows):
+            break
+        k = (norms[live] / cut).argmax() if best_first else 0
+        q = rows[k] / np.linalg.norm(rows[k])
+        new.append(q.reshape(shape))
+        if k:
+            rows[k], cut[k] = rows[0], cut[0]
+        rows, cut = rows[1:], cut[1:]
+        for _ in range(2):
+            rows -= np.outer(rows @ q.conj(), q)
+    return new
+
+
+def kernel_project(basis, mats, tol):
+    """``numkit._project`` as written with ``np.linalg.norm`` row norms."""
+    x = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
+    if len(basis):
+        q = np.asarray(basis, dtype=complex).reshape(len(basis), -1)
+        coeffs = x @ q.conj().T
+        residual = np.linalg.norm(x - coeffs @ q, axis=1)
+    else:
+        coeffs = np.zeros((len(x), 0), dtype=complex)
+        residual = np.linalg.norm(x, axis=1)
+    member = residual <= tol * (1.0 + np.linalg.norm(x, axis=1))
+    return member, residual, coeffs
+
+
+def kernel_stack(seed):
+    """A random ``(n, d_A, d_B)`` stack and an HS-orthonormal basis of
+    the same shape (possibly empty): by ``seed % 4`` independent,
+    dependent (every third a combination of the ones before),
+    rank-deficient, or rank-deficient with noise near the drop cut; on
+    odd ``seed // 4`` every matrix is scaled by 10^u, u uniform in [-8,
+    8]."""
+    rng = np.random.default_rng([seed, 0x6D5])
+    d_a, d_b = (int(v) for v in rng.integers(1, 5, size=2))
+    n = int(rng.integers(1, 2 * d_a * d_b + 2))
+    kind = seed % 4
+    if kind == 0:
+        mats = rand_matrix(rng, n * d_a, d_b).reshape(n, d_a, d_b)
+    elif kind == 1:
+        mats = list(rand_matrix(rng, n * d_a, d_b).reshape(n, d_a, d_b))
+        for k in range(2, n, 3):
+            mats[k] = sum(rng.normal() * m for m in mats[:k])
+        mats = np.array(mats)
+    else:
+        r = int(rng.integers(1, d_a * d_b + 1))
+        span = rand_matrix(rng, r, d_a * d_b)
+        mats = (rand_matrix(rng, n, r) @ span).reshape(n, d_a, d_b)
+        if kind == 3:
+            mats = mats + rand_matrix(rng, n * d_a, d_b, 10.0 ** rng.uniform(-11, -7)).reshape(
+                n, d_a, d_b
+            )
+    if (seed // 4) % 2:
+        mats = mats * 10.0 ** rng.uniform(-8, 8, size=(n, 1, 1))
+    extra = rand_matrix(rng, d_a * int(rng.integers(0, d_a * d_b)), d_b)
+    basis = kernel_extend([], extra.reshape(-1, d_a, d_b), 1e-9) if len(extra) else []
+    return basis, mats
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_gram_schmidt_kernel_matches_its_unwrapped_form_bit_for_bit(chunk):
+    # 8 chunks of 60 stacks: 480 stacks, each kind 120 times
+    for seed in range(60 * chunk, 60 * (chunk + 1)):
+        basis, mats = kernel_stack(seed)
+        for tol in (1e-9, 1e-12):
+            for best_first in (False, True):
+                assert_same_bits(
+                    numkit._extend(basis, mats, tol, best_first),
+                    kernel_extend(basis, mats, tol, best_first),
+                )
+            assert_same_bits(numkit._project(basis, mats, tol), kernel_project(basis, mats, tol))
+            got = numkit.hs_orthonormalize(mats, tol)
+            assert_same_bits(got.basis, kernel_extend([], mats, tol))
+            assert got.rank == len(got.basis)
+        rows = mats.reshape(len(mats), -1)
+        assert np.array_equal(numkit._row_norms(rows), np.linalg.norm(rows, axis=1))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_hs_orthonormalize_rejects_non_finite(bad):
     m = np.eye(2, dtype=complex)
