@@ -145,40 +145,43 @@ def close(
     adjoined or when every object identity already lies in the closed
     diagonal span.
 
+    The span stays *-symmetric: block ``(B, A)`` is the adjoints of
+    block ``(A, B)``, so only the blocks on or above the diagonal, in
+    object order, grow.  Each starts as its generators followed by the
+    adjoints of its mirror's, orthonormalized in that order.
+
     Rounds are semi-naive.  Spans only grow, so an adjoint or product
     of elements all present a round ago already lies in the span it was
-    tested against then.  A round offers only the adjoints of new
-    elements and the products with a new factor, in row-major order;
-    ``numkit._extend`` appends their new directions to the kept basis,
-    best-conditioned first: each step keeps the candidate whose residual
-    is largest relative to its drop cut, so a direction that is nearly
-    dependent on the basis is never taken while a cleaner candidate for
-    it is on offer, and its rounding is not kept as a new direction.
-    The generators themselves are orthonormalized in input order.
+    tested against then.  A round offers these blocks only the products
+    with a new factor, from any blocks, and the diagonal blocks the
+    adjoints of their new elements, in row-major order; ``_extend``
+    appends their new directions to the kept basis, best-conditioned
+    first: each step keeps the candidate whose residual is largest
+    relative to its drop cut, so a direction that is nearly dependent
+    on the basis is never taken while a cleaner candidate for it is on
+    offer, and its rounding is not kept as a new direction.  The blocks
+    below then follow their mirrors (``x y = (y* x*)*``).
 
     Rounds stop when the generators act on the span.  Let G be the
-    orthonormalized generators and their adjoints, one stack per pair,
-    and call the elements added since the last round fresh.  Before
-    round 0, and before every round from round 2 on, ``_generators_act``
-    tests that the adjoint of every fresh element and every product ``g
-    y`` of ``g`` in G with ``y`` fresh lie in the span, under
-    ``_project``'s drop rule; when they all do, ``close`` stops without
-    the round, which would add nothing.  Proof: a span that contains G
-    and is closed under adjoints and under left multiplication by G
-    contains every word in the generators, so it is the closure.  Before
-    round 0 every element is fresh, and G is the span's basis and its
-    adjoints.  From round r >= 2 on, the elements that are not fresh
-    were all there at round r - 1, so their adjoints and their pairwise
-    products have been offered; G lies in their span (its adjoints were
-    offered in round 0), so their products with G lie in the span too.
-    Before round 1 this fails: the products of the generators with the
-    generators' adjoints, new in round 0, are only offered in round 1,
-    so round 1 always runs.
+    starting blocks, which hold the generators and their adjoints, and
+    call the elements added since the last round fresh.  Before every
+    round, ``_generators_act`` tests that the adjoint of every fresh
+    diagonal element and every product ``g y`` of ``g`` in G with ``y``
+    fresh lie in the span, under ``_project``'s drop rule; when they
+    all do, ``close`` stops without the round, which would add nothing.
+    Proof: a span that contains G and is closed under adjoints and under
+    left multiplication by G contains every word in the generators, so
+    it is the closure.  Before round 0 every element is fresh, and G is
+    the span.  Before round r >= 1, the elements that are not fresh
+    were all there at round r - 1, so their adjoints and pairwise
+    products lie in the span: offered on and above the diagonal, and
+    mirrored below.  G is in their span, so their products with G are too.
     """
     tol = resolve_tol(tol)
     objects = tuple((str(o), int(d)) for o, d in presentation.objects)
     dims = dict(objects)
     ids = [o for o, _ in objects]
+    rank = {o: i for i, o in enumerate(ids)}
 
     blocks: dict = {(a, b): [] for a in ids for b in ids}
     for (a, b), mats in presentation.generators.items():
@@ -196,32 +199,34 @@ def close(
         for o, d in objects:
             blocks[(o, o)].append(np.eye(d, dtype=complex))
 
-    # every block is one (n, d_A, d_B) stack while it closes
+    # every block is one (n, d_A, d_B) stack while it closes; row-major,
+    # a block above the diagonal is set before its mirror below
     for a, b in blocks:
-        basis = hs_orthonormalize(blocks[(a, b)], tol).basis
+        if rank[a] > rank[b]:
+            blocks[(a, b)] = _adjoints(blocks[(b, a)])
+            continue
+        mats = blocks[(a, b)] + [m.conj().T for m in blocks[(b, a)]]
+        basis = hs_orthonormalize(mats, tol).basis
         blocks[(a, b)] = np.array(basis, complex).reshape(len(basis), dims[a], dims[b])
-    gens = {
-        (a, b): np.concatenate([blocks[(a, b)], _adjoints(blocks[(b, a)])])
-        for a, b in blocks
-    }
+    gens = dict(blocks)
 
     # old[pair]: how many elements of the basis the last round multiplied.
-    # A round that adds no direction leaves nothing fresh, so from round
-    # 2 on the stop test passes before the next round: the loop ends
-    # within the dimension count plus two rounds.
+    # A round that adds no direction leaves nothing fresh, so the stop
+    # test passes before the next round: the loop ends within the
+    # dimension count plus two rounds.
     old = dict.fromkeys(blocks, 0)
     max_iters = sum(dims[a] * dims[b] for a in ids for b in ids) + 2
-    for r in range(max_iters):
-        if r != 1 and _generators_act(blocks, gens, old, ids, tol):
+    for _ in range(max_iters):
+        if _generators_act(blocks, gens, old, ids, tol):
             break
-        # a block that spans its whole space takes no candidates
+        # blocks on or above the diagonal take candidates, unless full
         candidates: dict = {
-            pair: [] for pair, basis in blocks.items()
-            if len(basis) < dims[pair[0]] * dims[pair[1]]
+            (a, b): [] for (a, b), basis in blocks.items()
+            if rank[a] <= rank[b] and len(basis) < dims[a] * dims[b]
         }
-        for (a, b), basis in blocks.items():
-            if len(basis) > old[(a, b)] and (b, a) in candidates:
-                candidates[(b, a)].append(_adjoints(basis[old[(a, b)]:]))
+        for (a, b), basis in blocks.items():  # off the diagonal, mirrors hold adjoints
+            if a == b and len(basis) > old[(a, b)] and (a, b) in candidates:
+                candidates[(a, b)].append(_adjoints(basis[old[(a, b)]:]))
         for a, b, c in itertools.product(ids, ids, ids):
             if (a, c) not in candidates:
                 continue
@@ -238,6 +243,9 @@ def close(
                 new = _extend(blocks[pair], np.concatenate(extra), tol, best_first=True)
                 if new:
                     blocks[pair] = np.concatenate([blocks[pair], new])
+        for a, b in candidates:  # the mirrors follow once the round is done
+            if a != b and len(blocks[(a, b)]) > old[(a, b)]:
+                blocks[(b, a)] = _adjoints(blocks[(a, b)])
     else:
         raise SpectroidError("closure did not stabilize (numerical drift?)")
 
@@ -250,19 +258,20 @@ def close(
 
 
 def _generators_act(blocks, gens, old, ids, tol) -> bool:
-    """True when the adjoints of the fresh elements (those of block
-    ``(a, b)`` past ``old[(a, b)]``) and the products ``g y`` of the
-    generator stacks ``gens`` with them lie in the span of their target
-    blocks, each within ``_project``'s drop rule; a full target block
-    holds everything.  The candidates of a target block go through one
-    ``_project``; the blocks are tested in increasing number of
-    candidates, and the test stops at the first that fails, so a test
-    that fails costs little."""
+    """True when the adjoints of the fresh diagonal elements (those of
+    block ``(a, a)`` past ``old[(a, a)]``) and the products ``g y`` of
+    the generator stacks ``gens`` with the fresh elements of every block
+    lie in the span of their target blocks, each within ``_project``'s
+    drop rule; a full target block holds everything, and off the
+    diagonal block ``(b, a)`` holds the adjoints of block ``(a, b)``.
+    The candidates of a target block go through one ``_project``; the
+    blocks are tested in increasing number of candidates, and the test
+    stops at the first that fails, so a test that fails costs little."""
     fresh = {pair: basis[old[pair]:] for pair, basis in blocks.items()}
 
     def size(pair):  # the number of candidates of a target block
         a, c = pair
-        return len(fresh[(c, a)]) + sum(
+        return (a == c) * len(fresh[(a, a)]) + sum(
             len(gens[(a, b)]) * len(fresh[(b, c)]) for b in ids
         )
 
@@ -271,8 +280,8 @@ def _generators_act(blocks, gens, old, ids, tol) -> bool:
         if len(basis) == basis.shape[1] * basis.shape[2]:
             continue
         tests = []
-        if len(fresh[(c, a)]):
-            tests.append(_adjoints(fresh[(c, a)]))
+        if a == c and len(fresh[(a, a)]):
+            tests.append(_adjoints(fresh[(a, a)]))
         for b in ids:
             if len(gens[(a, b)]) and len(fresh[(b, c)]):
                 tests.append(_products(gens[(a, b)], fresh[(b, c)]))

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectroid import cstarcat, groups, numkit, selftest
+from spectroid import cstarcat, groups, numkit, selftest, serial
 from spectroid.cstarcat import (
     CategoryPresentation,
     StarFunctor,
@@ -23,6 +25,9 @@ from spectroid.cstarcat import (
 )
 from spectroid.errors import InvalidFunctor, InvalidGroupoid, NotNormal
 from spectroid.groups import groupoid_report, validate_groupoid
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +377,23 @@ once_cases = pytest.mark.parametrize(
 
 
 def _record_close(monkeypatch, pres):
-    """Close ``pres`` recording what is made and where.  The adjoints of
-    the generator stacks are made once, before the first stop test;
-    the stop test's products and adjoints (``_generators_act``) and the
-    rounds' candidates are kept apart.  A round is a run of ``_extend``
-    calls between two batches of made candidates."""
+    """Close ``pres`` recording what is made and where.  The set-up and
+    the ends of rounds sync the blocks below the diagonal, as the
+    adjoints of their mirrors; the stop test's products and adjoints
+    (``_generators_act``) and the rounds' candidates are kept apart
+    from those syncs.  A round is a run of ``_extend`` calls between two
+    batches of made candidates, and an ``_adjoints`` call that follows
+    ``_extend`` calls is a sync."""
     products, adjoints = cstarcat._products, cstarcat._adjoints
     extend, project, act = cstarcat._extend, cstarcat._project, cstarcat._generators_act
     made = {
         part: {"pairs": [], "adjoints": [], "made": 0}
         for part in ("setup", "test", "round")
     }
-    rec = {"part": "setup", "kernel": 0, "projected": 0, "rounds": [], "extending": False}
+    rec = {
+        "part": "setup", "kernel": 0, "projected": 0, "rounds": [], "extending": False,
+        "syncs": {"setup": [], "round": []}, "extended": [], "tests": [],
+    }
 
     def record_products(left, right):
         made[rec["part"]]["pairs"] += [np.append(x, y) for x in left for y in right]
@@ -393,8 +403,11 @@ def _record_close(monkeypatch, pres):
         return out
 
     def record_adjoints(mats):
-        made[rec["part"]]["adjoints"] += [np.ravel(x) for x in mats]
         out = adjoints(mats)
+        if rec["part"] == "setup" or (rec["part"] == "round" and rec["extending"]):
+            rec["syncs"][rec["part"]].append(out)
+            return out
+        made[rec["part"]]["adjoints"] += [np.ravel(x) for x in mats]
         made[rec["part"]]["made"] += len(out)
         rec["extending"] = False
         return out
@@ -402,7 +415,8 @@ def _record_close(monkeypatch, pres):
     def record_act(*args):
         rec["part"] = "test"
         try:
-            return act(*args)
+            rec["tests"].append(act(*args))
+            return rec["tests"][-1]
         finally:
             rec["part"] = "round"
 
@@ -412,6 +426,7 @@ def _record_close(monkeypatch, pres):
 
     def record_extend(basis, mats, tol, best_first=False):
         rec["kernel"] += len(mats)
+        rec["extended"].append(basis)
         new = extend(basis, mats, tol, best_first)
         if not rec["extending"]:
             rec["rounds"].append(False)
@@ -427,32 +442,148 @@ def _record_close(monkeypatch, pres):
     return close(pres), made, rec
 
 
+def _start(pres, a, b):
+    """Block (a, b)'s starting basis, for a at or before b: its
+    generators and the adjoints of block (b, a)'s, orthonormalized."""
+    gens = pres.generators
+    mats = list(gens.get((a, b), [])) + [m.conj().T for m in gens.get((b, a), [])]
+    return numkit.hs_orthonormalize(mats).basis
+
+
+def _upper(ids):
+    return [(a, b) for i, a in enumerate(ids) for b in ids[i:]]
+
+
 @once_cases
 def test_close_offers_each_product_and_adjoint_once(monkeypatch, pres):
-    _, made, rec = _record_close(monkeypatch, pres)
-    # the setup makes only the generators' adjoints, and the stop test
-    # projects everything it makes
-    n_gens = sum(len(numkit.hs_orthonormalize(g).basis) for g in pres.generators.values())
-    assert made["setup"]["made"] == len(made["setup"]["adjoints"]) == n_gens
+    cat, made, rec = _record_close(monkeypatch, pres)
+    ids = cat.object_ids
+    # the set-up makes no product and no candidate: its adjoints are the
+    # blocks below the diagonal, synced from their mirrors
+    assert made["setup"] == {"pairs": [], "adjoints": [], "made": 0}
+    lower = [(b, a) for i, b in enumerate(ids) for a in ids[:i]]  # row-major
+    assert [len(x) for x in rec["syncs"]["setup"]] == [len(_start(pres, a, b)) for b, a in lower]
+    # the stop test projects everything it makes
     assert made["test"]["made"] == rec["projected"] > 0
-    # everything the kernel is offered is one of the rounds' candidates
+    # everything the kernel is offered is one of the rounds' candidates;
+    # a synced block is never extended, so every candidate targets a
+    # block on or above the diagonal
     assert made["round"]["made"] == rec["kernel"] > 0
+    syncs = rec["syncs"]["setup"] + rec["syncs"]["round"]
+    assert not any(basis is x for basis in rec["extended"] for x in syncs)
+    assert len(rec["extended"]) <= len(_upper(ids)) * len(rec["rounds"])
     assert not _repeats(made["round"]["adjoints"])
     assert not _repeats(made["round"]["pairs"])
 
 
 @once_cases
 def test_close_runs_no_round_that_adds_nothing(monkeypatch, pres):
-    # the semi-naive rounds add the reference's spans round by round; a
-    # close that ran until a round added nothing would run one round
-    # more than the reference's adding rounds, and the stop test saves it
+    # the semi-naive rounds add the reference's spans round by round,
+    # one round ahead: the starting blocks already hold the generators'
+    # adjoints, which the reference offers in its round 0.  Every round
+    # adds a direction, and the stop test ends close after the last one
     cat, _, rec = _record_close(monkeypatch, pres)
     ref_rounds = []
     assert_same_closure(cat, reference_close(pres, rounds=ref_rounds))
-    # the idle round is round 2 or later, where the stop test runs
     assert ref_rounds[-1] is False and all(ref_rounds[:-1])
     assert len(ref_rounds) >= 3
-    assert rec["rounds"] == ref_rounds[:-1]
+    assert rec["rounds"] == ref_rounds[:-2]
+    assert rec["tests"] == [False] * len(rec["rounds"]) + [True]
+
+
+def _is_star_symmetric(cat):
+    """Every block off the diagonal is bit for bit the adjoints of its
+    mirror."""
+    return all(
+        np.array_equal(
+            cstarcat._stack(cat, b, a), numkit._adjoints(cstarcat._stack(cat, a, b))
+        )
+        for a, b in cat.pairs() if a != b
+    )
+
+
+def test_close_keeps_the_category_deck_exactly_star_symmetric():
+    closes = 0
+    for seed in (101, 1, 2, 3, 4, 5):
+        for case in workloads.category_deck(seed):
+            stored = serial.parse("category", case.inputs[0])
+            pres = CategoryPresentation(
+                objects=stored.objects,
+                generators={k: list(v) for k, v in stored.blocks.items() if v},
+            )
+            assert _is_star_symmetric(close(pres, stored.unital, workloads.TOL))
+            closes += 1
+    assert closes == 6 * 43
+
+
+def _sided_presentation(name, rng):
+    """Random generators placed to exercise the blocks' mirrors: only
+    below the diagonal, independently on both sides, between objects of
+    different dimensions, or low-rank ones closed with units."""
+    def rand(m, n, rank=None):
+        x = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        if rank is not None:
+            x = x[:, :rank] @ (rng.standard_normal((rank, n)) + 0j)
+        return x
+
+    if name == "lower-only":
+        objects = (("A", 2), ("B", 3), ("C", 2))
+        gens = {("B", "A"): [rand(3, 2, 1)], ("C", "B"): [rand(2, 3, 1)], ("C", "A"): [rand(2, 2, 1)]}
+    elif name == "both-sides":
+        objects = (("A", 3), ("B", 3))
+        gens = {("A", "B"): [rand(3, 3, 1)], ("B", "A"): [rand(3, 3, 1)]}
+    elif name == "mixed-dims":
+        objects = (("A", 1), ("B", 4), ("C", 3))
+        gens = {("A", "B"): [rand(1, 4)], ("C", "B"): [rand(3, 4, 2)], ("C", "C"): [rand(3, 3, 1)]}
+    else:
+        objects = (("A", 4), ("B", 2))
+        gens = {("A", "A"): [rand(4, 4, 1)], ("B", "A"): [rand(2, 4, 1)]}
+    return CategoryPresentation(objects=objects, generators=gens)
+
+
+@pytest.mark.parametrize("name", ["lower-only", "both-sides", "mixed-dims", "unitized"])
+def test_close_from_generators_on_either_side_of_the_diagonal(name):
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        pres = _sided_presentation(name, rng)
+        unitize = name == "unitized"
+        got = close(pres, unitize=unitize)
+        assert_same_closure(got, reference_close(pres, unitize))
+        assert _is_star_symmetric(got)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stop_test_runs_before_round_1(monkeypatch, n):
+    # the starting blocks hold the generators and their adjoints, so a
+    # linking chain of two objects is closed after one round, and the
+    # test before round 1 stops close; on three objects it does not
+    pres = _chain_presentation(3, n, np.random.default_rng(53), True)
+    cat, _, rec = _record_close(monkeypatch, pres)
+    assert_same_closure(cat, reference_close(pres))
+    if n == 2:
+        assert rec["tests"] == [False, True] and rec["rounds"] == [True]
+    else:
+        assert rec["tests"][:2] == [False, False] and rec["rounds"][:2] == [True, True]
+
+
+@once_cases
+def test_stop_test_generators_repeat_no_direction(monkeypatch, pres):
+    # the stop test's generator stacks are the starting blocks, already
+    # closed under adjoints, so no direction enters a stack twice
+    act = cstarcat._generators_act
+    calls = []
+
+    def record_act(blocks, gens, *args):
+        calls.append((dict(blocks), gens))
+        return act(blocks, gens, *args)
+
+    monkeypatch.setattr(cstarcat, "_generators_act", record_act)
+    close(pres)
+    start, gens = calls[0]
+    assert all(g is gens for _, g in calls)
+    for pair, stack in gens.items():
+        assert np.array_equal(stack, start[pair])
+        assert not _repeats([np.ravel(g) for g in stack])
 
 
 @pytest.mark.parametrize("name", ["z5-algebra", "z5-algebra-unitized", "diagonal-unitized"])
@@ -522,11 +653,14 @@ def test_closing_a_closed_category_adds_nothing(scrambled):
             generators={p: list(b) for p, b in cat.blocks.items()},
         )
         again = close(pres)
-        for pair, basis in cat.blocks.items():
-            want = numkit.hs_orthonormalize(basis).basis
-            assert len(again.block(*pair)) == len(want)
-            for got, w in zip(again.block(*pair), want):
+        # each block on or above the diagonal is its starting basis, and
+        # each block below is the adjoints of its mirror
+        for a, b in _upper(cat.object_ids):
+            want = _start(pres, a, b)
+            assert len(again.block(a, b)) == len(want)
+            for got, w in zip(again.block(a, b), want):
                 assert np.array_equal(got, w)
+        assert _is_star_symmetric(again)
 
 
 def test_unitize_adds_identity():
