@@ -342,127 +342,107 @@ def check_axioms(
     the unit membership when the category claims to be unital.  The
     operator-norm identities ``||x* x|| = ||x||^2`` and ``||x y|| <=
     ||x|| ||y||`` are not checked: they hold for every matrix, so no
-    defect of a category could make them fail.
+    defect of a category could make them fail.  The bases' Gram
+    matrices, and the projections of the objects' identities on their
+    diagonal blocks, are formed once per group of blocks of one shape
+    (:func:`_by_shape`).
 
     ``_certified`` is private to ``duality.roundtrip_category``, which
-    takes it from ``duality.gelfand``: ``None``, or a pair of arrays,
-    ``(o, o, n)`` and ``(o, o, o, n, n)`` indexed by object position, of
-    proven upper bounds on the HS residuals outside their blocks of the
-    adjoints of every block's basis elements and of the products of
-    every triple's, each clearing the check with ``config.CERT_SLACK``
-    to spare.  Then ``adjoint-closure`` and ``composition-closure``
-    report the bounds and form no adjoint or product, and, as every
-    block holds ``n`` elements of one ``d x d`` shape, the bases'
-    orthonormality and the units are measured on all blocks at once
-    (:func:`_certified_axioms`).  With ``None``, or a category whose
-    blocks do not have the bounds' shape, every adjoint and product is
-    formed, block by block.
+    takes it from ``duality.gelfand``'s ``closure_bounds``: ``None``,
+    or a pair of arrays, ``(o, o, n)`` and ``(o, o, o, n, n)`` indexed
+    by object position, of proven upper bounds on the HS residuals
+    outside their blocks of the adjoints of every block's basis
+    elements and of the products of every triple's, each clearing the
+    check with ``config.CERT_SLACK`` to spare.  When the category has
+    ``o`` objects and ``n`` elements in every block, ``adjoint-closure``
+    and ``composition-closure`` report the bounds' maxima per pair and
+    per triple and form no adjoint or product; otherwise they form
+    every adjoint and product, block by block.
     """
     tol = resolve_tol(tol)
-    x = None if _certified is None else _uniform_stack(cat)
-    if x is not None and x.shape[:3] == np.shape(_certified[0]):
-        return _certified_axioms(cat, x, _certified, tol)
     report = Report()
+    dims = dict(cat.objects)
     for (a, b), basis in cat.blocks.items():
-        if any(m.shape != (cat.dim(a), cat.dim(b)) for m in basis):
+        shape = (dims[a], dims[b])
+        if any(m.shape != shape for m in basis):
             report.add("shapes", False, detail=f"block ({a},{b})")
             return report
+    ids = cat.object_ids
     filled = [pair for pair, basis in cat.blocks.items() if basis]
-    stacks = {pair: _stack(cat, *pair) for pair in cat.pairs()}
-    rows = [_rows(stacks[pair]) for pair in filled]
     report.check(
-        "orthonormal-bases",
-        [np.linalg.norm(q.conj() @ q.T - np.eye(len(q))) for q in rows],
-        GRAM_SLACK * tol,
+        "orthonormal-bases", _by_shape(_gram_defects, cat, filled), GRAM_SLACK * tol
     )
-    triples = [
-        (a, b, c)
-        for a, b, c in itertools.product(*[cat.object_ids] * 3)
-        if cat.block(a, b) and cat.block(b, c)
-    ]
-    report.check(
-        "adjoint-closure",
-        [
+    o, sizes = len(ids), {len(cat.block(a, b)) for a, b in cat.pairs()}
+    if _certified is not None and np.shape(_certified[0]) == (o, o, *sizes):
+        # every block holds n elements, so the triples are all of them,
+        # in object order
+        triples = list(itertools.product(ids, repeat=3))
+        at = {obj: i for i, obj in enumerate(ids)}
+        adj = _certified[0].max(axis=-1)
+        adjoint = [adj[at[a], at[b]] for a, b in filled]
+        closure = _certified[1].max(axis=(-2, -1)).ravel()
+    else:
+        triples = [
+            (a, b, c)
+            for a, b, c in itertools.product(ids, repeat=3)
+            if cat.block(a, b) and cat.block(b, c)
+        ]
+        stacks = {pair: _stack(cat, *pair) for pair in cat.pairs()}
+        adjoint = [
             _project(stacks[(b, a)], _adjoints(stacks[(a, b)]), tol)[1].max()
             for a, b in filled
-        ],
+        ]
+        closure = [
+            _closure_residual(stacks[(a, b)], stacks[(b, c)], stacks[(a, c)], tol)
+            for a, b, c in triples
+        ]
+    report.check(
+        "adjoint-closure",
+        adjoint,
         AXIOM_SLACK * tol,
         lambda i: "({},{})".format(*filled[i]),
     )
     report.check(
         "composition-closure",
-        [
-            _closure_residual(stacks[(a, b)], stacks[(b, c)], stacks[(a, c)], tol)
-            for a, b, c in triples
-        ],
+        closure,
         AXIOM_SLACK * tol,
         lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
     )
     if cat.unital:
-        report.check(
-            "units",
-            [
-                hs_member(np.eye(d, dtype=complex), cat.block(o, o), tol)[1]
-                for o, d in cat.objects
-            ],
-            AXIOM_SLACK * tol,
-        )
+        diagonal = [(obj, obj) for obj in ids]
+        units = _by_shape(lambda x: _unit_residuals(x, tol), cat, diagonal)
+        report.check("units", units, AXIOM_SLACK * tol)
     return report
 
 
-def _uniform_stack(cat: MatrixCategory):
-    """Every block's basis as one ``(o, o, n, d, d)`` array by object
-    position, when every block holds ``n > 0`` elements of one ``d x d``
-    shape and every object has dimension ``d``; otherwise ``None``."""
-    try:
-        x = np.array([cat.block(a, b) for a, b in cat.pairs()], dtype=complex)
-    except ValueError:  # blocks of different lengths or element shapes
-        return None
-    if x.ndim != 4 or not x.shape[1] or x.shape[2] != x.shape[3]:
-        return None
-    if any(d != x.shape[3] for _, d in cat.objects):
-        return None
-    o = len(cat.objects)
-    return x.reshape((o, o) + x.shape[1:])
+def _by_shape(fn, cat, pairs) -> np.ndarray:
+    """``fn``'s value on the basis of every block of ``pairs``, in input
+    order: the bases of one shape go to ``fn`` together, as one ``(g,
+    n, d_a, d_b)`` array, and ``fn`` returns their ``g`` values."""
+    dims = dict(cat.objects)
+    groups: dict = {}
+    for i, (a, b) in enumerate(pairs):
+        groups.setdefault((len(cat.block(a, b)), dims[a], dims[b]), []).append(i)
+    out = np.empty(len(pairs))
+    for shape, idx in groups.items():
+        x = np.array([cat.block(*pairs[i]) for i in idx], dtype=complex)
+        out[idx] = fn(x.reshape((len(idx),) + shape))
+    return out
 
 
-def _certified_axioms(cat, x, bounds, tol) -> Report:
-    """:func:`check_axioms` with ``_certified`` ``bounds`` on a category
-    whose blocks ``x``, ``(o, o, n, d, d)``, have the bounds' shape:
-    one batched Gram matrix per block, the bounds' maxima per pair and
-    per triple, and one batched projection of every object's identity.
-    The checks, their items' order and their details are those of the
-    block-by-block path: ``adjoint-closure`` runs over the pairs in the
-    order of ``cat.blocks``, the other checks in object order."""
-    report = Report()
-    ids = cat.object_ids
-    o, n, d = len(ids), x.shape[2], x.shape[3]
-    rows = x.reshape(o, o, n, d * d)
-    gram = rows.conj() @ np.swapaxes(rows, -1, -2) - np.eye(n)
-    report.check(
-        "orthonormal-bases", np.linalg.norm(gram, axis=(-2, -1)), GRAM_SLACK * tol
-    )
-    adj, prod = bounds
-    at = {obj: i for i, obj in enumerate(ids)}
-    pairs = list(cat.blocks)
-    i, j = np.array([(at[a], at[b]) for a, b in pairs]).T
-    report.check(
-        "adjoint-closure",
-        adj.max(axis=-1)[i, j],
-        AXIOM_SLACK * tol,
-        lambda p: "({},{})".format(*pairs[p]),
-    )
-    report.check(
-        "composition-closure",
-        prod.max(axis=(-2, -1)),
-        AXIOM_SLACK * tol,
-        lambda a, b, c: "({0},{1})x({1},{2})".format(ids[a], ids[b], ids[c]),
-    )
-    if cat.unital:
-        diag = x[np.arange(o), np.arange(o)]
-        units = np.broadcast_to(np.eye(d), (o, 1, d, d))
-        report.check("units", _project(diag, units, tol)[1][:, 0], AXIOM_SLACK * tol)
-    return report
+def _gram_defects(x) -> np.ndarray:
+    """``||Q Q* - I||_HS`` of every basis of a ``(g, n, d_a, d_b)``
+    stack, ``Q`` the basis as rows."""
+    rows = _rows(x)
+    gram = rows.conj() @ np.swapaxes(rows, -1, -2) - np.eye(x.shape[1])
+    return np.linalg.norm(gram, axis=(-2, -1))
+
+
+def _unit_residuals(x, tol) -> np.ndarray:
+    """The HS residual of the ``d x d`` identity projected on every
+    basis of a ``(g, n, d, d)`` stack."""
+    d = x.shape[-1]
+    return _project(x, np.broadcast_to(np.eye(d), (len(x), 1, d, d)), tol)[1][:, 0]
 
 
 def is_commutative(cat: MatrixCategory, tol: float | None = None) -> bool:

@@ -751,6 +751,7 @@ class GelfandResult(NamedTuple):
     sections: MatrixCategory
     functor: StarFunctor
     report: Report
+    closure_bounds: tuple | None = None
 
 
 class _Compressions(NamedTuple):
@@ -965,7 +966,7 @@ def _certificates(q: _Compressions, tol) -> tuple:
 
 
 def gelfand(
-    c: MatrixCategory, tol: float | None = None, seed: int = 0, *, _axioms=None
+    c: MatrixCategory, tol: float | None = None, seed: int = 0
 ) -> GelfandResult:
     """The comparison functor ``c -> sections(spectrum(c))``.
 
@@ -985,10 +986,10 @@ def gelfand(
     ``validate_functor`` does when called alone.  The block maps are
     the spectrum's ``block_maps``.
 
-    ``_axioms`` is private to :func:`roundtrip_category`: a list that
-    receives ``check_axioms``' ``_certified`` argument, the whole bounds
-    on the adjoints' and products' residuals outside their blocks, or
-    ``None``.
+    ``closure_bounds`` holds what :func:`_certificates` returns for
+    ``check_axioms``: the whole bounds on the adjoints' and products'
+    residuals outside their blocks, or ``None``;
+    :func:`roundtrip_category` hands it to ``check_axioms``.
     """
     tol = resolve_tol(tol)
     spec = spectrum(c, tol, seed)
@@ -1001,8 +1002,6 @@ def gelfand(
     )
     q = _compressions(spec, maps)
     functor, axioms = _certificates(q, tol)
-    if _axioms is not None:
-        _axioms.append(axioms)
     report = Report()
     report.extend(validate_functor(phi, c, sec, tol, _certified=functor), "functor-")
     # fullness forces every block to have exactly one dimension per
@@ -1013,7 +1012,7 @@ def gelfand(
     )
     report.add("block-bijective", bijective)
     report.check("isometric", _isometry_devs(q, tol, seed), ISOMETRY_SLACK * tol)
-    return GelfandResult(spec, sec, phi, report)
+    return GelfandResult(spec, sec, phi, report, axioms)
 
 
 def _isometry_devs(q: _Compressions, tol, seed) -> np.ndarray:
@@ -1098,18 +1097,17 @@ def roundtrip_category(
     ``gelfand``'s (``gelfand-``) and the spectrum's ``validate``
     (``spaceoid-``), the one validation of the spectrum's table.
     ``gelfand`` runs first, and ``input-adjoint-closure`` and
-    ``input-composition-closure`` report its proven bounds on the
-    adjoints' and products' residuals outside their blocks when
-    ``config.CERT_SLACK`` times every one clears ``AXIOM_SLACK * tol``;
-    otherwise ``check_axioms`` forms every adjoint and product, as when
-    called alone.  Check names and verdicts are those of the three
-    calls made apart.
+    ``input-composition-closure`` report its ``closure_bounds``, the
+    proven bounds on the adjoints' and products' residuals outside
+    their blocks, when ``config.CERT_SLACK`` times every one clears
+    ``AXIOM_SLACK * tol``; otherwise ``check_axioms`` forms every
+    adjoint and product, as when called alone.  Check names and
+    verdicts are those of the three calls made apart.
     """
     tol = resolve_tol(tol)
-    axioms = []
-    out = gelfand(c, tol, seed, _axioms=axioms)
+    out = gelfand(c, tol, seed)
     report = Report()
-    report.extend(check_axioms(c, tol, _certified=axioms[0]), "input-")
+    report.extend(check_axioms(c, tol, _certified=out.closure_bounds), "input-")
     report.extend(out.report, "gelfand-")
     report.extend(validate(out.spectrum.spaceoid, tol), "spaceoid-")
     return report

@@ -23,8 +23,10 @@ from spectroid.cstarcat import (
     multi_linking_generator,
     validate_functor,
 )
+from spectroid.config import AXIOM_SLACK, GRAM_SLACK
 from spectroid.errors import InvalidFunctor, InvalidGroupoid, NotNormal
 from spectroid.groups import groupoid_report, validate_groupoid
+from spectroid.reporting import Report
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -932,6 +934,135 @@ def test_check_axioms_counts_nan_basis_entry_as_failure():
     rep = check_axioms(_with_element(cat, ("A", "B"), 1, bad))
     ortho = next(c for c in rep.checks if c.name == "orthonormal-bases")
     assert not ortho.passed and ortho.residual == np.inf
+
+
+def _axioms_block_by_block(cat, tol):
+    """``check_axioms`` as one loop over the blocks: a Gram matrix per
+    filled block, an adjoint projection per filled pair, every product
+    per triple, and one ``hs_member`` per object.  Returns the report
+    and each check's items, in the order the checks list them."""
+
+    def stack(a, b):
+        return np.reshape(cat.block(a, b), (-1, cat.dim(a), cat.dim(b)))
+
+    ids = cat.object_ids
+    filled = [pair for pair, basis in cat.blocks.items() if basis]
+    triples = [
+        (a, b, c) for a, b, c in itertools.product(ids, repeat=3)
+        if cat.block(a, b) and cat.block(b, c)
+    ]
+    gram, adjoint, closure = [], [], []
+    for a, b in filled:
+        q = stack(a, b).reshape(cat.block_dim(a, b), -1)
+        gram.append(np.linalg.norm(q.conj() @ q.T - np.eye(len(q))))
+        adjoints = numkit._adjoints(stack(a, b))
+        adjoint.append(numkit._project(stack(b, a), adjoints, tol)[1].max())
+    for a, b, c in triples:
+        prods = np.array([x @ y for x in stack(a, b) for y in stack(b, c)])
+        closure.append(numkit._project(stack(a, c), prods, tol)[1].max())
+    items = {
+        "orthonormal-bases": gram,
+        "adjoint-closure": adjoint,
+        "composition-closure": closure,
+    }
+    if cat.unital:
+        items["units"] = [
+            numkit.hs_member(np.eye(d), cat.block(o, o), tol)[1] for o, d in cat.objects
+        ]
+    labels = {
+        "adjoint-closure": lambda i: "({},{})".format(*filled[i]),
+        "composition-closure": lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
+    }
+    report = Report()
+    for name, devs in items.items():
+        slack = GRAM_SLACK if name == "orthonormal-bases" else AXIOM_SLACK
+        report.check(name, devs, slack * tol, labels.get(name))
+    return report, items
+
+
+def _emptied_diagonal():
+    """A unital-flagged linking chain whose block (B2, B2), the second
+    of three diagonal blocks, is empty, so its shape differs from the
+    diagonal blocks on either side."""
+    cat = multi_linking(3, [[1, 2, 0], [0, 2, 1]])
+    blocks = {key: list(basis) for key, basis in cat.blocks.items()}
+    blocks[("B2", "B2")] = []
+    return cstarcat.MatrixCategory(cat.objects, blocks, True)
+
+
+def _gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _mixed_close():
+    """The closure of two random generators over objects of dimensions
+    2, 3 and 2, unitized: blocks of one shape sit apart in row-major
+    order."""
+    rng = np.random.default_rng(5)
+    pres = CategoryPresentation(
+        objects=(("A", 2), ("B", 3), ("C", 2)),
+        generators={
+            ("A", "B"): [_gaussian(rng, (2, 3))],
+            ("B", "C"): [_gaussian(rng, (3, 2))],
+        },
+    )
+    return close(pres, unitize=True)
+
+
+AXIOM_REFERENCE_CASES = {
+    "rect-3x2": lambda: generated_by(_gaussian(np.random.default_rng(1), (3, 2))),
+    "rect-2x3": lambda: generated_by(_gaussian(np.random.default_rng(2), (2, 3))),
+    "emptied-diagonal": _emptied_diagonal,
+    "mixed-close": _mixed_close,
+    "linking-chain": lambda: multi_linking(
+        3,
+        [[1, 2, 0], [0, 2, 1]],
+        [np.exp([0.3j, 1.1j, -2.0j]), np.exp([0.5j, 0.2j, 2.5j])],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_REFERENCE_CASES))
+def test_check_axioms_matches_a_block_by_block_reference(monkeypatch, name):
+    # check_axioms forms the Gram matrices and the units' projections
+    # per group of same-shaped blocks; its report, and each check's
+    # items in order, are the block-by-block loop's up to rounding
+    cat = AXIOM_REFERENCE_CASES[name]()
+    want, want_items = _axioms_block_by_block(cat, 1e-9)
+    got_items = {}
+    real = Report.check
+
+    def record(self, name, devs, bound, label=None):
+        got_items[name] = np.asarray(devs, dtype=float)
+        real(self, name, devs, bound, label)
+
+    monkeypatch.setattr(Report, "check", record)
+    got = check_axioms(cat, 1e-9)
+    monkeypatch.undo()
+    assert [(c.name, c.passed, c.detail, c.bound) for c in got.checks] == [
+        (c.name, c.passed, c.detail, c.bound) for c in want.checks
+    ]
+    for c, w in zip(got.checks, want.checks):
+        assert abs(c.residual - w.residual) <= 1e-15, (c, w)
+    assert list(got_items) == list(want_items)
+    for key, devs in want_items.items():
+        np.testing.assert_allclose(
+            got_items[key], devs, rtol=0, atol=1e-15, err_msg=key
+        )
+
+
+def test_check_axioms_reference_cases_cover_their_shapes():
+    # the rectangles' four blocks have four shapes, the emptied block's
+    # unit fails between two that pass, and the closure's same-shaped
+    # blocks are not adjacent in row-major order
+    for name in ("rect-3x2", "rect-2x3"):
+        cat = AXIOM_REFERENCE_CASES[name]()
+        assert len({np.shape(basis) for basis in cat.blocks.values()}) == 4
+    units = check_axioms(_emptied_diagonal()).checks[-1]
+    assert units.name == "units" and not units.passed
+    assert units.residual == pytest.approx(np.sqrt(3))
+    shapes = [np.shape(basis) for basis in _mixed_close().blocks.values()]
+    assert any(s == shapes[i + 2] != shapes[i + 1] for i, s in enumerate(shapes[:-2]))
 
 
 def _scaled_block_map(pair, factor):

@@ -306,22 +306,22 @@ def test_roundtrip_matches_its_parts_run_apart(name):
         (c.name, c.passed) for c in apart.checks
     ]
     # a certified check's value is at least the residual formed
-    # explicitly; a measured one, batched in the round trip, is that
-    # residual up to rounding
+    # explicitly; the measured input checks are check_axioms' to the bit,
+    # and functor-units, batched in gelfand, is validate_functor's up to
+    # rounding
     explicit = {"input-" + c.name: c for c in axioms.checks}
     functor = cc.validate_functor(g.functor, cat, g.sections, TOL)
     explicit.update({"gelfand-functor-" + c.name: c for c in functor.checks})
-    measured = {"input-orthonormal-bases", "input-units", "gelfand-functor-units"}
+    for name in ("input-orthonormal-bases", "input-units"):
+        assert _check(report, name) == explicit[name]._replace(name=name)
     for c in report.checks:
         want = explicit.get(c.name, c).residual
-        if c.name in measured:
+        if c.name == "gelfand-functor-units":
             assert c.residual == pytest.approx(want, rel=0, abs=1e-14), c.name
         else:
             assert c.residual >= want, c.name
     # and so is every certified item's
-    bounds = []
-    du.gelfand(cat, TOL, _axioms=bounds)
-    (axiom_bounds,) = bounds
+    axiom_bounds = du.gelfand(cat, TOL).closure_bounds
     assert axiom_bounds is not None
     adj, prod = axiom_bounds
     _, sec, maps = gelfand_parts(cat)
@@ -348,10 +348,9 @@ AXIOM_CASES = {
 
 def _axiom_bounds(cat):
     """``gelfand``'s bounds for ``check_axioms``' ``_certified``."""
-    bounds = []
-    du.gelfand(cat, TOL, _axioms=bounds)
-    assert bounds[0] is not None
-    return bounds[0]
+    bounds = du.gelfand(cat, TOL).closure_bounds
+    assert bounds is not None
+    return bounds
 
 
 def _bound_checks(cat, bounds) -> Report:
@@ -388,14 +387,11 @@ def test_certified_axioms_match_the_block_by_block_checks(name):
         (c.name, c.passed, c.bound) for c in explicit
     ]
     # the closure checks report the bounds, labelled by their pairs and
-    # triples; the others measure what the explicit checks measure
+    # triples; the others are formed one way with or without bounds, so
+    # they are the explicit checks bit for bit
     closure = {c.name: c for c in _bound_checks(cat, bounds).checks}
     for c, e in zip(got, explicit):
-        if c.name in closure:
-            assert c == closure[c.name]
-        else:
-            assert c.detail == e.detail
-            assert abs(c.residual - e.residual) <= 1e-14, (c, e)
+        assert c == closure.get(c.name, e), (c, e)
     if "reversed" in name:
         # values read in row-major order but labelled from cat.blocks
         # would name another pair

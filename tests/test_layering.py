@@ -25,7 +25,7 @@ AWAITING_CALLER = {
 # package hand over what it has already proven or checked.  The list
 # only shrinks.
 PRIVATE_SWITCHES = {
-    "check_axioms._certified", "validate_functor._certified", "gelfand._axioms",
+    "check_axioms._certified", "validate_functor._certified",
     "sections_with_gauge._valid", "evaluation._valid",
 }
 
