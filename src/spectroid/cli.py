@@ -141,9 +141,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_sections(args) -> int:
     tol = resolve_tol(args.tol)
-    e = _load_spaceoid(args.file)
-    sp.require_valid(e, tol)
-    cat = du.sections(e, tol)
+    cat = du.sections(_load_spaceoid(args.file), tol)
     return _deliver(args, serial.emit("category", cat))
 
 
@@ -445,9 +443,6 @@ def main(argv=None) -> int:
         return 2
     except SpectroidError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -409,8 +409,9 @@ def check_axioms(
         lambda i: "({0},{1})x({1},{2})".format(*triples[i]),
     )
     if cat.unital:
-        diagonal = [(obj, obj) for obj in ids]
-        units = _by_shape(lambda x: _unit_residuals(x, tol), cat, diagonal)
+        units = _by_shape(
+            lambda x: _identity_projections(x, tol)[1][:, 0], cat, [(i, i) for i in ids]
+        )
         report.check("units", units, AXIOM_SLACK * tol)
     return report
 
@@ -438,11 +439,11 @@ def _gram_defects(x) -> np.ndarray:
     return np.linalg.norm(gram, axis=(-2, -1))
 
 
-def _unit_residuals(x, tol) -> np.ndarray:
-    """The HS residual of the ``d x d`` identity projected on every
-    basis of a ``(g, n, d, d)`` stack."""
+def _identity_projections(x, tol) -> tuple:
+    """:func:`numkit._project` of the ``d x d`` identity on every basis
+    of a ``(g, n, d, d)`` stack."""
     d = x.shape[-1]
-    return _project(x, np.broadcast_to(np.eye(d), (len(x), 1, d, d)), tol)[1][:, 0]
+    return _project(x, np.broadcast_to(np.eye(d), (len(x), 1, d, d)), tol)
 
 
 def is_commutative(cat: MatrixCategory, tol: float | None = None) -> bool:
@@ -591,28 +592,34 @@ def functor_image(
 def _product_defects(phi, source, target, image, a, b, c, tol):
     """HS defects ``||phi(x y) - phi(x) phi(y)||`` of every pair of
     basis elements ``x = e_i`` of (a, b) and ``y = e_j`` of (b, c),
-    ``i``-major, formed in chunks of ``_product_chunks``; ``image(a,
-    b)`` is the stack of the images of block (a, b)'s basis.
-
-    Raises ``InvalidFunctor`` when a product falls outside its source
-    block (a, c), naming the largest residual of these pairs."""
-    basis = _stack(source, a, c)
+    ``i``-major, the products formed in chunks of ``_product_chunks``
+    and mapped by :func:`functor_image`, which raises
+    ``InvalidFunctor`` for the first chunk with a product outside
+    source block (a, c); ``image(a, b)`` is the stack of the images of
+    block (a, b)'s basis."""
     left, right = _stack(source, a, b), _stack(source, b, c)
     i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
-    member, residual, devs = [], [], []
-    for s, prods in _product_chunks(left, right):
-        ok, res, coeffs = _project(basis, prods, tol)
-        member.append(ok)
-        residual.append(res)
-        img_mn = _image(phi, target, a, c, coeffs)
-        img_m_img_n = image(a, b)[i[s]] @ image(b, c)[j[s]]
-        devs.append(np.linalg.norm(_rows(img_mn - img_m_img_n), axis=1))
-    if not np.concatenate(member).all():
-        raise InvalidFunctor(
-            f"element not in source block ({a},{c}) "
-            f"(residual {np.concatenate(residual).max():.3e})"
+    return np.concatenate([
+        np.linalg.norm(
+            _rows(
+                functor_image(phi, source, target, a, c, prods, tol)
+                - image(a, b)[i[s]] @ image(b, c)[j[s]]
+            ),
+            axis=1,
         )
-    return np.concatenate(devs)
+        for s, prods in _product_chunks(left, right)
+    ])
+
+
+def _bijective(phi: StarFunctor, source, target) -> bool:
+    """True when ``phi``'s object map is a bijection from ``source``'s
+    objects onto ``target``'s."""
+    images = set(phi.object_map.values())
+    return (
+        set(phi.object_map) == set(source.object_ids)
+        and images == set(target.object_ids)
+        and len(images) == len(phi.object_map)
+    )
 
 
 def validate_functor(
@@ -627,7 +634,7 @@ def validate_functor(
 
     Raises ``InvalidFunctor`` when a block map's shape is not (target
     block dim x source block dim), or when a product of source basis
-    elements falls outside its source block.
+    elements, or an object's identity, falls outside its source block.
 
     ``_certified`` is private to ``duality.gelfand``: ``None``, or a
     pair of arrays, ``(o, o, n)`` and ``(o, o, o, n, n)`` indexed by
@@ -636,20 +643,15 @@ def validate_functor(
     the pairs of every triple's, each clearing the check with
     ``config.CERT_SLACK`` to spare.  Then ``involution`` and
     ``multiplicativity`` report the bounds and form no adjoint or
-    product, and ``units`` maps every object's identity through one
-    batched projection (:func:`_unit_defects`); with ``None`` they form
-    every adjoint and product, and ``units`` maps the identities one
-    object at a time.
+    product; with ``None`` they form every adjoint and product.  It
+    decides nothing else: ``units`` maps the identities through one
+    batched projection per group of same-shaped diagonal blocks
+    (:func:`_unit_defects`) either way.
     """
     tol = resolve_tol(tol)
     report = Report()
 
-    src_ids, tgt_ids = set(source.object_ids), set(target.object_ids)
-    bijective = (
-        set(phi.object_map) == src_ids
-        and set(phi.object_map.values()) == tgt_ids
-        and len(set(phi.object_map.values())) == len(phi.object_map)
-    )
+    bijective = _bijective(phi, source, target)
     report.add("object-bijection", bijective)
     if not bijective:
         return report
@@ -687,43 +689,42 @@ def validate_functor(
     report.check("multiplicativity", mult, FUNCTOR_SLACK * tol)
 
     if source.unital and target.unital:
-        if _certified is None:
-            units = [
-                np.linalg.norm(
-                    functor_image(phi, source, target, o, o, source.identity(o), tol)
-                    - target.identity(phi.object_map[o])
-                )
-                for o in source.object_ids
-            ]
-        else:
-            units = _unit_defects(phi, source, target, tol)
+        units = _unit_defects(phi, source, target, tol)
         report.check("units", units, FUNCTOR_SLACK * tol)
     return report
 
 
 def _unit_defects(phi, source, target, tol) -> np.ndarray:
     """``||phi(1_A) - 1_phi(A)||_HS`` for every source object ``A``, in
-    object order, from one batched projection of the identities; every
-    diagonal block of ``source``, and of ``target``, holds the same
-    number of elements of one shape, as in ``duality.gelfand``.  Raises
-    ``InvalidFunctor`` as ``functor_image`` does, for the first object
-    whose identity is not in its block."""
-    ids = source.object_ids
-    src = np.array([source.block(o, o) for o in ids], dtype=complex)
-    d = src.shape[-1]
-    member, residual, coeffs = _project(
-        src, np.broadcast_to(np.eye(d), (len(ids), 1, d, d)), tol
-    )
+    object order: the identities are projected in one batch per group
+    of objects whose diagonal blocks, and whose images' diagonal blocks,
+    have one shape.  Raises ``InvalidFunctor`` as ``functor_image``
+    does, for the first object in object order whose identity is not in
+    its block."""
+    ids, obj_map = source.object_ids, phi.object_map
+    stacks = [
+        (_stack(source, o, o), _stack(target, obj_map[o], obj_map[o])) for o in ids
+    ]
+    shapes: dict = {}
+    for i, (src, tgt) in enumerate(stacks):
+        shapes.setdefault((src.shape, tgt.shape), []).append(i)
+    member = np.empty(len(ids), dtype=bool)
+    residual, units = np.empty(len(ids)), np.empty(len(ids))
+    for (_, (_, _, d)), idx in shapes.items():
+        src = np.array([stacks[i][0] for i in idx], dtype=complex)
+        tgt = np.array([stacks[i][1] for i in idx], dtype=complex)
+        ok, res, coeffs = _identity_projections(src, tol)
+        member[idx], residual[idx] = ok[:, 0], res[:, 0]
+        maps = np.array([phi.block_maps[(ids[i], ids[i])] for i in idx])
+        img = _combine(coeffs @ np.swapaxes(maps, -1, -2), tgt, (d, d))
+        units[idx] = np.linalg.norm(img[:, 0] - np.eye(d), axis=(-2, -1))
     if not member.all():
-        f = int(np.argmin(member[:, 0]))
+        f = int(np.argmin(member))
         raise InvalidFunctor(
             f"element not in source block ({ids[f]},{ids[f]}) "
-            f"(residual {residual[f, 0]:.3e})"
+            f"(residual {residual[f]:.3e})"
         )
-    maps = np.array([phi.block_maps[(o, o)] for o in ids])
-    tgt = np.array([target.block(phi.object_map[o], phi.object_map[o]) for o in ids])
-    img = _combine(coeffs @ np.swapaxes(maps, -1, -2), tgt, tgt.shape[-2:])
-    return np.linalg.norm(img[:, 0] - np.eye(tgt.shape[-1]), axis=(-2, -1))
+    return units
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .config import (
 from .cstarcat import (
     MatrixCategory,
     StarFunctor,
+    _bijective,
     _check_block_maps,
     check_axioms,
     is_commutative,
@@ -707,11 +708,9 @@ def spectrum_on_morphism(
     class and the source class it matches.
     """
     tol = resolve_tol(tol)
-    inv_obj = {v: k for k, v in phi.object_map.items()}
-    if len(inv_obj) != len(phi.object_map) or (set(phi.object_map), set(inv_obj)) != (
-        set(source.object_ids), set(target.object_ids)
-    ):
+    if not _bijective(phi, source, target):
         raise InvalidFunctor("object map is not a bijection onto the target")
+    inv_obj = {v: k for k, v in phi.object_map.items()}
     _check_block_maps(phi, source, target)
     spec1 = source_spectrum or spectrum(source, tol, seed)
     spec2 = target_spectrum or spectrum(target, tol, seed)

@@ -94,7 +94,24 @@ def test_sections_roundtrips_through_files(capsys, tmp_path):
 def test_sections_rejects_broken_spaceoid(capsys):
     code, _, stderr = run_cli(capsys, "sections", FIX / "spaceoid2-broken.json")
     assert code == 2
-    assert "error" in stderr
+    assert stderr == (
+        "error: InvalidSpaceoid: involution-compatible violated "
+        "(residual 2.493e-01 at (p0,B1,B2,B3))\n"
+    )
+
+
+def test_sections_validates_its_spaceoid_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = sp.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "validate", counting)
+    out = tmp_path / "cat.json"
+    assert run_cli(capsys, "sections", FIX / "spaceoid2.json", "--out", out)[0] == 0
+    assert len(calls) == 1
 
 
 def test_roundtrip_category_passes(capsys):
@@ -351,6 +368,7 @@ def test_malformed_spaceoid_is_invalid_input(capsys, tmp_path, command, edit, me
 def test_validate_missing_file(capsys):
     code, _, stderr = run_cli(capsys, "validate", "/nonexistent/nope.json")
     assert code == 2
+    assert stderr == "error: [Errno 2] No such file or directory: '/nonexistent/nope.json'\n"
 
 
 def test_validate_morphism_needs_endpoints(capsys, tmp_path):

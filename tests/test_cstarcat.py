@@ -1028,17 +1028,30 @@ def test_check_axioms_matches_a_block_by_block_reference(monkeypatch, name):
     # per group of same-shaped blocks; its report, and each check's
     # items in order, are the block-by-block loop's up to rounding
     cat = AXIOM_REFERENCE_CASES[name]()
-    want, want_items = _axioms_block_by_block(cat, 1e-9)
-    got_items = {}
+    want = _axioms_block_by_block(cat, 1e-9)
+    _same_to_1e15(_recorded(monkeypatch, lambda: check_axioms(cat, 1e-9)), want)
+
+
+def _recorded(monkeypatch, run) -> tuple:
+    """``run()``'s report and each of its checks' items in order, as
+    ``Report.check`` receives them."""
+    items = {}
     real = Report.check
 
     def record(self, name, devs, bound, label=None):
-        got_items[name] = np.asarray(devs, dtype=float)
+        items[name] = np.asarray(devs, dtype=float)
         real(self, name, devs, bound, label)
 
-    monkeypatch.setattr(Report, "check", record)
-    got = check_axioms(cat, 1e-9)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(Report, "check", record)
+        report = run()
+    return report, items
+
+
+def _same_to_1e15(got, want):
+    """Two ``(report, items)`` pairs: names, verdicts, details and
+    bounds equal, residuals and items within 1e-15, in order."""
+    (got, got_items), (want, want_items) = got, want
     assert [(c.name, c.passed, c.detail, c.bound) for c in got.checks] == [
         (c.name, c.passed, c.detail, c.bound) for c in want.checks
     ]
@@ -1063,6 +1076,113 @@ def test_check_axioms_reference_cases_cover_their_shapes():
     assert units.residual == pytest.approx(np.sqrt(3))
     shapes = [np.shape(basis) for basis in _mixed_close().blocks.values()]
     assert any(s == shapes[i + 2] != shapes[i + 1] for i, s in enumerate(shapes[:-2]))
+
+
+def _units_object_by_object(phi, source, target, tol):
+    """``validate_functor``'s units check one object at a time, each
+    identity mapped by ``functor_image``."""
+    return [
+        np.linalg.norm(
+            cstarcat.functor_image(phi, source, target, o, o, source.identity(o), tol)
+            - target.identity(phi.object_map[o])
+        )
+        for o in source.object_ids
+    ]
+
+
+def _scaled_at_last():
+    """The identity functor of ``_mixed_close`` with the block map of
+    its last object, C, scaled: only C's unit defect is nonzero."""
+    cat = _mixed_close()
+    phi = identity_functor(cat)
+    phi.block_maps[("C", "C")] = (1 + 7e-7) * phi.block_maps[("C", "C")]
+    return phi, cat, cat
+
+
+def _split_by_image():
+    """``_mixed_close`` into a copy whose block (C, C) holds only the
+    unit direction, block map the coordinates on it: A and C share a
+    source diagonal shape, not an image one."""
+    cat = _mixed_close()
+    unit = np.eye(2) / np.sqrt(2)
+    target = cstarcat.MatrixCategory(cat.objects, {**cat.blocks, ("C", "C"): [unit]}, True)
+    phi = identity_functor(cat)
+    phi.block_maps[("C", "C")] = np.array([[np.vdot(unit, e) for e in cat.block("C", "C")]])
+    return phi, cat, target
+
+
+def _identities_missing():
+    """Objects of dimensions 2, 3 and 2 with no blocks between them, each
+    diagonal block one matrix: A's the unit direction, B's and C's a
+    matrix unit, so B's and C's identities, in two shape groups, miss
+    their blocks."""
+    blocks = {(a, b): [] for a in "ABC" for b in "ABC"}
+    blocks[("A", "A")] = [np.eye(2) / np.sqrt(2)]
+    blocks[("B", "B")] = [np.diag([1.0, 0.0, 0.0])]
+    blocks[("C", "C")] = [np.diag([1.0, 0.0])]
+    return cstarcat.MatrixCategory((("A", 2), ("B", 3), ("C", 2)), blocks, True)
+
+
+UNIT_REFERENCE_CASES = {
+    "mixed-close": lambda: (identity_functor(cat := _mixed_close()), cat, cat),
+    "scaled-at-last": _scaled_at_last,
+    "split-by-image": _split_by_image,
+}
+
+# bounds that validate_functor reports as given for involution and
+# multiplicativity: they decide nothing about units
+SOME_BOUNDS = (np.zeros(1), np.zeros(1))
+
+
+@pytest.mark.parametrize("certified", [None, SOME_BOUNDS], ids=["explicit", "certified"])
+@pytest.mark.parametrize("name", sorted(UNIT_REFERENCE_CASES))
+def test_validate_functor_units_match_an_object_by_object_reference(
+    monkeypatch, name, certified
+):
+    # one batched projection per shape group, with or without bounds,
+    # puts the unit defects back in object order: the report, and each
+    # check's items in order, are the object-by-object loop's up to rounding
+    phi, source, target = UNIT_REFERENCE_CASES[name]()
+
+    def run():
+        return validate_functor(phi, source, target, 1e-9, _certified=certified)
+
+    got = _recorded(monkeypatch, run)
+    monkeypatch.setattr(cstarcat, "_unit_defects", _units_object_by_object)
+    _same_to_1e15(got, _recorded(monkeypatch, run))
+
+
+def test_unit_reference_cases_cover_their_shapes():
+    # A and C share a diagonal shape that B's splits in object order; the
+    # image block splits them again; only the last unit defect is planted
+    cat = _mixed_close()
+    shapes = [np.shape(cat.block(o, o)) for o in cat.object_ids]
+    assert shapes[0] == shapes[2] != shapes[1]
+    target = _split_by_image()[2]
+    assert np.shape(target.block("C", "C")) != np.shape(target.block("A", "A"))
+    phi, source, target = _scaled_at_last()
+    units = _units_object_by_object(phi, source, target, 1e-9)
+    assert max(units[:2]) < 1e-13 < 1e-7 < units[2]
+    missing = _identities_missing()
+    shapes = [np.shape(missing.block(o, o)) for o in missing.object_ids]
+    assert shapes[0] == shapes[2] != shapes[1]
+
+
+@pytest.mark.parametrize("certified", [None, SOME_BOUNDS], ids=["explicit", "certified"])
+def test_validate_functor_names_the_first_object_whose_identity_is_missing(
+    monkeypatch, certified
+):
+    # B's and C's identities miss their blocks; B comes first in object
+    # order, though C's shape group comes first
+    cat = _identities_missing()
+    phi = identity_functor(cat)
+    with pytest.raises(InvalidFunctor) as got:
+        validate_functor(phi, cat, cat, _certified=certified)
+    monkeypatch.setattr(cstarcat, "_unit_defects", _units_object_by_object)
+    with pytest.raises(InvalidFunctor) as want:
+        validate_functor(phi, cat, cat, _certified=certified)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "element not in source block (B,B) (residual 1.414e+00)"
 
 
 def _scaled_block_map(pair, factor):
@@ -1320,14 +1440,21 @@ def test_chunked_products_match_one_stack(monkeypatch, name):
         if cat.block(a, b) and cat.block(b, c)
     ]
     want_axioms = check_axioms(cat).checks
-    want_functor = validate_functor(phi, cat, cat).checks
+    want_functor, want_items = _recorded(monkeypatch, lambda: validate_functor(phi, cat, cat))
+    want_functor = want_functor.checks
     # the default chunk holds every triple here: bit for bit
     assert next(c for c in want_axioms if c.name == "composition-closure").residual == max(closure)
     d = max(dim for _, dim in cat.objects)
     for chunk in (1, 7, 3 * d * d):
         monkeypatch.setattr(cstarcat, "_PAIR_CHUNK", chunk)
         _same_up_to_rounding(check_axioms(cat).checks, want_axioms)
-        _same_up_to_rounding(validate_functor(phi, cat, cat).checks, want_functor)
+        got, items = _recorded(monkeypatch, lambda: validate_functor(phi, cat, cat))
+        _same_up_to_rounding(got.checks, want_functor)
+        # _product_defects maps each chunk through functor_image: the
+        # multiplicativity items, pair by pair, are the one stack's
+        np.testing.assert_allclose(
+            items["multiplicativity"], want_items["multiplicativity"], rtol=1e-6, atol=1e-15
+        )
         # whole bound arrays (every block here has dimension n): the two
         # checks report them and form no product; the others are unchanged
         o, n = len(cat.objects), len(cat.block(*cat.pairs()[0]))
@@ -1344,12 +1471,14 @@ def test_chunked_products_match_one_stack(monkeypatch, name):
 
 
 def test_chunked_product_outside_source_names_the_same_residual(monkeypatch):
+    # the message names the largest residual of the first chunk with a
+    # product outside the block; here every such product has one residual
     cat = _not_closed()
-    with pytest.raises(InvalidFunctor) as want:
+    with pytest.raises(InvalidFunctor, match=r"source block \(A,A\)") as want:
         validate_functor(identity_functor(cat), cat, cat)
     assert check_axioms(cat).failures()
     closure = next(c for c in check_axioms(cat).checks if c.name == "composition-closure")
-    for chunk in (1, 4, 12):
+    for chunk in (1, 4, 7, 12):
         monkeypatch.setattr(cstarcat, "_PAIR_CHUNK", chunk)
         with pytest.raises(InvalidFunctor) as got:
             validate_functor(identity_functor(cat), cat, cat)
