@@ -26,22 +26,17 @@ from .config import (
     AXIOM_SLACK, FULLNESS_RTOL, FUNCTOR_SLACK, GRAM_SLACK, PHASE_ATOL,
     resolve_tol,
 )
-from .errors import (
-    InvalidFunctor,
-    InvalidGroupoid,
-    NotNormal,
-    SpectroidError,
-)
+from .errors import InvalidFunctor, InvalidGroupoid, SpectroidError
 from .numkit import (
     _PAIR_CHUNK,
     _adjoints,
+    _check_normal,
     _combine,
     _extend,
     _noncommuting_pair,
     _project,
     _rows,
     hs_member,
-    hs_norm,
     hs_orthonormalize,
     joint_diagonalize,
 )
@@ -107,9 +102,6 @@ class MatrixCategory:
 
     def block_dim(self, a, b) -> int:
         return len(self.block(a, b))
-
-    def identity(self, obj_id) -> np.ndarray:
-        return np.eye(self.dim(obj_id), dtype=complex)
 
     def pairs(self):
         ids = self.object_ids
@@ -353,11 +345,11 @@ def check_axioms(
     by object position, of proven upper bounds on the HS residuals
     outside their blocks of the adjoints of every block's basis
     elements and of the products of every triple's, each clearing the
-    check with ``config.CERT_SLACK`` to spare.  When the category has
-    ``o`` objects and ``n`` elements in every block, ``adjoint-closure``
-    and ``composition-closure`` report the bounds' maxima per pair and
-    per triple and form no adjoint or product; otherwise they form
-    every adjoint and product, block by block.
+    check with ``config.CERT_SLACK`` to spare.  When the bounds fit the
+    category (:func:`_bounds_fit`), ``adjoint-closure`` and
+    ``composition-closure`` report their maxima per pair and per triple
+    and form no adjoint or product; otherwise they form every adjoint
+    and product, block by block.
     """
     tol = resolve_tol(tol)
     report = Report()
@@ -372,8 +364,7 @@ def check_axioms(
     report.check(
         "orthonormal-bases", _by_shape(_gram_defects, cat, filled), GRAM_SLACK * tol
     )
-    o, sizes = len(ids), {len(cat.block(a, b)) for a, b in cat.pairs()}
-    if _certified is not None and np.shape(_certified[0]) == (o, o, *sizes):
+    if _bounds_fit(cat, _certified):
         # every block holds n elements, so the triples are all of them,
         # in object order
         triples = list(itertools.product(ids, repeat=3))
@@ -414,6 +405,18 @@ def check_axioms(
         )
         report.check("units", units, AXIOM_SLACK * tol)
     return report
+
+
+def _bounds_fit(cat, certified) -> bool:
+    """Whether ``certified`` has ``duality.gelfand``'s shapes for
+    ``cat``, ``(o, o, n)`` and ``(o, o, o, n, n)``, with ``n`` elements
+    in every block: only then are its bounds read."""
+    if certified is None:
+        return False
+    o, sizes = len(cat.objects), {cat.block_dim(a, b) for a, b in cat.pairs()}
+    return len(sizes) == 1 and [np.shape(x) for x in certified] == [
+        (o, o, *sizes), (o, o, o, *sizes, *sizes)
+    ]
 
 
 def _by_shape(fn, cat, pairs) -> np.ndarray:
@@ -641,9 +644,10 @@ def validate_functor(
     object position, of proven upper bounds on the involution defects of
     every block's basis elements and on the multiplicativity defects of
     the pairs of every triple's, each clearing the check with
-    ``config.CERT_SLACK`` to spare.  Then ``involution`` and
-    ``multiplicativity`` report the bounds and form no adjoint or
-    product; with ``None`` they form every adjoint and product.  It
+    ``config.CERT_SLACK`` to spare.  When the bounds fit the source
+    (:func:`_bounds_fit`), ``involution`` and ``multiplicativity``
+    report them and form no adjoint or product; otherwise they form
+    every adjoint and product.  It
     decides nothing else: ``units`` maps the identities through one
     batched projection per group of same-shaped diagonal blocks
     (:func:`_unit_defects`) either way.
@@ -664,7 +668,7 @@ def validate_functor(
             images[(a, b)] = _image(phi, target, a, b, np.eye(source.block_dim(a, b)))
         return images[(a, b)]
 
-    if _certified is None:
+    if not _bounds_fit(source, _certified):
         inv = [np.zeros(0)]  # HS norms of the defects, block after block
         for (a, b), basis in source.blocks.items():
             if not basis:
@@ -731,6 +735,26 @@ def _unit_defects(phi, source, target, tol) -> np.ndarray:
 # constructions
 
 
+def _from_classes(objects, classes) -> MatrixCategory:
+    """The category on the ordered ``(id, dim)`` ``objects`` read off
+    its classes, each a ``(sum d, r)`` array ``W`` whose rows at an
+    object, in object order, are the class's isometry into it (or zero).
+    Element ``p`` of block ``(A, B)`` is ``W_pA W_pB* / sqrt(r_p)``, an
+    HS-orthonormal basis in class order: each class forms one product
+    ``W W*``, sliced into its blocks.  It is unital when the ranks sum
+    to every object's dimension; no classes give empty blocks."""
+    rows, end = {}, 0
+    for o, d in objects:
+        rows[o], end = slice(end, end + d), end + d
+    products = [w @ w.conj().T / np.sqrt(w.shape[1]) for w in classes]
+    rank = sum(w.shape[1] for w in classes)
+    return MatrixCategory(
+        objects=objects,
+        blocks={(a, b): [g[rows[a], rows[b]] for g in products] for a in rows for b in rows},
+        unital=all(rank == d for _, d in objects),
+    )
+
+
 def generated_by(
     x,
     a_id: str = "A",
@@ -754,17 +778,14 @@ def generated_by(
     that also drops the kernel and the mirrored classes ``-s``.  A kept
     class of rank ``r`` with columns ``W``, scaled by ``sqrt(2)`` across
     two objects, splits into isometries ``U = W[:m]`` and ``V = W[m:]``
-    (``U = V = W`` on one object); block ``(P, Q)`` is spanned by
-    ``W_P W_Q* / sqrt(r)`` over the kept classes, an HS-orthonormal
-    basis.  The result is unital when the kept ranks fill every object.
-    Basis element ``i`` of every block belongs to kept class ``i``, the
-    order ``funcalc`` reads them in.
+    (``U = V = W`` on one object), and :func:`_from_classes` builds the
+    blocks from the kept classes.  Basis element ``i`` of every block
+    belongs to kept class ``i``, the order ``funcalc`` reads them in.
 
     That one-input ``joint_diagonalize`` reads the classes off the
     input's own normal eigendecomposition; ``seed`` seeds the attempts
     it falls back to when that result misses its target, and its errors
-    pass through.  Each kept class forms one product ``W W*``, sliced
-    into its blocks.
+    pass through.
 
     The limit near the cuts: a singular value ``s`` within
     the cluster cut of ``-s``, or of 0 when ``x`` has a kernel, shares
@@ -783,30 +804,18 @@ def generated_by(
     if a_id == b_id:
         if m != n:
             raise ValueError("same-object generator must be square")
-        comm = arr @ arr.conj().T - arr.conj().T @ arr
-        if not np.linalg.norm(comm) <= tol * (1.0 + hs_norm(arr) ** 2):
-            raise NotNormal("same-object generator must be normal")
+        _check_normal(arr, tol)
         objects = ((a_id, m),)
-        rows = {a_id: slice(None)}
         eig = joint_diagonalize([arr], tol, seed=seed)
         values, cols = np.abs(eig.eigenvalues[0]), eig.unitary
     else:
         objects = ((a_id, m), (b_id, n))
-        rows = {a_id: slice(0, m), b_id: slice(m, None)}
         dilation = np.block([[np.zeros((m, m)), arr], [arr.conj().T, np.zeros((n, n))]])
         eig = joint_diagonalize([dilation], tol, seed=seed)
         values, cols = eig.eigenvalues[0].real, np.sqrt(2.0) * eig.unitary
     cut = tol * (1.0 + np.abs(values).max(initial=0.0))
-    kept = [
-        (cols[:, s:s + r], r)
-        for s, r, v in zip(eig.starts, eig.sizes, values) if v > cut
-    ]
-    products = [w @ w.conj().T / np.sqrt(r) for w, r in kept]
-    blocks = {(p, q): [g[rows[p], rows[q]] for g in products] for p in rows for q in rows}
-    rank = sum(r for _, r in kept)
-    return MatrixCategory(
-        objects=objects, blocks=blocks, unital=all(rank == d for _, d in objects)
-    )
+    kept = [cols[:, s:s + r] for s, r, v in zip(eig.starts, eig.sizes, values) if v > cut]
+    return _from_classes(objects, kept)
 
 
 def _check_phases(phases, k) -> np.ndarray:

@@ -40,6 +40,7 @@ from .cstarcat import (
     StarFunctor,
     _bijective,
     _check_block_maps,
+    _from_classes,
     check_axioms,
     is_commutative,
     is_full,
@@ -81,7 +82,6 @@ __all__ = [
     "characters",
     "unitary_equivalence_gauge",
     "compression_functor",
-    "one_dim_category",
     "sections",
     "sections_with_gauge",
     "sections_on_morphism",
@@ -566,17 +566,6 @@ def unitary_equivalence_gauge(
     return pf
 
 
-def one_dim_category(object_ids) -> MatrixCategory:
-    """Every object a line, every block spanned by ``[[1]]``."""
-    one = np.ones((1, 1), dtype=complex)
-    ids = tuple(object_ids)
-    return MatrixCategory(
-        objects=tuple((o, 1) for o in ids),
-        blocks={(a, b): [one.copy()] for a in ids for b in ids},
-        unital=True,
-    )
-
-
 def compression_functor(
     cat: MatrixCategory, spec: SpectrumResult, idx: int, tol=None
 ):
@@ -584,7 +573,8 @@ def compression_functor(
     on the same objects plus the evaluation *-functor onto it, whose
     block maps are the class's rows of ``spec.block_maps``."""
     tol = resolve_tol(tol)
-    target = one_dim_category(cat.object_ids)
+    lines = tuple((o, 1) for o in cat.object_ids)
+    target = _from_classes(lines, [np.ones((len(lines), 1), dtype=complex)])
     rows = spec.block_maps[:, :, idx]
     block_maps = {(a, b): rows[spec._index(a, b)][None, :] for a, b in cat.pairs()}
     phi = StarFunctor(
@@ -1202,12 +1192,5 @@ def verify_duality(
 
 
 def classical_category(k: int) -> MatrixCategory:
-    """Diagonal functions on ``k`` points as a one-object category."""
-    basis = []
-    for i in range(k):
-        m = np.zeros((k, k), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    return MatrixCategory(
-        objects=(("A", k),), blocks={("A", "A"): basis}, unital=True
-    )
+    """Diagonal functions on ``k`` points, one class ``e_p`` per point."""
+    return _from_classes((("A", k),), list(np.eye(k, dtype=complex)[:, :, None]))

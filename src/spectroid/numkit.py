@@ -87,20 +87,25 @@ def _normalize_column_phases(u: np.ndarray) -> np.ndarray:
     return u * _column_phases(u)
 
 
+def _check_normal(a: np.ndarray, tol: float) -> None:
+    """Raise :class:`NotNormal`, naming the defect, unless ``||a a* -
+    a* a||_HS <= tol * (1 + ||a||_HS^2)``; a NaN fails."""
+    ah = a.conj().T
+    dev = np.linalg.norm(a @ ah - ah @ a)
+    if not dev <= tol * (1.0 + hs_norm(a) ** 2):
+        raise NotNormal(f"normality defect {dev:.3e}")
+
+
 def normal_eig(m, tol: float | None = None):
     """Unitary eigendecomposition of a normal matrix.
 
     Returns ``(evals, u)`` with complex eigenvalues in column order of
     ``u``; see :func:`_normal_eig_core` for the method.  Raises
-    :class:`NotNormal` when the normality defect ``||a a* - a* a||_HS``
-    exceeds ``tol * (1 + ||a||_HS^2)``.
+    :class:`NotNormal` as :func:`_check_normal` does.
     """
     tol = resolve_tol(tol)
     a = _as_matrix(m)
-    ah = a.conj().T
-    dev = np.linalg.norm(a @ ah - ah @ a)
-    if not dev <= tol * (1.0 + np.linalg.norm(a) ** 2):
-        raise NotNormal(f"normality defect {dev:.3e}")
+    _check_normal(a, tol)
     evals, u = _normal_eig_core(a, CLUSTER_RTOL * (1.0 + op_norm(a)))
     return evals, _normalize_column_phases(u)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spectroid import cstarcat, groups, numkit, selftest, serial
+from spectroid import duality as du
 from spectroid.cstarcat import (
     CategoryPresentation,
     StarFunctor,
@@ -23,7 +24,7 @@ from spectroid.cstarcat import (
     multi_linking_generator,
     validate_functor,
 )
-from spectroid.config import AXIOM_SLACK, GRAM_SLACK
+from spectroid.config import AXIOM_SLACK, GRAM_SLACK, resolve_tol
 from spectroid.errors import InvalidFunctor, InvalidGroupoid, NotNormal
 from spectroid.groups import groupoid_report, validate_groupoid
 from spectroid.reporting import Report
@@ -136,7 +137,7 @@ def test_generated_by_rejects_non_finite_input_up_front(monkeypatch, value, b):
     def no_norm(*args, **kwargs):
         raise AssertionError("non-finite input is rejected before any norm")
 
-    monkeypatch.setattr(cstarcat, "hs_norm", no_norm)
+    monkeypatch.setattr(numkit, "hs_norm", no_norm)
     x = np.eye(2, dtype=complex)
     x[0, 1] = value
     with pytest.raises(ValueError, match="non-finite entries in generated_by"):
@@ -144,10 +145,30 @@ def test_generated_by_rejects_non_finite_input_up_front(monkeypatch, value, b):
 
 
 def test_generated_by_normality_test_is_nan_safe(monkeypatch):
-    # a NaN normality defect fails the test instead of passing it
-    monkeypatch.setattr(cstarcat, "hs_norm", lambda m: np.nan)
-    with pytest.raises(NotNormal):
+    # a NaN normality bound fails the test instead of passing it, in
+    # generated_by and normal_eig alike
+    monkeypatch.setattr(numkit, "hs_norm", lambda m: np.nan)
+    with pytest.raises(NotNormal, match="normality defect"):
         generated_by(np.diag([1.0, 2.0]), "A", "A")
+    with pytest.raises(NotNormal, match="normality defect"):
+        numkit.normal_eig(np.diag([1.0, 2.0]))
+
+
+def test_generated_by_and_normal_eig_share_the_normality_bound():
+    # a defect planted just over tol * (1 + ||a||_HS^2) raises from both,
+    # and the same matrix passes both at a tolerance just above it
+    a = np.diag([1.0, 2.0 + 1j]).astype(complex)
+    a[0, 1] = 1e-6
+    dev = np.linalg.norm(a @ a.conj().T - a.conj().T @ a)
+    edge = dev / (1.0 + np.linalg.norm(a) ** 2)
+    for tol in (edge * (1 - 1e-9), edge * (1 + 1e-9)):
+        over = tol < edge
+        for build in (lambda: generated_by(a, "A", "A", tol), lambda: numkit.normal_eig(a, tol)):
+            if over:
+                with pytest.raises(NotNormal, match=f"normality defect {dev:.3e}"):
+                    build()
+            else:
+                build()
 
 
 def test_close_is_idempotent_and_axioms_pass():
@@ -1083,8 +1104,8 @@ def _units_object_by_object(phi, source, target, tol):
     identity mapped by ``functor_image``."""
     return [
         np.linalg.norm(
-            cstarcat.functor_image(phi, source, target, o, o, source.identity(o), tol)
-            - target.identity(phi.object_map[o])
+            cstarcat.functor_image(phi, source, target, o, o, np.eye(source.dim(o)), tol)
+            - np.eye(target.dim(phi.object_map[o]))
         )
         for o in source.object_ids
     ]
@@ -1123,18 +1144,36 @@ def _identities_missing():
     return cstarcat.MatrixCategory((("A", 2), ("B", 3), ("C", 2)), blocks, True)
 
 
+def _linking_scaled_at_last():
+    """The identity functor of a linking chain, whose blocks all hold 3
+    elements, with the block map of its last object scaled: gelfand's
+    bounds fit it."""
+    cat = AXIOM_REFERENCE_CASES["linking-chain"]()
+    phi = identity_functor(cat)
+    last = cat.object_ids[-1]
+    phi.block_maps[(last, last)] = (1 + 7e-7) * phi.block_maps[(last, last)]
+    return phi, cat, cat
+
+
 UNIT_REFERENCE_CASES = {
     "mixed-close": lambda: (identity_functor(cat := _mixed_close()), cat, cat),
     "scaled-at-last": _scaled_at_last,
     "split-by-image": _split_by_image,
+    "linking-scaled-at-last": _linking_scaled_at_last,
 }
 
-# bounds that validate_functor reports as given for involution and
-# multiplicativity: they decide nothing about units
-SOME_BOUNDS = (np.zeros(1), np.zeros(1))
+
+def _stand_ins(cat):
+    """Zero bounds of gelfand's shapes for ``cat``, ``n`` its first
+    block's size: validate_functor reports them as given for involution
+    and multiplicativity when every block holds ``n`` elements, and forms
+    both checks when the sizes differ.  Either way they decide nothing
+    about units."""
+    o, n = len(cat.objects), cat.block_dim(*cat.pairs()[0])
+    return np.zeros((o, o, n)), np.zeros((o, o, o, n, n))
 
 
-@pytest.mark.parametrize("certified", [None, SOME_BOUNDS], ids=["explicit", "certified"])
+@pytest.mark.parametrize("certified", [False, True], ids=["explicit", "certified"])
 @pytest.mark.parametrize("name", sorted(UNIT_REFERENCE_CASES))
 def test_validate_functor_units_match_an_object_by_object_reference(
     monkeypatch, name, certified
@@ -1143,9 +1182,10 @@ def test_validate_functor_units_match_an_object_by_object_reference(
     # puts the unit defects back in object order: the report, and each
     # check's items in order, are the object-by-object loop's up to rounding
     phi, source, target = UNIT_REFERENCE_CASES[name]()
+    bounds = _stand_ins(source) if certified else None
 
     def run():
-        return validate_functor(phi, source, target, 1e-9, _certified=certified)
+        return validate_functor(phi, source, target, 1e-9, _certified=bounds)
 
     got = _recorded(monkeypatch, run)
     monkeypatch.setattr(cstarcat, "_unit_defects", _units_object_by_object)
@@ -1160,15 +1200,22 @@ def test_unit_reference_cases_cover_their_shapes():
     assert shapes[0] == shapes[2] != shapes[1]
     target = _split_by_image()[2]
     assert np.shape(target.block("C", "C")) != np.shape(target.block("A", "A"))
-    phi, source, target = _scaled_at_last()
-    units = _units_object_by_object(phi, source, target, 1e-9)
-    assert max(units[:2]) < 1e-13 < 1e-7 < units[2]
+    for case in (_scaled_at_last, _linking_scaled_at_last):
+        phi, source, target = case()
+        units = _units_object_by_object(phi, source, target, 1e-9)
+        assert max(units[:2]) < 1e-13 < 1e-7 < units[2]
+    # the stand-ins fit the linking chain alone
+    assert cstarcat._bounds_fit(source, _stand_ins(source))
+    assert not any(
+        cstarcat._bounds_fit(cat, _stand_ins(cat))
+        for cat in (_mixed_close(), _split_by_image()[1], _identities_missing())
+    )
     missing = _identities_missing()
     shapes = [np.shape(missing.block(o, o)) for o in missing.object_ids]
     assert shapes[0] == shapes[2] != shapes[1]
 
 
-@pytest.mark.parametrize("certified", [None, SOME_BOUNDS], ids=["explicit", "certified"])
+@pytest.mark.parametrize("certified", [False, True], ids=["explicit", "certified"])
 def test_validate_functor_names_the_first_object_whose_identity_is_missing(
     monkeypatch, certified
 ):
@@ -1176,11 +1223,12 @@ def test_validate_functor_names_the_first_object_whose_identity_is_missing(
     # order, though C's shape group comes first
     cat = _identities_missing()
     phi = identity_functor(cat)
+    bounds = _stand_ins(cat) if certified else None
     with pytest.raises(InvalidFunctor) as got:
-        validate_functor(phi, cat, cat, _certified=certified)
+        validate_functor(phi, cat, cat, _certified=bounds)
     monkeypatch.setattr(cstarcat, "_unit_defects", _units_object_by_object)
     with pytest.raises(InvalidFunctor) as want:
-        validate_functor(phi, cat, cat, _certified=certified)
+        validate_functor(phi, cat, cat, _certified=bounds)
     assert str(got.value) == str(want.value)
     assert str(got.value) == "element not in source block (B,B) (residual 1.414e+00)"
 
@@ -1208,6 +1256,29 @@ def test_validate_functor_trips_on_planted_defect(name):
                  if c.name == name)
     assert not check.passed
     assert 5 <= check.residual / check.bound <= 20, check
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(np.zeros(1), np.zeros(1)), (np.zeros((3, 3, 3)), np.zeros(1))],
+    ids=["both-wrong", "second-wrong"],
+)
+def test_wrong_shaped_bounds_leave_every_check_formed(bounds):
+    # stand-ins that are not gelfand's shapes hide no defect: a planted
+    # involution defect fails validate_functor, and a planted adjoint
+    # outside its block fails check_axioms, as without them
+    cat = AXIOM_REFERENCE_CASES["linking-chain"]()
+    phi = identity_functor(cat)
+    phi.block_maps[("B1", "B2")] = np.exp(1e-6j) * phi.block_maps[("B1", "B2")]
+    rep = validate_functor(phi, cat, cat, 1e-9, _certified=bounds)
+    assert not next(c for c in rep.checks if c.name == "involution").passed
+    assert rep == validate_functor(phi, cat, cat, 1e-9)
+    basis = list(cat.block("B1", "B2"))
+    basis[0] = np.roll(basis[0], 1, axis=0)
+    bad = cstarcat.MatrixCategory(cat.objects, {**cat.blocks, ("B1", "B2"): basis}, True)
+    rep = check_axioms(bad, 1e-9, _certified=bounds)
+    assert not next(c for c in rep.checks if c.name == "adjoint-closure").passed
+    assert rep == check_axioms(bad, 1e-9)
 
 
 @pytest.mark.parametrize("where", [0, -1])
@@ -1486,3 +1557,118 @@ def test_chunked_product_outside_source_names_the_same_residual(monkeypatch):
         assert next(
             c for c in check_axioms(cat).checks if c.name == "composition-closure"
         ) == closure
+
+
+# ---------------------------------------------------------------------------
+# one builder from classes: the three hand assemblies it replaced, kept
+# here as references
+
+
+def _hand_generated_by(x, a_id="A", b_id="B"):
+    """``generated_by``'s own assembly: one product ``w w* / sqrt(r)``
+    per kept class, sliced at each object's rows."""
+    tol = resolve_tol(None)
+    arr = np.asarray(x, dtype=complex)
+    m, n = arr.shape
+    if a_id == b_id:
+        objects, rows = ((a_id, m),), {a_id: slice(None)}
+        eig = numkit.joint_diagonalize([arr], tol)
+        values, cols = np.abs(eig.eigenvalues[0]), eig.unitary
+    else:
+        objects = ((a_id, m), (b_id, n))
+        rows = {a_id: slice(0, m), b_id: slice(m, None)}
+        dilation = np.block([[np.zeros((m, m)), arr], [arr.conj().T, np.zeros((n, n))]])
+        eig = numkit.joint_diagonalize([dilation], tol)
+        values, cols = eig.eigenvalues[0].real, np.sqrt(2.0) * eig.unitary
+    cut = tol * (1.0 + np.abs(values).max(initial=0.0))
+    kept = [
+        (cols[:, s:s + r], r)
+        for s, r, v in zip(eig.starts, eig.sizes, values) if v > cut
+    ]
+    products = [w @ w.conj().T / np.sqrt(r) for w, r in kept]
+    blocks = {(p, q): [g[rows[p], rows[q]] for g in products] for p in rows for q in rows}
+    rank = sum(r for _, r in kept)
+    return cstarcat.MatrixCategory(objects, blocks, all(rank == d for _, d in objects))
+
+
+def _hand_classical(k):
+    """``classical_category``'s own assembly: the matrix units E_ii."""
+    basis = []
+    for i in range(k):
+        m = np.zeros((k, k), dtype=complex)
+        m[i, i] = 1.0
+        basis.append(m)
+    return cstarcat.MatrixCategory((("A", k),), {("A", "A"): basis}, True)
+
+
+def _hand_lines(ids):
+    """The one-dimensional category on ``ids``: every object a line,
+    every block spanned by ``[[1]]``."""
+    one = np.ones((1, 1), dtype=complex)
+    blocks = {(a, b): [one.copy()] for a in ids for b in ids}
+    return cstarcat.MatrixCategory(tuple((o, 1) for o in ids), blocks, True)
+
+
+def assert_same_bytes(got, want):
+    """Objects, ``unital`` and every block element's shape, dtype and
+    bytes equal, in order."""
+    assert got.objects == want.objects
+    assert got.unital == want.unital
+    assert list(got.blocks) == list(want.blocks)
+    for pair, basis in want.blocks.items():
+        assert [(m.shape, m.dtype, m.tobytes()) for m in got.blocks[pair]] == [
+            (m.shape, m.dtype, m.tobytes()) for m in basis
+        ], pair
+
+
+def _builder_draws():
+    """Seeded ``generated_by`` inputs: one rectangle of every shape with
+    sides 1-12, rectangles with planted kernels, normal squares with
+    repeated eigenvalues, 1 x 1 on one object and on two, and zeros,
+    which keep no class."""
+    rng = np.random.default_rng(35)
+    for qa in range(1, 13):
+        for qb in range(1, 13):
+            yield _gaussian(rng, (qa, qb)), "B"
+    for _ in range(60):
+        qa, qb = (int(q) for q in rng.integers(2, 13, size=2))
+        rank = int(rng.integers(1, min(qa, qb)))
+        yield _gaussian(rng, (qa, rank)) @ _gaussian(rng, (rank, qb)), "B"
+    for _ in range(60):
+        q = int(rng.integers(3, 13))
+        eigs = rng.choice(_gaussian(rng, (q // 2 + 1,)), size=q)
+        u = selftest.rand_unitary(rng, q)
+        yield u @ np.diag(eigs) @ u.conj().T, "A"
+    for _ in range(20):
+        yield _gaussian(rng, (1, 1)), "A"
+        yield _gaussian(rng, (1, 1)), "B"
+    for q in (1, 3, 5):
+        yield np.zeros((q, q)), "A"
+        yield np.zeros((q, q + 1)), "B"
+
+
+def test_generated_by_builds_the_hand_assembly_bit_for_bit():
+    draws = list(_builder_draws())
+    assert len(draws) == 144 + 60 + 60 + 40 + 6
+    repeated = empty = 0
+    for x, b in draws:
+        got = generated_by(x, "A", b)
+        assert_same_bytes(got, _hand_generated_by(x, "A", b))
+        basis = got.block("A", "A")
+        repeated += any(np.linalg.matrix_rank(m) > 1 for m in basis)
+        empty += not basis
+    # classes of rank 2 or more, where sqrt(r) is not r, and x = 0
+    assert repeated >= 50 and empty == 6
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_classical_category_builds_the_hand_assembly_bit_for_bit(k):
+    assert_same_bytes(du.classical_category(k), _hand_classical(k))
+
+
+@pytest.mark.parametrize("o", range(1, 5))
+def test_compression_target_builds_the_hand_assembly_bit_for_bit(o):
+    cat = du.classical_category(3) if o == 1 else multi_linking(2, [[1, 0]] * (o - 1))
+    assert len(cat.objects) == o
+    target, phi = du.compression_functor(cat, du.spectrum(cat), 0)
+    assert_same_bytes(target, _hand_lines(cat.object_ids))

@@ -1059,7 +1059,7 @@ def assert_character_laws(c, seed=5):
                     ) < 1e-10
         # unital
         for a in ids:
-            assert abs(w.value(a, a, c.identity(a)) - 1.0) < 1e-10
+            assert abs(w.value(a, a, np.eye(c.dim(a))) - 1.0) < 1e-10
     return chars
 
 
