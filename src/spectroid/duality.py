@@ -243,6 +243,16 @@ def _rank_groups(ranks: np.ndarray):
         yield cls, starts[cls][:, None] + np.arange(r)
 
 
+def _picks(row_sq, starts) -> np.ndarray:
+    """``(o - 1, k)``: per object B after the anchor and per class ``i``,
+    the first element of block (anchor, B) whose class slice has at
+    least half the largest squared HS norm; ``row_sq[b, e]`` holds the
+    squared norms of element ``e``'s rows in the anchor's basis, and
+    the classes' rows start at ``starts``."""
+    sq = np.add.reduceat(row_sq, starts, axis=-1)
+    return np.argmax(sq >= sq.max(axis=1, keepdims=True) / 2, axis=1)
+
+
 def _transported_bases(x, ids, eig, tol) -> tuple:
     """The anchor's class-ordered joint eigenbasis ``U`` and, for every
     other object B, its classes carried along block (anchor, B), as one
@@ -263,22 +273,92 @@ def _transported_bases(x, ids, eig, tol) -> tuple:
     d = u.shape[1]
     bases = np.broadcast_to(u, (len(ids), d, d)).copy()
     if len(ids) > 1:
-        # t[b, e]: the elements of block (anchor, B) in the anchor's basis;
-        # sq[b, e, i]: the squared norms of their class slices
+        # t[b, e]: the elements of block (anchor, B) in the anchor's basis
         t = _adjoints(u) @ x[0, 1:]
-        sq = np.add.reduceat(np.sum(np.abs(t) ** 2, axis=-1), eig.starts, axis=-1)
-        pick = np.argmax(sq >= sq.max(axis=1, keepdims=True) / 2, axis=1)
+        pick = _picks(np.sum(np.abs(t) ** 2, axis=-1), eig.starts)
         best = t[np.arange(len(t))[:, None], pick]  # (o - 1, k, d, d)
         for cls, idx in _rank_groups(eig.sizes):
             w, _, vh = np.linalg.svd(best[:, cls[:, None], idx], full_matrices=False)
             bases[1:, :, idx] = np.moveaxis((w @ vh).conj(), -1, 1)
     dev = np.linalg.norm(_adjoints(bases) @ bases - np.eye(d), axis=(-2, -1))
+    _require_orthonormal(dev, d, ids, tol)
+    return bases, dev
+
+
+def _require_orthonormal(dev, d, ids, tol) -> None:
+    """Raise ``AmbiguousMatching`` for the first object whose ``d x d``
+    class-ordered basis has a unitarity defect ``dev`` (one per object)
+    above ``SPECTRAL_SLACK * tol * (1 + d)``; a NaN fails."""
     bad = ~(dev <= SPECTRAL_SLACK * tol * (1 + d))
     if bad.any():
         raise AmbiguousMatching(
             f"the anchor's classes carried to {ids[np.argmax(bad)]} are not orthonormal"
         )
-    return bases, dev
+
+
+def _dense_parts(x, ids, eig, tol) -> tuple:
+    """What :func:`_spectrum` checks of the ``(o, o, k, d, d)`` block
+    stack ``x``, ``n = k`` elements per block: the ``(o, d, d)``
+    class-ordered bases ``U`` that :func:`_transported_bases` carries
+    from the anchor, their ``(o,)`` unitarity defects ``||U*U -
+    I||_HS``, the ``(o, o, n, d, d)`` compressions ``T(e) = U_A* e
+    U_B``, formed in one product over all pairs, their ``(o, o, n, k)``
+    class coefficients ``c_p(e)``, and the ``(o, o, n)`` HS norms of the
+    residuals ``T(e) - blockdiag_p(c_p(e) I)`` and of the elements."""
+    bases, delta = _transported_bases(x, ids, eig, tol)
+    comp = _adjoints(bases)[:, None, None] @ x @ bases[None, :, None]
+    coeffs = _class_means(np.diagonal(comp, axis1=-2, axis2=-1), eig.sizes)
+    resid = _residual_rows(comp, coeffs, eig.sizes)
+    norms = np.linalg.norm(x.reshape(resid.shape), axis=-1)
+    return bases, delta, comp, coeffs, np.linalg.norm(resid, axis=-1), norms
+
+
+def _diagonal_parts(x, ids, eig, tol) -> tuple | None:
+    """:func:`_dense_parts` of a block stack whose elements are all
+    exactly zero off their diagonals, read off the ``(o, o, n, d)``
+    diagonals without a ``d x d`` product; ``None`` when some element is
+    not, when the anchor's joint eigenbasis ``U`` is not the one
+    ``numkit._diagonal_joint`` reads off the anchor's diagonals (a
+    permutation matrix whose classes are columns of equal anchor
+    diagonals), or when an entry the transport picks is zero.
+
+    With ``U = P``, a permutation, :func:`_transported_bases` picks the
+    same element ``e`` of block (anchor, B) for class ``i``, whose
+    slice ``P^i* e`` has one entry ``z_j`` per class column ``j``, each
+    in its own column; its polar factor is ``diag(z_j / |z_j|) P^i*``
+    when no ``z_j`` is zero.  So B's basis is ``P diag(phase_j)``,
+    ``phase_j = conj(z_j / |z_j|)``, every compression ``T(e) =
+    diag(conj(phase_A) e[perm] phase_B)`` is diagonal, and so are
+    ``U*U - I`` and the residuals ``E(e)``."""
+    u = eig.unitary
+    o, d = len(ids), u.shape[1]
+    perm = np.argmax(np.abs(u), axis=0)
+    if not np.array_equal(u[perm], np.eye(d)):
+        return None
+    # dg[A, B, e, j] = e[perm[j], perm[j]], the diagonals in class order
+    dg = np.diagonal(x, axis1=-2, axis2=-1)[..., perm]
+    anchor = dg[0, 0]
+    if not np.array_equal(anchor, np.repeat(anchor[:, eig.starts], eig.sizes, axis=1)):
+        return None
+    if np.count_nonzero(x) != np.count_nonzero(dg):
+        return None
+    phase = np.ones((o, d), dtype=complex)
+    if o > 1:
+        # the entries z of the elements that _transported_bases picks
+        pick = _picks(np.abs(dg[0, 1:]) ** 2, eig.starts)
+        cls = np.repeat(np.arange(eig.n_blocks), eig.sizes)
+        z = dg[0, 1:][np.arange(o - 1)[:, None], pick[:, cls], np.arange(d)]
+        if np.count_nonzero(z) != z.size:
+            return None
+        phase[1:] = (z / np.abs(z)).conj()
+    delta = np.linalg.norm((phase.conj() * phase).real - 1, axis=-1)
+    _require_orthonormal(delta, d, ids, tol)
+    diag = phase.conj()[:, None, None] * dg * phase[None, :, None]
+    comp = np.zeros(x.shape, dtype=complex)
+    comp.reshape(x.shape[:3] + (d * d,))[..., :: d + 1] = diag
+    coeffs = _class_means(diag, eig.sizes)
+    eta = np.linalg.norm(diag - np.repeat(coeffs, eig.sizes, axis=-1), axis=-1)
+    return u * phase[:, None], delta, comp, coeffs, eta, np.linalg.norm(dg, axis=-1)
 
 
 def spectrum(
@@ -312,7 +392,18 @@ def spectrum(
     every C_BB is diagonalized without one of its own.  It is proved
     from the residual array (:func:`_lift_bound`) when ``CERT_SLACK``
     times every element's bound clears that; otherwise every element
-    lifts its coefficients back explicitly.  Once completeness holds, a
+    lifts its coefficients back explicitly.
+
+    Two paths compute the bases, compressions and residuals, and the
+    checks are the same on both.  A category whose basis elements are
+    all exactly zero off their diagonals, such as :func:`sections`, and
+    whose anchor's joint eigenbasis is the permutation that
+    ``numkit`` reads off the anchor's diagonals, takes the diagonal
+    path (:func:`_diagonal_parts`): everything is read off the
+    elements' diagonals, with no ``d x d`` product, and the compressions
+    come out as diagonal matrices.  Every other category, and one whose
+    transport would pick a zero entry, takes the dense path
+    (:func:`_dense_parts`).  Once completeness holds, a
     block is full exactly when no class vanishes in it, which its block
     map shows (``FULLNESS_RTOL``).  Every diagonal block, the anchor's
     included, is then proved commutative by one rule
@@ -325,11 +416,12 @@ def spectrum(
     for o in c.object_ids:
         if not c.block(o, o):
             raise NotUnital(f"block ({o},{o}) is empty, so it has no identity")
-    for (a, b), basis in c.blocks.items():
+    blocks = {pair: np.asarray(basis) for pair, basis in c.blocks.items()}
+    for (a, b), basis in blocks.items():
         if not np.isfinite(basis).all():
             raise ValueError(f"block ({a},{b}) has non-finite entries")
     try:
-        return _spectrum(c, tol, seed)
+        return _spectrum(c, blocks, tol, seed)
     except (DiagonalizationFailed, NotFull, NotOneDimensional, AmbiguousMatching) as exc:
         # only the anchor is diagonalized and fullness is read off the
         # block maps, so a category that is not commutative, or not
@@ -342,10 +434,11 @@ def spectrum(
         raise
 
 
-def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
-    """:func:`spectrum` on a unital category, before the error contract."""
+def _spectrum(c: MatrixCategory, blocks: dict, tol: float, seed: int) -> SpectrumResult:
+    """:func:`spectrum` on a unital category whose blocks, as arrays, are
+    ``blocks``, before the error contract."""
     ids = c.object_ids
-    eig = joint_diagonalize(c.block(ids[0], ids[0]), tol, seed=seed)
+    eig = joint_diagonalize(blocks[ids[0], ids[0]], tol, seed=seed)
     k = eig.n_blocks
     # in a full category every class has a nonzero fiber in every block,
     # so a block whose dimension is not the class count has a fiber that
@@ -361,11 +454,12 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
             raise AmbiguousMatching(
                 f"the anchor's classes have total rank {d} but {o} has dimension {c.dim(o)}"
             )
-    x = np.reshape([c.block(a, b) for a, b in c.pairs()], (n_obj, n_obj, k, d, d))
-    bases, delta = _transported_bases(x, ids, eig, tol)
-    comp = _adjoints(bases)[:, None, None] @ x @ bases[None, :, None]
+    x = np.concatenate([blocks[p] for p in c.pairs()]).reshape(n_obj, n_obj, k, d, d)
+    parts = _diagonal_parts(x, ids, eig, tol)
+    if parts is None:
+        parts = _dense_parts(x, ids, eig, tol)
     # coeffs[A, B, j, p] = c_p(e_j), the block maps with elements first
-    coeffs = _class_means(np.diagonal(comp, axis1=-2, axis2=-1), eig.sizes)
+    bases, delta, comp, coeffs, eta, norms = parts
     points = tuple(f"w{i}" for i in range(k))
     result = SpectrumResult(
         spaceoid=SpaceoidData(points, ids, np.ones((k, n_obj, n_obj, n_obj), dtype=complex)),
@@ -376,9 +470,6 @@ def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
         compressions=comp,
         block_maps=np.swapaxes(coeffs, -1, -2),
     )
-    resid = _residual_rows(comp, coeffs, eig.sizes)
-    eta = np.linalg.norm(resid, axis=-1)
-    norms = np.linalg.norm(x.reshape(resid.shape), axis=-1)
 
     # completeness: every element must be recovered by its coefficients;
     # err holds the proven bounds on the lift residuals when every one

@@ -15,10 +15,13 @@ def worst(devs) -> tuple[float, int]:
     index (C order), a NaN counting as +inf; ``(0.0, -1)`` when the
     array is empty or all zero."""
     flat = np.ravel(np.asarray(devs, dtype=float))
-    flat = np.where(np.isnan(flat), np.inf, flat)
     if not flat.size:
         return 0.0, -1
     i = int(np.argmax(flat))
+    if np.isnan(flat[i]):
+        # argmax stops at the first NaN; a +inf before it ties with it
+        i = int(np.argmax(np.isnan(flat) | (flat == np.inf)))
+        return np.inf, i
     if not flat[i] > 0:
         return 0.0, -1
     return float(flat[i]), i

@@ -821,6 +821,218 @@ def test_transport_matches_per_object_diagonalization_on_many_objects(monkeypatc
         assert np.allclose(spec.diag_table, diag_table, atol=1e-11)
 
 
+# --- spectrum's diagonal path ------------------------------------------------
+
+
+def gauged_spaceoid(kind, n_points, n_objects, rng):
+    """A trivial, linking or torsor-associated spaceoid under a random
+    gauge, as the benchmark's spaceoid deck builds them."""
+    if kind == "trivial":
+        e = sp.trivial_spaceoid(n_points, n_objects)
+    elif kind == "linking":
+        phases = [np.exp(2j * np.pi * rng.random(n_points)) for _ in range(n_objects - 1)]
+        e = sp.linking_spaceoid(n_points, phases)
+    else:
+        e = sp.torsor_associated(n_objects, n_points)
+    return sp.apply_gauge(e, sp.random_gauge(rng, e.base_points, e.objects))
+
+
+def rank2_diagonal_category(n_objects, ranks, seed):
+    """A diagonal category read off classes of the given ranks: every
+    class owns a random set of coordinates, the same on every object,
+    each under a random phase of modulus exactly 1, so that the entries
+    of a class on the anchor are exactly equal."""
+    rng = np.random.default_rng(seed)
+    d, phases = sum(ranks), np.array([1, 1j, -1, -1j])
+    w = [np.zeros((n_objects * d, r), dtype=complex) for r in ranks]
+    coords = np.split(rng.permutation(d), np.cumsum(ranks)[:-1])
+    for i in range(n_objects):
+        for p, rows in enumerate(coords):
+            w[p][i * d + rows, np.arange(len(rows))] = rng.choice(phases, len(rows))
+    objects = tuple((f"O{i}", d) for i in range(n_objects))
+    return cc._from_classes(objects, w)
+
+
+def diagonal_categories():
+    """Gauged trivial, linking and torsor sections (70 of each), the
+    classical categories up to 64 points, and diagonal categories with
+    rank-2 classes."""
+    rng = np.random.default_rng(36)
+    cats = []
+    for i in range(210):
+        kind = ("trivial", "linking", "torsor")[i % 3]
+        n_objects = int(rng.integers(2 if kind == "linking" else 1, 6))
+        e = gauged_spaceoid(kind, int(rng.integers(1, 13)), n_objects, rng)
+        cats.append(du.sections(e))
+    cats += [du.classical_category(k) for k in (1, 2, 3, 16, 64)]
+    cats += [rank2_diagonal_category(3, [2, 1, 2], s) for s in range(4)]
+    return cats
+
+
+def dense_reference(c, tol=1e-9):
+    """The bases, compressions and block maps of the dense path, formed
+    here: the transported bases and the two products."""
+    ids = c.object_ids
+    o, n = len(ids), c.block_dim(ids[0], ids[0])
+    x = np.array([c.block(a, b) for a, b in c.pairs()], dtype=complex)
+    x = x.reshape((o, o, n) + x.shape[-2:])
+    eig = joint_diagonalize(x[0, 0], tol)
+    bases, _ = du._transported_bases(x, ids, eig, tol)
+    comp = np.conj(np.swapaxes(bases, -1, -2))[:, None, None] @ x @ bases[None, :, None]
+    coeffs = du._class_means(np.diagonal(comp, axis1=-2, axis2=-1), eig.sizes)
+    return bases, comp, np.swapaxes(coeffs, -1, -2)
+
+
+def _spy_on_dense_parts(monkeypatch):
+    """Patch ``duality._dense_parts`` to count its calls."""
+    calls = []
+    dense = du._dense_parts
+
+    def counted(*args):
+        calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(du, "_dense_parts", counted)
+    return calls
+
+
+def test_diagonal_path_matches_the_dense_products(monkeypatch):
+    calls = _spy_on_dense_parts(monkeypatch)
+    cats = diagonal_categories()
+    assert len(cats) >= 215
+    for c in cats:
+        spec = du.spectrum(c)
+        bases, comp, maps = dense_reference(c)
+        assert np.abs(spec.bases - bases).max() <= 1e-15
+        assert np.abs(spec.compressions - comp).max() <= 1e-15
+        assert np.abs(spec.block_maps - maps).max() <= 1e-15
+    assert not calls
+
+
+def _near_cluster_category():
+    # the anchor's rank-2 class has diagonal entries 1e-12 apart, inside
+    # the cluster cut, so numkit takes its seeded route
+    c = rank2_diagonal_category(2, [2, 1], 0)
+    anchor = c.block("O0", "O0")
+    big = int(np.argmax([np.count_nonzero(m) for m in anchor]))
+    first = np.flatnonzero(np.diagonal(anchor[big]))[0]
+    nudged = anchor[big].copy()
+    nudged[first, first] *= 1 + 1e-12
+    blocks = dict(c.blocks)
+    blocks["O0", "O0"] = [nudged if i == big else m for i, m in enumerate(anchor)]
+    assert numkit._diagonal_joint(np.array(blocks["O0", "O0"])) is None
+    return cc.MatrixCategory(c.objects, blocks, c.unital)
+
+
+def _picked_zero_category():
+    # one rank-2 class; block (A, B)'s one element has a zero where the
+    # transport reads its phase
+    eye = np.eye(2) / np.sqrt(2)
+    return _two_object_family([eye], [eye], [np.diag([1.0, 0.0])])
+
+
+@pytest.mark.parametrize("make, error", [
+    (_near_cluster_category, None),
+    (_picked_zero_category, NotFull),
+    (lambda: scramble(du.sections(random_spaceoid(7, n_points=4, n_objects=3)), 3), None),
+], ids=["near-cluster", "picked-zero", "scrambled"])
+def test_diagonal_path_falls_back_to_the_dense_one(monkeypatch, make, error):
+    c = make()
+    calls = _spy_on_dense_parts(monkeypatch)
+    if error is not None:
+        # the element with the zero is not a multiple of a unitary
+        with pytest.raises(error):
+            du.spectrum(c)
+        assert len(calls) == 1
+        return
+    got = du.spectrum(c)
+    assert len(calls) == 1
+    bases, comp, maps = dense_reference(c)
+    assert np.array_equal(got.bases, bases)
+    assert np.allclose(got.compressions, comp, rtol=0, atol=1e-15)
+    assert np.allclose(got.block_maps, maps, rtol=0, atol=1e-15)
+
+
+def _with_block(c, pair, basis):
+    return cc.MatrixCategory(c.objects, {**c.blocks, pair: basis}, c.unital)
+
+
+def _planted_nan():
+    c = du.sections(random_spaceoid(5, n_points=3, n_objects=2))
+    basis = [m.copy() for m in c.block("O1", "O2")]
+    basis[1][2, 2] = np.nan
+    return _with_block(c, ("O1", "O2"), basis)
+
+
+def _vanishing_class():
+    # point 0's element of block (O2, O3) is 1e-9 of a unit, so point
+    # 0's class vanishes there; the anchor's blocks carry every class
+    c = du.sections(random_spaceoid(6, n_points=3, n_objects=3))
+    basis = list(c.block("O2", "O3"))
+    basis[0] = 1e-9 * basis[0]
+    return _with_block(c, ("O2", "O3"), basis)
+
+
+def _dimension_mismatch():
+    # O2 is O1's space embedded in four dimensions: the dimension check
+    # raises AmbiguousMatching, and the category is not full
+    c = du.sections(random_spaceoid(8, n_points=3, n_objects=2))
+    e = np.eye(4)[:, :3]
+    blocks = {
+        (a, b): [
+            (e if a == "O2" else np.eye(3)) @ m @ (e if b == "O2" else np.eye(3)).T
+            for m in basis
+        ]
+        for (a, b), basis in c.blocks.items()
+    }
+    return cc.MatrixCategory((("O1", 3), ("O2", 4)), blocks, True)
+
+
+def _diagonal_lift():
+    # one element 5e-8 off its class model along its diagonal, inside a
+    # rank-2 class: the certificate misses, and the explicit lift clears it
+    c = rank2_diagonal_category(3, [2, 1, 2], 5)
+    basis = [m.copy() for m in c.block("O1", "O2")]
+    row = np.flatnonzero(np.diagonal(basis[0]))[0]
+    basis[0][row, row] += 5e-8
+    return _with_block(c, ("O1", "O2"), basis)
+
+
+@pytest.mark.parametrize("make, error", [
+    (_planted_nan, ValueError),
+    (_vanishing_class, NotFull),
+    (_dimension_mismatch, NotFull),
+    (_diagonal_lift, None),
+], ids=["nan", "vanishing-class", "dimension-mismatch", "explicit-lift"])
+def test_both_paths_give_the_same_verdict(monkeypatch, make, error):
+    c = make()
+
+    def outcome():
+        try:
+            return du.spectrum(c)
+        except Exception as exc:
+            return exc
+
+    lifted = []
+    lift = du.SpectrumResult._lift
+    monkeypatch.setattr(
+        du.SpectrumResult, "_lift", lambda *a: lifted.append(1) or lift(*a)
+    )
+    calls = _spy_on_dense_parts(monkeypatch)
+    diagonal = outcome()
+    assert not calls
+    monkeypatch.setattr(du, "_diagonal_parts", lambda *args: None)
+    dense = outcome()
+    if error is not None:
+        assert type(diagonal) is type(dense) is error
+        assert str(diagonal) == str(dense)
+        return
+    assert lifted == [1, 1]
+    assert np.array_equal(diagonal.bases, dense.bases)
+    assert np.allclose(diagonal.compressions, dense.compressions, rtol=0, atol=1e-15)
+    assert np.allclose(diagonal.block_maps, dense.block_maps, rtol=0, atol=1e-15)
+
+
 # --- scale oracles: dual groups far past the acceptance sizes ------------------
 
 
@@ -905,6 +1117,25 @@ def test_evaluation_reads_the_section_anchor_off_its_diagonal(monkeypatch, shape
     assert sp._base_bijective(ev.morphism, ev.spectrum.spaceoid)
     rep = du.roundtrip_spaceoid(e, 1e-9)
     assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("kind", ["trivial", "linking", "torsor"])
+@pytest.mark.parametrize("shape", [(48, 5), (96, 2)], ids=["48x5", "96x2"])
+def test_roundtrip_spaceoid_passes_past_24_points(monkeypatch, kind, shape):
+    n_points, n_objects = shape
+    e = gauged_spaceoid(kind, n_points, n_objects, np.random.default_rng(n_points))
+    spectra = []
+    spectrum = du.spectrum
+
+    def kept(*args):
+        spectra.append(spectrum(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(du, "spectrum", kept)
+    rep = du.roundtrip_spaceoid(e, 1e-9)
+    assert rep.passed, rep.summary()
+    assert [c.passed for c in rep.checks if c.name == "evaluation-isomorphism"] == [True]
+    assert [s.n_classes for s in spectra] == [n_points]
 
 
 def test_roundtrip_spaceoid_with_nan_reports_failure():

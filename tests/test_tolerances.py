@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectroid.reporting import Check, Report
+from spectroid.reporting import Check, Report, worst
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectroid"
 
@@ -222,6 +222,26 @@ def test_worst_residual_counts_nan_wherever_it_sits(first):
     for name, passed, residual in rows if first else rows[::-1]:
         rep.add(name, passed, residual)
     assert rep.worst_residual == np.inf
+
+
+@pytest.mark.parametrize(
+    "devs, expected",
+    [
+        ([np.inf, np.nan], (np.inf, 0)),
+        ([1.0, np.nan, np.inf], (np.inf, 1)),
+        ([2.0, np.inf, 1.0, np.nan], (np.inf, 1)),
+        ([np.nan, np.nan], (np.inf, 0)),
+        ([], (0.0, -1)),
+        ([0.0, 0.0], (0.0, -1)),
+        ([-1.0, -0.5], (0.0, -1)),
+        ([-1.0, 3.0, 3.0], (3.0, 1)),
+        ([[0.0, 2.0], [np.nan, 2.0]], (np.inf, 2)),
+    ],
+)
+def test_worst_returns_the_first_worst_entry(devs, expected):
+    # a NaN counts as +inf, and the first entry that attains it wins
+    value, index = worst(np.array(devs, dtype=float))
+    assert (value, index) == expected and type(value) is float
 
 
 def _mixed_report():
