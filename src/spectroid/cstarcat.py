@@ -54,7 +54,6 @@ __all__ = [
     "compose_functors",
     "functor_image",
     "validate_functor",
-    "generated_by",
     "linking_category",
     "multi_linking",
     "multi_linking_generator",
@@ -755,32 +754,25 @@ def _from_classes(objects, classes) -> MatrixCategory:
     )
 
 
-def generated_by(
-    x,
-    a_id: str = "A",
-    b_id: str = "B",
-    tol: float | None = None,
-    seed: int = 0,
-) -> MatrixCategory:
-    """The C*-category generated by one matrix placed in block (A, B).
+def _element_classes(x, a_id: str, b_id: str, tol: float, seed: int):
+    """The ``(objects, kept)`` classes of one matrix placed in block
+    (A, B), for :func:`_from_classes` or a direct read.
 
-    No units are adjoined.  When ``a_id == b_id`` the generator must be
-    square and normal.  Raises ``ValueError`` on non-finite input.
-
-    By Gel'fand duality the closure is fixed by ``x``'s spectral data,
-    so it comes from one :func:`numkit.joint_diagonalize`, without
-    ``close``'s product rounds.  Across two objects that is the
+    Raises ``ValueError`` on non-finite input and on a non-square
+    ``x`` on one object, and :class:`NotNormal` when that ``x`` is not
+    normal.  By Gel'fand duality the closure is fixed by ``x``'s
+    spectral data, so one :func:`numkit.joint_diagonalize` gives it,
+    without ``close``'s product rounds.  Across two objects that is the
     Hermitian dilation ``D = [[0, x], [x*, 0]]``, whose eigenvalues are
     the ``+-s`` of ``x``'s singular values ``s``, so its classes follow
     the one ``CLUSTER_RTOL`` rule in ``s``; on one object it is ``x``
     itself.  A class is kept when its eigenvalue (on one object, its
     modulus) exceeds ``tol * (1 + ||x||_op)``, ``close``'s drop rule;
     that also drops the kernel and the mirrored classes ``-s``.  A kept
-    class of rank ``r`` with columns ``W``, scaled by ``sqrt(2)`` across
-    two objects, splits into isometries ``U = W[:m]`` and ``V = W[m:]``
-    (``U = V = W`` on one object), and :func:`_from_classes` builds the
-    blocks from the kept classes.  Basis element ``i`` of every block
-    belongs to kept class ``i``, the order ``funcalc`` reads them in.
+    class of rank ``r`` is its columns ``W``, scaled by ``sqrt(2)``
+    across two objects, whose rows split into isometries ``U = W[:m]``
+    and ``V = W[m:]`` (``U = V = W`` on one object); ``objects`` is
+    ``((A, m), (B, n))``, or ``((A, m),)`` on one object.
 
     That one-input ``joint_diagonalize`` reads the classes off the
     input's own normal eigendecomposition; ``seed`` seeds the attempts
@@ -795,8 +787,10 @@ def generated_by(
     when it misses ``joint_diagonalize``'s fallback bound, and when it
     does not, ``x`` lies outside the closure's span by about ``s`` and
     ``funcalc``'s span certificate raises ``DiagonalizationFailed``.
+    The cluster cut's floor is absolute, so for ``||x||`` from about
+    10^-8.75 to 10^-7.75 it can join distinct singular values into one
+    class that is not block-scalar, and ``joint_diagonalize`` raises.
     """
-    tol = resolve_tol(tol)
     arr = np.asarray(x, dtype=complex)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite entries in generated_by input")
@@ -810,12 +804,32 @@ def generated_by(
         values, cols = np.abs(eig.eigenvalues[0]), eig.unitary
     else:
         objects = ((a_id, m), (b_id, n))
-        dilation = np.block([[np.zeros((m, m)), arr], [arr.conj().T, np.zeros((n, n))]])
+        dilation = np.zeros((m + n, m + n), dtype=complex)
+        dilation[:m, m:] = arr
+        dilation[m:, :m] = arr.conj().T
         eig = joint_diagonalize([dilation], tol, seed=seed)
         values, cols = eig.eigenvalues[0].real, np.sqrt(2.0) * eig.unitary
     cut = tol * (1.0 + np.abs(values).max(initial=0.0))
     kept = [cols[:, s:s + r] for s, r, v in zip(eig.starts, eig.sizes, values) if v > cut]
-    return _from_classes(objects, kept)
+    return objects, kept
+
+
+def generated_by(
+    x,
+    a_id: str = "A",
+    b_id: str = "B",
+    tol: float | None = None,
+    seed: int = 0,
+) -> MatrixCategory:
+    """The C*-category generated by one matrix placed in block (A, B),
+    with no units adjoined: :func:`_from_classes` of
+    :func:`_element_classes`, so basis element ``i`` of every block
+    belongs to kept class ``i``.  Nothing in the package calls it
+    (``funcalc`` reads the same classes directly); it is the closure's
+    constructor for the tests, and ``perfbench/tracer.py`` times it by
+    name.
+    """
+    return _from_classes(*_element_classes(x, a_id, b_id, resolve_tol(tol), seed))
 
 
 def _check_phases(phases, k) -> np.ndarray:

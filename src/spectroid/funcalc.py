@@ -10,11 +10,12 @@ function rescales each class with its phase kept:
 
     f[x] = lift(f(|xhat|) * xhat / |xhat|),
 
-with ``f(xhat)`` in its place on one object.  The generated category
-comes from one eigendecomposition (:func:`cstarcat.generated_by`: of
-the Hermitian dilation ``[[0, x], [x*, 0]]`` across two objects, of
-``x`` on one), and its bases already hold the classes, so ``funcalc``
-reads ``xhat`` and the lift off them, with no second spectrum.
+with ``f(xhat)`` in its place on one object.  The classes come from
+one eigendecomposition (of the Hermitian dilation ``[[0, x], [x*,
+0]]`` across two objects, of ``x`` on one), and ``funcalc`` reads
+``xhat`` and the lift off their kept columns, with no second spectrum
+and without building the generated category
+(``cstarcat.generated_by`` builds it from the same classes).
 ``svd_oracle`` computes the same thing directly from a singular value
 decomposition (or a normal eigendecomposition) and exists to
 cross-check it.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CLUSTER_RTOL, ZERO_SLACK, resolve_tol
-from .cstarcat import _stack, generated_by
+from .cstarcat import _element_classes
 from .errors import DiagonalizationFailed, SpectrumMismatch
 from .numkit import _as_matrix, _cluster_complex, normal_eig, op_norm, svd
 
@@ -155,28 +156,50 @@ def _under_zero_cut(x: np.ndarray, tol: float) -> bool:
     return under(op_norm(x))
 
 
+def _read_classes(x, objects, kept):
+    """``(c, xhat, lift)`` of ``x`` read off the kept columns ``W = [U;
+    V]`` of :func:`cstarcat._element_classes` (``U = V = W`` on one
+    object), without forming the closure's basis ``b_i = U_i V_i* /
+    sqrt(r_i)``: ``c_i = <b_i, x>_HS = tr(U_i* x V_i) / sqrt(r_i)``,
+    ``xhat_i = c_i / tr d_i`` with ``tr d_i = ||U_i||_HS^2 / sqrt(r_i)``,
+    and ``lift(g) = sum_i g_i b_i = U diag(g_i / sqrt(r_i)) V*``."""
+    m = x.shape[0]
+    w = np.concatenate(kept, axis=1) if kept else np.zeros((sum(d for _, d in objects), 0))
+    u, v = (w, w) if len(objects) == 1 else (w[:m], w[m:])
+    ranks = np.array([k.shape[1] for k in kept], dtype=int)
+    starts, root = np.cumsum(ranks) - ranks, np.sqrt(ranks)
+    uc, vh = u.conj(), v.conj().T
+    c = np.add.reduceat((uc * (x @ v)).sum(0), starts) / root
+    xhat = c / (np.add.reduceat((uc * u).real.sum(0), starts) / root)
+
+    def lift(g):
+        return (u * np.repeat(g / root, ranks)) @ vh
+
+    return c, xhat, lift
+
+
 def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     """Apply a scalar function to a matrix element through its
     Gel'fand transform over the category it generates.
 
-    ``generated_by(x, a_id, b_id, tol, seed)`` gives the closure from
-    one eigendecomposition; basis element ``i`` of each of its blocks
-    belongs to class ``i``, with ``b_i = U_i V_i* / sqrt(r_i)`` in
-    block ``(A, B)`` and ``d_i = U_i U_i* / sqrt(r_i)`` in ``(A, A)``.
-    So ``c_i = <b_i, x>_HS = s_i sqrt(r_i)`` and ``tr d_i = sqrt(r_i)``,
-    and the transform is ``xhat = c / tr d``.  The points are ``xhat``
-    on one object and ``|xhat|`` across two; classes with ``|xhat|`` at
-    most ``ZERO_SLACK * tol * (1 + ||x||_op)`` are dropped, and ``f``
-    (a :class:`SpectralFunction` or plain callable) rescales the others
-    with their phase kept: ``f[x] = sum_i c_i f(p_i) / p_i b_i``.  The
-    identity function returns ``x`` itself to machine precision.
+    ``cstarcat._element_classes`` gives the kept classes of the category
+    ``x`` generates from one eigendecomposition (its checks raise first,
+    ``NotNormal`` among them), and :func:`_read_classes` reads the
+    transform ``xhat = c / tr d`` off them without forming that
+    category: ``c_i = <b_i, x>_HS = s_i sqrt(r_i)`` and ``tr d_i =
+    sqrt(r_i)``.  The points are ``xhat`` on one object and ``|xhat|``
+    across two; classes with ``|xhat|`` at most ``ZERO_SLACK * tol * (1
+    + ||x||_op)`` are dropped, and ``f`` (a :class:`SpectralFunction` or
+    plain callable) rescales the others with their phase kept: ``f[x] =
+    sum_i c_i f(p_i) / p_i b_i``, with dropped classes set to zero.
+    The identity function returns ``x`` itself to machine precision.
     ``||x||_op``, for that cut and for the table's matching tolerance,
     is read off the same eigendecomposition as ``max |xhat|``, the
     value of the top class.
 
     An ``x`` under the zero rule, ``||x||_op`` at most that cut, has
     every point under it and returns zeros (raises ``SpectrumMismatch``
-    for a non-empty table) before any closure is built.  The rule is
+    for a non-empty table) before any eigendecomposition.  The rule is
     decided from ``||x||_HS``, which bounds ``||x||_op`` within a factor
     ``sqrt(min(m, n))``; only inside that band is ``op_norm`` taken.
 
@@ -202,13 +225,10 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
             )
         return np.zeros_like(x)
 
-    cat = generated_by(x, a_id, b_id, tol, seed)  # NotNormal guard lives here
-    b = _stack(cat, a_id, b_id).reshape(-1, x.size)
-    c = b.conj() @ x.ravel()
-    xhat = c / np.trace(_stack(cat, a_id, a_id), axis1=1, axis2=2).real
+    c, xhat, lift = _read_classes(x, *_element_classes(x, a_id, b_id, tol, seed))
     scale = float(np.abs(xhat).max(initial=0.0))  # ||x||_op: the top class's value
     cut = ZERO_SLACK * tol * (1 + scale)
-    residual = np.linalg.norm(x.ravel() - c @ b)
+    residual = np.linalg.norm(x - lift(c))
     if residual > cut:
         raise DiagonalizationFailed(
             f"element is {residual:.3e} outside its closure's span (cut {cut:.3e})"
@@ -217,8 +237,9 @@ def funcalc(x, a_id="A", b_id="B", f=None, tol=None, seed: int = 0):
     points = xhat[live] if a_id == b_id else np.abs(xhat[live]).astype(complex)
     points = points.tolist()
     _check_table_covers(f, points, scale)
-    g = c[live] * [_call(f, p, scale) / p for p in points]
-    return (g @ b[live]).reshape(x.shape)
+    g = np.zeros_like(c)
+    g[live] = c[live] * [_call(f, p, scale) / p for p in points]
+    return lift(g)
 
 
 def svd_oracle(x, a_id="A", b_id="B", f=None, tol=None):

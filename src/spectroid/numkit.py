@@ -372,9 +372,9 @@ def _normal_joint(stack: np.ndarray) -> tuple:
     ||m||_op`` as a one-entry array, which the seeded route reuses.
 
     A Hermitian input, whose anti-Hermitian part is exactly zero (such
-    as ``cstarcat.generated_by``'s dilation), is diagonalized by one
-    ``eigh``, and its operator norm is read off the eigenvalues as
-    ``max |w|``.  Any other input takes its operator norm by SVD first,
+    as the dilation in ``cstarcat._element_classes``), is diagonalized
+    by one ``eigh``, and its operator norm is read off the eigenvalues
+    as ``max |w|``.  Any other input takes its operator norm by SVD first,
     because :func:`_normal_eig_core`'s rotation pass cuts at
     ``CLUSTER_RTOL`` times its scale.  The classes are the
     single-linkage groups of the eigenvalues at that cut, the one rule;
