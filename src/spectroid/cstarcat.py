@@ -434,10 +434,10 @@ def _by_shape(fn, cat, pairs) -> np.ndarray:
 
 
 def _gram_defects(x) -> np.ndarray:
-    """``||Q Q* - I||_HS`` of every basis of a ``(g, n, d_a, d_b)``
+    """``||Q Q* - I||_HS`` of every basis of a ``(..., n, d_a, d_b)``
     stack, ``Q`` the basis as rows."""
     rows = _rows(x)
-    gram = rows.conj() @ np.swapaxes(rows, -1, -2) - np.eye(x.shape[1])
+    gram = rows.conj() @ np.swapaxes(rows, -1, -2) - np.eye(rows.shape[-2])
     return np.linalg.norm(gram, axis=(-2, -1))
 
 

@@ -25,7 +25,6 @@ Conventions fixed here (everything downstream depends on them):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,6 +40,7 @@ from .cstarcat import (
     _bijective,
     _check_block_maps,
     _from_classes,
+    _gram_defects,
     check_axioms,
     is_commutative,
     is_full,
@@ -115,15 +115,16 @@ class SpectrumResult:
     ``d``, the sum of the class ranks, and every block has one basis
     element per class:
 
-    * ``ranks`` ``(k,)``: class ``i`` owns the columns ``starts[i] :
-      starts[i] + ranks[i]`` of every basis;
+    * ``ranks`` ``(k,)``: class ``i`` owns the next ``ranks[i]``
+      columns of every basis;
     * ``elements`` ``(o, o, k, d, d)``: every block's basis as one
       stack, the category's blocks as the spectrum read them;
     * ``bases`` ``(o, d, d)``: the class-ordered bases, the anchor's
       joint eigenbasis and its transports to the other objects;
-    * ``compressions`` ``(o, o, k, d, d)``: each block's basis
-      compressed into those bases, ``bases[A]* e bases[B]`` per
-      element, a multiple of the identity on every class;
+    * ``diagonals`` ``(o, o, k, d)`` and ``off_norms`` ``(o, o, k)``:
+      each block's basis compressed into those bases, ``T(e) =
+      bases[A]* e bases[B]``, kept as its diagonal and the HS norm of
+      the rest (:func:`_residual_parts`);
     * ``block_maps`` ``(o, o, k, k)``: ``block_maps[A, B][p, j] =
       c_p(e_j)``, the class coefficients of block (A, B)'s basis
       element ``j``, which are also the characters' values on it.
@@ -138,17 +139,13 @@ class SpectrumResult:
     ranks: np.ndarray
     elements: np.ndarray = field(repr=False)
     bases: np.ndarray = field(repr=False)
-    compressions: np.ndarray = field(repr=False)
+    diagonals: np.ndarray = field(repr=False)
+    off_norms: np.ndarray = field(repr=False)
     block_maps: np.ndarray = field(repr=False)
 
     @property
     def n_classes(self) -> int:
         return len(self.ranks)
-
-    @property
-    def starts(self) -> np.ndarray:
-        """First column of every class in the class-ordered bases."""
-        return np.cumsum(self.ranks) - self.ranks
 
     @property
     def diag_table(self) -> np.ndarray:
@@ -188,15 +185,13 @@ def _class_means(diag, ranks) -> np.ndarray:
     return np.add.reduceat(diag, np.cumsum(ranks) - ranks, axis=-1) / ranks
 
 
-def _residual_rows(comp, coeffs, ranks) -> np.ndarray:
-    """``E(e) = T(e) - blockdiag_p(c_p(e) I)`` for a ``(..., d, d)``
-    stack of compressions ``T(e)`` and their class coefficients
-    ``coeffs`` ``(..., k)``, as rows ``(..., d*d)``: the compressions
-    with the coefficients taken off their diagonals."""
-    resid = comp.copy()
-    i = np.arange(comp.shape[-1])
-    resid[..., i, i] -= np.repeat(coeffs, ranks, axis=-1)
-    return resid.reshape(comp.shape[:-2] + (-1,))
+def _residual_parts(diag, off, coeffs, ranks) -> tuple:
+    """The diagonal ``(..., d)`` of ``E(e) = T(e) - blockdiag_p(c_p(e)
+    I)`` and ``eta = ||E(e)||_HS``, from ``T(e)``'s diagonal ``diag``,
+    the HS norm ``off`` of the rest and the coefficients ``coeffs`` ``(...,
+    k)``: the two parts of ``E(e)`` are orthogonal."""
+    dres = diag - np.repeat(coeffs, ranks, axis=-1)
+    return dres, np.hypot(off, np.linalg.norm(dres, axis=-1))
 
 
 def _lift_bound(eta, norm, delta, d) -> np.ndarray:
@@ -301,16 +296,17 @@ def _dense_parts(x, ids, eig, tol) -> tuple:
     stack ``x``, ``n = k`` elements per block: the ``(o, d, d)``
     class-ordered bases ``U`` that :func:`_transported_bases` carries
     from the anchor, their ``(o,)`` unitarity defects ``||U*U -
-    I||_HS``, the ``(o, o, n, d, d)`` compressions ``T(e) = U_A* e
-    U_B``, formed in one product over all pairs, their ``(o, o, n, k)``
-    class coefficients ``c_p(e)``, and the ``(o, o, n)`` HS norms of the
-    residuals ``T(e) - blockdiag_p(c_p(e) I)`` and of the elements."""
+    I||_HS``, the ``(o, o, n, d)`` diagonals of the compressions ``T(e)
+    = U_A* e U_B``, formed in one product over all pairs, and the ``(o,
+    o, n)`` HS norms of what they hold off their diagonals and of the
+    elements."""
     bases, delta = _transported_bases(x, ids, eig, tol)
     comp = _adjoints(bases)[:, None, None] @ x @ bases[None, :, None]
-    coeffs = _class_means(np.diagonal(comp, axis1=-2, axis2=-1), eig.sizes)
-    resid = _residual_rows(comp, coeffs, eig.sizes)
-    norms = np.linalg.norm(x.reshape(resid.shape), axis=-1)
-    return bases, delta, comp, coeffs, np.linalg.norm(resid, axis=-1), norms
+    diag = np.diagonal(comp, axis1=-2, axis2=-1).copy()
+    i = np.arange(comp.shape[-1])
+    comp[..., i, i] = 0
+    norms = np.linalg.norm(x.reshape(x.shape[:3] + (-1,)), axis=-1)
+    return bases, delta, diag, np.linalg.norm(comp, axis=(-2, -1)), norms
 
 
 def _diagonal_parts(x, ids, eig, tol) -> tuple | None:
@@ -354,11 +350,8 @@ def _diagonal_parts(x, ids, eig, tol) -> tuple | None:
     delta = np.linalg.norm((phase.conj() * phase).real - 1, axis=-1)
     _require_orthonormal(delta, d, ids, tol)
     diag = phase.conj()[:, None, None] * dg * phase[None, :, None]
-    comp = np.zeros(x.shape, dtype=complex)
-    comp.reshape(x.shape[:3] + (d * d,))[..., :: d + 1] = diag
-    coeffs = _class_means(diag, eig.sizes)
-    eta = np.linalg.norm(diag - np.repeat(coeffs, eig.sizes, axis=-1), axis=-1)
-    return u * phase[:, None], delta, comp, coeffs, eta, np.linalg.norm(dg, axis=-1)
+    off = np.zeros(diag.shape[:-1])
+    return u * phase[:, None], delta, diag, off, np.linalg.norm(dg, axis=-1)
 
 
 def spectrum(
@@ -382,26 +375,26 @@ def spectrum(
     Only the anchor's diagonal block is jointly diagonalized; the other
     objects' bases are transported from it (:func:`_transported_bases`).
     Every block's basis is compressed, in one product over all pairs,
-    into those bases; their diagonals' class means are the
-    ``block_maps``, and what is left of each compression, ``E(e) = T(e)
-    - blockdiag_p(c_p(e) I)``, is one residual array.  The completeness
-    check, over all pairs, the diagonal ones included, proves every
-    element within ``SPECTRAL_SLACK * tol * (1 + ||e||_HS)`` of the
-    multiple of the identity on every class that its coefficients give,
-    so every frame is the identity, every structure constant is 1, and
-    every C_BB is diagonalized without one of its own.  It is proved
-    from the residual array (:func:`_lift_bound`) when ``CERT_SLACK``
-    times every element's bound clears that; otherwise every element
-    lifts its coefficients back explicitly.
+    into those bases, keeping each compression's diagonal, whose class
+    means are the ``block_maps``, and the norm of the rest; the two give
+    the norms ``eta`` of ``E(e) = T(e) - blockdiag_p(c_p(e) I)``.
+    The completeness check, over all pairs, the diagonal ones included,
+    proves every element within ``SPECTRAL_SLACK * tol * (1 +
+    ||e||_HS)`` of the multiple of the identity on every class that its
+    coefficients give, so every frame is the identity, every structure
+    constant is 1, and every C_BB is diagonalized without one of its
+    own.  It is proved from ``eta`` (:func:`_lift_bound`) when
+    ``CERT_SLACK`` times every element's bound clears that; otherwise
+    every element lifts its coefficients back explicitly.
 
-    Two paths compute the bases, compressions and residuals, and the
+    Two paths compute the bases, diagonals and off-diagonal norms, and the
     checks are the same on both.  A category whose basis elements are
     all exactly zero off their diagonals, such as :func:`sections`, and
     whose anchor's joint eigenbasis is the permutation that
     ``numkit`` reads off the anchor's diagonals, takes the diagonal
     path (:func:`_diagonal_parts`): everything is read off the
-    elements' diagonals, with no ``d x d`` product, and the compressions
-    come out as diagonal matrices.  Every other category, and one whose
+    elements' diagonals, with no ``d x d`` product, and every
+    off-diagonal norm is zero.  Every other category, and one whose
     transport would pick a zero entry, takes the dense path
     (:func:`_dense_parts`).  Once completeness holds, a
     block is full exactly when no class vanishes in it, which its block
@@ -416,12 +409,11 @@ def spectrum(
     for o in c.object_ids:
         if not c.block(o, o):
             raise NotUnital(f"block ({o},{o}) is empty, so it has no identity")
-    blocks = {pair: np.asarray(basis) for pair, basis in c.blocks.items()}
-    for (a, b), basis in blocks.items():
+    for (a, b), basis in c.blocks.items():
         if not np.isfinite(basis).all():
             raise ValueError(f"block ({a},{b}) has non-finite entries")
     try:
-        return _spectrum(c, blocks, tol, seed)
+        return _spectrum(c, tol, seed)
     except (DiagonalizationFailed, NotFull, NotOneDimensional, AmbiguousMatching) as exc:
         # only the anchor is diagonalized and fullness is read off the
         # block maps, so a category that is not commutative, or not
@@ -434,11 +426,11 @@ def spectrum(
         raise
 
 
-def _spectrum(c: MatrixCategory, blocks: dict, tol: float, seed: int) -> SpectrumResult:
-    """:func:`spectrum` on a unital category whose blocks, as arrays, are
-    ``blocks``, before the error contract."""
+def _spectrum(c: MatrixCategory, tol: float, seed: int) -> SpectrumResult:
+    """:func:`spectrum` on a unital category with finite blocks, before
+    the error contract."""
     ids = c.object_ids
-    eig = joint_diagonalize(blocks[ids[0], ids[0]], tol, seed=seed)
+    eig = joint_diagonalize(c.block(ids[0], ids[0]), tol, seed=seed)
     k = eig.n_blocks
     # in a full category every class has a nonzero fiber in every block,
     # so a block whose dimension is not the class count has a fiber that
@@ -454,12 +446,14 @@ def _spectrum(c: MatrixCategory, blocks: dict, tol: float, seed: int) -> Spectru
             raise AmbiguousMatching(
                 f"the anchor's classes have total rank {d} but {o} has dimension {c.dim(o)}"
             )
-    x = np.concatenate([blocks[p] for p in c.pairs()]).reshape(n_obj, n_obj, k, d, d)
+    x = np.array([c.block(a, b) for a, b in c.pairs()]).reshape(n_obj, n_obj, k, d, d)
     parts = _diagonal_parts(x, ids, eig, tol)
     if parts is None:
         parts = _dense_parts(x, ids, eig, tol)
+    bases, delta, diag, off, norms = parts
     # coeffs[A, B, j, p] = c_p(e_j), the block maps with elements first
-    bases, delta, comp, coeffs, eta, norms = parts
+    coeffs = _class_means(diag, eig.sizes)
+    _, eta = _residual_parts(diag, off, coeffs, eig.sizes)
     points = tuple(f"w{i}" for i in range(k))
     result = SpectrumResult(
         spaceoid=SpaceoidData(points, ids, np.ones((k, n_obj, n_obj, n_obj), dtype=complex)),
@@ -467,7 +461,8 @@ def _spectrum(c: MatrixCategory, blocks: dict, tol: float, seed: int) -> Spectru
         ranks=eig.sizes,
         elements=x,
         bases=bases,
-        compressions=comp,
+        diagonals=diag,
+        off_norms=off,
         block_maps=np.swapaxes(coeffs, -1, -2),
     )
 
@@ -841,8 +836,9 @@ class _Compressions(NamedTuple):
 
     maps: np.ndarray  # (o, o, n, n) the functor's block maps c, classes first
     rows: np.ndarray  # (o, o, n, d*d) the basis elements e, as rows
-    resid: np.ndarray  # (o, o, n, d*d) rows of T(e) - blockdiag_p(c_p(e) I)
-    eta: np.ndarray  # (o, o, n) their HS norms
+    dres: np.ndarray  # (o, o, n, d) the diagonals of T(e) - blockdiag_p(c_p(e) I)
+    off: np.ndarray  # (o, o, n) the HS norms of T(e) off its diagonal
+    eta: np.ndarray  # (o, o, n) ||T(e) - blockdiag_p(c_p(e) I)||_HS
     nu: np.ndarray  # (o, o, n) max_p |c_p(e)|
     norm: np.ndarray  # (o, o, n) ||e||_HS
     delta: np.ndarray  # (o,) ||U*U - I||_HS of the class-ordered bases
@@ -852,14 +848,15 @@ class _Compressions(NamedTuple):
 
 def _compressions(spec, maps) -> _Compressions:
     """Measure every basis element's compression into the class-ordered
-    bases of its objects, ``T(e) = U_A* e U_B`` (as ``spectrum`` formed
+    bases of its objects, ``T(e) = U_A* e U_B`` (as ``spectrum`` kept
     it, from the blocks it stacked), against the model
     ``blockdiag_p(c_p(e) I)`` built from the functor's own block maps
     ``maps``, ``(o, o, n, n)``."""
     u = spec.bases
-    n, d = maps.shape[-1], u.shape[-1]
-    rows = spec.elements.reshape(maps.shape[:2] + (n, d * d))
-    resid = _residual_rows(spec.compressions, np.swapaxes(maps, -1, -2), spec.ranks)
+    rows = spec.elements.reshape(maps.shape[:3] + (-1,))
+    dres, eta = _residual_parts(
+        spec.diagonals, spec.off_norms, np.swapaxes(maps, -1, -2), spec.ranks
+    )
     finite = np.isfinite(maps).all(axis=(-2, -1))
     sv = np.full(maps.shape[:-1], np.nan)
     if finite.any():
@@ -867,12 +864,13 @@ def _compressions(spec, maps) -> _Compressions:
     return _Compressions(
         maps=maps,
         rows=rows,
-        resid=resid,
-        eta=np.linalg.norm(resid, axis=-1),
+        dres=dres,
+        off=spec.off_norms,
+        eta=eta,
         nu=np.abs(maps).max(axis=2),
         norm=np.linalg.norm(rows, axis=-1),
-        delta=np.linalg.norm(_adjoints(u) @ u - np.eye(d), axis=(-2, -1)),
-        gram=np.linalg.norm(rows @ _adjoints(rows) - np.eye(n), axis=(-2, -1)),
+        delta=np.linalg.norm(_adjoints(u) @ u - np.eye(u.shape[-1]), axis=(-2, -1)),
+        gram=_gram_defects(spec.elements),
         sv=sv,
     )
 
@@ -934,8 +932,6 @@ def _product_bounds(q: _Compressions):
             return x.reshape(shape)
 
         d_a, d_b, d_c = (at(q.delta, [ax]) for ax in range(3))
-        gram = at(q.gram, [0, 2])
-        s_min = at(q.sv.min(axis=-1, initial=np.inf), [0, 2])
         nu_i, nu_j = at(q.nu, [0, 1, 3]), at(q.nu, [1, 2, 4])
         eta_i, eta_j = at(q.eta, [0, 1, 3]), at(q.eta, [1, 2, 4])
         size = at(q.norm, [0, 1, 3]) * at(q.norm, [1, 2, 4])  # ||x|| ||y||
@@ -943,17 +939,29 @@ def _product_bounds(q: _Compressions):
             nu_i * eta_j + eta_i * nu_j + eta_i * eta_j
             + np.sqrt((1 + d_a) * (1 + d_c)) * size * d_b
         )
+    return _projection_bounds(q, v, eps, size, d_a, d_c, lambda x: at(x, [0, 2]))
+
+
+def _projection_bounds(q: _Compressions, v, eps, size, d_a, d_c, target):
+    """:func:`_product_bounds`' ``(mult, outside)`` from ``T(w) =
+    blockdiag_p(v_p I) + R``, ``||R||_HS <= eps``, for items ``w`` of
+    HS size ``size`` projected on a block (A, C) with unitarity defects
+    ``d_a``, ``d_c``; ``target`` broadcasts an ``(o, o)`` array from
+    (A, C) to the items' shape.  :func:`_adjoint_bounds` shares it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gram = target(q.gram)
+        s_min = target(q.sv.min(axis=-1, initial=np.inf))
+        s_max = target(q.sv.max(axis=-1, initial=0.0))
         kappa = v / s_min
-        dist = (eps + kappa * at(np.linalg.norm(q.eta, axis=-1), [0, 2])) / np.sqrt(
+        dist = (eps + kappa * target(np.linalg.norm(q.eta, axis=-1))) / np.sqrt(
             (1 - d_a) * (1 - d_c)
         )
         coeff = gram * kappa + np.sqrt(1 + gram) * dist
-        s_max = at(q.sv.max(axis=-1, initial=0.0), [0, 2])
-        rounding = (q.resid.shape[-1] + q.maps.shape[-1]) * _EPS
+        rounding = (q.dres.shape[-1] ** 2 + q.maps.shape[-1]) * _EPS
         outside = dist + np.sqrt(1 + gram) * coeff + rounding * (1 + size)
-        mult = s_max * coeff + rounding * (1 + s_max * size + v)
+        defect = s_max * coeff + rounding * (1 + s_max * size + v)
     premise = (d_a < 1) & (d_c < 1) & (s_min > 0)
-    return np.where(premise, mult, np.nan), np.where(premise, outside, np.nan)
+    return np.where(premise, defect, np.nan), np.where(premise, outside, np.nan)
 
 
 def _isometry_bounds(q: _Compressions, z, top):
@@ -963,21 +971,22 @@ def _isometry_bounds(q: _Compressions, z, top):
     is the block map ``C`` applied to ``z``.
 
     ``T(x) = blockdiag_p(xhat_p I) + E_x`` with ``E_x = sum_k z_k
-    E_k``, so ``eta_x = ||E_x||_HS`` is the norm of ``z`` times the
-    stacked residual rows.  The block-diagonal model has operator norm
-    ``top``, so ``| ||T(x)||_op - top | <= eta_x``.  With ``s = sqrt((1
-    - delta_A)(1 - delta_B))``, ``||x||_op`` lies within ``(1/s - 1)
-    ||T(x)||_op`` of ``||T(x)||_op``, and ``||T(x)||_op <= top +
-    eta_x``.  The bound also covers the explicit check's rounding, ``(d
-    + n) eps`` relative to ``1 + top + sum_k |z_k| ||e_k||`` (forming
-    ``x`` and ``xhat``, and the SVD).  Premise: ``delta < 1``; a NaN
-    certifies nothing.
+    E_k``, whose diagonal is ``z`` times the stacked ``dres`` and whose
+    rest, orthogonal to it, has HS norm at most ``sum_k |z_k| off_k``:
+    ``eta_x``, the hypot of the two, bounds ``||E_x||_HS``.  The
+    block-diagonal model has operator norm ``top``, so ``| ||T(x)||_op
+    - top | <= eta_x``.  With ``s = sqrt((1 - delta_A)(1 - delta_B))``,
+    ``||x||_op`` lies within ``(1/s - 1) ||T(x)||_op`` of
+    ``||T(x)||_op``, and ``||T(x)||_op <= top + eta_x``.  The bound also
+    covers the explicit check's rounding, ``(d + n) eps`` relative to
+    ``1 + top + sum_k |z_k| ||e_k||`` (forming ``x`` and ``xhat``, and
+    the SVD).  Premise: ``delta < 1``; a NaN certifies nothing.
     """
-    o, d = len(q.delta), math.isqrt(q.resid.shape[-1])
-    eta_x = np.linalg.norm(z @ q.resid, axis=-1)
-    rounding = (d + z.shape[-1]) * _EPS * (
-        1 + top + np.einsum("abtk,abk->abt", np.abs(z), q.norm)
+    (o, _, _, d), az = q.dres.shape, np.abs(z)
+    eta_x = np.hypot(
+        np.einsum("abtk,abk->abt", az, q.off), np.linalg.norm(z @ q.dres, axis=-1)
     )
+    rounding = (d + z.shape[-1]) * _EPS * (1 + top + np.einsum("abtk,abk->abt", az, q.norm))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt((1 - q.delta[:, None]) * (1 - q.delta[None, :]))[..., None]
         bound = eta_x + (1 / s - 1) * (top + eta_x) + rounding
@@ -1001,23 +1010,12 @@ def _adjoint_bounds(q: _Compressions):
     ``diag_p((C (kappa' - kappa))_p)``, of HS norm at most ``inv = s_max
     K``.  The rounding allowance, the premises (``delta < 1``, a
     bijective block map of (B, A)) and the NaN rule are those of
-    :func:`_product_bounds`.
+    :func:`_product_bounds` (:func:`_projection_bounds`).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = np.linalg.norm(q.maps, axis=2)
-        d_a, d_b = q.delta[:, None, None], q.delta[None, :, None]
-        gram = q.gram.T[..., None]
-        s_min = q.sv.min(axis=-1, initial=np.inf).T[..., None]
-        s_max = q.sv.max(axis=-1, initial=0.0).T[..., None]
-        kappa = v / s_min
-        eta_ba = np.linalg.norm(q.eta, axis=-1).T[..., None]
-        dist = (q.eta + kappa * eta_ba) / np.sqrt((1 - d_a) * (1 - d_b))
-        coeff = gram * kappa + np.sqrt(1 + gram) * dist
-        rounding = (q.resid.shape[-1] + q.maps.shape[-1]) * _EPS
-        outside = dist + np.sqrt(1 + gram) * coeff + rounding * (1 + q.norm)
-        inv = s_max * coeff + rounding * (1 + s_max * q.norm + v)
-    premise = (d_a < 1) & (d_b < 1) & (s_min > 0)
-    return np.where(premise, inv, np.nan), np.where(premise, outside, np.nan)
+    d_a, d_b = q.delta[:, None, None], q.delta[None, :, None]
+    return _projection_bounds(q, v, q.eta, q.norm, d_a, d_b, lambda x: x.T[..., None])
 
 
 def _certificates(q: _Compressions, tol) -> tuple:
@@ -1106,7 +1104,7 @@ def _isometry_devs(q: _Compressions, tol, seed) -> np.ndarray:
     bound = _isometry_bounds(q, z, tops)
     if np.all(CERT_SLACK * bound <= ISOMETRY_SLACK * tol):
         return bound
-    d = math.isqrt(q.rows.shape[-1])
+    d = q.dres.shape[-1]
     x = (z @ q.rows).reshape(tops.shape + (d, d))
     return np.abs(np.linalg.norm(x, 2, axis=(-2, -1)) - tops)
 

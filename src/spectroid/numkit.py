@@ -122,8 +122,8 @@ def _normal_eig_core(a: np.ndarray, threshold: float):
     re_part = (a + a.conj().T) / 2.0
     im_part = (a - a.conj().T) / 2.0j
     wr, u = np.linalg.eigh(re_part)
-    cuts = [0, *(np.flatnonzero(np.diff(wr) > threshold) + 1).tolist(), len(wr)]
-    for start, end in zip(cuts, cuts[1:]):
+    starts = _gap_starts(wr, threshold)
+    for start, end in zip(starts, [*starts[1:], len(wr)]):
         if end - start < 2:
             continue
         grp = np.arange(start, end)

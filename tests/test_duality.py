@@ -125,6 +125,34 @@ def test_spectrum_of_128_point_diagonal_algebra_fits():
     assert float(seconds) < 2.0
     assert float(peak_mb) < 500.0
 
+
+ROUNDTRIP_SPACEOID_SCRIPT = """
+import resource
+limit = 1800 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import numpy as np
+from spectroid import duality as du, spaceoid as sp
+e = sp.trivial_spaceoid(128, 4)
+e = sp.apply_gauge(e, sp.random_gauge(np.random.default_rng(0), e.base_points, e.objects))
+print(du.roundtrip_spaceoid(e).passed)
+"""
+
+
+def test_roundtrip_spaceoid_of_128_points_fits_in_1800_mb():
+    # the sections of a 128 x 4 spaceoid are one 537 MB stack, and the
+    # spectrum keeps one copy of it: the round trip runs under a 1.4 GB
+    # limit, and one more copy of the stack would take it past 1.8 GB.
+    # The limit holds for the child process only
+    env = dict(os.environ, PYTHONPATH=str(Path(spectroid.__file__).parents[1]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUNDTRIP_SPACEOID_SCRIPT], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
 def test_classical_spectrum_has_trivial_constants():
     spec = du.spectrum(du.classical_category(4))
     assert all(z == 1.0 for z in spec.spaceoid.lam.values())
@@ -500,8 +528,11 @@ def test_lift_bound_covers_the_explicit_lift_residual(seed):
     size = 10 ** rng.uniform(-12, 0, (o, o, k, 1, 1))
     x = lift(rng.standard_normal((o, o, k, k))) + size * noise(1.0, o, o, k, d, d)
     comp = uh[:, None, None] @ x @ u[None, :, None]
-    coeffs = du._class_means(np.diagonal(comp, axis1=-2, axis2=-1), ranks)
-    eta = np.linalg.norm(du._residual_rows(comp, coeffs, ranks), axis=-1)
+    # eta as spectrum takes it, from the compressions' diagonals and the
+    # norms of what they hold off them
+    diag, off = diagonal_and_off_norms(comp)
+    coeffs = du._class_means(diag, ranks)
+    _, eta = du._residual_parts(diag, off, coeffs, ranks)
     norm = np.linalg.norm(x, axis=(-2, -1))
     delta = np.linalg.norm(uh @ u - np.eye(d), axis=(-2, -1))
     explicit = np.linalg.norm(x - lift(coeffs), axis=(-2, -1))
@@ -523,7 +554,8 @@ def test_spectrum_fields_are_dense_arrays(make):
         "ranks": ((k,), "i"),
         "bases": ((o, d, d), "c"),
         "diag_table": ((o, k, k), "c"),
-        "compressions": ((o, o, k, d, d), "c"),
+        "diagonals": ((o, o, k, d), "c"),
+        "off_norms": ((o, o, k), "f"),
         "block_maps": ((o, o, k, k), "c"),
     }
     for name, (shape, kind) in want.items():
@@ -532,9 +564,14 @@ def test_spectrum_fields_are_dense_arrays(make):
         assert (value.shape, value.dtype.kind) == (shape, kind), name
     fields = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
     assert not any(isinstance(v, (dict, tuple)) for v in fields)
+    # the blocks are kept as one full stack, and no other array is that big
+    assert spec.elements.shape == (o, o, k, d, d)
+    big = [f.name for f in dataclasses.fields(spec)
+           if np.size(getattr(spec, f.name)) >= spec.elements.size]
+    assert big == ["elements"]
     # block_maps[A, B][p, j] is c_p(e_j), the mean of the diagonal of
     # e_j's compression over class p's columns; diag_table is its diagonal
-    diag = np.diagonal(spec.compressions, axis1=-2, axis2=-1)
+    diag = spec.diagonals
     for p, cols in enumerate(np.split(np.arange(d), np.cumsum(spec.ranks)[:-1])):
         assert np.array_equal(
             spec.block_maps[:, :, p], diag[..., cols].sum(axis=-1) / len(cols)
@@ -883,6 +920,14 @@ def dense_reference(c, tol=1e-9):
     return bases, comp, np.swapaxes(coeffs, -1, -2)
 
 
+def diagonal_and_off_norms(comp):
+    """The diagonals of a stack of compressions and the HS norms of what
+    they hold off them."""
+    diag = np.diagonal(comp, axis1=-2, axis2=-1)
+    off = comp - diag[..., None] * np.eye(comp.shape[-1])
+    return diag, np.linalg.norm(off, axis=(-2, -1))
+
+
 def _spy_on_dense_parts(monkeypatch):
     """Patch ``duality._dense_parts`` to count its calls."""
     calls = []
@@ -903,8 +948,11 @@ def test_diagonal_path_matches_the_dense_products(monkeypatch):
     for c in cats:
         spec = du.spectrum(c)
         bases, comp, maps = dense_reference(c)
+        diag, off = diagonal_and_off_norms(comp)
         assert np.abs(spec.bases - bases).max() <= 1e-15
-        assert np.abs(spec.compressions - comp).max() <= 1e-15
+        assert np.abs(spec.diagonals - diag).max() <= 1e-15
+        # the dense products are exactly zero off their diagonals too
+        assert not off.any() and not spec.off_norms.any()
         assert np.abs(spec.block_maps - maps).max() <= 1e-15
     assert not calls
 
@@ -948,8 +996,10 @@ def test_diagonal_path_falls_back_to_the_dense_one(monkeypatch, make, error):
     got = du.spectrum(c)
     assert len(calls) == 1
     bases, comp, maps = dense_reference(c)
+    diag, off = diagonal_and_off_norms(comp)
     assert np.array_equal(got.bases, bases)
-    assert np.allclose(got.compressions, comp, rtol=0, atol=1e-15)
+    assert np.allclose(got.diagonals, diag, rtol=0, atol=1e-15)
+    assert np.allclose(got.off_norms, off, rtol=0, atol=1e-15)
     assert np.allclose(got.block_maps, maps, rtol=0, atol=1e-15)
 
 
@@ -1029,8 +1079,63 @@ def test_both_paths_give_the_same_verdict(monkeypatch, make, error):
         return
     assert lifted == [1, 1]
     assert np.array_equal(diagonal.bases, dense.bases)
-    assert np.allclose(diagonal.compressions, dense.compressions, rtol=0, atol=1e-15)
+    assert np.allclose(diagonal.diagonals, dense.diagonals, rtol=0, atol=1e-15)
+    assert not diagonal.off_norms.any()
+    assert np.allclose(dense.off_norms, 0, rtol=0, atol=1e-15)
     assert np.allclose(diagonal.block_maps, dense.block_maps, rtol=0, atol=1e-15)
+
+
+def residual_rows(spec, maps):
+    """The rows ``(o, o, n, d*d)`` of ``T(e) - blockdiag_p(c_p(e) I)``,
+    each compression ``T(e) = U_A* e U_B`` formed here from the
+    spectrum's bases and elements, and ``c(e)`` read from ``maps``."""
+    uh = np.conj(np.swapaxes(spec.bases, -1, -2))
+    comp = uh[:, None, None] @ spec.elements @ spec.bases[None, :, None]
+    i = np.arange(comp.shape[-1])
+    comp[..., i, i] -= np.repeat(np.swapaxes(maps, -1, -2), spec.ranks, axis=-1)
+    return comp.reshape(comp.shape[:3] + (-1,))
+
+
+def test_eta_from_the_diagonals_is_the_norm_of_the_residual_rows(monkeypatch):
+    # gelfand's eta, read off the compressions' diagonals and the norms
+    # of what they hold off them, on the benchmark's seed-101 category
+    # deck, scrambled groupoids (the dense path) and the sections of
+    # gauged spaceoids (the diagonal path)
+    seen = []
+    measure = du._compressions
+    monkeypatch.setattr(
+        du, "_compressions", lambda *args: seen.append(args) or measure(*args)
+    )
+    w = workloads.WORKLOADS["category-roundtrip"]
+    for case in w.make_deck(101):
+        assert w.run(*case.inputs)[0], case.label
+    rng = np.random.default_rng(38)
+    diagonal = [
+        du.sections(gauged_spaceoid(kind, 5, 3, rng))
+        for kind in ("trivial", "linking", "torsor")
+    ]
+    dense = [
+        scramble(cc.groupoid_category(groups.connected_groupoid(3, group)), seed)
+        for seed, group in enumerate([groups.cyclic(4), groups.klein_four()])
+    ]
+    for c in diagonal + dense:
+        assert du.gelfand(c).report.passed
+    assert len(seen) == 43 + len(diagonal) + len(dense)
+    assert not any(spec.off_norms.any() for spec, _ in seen[43:46])
+    assert all(spec.off_norms.any() for spec, _ in seen[46:])
+    # one element moved by 1e-10 in a random direction, inside the
+    # completeness cut: its compression holds about that much off its
+    # diagonal
+    c = dense[0]
+    basis = [m.copy() for m in c.block("X1", "X2")]
+    basis[1] += 1e-10 * rand_unitary(rng, len(basis[1])) / 2
+    spec = du.spectrum(_with_block(c, ("X1", "X2"), basis))
+    assert spec.off_norms.max() > 1e-11
+    seen.append((spec, spec.block_maps))
+    for spec, maps in seen:
+        q = measure(spec, maps)
+        want = np.linalg.norm(residual_rows(spec, maps), axis=-1)
+        assert np.all(np.abs(q.eta - want) <= 1e-15 * (1 + q.norm))
 
 
 # --- scale oracles: dual groups far past the acceptance sizes ------------------
@@ -1547,7 +1652,8 @@ def reference_spectrum_on_morphism(phi, source, target, spec1, spec2, tol=1e-9):
         return value
 
     def class_unit(spec, i, a, b):
-        cols = slice(int(spec.starts[i]), int(spec.starts[i]) + spec.ranks[i])
+        start = int(np.cumsum(spec.ranks)[i] - spec.ranks[i])
+        cols = slice(start, start + spec.ranks[i])
         ai, bi = (spec.spaceoid.objects.index(o) for o in (a, b))
         u_a, u_b = spec.bases[ai][:, cols], spec.bases[bi][:, cols]
         return u_a @ u_b.conj().T

@@ -525,13 +525,16 @@ def _plant_nan(where, spec, maps):
         spec = dataclasses.replace(spec, elements=_nan_at(spec.elements, 3))
     elif where == "bases":
         spec = dataclasses.replace(spec, bases=_nan_at(spec.bases, 2))
-    elif where == "compressions":
-        comp = _nan_at(spec.compressions, 5)
-        spec = dataclasses.replace(spec, compressions=comp)
+    elif where == "diagonals":  # entry 1 of the first element's diagonal
+        spec = dataclasses.replace(spec, diagonals=_nan_at(spec.diagonals, 1))
+    elif where == "off-norms":  # the second element's
+        off = np.array(spec.off_norms, dtype=float)
+        off.reshape(-1)[1] = np.nan
+        spec = dataclasses.replace(spec, off_norms=off)
     return spec, maps
 
 
-NAN_INPUTS = ["block-map", "basis", "bases", "compressions"]
+NAN_INPUTS = ["block-map", "basis", "bases", "diagonals", "off-norms"]
 
 
 @pytest.mark.parametrize("where", NAN_INPUTS)
